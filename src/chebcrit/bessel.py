@@ -18,7 +18,6 @@ meets tolerance everywhere and keeps one code path for all real nu >= 0.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable
 
 from mpmath import mp
@@ -41,8 +40,6 @@ ZERO_SCAN_SPAN = 40.0
 DEFAULT_ROOT_XTOL = 1e-12
 
 _MAX_SERIES_DERIV = 5
-
-_MP_LOCK = threading.RLock()
 
 
 def _check_order(nu: float) -> float:
@@ -100,7 +97,7 @@ def _series_value(nu: float, x: float, order: int, tol: float) -> float:
         raise UsageError("series derivatives need x > 0")
     dps = 30
     while dps <= 2000:
-        with _MP_LOCK, mp.workdps(dps):
+        with mp.workdps(dps):
             total, mag, n_terms = _series_mpf(nu, x, order, tol)
             bound = mag * mp.mpf(10) ** (-dps) * (n_terms + 8)
             if bound == 0 or bound <= abs(total) * mp.mpf(tol) * mp.mpf("0.5"):

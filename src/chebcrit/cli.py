@@ -12,7 +12,7 @@ are rendered at 17 significant digits, the data payload carries no
 timestamps, and run metadata (tool version, fully resolved configuration)
 lives in a separate "header" object.  Exit codes: 0 success / all checks
 pass, 1 a verification or positivity check failed, 2 usage error,
-3 numerical failure.  CRITLEN_THREADS overrides the parallelism degree.
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -239,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for the trig-polynomial spaces built from spherical "
                     "Bessel functions.",
         epilog="Exit codes: 0 ok / all pass, 1 check failed, 2 usage error, "
-               "3 numerical failure.  CRITLEN_THREADS sets the scan "
-               "parallelism degree (default 1).")
+               "3 numerical failure.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_fn = sub.add_parser("fn", help="evaluate f_n or show its exact form")

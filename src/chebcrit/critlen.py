@@ -9,7 +9,7 @@ a theorem for n <= 2 and open for n >= 3: the scan asserts nothing for
 open cases, it reports.
 
 Each minor is scanned on (eps, cap) with a fixed base step tied to the
-problem scale, sign changes are refined by halving plus bisection, and
+problem scale, sign changes are refined by ``refine_bracket``, and
 sub-noise dips without a sign change are surfaced as "indeterminate"
 rather than being counted as zeros.
 """
@@ -17,8 +17,6 @@ rather than being counted as zeros.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bessel import bessel_zero
@@ -90,19 +88,7 @@ def _scan_one_minor(n: int, j: int, xs: list[float], vals: list[float],
         if v == 0.0:
             return PerJResult(j, xs[i], cap, note="scan landed on an exact zero")
         if i > 0 and vals[i - 1] * v < 0:
-            lo, hi = xs[i - 1], xs[i]
-            flo = vals[i - 1]
-            # three rounds of halving around the sign change before bisection
-            for _ in range(3):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    return PerJResult(j, mid, cap)
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            res = refine_bracket(f, lo, hi, xtol=tol)
+            res = refine_bracket(f, xs[i - 1], xs[i], xtol=tol)
             return PerJResult(j, res.value, cap)
         if (0 < i < len(vals) - 1 and abs(v) < NOISE_FLOOR * running_scale
                 and vals[i - 1] * vals[i + 1] > 0):
@@ -139,14 +125,7 @@ def estimate_critical_length(n: int, cap: float | None = None,
         row = minor_values(n, x, js)
         for j in js:
             columns[j].append(row[j])
-    threads = _parallelism()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_scan_one_minor, n, j, xs, columns[j], cap, tol)
-                       for j in js]
-            per_j = [f.result() for f in futures]
-    else:
-        per_j = [_scan_one_minor(n, j, xs, columns[j], cap, tol) for j in js]
+    per_j = [_scan_one_minor(n, j, xs, columns[j], cap, tol) for j in js]
     zeros = [r.first_zero for r in per_j if r.first_zero is not None]
     estimate = min(zeros) if zeros else math.inf
     gap = estimate - reference
@@ -162,10 +141,3 @@ def conjecture_scan(n_max: int) -> list[CritLenReport]:
         raise UsageError(f"n_max must be an integer in [0, {MAX_CONJECTURE_N}]")
     return [estimate_critical_length(n) for n in range(n_max + 1)]
 
-
-def _parallelism() -> int:
-    raw = os.environ.get("CRITLEN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -26,7 +26,6 @@ expansion in the ring, then validated evaluation).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -54,8 +53,6 @@ MAX_SYMBOLIC_N = 6
 
 #: LU declares a determinant zero when the scaled pivot drops below this.
 PIVOT_FLOOR = 1e-300
-
-_MP_LOCK = threading.RLock()
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +270,11 @@ def _validated_lu(entry_rows, *, rtol: float = 1e-13) -> float:
     resolution used on these minors.
     """
     dps = 40
-    with _MP_LOCK, mp.workdps(dps):
+    with mp.workdps(dps):
         d_prev, had = _lu_det(entry_rows)
     while dps <= 1280:
         dps *= 2
-        with _MP_LOCK, mp.workdps(dps):
+        with mp.workdps(dps):
             d_next, had = _lu_det(entry_rows)
             gap = abs(d_next - d_prev)
             if gap <= mp.mpf(rtol) * abs(d_next) or gap <= had * mp.mpf(_DET_ABS_FLOOR):

@@ -12,7 +12,7 @@ Identity tags and their requirements:
 
   prop1               v' + p v = p'f'f + q'f^2                    (m >= 3)
   prop2               second-order equation for v; divides by p'  (m >= 4)
-  cor2-ode            v'' - (2(n-1)/x) v' = (2n/x^2) f'^2, spherical
+  cor2-ode            v'' - (2(n-1)/x) v' = (4n/x^2) f'^2, spherical
   vfprime             v(f') = p'f'^2 + q'f'f + q v(f)             (m >= 3)
   thm-main2           w = (p'f'+q'f)^2 f - A v                    (m >= 4)
   remark-zero         w(x0) = -[p''-p'p+2q'] f'(x0)^3 at zeros of f

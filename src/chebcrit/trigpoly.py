@@ -24,7 +24,6 @@ representable.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,9 +50,8 @@ _EVAL_MAX_DPS = 5000
 _EVAL_RTOL = 1e-17
 _EVAL_RTOL_FLOOR = 1e-30
 
-# mpmath's global context is process-wide mutable state; serialize access so
-# that grid scans may run under a thread pool.
-_MP_LOCK = threading.RLock()
+# Evaluation is single-threaded by design: mpmath's precision context is
+# process-global, so every mp.workdps section here assumes no concurrent caller.
 
 
 # ----------------------------------------------------------------------
@@ -450,11 +448,11 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
             for c in reversed(cpart):
                 p = p * fx + c
             val += p
-        with _MP_LOCK, mp.workdps(40):
+        with mp.workdps(40):
             return mp.mpf(val.numerator) / val.denominator
     dps = _EVAL_START_DPS
     while dps <= _EVAL_MAX_DPS:
-        with _MP_LOCK, mp.workdps(dps):
+        with mp.workdps(dps):
             total, bound = _eval_harmonic_mp(a, x)
             if bound == 0 or bound <= abs(total) * mp.mpf(rtol):
                 return total
@@ -476,7 +474,7 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
             f"a/x^{denom_power} is singular at 0 (vanishing order {m0})")
     count = m0 + _MACLAURIN_EXTRA_TERMS
     coeffs = maclaurin(a, count)
-    with _MP_LOCK, mp.workdps(50):
+    with mp.workdps(50):
         if x == 0.0:
             if m0 > denom_power:
                 return mp.mpf(0)
@@ -535,7 +533,7 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
             return got
     if x == 0.0:
         val = sum((c[0] for _, c, _ in a.terms if c), Fraction(0))
-        with _MP_LOCK, mp.workdps(40):
+        with mp.workdps(40):
             return mp.mpf(val.numerator) / val.denominator
     return _eval_adaptive_mp(a, x, rtol)
 

@@ -81,12 +81,25 @@ def test_sub_noise_dip_is_flagged_indeterminate():
     assert "without a sign change" in res.note
 
 
-def test_threaded_scan_matches_serial(monkeypatch):
-    serial = estimate_critical_length(2)
-    monkeypatch.setenv("CRITLEN_THREADS", "3")
-    threaded = estimate_critical_length(2)
-    assert threaded.estimate == serial.estimate
-    assert [r.as_dict() for r in threaded.per_j] == [r.as_dict() for r in serial.per_j]
+def test_sign_change_is_refined_and_exact_zero_reported(monkeypatch):
+    # a synthetic linear minor stands in for the Wronskian minor; the
+    # refinement must look it up through critlen's module binding
+    import chebcrit.critlen as critlen
+
+    root = 0.2345
+    monkeypatch.setattr(critlen, "wronskian_minor", lambda n, j, t: t - root)
+    xs = [0.1, 0.2, 0.3, 0.4, 0.5]
+    tol = 1e-10
+
+    res = critlen._scan_one_minor(1, 3, xs, [x - root for x in xs], cap=0.5, tol=tol)
+    assert abs(res.first_zero - root) <= tol
+    assert not res.indeterminate
+    assert res.note == ""
+
+    res = critlen._scan_one_minor(1, 3, xs, [-0.2, -0.1, 0.0, 0.1, 0.2],
+                                  cap=0.5, tol=tol)
+    assert res.first_zero == 0.3
+    assert res.note == "scan landed on an exact zero"
 
 
 def test_validation():
