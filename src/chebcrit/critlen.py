@@ -88,7 +88,8 @@ def _scan_one_minor(n: int, j: int, xs: list[float], vals: list[float],
         if v == 0.0:
             return PerJResult(j, xs[i], cap, note="scan landed on an exact zero")
         if i > 0 and vals[i - 1] * v < 0:
-            res = refine_bracket(f, xs[i - 1], xs[i], xtol=tol)
+            res = refine_bracket(f, xs[i - 1], xs[i], xtol=tol,
+                                 flo=vals[i - 1], fhi=v)
             return PerJResult(j, res.value, cap)
         if (0 < i < len(vals) - 1 and abs(v) < NOISE_FLOOR * running_scale
                 and vals[i - 1] * vals[i + 1] > 0):

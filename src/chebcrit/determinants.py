@@ -15,12 +15,18 @@ that column order the two small cases reduce to the named determinants
     j = 2n:    v(f) = f'^2 - f'' f
     j = 2n-1:  w(f) = det [[f'', f', f], [f''', f'', f'], [f'''', f''', f'']]
 
-and w(f) equals minus the determinant of the 3x3 Hankel matrix of f.
+and w(f) equals minus the determinant of the 3x3 Hankel matrix of f.  That
+is the case s = 3 of a general identity: reversing the column order of the
+s x s matrix W(u_j..u_{2n+1}), s = 2n+2-j, gives the leading s x s block
+H_s of the one Hankel matrix H = [f_n^(r+t)], so
+
+    w_j = (-1)^(s(s-1)/2) det H_s.
 
 Two independent evaluation routes are provided and cross-checked in tests:
 a numeric route (exact ring derivatives, validated extended-precision entry
-evaluation, LU with partial pivoting) and a fully symbolic route (cofactor
-expansion in the ring, then validated evaluation).
+evaluation, every leading minor of H from one unpivoted elimination, with
+pivoted LU only from an exactly zero pivot on) and a fully symbolic route
+(cofactor expansion in the ring, then validated evaluation).
 """
 
 from __future__ import annotations
@@ -221,30 +227,26 @@ def _minor_entry_grid(n: int, j: int) -> tuple[tuple[TrigPoly, ...], ...]:
 
 
 _ENTRY_RTOL = 1e-30
+_DET_RTOL = 1e-13
 _DET_ABS_FLOOR = "1e-25"  # times the Hadamard scale
 
 
-def _lu_det(rows) -> tuple:
+def _lu_det(rows):
     """Determinant by LU with scaled partial pivoting at the current precision.
 
-    Returns (det, hadamard) where hadamard is the product of row norms, the
-    natural scale for declaring a determinant numerically zero.  A scaled
-    pivot below PIVOT_FLOOR short-circuits to det = 0 (design decision: the
-    matrices are tiny, precision lives in the entries).
+    A scaled pivot below PIVOT_FLOOR short-circuits to det = 0 (design
+    decision: the matrices are tiny, precision lives in the entries).
     """
     a = [list(r) for r in rows]
     nrows = len(a)
     scales = [max(abs(x) for x in r) for r in a]
     if any(s == 0 for s in scales):
-        return mp.mpf(0), mp.mpf(0)
-    hadamard = mp.mpf(1)
-    for r in a:
-        hadamard *= mp.sqrt(sum(x * x for x in r))
+        return mp.mpf(0)
     det = mp.mpf(1)
     for col in range(nrows):
         piv = max(range(col, nrows), key=lambda r: abs(a[r][col]) / scales[r])
         if abs(a[piv][col]) / scales[piv] < mp.mpf(PIVOT_FLOOR):
-            return mp.mpf(0), hadamard
+            return mp.mpf(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             scales[col], scales[piv] = scales[piv], scales[col]
@@ -256,58 +258,98 @@ def _lu_det(rows) -> tuple:
             if factor:
                 for c in range(col, nrows):
                     a[r][c] -= factor * a[col][c]
-    return det, hadamard
+    return det
 
 
-def _validated_lu(entry_rows, *, rtol: float = 1e-13) -> float:
-    """LU determinant validated by recomputation at doubled precision.
+def _hankel(vals, size: int) -> list[list]:
+    """The leading size x size block of the Hankel matrix H[r][t] = vals[r+t]."""
+    return [[vals[r + t] for t in range(size)] for r in range(size)]
+
+
+def _hankel_minors(vals, sizes: list[int]) -> dict:
+    """det H_s for every s in sizes, at the current precision.
+
+    Unpivoted elimination: the k-th pivot is det H_k / det H_(k-1) and
+    depends on H_k alone, so the running pivot product passes through every
+    leading minor whatever the other sizes (the k-th diagonal entry of
+    Bareiss's fraction-free form).  Once a pivot is exactly zero, its size
+    and every larger one fall back to pivoted LU.
+    """
+    a = _hankel(vals, max(sizes))
+    out = {}
+    for k, row in enumerate(a):
+        piv = row[k]
+        if not piv:
+            for s in sizes:
+                if s > k:
+                    out[s] = _lu_det(_hankel(vals, s))
+            break
+        tau = tau * piv if k else piv  # H_1 stays exact
+        if k + 1 in sizes:
+            out[k + 1] = tau
+        inv = 1 / piv
+        for below in a[k + 1:]:
+            factor = below[k] * inv
+            if factor:
+                for c in range(k + 1, len(a)):
+                    below[c] -= factor * row[c]
+    return out
+
+
+def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
+    """Leading Hankel minors validated by recomputation at doubled precision.
 
     The entries are already certified to _ENTRY_RTOL relative error, so the
     doubling certifies the elimination roundoff.  Agreement is accepted
-    relatively at rtol, or absolutely at 1e-25 of the Hadamard scale: near
-    a zero of the determinant relative agreement is unattainable, while the
-    absolute floor keeps sign queries meaningful far below any bisection
-    resolution used on these minors.
+    relatively at _DET_RTOL, or absolutely at 1e-25 of the Hadamard scale:
+    near a zero of the determinant relative agreement is unattainable,
+    while the absolute floor keeps sign queries meaningful far below any
+    bisection resolution used on these minors.  The Hadamard scale (product
+    of the row 2-norms) is built only when the relative test fails, and
+    each size is frozen at the first precision where it validates.
     """
     dps = 40
     with mp.workdps(dps):
-        d_prev, had = _lu_det(entry_rows)
+        prev = _hankel_minors(vals, sizes)
+    out = {}
     while dps <= 1280:
         dps *= 2
+        open_sizes = [s for s in sizes if s not in out]
         with mp.workdps(dps):
-            d_next, had = _lu_det(entry_rows)
-            gap = abs(d_next - d_prev)
-            if gap <= mp.mpf(rtol) * abs(d_next) or gap <= had * mp.mpf(_DET_ABS_FLOOR):
-                return float(d_next)
-        d_prev = d_next
+            cur = _hankel_minors(vals, open_sizes)
+            for s in open_sizes:
+                gap = abs(cur[s] - prev[s])
+                if gap > mp.mpf(_DET_RTOL) * abs(cur[s]):
+                    hadamard = mp.fprod(mp.norm(row) for row in _hankel(vals, s))
+                    if gap > hadamard * mp.mpf(_DET_ABS_FLOOR):
+                        continue
+                out[s] = float(cur[s])
+        if len(out) == len(sizes):
+            return out
+        prev = cur
     raise NumericalFailure("minor evaluation did not stabilize")
 
 
 def wronskian_minor(n: int, j: int, x: float) -> float:
     """det W(u_j, ..., u_{2n+1})(x) for the canonical basis of the space.
 
-    Entries are differentiated exactly in the ring and evaluated to a
-    certified 1e-30 relative error; the determinant is taken by LU with
-    scaled partial pivoting and validated by recomputation at doubled
-    precision.
+    The single-minor slice of ``minor_values``, so a minor has the same
+    value on the scan grid and during refinement.
     """
-    _check_minor_args(n, j)
-    x = float(x)
-    if not (math.isfinite(x) and x > 0):
-        raise UsageError("wronskian_minor needs finite x > 0")
-    grid = _minor_entry_grid(n, j)
-    if len(grid) == 1:
-        return tp_eval(grid[0][0], x)
-    entries = [[tp_eval_mp(tp, x, _ENTRY_RTOL) for tp in row] for row in grid]
-    return _validated_lu(entries)
+    return minor_values(n, x, [j])[j]
 
 
 def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int, float]:
-    """All admissible minors at one abscissa, sharing the entry evaluations.
+    """The admissible minors w_j at one abscissa, from one elimination.
 
-    Equivalent to {j: wronskian_minor(n, j, x)} but evaluates each
-    derivative of f_n only once; this is what the critical-length scan
-    uses per grid point.
+    Reversing the column order of W(u_j..u_{2n+1}) turns it into the
+    leading s x s block of the Hankel matrix H = [f_n^(r+t)], s = 2n+2-j,
+    so w_j = (-1)^(s(s-1)/2) det H_s.  The entries f_n^(0..2s-2) are
+    differentiated exactly in the ring and evaluated to a certified 1e-30
+    relative error; the leading minors are the running products of the
+    pivots of one unpivoted elimination, validated by recomputation at
+    doubled precision.  Only when a pivot is exactly zero does pivoted LU
+    take over, for that size and every larger one.
     """
     if js is None:
         js = admissible_j(n)
@@ -316,19 +358,15 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
         _check_minor_args(n, j)
     x = float(x)
     if not (math.isfinite(x) and x > 0):
-        raise UsageError("minor_values needs finite x > 0")
-    derivs = fn_derivatives(n, 2 * n + 1)
+        raise UsageError("Wronskian minors need finite x > 0")
+    if not js:
+        return {}
+    sizes = [2 * n + 2 - j for j in js]
+    derivs = fn_derivatives(n, 2 * max(sizes) - 2)
     vals = [tp_eval_mp(d, x, _ENTRY_RTOL) for d in derivs]
-    out = {}
-    for j in js:
-        size = 2 * n + 2 - j
-        top = 2 * n + 1 - j
-        if size == 1:
-            out[j] = float(vals[top])
-            continue
-        rows = [[vals[top - t + r] for t in range(size)] for r in range(size)]
-        out[j] = _validated_lu(rows)
-    return out
+    dets = _validated_hankel_minors(vals, sizes)
+    return {j: -dets[s] if s * (s - 1) // 2 % 2 else dets[s]
+            for j, s in zip(js, sizes)}
 
 
 # ----------------------------------------------------------------------

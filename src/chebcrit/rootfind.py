@@ -76,14 +76,20 @@ def bracket_kth_zero(f: Callable[[float], float], k: int, *, start: float,
 
 
 def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
-                   xtol: float = 1e-12, max_iter: int = 200) -> ZeroResult:
+                   xtol: float = 1e-12, max_iter: int = 200,
+                   flo: float | None = None, fhi: float | None = None) -> ZeroResult:
     """Refine a sign-change bracket by bisection with safeguarded secant steps.
 
     The secant step is taken only when it falls strictly inside the current
     bracket; otherwise the step bisects.  Terminates when the bracket width
-    is below xtol (plus a few ulps of the abscissa).
+    is below xtol (plus a few ulps of the abscissa).  A caller that already
+    holds f(lo) or f(hi) passes it as flo or fhi, and that end is not
+    evaluated again.
     """
-    flo, fhi = f(lo), f(hi)
+    if flo is None:
+        flo = f(lo)
+    if fhi is None:
+        fhi = f(hi)
     if flo == 0.0:
         return ZeroResult(lo, 0.0, 0)
     if fhi == 0.0:

@@ -87,12 +87,19 @@ def test_sign_change_is_refined_and_exact_zero_reported(monkeypatch):
     import chebcrit.critlen as critlen
 
     root = 0.2345
-    monkeypatch.setattr(critlen, "wronskian_minor", lambda n, j, t: t - root)
+    seen = []
+
+    def minor(n, j, t):
+        seen.append(t)
+        return t - root
+
+    monkeypatch.setattr(critlen, "wronskian_minor", minor)
     xs = [0.1, 0.2, 0.3, 0.4, 0.5]
     tol = 1e-10
 
     res = critlen._scan_one_minor(1, 3, xs, [x - root for x in xs], cap=0.5, tol=tol)
     assert abs(res.first_zero - root) <= tol
+    assert seen and 0.2 not in seen and 0.3 not in seen  # the scan's values are reused
     assert not res.indeterminate
     assert res.note == ""
 

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
+from chebcrit import determinants
 from chebcrit.bessel import fn_zero
 from chebcrit.determinants import (
+    _lu_det,
+    _minor_entry_grid,
     DerivStack,
     admissible_j,
     canonical_basis,
@@ -28,11 +34,13 @@ from chebcrit.determinants import (
 )
 from chebcrit.errors import UsageError
 from chebcrit.trigpoly import (
+    fn_derivatives,
     maclaurin,
     spherical_fn,
     tp_add,
     tp_diff,
     tp_eval,
+    tp_eval_mp,
     tp_from_poly,
     tp_mul,
     tp_sin,
@@ -141,12 +149,132 @@ def test_admissible_range():
 
 
 def test_minor_values_batch_matches_single():
-    n, x = 3, 2.4
-    batch = minor_values(n, x)
-    assert sorted(batch) == list(admissible_j(n))
-    for j, val in batch.items():
-        single = wronskian_minor(n, j, x)
-        assert abs(val - single) <= 1e-12 * max(1.0, abs(single))
+    # x = 11.0317... is the refined zero of the n = 6, j = 11 minor; each
+    # minor is frozen at the precision where it validates, so the batch
+    # and the single-minor slice agree bit for bit
+    for n, x in ((3, 2.4), (6, 11.031776717530253)):
+        batch = minor_values(n, x)
+        assert sorted(batch) == list(admissible_j(n))
+        for j, val in batch.items():
+            assert val == wronskian_minor(n, j, x)
+
+
+# ---------------------------------------------------------------- Hankel elimination
+
+def _exact_det(rows):
+    """Exact integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** t * rows[0][t] * _exact_det([r[:t] + r[t + 1:] for r in rows[1:]])
+               for t in range(len(rows)))
+
+
+def _pivoted_minor(n, j, x):
+    """w_j by scaled-pivot LU on W itself, validated by precision doubling."""
+    grid = _minor_entry_grid(n, j)
+    rows = [[tp_eval_mp(tp, x, 1e-30) for tp in row] for row in grid]
+    dps = 40
+    with mpmath.workdps(dps):
+        prev = _lu_det(rows)
+    while dps <= 1280:
+        dps *= 2
+        with mpmath.workdps(dps):
+            det = _lu_det(rows)
+            gap = abs(det - prev)
+            had = mpmath.fprod(mpmath.norm(r) for r in rows)
+            if gap <= 1e-13 * abs(det) or gap <= had * mpmath.mpf("1e-25"):
+                return float(det)
+        prev = det
+    raise AssertionError("reference LU did not stabilize")
+
+
+def _plant_entries(monkeypatch, n, vals):
+    """Make f_n^(k)(x) evaluate to the rational vals[k] (to 400 digits) for any x."""
+    derivs = fn_derivatives(n, 2 * n)
+    with mpmath.workdps(400):
+        planted = [mpmath.mpf(v.numerator) / v.denominator for v in map(Fraction, vals)]
+    monkeypatch.setattr(determinants, "tp_eval_mp",
+                        lambda d, x, rtol: planted[derivs.index(d)])
+
+
+@pytest.mark.parametrize("vals", [
+    (0, 1, 3, -2, 5),  # H_1 = 0: the first pivot is zero
+    (1, 1, 1, 2, 5),   # H_2 = 0: the second pivot is exactly zero
+])
+def test_zero_pivot_falls_back_to_pivoted_lu(monkeypatch, vals):
+    n = 2
+    _plant_entries(monkeypatch, n, vals)
+    fallback_sizes = []
+
+    def counting_lu(rows):
+        fallback_sizes.append(len(rows))
+        return _lu_det(rows)
+
+    monkeypatch.setattr(determinants, "_lu_det", counting_lu)
+    got = minor_values(n, 1.0)
+    assert fallback_sizes
+    for j, val in got.items():
+        s = 2 * n + 2 - j
+        # W(u_j..u_{2n+1}) itself, in basis column order: entry (r, t) = f^(s-1-t+r)
+        want = _exact_det([[vals[s - 1 - t + r] for t in range(s)] for r in range(s)])
+        assert abs(val - want) <= 1e-15 * abs(want)
+        if s > 1:
+            hankel = [[mpmath.mpf(vals[r + t]) for t in range(s)] for r in range(s)]
+            with mpmath.workdps(80):
+                assert val == (-1) ** (s * (s - 1) // 2) * float(_lu_det(hankel))
+
+
+def test_minor_frozen_at_the_precision_where_it_validates(monkeypatch):
+    # the tiny second pivot 1e-30 makes the third elimination step grow the
+    # 40-digit roundoff past the absolute floor in det H_4 alone: sizes 1..3
+    # validate at 80 digits, and the 160-digit pass recomputes size 4 only
+    n = 3
+    vals = (3, 1, Fraction(1, 3) + Fraction(1, 10 ** 30), 1, 1, 2, 7)
+    _plant_entries(monkeypatch, n, vals)
+    passes = []
+    hankel_minors = determinants._hankel_minors
+
+    def recording(entries, sizes):
+        passes.append((mpmath.mp.dps, tuple(sizes)))
+        return hankel_minors(entries, sizes)
+
+    monkeypatch.setattr(determinants, "_hankel_minors", recording)
+    got = minor_values(n, 1.0)
+    assert passes[-1] == (160, (4,))
+    for j, val in got.items():
+        s = 2 * n + 2 - j
+        want = _exact_det([[Fraction(vals[s - 1 - t + r]) for t in range(s)]
+                           for r in range(s)])
+        assert val == float(want)
+        assert val == wronskian_minor(n, j, 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_hankel_sign_convention_against_symbolic(n):
+    for x in (0.5, 3.7, 7.9, 11.0):
+        for j in admissible_j(n):
+            a = tp_eval(symbolic_minor(n, j), x)
+            b = wronskian_minor(n, j, x)
+            assert abs(a - b) <= 1e-10 * max(abs(a), abs(b)), (n, j, x, a, b)
+
+
+def _refined_minor_zeros():
+    ref = json.loads((Path(__file__).resolve().parent.parent
+                      / "perfbench" / "critlen_reference.json").read_text())
+    return [(r["n"], p["j"], p["first_zero"]) for r in ref["reports"]
+            for p in r["per_j"]
+            if p["first_zero"] is not None and p["j"] < 2 * r["n"] + 1]
+
+
+def test_hankel_minors_match_pivoted_lu_at_refined_zeros():
+    # at the zero of w_j the leading minor det H_s vanishes, so every larger
+    # size is read off past a tiny pivot: the hard case for no pivoting
+    zeros = _refined_minor_zeros()
+    assert len(zeros) == 9
+    for n, _, x in zeros:
+        got = minor_values(n, x)
+        for j in admissible_j(n):
+            assert got[j] == _pivoted_minor(n, j, x), (n, j, x)
 
 
 # ---------------------------------------------------------------- symbolic route

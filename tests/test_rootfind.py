@@ -31,6 +31,30 @@ def test_refine_converges_within_xtol():
     assert 0 < res.iterations < 200
 
 
+def test_refine_skips_known_endpoint_values():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.sin(t)
+
+    plain = refine_bracket(f, 3.0, 3.3, xtol=1e-10)
+    plain_evals = len(seen)
+    seen.clear()
+    res = refine_bracket(f, 3.0, 3.3, xtol=1e-10, flo=math.sin(3.0), fhi=math.sin(3.3))
+    assert res == plain
+    assert len(seen) == plain_evals - 2
+    assert 3.0 not in seen and 3.3 not in seen
+
+
+def test_refine_returns_known_endpoint_zero_without_evaluating():
+    def f(t):
+        raise AssertionError("no evaluation expected")
+
+    assert refine_bracket(f, 1.0, 2.0, flo=0.0, fhi=1.0).value == 1.0
+    assert refine_bracket(f, 1.0, 2.0, flo=-1.0, fhi=0.0).value == 2.0
+
+
 def test_bracket_finds_kth_sign_change():
     br = bracket_kth_zero(math.sin, 3, start=0.5, step=0.1, cap=20.0)
     assert br.lo < 3 * math.pi < br.hi

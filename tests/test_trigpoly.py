@@ -266,7 +266,7 @@ def test_eval_leaves_mp_context_untouched():
     tp_eval(spherical_fn(8), 1e-3)   # forces the exact-series path
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
-    minor_values(4, 3.0)             # two validated LU passes per minor
+    minor_values(4, 3.0)             # two elimination passes (40 and 80 digits)
     assert mpmath.mp.dps == before
 
 
