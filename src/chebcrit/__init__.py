@@ -54,7 +54,7 @@ from .identities import (
     w_prime_by_differences,
 )
 from .models import CoeffModel, bessel_model, parse_model, spherical_model
-from .rootfind import ZeroBracket, ZeroResult
+from .rootfind import ZeroResult
 from .trigpoly import (
     TrigPoly,
     format_trigpoly,

@@ -31,7 +31,7 @@ SERIES_TERM_CAP = 500
 
 #: Zero-scan resolution.  Consecutive zeros of J_nu are > pi apart
 #: asymptotically and > 1 apart for every order in scope, so a pi/8 step
-#: cannot skip a zero; each bracket is verified to carry a sign change.
+#: cannot skip a zero; each bracket carries a sign change or an exact zero.
 ZERO_SCAN_STEP = math.pi / 8
 
 #: The scan for the k-th zero gives up at nu + ZERO_SCAN_SPAN.
@@ -145,10 +145,10 @@ def bessel_stack_values(nu: float, x: float, m: int,
 # ----------------------------------------------------------------------
 
 def _zero_of(f: Callable[[float], float], k: int, *, scan_from: float,
-             cap: float, xtol: float, kind: str, label: str) -> ZeroResult:
+             cap: float, xtol: float, label: str) -> ZeroResult:
     try:
         return kth_zero(f, k, start=scan_from, step=ZERO_SCAN_STEP, cap=cap,
-                        xtol=xtol, kind=kind)
+                        xtol=xtol)
     except NumericalFailure as exc:
         raise NumericalFailure(f"{label}: {exc}") from exc
 
@@ -162,7 +162,7 @@ def bessel_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult
     cap = nu + ZERO_SCAN_SPAN
     f = lambda t: bessel_j(nu, t)
     return _zero_of(f, k, scan_from=start, cap=cap, xtol=tol,
-                    kind="function", label=f"zero of J_{nu}")
+                    label=f"zero of J_{nu}")
 
 
 def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
@@ -180,7 +180,7 @@ def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> Zero
     cap = nu + ZERO_SCAN_SPAN
     f = lambda t: bessel_j_deriv(nu, t, 1)
     res = _zero_of(f, k, scan_from=start, cap=cap, xtol=tol,
-                   kind="derivative", label=f"zero of J_{nu}'")
+                   label=f"zero of J_{nu}'")
     if res.value <= nu:
         raise NumericalFailure(
             f"computed j'_{{{nu},{k}}} = {res.value} <= nu, violating j' > nu")
@@ -194,7 +194,7 @@ def fn_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     f_n = spherical_fn(n)
     cap = (n + 0.5) + ZERO_SCAN_SPAN
     return _zero_of(lambda t: tp_eval(f_n, t), k, scan_from=max(tol, 1e-3),
-                    cap=cap, xtol=tol, kind="function", label=f"zero of f_{n}")
+                    cap=cap, xtol=tol, label=f"zero of f_{n}")
 
 
 def fn_deriv_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
@@ -206,4 +206,4 @@ def fn_deriv_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     fp = fn_derivatives(n, 1)[1]
     cap = (n + 0.5) + ZERO_SCAN_SPAN
     return _zero_of(lambda t: tp_eval(fp, t), k, scan_from=max(tol, 1e-3),
-                    cap=cap, xtol=tol, kind="derivative", label=f"zero of f_{n}'")
+                    cap=cap, xtol=tol, label=f"zero of f_{n}'")

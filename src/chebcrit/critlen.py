@@ -9,9 +9,9 @@ a theorem for n <= 2 and open for n >= 3: the scan asserts nothing for
 open cases, it reports.
 
 Each minor is scanned on (eps, cap) with a fixed base step tied to the
-problem scale, sign changes are refined by ``refine_bracket``, and
-sub-noise dips without a sign change are surfaced as "indeterminate"
-rather than being counted as zeros.
+problem scale, the first hit of ``sign_changes`` over its precomputed
+values is refined by ``refine_bracket``, and sub-noise dips without a sign
+change are surfaced as "indeterminate" rather than being counted as zeros.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bessel import bessel_zero
 from .determinants import admissible_j, minor_values, wronskian_minor
 from .errors import UsageError
-from .rootfind import refine_bracket
+from .rootfind import refine_bracket, sign_changes
 
 #: scan starts at this offset from 0 (minors vanish to high order at 0)
 EPSILON = 1e-3
@@ -80,23 +80,29 @@ class CritLenReport:
 
 def _scan_one_minor(n: int, j: int, xs: list[float], vals: list[float],
                     cap: float, tol: float) -> PerJResult:
-    """Locate the first zero of minor j from precomputed scan values."""
-    f = lambda t: wronskian_minor(n, j, t)
+    """Locate the first zero of minor j from precomputed scan values.
+
+    A sub-noise dip without a sign change before the first sign change (or
+    exact zero) makes the minor indeterminate instead.
+    """
+    hit = next(sign_changes(enumerate(vals)), None)
+    end = len(vals) - 1 if hit is None else hit[2]
     running_scale = 0.0
-    for i, v in enumerate(vals):
+    for i, v in enumerate(vals[:end]):
         running_scale = max(running_scale, abs(v))
-        if v == 0.0:
-            return PerJResult(j, xs[i], cap, note="scan landed on an exact zero")
-        if i > 0 and vals[i - 1] * v < 0:
-            res = refine_bracket(f, xs[i - 1], xs[i], xtol=tol,
-                                 flo=vals[i - 1], fhi=v)
-            return PerJResult(j, res.value, cap)
-        if (0 < i < len(vals) - 1 and abs(v) < NOISE_FLOOR * running_scale
+        if (i > 0 and abs(v) < NOISE_FLOOR * running_scale
                 and vals[i - 1] * vals[i + 1] > 0):
             return PerJResult(j, None, cap, indeterminate=True,
                               note=f"|minor| dipped to {v:.3e} near x={xs[i]:.6g} "
                                    f"without a sign change")
-    return PerJResult(j, None, cap, note="no sign change below the cap")
+    if hit is None:
+        return PerJResult(j, None, cap, note="no sign change below the cap")
+    lo, flo, hi, fhi = hit
+    if lo == hi:
+        return PerJResult(j, xs[lo], cap, note="scan landed on an exact zero")
+    res = refine_bracket(lambda t: wronskian_minor(n, j, t), xs[lo], xs[hi],
+                         xtol=tol, flo=flo, fhi=fhi)
+    return PerJResult(j, res.value, cap)
 
 
 def estimate_critical_length(n: int, cap: float | None = None,

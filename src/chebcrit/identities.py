@@ -205,14 +205,6 @@ def a23_coeffs(model: CoeffModel, x: float) -> tuple[float, float]:
     return a2, a3
 
 
-def _a23_deriv_a2(model: CoeffModel, x: float) -> float:
-    # d/dx of A2 = (3/2)(p'^2 - p''' + p''^2/p')
-    dp, d2p, d3p, d4p = model.dp(x), model.d2p(x), model.d3p(x), model.d4p(x)
-    if dp == 0.0:
-        raise SingularPointError(f"p'({x}) = 0")
-    return 1.5 * (2 * dp * d2p - d4p + 2 * d2p * d3p / dp - d2p ** 3 / dp ** 2)
-
-
 def _big_b(model: CoeffModel, x: float) -> float:
     # B = p^2/2 - p' - 2q + p'''/p' - (3/2) p''^2/p'^2
     p, dp, d2p, d3p = model.p(x), model.dp(x), model.d2p(x), model.d3p(x)

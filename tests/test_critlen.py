@@ -80,6 +80,11 @@ def test_sub_noise_dip_is_flagged_indeterminate():
     assert res.first_zero is None
     assert "without a sign change" in res.note
 
+    # a dip before the first sign change wins over the sign change
+    res = _scan_one_minor(1, 3, xs, [1.0, 1e-14, 1.0, -1.0, -2.0], cap=0.5, tol=1e-10)
+    assert res.indeterminate
+    assert "near x=0.2 " in res.note
+
 
 def test_sign_change_is_refined_and_exact_zero_reported(monkeypatch):
     # a synthetic linear minor stands in for the Wronskian minor; the
@@ -102,6 +107,12 @@ def test_sign_change_is_refined_and_exact_zero_reported(monkeypatch):
     assert seen and 0.2 not in seen and 0.3 not in seen  # the scan's values are reused
     assert not res.indeterminate
     assert res.note == ""
+
+    # a dip after the first sign change is never looked at
+    vals = [x - root for x in xs[:3]] + [1e-14, 0.2]
+    res = critlen._scan_one_minor(1, 3, xs, vals, cap=0.5, tol=tol)
+    assert abs(res.first_zero - root) <= tol
+    assert not res.indeterminate
 
     res = critlen._scan_one_minor(1, 3, xs, [-0.2, -0.1, 0.0, 0.1, 0.2],
                                   cap=0.5, tol=tol)

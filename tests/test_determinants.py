@@ -12,7 +12,8 @@ import mpmath
 import pytest
 
 from chebcrit import determinants
-from chebcrit.bessel import fn_zero
+from chebcrit.bessel import bessel_zero, fn_zero
+from chebcrit.critlen import EPSILON, SCAN_DIVISIONS
 from chebcrit.determinants import (
     _lu_det,
     _minor_entry_grid,
@@ -275,6 +276,20 @@ def test_hankel_minors_match_pivoted_lu_at_refined_zeros():
         got = minor_values(n, x)
         for j in admissible_j(n):
             assert got[j] == _pivoted_minor(n, j, x), (n, j, x)
+
+
+def test_first_scan_points_validate_without_the_hadamard_floor(monkeypatch):
+    # near the origin |w_j| is far below 1e-25 * Hadamard (log10 ratio about
+    # -91 at n = 6, x = 1e-3), so the floor could certify nothing there: the
+    # relative test alone must accept the first critical-length abscissae
+    xs_by_n = {}
+    for n in range(7):
+        step = bessel_zero(n + 0.5, 1).value / SCAN_DIVISIONS
+        xs_by_n[n] = [EPSILON + i * step for i in range(4)]
+    before = {(n, x): minor_values(n, x) for n, xs in xs_by_n.items() for x in xs}
+    monkeypatch.setattr(determinants, "_DET_ABS_FLOOR", "0")
+    for (n, x), vals in before.items():
+        assert minor_values(n, x) == vals, (n, x)
 
 
 # ---------------------------------------------------------------- symbolic route

@@ -1,4 +1,4 @@
-"""Bracketing scan and bracket refinement on functions with known zeros."""
+"""The sign-change scan and bisection refinement on functions with known zeros."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import math
 
 import pytest
 
+import chebcrit.bessel
+from chebcrit.bessel import bessel_zero
 from chebcrit.errors import NumericalFailure, UsageError
-from chebcrit.rootfind import bracket_kth_zero, refine_bracket
+from chebcrit.rootfind import kth_zero, refine_bracket, sign_changes
 
 
 def test_refine_requires_sign_change():
@@ -55,22 +57,69 @@ def test_refine_returns_known_endpoint_zero_without_evaluating():
     assert refine_bracket(f, 1.0, 2.0, flo=-1.0, fhi=0.0).value == 2.0
 
 
-def test_bracket_finds_kth_sign_change():
-    br = bracket_kth_zero(math.sin, 3, start=0.5, step=0.1, cap=20.0)
-    assert br.lo < 3 * math.pi < br.hi
-    assert br.hi - br.lo <= 0.1 + 1e-12
-    assert br.index == 3
-    assert br.kind == "function"
+def test_sign_changes_yields_crossings_and_exact_zeros():
+    samples = [(0.0, 1.0), (1.0, -1.0), (2.0, 0.0), (3.0, 2.0), (4.0, 3.0), (5.0, -1.0)]
+    assert list(sign_changes(samples)) == [
+        (0.0, 1.0, 1.0, -1.0), (2.0, 0.0, 2.0, 0.0), (4.0, 3.0, 5.0, -1.0)]
 
 
-def test_bracket_raises_below_k_sign_changes():
+def test_kth_zero_finds_kth_crossing_of_sin():
+    res = kth_zero(math.sin, 3, start=0.5, step=0.1, cap=20.0, xtol=1e-12)
+    assert abs(res.value - 3 * math.pi) <= 1e-11
+    assert res.iterations > 0
+
+
+def test_kth_zero_raises_below_k_sign_changes():
     # sin has only two zeros (pi, 2*pi) in (0.5, 7)
     with pytest.raises(NumericalFailure):
-        bracket_kth_zero(math.sin, 3, start=0.5, step=0.1, cap=7.0)
+        kth_zero(math.sin, 3, start=0.5, step=0.1, cap=7.0)
 
 
-def test_bracket_degenerate_when_scan_lands_on_zero():
-    br = bracket_kth_zero(lambda t: t - 1.0, 1, start=0.5, step=0.25, cap=2.0)
-    assert br.lo < 1.0 < br.hi
-    assert br.hi - br.lo <= 1e-9
+def test_kth_zero_returns_exact_grid_zero():
+    res = kth_zero(lambda t: t - 1.0, 1, start=0.5, step=0.25, cap=2.0)
+    assert res.value == 1.0
+    assert res.residual == 0.0
+    assert res.iterations == 0
 
+
+def test_kth_zero_counts_tangential_grid_zero():
+    # no sign change anywhere: the double zero sits exactly on a grid point
+    res = kth_zero(lambda t: (t - 1.0) ** 2, 1, start=0.5, step=0.25, cap=2.0)
+    assert res.value == 1.0
+    assert res.iterations == 0
+
+
+def test_kth_zero_counts_exact_zero_at_cap():
+    res = kth_zero(lambda t: t - 2.0, 1, start=0.5, step=0.25, cap=2.0)
+    assert res.value == 2.0
+    assert res.iterations == 0
+
+
+def test_kth_zero_evaluates_nothing_past_the_bracket():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.sin(t)
+
+    grid = [0.5]
+    while grid[-1] < 20.0:
+        grid.append(min(grid[-1] + 0.1, 20.0))
+    hi = list(sign_changes((x, math.sin(x)) for x in grid))[1][2]
+    kth_zero(f, 2, start=0.5, step=0.1, cap=20.0)
+    assert max(seen) == hi
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bessel_zero_evaluates_no_abscissa_twice(monkeypatch, k):
+    seen = []
+    plain = chebcrit.bessel.bessel_j
+
+    def recording(nu, x, *args, **kwargs):
+        seen.append(x)
+        return plain(nu, x, *args, **kwargs)
+
+    monkeypatch.setattr(chebcrit.bessel, "bessel_j", recording)
+    bessel_zero(2.5, k)
+    assert seen
+    assert len(seen) == len(set(seen))
