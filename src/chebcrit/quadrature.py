@@ -21,18 +21,29 @@ _ROUNDOFF = 1e-15
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, *,
-                     abs_tol: float, max_depth: int = _MAX_DEPTH) -> float:
+                     abs_tol: float, max_depth: int = _MAX_DEPTH,
+                     fa: float | None = None, fm: float | None = None,
+                     fb: float | None = None) -> float:
     """Integral of f over [a, b] with estimated absolute error <= abs_tol
-    (or <= the roundoff floor of the integrand magnitude, if larger)."""
+    (or <= the roundoff floor of the integrand magnitude, if larger).
+
+    ``fa``, ``fm`` and ``fb`` are f(a), f((a + b)/2) and f(b) when the
+    caller already holds them; those points are then not evaluated again.
+    """
     if a == b:
         return 0.0
     if b < a:
-        return -adaptive_simpson(f, b, a, abs_tol=abs_tol, max_depth=max_depth)
+        return -adaptive_simpson(f, b, a, abs_tol=abs_tol, max_depth=max_depth,
+                                 fa=fb, fm=fm, fb=fa)
     if abs_tol <= 0:
         raise NumericalFailure("abs_tol must be positive")
-    fa, fb = f(a), f(b)
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
     m = 0.5 * (a + b)
-    fm = f(m)
+    if fm is None:
+        fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     return _simpson_rec(f, a, b, fa, fm, fb, whole, abs_tol, max_depth)
 
@@ -67,22 +78,29 @@ def cumulative_integrals(f: Callable[[float], float], a: float, xs, *,
     integral identity over a whole grid costs a single pass.  The segment
     tolerance follows the running magnitude of the accumulated integral
     (with a one-panel probe bootstrapping the scale), keeping the total
-    relative error near rel_tol * len(xs) for integrands of one sign.
+    relative error near rel_tol * len(xs) for integrands of one sign.  The
+    probe's three values seed the segment's Simpson rule, and f(x) carries
+    over to the next segment, so no abscissa is evaluated twice.
     """
     out = []
     total = 0.0
     prev = a
+    fprev = None
     scale = 0.0
     for x in xs:
         if x < prev:
             raise NumericalFailure("cumulative_integrals needs ascending points")
         if x > prev:
-            probe = abs((x - prev) / 6.0
-                        * (f(prev) + 4.0 * f(0.5 * (prev + x)) + f(x)))
+            if fprev is None:
+                fprev = f(prev)
+            fmid = f(0.5 * (prev + x))
+            fx = f(x)
+            probe = abs((x - prev) / 6.0 * (fprev + 4.0 * fmid + fx))
             seg_scale = max(scale, probe)
             tol = rel_tol * seg_scale if seg_scale > 0 else 1e-280
-            total += adaptive_simpson(f, prev, x, abs_tol=tol)
+            total += adaptive_simpson(f, prev, x, abs_tol=tol,
+                                      fa=fprev, fm=fmid, fb=fx)
             scale = max(scale, abs(total))
-            prev = x
+            prev, fprev = x, fx
         out.append(total)
     return out

@@ -20,6 +20,17 @@ digit.  ``tp_eval`` therefore evaluates with adaptive working precision
 Maclaurin expansion below a small radius where the cancellation is worst.
 Values returned as ``float`` are correct to ~1 ulp whenever they are
 representable.
+
+Each element is compiled for evaluation once per working precision: a
+table of its coefficients as raw mpf values (per harmonic, in Horner order,
+with their absolute values), and once for the 50-digit Maclaurin route.
+The tables are stored on the instance, outside the dataclass fields, so
+``==`` and ``hash`` are unchanged.  The sums run on the ``mpmath.libmp``
+primitives that mpf's operators and ``mp.cos``/``mp.sin`` call, at the
+same precision and rounding, so every value is bit for bit what the mpf
+operators give.  A coefficient is converted as ``mp.mpf(num) / den``: that
+rounds a numerator wider than the precision before the division, and an
+exact rational conversion would round once and differ in the last bit.
 """
 
 from __future__ import annotations
@@ -30,6 +41,16 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from mpmath import mp
+from mpmath.libmp import (
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    round_nearest,
+)
 
 from .errors import NumericalFailure, UsageError
 
@@ -44,11 +65,13 @@ MAX_SPHERICAL_N = 16
 MACLAURIN_RADIUS = 1e-2
 
 _MACLAURIN_EXTRA_TERMS = 64
+_MACLAURIN_DPS = 50
 _VANISHING_ORDER_CAP = 600
 _EVAL_START_DPS = 40
 _EVAL_MAX_DPS = 5000
 _EVAL_RTOL = 1e-17
 _EVAL_RTOL_FLOOR = 1e-30
+_RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
 # Evaluation is single-threaded by design: mpmath's precision context is
 # process-global, so every mp.workdps section here assumes no concurrent caller.
@@ -394,45 +417,79 @@ def vanishing_order(a: TrigPoly) -> int:
 # numeric evaluation
 # ----------------------------------------------------------------------
 
-def _horner_mp(coeffs, xm, ax):
-    """Horner evaluation in mpf; returns (value, sum of |term| magnitudes)."""
-    acc = mp.mpf(0)
-    mag = mp.mpf(0)
-    for c in reversed(coeffs):
-        cm = mp.mpf(c.numerator) / c.denominator
-        acc = acc * xm + cm
-        mag = mag * ax + abs(cm)
+def _raw_coeff(c: Fraction):
+    """c as a raw mpf at the working precision, as ``mp.mpf(num) / den``
+    (not an exact rational conversion; the module docstring says why)."""
+    return (mp.mpf(c.numerator) / c.denominator)._mpf_
+
+
+def _horner_row(part):
+    """One polynomial's (coefficient, |coefficient|) raw pairs in Horner order,
+    split into the leading pair and the rest."""
+    out = []
+    for c in reversed(part):
+        cm = _raw_coeff(c)
+        out.append((cm, mpf_abs(cm)))
+    return out[0], tuple(out[1:])
+
+
+def _harmonic_table(a: TrigPoly, dps: int):
+    """The compiled harmonic form of ``a`` at ``dps`` digits, built once.
+
+    Call inside ``mp.workdps(dps)``.  Returns (rows, ten_pow, ops): one row
+    (k, cos row, sin row) per harmonic, a row being None for an empty part,
+    then 10^-dps and the operation count of the rounding bound.  The tables
+    live on the instance, so a lookup never hashes the element's Fractions.
+    """
+    tables = a.__dict__.setdefault("_harmonic_tables", {})
+    table = tables.get(dps)
+    if table is None:
+        rows = tuple((k, _horner_row(c) if c else None, _horner_row(s) if s else None)
+                     for k, c, s in a.terms)
+        ops = a.max_degree() + 8 * len(a.terms) + 16
+        table = rows, (mp.mpf(10) ** (-dps))._mpf_, ops
+        tables[dps] = table
+    return table
+
+
+def _horner_raw(row, xr, axr, prec):
+    """Horner evaluation on raw mpfs; returns (value, sum of |term| magnitudes)."""
+    (acc, mag), rest = row
+    for cm, am in rest:
+        acc = mpf_add(mpf_mul(acc, xr, prec, _RND), cm, prec, _RND)
+        mag = mpf_add(mpf_mul(mag, axr, prec, _RND), am, prec, _RND)
     return acc, mag
 
 
-def _eval_harmonic_mp(a: TrigPoly, x: float):
-    """Evaluate at the current working precision.
+def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
+    """Evaluate inside ``mp.workdps(dps)``.
 
     Returns (value, rounding_bound) where rounding_bound conservatively
     covers the accumulated roundoff of the harmonic-form sum at this
     precision.
     """
-    xm = mp.mpf(x)
-    ax = abs(xm)
-    total = mp.mpf(0)
-    mag = mp.mpf(0)
-    for k, cpart, spart in a.terms:
+    prec = mp.prec
+    rows, ten_pow, ops = _harmonic_table(a, dps)
+    xr = mp.mpf(x)._mpf_
+    axr = mpf_abs(xr, prec, _RND)
+    total = mag = fzero
+    for k, crow, srow in rows:
         if k == 0:
-            v, m_ = _horner_mp(cpart, xm, ax)
-            total += v
-            mag += m_
+            v, m_ = _horner_raw(crow, xr, axr, prec)
+            total = mpf_add(total, v, prec, _RND)
+            mag = mpf_add(mag, m_, prec, _RND)
             continue
-        if cpart:
-            v, m_ = _horner_mp(cpart, xm, ax)
-            total += v * mp.cos(k * xm)
-            mag += m_
-        if spart:
-            v, m_ = _horner_mp(spart, xm, ax)
-            total += v * mp.sin(k * xm)
-            mag += m_
-    ops = a.max_degree() + 8 * len(a.terms) + 16
-    bound = mag * mp.mpf(10) ** (-mp.dps) * ops
-    return total, bound
+        cos_kx, sin_kx = mpf_cos_sin(mpf_mul_int(xr, k, prec, _RND), prec, _RND)
+        if crow:
+            v, m_ = _horner_raw(crow, xr, axr, prec)
+            total = mpf_add(total, mpf_mul(v, cos_kx, prec, _RND), prec, _RND)
+            mag = mpf_add(mag, m_, prec, _RND)
+        if srow:
+            v, m_ = _horner_raw(srow, xr, axr, prec)
+            total = mpf_add(total, mpf_mul(v, sin_kx, prec, _RND), prec, _RND)
+            mag = mpf_add(mag, m_, prec, _RND)
+    bound = mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
+    return mp.make_mpf(total), mp.make_mpf(bound)
 
 
 def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
@@ -453,12 +510,24 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
     dps = _EVAL_START_DPS
     while dps <= _EVAL_MAX_DPS:
         with mp.workdps(dps):
-            total, bound = _eval_harmonic_mp(a, x)
+            total, bound = _eval_harmonic_mp(a, x, dps)
             if bound == 0 or bound <= abs(total) * mp.mpf(rtol):
                 return total
         dps *= 2
     raise NumericalFailure(
         f"evaluation at x={x!r} did not certify below {_EVAL_MAX_DPS} digits")
+
+
+def _maclaurin_table(a: TrigPoly):
+    """(m0, raw coefficients m0 .. m0+63 at 50 digits, None where zero), built once."""
+    table = a.__dict__.get("_maclaurin_table")
+    if table is None:
+        m0 = vanishing_order(a)
+        coeffs = maclaurin(a, m0 + _MACLAURIN_EXTRA_TERMS)[m0:]
+        with mp.workdps(_MACLAURIN_DPS):
+            table = m0, tuple(_raw_coeff(c) if c else None for c in coeffs)
+        a.__dict__["_maclaurin_table"] = table
+    return table
 
 
 def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
@@ -468,28 +537,25 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
     a verified term decay), or None when the decay check fails and the
     caller must fall back to the adaptive harmonic route.
     """
-    m0 = vanishing_order(a)
+    m0, coeffs = _maclaurin_table(a)
     if denom_power and m0 < denom_power and x == 0.0:
         raise UsageError(
             f"a/x^{denom_power} is singular at 0 (vanishing order {m0})")
-    count = m0 + _MACLAURIN_EXTRA_TERMS
-    coeffs = maclaurin(a, count)
-    with mp.workdps(50):
+    with mp.workdps(_MACLAURIN_DPS):
         if x == 0.0:
             if m0 > denom_power:
                 return mp.mpf(0)
-            c = coeffs[m0]
-            return mp.mpf(c.numerator) / c.denominator
-        xm = mp.mpf(x)
-        xp = xm ** (m0 - denom_power)
-        total = mp.mpf(0)
-        last = mp.mpf(0)
-        for j in range(m0, count):
-            c = coeffs[j]
-            if c:
-                last = mp.mpf(c.numerator) / c.denominator * xp
-                total += last
-            xp *= xm
+            return mp.make_mpf(coeffs[0])
+        prec = mp.prec
+        xr = mp.mpf(x)._mpf_
+        xp = mpf_pow_int(xr, m0 - denom_power, prec, _RND)
+        total = last = fzero
+        for c in coeffs:
+            if c is not None:
+                last = mpf_mul(c, xp, prec, _RND)
+                total = mpf_add(total, last, prec, _RND)
+            xp = mpf_mul(xp, xr, prec, _RND)
+        total, last = mp.make_mpf(total), mp.make_mpf(last)
         if total != 0 and abs(last) > abs(total) * mp.mpf(2) ** -110:
             return None  # decay not established at this radius
         return total

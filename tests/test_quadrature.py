@@ -53,3 +53,38 @@ def test_cumulative_with_tiny_head_segment():
     for x, got in zip(xs, cum):
         want = x ** 14 / 14.0
         assert abs(got - want) <= 1e-10 * want
+
+
+def _recording(f):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+
+    return g, calls
+
+
+def test_cumulative_evaluates_each_abscissa_once():
+    g, calls = _recording(math.sin)
+    xs = [0.01 * 1.5 ** i for i in range(12)]
+    got = cumulative_integrals(g, 0.0, xs, rel_tol=1e-12)
+    assert len(calls) == len(set(calls))
+    for x, v in zip(xs, got):
+        want = 2.0 * math.sin(0.5 * x) ** 2  # 1 - cos x without cancellation
+        assert abs(v - want) <= 1e-10 * want
+
+
+def test_adaptive_simpson_uses_the_given_end_and_mid_values():
+    f = math.cos
+    a, b = 0.25, 2.0
+    m = 0.5 * (a + b)
+    want = adaptive_simpson(f, a, b, abs_tol=1e-12)
+    g, calls = _recording(f)
+    got = adaptive_simpson(g, a, b, abs_tol=1e-12, fa=f(a), fm=f(m), fb=f(b))
+    assert got == want
+    assert calls and not {a, m, b} & set(calls)
+    # reversed orientation swaps the end values
+    g, calls = _recording(f)
+    assert adaptive_simpson(g, b, a, abs_tol=1e-12, fa=f(b), fm=f(m), fb=f(a)) == -want
+    assert not {a, m, b} & set(calls)

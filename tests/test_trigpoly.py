@@ -7,10 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from chebcrit.errors import UsageError
 from chebcrit.trigpoly import (
+    MACLAURIN_RADIUS,
     TrigPoly,
+    _eval_harmonic_mp,
+    _eval_maclaurin_mp,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -22,6 +26,7 @@ from chebcrit.trigpoly import (
     tp_cos,
     tp_diff,
     tp_eval,
+    tp_eval_mp,
     tp_eval_over_power,
     tp_from_poly,
     tp_mul,
@@ -254,6 +259,146 @@ def test_eval_over_power_limit():
     assert abs(tp_eval_over_power(f2, 5, x) - tp_eval(f2, x) / x**5) <= 1e-15
 
 
+# ---------------------------------------------------------------- compiled evaluation
+
+# Coefficients with 603-bit numerators: mp.mpf(num) rounds the numerator
+# before the division, so an exact rational conversion differs from the
+# evaluator's expression in the last bit for some of them at 40, 50, 80 and
+# 160 digits alike (checked in test_planted_coefficients_are_double_rounding_traps).
+# The leading Maclaurin coefficient of PLANTED is _WIDE[0], a trap at 50 digits.
+_WIDE = [Fraction(3**380 + i, d) for i, d in zip(range(1, 9), (7, 11, 13, 17) * 2)]
+PLANTED = tp_add(tp_term(2, _WIDE[:4], _WIDE[4:]), tp_from_poly([0, Fraction(1, 3), _WIDE[1]]))
+
+
+def _ref_horner(coeffs, xm, ax):
+    acc = mp.mpf(0)
+    mag = mp.mpf(0)
+    for c in reversed(coeffs):
+        cm = mp.mpf(c.numerator) / c.denominator
+        acc = acc * xm + cm
+        mag = mag * ax + abs(cm)
+    return acc, mag
+
+
+def _ref_harmonic(a, x):
+    """(value, rounding bound) at the current precision through mpf operators."""
+    xm = mp.mpf(x)
+    ax = abs(xm)
+    total = mp.mpf(0)
+    mag = mp.mpf(0)
+    for k, cpart, spart in a.terms:
+        for part, trig in ((cpart, mp.cos), (spart, mp.sin)):
+            if part:
+                v, m_ = _ref_horner(part, xm, ax)
+                total += v if k == 0 else v * trig(k * xm)
+                mag += m_
+    ops = a.max_degree() + 8 * len(a.terms) + 16
+    return total, mag * mp.mpf(10) ** (-mp.dps) * ops
+
+
+def _ref_maclaurin(a, x, denom_power):
+    """a(x)/x^denom_power from the Maclaurin series through mpf operators."""
+    m0 = vanishing_order(a)
+    coeffs = maclaurin(a, m0 + 64)
+    with mp.workdps(50):
+        if x == 0.0:
+            c = coeffs[m0]
+            return mp.mpf(0) if m0 > denom_power else mp.mpf(c.numerator) / c.denominator
+        xm = mp.mpf(x)
+        xp = xm ** (m0 - denom_power)
+        total = mp.mpf(0)
+        last = mp.mpf(0)
+        for c in coeffs[m0:]:
+            if c:
+                last = mp.mpf(c.numerator) / c.denominator * xp
+                total += last
+            xp *= xm
+        if total != 0 and abs(last) > abs(total) * mp.mpf(2) ** -110:
+            return None
+        return total
+
+
+def _raw(v):
+    return None if v is None else v._mpf_
+
+
+def _compiled_cases():
+    from chebcrit.determinants import symbolic_v
+
+    return [("f2", spherical_fn(2)), ("f5'''", fn_derivatives(5, 3)[3]),
+            ("f6^(12)", fn_derivatives(6, 12)[12]), ("v(f3)", symbolic_v(3)),
+            ("planted", PLANTED)]
+
+
+def test_planted_coefficients_are_double_rounding_traps():
+    from mpmath.libmp import from_rational
+
+    assert maclaurin(PLANTED, 1)[0] == _WIDE[0]
+    for dps in (40, 50, 80, 160):
+        with mp.workdps(dps):
+            assert any(from_rational(c.numerator, c.denominator, mp.prec, "n")
+                       != (mp.mpf(c.numerator) / c.denominator)._mpf_ for c in _WIDE)
+
+
+@pytest.mark.parametrize("name,a", _compiled_cases())
+def test_compiled_harmonic_route_is_bit_identical(name, a):
+    a = TrigPoly(a.terms)  # a fresh instance: no table built elsewhere
+    for dps in (40, 80, 160):
+        for x in (0.013, 0.7, 3.7, 11.0, 29.5):
+            with mp.workdps(dps):
+                got = _eval_harmonic_mp(a, x, dps)
+                want = _ref_harmonic(a, x)
+            assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_), (dps, x)
+
+
+@pytest.mark.parametrize("name,a", _compiled_cases())
+def test_compiled_maclaurin_route_is_bit_identical(name, a):
+    a = TrigPoly(a.terms)
+    for outer_dps in (40, 80, 160):  # the route works at 50 digits whatever the caller's
+        for x in (0.0, 1e-3, 0.0042, 0.0099):
+            for power in (0, vanishing_order(a)) if x == 0.0 else (0, 1):
+                with mp.workdps(outer_dps):
+                    got = _eval_maclaurin_mp(a, x, power)
+                want = _ref_maclaurin(a, x, power)
+                assert _raw(got) == _raw(want), (outer_dps, x, power)
+
+
+def test_compiled_public_entry_points_match_reference():
+    for _, a in _compiled_cases():
+        fresh = TrigPoly(a.terms)
+        for x in (0.004, 0.5, 7.25):
+            if x < MACLAURIN_RADIUS:
+                want = _ref_maclaurin(a, x, 0)
+            else:
+                with mp.workdps(40):
+                    want, bound = _ref_harmonic(a, x)
+                    assert bound <= abs(want) * mp.mpf(1e-17)  # certifies at 40 digits
+            assert tp_eval_mp(fresh, x)._mpf_ == want._mpf_
+            assert tp_eval(fresh, x) == float(want)
+
+
+def test_compiled_table_is_per_precision():
+    x = 3.7
+    a = TrigPoly(PLANTED.terms)
+    with mp.workdps(40):
+        _eval_harmonic_mp(a, x, 40)
+    with mp.workdps(80):
+        got = _eval_harmonic_mp(a, x, 80)
+    fresh = TrigPoly(PLANTED.terms)
+    with mp.workdps(80):
+        want = _eval_harmonic_mp(fresh, x, 80)
+    assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_)
+
+
+def test_compiled_tables_leave_equality_and_hash_alone():
+    a = TrigPoly(PLANTED.terms)
+    b = TrigPoly(PLANTED.terms)
+    tp_eval(a, 0.005)
+    tp_eval(a, 2.0)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_eval_leaves_mp_context_untouched():
@@ -262,12 +407,14 @@ def test_eval_leaves_mp_context_untouched():
     from chebcrit.bessel import bessel_j
     from chebcrit.determinants import minor_values
 
-    before = mpmath.mp.dps
+    before = mpmath.mp.dps, mpmath.mp.prec
     tp_eval(spherical_fn(8), 1e-3)   # forces the exact-series path
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
+    tp_eval_over_power(TrigPoly(PLANTED.terms), 1, 0.004)  # builds a Maclaurin table
+    tp_eval_mp(TrigPoly(PLANTED.terms), 3.7, 1e-30)        # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
     minor_values(4, 3.0)             # two elimination passes (40 and 80 digits)
-    assert mpmath.mp.dps == before
+    assert (mpmath.mp.dps, mpmath.mp.prec) == before
 
 
 def test_json_round_trip():
