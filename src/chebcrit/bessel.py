@@ -13,14 +13,40 @@ whole desk-scale range x <= 50 at any requested tolerance down to ~1e-15.
 
 Series only, no asymptotic expansions: at desk scale the adaptive series
 meets tolerance everywhere and keeps one code path for all real nu >= 0.
+
+One function, ``_series_values``, serves every entry point.  Its term loop
+runs on the ``mpmath.libmp`` primitives that mpf's operators call, at the
+same precision and rounding and in the same order, so every value is bit
+for bit what the mpf operators give; only the prefactor
+``(x/2)^nu / Gamma(nu+1)`` stays on mpf operators.  The term sequence does
+not depend on the derivative order, so a stack's orders are summed in one
+pass: each order keeps its own total, magnitude, previous |term| and
+stopping test, and only the orders whose roundoff bound fails at d digits
+are summed again at 2d digits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import NumericalFailure, UsageError
 from .rootfind import ZeroResult, kth_zero
@@ -41,6 +67,8 @@ DEFAULT_ROOT_XTOL = 1e-12
 
 _MAX_SERIES_DERIV = 5
 
+_RND = round_nearest
+
 
 def _check_order(nu: float) -> float:
     nu = float(nu)
@@ -49,59 +77,98 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _series_mpf(nu: float, x: float, order: int, tol: float):
-    """One pass of the (order-times differentiated) series at current precision.
+def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float) -> list:
+    """One pass of the series and its order-times differentiated forms.
 
-    Returns (sum, magnitude, n_terms) where magnitude bounds sum_k |T_k|.
-    Truncates when the current term is below tol * |partial sum| and the
-    terms are decreasing; raises NumericalFailure at the term cap.
+    Runs at the current precision and returns, per order in ``orders``, the
+    raw mpf triple (sum, magnitude, n_terms), where magnitude bounds
+    sum_k |T_k|.  Each order keeps its own total, magnitude, previous
+    |term| and stopping test: it truncates when its current term is below
+    tol * |partial sum| and its terms are decreasing.  Raises
+    NumericalFailure at the term cap, naming the lowest order still open.
+    The comments give the mpf expression each primitive call reproduces.
     """
+    prec = mp.prec
     xm = mp.mpf(x)
     num = mp.mpf(nu)  # keep the order in mpf: double-precision term factors
     half = xm / 2     # would freeze a ~1e-16 error into every term
-    base = half ** num / mp.gamma(num + 1)  # k = 0 term before differentiation
-    ratio_num = half * half
-    total = mp.mpf(0)
-    mag = mp.mpf(0)
-    prev_abs = None
+    base = (half ** num / mp.gamma(num + 1))._mpf_  # k = 0 term before differentiation
+    ratio_num = mpf_mul(half._mpf_, half._mpf_, prec, _RND)
+    num = num._mpf_
+    tol_r = from_float(tol)
+    top = max(orders)
+    powers = {r: mpf_pow_int(xm._mpf_, r, prec, _RND) for r in orders if r}  # xm ** r
+    state = {r: [fzero, fzero, None] for r in orders}  # [total, mag, prev_abs]
+    done = {}
     k = 0
     while k <= SERIES_TERM_CAP:
-        a = 2 * k + num  # power of x in the k-th term
-        if order == 0:
-            term = base
-        else:
-            fall = mp.mpf(1)
-            for i in range(order):
-                fall *= a - i
-            term = base * fall / xm ** order
-        total += term
-        t_abs = abs(term)
-        mag += t_abs
-        if prev_abs is not None and t_abs < prev_abs and t_abs < tol * abs(total):
-            return total, mag, k + 1
-        prev_abs = t_abs
-        base = -base * ratio_num / ((k + 1) * (k + num + 1))
+        if top:
+            a = mpf_add(num, from_int(2 * k), prec, _RND)  # 2 * k + num, the power of x
+        fall = fone
+        for r in range(top + 1):
+            if r:  # fall *= a - (r - 1): now a (a-1) ... (a-r+1)
+                fall = mpf_mul(fall, mpf_sub(a, from_int(r - 1), prec, _RND), prec, _RND)
+            st = state.get(r)
+            if st is None:
+                continue
+            if r:  # base * fall / xm ** r
+                term = mpf_div(mpf_mul(base, fall, prec, _RND), powers[r], prec, _RND)
+            else:
+                term = base
+            total = st[0] = mpf_add(st[0], term, prec, _RND)
+            t_abs = mpf_abs(term, prec, _RND)
+            st[1] = mpf_add(st[1], t_abs, prec, _RND)
+            prev_abs = st[2]
+            # t_abs < prev_abs and t_abs < tol * abs(total)
+            if (prev_abs is not None and mpf_lt(t_abs, prev_abs)
+                    and mpf_lt(t_abs, mpf_mul(mpf_abs(total, prec, _RND), tol_r,
+                                               prec, _RND))):
+                done[r] = (total, st[1], k + 1)
+                del state[r]
+                if not state:
+                    return [done[r] for r in orders]
+                top = max(state)
+            else:
+                st[2] = t_abs
+        # base = -base * ratio_num / ((k + 1) * (k + num + 1))
+        den = mpf_add(mpf_add(num, from_int(k), prec, _RND), fone, prec, _RND)
+        den = mpf_mul_int(den, k + 1, prec, _RND)
+        base = mpf_div(mpf_mul(mpf_neg(base, prec, _RND), ratio_num, prec, _RND),
+                       den, prec, _RND)
         k += 1
     raise NumericalFailure(
         f"Bessel series did not converge within {SERIES_TERM_CAP} terms "
-        f"(nu={nu}, x={x}, order={order})")
+        f"(nu={nu}, x={x}, order={min(state)})")
 
 
-def _series_value(nu: float, x: float, order: int, tol: float) -> float:
-    """Adaptive-precision series evaluation, relative error <~ a few * tol."""
+def _series_values(nu: float, x: float, orders: Sequence[int],
+                   tol: float) -> tuple[float, ...]:
+    """Adaptive-precision series values, relative error <~ a few * tol each.
+
+    All orders are summed in one pass per precision; only the orders whose
+    roundoff bound fails at d digits are summed again at 2d digits.
+    """
     if tol <= 0:
         raise UsageError("tol must be positive")
     if x == 0.0:
-        if order == 0:
-            return 1.0 if nu == 0 else 0.0
-        raise UsageError("series derivatives need x > 0")
+        if any(orders):
+            raise UsageError("series derivatives need x > 0")
+        return tuple(1.0 if nu == 0 else 0.0 for _ in orders)
+    values = {}
+    pending = list(orders)
     dps = 30
     while dps <= 2000:
         with mp.workdps(dps):
-            total, mag, n_terms = _series_mpf(nu, x, order, tol)
-            bound = mag * mp.mpf(10) ** (-dps) * (n_terms + 8)
-            if bound == 0 or bound <= abs(total) * mp.mpf(tol) * mp.mpf("0.5"):
-                return float(total)
+            sums = _series_raw(nu, x, pending, tol)
+            ulp = mp.mpf(10) ** (-dps)
+            for r, (total, mag, n_terms) in zip(pending, sums):
+                total, mag = mp.make_mpf(total), mp.make_mpf(mag)
+                bound = mag * ulp * (n_terms + 8)
+                if bound == 0 or bound <= abs(total) * mp.mpf(tol) * mp.mpf("0.5"):
+                    values[r] = float(total)
+        pending = [r for r in pending if r not in values]
+        if not pending:
+            return tuple(values[r] for r in orders)
         dps *= 2
     raise NumericalFailure(
         f"Bessel series roundoff bound not met below 2000 digits (nu={nu}, x={x})")
@@ -113,7 +180,7 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0:
         raise UsageError("bessel_j requires finite x >= 0")
-    return _series_value(nu, x, 0, tol)
+    return _series_values(nu, x, (0,), tol)[0]
 
 
 def bessel_j_deriv(nu: float, x: float, order: int = 1,
@@ -125,7 +192,7 @@ def bessel_j_deriv(nu: float, x: float, order: int = 1,
     x = float(x)
     if not math.isfinite(x) or x <= 0:
         raise UsageError("bessel_j_deriv requires finite x > 0")
-    return _series_value(nu, x, order, tol)
+    return _series_values(nu, x, (order,), tol)[0]
 
 
 def bessel_stack_values(nu: float, x: float, m: int,
@@ -137,7 +204,7 @@ def bessel_stack_values(nu: float, x: float, m: int,
     x = float(x)
     if not math.isfinite(x) or x <= 0:
         raise UsageError("stacks need finite x > 0")
-    return tuple(_series_value(nu, x, r, tol) for r in range(m + 1))
+    return _series_values(nu, x, range(m + 1), tol)
 
 
 # ----------------------------------------------------------------------

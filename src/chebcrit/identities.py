@@ -85,6 +85,7 @@ TOL_RICHARDSON = 1e-7
 TOL_INTEGRAL = 1e-8
 
 _BESSEL_STACK_TOL = 1e-15
+_BESSEL_STACK_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -506,13 +507,21 @@ def _spherical_stack(n: int, x: float, m: int) -> DerivStack:
     return stack_from_spherical(n, x, m)
 
 
-@lru_cache(maxsize=262144)
 def _bessel_stack(nu: float, x: float, m: int) -> DerivStack:
-    return DerivStack(x, bessel_stack_values(nu, x, m, _BESSEL_STACK_TOL))
+    # One series pass per (nu, x): the stack identities' depth serves the
+    # shallower stacks of the integral checks too.  Each order's value does
+    # not depend on which other orders share the pass, so slicing is exact.
+    values = _bessel_stack_values(nu, x, max(m, _BESSEL_STACK_DEPTH))
+    return DerivStack(x, values[:m + 1])
+
+
+@lru_cache(maxsize=262144)
+def _bessel_stack_values(nu: float, x: float, m: int) -> tuple[float, ...]:
+    return bessel_stack_values(nu, x, m, _BESSEL_STACK_TOL)
 
 
 def _stack_depth(model: CoeffModel) -> int:
-    return 5 if model.family == "spherical" else 4
+    return 5 if model.family == "spherical" else _BESSEL_STACK_DEPTH
 
 
 # ----------------------------------------------------------------------

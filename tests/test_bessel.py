@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath
 import pytest
+from mpmath import mp
 
+from chebcrit import bessel
 from chebcrit.bessel import (
+    _series_raw,
     bessel_deriv_zero,
     bessel_j,
     bessel_j_deriv,
@@ -115,6 +119,116 @@ def test_stack_values():
     assert abs(vals[0] - bessel_j(2.0, 3.0)) == 0.0
     want = float(mpmath.diff(lambda t: mpmath.besselj(2.0, t), 3.0, 4))
     assert abs(vals[4] - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------- compiled series
+
+def _ref_series(nu, x, order, tol):
+    """One order per pass through mpf operators: (sum, magnitude, n_terms)."""
+    xm = mp.mpf(x)
+    num = mp.mpf(nu)
+    half = xm / 2
+    base = half ** num / mp.gamma(num + 1)
+    ratio_num = half * half
+    total = mp.mpf(0)
+    mag = mp.mpf(0)
+    prev_abs = None
+    k = 0
+    while k <= bessel.SERIES_TERM_CAP:
+        a = 2 * k + num
+        if order == 0:
+            term = base
+        else:
+            fall = mp.mpf(1)
+            for i in range(order):
+                fall *= a - i
+            term = base * fall / xm ** order
+        total += term
+        t_abs = abs(term)
+        mag += t_abs
+        if prev_abs is not None and t_abs < prev_abs and t_abs < tol * abs(total):
+            return total, mag, k + 1
+        prev_abs = t_abs
+        base = -base * ratio_num / ((k + 1) * (k + num + 1))
+        k += 1
+    raise AssertionError("reference series hit the term cap")
+
+
+def _ref_escalation(nu, x, order, tol):
+    """(float value, digits at which the roundoff bound was met)."""
+    dps = 30
+    while dps <= 2000:
+        with mp.workdps(dps):
+            total, mag, n_terms = _ref_series(nu, x, order, tol)
+            bound = mag * mp.mpf(10) ** (-dps) * (n_terms + 8)
+            if bound == 0 or bound <= abs(total) * mp.mpf(tol) * mp.mpf("0.5"):
+                return float(total), dps
+        dps *= 2
+    raise AssertionError("reference bound not met below 2000 digits")
+
+
+_NUS = (0.0, 0.5, 1.5, 2.0, 3.4)
+_XS = (1e-2, 0.7, 3.0, 12.0, 30.0, 40.0)
+
+
+@lru_cache(maxsize=None)
+def _ref_value(nu, x, order, tol=bessel.DEFAULT_SERIES_TOL):
+    return _ref_escalation(nu, x, order, tol)[0]
+
+
+def _raw(triple):
+    total, mag, n_terms = triple
+    return total._mpf_, mag._mpf_, n_terms
+
+
+@pytest.mark.parametrize("nu", _NUS)
+def test_compiled_series_pass_is_bit_identical(nu):
+    # the raw sums, magnitudes and term counts at 30 and 60 digits, one
+    # order alone and all six orders in one pass
+    for x in _XS:
+        for dps in (30, 60):
+            with mp.workdps(dps):
+                want = [_raw(_ref_series(nu, x, r, 1e-15)) for r in range(6)]
+                together = _series_raw(nu, x, range(6), 1e-15)
+                alone = [_series_raw(nu, x, (r,), 1e-15)[0] for r in range(6)]
+            assert together == want, (x, dps)
+            assert alone == want, (x, dps)
+
+
+@pytest.mark.parametrize("nu", _NUS)
+def test_single_orders_match_reference(nu):
+    for x in _XS:
+        assert bessel_j(nu, x) == _ref_value(nu, x, 0), x
+        for order in (1, 2):
+            assert bessel_j_deriv(nu, x, order) == _ref_value(nu, x, order), (x, order)
+        for order in range(6):
+            got = bessel._series_values(nu, x, (order,), bessel.DEFAULT_SERIES_TOL)
+            assert got == (_ref_value(nu, x, order),), (x, order)
+
+
+@pytest.mark.parametrize("nu", _NUS)
+def test_stacks_match_reference(nu):
+    for x in _XS:
+        for m in range(2, 6):
+            want = tuple(_ref_value(nu, x, r) for r in range(m + 1))
+            assert bessel_stack_values(nu, x, m) == want, (x, m)
+
+
+def test_stack_escalates_only_the_orders_that_need_it():
+    nu, x, tol = 1.5, 30.0, 1e-15
+    ref = [_ref_escalation(nu, x, r, tol) for r in range(6)]
+    assert {dps for _, dps in ref} == {30, 60}  # orders 0, 2, 4 need 60 digits
+    assert bessel_stack_values(nu, x, 5, tol) == tuple(v for v, _ in ref)
+
+
+def test_term_cap_raises_numerical_failure(monkeypatch):
+    monkeypatch.setattr(bessel, "SERIES_TERM_CAP", 3)
+    with pytest.raises(NumericalFailure, match="within 3 terms.*order=0"):
+        bessel_j(1.5, 20.0)
+    with pytest.raises(NumericalFailure, match="within 3 terms.*order=0"):
+        bessel_stack_values(1.5, 20.0, 4)
+    with pytest.raises(NumericalFailure, match="within 3 terms.*order=2"):
+        bessel_j_deriv(1.5, 20.0, 2)
 
 
 # ---------------------------------------------------------------- zeros

@@ -112,6 +112,26 @@ def test_stack_depth_gate():
         residual("thm-main2", model, s)
 
 
+def test_bessel_stacks_share_one_series_pass(monkeypatch):
+    from chebcrit import identities
+    from chebcrit.bessel import bessel_stack_values
+
+    calls = []
+
+    def counted(nu, x, m, tol):
+        calls.append(m)
+        return bessel_stack_values(nu, x, m, tol)
+
+    monkeypatch.setattr(identities, "bessel_stack_values", counted)
+    model = bessel_model(2.7)
+    x = 2.3456789  # an abscissa no other test asks for
+    shallow = builtin_stack(model, x, 2)
+    deep = builtin_stack(model, x, 4)
+    assert calls == [4]
+    assert shallow.values == deep.values[:3]
+    assert deep.values == bessel_stack_values(2.7, x, 4, identities._BESSEL_STACK_TOL)
+
+
 # ---------------------------------------------------------------- coefficients
 
 def test_cubic_coeffs_spherical_values():

@@ -404,7 +404,7 @@ def test_compiled_tables_leave_equality_and_hash_alone():
 def test_eval_leaves_mp_context_untouched():
     import mpmath
 
-    from chebcrit.bessel import bessel_j
+    from chebcrit.bessel import bessel_j, bessel_stack_values
     from chebcrit.determinants import minor_values
 
     before = mpmath.mp.dps, mpmath.mp.prec
@@ -413,6 +413,7 @@ def test_eval_leaves_mp_context_untouched():
     tp_eval_over_power(TrigPoly(PLANTED.terms), 1, 0.004)  # builds a Maclaurin table
     tp_eval_mp(TrigPoly(PLANTED.terms), 3.7, 1e-30)        # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
+    bessel_stack_values(3.4, 40.0, 5)  # one series pass per precision for six orders
     minor_values(4, 3.0)             # two elimination passes (40 and 80 digits)
     assert (mpmath.mp.dps, mpmath.mp.prec) == before
 
