@@ -24,7 +24,6 @@ from .determinants import (
     canonical_basis,
     hankel_det,
     minor_values,
-    richardson_stack,
     stack_from_spherical,
     stack_from_trigpoly,
     symbolic_minor,
@@ -51,7 +50,6 @@ from .identities import (
     run_all,
     run_identity,
     v_aux,
-    w_prime_by_differences,
 )
 from .models import CoeffModel, bessel_model, parse_model, spherical_model
 from .rootfind import ZeroResult

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 from mpmath import mp
 
@@ -102,51 +102,6 @@ def stack_from_spherical(n: int, x: float, m: int) -> DerivStack:
         raise UsageError("stack depth m must be >= 2")
     derivs = fn_derivatives(n, m)
     return DerivStack(float(x), tuple(tp_eval(d, x) for d in derivs))
-
-
-def richardson_stack(f: Callable[[float], float], x: float, m: int, *,
-                     rel_step: float = 1e-2, levels: int = 4) -> DerivStack:
-    """Derivative stack for a plain callable via Richardson extrapolation.
-
-    Central differences with ``levels`` step halvings starting from
-    rel_step * max(|x|, 1).  Only for functions without an exact route;
-    accuracy degrades with the order, so identity checks against such
-    stacks belong to the relaxed (1e-7) tolerance class.
-    """
-    if m < 2:
-        raise UsageError("stack depth m must be >= 2")
-    x = float(x)
-    values = [f(x)]
-    h0 = rel_step * max(abs(x), 1.0)
-    for order in range(1, m + 1):
-        values.append(_richardson_derivative(f, x, order, h0, levels))
-    return DerivStack(x, tuple(values))
-
-
-def _central_diff(f, x, order, h):
-    # classic central stencils up to order 5
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2 * h)
-    if order == 2:
-        return (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
-    if order == 3:
-        return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h ** 3)
-    if order == 4:
-        return (f(x + 2 * h) - 4 * f(x + h) + 6 * f(x) - 4 * f(x - h) + f(x - 2 * h)) / h ** 4
-    if order == 5:
-        return (f(x + 3 * h) - 4 * f(x + 2 * h) + 5 * f(x + h)
-                - 5 * f(x - h) + 4 * f(x - 2 * h) - f(x - 3 * h)) / (2 * h ** 5)
-    raise UsageError("difference stencils implemented up to order 5")
-
-
-def _richardson_derivative(f, x, order, h0, levels):
-    # central stencils have error O(h^2); Richardson table in powers of 4
-    tab = [_central_diff(f, x, order, h0 / 2 ** i) for i in range(levels)]
-    for col in range(1, levels):
-        fac = 4.0 ** col
-        tab = [(fac * tab[i + 1] - tab[i]) / (fac - 1.0)
-               for i in range(len(tab) - 1)]
-    return tab[0]
 
 
 # ----------------------------------------------------------------------

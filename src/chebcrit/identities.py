@@ -54,7 +54,7 @@ from .determinants import (
 from .errors import NumericalFailure, SingularPointError, UsageError
 from .models import CoeffModel
 from .quadrature import cumulative_integrals
-from .trigpoly import TrigPoly, spherical_fn, tp_eval, tp_eval_over_power
+from .trigpoly import spherical_fn, tp_eval, tp_eval_over_power
 
 IDENTITY_TAGS = (
     "prop1",
@@ -78,10 +78,9 @@ IDENTITY_TAGS = (
     "eq-Vpositive",
 )
 
-#: residual budget per check class: identities evaluated from exact stacks,
-#: identities whose w' must come from differences, and integral identities.
+#: residual budget per check class: identities evaluated from exact stacks
+#: and integral identities.
 TOL_EXACT = 1e-9
-TOL_RICHARDSON = 1e-7
 TOL_INTEGRAL = 1e-8
 
 _BESSEL_STACK_TOL = 1e-15
@@ -468,26 +467,6 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack) -> tuple[floa
     return fn(model, stack)
 
 
-def w_prime_by_differences(stack_fn: Callable[[float], DerivStack], x: float, *,
-                           rel_step: float = 1e-2, levels: int = 4) -> float:
-    """w'(x) by Richardson extrapolation of w over shifted m=4 stacks.
-
-    For solutions without an exact fifth derivative: w itself only needs
-    m = 4, and a first-derivative difference of w is benign (noise ~1e-13
-    relative), unlike differencing f five times.  Residuals built this way
-    belong to the 1e-7 tolerance class.
-    """
-    h0 = rel_step * max(abs(x), 1.0)
-    tab = []
-    for i in range(levels):
-        h = h0 / 2 ** i
-        tab.append((w_det(stack_fn(x + h)) - w_det(stack_fn(x - h))) / (2 * h))
-    for col in range(1, levels):
-        fac = 4.0 ** col
-        tab = [(fac * tab[i + 1] - tab[i]) / (fac - 1.0) for i in range(len(tab) - 1)]
-    return tab[0]
-
-
 # ----------------------------------------------------------------------
 # stacks for the built-in families
 # ----------------------------------------------------------------------
@@ -542,7 +521,7 @@ def make_grid(lo: float, hi: float, points: int, spacing: str = "log") -> list[f
 
 
 def positivity_criterion(model: CoeffModel, lo: float, hi: float,
-                         points: int) -> VerificationReport:
+                         points: int, spacing: str = "log") -> VerificationReport:
     """Evaluate q - (p/p') q' on a grid; pass iff it is >= 0 everywhere.
 
     This is the hypothesis of the general positivity theorem for v; p'
@@ -551,7 +530,7 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
     v(hi) >= 0 are evaluated as well (the conclusion v >= 0 in between is
     a separate empirical scan, not part of this check).
     """
-    xs = make_grid(lo, hi, points, "log" if lo > 0 else "linear")
+    xs = make_grid(lo, hi, points, spacing)
     worst_x = xs[0]
     worst = math.inf
     for x in xs:
@@ -574,7 +553,7 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
     return VerificationReport(
         identity="thm-main1-criterion",
         model=model.name,
-        grid={"lo": lo, "hi": hi, "points": points, "spacing": "log"},
+        grid={"lo": lo, "hi": hi, "points": points, "spacing": spacing},
         max_abs_residual=violation,
         max_rel_residual=violation / max(1.0, abs(worst)),
         tolerance=0.0,
@@ -582,16 +561,6 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
         worst_x=worst_x,
         note=note,
     )
-
-
-def _feval_for(model: CoeffModel) -> Callable[[float], float]:
-    if model.family == "spherical":
-        f = spherical_fn(int(model.param))
-        return lambda t: tp_eval(f, t)
-    if model.family == "bessel":
-        nu = model.param
-        return lambda t: bessel_j(nu, t, _BESSEL_STACK_TOL)
-    raise UsageError("integral checks are implemented for the built-in families")
 
 
 def _fn_sq_over_power(n: int, power: int) -> Callable[[float], float]:
@@ -636,7 +605,6 @@ def _cached_cumulative(key: tuple, integrand, xs, rel_tol: float) -> list[float]
 def _integral_rhs_series(tag: str, model: CoeffModel, xs: Sequence[float],
                          rel_tol: float) -> tuple[list[float], list[float], list[float]]:
     """(lhs, rhs, scale) triples of the integral identity along the grid."""
-    feval = _feval_for(model)
     lhs, rhs, scales = [], [], []
     if model.family == "spherical":
         n = int(model.param)
@@ -686,7 +654,7 @@ def _integral_rhs_series(tag: str, model: CoeffModel, xs: Sequence[float],
         def j_sq_over_t2(t: float) -> float:
             if t == 0.0:
                 return 0.0
-            j = feval(t)
+            j = bessel_j(nu, t, _BESSEL_STACK_TOL)
             return j * j / (t * t)
 
         integ = _cached_cumulative(("jsq", nu), j_sq_over_t2, xs, rel_tol)
@@ -724,9 +692,7 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
     if tol is None:
         tol = info.default_tol
     if info.kind == "criterion":
-        rep = positivity_criterion(model, lo, hi, points)
-        rep.grid["spacing"] = spacing
-        return rep
+        return positivity_criterion(model, lo, hi, points, spacing)
     if tag == "eq-Vpositive" and model.family == "spherical" and model.param < 2:
         return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
                                   math.nan,
@@ -736,7 +702,7 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
     worst_rel = 0.0
     worst_x = xs[0]
     if info.kind == "stack":
-        depth = max(info.min_depth, _stack_depth(model) if model.family != "custom" else info.min_depth)
+        depth = max(info.min_depth, _stack_depth(model))
         for x in xs:
             s = builtin_stack(model, x, depth)
             res, scale = residual_parts(tag, model, s)
@@ -808,15 +774,10 @@ def _first_zeros(model: CoeffModel, cap: float, count: int = 3) -> list[float]:
     return out
 
 
-def integral_check(tag: str, model: CoeffModel, f, x: float,
+def integral_check(tag: str, model: CoeffModel, x: float,
                    tol: float = TOL_INTEGRAL) -> VerificationReport:
-    """Single-point integral identity check (see run_identity for grids).
-
-    ``f`` may be None to use the model's defining solution (f_n or J_nu).
-    A TrigPoly or callable is accepted but must *be* that solution: the
-    identities are stated for it, so a mismatch is a usage error, not a
-    failing report.
-    """
+    """Single-point integral identity check on the model's defining solution
+    (f_n or J_nu); see run_identity for grids."""
     info = REGISTRY.get(tag)
     if info is None or info.kind != "integral":
         raise UsageError(f"{tag!r} is not an integral identity")
@@ -825,7 +786,6 @@ def integral_check(tag: str, model: CoeffModel, f, x: float,
         raise UsageError(f"{tag} not applicable to {model.name}: {reason}")
     if not (math.isfinite(x) and x > 0):
         raise UsageError("integral checks need finite x > 0")
-    _check_supplied_solution(model, f, x)
     if tag == "eq-Vpositive" and model.family == "spherical" and model.param < 2:
         return VerificationReport(tag, model.name, {"x": x}, 0.0, 0.0, tol, True,
                                   x, note="trivial: the prefactor 6n(n-1) vanishes")
@@ -834,26 +794,6 @@ def integral_check(tag: str, model: CoeffModel, f, x: float,
     rel = res / max(1.0, scales[0])
     return VerificationReport(tag, model.name, {"x": x}, res, rel, tol,
                               rel <= tol, x)
-
-
-def _check_supplied_solution(model: CoeffModel, f, x: float) -> None:
-    if f is None:
-        return
-    if isinstance(f, TrigPoly):
-        if model.family == "spherical" and f == spherical_fn(int(model.param)):
-            return
-        raise UsageError(
-            f"the supplied ring element is not the defining solution of {model.name}")
-    if callable(f):
-        ref = _feval_for(model)
-        probe = min(x, 1.0 + 0.5 * abs(model.param))
-        got, want = f(probe), ref(probe)
-        if abs(got - want) > 1e-8 * max(1.0, abs(want)):
-            raise UsageError(
-                f"the supplied function disagrees with the defining solution of "
-                f"{model.name} at x={probe:.6g}")
-        return
-    raise UsageError("f must be None, a TrigPoly, or a callable")
 
 
 def run_all(model: CoeffModel, *, lo: float = 1e-2, hi: float = 30.0,

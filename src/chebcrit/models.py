@@ -118,10 +118,10 @@ def parse_model(text: str) -> CoeffModel:
 
 
 def check_model_consistency(model: CoeffModel, xs, rtol: float = 1e-6) -> None:
-    """Spot-check the analytic derivatives against central differences.
+    """Spot-check a model's analytic derivatives against central differences.
 
-    Raises UsageError on the first inconsistency; used when accepting
-    custom models and in the test suite for the built-ins.
+    Raises UsageError on the first inconsistency.  The test suite runs it
+    on the built-in models.
     """
     pairs = [
         (model.p, model.dp, "p'"),

@@ -341,7 +341,7 @@ def _spherical(n: int) -> TrigPoly:
                   tp_mul(tp_x(2), _spherical(n - 2)))
 
 
-def spherical_fn(n: int, max_n: int = MAX_SPHERICAL_N) -> TrigPoly:
+def spherical_fn(n: int) -> TrigPoly:
     """The n-th spherical function P(x) sin x + Q(x) cos x.
 
     Built by the three-term recurrence f_0 = sin x, f_1 = sin x - x cos x,
@@ -351,8 +351,8 @@ def spherical_fn(n: int, max_n: int = MAX_SPHERICAL_N) -> TrigPoly:
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError("n must be a non-negative integer")
-    if n > max_n:
-        raise UsageError(f"n={n} exceeds the configured maximum {max_n}")
+    if n > MAX_SPHERICAL_N:
+        raise UsageError(f"n={n} exceeds the maximum {MAX_SPHERICAL_N}")
     return _spherical(n)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +21,6 @@ from chebcrit.determinants import (
     canonical_basis,
     hankel_det,
     minor_values,
-    richardson_stack,
     stack_from_spherical,
     stack_from_trigpoly,
     symbolic_minor,
@@ -339,7 +337,7 @@ def test_canonical_basis_vanishing_orders():
             assert all(c == 0 for c in coeffs[:k])
 
 
-# ---------------------------------------------------------------- richardson stacks
+# ---------------------------------------------------------------- ring-element stacks
 
 def test_product_rule_for_v():
     # v(fg) = v(f) g^2 + f^2 v(g), pointwise on random ring elements
@@ -357,11 +355,3 @@ def test_product_rule_for_v():
             gx = tp_eval(g, x)
             rhs = vf * gx * gx + fx * fx * vg
             assert abs(vfg - rhs) <= 1e-11 * max(1.0, abs(vfg), abs(rhs))
-
-
-def test_richardson_stack_on_sin():
-    # difference noise grows like eps/h^order; order 3 at h ~ 1e-3 sits near 5e-8
-    s = richardson_stack(math.sin, 0.7, 3)
-    exact = (math.sin(0.7), math.cos(0.7), -math.sin(0.7), -math.cos(0.7))
-    for got, want in zip(s.values, exact):
-        assert abs(got - want) <= 5e-7

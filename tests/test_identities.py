@@ -23,7 +23,6 @@ from chebcrit.identities import (
     run_all,
     run_identity,
     v_aux,
-    w_prime_by_differences,
 )
 from chebcrit.models import (
     CoeffModel,
@@ -199,7 +198,9 @@ def test_criterion_bessel_formula():
 def test_criterion_spherical_is_one():
     rep = positivity_criterion(spherical_model(3), 0.1, 10.0, 100)
     assert rep.passed
-    assert abs(rep.note.find("1") >= 0 or True)
+    # q - (p/p')q' = 1 - 0 exactly for the spherical equation
+    assert rep.max_abs_residual == 0.0
+    assert rep.note.startswith("min of q - (p/p')q' on the grid: 1;")
 
 
 def test_criterion_fails_for_negative_q():
@@ -208,11 +209,31 @@ def test_criterion_fails_for_negative_q():
     assert rep.max_abs_residual == 1.0
 
 
+def test_criterion_scans_the_requested_spacing():
+    # p = e^x, q = (x-c)^2 + 2(x-c) + 2 with c = 1.5: the criterion
+    # q - (p/p')q' is (x-c)^2, least at c, a point of the linear grid
+    # 1, 1.5, 2 but not of the log grid 1, sqrt 2, 2
+    c = 1.5
+    model = CoeffModel(
+        name="exp-p",
+        p=math.exp, dp=math.exp, d2p=math.exp, d3p=math.exp, d4p=math.exp,
+        q=lambda x: (x - c) ** 2 + 2 * (x - c) + 2,
+        dq=lambda x: 2 * (x - c) + 2, d2q=lambda x: 2.0,
+        P=math.exp,
+        domain=(-math.inf, math.inf), qprime_is_zero=False,
+    )
+    rep = run_identity("thm-main1-criterion", model, lo=1.0, hi=2.0, points=3,
+                       spacing="linear")
+    assert rep.grid["spacing"] == "linear"
+    assert rep.worst_x == 1.5
+    assert rep.passed and rep.max_abs_residual == 0.0
+
+
 # ---------------------------------------------------------------- integral checks
 
 def test_integral_vfn_n1_at_5():
     model = spherical_model(1)
-    rep = integral_check("integral-vfn", model, None, 5.0)
+    rep = integral_check("integral-vfn", model, 5.0)
     assert rep.passed, rep
     # left side from the closed form v(f_1) = cos(2x)/2 + x^2 - 1/2
     want = 0.5 * math.cos(10.0) + 25.0 - 0.5
@@ -221,47 +242,30 @@ def test_integral_vfn_n1_at_5():
 
 
 def test_integral_v_bessel_nu2_at_4():
-    rep = integral_check("integral-vJnu", bessel_model(2.0), None, 4.0)
+    rep = integral_check("integral-vJnu", bessel_model(2.0), 4.0)
     assert rep.passed
     assert rep.max_rel_residual <= 1e-8
 
 
 def test_integral_v_generic_matches_specialized():
     model = spherical_model(2)
-    r1 = integral_check("integral-v", model, None, 3.0)
-    r2 = integral_check("integral-vfn", model, None, 3.0)
+    r1 = integral_check("integral-v", model, 3.0)
+    r2 = integral_check("integral-vfn", model, 3.0)
     assert r1.passed and r2.passed
 
 
 def test_integral_vJnu_rejects_small_nu():
     with pytest.raises(UsageError):
-        integral_check("integral-vJnu", bessel_model(1.0), None, 3.0)
-
-
-def test_integral_check_validates_supplied_f():
-    from chebcrit.bessel import bessel_j
-    from chebcrit.trigpoly import spherical_fn
-
-    model = spherical_model(2)
-    # the actual solution passes; a different ring element is rejected
-    rep = integral_check("integral-vfn", model, spherical_fn(2), 3.0)
-    assert rep.passed
-    with pytest.raises(UsageError):
-        integral_check("integral-vfn", model, spherical_fn(3), 3.0)
-    bmodel = bessel_model(2.0)
-    rep = integral_check("integral-vJnu", bmodel, lambda t: bessel_j(2.0, t), 4.0)
-    assert rep.passed
-    with pytest.raises(UsageError):
-        integral_check("integral-vJnu", bmodel, lambda t: bessel_j(2.5, t), 4.0)
+        integral_check("integral-vJnu", bessel_model(1.0), 3.0)
 
 
 def test_eq_vpositive_trivial_at_n1():
-    rep = integral_check("eq-Vpositive", spherical_model(1), None, 2.0)
+    rep = integral_check("eq-Vpositive", spherical_model(1), 2.0)
     assert rep.passed and "trivial" in rep.note
 
 
 def test_integral_V_spot():
-    rep = integral_check("integral-V", spherical_model(2), None, 4.0)
+    rep = integral_check("integral-V", spherical_model(2), 4.0)
     assert rep.passed, (rep.max_rel_residual, rep.note)
 
 
@@ -298,17 +302,6 @@ def test_v_of_derivative_dominates_v():
             v_of_deriv = f2 * f2 - f3 * f1
             v = f1 * f1 - f2 * f
             assert v_of_deriv >= v - 1e-12 * max(1.0, abs(v))
-
-
-def test_w_prime_by_differences_close_to_exact():
-    from chebcrit.determinants import w_prime_det
-
-    model = spherical_model(2)
-    stack_fn = lambda t: builtin_stack(model, t, 4)
-    x = 2.7
-    exact = w_prime_det(builtin_stack(model, x, 5))
-    approx = w_prime_by_differences(stack_fn, x)
-    assert abs(approx - exact) <= 1e-7 * max(1.0, abs(exact))
 
 
 # ---------------------------------------------------------------- grid runners
