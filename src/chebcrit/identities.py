@@ -1,16 +1,25 @@
 """Registry of residual checks, one per displayed identity of the theory.
 
 Each identity relates determinants of a solution f of f'' + p f' + q f = 0
-to the coefficient data (p, q) and their derivatives.  A check evaluates
-|LHS - RHS| at a point from a derivative stack of the solution plus a
-CoeffModel, and a grid runner aggregates the residuals into a
-VerificationReport.  Residuals are normalized by the summed magnitude of
-the monomial terms entering the identity (with an absolute fallback when
-that scale is below 1), since the raw sides grow like powers of f.
+to the coefficient data (p, q) and their derivatives.  Everything the
+module knows about an identity is one IdentityInfo row of REGISTRY: its
+kind, the stack depth it reads, its hypotheses, its tolerance and, for the
+pointwise kinds, its residual function.  The rows are listed in payload
+order (IDENTITY_TAGS is the tuple of their tags).  Every check but the
+positivity criterion yields (x, |LHS - RHS|, scale) rows that one
+reduction turns into a VerificationReport, and every check reads its
+derivative stacks from one cache per (family, parameter, x).  Residuals
+are normalized by the summed magnitude of the monomial terms entering the
+identity (with an absolute fallback when that scale is below 1), since the
+raw sides grow like powers of f.
 
-Identity tags and their requirements:
+Identity tags, in payload order, and their requirements:
 
   prop1               v' + p v = p'f'f + q'f^2                    (m >= 3)
+  integral-v          the integral representation of v (f(a)=f'(a)=0)
+  integral-vfn        v(f_n) = (n/x^2) f_n^2 + 2n(n+1) x^(2n) I_n
+  integral-vJnu       v(J_nu) integral identity, nu > 1
+  thm-main1-criterion the positivity criterion q - (p/p')q' >= 0
   prop2               second-order equation for v; divides by p'  (m >= 4)
   cor2-ode            v'' - (2(n-1)/x) v' = (4n/x^2) f'^2, spherical
   vfprime             v(f') = p'f'^2 + q'f'f + q v(f)             (m >= 3)
@@ -23,10 +32,6 @@ Identity tags and their requirements:
   thm-main6           first-derivative form of a1 f'^2+a2 f'f+a3 v, q'=0
   a23-coeffs          closed forms of the A2/A3 coefficients, spherical
   eq-newAA            V' + p V = A2 f'f + A3 v, q' = 0
-  thm-main1-criterion the positivity criterion q - (p/p')q' >= 0
-  integral-v          the integral representation of v (f(a)=f'(a)=0)
-  integral-vfn        v(f_n) = (n/x^2) f_n^2 + 2n(n+1) x^(2n) I_n
-  integral-vJnu       v(J_nu) integral identity, nu > 1
   integral-V          the integral representation of V, q' = 0
   eq-Vpositive        V(f_n)/(6n(n-1)) as a sum of positive integrals
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bessel import bessel_j, bessel_stack_values, bessel_zero, fn_zero
 from .determinants import (
@@ -56,119 +61,15 @@ from .models import CoeffModel
 from .quadrature import cumulative_integrals
 from .trigpoly import spherical_fn, tp_eval, tp_eval_over_power
 
-IDENTITY_TAGS = (
-    "prop1",
-    "integral-v",
-    "integral-vfn",
-    "integral-vJnu",
-    "thm-main1-criterion",
-    "prop2",
-    "cor2-ode",
-    "vfprime",
-    "thm-main2",
-    "remark-zero",
-    "cubic-coeffs",
-    "cor5",
-    "thm-main3",
-    "thm-main4",
-    "thm-main6",
-    "a23-coeffs",
-    "eq-newAA",
-    "integral-V",
-    "eq-Vpositive",
-)
-
 #: residual budget per check class: identities evaluated from exact stacks
 #: and integral identities.
 TOL_EXACT = 1e-9
 TOL_INTEGRAL = 1e-8
 
 _BESSEL_STACK_TOL = 1e-15
-_BESSEL_STACK_DEPTH = 4
 
-
-@dataclass(frozen=True)
-class IdentityInfo:
-    tag: str
-    kind: str                      # "stack" | "coeff" | "criterion" | "zero-point" | "integral"
-    min_depth: int
-    needs_qprime_zero: bool
-    families: tuple[str, ...] | None  # None = any family
-    default_tol: float
-    needs_dp_nonzero: bool = False
-
-
-REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
-    IdentityInfo("prop1", "stack", 3, False, None, TOL_EXACT),
-    IdentityInfo("prop2", "stack", 4, False, None, TOL_EXACT, needs_dp_nonzero=True),
-    IdentityInfo("cor2-ode", "stack", 4, False, ("spherical",), TOL_EXACT),
-    IdentityInfo("vfprime", "stack", 3, False, None, TOL_EXACT),
-    IdentityInfo("thm-main2", "stack", 4, False, None, TOL_EXACT),
-    IdentityInfo("remark-zero", "zero-point", 4, False, ("spherical", "bessel"), TOL_EXACT),
-    IdentityInfo("cubic-coeffs", "stack", 4, False, None, TOL_EXACT),
-    IdentityInfo("cor5", "stack", 4, False, ("spherical",), TOL_EXACT),
-    IdentityInfo("thm-main3", "stack", 5, True, None, TOL_EXACT),
-    IdentityInfo("thm-main4", "stack", 5, True, None, TOL_EXACT, needs_dp_nonzero=True),
-    IdentityInfo("thm-main6", "stack", 3, True, None, TOL_EXACT),
-    IdentityInfo("a23-coeffs", "coeff", 0, True, ("spherical",), TOL_EXACT, needs_dp_nonzero=True),
-    IdentityInfo("eq-newAA", "stack", 3, True, None, TOL_EXACT, needs_dp_nonzero=True),
-    IdentityInfo("thm-main1-criterion", "criterion", 0, False, None, 0.0, needs_dp_nonzero=True),
-    IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"), TOL_INTEGRAL),
-    IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",), TOL_INTEGRAL),
-    IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",), TOL_INTEGRAL),
-    IdentityInfo("integral-V", "integral", 2, True, ("spherical",), TOL_INTEGRAL),
-    IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",), TOL_INTEGRAL),
-)}
-
-
-@dataclass
-class VerificationReport:
-    identity: str
-    model: str
-    grid: dict
-    max_abs_residual: float
-    max_rel_residual: float
-    tolerance: float
-    passed: bool
-    worst_x: float
-    note: str = ""
-    skipped: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "model": self.model,
-            "grid": self.grid,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "worst_x": self.worst_x,
-            "note": self.note,
-            "skipped": self.skipped,
-        }
-
-
-def applicability(tag: str, model: CoeffModel) -> tuple[bool, str]:
-    """Whether the identity's hypotheses hold for this model; reason if not."""
-    info = REGISTRY.get(tag)
-    if info is None:
-        raise UsageError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
-    if info.needs_qprime_zero and not model.qprime_is_zero:
-        return False, "requires q' = 0"
-    if info.families is not None and model.family not in info.families:
-        return False, f"defined for families {'/'.join(info.families)}"
-    if info.needs_dp_nonzero and model.family == "spherical" and model.param == 0:
-        return False, "p' vanishes identically for the n = 0 model"
-    if tag in ("integral-v", "integral-vfn") and model.family == "spherical" and model.param < 1:
-        return False, "needs f vanishing to order >= 3 at 0 (n >= 1)"
-    if tag == "integral-v" and model.family == "bessel" and model.param <= 1:
-        return False, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"
-    if tag == "integral-vJnu" and model.param <= 1:
-        return False, "stated for nu > 1 only"
-    if tag == "integral-V" and model.param < 2:
-        return False, "the boundary term e^P V does not vanish at 0 for n < 2"
-    return True, ""
+#: one grid row: (x, |LHS - RHS|, magnitude scale)
+Row = tuple[float, float, float]
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +135,7 @@ def v_aux(model: CoeffModel, s: DerivStack) -> float:
 
 
 # ----------------------------------------------------------------------
-# pointwise residuals (stack kind)
+# pointwise residuals (stack and zero-point kinds)
 # ----------------------------------------------------------------------
 
 def _res_prop1(model, s):
@@ -431,20 +332,106 @@ def _res_eq_newaa(model, s):
     return abs(lhs - rhs), scale
 
 
-_STACK_RESIDUALS: dict[str, Callable] = {
-    "prop1": _res_prop1,
-    "prop2": _res_prop2,
-    "cor2-ode": _res_cor2_ode,
-    "vfprime": _res_vfprime,
-    "thm-main2": _res_thm_main2,
-    "remark-zero": _res_remark_zero,
-    "cubic-coeffs": _res_cubic_coeffs,
-    "cor5": _res_cor5,
-    "thm-main3": _res_thm_main3,
-    "thm-main4": _res_thm_main4,
-    "thm-main6": _res_thm_main6,
-    "eq-newAA": _res_eq_newaa,
-}
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IdentityInfo:
+    tag: str
+    kind: str                      # "stack" | "coeff" | "criterion" | "zero-point" | "integral"
+    min_depth: int
+    needs_qprime_zero: bool
+    families: tuple[str, ...] | None  # None = any family
+    default_tol: float
+    needs_dp_nonzero: bool = False
+    residual: Callable | None = None  # (model, stack) -> (|LHS - RHS|, scale)
+
+
+REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
+    IdentityInfo("prop1", "stack", 3, False, None, TOL_EXACT, residual=_res_prop1),
+    IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"), TOL_INTEGRAL),
+    IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",), TOL_INTEGRAL),
+    IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",), TOL_INTEGRAL),
+    IdentityInfo("thm-main1-criterion", "criterion", 0, False, None, 0.0, needs_dp_nonzero=True),
+    IdentityInfo("prop2", "stack", 4, False, None, TOL_EXACT, needs_dp_nonzero=True,
+                 residual=_res_prop2),
+    IdentityInfo("cor2-ode", "stack", 4, False, ("spherical",), TOL_EXACT,
+                 residual=_res_cor2_ode),
+    IdentityInfo("vfprime", "stack", 3, False, None, TOL_EXACT, residual=_res_vfprime),
+    IdentityInfo("thm-main2", "stack", 4, False, None, TOL_EXACT, residual=_res_thm_main2),
+    IdentityInfo("remark-zero", "zero-point", 4, False, ("spherical", "bessel"), TOL_EXACT,
+                 residual=_res_remark_zero),
+    IdentityInfo("cubic-coeffs", "stack", 4, False, None, TOL_EXACT,
+                 residual=_res_cubic_coeffs),
+    IdentityInfo("cor5", "stack", 4, False, ("spherical",), TOL_EXACT, residual=_res_cor5),
+    IdentityInfo("thm-main3", "stack", 5, True, None, TOL_EXACT, residual=_res_thm_main3),
+    IdentityInfo("thm-main4", "stack", 5, True, None, TOL_EXACT, needs_dp_nonzero=True,
+                 residual=_res_thm_main4),
+    IdentityInfo("thm-main6", "stack", 3, True, None, TOL_EXACT, residual=_res_thm_main6),
+    IdentityInfo("a23-coeffs", "coeff", 0, True, ("spherical",), TOL_EXACT, needs_dp_nonzero=True),
+    IdentityInfo("eq-newAA", "stack", 3, True, None, TOL_EXACT, needs_dp_nonzero=True,
+                 residual=_res_eq_newaa),
+    IdentityInfo("integral-V", "integral", 2, True, ("spherical",), TOL_INTEGRAL),
+    IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",), TOL_INTEGRAL),
+)}
+
+IDENTITY_TAGS = tuple(REGISTRY)
+
+
+@dataclass
+class VerificationReport:
+    identity: str
+    model: str
+    grid: dict
+    max_abs_residual: float
+    max_rel_residual: float
+    tolerance: float
+    passed: bool
+    worst_x: float
+    note: str = ""
+    skipped: bool = False
+
+    def as_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "model": self.model,
+            "grid": self.grid,
+            "max_abs_residual": self.max_abs_residual,
+            "max_rel_residual": self.max_rel_residual,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+            "worst_x": self.worst_x,
+            "note": self.note,
+            "skipped": self.skipped,
+        }
+
+
+def _info(tag: str) -> IdentityInfo:
+    info = REGISTRY.get(tag)
+    if info is None:
+        raise UsageError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
+    return info
+
+
+def applicability(tag: str, model: CoeffModel) -> tuple[bool, str]:
+    """Whether the identity's hypotheses hold for this model; reason if not."""
+    info = _info(tag)
+    if info.needs_qprime_zero and not model.qprime_is_zero:
+        return False, "requires q' = 0"
+    if info.families is not None and model.family not in info.families:
+        return False, f"defined for families {'/'.join(info.families)}"
+    if info.needs_dp_nonzero and model.family == "spherical" and model.param == 0:
+        return False, "p' vanishes identically for the n = 0 model"
+    if tag in ("integral-v", "integral-vfn") and model.family == "spherical" and model.param < 1:
+        return False, "needs f vanishing to order >= 3 at 0 (n >= 1)"
+    if tag == "integral-v" and model.family == "bessel" and model.param <= 1:
+        return False, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"
+    if tag == "integral-vJnu" and model.param <= 1:
+        return False, "stated for nu > 1 only"
+    if tag == "integral-V" and model.param < 2:
+        return False, "the boundary term e^P V does not vanish at 0 for n < 2"
+    return True, ""
 
 
 def residual(tag: str, model: CoeffModel, stack: DerivStack) -> float:
@@ -454,17 +441,14 @@ def residual(tag: str, model: CoeffModel, stack: DerivStack) -> float:
 
 def residual_parts(tag: str, model: CoeffModel, stack: DerivStack) -> tuple[float, float]:
     """(absolute residual, magnitude scale) of the identity at stack.x."""
-    info = REGISTRY.get(tag)
-    if info is None:
-        raise UsageError(f"unknown identity tag {tag!r}")
-    fn = _STACK_RESIDUALS.get(tag)
-    if fn is None:
+    info = _info(tag)
+    if info.residual is None:
         raise UsageError(f"identity {tag!r} is not a pointwise stack residual")
     if info.needs_qprime_zero:
         model.require_qprime_zero(tag)
     stack.require(info.min_depth, tag)
     model.check_domain(stack.x)
-    return fn(model, stack)
+    return info.residual(model, stack)
 
 
 # ----------------------------------------------------------------------
@@ -472,35 +456,26 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack) -> tuple[floa
 # ----------------------------------------------------------------------
 
 def builtin_stack(model: CoeffModel, x: float, m: int) -> DerivStack:
-    """Derivative stack of the model's defining solution (f_n or J_nu)."""
-    if model.family == "spherical":
-        return _spherical_stack(int(model.param), float(x), m)
-    if model.family == "bessel":
-        return _bessel_stack(model.param, float(x), m)
+    """Derivative stack of the model's defining solution (f_n or J_nu).
+
+    Every check on a model reads one cached stack per x, as deep as the
+    deepest check that applies to it (thm-main3/4 read f^(5) and need
+    q' = 0), and slices it to depth m.  Each order's value does not depend
+    on the depth of the stack it comes from, so the slice is exact.
+    """
+    depth = max(m, 5 if model.qprime_is_zero else 4)
+    x = float(x)
+    return DerivStack(x, _stack_values(model.family, model.param, x, depth)[:m + 1])
+
+
+@lru_cache(maxsize=262144)
+def _stack_values(family: str, param: float, x: float, m: int) -> tuple[float, ...]:
+    if family == "spherical":
+        return stack_from_spherical(int(param), x, m).values
+    if family == "bessel":
+        return bessel_stack_values(param, x, m, _BESSEL_STACK_TOL)
     raise UsageError(
-        f"no built-in solution for family {model.family!r}; supply stacks directly")
-
-
-@lru_cache(maxsize=262144)
-def _spherical_stack(n: int, x: float, m: int) -> DerivStack:
-    return stack_from_spherical(n, x, m)
-
-
-def _bessel_stack(nu: float, x: float, m: int) -> DerivStack:
-    # One series pass per (nu, x): the stack identities' depth serves the
-    # shallower stacks of the integral checks too.  Each order's value does
-    # not depend on which other orders share the pass, so slicing is exact.
-    values = _bessel_stack_values(nu, x, max(m, _BESSEL_STACK_DEPTH))
-    return DerivStack(x, values[:m + 1])
-
-
-@lru_cache(maxsize=262144)
-def _bessel_stack_values(nu: float, x: float, m: int) -> tuple[float, ...]:
-    return bessel_stack_values(nu, x, m, _BESSEL_STACK_TOL)
-
-
-def _stack_depth(model: CoeffModel) -> int:
-    return 5 if model.family == "spherical" else _BESSEL_STACK_DEPTH
+        f"no built-in solution for family {family!r}; supply stacks directly")
 
 
 # ----------------------------------------------------------------------
@@ -602,52 +577,9 @@ def _cached_cumulative(key: tuple, integrand, xs, rel_tol: float) -> list[float]
     return got
 
 
-def _integral_rhs_series(tag: str, model: CoeffModel, xs: Sequence[float],
-                         rel_tol: float) -> tuple[list[float], list[float], list[float]]:
-    """(lhs, rhs, scale) triples of the integral identity along the grid."""
-    lhs, rhs, scales = [], [], []
-    if model.family == "spherical":
-        n = int(model.param)
-        if tag in ("integral-v", "integral-vfn"):
-            integ = _cached_cumulative(("fsq", n, 2 * n + 3),
-                                       _fn_sq_over_power(n, 2 * n + 3), xs, rel_tol)
-            for x, inte in zip(xs, integ):
-                s = builtin_stack(model, x, 2)
-                fx = s.values[0]
-                if tag == "integral-v":
-                    # v = f^2 p'/2 - e^-P/2 * Int f^2 (p''+p'p-2q') e^P
-                    t1 = 0.5 * fx * fx * model.dp(x)
-                    t2 = 2.0 * n * (n + 1) * x ** (2 * n) * inte
-                else:
-                    t1 = n / x ** 2 * fx * fx
-                    t2 = 2.0 * n * (n + 1) * x ** (2 * n) * inte
-                lhs.append(v_det(s))
-                rhs.append(t1 + t2)
-                scales.append(abs(lhs[-1]) + abs(t1) + abs(t2))
-            return lhs, rhs, scales
-        if tag in ("integral-V", "eq-Vpositive"):
-            pref = 6.0 * n * (n - 1)
-            int_f = _cached_cumulative(("fsq", n, 2 * n + 5),
-                                       _fn_sq_over_power(n, 2 * n + 5), xs, rel_tol)
-            int_v = _cached_cumulative(("vratio", n, 2 * n + 3),
-                                       _v_over_power(n, 2 * n + 3), xs, rel_tol)
-            for x, ia, ib in zip(xs, int_f, int_v):
-                s = builtin_stack(model, x, 2)
-                fx = s.values[0]
-                direct = v_aux(model, s)
-                t1 = fx * fx / (2.0 * x ** 4)
-                t2 = (n + 2.0) * x ** (2 * n) * ia
-                t3 = x ** (2 * n) * ib
-                if tag == "integral-V":
-                    lhs.append(direct)
-                    rhs.append(pref * (t1 + t2 + t3))
-                    scales.append(abs(direct) + pref * (abs(t1) + abs(t2) + abs(t3)))
-                else:
-                    lhs.append(direct / pref)
-                    rhs.append(t1 + t2 + t3)
-                    scales.append(abs(direct / pref) + abs(t1) + abs(t2) + abs(t3))
-            return lhs, rhs, scales
-        raise UsageError(f"{tag} is not an integral identity of the spherical family")
+def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float],
+                   rel_tol: float) -> Iterator[Row]:
+    """Rows of the integral identity along the grid (built-in families)."""
     if model.family == "bessel":
         nu = model.param
 
@@ -661,13 +593,91 @@ def _integral_rhs_series(tag: str, model: CoeffModel, xs: Sequence[float],
         for x, inte in zip(xs, integ):
             s = builtin_stack(model, x, 2)
             jx = s.values[0]
+            v = v_det(s)
             t1 = -jx * jx / (2.0 * x * x)
             t2 = (4.0 * nu * nu - 1.0) / (2.0 * x) * inte
-            lhs.append(v_det(s))
-            rhs.append(t1 + t2)
-            scales.append(abs(lhs[-1]) + abs(t1) + abs(t2))
-        return lhs, rhs, scales
-    raise UsageError("integral checks are implemented for the built-in families")
+            yield x, abs(v - (t1 + t2)), abs(v) + abs(t1) + abs(t2)
+        return
+    n = int(model.param)
+    if tag in ("integral-v", "integral-vfn"):
+        integ = _cached_cumulative(("fsq", n, 2 * n + 3),
+                                   _fn_sq_over_power(n, 2 * n + 3), xs, rel_tol)
+        for x, inte in zip(xs, integ):
+            s = builtin_stack(model, x, 2)
+            fx = s.values[0]
+            if tag == "integral-v":
+                # v = f^2 p'/2 - e^-P/2 * Int f^2 (p''+p'p-2q') e^P
+                t1 = 0.5 * fx * fx * model.dp(x)
+            else:
+                t1 = n / x ** 2 * fx * fx
+            t2 = 2.0 * n * (n + 1) * x ** (2 * n) * inte
+            v = v_det(s)
+            yield x, abs(v - (t1 + t2)), abs(v) + abs(t1) + abs(t2)
+        return
+    pref = 6.0 * n * (n - 1)
+    int_f = _cached_cumulative(("fsq", n, 2 * n + 5),
+                               _fn_sq_over_power(n, 2 * n + 5), xs, rel_tol)
+    int_v = _cached_cumulative(("vratio", n, 2 * n + 3),
+                               _v_over_power(n, 2 * n + 3), xs, rel_tol)
+    for x, ia, ib in zip(xs, int_f, int_v):
+        s = builtin_stack(model, x, 2)
+        fx = s.values[0]
+        direct = v_aux(model, s)
+        t1 = fx * fx / (2.0 * x ** 4)
+        t2 = (n + 2.0) * x ** (2 * n) * ia
+        t3 = x ** (2 * n) * ib
+        if tag == "integral-V":
+            yield (x, abs(direct - pref * (t1 + t2 + t3)),
+                   abs(direct) + pref * (abs(t1) + abs(t2) + abs(t3)))
+        else:
+            ratio = direct / pref
+            yield (x, abs(ratio - (t1 + t2 + t3)),
+                   abs(ratio) + abs(t1) + abs(t2) + abs(t3))
+
+
+def _a23_row(model: CoeffModel, x: float) -> Row:
+    """A2, A3 against their spherical closed forms 6n(n-1)/x^4, 6n(n-1)/x^3."""
+    n = model.param
+    cap2, cap3 = a23_coeffs(model, x)
+    want2 = 6.0 * n * (n - 1) / x ** 4
+    want3 = 6.0 * n * (n - 1) / x ** 3
+    # scale from the formulas' term magnitudes: A2/A3 cancel exactly
+    # at n = 1 while their terms grow like 1/x^4
+    p, dp, d2p = model.p(x), model.dp(x), model.d2p(x)
+    d3p, d4p = model.d3p(x), model.d4p(x)
+    scale = (1.5 * (dp * dp + abs(d3p) + d2p * d2p / abs(dp))
+             + 1.5 * (abs(d2p) + abs(dp * p)) + abs(d4p / dp)
+             + abs(4 * d2p * d3p / dp ** 2) + abs(3 * d2p ** 3 / dp ** 3)
+             + abs(want2) + abs(want3))
+    return x, abs(cap2 - want2) + abs(cap3 - want3), scale
+
+
+def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float],
+          rel_tol: float) -> Iterable[Row]:
+    if info.kind == "integral":
+        return _integral_rows(info.tag, model, xs, rel_tol)
+    if info.kind == "coeff":
+        return (_a23_row(model, x) for x in xs)
+    return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth)))
+            for x in xs)
+
+
+def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[float],
+            tol: float, rel_tol: float, note: str = "") -> VerificationReport:
+    """The identity's rows over xs reduced to the row of largest relative
+    residual (the earliest such row on ties)."""
+    if info.tag == "eq-Vpositive" and model.param < 2:
+        return VerificationReport(info.tag, model.name, grid, 0.0, 0.0, tol, True,
+                                  math.nan,
+                                  note="trivial: the prefactor 6n(n-1) vanishes")
+    worst_abs = worst_rel = 0.0
+    worst_x = None
+    for x, res, scale in _rows(info, model, xs, rel_tol):
+        rel = res / max(1.0, scale)
+        if worst_x is None or rel > worst_rel:
+            worst_rel, worst_abs, worst_x = rel, res, x
+    return VerificationReport(info.tag, model.name, grid, worst_abs, worst_rel,
+                              tol, worst_rel <= tol, worst_x, note=note)
 
 
 def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 30.0,
@@ -679,83 +689,27 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
     counts as passing; explicitly asking for an impossible single check is
     the caller's signal to inspect report.note.
     """
-    info = REGISTRY.get(tag)
-    if info is None:
-        raise UsageError(f"unknown identity tag {tag!r}")
+    info = _info(tag)
     ok, reason = applicability(tag, model)
     grid_desc = {"lo": lo, "hi": hi, "points": points, "spacing": spacing}
-    if not ok:
-        return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0,
-                                  tol if tol is not None else info.default_tol,
-                                  True, math.nan, note=f"skipped: {reason}",
-                                  skipped=True)
     if tol is None:
         tol = info.default_tol
+    if not ok:
+        return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
+                                  math.nan, note=f"skipped: {reason}", skipped=True)
     if info.kind == "criterion":
         return positivity_criterion(model, lo, hi, points, spacing)
-    if tag == "eq-Vpositive" and model.family == "spherical" and model.param < 2:
+    xs = make_grid(lo, hi, points, spacing)  # checked for the zero-point kind too
+    if info.kind != "zero-point":
+        return _report(info, model, grid_desc, xs, tol, rel_tol=1e-13)
+    zeros = _first_zeros(model, hi)
+    if not zeros:
         return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
-                                  math.nan,
-                                  note="trivial: the prefactor 6n(n-1) vanishes")
-    xs = make_grid(lo, hi, points, spacing)
-    worst_abs = 0.0
-    worst_rel = 0.0
-    worst_x = xs[0]
-    if info.kind == "stack":
-        depth = max(info.min_depth, _stack_depth(model))
-        for x in xs:
-            s = builtin_stack(model, x, depth)
-            res, scale = residual_parts(tag, model, s)
-            rel = res / max(1.0, scale)
-            if rel > worst_rel:
-                worst_rel, worst_abs, worst_x = rel, res, x
-        note = ""
-    elif info.kind == "coeff":
-        n = model.param
-        for x in xs:
-            cap2, cap3 = a23_coeffs(model, x)
-            want2 = 6.0 * n * (n - 1) / x ** 4
-            want3 = 6.0 * n * (n - 1) / x ** 3
-            res = abs(cap2 - want2) + abs(cap3 - want3)
-            # scale from the formulas' term magnitudes: A2/A3 cancel exactly
-            # at n = 1 while their terms grow like 1/x^4
-            p, dp, d2p = model.p(x), model.dp(x), model.d2p(x)
-            d3p, d4p = model.d3p(x), model.d4p(x)
-            scale = (1.5 * (dp * dp + abs(d3p) + d2p * d2p / abs(dp))
-                     + 1.5 * (abs(d2p) + abs(dp * p)) + abs(d4p / dp)
-                     + abs(4 * d2p * d3p / dp ** 2) + abs(3 * d2p ** 3 / dp ** 3)
-                     + abs(want2) + abs(want3))
-            rel = res / max(1.0, scale)
-            if rel > worst_rel:
-                worst_rel, worst_abs, worst_x = rel, res, x
-        note = ""
-    elif info.kind == "zero-point":
-        zeros = _first_zeros(model, hi)
-        if not zeros:
-            return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol,
-                                      True, math.nan,
-                                      note="no zeros of f below the grid cap",
-                                      skipped=True)
-        for x in zeros:
-            s = builtin_stack(model, x, max(info.min_depth, 4))
-            res, scale = residual_parts(tag, model, s)
-            rel = res / max(1.0, scale)
-            if rel > worst_rel:
-                worst_rel, worst_abs, worst_x = rel, res, x
-        note = f"evaluated at {len(zeros)} zero(s) of f"
-        grid_desc = {"kind": "zeros-of-f", "count": len(zeros), "cap": hi}
-    elif info.kind == "integral":
-        lhs, rhs, scales = _integral_rhs_series(tag, model, xs, rel_tol=1e-13)
-        for x, a, b, scale in zip(xs, lhs, rhs, scales):
-            res = abs(a - b)
-            rel = res / max(1.0, scale)
-            if rel > worst_rel:
-                worst_rel, worst_abs, worst_x = rel, res, x
-        note = ""
-    else:  # pragma: no cover - registry is static
-        raise UsageError(f"unhandled identity kind {info.kind!r}")
-    return VerificationReport(tag, model.name, grid_desc, worst_abs, worst_rel,
-                              tol, worst_rel <= tol, worst_x, note=note)
+                                  math.nan, note="no zeros of f below the grid cap",
+                                  skipped=True)
+    return _report(info, model, {"kind": "zeros-of-f", "count": len(zeros), "cap": hi},
+                   zeros, tol, rel_tol=1e-13,
+                   note=f"evaluated at {len(zeros)} zero(s) of f")
 
 
 def _first_zeros(model: CoeffModel, cap: float, count: int = 3) -> list[float]:
@@ -778,22 +732,15 @@ def integral_check(tag: str, model: CoeffModel, x: float,
                    tol: float = TOL_INTEGRAL) -> VerificationReport:
     """Single-point integral identity check on the model's defining solution
     (f_n or J_nu); see run_identity for grids."""
-    info = REGISTRY.get(tag)
-    if info is None or info.kind != "integral":
+    info = _info(tag)
+    if info.kind != "integral":
         raise UsageError(f"{tag!r} is not an integral identity")
     ok, reason = applicability(tag, model)
     if not ok:
         raise UsageError(f"{tag} not applicable to {model.name}: {reason}")
     if not (math.isfinite(x) and x > 0):
         raise UsageError("integral checks need finite x > 0")
-    if tag == "eq-Vpositive" and model.family == "spherical" and model.param < 2:
-        return VerificationReport(tag, model.name, {"x": x}, 0.0, 0.0, tol, True,
-                                  x, note="trivial: the prefactor 6n(n-1) vanishes")
-    lhs, rhs, scales = _integral_rhs_series(tag, model, [x], rel_tol=min(tol * 1e-3, 1e-12))
-    res = abs(lhs[0] - rhs[0])
-    rel = res / max(1.0, scales[0])
-    return VerificationReport(tag, model.name, {"x": x}, res, rel, tol,
-                              rel <= tol, x)
+    return _report(info, model, {"x": x}, [x], tol, rel_tol=min(tol * 1e-3, 1e-12))
 
 
 def run_all(model: CoeffModel, *, lo: float = 1e-2, hi: float = 30.0,

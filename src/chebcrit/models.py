@@ -1,10 +1,10 @@
 """ODE coefficient models: the data (p, q) of f'' + p f' + q f = 0.
 
 Every identity in the registry is parameterized by such a model together
-with derivatives of p up to the fourth and of q up to the second, plus an
-antiderivative P of p.  Derivatives are supplied analytically, not by
-differences: the identities involve quotients in p' where difference noise
-would dominate the residual budget.
+with derivatives of p up to the fourth and of q up to the second.
+Derivatives are supplied analytically, not by differences: the identities
+involve quotients in p' where difference noise would dominate the residual
+budget.
 
 Built-ins:
   spherical n:  p = -2n/x, q = 1          (solved by f_n; q' = 0)
@@ -33,7 +33,6 @@ class CoeffModel:
     q: Fn
     dq: Fn
     d2q: Fn
-    P: Fn
     domain: tuple[float, float]
     qprime_is_zero: bool
     family: str = "custom"      # "spherical" | "bessel" | "custom"
@@ -65,7 +64,6 @@ def spherical_model(n: int) -> CoeffModel:
         q=lambda x: 1.0,
         dq=lambda x: 0.0,
         d2q=lambda x: 0.0,
-        P=lambda x: c * math.log(x),
         domain=(0.0, math.inf),
         qprime_is_zero=True,
         family="spherical",
@@ -89,7 +87,6 @@ def bessel_model(nu: float) -> CoeffModel:
         q=lambda x: 1.0 - n2 / x ** 2,
         dq=lambda x: 2.0 * n2 / x ** 3,
         d2q=lambda x: -6.0 * n2 / x ** 4,
-        P=lambda x: math.log(x),
         domain=(0.0, math.inf),
         qprime_is_zero=(nu == 0.0),
         family="bessel",
@@ -130,7 +127,6 @@ def check_model_consistency(model: CoeffModel, xs, rtol: float = 1e-6) -> None:
         (model.d3p, model.d4p, "p''''"),
         (model.q, model.dq, "q'"),
         (model.dq, model.d2q, "q''"),
-        (model.P, model.p, "P'"),
     ]
     for x in xs:
         model.check_domain(x)

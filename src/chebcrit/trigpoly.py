@@ -54,9 +54,6 @@ from mpmath.libmp import (
 
 from .errors import NumericalFailure, UsageError
 
-Rational = Fraction
-Poly = tuple  # coefficient tuples of Fraction, index = power of x
-
 #: Largest n accepted by :func:`spherical_fn`; coefficient growth is ~(2n+1)!!.
 MAX_SPHERICAL_N = 16
 
@@ -136,10 +133,6 @@ class TrigPoly:
 
     terms: tuple[tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]], ...]
 
-    @property
-    def harmonics(self) -> Mapping[int, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-        return {k: (c, s) for k, c, s in self.terms}
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -148,9 +141,6 @@ class TrigPoly:
         for _, c, s in self.terms:
             d = max(d, len(c) - 1, len(s) - 1)
         return d
-
-    def max_harmonic(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
 
     # operator sugar; the module-level tp_* functions are the primary API
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
@@ -590,6 +580,8 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
 
     rtol is clamped at 1e-30; the Maclaurin route near 0 is good to ~1e-33.
     """
+    if x != x or x in (float("inf"), float("-inf")):
+        raise UsageError("x must be finite")
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
         return mp.mpf(0)

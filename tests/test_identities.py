@@ -41,7 +41,6 @@ def linear_p_model():
         p=lambda x: x, dp=lambda x: 1.0, d2p=lambda x: 0.0,
         d3p=lambda x: 0.0, d4p=lambda x: 0.0,
         q=lambda x: -1.0, dq=lambda x: 0.0, d2q=lambda x: 0.0,
-        P=lambda x: 0.5 * x * x,
         domain=(-math.inf, math.inf), qprime_is_zero=True,
     )
 
@@ -111,24 +110,50 @@ def test_stack_depth_gate():
         residual("thm-main2", model, s)
 
 
-def test_bessel_stacks_share_one_series_pass(monkeypatch):
+@pytest.mark.parametrize("spec", ["bessel:2.7", "bessel:0", "spherical:2"])
+def test_every_check_reads_one_stack_per_x(monkeypatch, spec):
+    # the depths every applicable check reads (2 for the integrals and the
+    # criterion) are all served by one stack evaluation at a given x
     from chebcrit import identities
     from chebcrit.bessel import bessel_stack_values
+    from chebcrit.determinants import stack_from_spherical
 
     calls = []
 
-    def counted(nu, x, m, tol):
+    def counted_bessel(nu, x, m, tol):
         calls.append(m)
         return bessel_stack_values(nu, x, m, tol)
 
-    monkeypatch.setattr(identities, "bessel_stack_values", counted)
-    model = bessel_model(2.7)
+    def counted_spherical(n, x, m):
+        calls.append(m)
+        return stack_from_spherical(n, x, m)
+
+    monkeypatch.setattr(identities, "bessel_stack_values", counted_bessel)
+    monkeypatch.setattr(identities, "stack_from_spherical", counted_spherical)
+    model = parse_model(spec)
+    depths = sorted({2} | {info.min_depth for info in REGISTRY.values()
+                           if info.kind in ("stack", "zero-point")
+                           and applicability(info.tag, model)[0]})
+    assert depths[-1] == (5 if model.qprime_is_zero else 4)
     x = 2.3456789  # an abscissa no other test asks for
-    shallow = builtin_stack(model, x, 2)
-    deep = builtin_stack(model, x, 4)
-    assert calls == [4]
-    assert shallow.values == deep.values[:3]
-    assert deep.values == bessel_stack_values(2.7, x, 4, identities._BESSEL_STACK_TOL)
+    stacks = [builtin_stack(model, x, m) for m in depths]
+    assert len(calls) == 1
+    deepest = stacks[-1].values
+    for m, s in zip(depths, stacks):
+        assert s.values == deepest[:m + 1]
+    if model.family == "bessel":
+        fresh = bessel_stack_values(model.param, x, depths[-1], identities._BESSEL_STACK_TOL)
+    else:
+        fresh = stack_from_spherical(int(model.param), x, depths[-1]).values
+    assert deepest == fresh
+
+
+def test_remark_zero_reports_a_zero_it_checked():
+    # every residual at the zeros of sin is exactly 0: the worst point is
+    # still the first zero evaluated, not the grid's lower end
+    rep = run_identity("remark-zero", spherical_model(0))
+    assert rep.max_abs_residual == 0.0
+    assert rep.worst_x == fn_zero(0, 1).value
 
 
 # ---------------------------------------------------------------- coefficients
@@ -146,7 +171,7 @@ def test_cubic_coeffs_constant_model_vanish():
     model = CoeffModel(
         name="const", p=lambda x: 1.3, dp=lambda x: 0.0, d2p=lambda x: 0.0,
         d3p=lambda x: 0.0, d4p=lambda x: 0.0, q=lambda x: 0.7,
-        dq=lambda x: 0.0, d2q=lambda x: 0.0, P=lambda x: 1.3 * x,
+        dq=lambda x: 0.0, d2q=lambda x: 0.0,
         domain=(-math.inf, math.inf), qprime_is_zero=True)
     assert cubic_coeffs(model, 2.0) == (0.0, 0.0, 0.0, 0.0)
 
@@ -219,7 +244,6 @@ def test_criterion_scans_the_requested_spacing():
         p=math.exp, dp=math.exp, d2p=math.exp, d3p=math.exp, d4p=math.exp,
         q=lambda x: (x - c) ** 2 + 2 * (x - c) + 2,
         dq=lambda x: 2 * (x - c) + 2, d2q=lambda x: 2.0,
-        P=math.exp,
         domain=(-math.inf, math.inf), qprime_is_zero=False,
     )
     rep = run_identity("thm-main1-criterion", model, lo=1.0, hi=2.0, points=3,

@@ -248,6 +248,13 @@ def test_eval_rejects_nonfinite():
         tp_eval(tp_sin(), float("nan"))
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("nan")])
+def test_eval_mp_rejects_nonfinite(x):
+    # a usage error (exit 2), as tp_eval gives, not a numerical failure
+    with pytest.raises(UsageError):
+        tp_eval_mp(spherical_fn(2), x)
+
+
 def test_eval_over_power_limit():
     # f_n / x^(2n+1) -> 1/(2n+1)!! at 0
     f2 = spherical_fn(2)
