@@ -37,6 +37,17 @@ from functools import lru_cache
 from typing import Iterable
 
 from mpmath import mp
+from mpmath.libmp import (
+    from_float,
+    fzero,
+    mpf_abs,
+    mpf_gt,
+    mpf_mul,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .errors import NumericalFailure, UsageError
 from .trigpoly import (
@@ -184,6 +195,7 @@ def _minor_entry_grid(n: int, j: int) -> tuple[tuple[TrigPoly, ...], ...]:
 _ENTRY_RTOL = 1e-30
 _DET_RTOL = 1e-13
 _DET_ABS_FLOOR = "1e-25"  # times the Hadamard scale
+_RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
 
 def _lu_det(rows):
@@ -222,37 +234,43 @@ def _hankel(vals, size: int) -> list[list]:
 
 
 def _hankel_minors(vals, sizes: list[int]) -> dict:
-    """det H_s for every s in sizes, at the current precision.
+    """det H_s for every s in sizes as raw mpfs, at the current precision.
 
+    ``vals`` are the raw mpf entries f^(0), f^(1), ...; the elimination runs
+    on the ``mpmath.libmp`` primitives that mpf's operators call, in their
+    order and rounding, so every minor is bit for bit the operators' value.
     Unpivoted elimination: the k-th pivot is det H_k / det H_(k-1) and
     depends on H_k alone, so the running pivot product passes through every
     leading minor whatever the other sizes (the k-th diagonal entry of
     Bareiss's fraction-free form).  Once a pivot is exactly zero, its size
-    and every larger one fall back to pivoted LU.
+    and every larger one fall back to pivoted LU (on mpfs).
     """
+    prec = mp.prec
     a = _hankel(vals, max(sizes))
     out = {}
     for k, row in enumerate(a):
         piv = row[k]
-        if not piv:
+        if piv == fzero:
+            rows = [mp.make_mpf(v) for v in vals]
             for s in sizes:
                 if s > k:
-                    out[s] = _lu_det(_hankel(vals, s))
+                    out[s] = _lu_det(_hankel(rows, s))._mpf_
             break
-        tau = tau * piv if k else piv  # H_1 stays exact
+        tau = mpf_mul(tau, piv, prec, _RND) if k else piv  # H_1 stays exact
         if k + 1 in sizes:
             out[k + 1] = tau
-        inv = 1 / piv
+        inv = mpf_rdiv_int(1, piv, prec, _RND)  # what 1 / mpf calls
         for below in a[k + 1:]:
-            factor = below[k] * inv
-            if factor:
+            factor = mpf_mul(below[k], inv, prec, _RND)
+            if factor != fzero:
                 for c in range(k + 1, len(a)):
-                    below[c] -= factor * row[c]
+                    below[c] = mpf_sub(below[c], mpf_mul(factor, row[c], prec, _RND), prec, _RND)
     return out
 
 
 def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
-    """Leading Hankel minors validated by recomputation at doubled precision.
+    """Leading Hankel minors of raw mpf entries, validated by recomputation
+    at doubled precision.
 
     The entries are already certified to _ENTRY_RTOL relative error, so the
     doubling certifies the elimination roundoff.  Agreement is accepted
@@ -261,8 +279,11 @@ def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
     while the absolute floor keeps sign queries meaningful far below any
     bisection resolution used on these minors.  The Hadamard scale (product
     of the row 2-norms) is built only when the relative test fails, and
-    each size is frozen at the first precision where it validates.
+    each size is frozen at the first precision where it validates.  A
+    minor is returned as the float nearest to it (``float(mpf)`` under mp's
+    rounding; libmp's ``to_float`` rounds down by default).
     """
+    rtol = from_float(_DET_RTOL)
     dps = 40
     with mp.workdps(dps):
         prev = _hankel_minors(vals, sizes)
@@ -271,14 +292,16 @@ def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
         dps *= 2
         open_sizes = [s for s in sizes if s not in out]
         with mp.workdps(dps):
+            prec = mp.prec
             cur = _hankel_minors(vals, open_sizes)
             for s in open_sizes:
-                gap = abs(cur[s] - prev[s])
-                if gap > mp.mpf(_DET_RTOL) * abs(cur[s]):
-                    hadamard = mp.fprod(mp.norm(row) for row in _hankel(vals, s))
-                    if gap > hadamard * mp.mpf(_DET_ABS_FLOOR):
+                gap = mpf_abs(mpf_sub(cur[s], prev[s], prec, _RND), prec, _RND)
+                if mpf_gt(gap, mpf_mul(rtol, mpf_abs(cur[s], prec, _RND), prec, _RND)):
+                    rows = _hankel([mp.make_mpf(v) for v in vals], s)
+                    hadamard = mp.fprod(mp.norm(row) for row in rows)
+                    if mp.make_mpf(gap) > hadamard * mp.mpf(_DET_ABS_FLOOR):
                         continue
-                out[s] = float(cur[s])
+                out[s] = to_float(cur[s], rnd=_RND)
         if len(out) == len(sizes):
             return out
         prev = cur
@@ -318,7 +341,7 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
         return {}
     sizes = [2 * n + 2 - j for j in js]
     derivs = fn_derivatives(n, 2 * max(sizes) - 2)
-    vals = [tp_eval_mp(d, x, _ENTRY_RTOL) for d in derivs]
+    vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
     dets = _validated_hankel_minors(vals, sizes)
     return {j: -dets[s] if s * (s - 1) // 2 % 2 else dets[s]
             for j, s in zip(js, sizes)}

@@ -31,6 +31,13 @@ same precision and rounding, so every value is bit for bit what the mpf
 operators give.  A coefficient is converted as ``mp.mpf(num) / den``: that
 rounds a numerator wider than the precision before the division, and an
 exact rational conversion would round once and differ in the last bit.
+
+The harmonic route's certification loop passes its precision explicitly
+(``dps_to_prec(dps)``, the precision ``mp.workdps(dps)`` would set) and
+enters no precision context except to compile a missing table.  The
+abscissa, its absolute value and cos/sin(k x) are kept in a one-entry memo
+of the last abscissa, per precision and harmonic, so the derivatives of
+f_n evaluated at one point share a single cos/sin evaluation.
 """
 
 from __future__ import annotations
@@ -42,10 +49,13 @@ from typing import Iterable, Mapping
 
 from mpmath import mp
 from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_cos_sin,
+    mpf_le,
     mpf_mul,
     mpf_mul_int,
     mpf_pow_int,
@@ -71,7 +81,9 @@ _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
 # Evaluation is single-threaded by design: mpmath's precision context is
-# process-global, so every mp.workdps section here assumes no concurrent caller.
+# process-global, so every mp.workdps section here (table compilation, the
+# Maclaurin route, the exact-polynomial route) assumes no concurrent caller,
+# and so does the process-global point memo of the harmonic route.
 
 
 # ----------------------------------------------------------------------
@@ -426,20 +438,34 @@ def _horner_row(part):
 def _harmonic_table(a: TrigPoly, dps: int):
     """The compiled harmonic form of ``a`` at ``dps`` digits, built once.
 
-    Call inside ``mp.workdps(dps)``.  Returns (rows, ten_pow, ops): one row
-    (k, cos row, sin row) per harmonic, a row being None for an empty part,
-    then 10^-dps and the operation count of the rounding bound.  The tables
-    live on the instance, so a lookup never hashes the element's Fractions.
+    Returns (rows, ten_pow, ops): one row (k, cos row, sin row) per
+    harmonic, a row being None for an empty part, then 10^-dps and the
+    operation count of the rounding bound.  The tables live on the
+    instance, so a lookup never hashes the element's Fractions.
     """
     tables = a.__dict__.setdefault("_harmonic_tables", {})
     table = tables.get(dps)
     if table is None:
-        rows = tuple((k, _horner_row(c) if c else None, _horner_row(s) if s else None)
-                     for k, c, s in a.terms)
-        ops = a.max_degree() + 8 * len(a.terms) + 16
-        table = rows, (mp.mpf(10) ** (-dps))._mpf_, ops
+        with mp.workdps(dps):
+            rows = tuple((k, _horner_row(c) if c else None, _horner_row(s) if s else None)
+                         for k, c, s in a.terms)
+            ten_pow = (mp.mpf(10) ** (-dps))._mpf_
+        table = rows, ten_pow, a.max_degree() + 8 * len(a.terms) + 16
         tables[dps] = table
     return table
+
+
+# (x, raw x, raw |x|, {(prec, k): mpf_cos_sin(k x)}) for the last abscissa
+_point = (None, None, None, None)
+
+
+def _point_values(x: float):
+    """The point memo for ``x``, replacing the memo of any other abscissa."""
+    global _point
+    if _point[0] != x:
+        xr = from_float(x)
+        _point = (x, xr, mpf_abs(xr), {})
+    return _point
 
 
 def _horner_raw(row, xr, axr, prec):
@@ -452,16 +478,15 @@ def _horner_raw(row, xr, axr, prec):
 
 
 def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
-    """Evaluate inside ``mp.workdps(dps)``.
+    """Evaluate the harmonic form at ``dps`` digits, in any precision context.
 
-    Returns (value, rounding_bound) where rounding_bound conservatively
+    Returns raw (value, rounding_bound) where rounding_bound conservatively
     covers the accumulated roundoff of the harmonic-form sum at this
     precision.
     """
-    prec = mp.prec
+    prec = dps_to_prec(dps)
     rows, ten_pow, ops = _harmonic_table(a, dps)
-    xr = mp.mpf(x)._mpf_
-    axr = mpf_abs(xr, prec, _RND)
+    _, xr, axr, trig = _point_values(x)
     total = mag = fzero
     for k, crow, srow in rows:
         if k == 0:
@@ -469,7 +494,10 @@ def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
             total = mpf_add(total, v, prec, _RND)
             mag = mpf_add(mag, m_, prec, _RND)
             continue
-        cos_kx, sin_kx = mpf_cos_sin(mpf_mul_int(xr, k, prec, _RND), prec, _RND)
+        cos_sin = trig.get((prec, k))
+        if cos_sin is None:
+            cos_sin = trig[prec, k] = mpf_cos_sin(mpf_mul_int(xr, k, prec, _RND), prec, _RND)
+        cos_kx, sin_kx = cos_sin
         if crow:
             v, m_ = _horner_raw(crow, xr, axr, prec)
             total = mpf_add(total, mpf_mul(v, cos_kx, prec, _RND), prec, _RND)
@@ -478,8 +506,7 @@ def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
             v, m_ = _horner_raw(srow, xr, axr, prec)
             total = mpf_add(total, mpf_mul(v, sin_kx, prec, _RND), prec, _RND)
             mag = mpf_add(mag, m_, prec, _RND)
-    bound = mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
-    return mp.make_mpf(total), mp.make_mpf(bound)
+    return total, mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
 
 
 def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
@@ -497,12 +524,13 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
             val += p
         with mp.workdps(40):
             return mp.mpf(val.numerator) / val.denominator
+    rtol = from_float(rtol)
     dps = _EVAL_START_DPS
     while dps <= _EVAL_MAX_DPS:
-        with mp.workdps(dps):
-            total, bound = _eval_harmonic_mp(a, x, dps)
-            if bound == 0 or bound <= abs(total) * mp.mpf(rtol):
-                return total
+        prec = dps_to_prec(dps)
+        total, bound = _eval_harmonic_mp(a, x, dps)
+        if bound == fzero or mpf_le(bound, mpf_mul(mpf_abs(total), rtol, prec, _RND)):
+            return mp.make_mpf(total)
         dps *= 2
     raise NumericalFailure(
         f"evaluation at x={x!r} did not certify below {_EVAL_MAX_DPS} digits")
@@ -580,6 +608,7 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
 
     rtol is clamped at 1e-30; the Maclaurin route near 0 is good to ~1e-33.
     """
+    x = float(x)
     if x != x or x in (float("inf"), float("-inf")):
         raise UsageError("x must be finite")
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)

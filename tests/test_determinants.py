@@ -9,6 +9,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.libmp import to_float
 
 from chebcrit import determinants
 from chebcrit.bessel import bessel_zero, fn_zero
@@ -187,11 +188,16 @@ def _pivoted_minor(n, j, x):
     raise AssertionError("reference LU did not stabilize")
 
 
+def _planted_mpfs(vals):
+    """The rationals vals as mpfs to 400 digits."""
+    with mpmath.workdps(400):
+        return [mpmath.mpf(v.numerator) / v.denominator for v in map(Fraction, vals)]
+
+
 def _plant_entries(monkeypatch, n, vals):
     """Make f_n^(k)(x) evaluate to the rational vals[k] (to 400 digits) for any x."""
     derivs = fn_derivatives(n, 2 * n)
-    with mpmath.workdps(400):
-        planted = [mpmath.mpf(v.numerator) / v.denominator for v in map(Fraction, vals)]
+    planted = _planted_mpfs(vals)
     monkeypatch.setattr(determinants, "tp_eval_mp",
                         lambda d, x, rtol: planted[derivs.index(d)])
 
@@ -288,6 +294,107 @@ def test_first_scan_points_validate_without_the_hadamard_floor(monkeypatch):
     monkeypatch.setattr(determinants, "_DET_ABS_FLOOR", "0")
     for (n, x), vals in before.items():
         assert minor_values(n, x) == vals, (n, x)
+
+
+def _ref_hankel_minors(vals, sizes):
+    """The unpivoted elimination through mpf operators, on mpf entries, as
+    _hankel_minors computed it before it ran on raw libmp tuples."""
+    a = [[vals[r + t] for t in range(max(sizes))] for r in range(max(sizes))]
+    out = {}
+    for k, row in enumerate(a):
+        piv = row[k]
+        if not piv:
+            for s in sizes:
+                if s > k:
+                    out[s] = _lu_det([[vals[r + t] for t in range(s)] for r in range(s)])
+            break
+        tau = tau * piv if k else piv
+        if k + 1 in sizes:
+            out[k + 1] = tau
+        inv = 1 / piv
+        for below in a[k + 1:]:
+            factor = below[k] * inv
+            if factor:
+                for c in range(k + 1, len(a)):
+                    below[c] -= factor * row[c]
+    return out
+
+
+def _ref_validated_minors(vals, sizes):
+    """The validated minors as mpfs, through _ref_hankel_minors and mpf
+    operators (the acceptance rule of _validated_hankel_minors)."""
+    dps = 40
+    with mpmath.workdps(dps):
+        prev = _ref_hankel_minors(vals, sizes)
+    out = {}
+    while len(out) < len(sizes):
+        dps *= 2
+        with mpmath.workdps(dps):
+            cur = _ref_hankel_minors(vals, [s for s in sizes if s not in out])
+            for s, v in cur.items():
+                gap = abs(v - prev[s])
+                if gap > mpmath.mpf(1e-13) * abs(v):
+                    hankel = [[vals[r + t] for t in range(s)] for r in range(s)]
+                    had = mpmath.fprod(mpmath.norm(r) for r in hankel)
+                    if gap > had * mpmath.mpf("1e-25"):
+                        continue
+                out[s] = v
+        prev = cur
+    return out
+
+
+def _entries(n, x):
+    return [tp_eval_mp(d, x, 1e-30) for d in fn_derivatives(n, 2 * n)]
+
+
+_PLANTED_ZERO_PIVOTS = [(0, 1, 3, -2, 5), (1, 1, 1, 2, 5), (0, 0, 2, 1, 1, 2, 7)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
+    sizes = list(range(1, n + 2))
+    for x in (0.004, 0.3, 2.5, 7.9, 13.0):
+        vals = _entries(n, x)
+        for dps in (40, 80, 160):
+            with mpmath.workdps(dps):
+                got = determinants._hankel_minors([v._mpf_ for v in vals], sizes)
+                want = _ref_hankel_minors(vals, sizes)
+            assert got == {s: v._mpf_ for s, v in want.items()}, (n, x, dps)
+
+
+@pytest.mark.parametrize("vals", _PLANTED_ZERO_PIVOTS)
+def test_raw_elimination_matches_at_planted_zero_pivots(monkeypatch, vals):
+    lu_sizes = []
+
+    def counting_lu(rows):
+        lu_sizes.append(len(rows))
+        return _lu_det(rows)
+
+    monkeypatch.setattr(determinants, "_lu_det", counting_lu)
+    entries = _planted_mpfs(vals)
+    sizes = list(range(1, (len(vals) + 3) // 2))
+    for dps in (40, 80, 160):
+        with mpmath.workdps(dps):
+            got = determinants._hankel_minors([v._mpf_ for v in entries], sizes)
+            want = _ref_hankel_minors(entries, sizes)
+        assert got == {s: v._mpf_ for s, v in want.items()}, dps
+    assert lu_sizes  # the fallback ran
+
+
+def test_minor_values_rounds_the_validated_minor_to_nearest():
+    # libmp's to_float rounds toward zero by default; the minors must be the
+    # nearest doubles, and for these abscissae the two differ for many of them
+    directed = 0
+    for n in range(1, 7):
+        for x in (0.3, 2.5, 7.9):
+            got = minor_values(n, x)
+            want = _ref_validated_minors(_entries(n, x), list(range(1, n + 2)))
+            for j, val in got.items():
+                s = 2 * n + 2 - j
+                v = want[s] if s * (s - 1) // 2 % 2 == 0 else -want[s]
+                assert val == float(v), (n, j, x)  # float(mpf) rounds to nearest
+                directed += val != to_float(v._mpf_)
+    assert directed >= 5
 
 
 # ---------------------------------------------------------------- symbolic route

@@ -352,10 +352,10 @@ def test_compiled_harmonic_route_is_bit_identical(name, a):
     a = TrigPoly(a.terms)  # a fresh instance: no table built elsewhere
     for dps in (40, 80, 160):
         for x in (0.013, 0.7, 3.7, 11.0, 29.5):
+            got = _eval_harmonic_mp(a, x, dps)  # raw, in no precision context
             with mp.workdps(dps):
-                got = _eval_harmonic_mp(a, x, dps)
                 want = _ref_harmonic(a, x)
-            assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_), (dps, x)
+            assert got == (want[0]._mpf_, want[1]._mpf_), (dps, x)
 
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
@@ -387,14 +387,9 @@ def test_compiled_public_entry_points_match_reference():
 def test_compiled_table_is_per_precision():
     x = 3.7
     a = TrigPoly(PLANTED.terms)
-    with mp.workdps(40):
-        _eval_harmonic_mp(a, x, 40)
-    with mp.workdps(80):
-        got = _eval_harmonic_mp(a, x, 80)
-    fresh = TrigPoly(PLANTED.terms)
-    with mp.workdps(80):
-        want = _eval_harmonic_mp(fresh, x, 80)
-    assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_)
+    _eval_harmonic_mp(a, x, 40)
+    got = _eval_harmonic_mp(a, x, 80)
+    assert got == _eval_harmonic_mp(TrigPoly(PLANTED.terms), x, 80)
 
 
 def test_compiled_tables_leave_equality_and_hash_alone():
@@ -404,6 +399,103 @@ def test_compiled_tables_leave_equality_and_hash_alone():
     tp_eval(a, 2.0)
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+# ---------------------------------------------------------------- point memo, context-free loop
+
+def _ref_eval_mp(a, x, rtol):
+    """The certified harmonic-route value through mpf operators, escalating
+    precision under mp.workdps as the evaluator did before its loop went raw."""
+    dps = 40
+    while True:
+        with mp.workdps(dps):
+            total, bound = _ref_harmonic(a, x)
+            if bound == 0 or bound <= abs(total) * mp.mpf(rtol):
+                return total, dps
+        dps *= 2
+
+
+def _compiled_dps(a):
+    """The precisions an element has compiled harmonic tables for."""
+    return sorted(a.__dict__.get("_harmonic_tables", ()))
+
+
+def _root_of(a, lo, hi):
+    """A double next to the zero of the element a bracketed by (lo, hi)."""
+    return bisect_root(lambda t: tp_eval(a, t), lo, hi)
+
+
+def _forget_point():
+    from chebcrit import trigpoly
+
+    trigpoly._point = (None, None, None, None)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n):
+    # the derivative stack of f_n evaluated in sequence, as minor_values does,
+    # against the mpf-operator reference and against fresh instances
+    derivs = fn_derivatives(n, 2 * n)
+    for x in (0.013, 0.7, 3.7, 11.0):
+        got = [tp_eval_mp(d, x, 1e-30)._mpf_ for d in derivs]
+        got_float = [tp_eval(d, x) for d in derivs]
+        for d, g, gf in zip(derivs, got, got_float):
+            fresh = TrigPoly(d.terms)
+            assert g == _ref_eval_mp(fresh, x, 1e-30)[0]._mpf_, (n, x)
+            assert gf == float(_ref_eval_mp(fresh, x, 1e-17)[0]), (n, x)
+            _forget_point()
+            assert tp_eval_mp(fresh, x, 1e-30)._mpf_ == g, (n, x)
+
+
+def test_point_memo_is_keyed_by_abscissa_and_precision():
+    a = fn_derivatives(5, 3)[3]
+    x1, x2 = 3.7, 0.7
+    for x, dps in ((x1, 40), (x2, 40), (x1, 80), (x1, 40), (x2, 160), (x2, 80)):
+        got = _eval_harmonic_mp(a, x, dps)
+        with mp.workdps(dps):
+            want = _ref_harmonic(TrigPoly(a.terms), x)
+        assert got == (want[0]._mpf_, want[1]._mpf_), (x, dps)
+
+
+def test_escalating_elements_beside_entries_certified_at_40_digits():
+    # at a double next to a zero of PLANTED (harmonic 2), and of f_6'''
+    # (harmonic 1, like every f_n entry), that element escalates to 80 digits
+    # while the other entries of the stack certify at 40; evaluated
+    # interleaved, every value matches the reference
+    derivs = fn_derivatives(6, 12)
+    planted_zero = _root_of(PLANTED, 1.25, 1.3)
+    entry_zero = _root_of(derivs[3], 6.5, 7.5)
+    for x, escalating in ((planted_zero, PLANTED), (entry_zero, derivs[3])):
+        _forget_point()
+        order = list(derivs[:2]) + [escalating] + list(derivs[2:])
+        got = [tp_eval_mp(a, x, 1e-30)._mpf_ for a in order]
+        for a, g in zip(order, got):
+            fresh = TrigPoly(a.terms)
+            want, dps = _ref_eval_mp(fresh, x, 1e-30)
+            assert g == want._mpf_, x
+            assert dps == (80 if a is escalating else 40), x
+            tp_eval_mp(fresh, x, 1e-30)
+            assert _compiled_dps(fresh) == ([40, 80] if a is escalating else [40])
+
+
+@pytest.mark.parametrize("outer_dps", [15, 200])
+def test_eval_bits_do_not_depend_on_the_callers_precision(outer_dps):
+    derivs = fn_derivatives(6, 12)
+    cases = [(d, x) for d in (derivs[0], derivs[3], derivs[12])
+             for x in (0.004, 0.7, 11.0)]
+    cases.append((PLANTED, _root_of(PLANTED, 1.25, 1.3)))
+
+    def evaluate():
+        # fresh instances, so the tables are compiled under the caller's context
+        return [(tp_eval_mp(TrigPoly(a.terms), x, 1e-30)._mpf_, tp_eval(TrigPoly(a.terms), x))
+                for a, x in cases]
+
+    want = evaluate()
+    with mp.workdps(outer_dps):
+        prec = mp.prec
+        got = evaluate()
+        assert mp.prec == prec
+    assert got == want
 
 
 # ---------------------------------------------------------------- serialization
