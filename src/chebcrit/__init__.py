@@ -10,10 +10,12 @@ __version__ = "0.1.0"
 
 from .bessel import (
     bessel_deriv_zero,
+    bessel_deriv_zeros,
     bessel_j,
     bessel_j_deriv,
     bessel_stack_values,
     bessel_zero,
+    bessel_zeros,
     fn_deriv_zero,
     fn_zero,
 )

@@ -18,7 +18,8 @@ One function, ``_series_values``, serves every entry point.  Its term loop
 runs on the ``mpmath.libmp`` primitives that mpf's operators call, at the
 same precision and rounding and in the same order, so every value is bit
 for bit what the mpf operators give; only the prefactor
-``(x/2)^nu / Gamma(nu+1)`` stays on mpf operators.  The term sequence does
+``(x/2)^nu / Gamma(nu+1)`` stays on mpf operators, with Gamma(nu+1)
+computed once per (nu, precision).  The term sequence does
 not depend on the derivative order, so a stack's orders are summed in one
 pass: each order keeps its own total, magnitude, previous |term| and
 stopping test, and only the orders whose roundoff bound fails at d digits
@@ -28,7 +29,8 @@ are summed again at 2d digits.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -49,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .errors import NumericalFailure, UsageError
-from .rootfind import ZeroResult, kth_zero
+from .rootfind import ZeroResult, first_zeros, kth_zero
 from .trigpoly import fn_derivatives, spherical_fn, tp_eval
 
 DEFAULT_SERIES_TOL = 1e-14
@@ -77,6 +79,14 @@ def _check_order(nu: float) -> float:
     return nu
 
 
+@lru_cache(maxsize=256)
+def _gamma_plus_one(nu: float, prec: int):
+    """Gamma(nu + 1) as ``mp.gamma(mp.mpf(nu) + 1)`` at ``prec`` bits, once
+    per (nu, prec): every series pass at one precision shares it."""
+    with mp.workprec(prec):
+        return mp.gamma(mp.mpf(nu) + 1)
+
+
 def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float) -> list:
     """One pass of the series and its order-times differentiated forms.
 
@@ -92,7 +102,7 @@ def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float) -> list:
     xm = mp.mpf(x)
     num = mp.mpf(nu)  # keep the order in mpf: double-precision term factors
     half = xm / 2     # would freeze a ~1e-16 error into every term
-    base = (half ** num / mp.gamma(num + 1))._mpf_  # k = 0 term before differentiation
+    base = (half ** num / _gamma_plus_one(nu, prec))._mpf_  # k = 0 term before differentiation
     ratio_num = mpf_mul(half._mpf_, half._mpf_, prec, _RND)
     num = num._mpf_
     tol_r = from_float(tol)
@@ -220,16 +230,55 @@ def _zero_of(f: Callable[[float], float], k: int, *, scan_from: float,
         raise NumericalFailure(f"{label}: {exc}") from exc
 
 
+def _zeros_of(f: Callable[[float], float], count: int, *, scan_from: float,
+              cap: float, xtol: float, label: str) -> Iterator[ZeroResult]:
+    try:
+        yield from first_zeros(f, count, start=scan_from, step=ZERO_SCAN_STEP,
+                               cap=cap, xtol=xtol)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{label}: {exc}") from exc
+
+
+def _j_scan(nu: float, tol: float):
+    """(f, keywords of _zero_of/_zeros_of) for the zeros of J_nu."""
+    nu = _check_order(nu)
+    return (lambda t: bessel_j(nu, t)), dict(
+        scan_from=max(nu, tol, 1e-6), cap=nu + ZERO_SCAN_SPAN, xtol=tol,
+        label=f"zero of J_{nu}")
+
+
+def _j_prime_scan(nu: float, tol: float):
+    """(nu as a float, f, keywords of _zero_of/_zeros_of) for the zeros of J_nu'."""
+    nu = _check_order(nu)
+    if nu == 0:
+        raise UsageError("derivative zeros need nu > 0")
+    return nu, (lambda t: bessel_j_deriv(nu, t, 1)), dict(
+        scan_from=max(nu * 0.5, tol, 1e-6), cap=nu + ZERO_SCAN_SPAN, xtol=tol,
+        label=f"zero of J_{nu}'")
+
+
+def _above_nu(nu: float, k: int, res: ZeroResult) -> ZeroResult:
+    """res, the k-th zero of J_nu', checked against j' > nu."""
+    if res.value <= nu:
+        raise NumericalFailure(
+            f"computed j'_{{{nu},{k}}} = {res.value} <= nu, violating j' > nu")
+    return res
+
+
 def bessel_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     """k-th positive zero j_{nu,k}, bracketed by scanning then refined."""
-    nu = _check_order(nu)
+    f, scan = _j_scan(nu, tol)
     if k < 1:
         raise UsageError("k must be >= 1")
-    start = max(nu, tol, 1e-6)
-    cap = nu + ZERO_SCAN_SPAN
-    f = lambda t: bessel_j(nu, t)
-    return _zero_of(f, k, scan_from=start, cap=cap, xtol=tol,
-                    label=f"zero of J_{nu}")
+    return _zero_of(f, k, **scan)
+
+
+def bessel_zeros(nu: float, count: int,
+                 tol: float = DEFAULT_ROOT_XTOL) -> Iterator[ZeroResult]:
+    """The first ``count`` positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu,
+    lazily, from one scan (see ``rootfind.first_zeros``)."""
+    f, scan = _j_scan(nu, tol)
+    return _zeros_of(f, count, **scan)
 
 
 def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
@@ -238,20 +287,18 @@ def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> Zero
     The classical bound j'_{nu,1} > nu is enforced as a sanity check on the
     result; a violation signals a numerical failure, not a mathematical one.
     """
-    nu = _check_order(nu)
-    if nu == 0:
-        raise UsageError("derivative zeros need nu > 0")
+    nu, f, scan = _j_prime_scan(nu, tol)
     if k < 1:
         raise UsageError("k must be >= 1")
-    start = max(nu * 0.5, tol, 1e-6)
-    cap = nu + ZERO_SCAN_SPAN
-    f = lambda t: bessel_j_deriv(nu, t, 1)
-    res = _zero_of(f, k, scan_from=start, cap=cap, xtol=tol,
-                   label=f"zero of J_{nu}'")
-    if res.value <= nu:
-        raise NumericalFailure(
-            f"computed j'_{{{nu},{k}}} = {res.value} <= nu, violating j' > nu")
-    return res
+    return _above_nu(nu, k, _zero_of(f, k, **scan))
+
+
+def bessel_deriv_zeros(nu: float, count: int,
+                       tol: float = DEFAULT_ROOT_XTOL) -> Iterator[ZeroResult]:
+    """The first ``count`` positive zeros j'_{nu,1}, j'_{nu,2}, ... of J_nu',
+    lazily, from one scan, each checked against j' > nu in turn."""
+    nu, f, scan = _j_prime_scan(nu, tol)
+    return (_above_nu(nu, k, res) for k, res in enumerate(_zeros_of(f, count, **scan), 1))
 
 
 def fn_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:

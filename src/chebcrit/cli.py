@@ -23,7 +23,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .bessel import bessel_deriv_zero, bessel_zero
+from .bessel import bessel_deriv_zeros, bessel_zeros
 from .critlen import conjecture_scan, estimate_critical_length
 from .determinants import symbolic_v, symbolic_w, wronskian_minor
 from .errors import NumericalFailure, UsageError
@@ -137,11 +137,9 @@ def _cmd_fn(args) -> int:
 def _cmd_zeros(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    finder = bessel_deriv_zero if args.deriv else bessel_zero
-    rows = []
-    for k in range(1, args.count + 1):
-        z = finder(args.nu, k, args.tol)
-        rows.append({"index": k, "value": z.value, "residual": z.residual})
+    finder = bessel_deriv_zeros if args.deriv else bessel_zeros
+    rows = [{"index": k, "value": z.value, "residual": z.residual}
+            for k, z in enumerate(finder(args.nu, args.count, args.tol), 1)]
     config = {"subcommand": "zeros", "nu": args.nu, "count": args.count,
               "deriv": bool(args.deriv), "tol": args.tol}
     _emit(render_json({"header": _header(config), "zeros": rows}))

@@ -4,9 +4,10 @@ All consumers (Bessel zeros, zeros of the spherical functions, critical
 length scans) locate simple zeros of smooth functions whose consecutive
 zeros are well separated, so a fixed-step scan followed by bisection is
 sufficient and fully deterministic.  ``sign_changes`` is the only scan and
-``refine_bracket`` the only refiner; ``kth_zero`` joins them on a fixed
-grid, and the critical-length scan feeds ``sign_changes`` its precomputed
-rows of minor values.
+``refine_bracket`` the only refiner.  ``first_zeros`` joins them on a
+fixed grid, refining the first few brackets of one scan; ``kth_zero`` runs
+the same scan and refines only its k-th bracket; the critical-length scan
+feeds ``sign_changes`` its precomputed rows of minor values.
 
 The refiner once took safeguarded secant steps.  They bought nothing: on
 45 zeros of J_nu and f_n (k = 1..3) the secant took 1,777 evaluations
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import NumericalFailure, UsageError
@@ -96,25 +98,50 @@ def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
     return ZeroResult(root, abs(f(root)), iters)
 
 
-def kth_zero(f: Callable[[float], float], k: int, *, start: float, step: float,
-             cap: float, xtol: float = 1e-12) -> ZeroResult:
-    """The k-th zero of f on [start, cap], scanned with the given step.
-
-    The grid is start, then min(x + step, cap) up to the cap; the step must
-    be small enough that no two zeros share one scan cell.  The k-th bracket
-    from ``sign_changes`` is refined by ``refine_bracket`` with the scan
-    values of its ends.  Raises NumericalFailure when fewer than k zeros
-    are seen.
-    """
-    if k < 1:
-        raise UsageError("k must be >= 1")
+def _first_brackets(f: Callable[[float], float], count: int, start: float,
+                    step: float, cap: float) -> Iterator[tuple[float, float, float, float]]:
+    """The first ``count`` brackets of one scan of the grid start, then
+    min(x + step, cap) up to the cap, lazily: nothing past the count-th
+    bracket is drawn."""
     if step <= 0 or cap <= start:
         raise UsageError("need step > 0 and cap > start")
-    found = 0
-    for lo, flo, hi, fhi in sign_changes(_grid(f, start, step, cap)):
-        found += 1
-        if found == k:
-            return refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
-    raise NumericalFailure(
+    return islice(sign_changes(_grid(f, start, step, cap)), count)
+
+
+def _too_few(found: int, needed: int, start: float, cap: float) -> NumericalFailure:
+    return NumericalFailure(
         f"only {found} sign change(s) of the target found in ({start}, {cap}); "
-        f"needed {k}")
+        f"needed {needed}")
+
+
+def first_zeros(f: Callable[[float], float], count: int, *, start: float,
+                step: float, cap: float, xtol: float = 1e-12) -> Iterator[ZeroResult]:
+    """The first ``count`` zeros of f on [start, cap], from one scan.
+
+    The step must be small enough that no two zeros share one scan cell.
+    Each bracket is refined by ``refine_bracket`` with the scan values of
+    its ends and yielded before the scan goes on.  When the scan ends with
+    fewer than ``count`` zeros, the ones found have been yielded and
+    NumericalFailure names the first missing one.
+    """
+    if count < 1:
+        raise UsageError("count must be >= 1")
+    found = 0
+    for found, (lo, flo, hi, fhi) in enumerate(_first_brackets(f, count, start, step, cap), 1):
+        yield refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
+    if found < count:
+        raise _too_few(found, found + 1, start, cap)
+
+
+def kth_zero(f: Callable[[float], float], k: int, *, start: float, step: float,
+             cap: float, xtol: float = 1e-12) -> ZeroResult:
+    """The k-th zero of f on [start, cap], from the scan ``first_zeros``
+    makes; only the k-th bracket is refined.  Raises NumericalFailure when
+    fewer than k zeros are seen."""
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    brackets = list(_first_brackets(f, k, start, step, cap))
+    if len(brackets) < k:
+        raise _too_few(len(brackets), k, start, cap)
+    lo, flo, hi, fhi = brackets[-1]
+    return refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)

@@ -32,16 +32,33 @@ operators give.  A coefficient is converted as ``mp.mpf(num) / den``: that
 rounds a numerator wider than the precision before the division, and an
 exact rational conversion would round once and differ in the last bit.
 
-The harmonic route's certification loop passes its precision explicitly
-(``dps_to_prec(dps)``, the precision ``mp.workdps(dps)`` would set) and
-enters no precision context except to compile a missing table.  The
-abscissa, its absolute value and cos/sin(k x) are kept in a one-entry memo
-of the last abscissa, per precision and harmonic, so the derivatives of
-f_n evaluated at one point share a single cos/sin evaluation.
+Both numeric routes pass their precision explicitly (``dps_to_prec(dps)``,
+the precision ``mp.workdps(dps)`` would set) and enter no precision
+context except to compile a missing table.  The abscissa, its absolute
+value and cos/sin(k x) are kept in a one-entry memo of the last abscissa,
+per precision and harmonic, so the derivatives of f_n evaluated at one
+point share a single cos/sin evaluation.
+
+Both certificates are made cheap without changing a bit:
+
+* The Maclaurin sum stops early.  Its table ends at the last nonzero
+  coefficient and carries a suffix bound per slot i, an integer bound on
+  log2 of max over j > i of |c_j| 2^(-6 (j - i - 1)).  Below
+  MACLAURIN_RADIUS (< 2^-6) that bounds every later term through the
+  current power of x; once it is at most 1/8 ulp of the running total, no
+  later addition can move the total, and the final 2^-110 decay test
+  would pass, so the early return is what the full 64-slot loop returns.
+* The harmonic route's rounding bound B (the sum of |coefficient| |x|^i
+  over all rows, times 10^-dps and an operation count) is first tried as
+  a double: one float Horner sum of the per-power magnitudes rounded up,
+  with a 2^-40 relative slack, gives B' >= B.  If B' certifies the value,
+  so would B; otherwise B is computed on raw mpfs and decides as before.
+  The pre-test stands down where underflow or overflow could undercut B'.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,11 +72,15 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_cos_sin,
+    mpf_gt,
     mpf_le,
     mpf_mul,
     mpf_mul_int,
     mpf_pow_int,
+    mpf_shift,
+    round_ceiling,
     round_nearest,
+    to_float,
 )
 
 from .errors import NumericalFailure, UsageError
@@ -73,6 +94,8 @@ MACLAURIN_RADIUS = 1e-2
 
 _MACLAURIN_EXTRA_TERMS = 64
 _MACLAURIN_DPS = 50
+_MACLAURIN_PREC = dps_to_prec(_MACLAURIN_DPS)
+_SUFFIX_SHIFT = 6  # the early stop's radius is 2^-6 >= MACLAURIN_RADIUS
 _VANISHING_ORDER_CAP = 600
 _EVAL_START_DPS = 40
 _EVAL_MAX_DPS = 5000
@@ -80,10 +103,18 @@ _EVAL_RTOL = 1e-17
 _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
+# The harmonic route's float pre-test (see _float_bound): its relative
+# slack, the largest degree the slack covers, the coefficient range it
+# accepts and the least float magnitude sum it trusts.
+_PRETEST_SLACK = 2.0 ** -40
+_PRETEST_MAX_DEGREE = 1024
+_PRETEST_COEFF_RANGE = (2.0 ** -1000, 2.0 ** 1000)
+_PRETEST_MIN_MAG = 2.0 ** -900
+
 # Evaluation is single-threaded by design: mpmath's precision context is
 # process-global, so every mp.workdps section here (table compilation, the
-# Maclaurin route, the exact-polynomial route) assumes no concurrent caller,
-# and so does the process-global point memo of the harmonic route.
+# exact-polynomial route) assumes no concurrent caller, and so does the
+# process-global point memo of the harmonic route.
 
 
 # ----------------------------------------------------------------------
@@ -425,34 +456,73 @@ def _raw_coeff(c: Fraction):
     return (mp.mpf(c.numerator) / c.denominator)._mpf_
 
 
-def _horner_row(part):
-    """One polynomial's (coefficient, |coefficient|) raw pairs in Horner order,
-    split into the leading pair and the rest."""
-    out = []
-    for c in reversed(part):
-        cm = _raw_coeff(c)
-        out.append((cm, mpf_abs(cm)))
-    return out[0], tuple(out[1:])
-
-
 def _harmonic_table(a: TrigPoly, dps: int):
     """The compiled harmonic form of ``a`` at ``dps`` digits, built once.
 
-    Returns (rows, ten_pow, ops): one row (k, cos row, sin row) per
-    harmonic, a row being None for an empty part, then 10^-dps and the
-    operation count of the rounding bound.  The tables live on the
-    instance, so a lookup never hashes the element's Fractions.
+    Returns (rows, mag_rows, ten_pow, ops, fmag, scale_up):
+
+    * rows: one (k, cos row, sin row) per harmonic, a row being None for an
+      empty part and otherwise (leading coefficient, the rest) as raw mpfs
+      in Horner order;
+    * mag_rows: the rows of |coefficient|, in the order the rounding bound
+      adds them;
+    * ten_pow, ops: 10^-dps and the operation count of the rounding bound;
+    * fmag: the float pre-test's row, (leading, the rest) in Horner order,
+      each entry the sum over all rows of the |coefficient|s of one power
+      of x rounded up to a double; None where the pre-test cannot be sound
+      (see _float_bound);
+    * scale_up: ten_pow * ops * (1 + _PRETEST_SLACK) as a raw mpf, rounded
+      up.
+
+    The tables live on the instance, so a lookup never hashes the
+    element's Fractions.
     """
     tables = a.__dict__.setdefault("_harmonic_tables", {})
     table = tables.get(dps)
     if table is None:
         with mp.workdps(dps):
-            rows = tuple((k, _horner_row(c) if c else None, _horner_row(s) if s else None)
-                         for k, c, s in a.terms)
+            raw = [(k, [_raw_coeff(c) for c in cpart], [_raw_coeff(c) for c in spart])
+                   for k, cpart, spart in a.terms]
             ten_pow = (mp.mpf(10) ** (-dps))._mpf_
-        table = rows, ten_pow, a.max_degree() + 8 * len(a.terms) + 16
+        parts = [part for _, cpart, spart in raw for part in (cpart, spart) if part]
+        ops = a.max_degree() + 8 * len(a.terms) + 16
+        prec = dps_to_prec(dps)
+        scale_up = mpf_mul(mpf_mul_int(ten_pow, ops, prec, round_ceiling),
+                           from_float(1.0 + _PRETEST_SLACK), prec, round_ceiling)
+        table = (tuple((k, _horner_row(c), _horner_row(s)) for k, c, s in raw),
+                 tuple(_horner_row([mpf_abs(c) for c in part]) for part in parts),
+                 ten_pow, ops, _float_magnitudes(parts), scale_up)
         tables[dps] = table
     return table
+
+
+def _horner_row(part):
+    """(leading coefficient, the rest in Horner order) of a coefficient
+    list (index = power of x), or None for an empty one."""
+    return (part[-1], tuple(reversed(part[:-1]))) if part else None
+
+
+def _float_magnitudes(parts):
+    """The pre-test's float row for the raw coefficient lists ``parts``
+    (index = power of x), or None when a coefficient lies outside
+    [2^-1000, 2^1000], or the degree or the number of parts exceeds
+    _PRETEST_MAX_DEGREE."""
+    lo, hi = _PRETEST_COEFF_RANGE
+    if len(parts) > _PRETEST_MAX_DEGREE:
+        return None
+    sums = []
+    for raw in parts:
+        if len(raw) > _PRETEST_MAX_DEGREE + 1:
+            return None
+        sums.extend([fzero] * (len(raw) - len(sums)))
+        for i, c in enumerate(raw):
+            if c == fzero:
+                continue
+            if not lo <= abs(to_float(c)) <= hi:
+                return None
+            sums[i] = mpf_add(sums[i], mpf_abs(c))  # exact: no precision given
+    fmag = [to_float(s, rnd=round_ceiling) for s in reversed(sums)]
+    return fmag[0], tuple(fmag[1:])
 
 
 # (x, raw x, raw |x|, {(prec, k): mpf_cos_sin(k x)}) for the last abscissa
@@ -468,13 +538,74 @@ def _point_values(x: float):
     return _point
 
 
-def _horner_raw(row, xr, axr, prec):
-    """Horner evaluation on raw mpfs; returns (value, sum of |term| magnitudes)."""
-    (acc, mag), rest = row
-    for cm, am in rest:
-        acc = mpf_add(mpf_mul(acc, xr, prec, _RND), cm, prec, _RND)
-        mag = mpf_add(mpf_mul(mag, axr, prec, _RND), am, prec, _RND)
-    return acc, mag
+def _horner_raw(row, xr, prec):
+    """Horner evaluation of a (leading, rest) row on raw mpfs."""
+    acc, rest = row
+    for c in rest:
+        acc = mpf_add(mpf_mul(acc, xr, prec, _RND), c, prec, _RND)
+    return acc
+
+
+def _harmonic_value(rows, x: float, prec: int):
+    """The raw value of the harmonic form with table rows ``rows`` at ``x``."""
+    _, xr, _, trig = _point_values(x)
+    total = fzero
+    for k, crow, srow in rows:
+        if k == 0:
+            total = mpf_add(total, _horner_raw(crow, xr, prec), prec, _RND)
+            continue
+        cos_sin = trig.get((prec, k))
+        if cos_sin is None:
+            cos_sin = trig[prec, k] = mpf_cos_sin(mpf_mul_int(xr, k, prec, _RND), prec, _RND)
+        cos_kx, sin_kx = cos_sin
+        if crow:
+            total = mpf_add(total, mpf_mul(_horner_raw(crow, xr, prec), cos_kx, prec, _RND),
+                            prec, _RND)
+        if srow:
+            total = mpf_add(total, mpf_mul(_horner_raw(srow, xr, prec), sin_kx, prec, _RND),
+                            prec, _RND)
+    return total
+
+
+def _exact_bound(table, x: float, prec: int):
+    """The raw rounding bound B of the harmonic-form sum: the sum of the
+    |term| magnitudes, times 10^-dps and the operation count."""
+    _, mag_rows, ten_pow, ops, _, _ = table
+    axr = _point_values(x)[2]
+    mag = fzero
+    for row in mag_rows:
+        mag = mpf_add(mag, _horner_raw(row, axr, prec), prec, _RND)
+    return mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
+
+
+def _float_bound(table, x: float, prec: int):
+    """A raw B' >= _exact_bound(table, x, prec) from one float Horner sum,
+    or None where the pre-test stands down.
+
+    Let M be the exact sum of |coefficient| * |x|^i over all rows.  The
+    exact bound B sums M at prec >= 136 bits (40 digits) with at most
+    2 * degree + rows nearest roundings of relative error 2^-prec each and
+    rounds twice more; with degree and rows at most _PRETEST_MAX_DEGREE
+    that is B <= M * 10^-dps * ops * (1 + 2^-120).  The float row's
+    entries are the per-power sums rounded up, so their exact Horner sum
+    is >= M; each of its 2 * degree float roundings loses at most a factor
+    (1 - 2^-53), less than 2^-41 in all for degree <= _PRETEST_MAX_DEGREE.
+    Requiring the float sum to be a finite normal double >= 2^-900 keeps
+    overflow out and bounds what gradual underflow of a product can lose
+    (below 2^-1074 per step, shrinking with |x| < 1) far below that.  The
+    slack 2^-40 covers both, and the last product is rounded up, so
+    B' >= B: whatever B' accepts, B accepts too.
+    """
+    fmag = table[4]
+    if fmag is None:
+        return None
+    m, rest = fmag
+    ax = abs(x)
+    for c in rest:
+        m = m * ax + c
+    if not _PRETEST_MIN_MAG <= m < math.inf:
+        return None
+    return mpf_mul(from_float(m), table[5], prec, round_ceiling)
 
 
 def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
@@ -485,32 +616,17 @@ def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
     precision.
     """
     prec = dps_to_prec(dps)
-    rows, ten_pow, ops = _harmonic_table(a, dps)
-    _, xr, axr, trig = _point_values(x)
-    total = mag = fzero
-    for k, crow, srow in rows:
-        if k == 0:
-            v, m_ = _horner_raw(crow, xr, axr, prec)
-            total = mpf_add(total, v, prec, _RND)
-            mag = mpf_add(mag, m_, prec, _RND)
-            continue
-        cos_sin = trig.get((prec, k))
-        if cos_sin is None:
-            cos_sin = trig[prec, k] = mpf_cos_sin(mpf_mul_int(xr, k, prec, _RND), prec, _RND)
-        cos_kx, sin_kx = cos_sin
-        if crow:
-            v, m_ = _horner_raw(crow, xr, axr, prec)
-            total = mpf_add(total, mpf_mul(v, cos_kx, prec, _RND), prec, _RND)
-            mag = mpf_add(mag, m_, prec, _RND)
-        if srow:
-            v, m_ = _horner_raw(srow, xr, axr, prec)
-            total = mpf_add(total, mpf_mul(v, sin_kx, prec, _RND), prec, _RND)
-            mag = mpf_add(mag, m_, prec, _RND)
-    return total, mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
+    table = _harmonic_table(a, dps)
+    return _harmonic_value(table[0], x, prec), _exact_bound(table, x, prec)
 
 
 def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
-    """mpf value certified to the requested relative error, escalating precision."""
+    """mpf value certified to the requested relative error, escalating precision.
+
+    At each precision the float bound B' is tried first; only when it
+    fails is the exact bound B computed, and B decides.  Since B <= B',
+    every accepted value and every escalation is what B alone gives.
+    """
     # A pure polynomial can be evaluated exactly in the rationals, which also
     # covers exact zeros at rational points (the harmonic route cannot
     # certify a true zero).
@@ -528,8 +644,14 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
     dps = _EVAL_START_DPS
     while dps <= _EVAL_MAX_DPS:
         prec = dps_to_prec(dps)
-        total, bound = _eval_harmonic_mp(a, x, dps)
-        if bound == fzero or mpf_le(bound, mpf_mul(mpf_abs(total), rtol, prec, _RND)):
+        table = _harmonic_table(a, dps)
+        total = _harmonic_value(table[0], x, prec)
+        limit = mpf_mul(mpf_abs(total), rtol, prec, _RND)
+        quick = _float_bound(table, x, prec)
+        if quick is not None and mpf_le(quick, limit):
+            return mp.make_mpf(total)
+        bound = _exact_bound(table, x, prec)
+        if bound == fzero or mpf_le(bound, limit):
             return mp.make_mpf(total)
         dps *= 2
     raise NumericalFailure(
@@ -537,13 +659,30 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
 
 
 def _maclaurin_table(a: TrigPoly):
-    """(m0, raw coefficients m0 .. m0+63 at 50 digits, None where zero), built once."""
+    """(m0, coefficients, later), built once.
+
+    The coefficients are the raw Maclaurin coefficients m0, m0+1, ... at
+    50 digits, None where zero, up to the last nonzero one below m0+64.
+    later[i], for every slot i but the last, is an integer upper bound on
+    log2 of max over j > i of |c_j| * 2^(-6 (j - i - 1)).
+    """
     table = a.__dict__.get("_maclaurin_table")
     if table is None:
         m0 = vanishing_order(a)
         coeffs = maclaurin(a, m0 + _MACLAURIN_EXTRA_TERMS)[m0:]
         with mp.workdps(_MACLAURIN_DPS):
-            table = m0, tuple(_raw_coeff(c) if c else None for c in coeffs)
+            raw = [_raw_coeff(c) if c else None for c in coeffs]
+        while raw[-1] is None:  # raw[0] is the nonzero leading coefficient
+            raw.pop()
+        later = [0] * (len(raw) - 1)
+        s = raw[-1][2] + raw[-1][3]
+        for i in reversed(range(len(raw) - 1)):
+            later[i] = s
+            c = raw[i]
+            s -= _SUFFIX_SHIFT
+            if c is not None:
+                s = max(s, c[2] + c[3])
+        table = m0, tuple(raw), tuple(later)
         a.__dict__["_maclaurin_table"] = table
     return table
 
@@ -554,29 +693,42 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
     Returns an mpf good to ~1e-33 relative (50-digit working precision and
     a verified term decay), or None when the decay check fails and the
     caller must fall back to the adaptive harmonic route.
+
+    Works at 50 digits in any precision context.  For |x| below
+    MACLAURIN_RADIUS (< 2^-6) the sum stops early and returns exactly what
+    the full sum returns.  After slot i the power xp for slot i + 1 is at
+    hand, and every later term c_j xp_j, j > i, is below
+    2^later[i] * |xp| * 2 (the 2 covers the roundings of the later powers
+    and of the product).  Once that is at most 1/8 ulp of the nonzero
+    running total, round-to-nearest gives the total back on every later
+    addition, and the final decay test (the last nonzero term at most
+    2^-110 of the total) passes, as 2^-(prec+2) is far below 2^-110.
+    Otherwise the sum runs to the last nonzero coefficient and the decay
+    test decides as before.
     """
-    m0, coeffs = _maclaurin_table(a)
+    m0, coeffs, later = _maclaurin_table(a)
     if denom_power and m0 < denom_power and x == 0.0:
         raise UsageError(
             f"a/x^{denom_power} is singular at 0 (vanishing order {m0})")
-    with mp.workdps(_MACLAURIN_DPS):
-        if x == 0.0:
-            if m0 > denom_power:
-                return mp.mpf(0)
-            return mp.make_mpf(coeffs[0])
-        prec = mp.prec
-        xr = mp.mpf(x)._mpf_
-        xp = mpf_pow_int(xr, m0 - denom_power, prec, _RND)
-        total = last = fzero
-        for c in coeffs:
-            if c is not None:
-                last = mpf_mul(c, xp, prec, _RND)
-                total = mpf_add(total, last, prec, _RND)
-            xp = mpf_mul(xp, xr, prec, _RND)
-        total, last = mp.make_mpf(total), mp.make_mpf(last)
-        if total != 0 and abs(last) > abs(total) * mp.mpf(2) ** -110:
-            return None  # decay not established at this radius
-        return total
+    if x == 0.0:
+        return mp.make_mpf(fzero if m0 > denom_power else coeffs[0])
+    prec = _MACLAURIN_PREC
+    xr = from_float(x)
+    xp = mpf_pow_int(xr, m0 - denom_power, prec, _RND)
+    near = abs(x) < MACLAURIN_RADIUS
+    gap = prec + 4  # 1/8 ulp, and the factor 2 of the roundings
+    total = fzero
+    for c, rest in zip(coeffs, later):  # every slot but the last
+        if c is not None:
+            total = mpf_add(total, mpf_mul(c, xp, prec, _RND), prec, _RND)
+        xp = mpf_mul(xp, xr, prec, _RND)
+        if near and total[1] and rest + xp[2] + xp[3] + gap <= total[2] + total[3]:
+            return mp.make_mpf(total)
+    last = mpf_mul(coeffs[-1], xp, prec, _RND)
+    total = mpf_add(total, last, prec, _RND)
+    if total != fzero and mpf_gt(mpf_abs(last), mpf_shift(mpf_abs(total), -110)):
+        return None  # decay not established at this radius
+    return mp.make_mpf(total)
 
 
 def tp_eval(a: TrigPoly, x: float) -> float:

@@ -221,6 +221,23 @@ def test_stack_escalates_only_the_orders_that_need_it():
     assert bessel_stack_values(nu, x, 5, tol) == tuple(v for v, _ in ref)
 
 
+def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
+    calls = []
+    plain = mp.gamma
+
+    def counting(z):
+        calls.append(mp.prec)
+        return plain(z)
+
+    monkeypatch.setattr(mp, "gamma", counting)
+    bessel._gamma_plus_one.cache_clear()
+    for x in (0.7, 3.0, 12.0, 40.0):   # 40.0 escalates to 60 digits
+        bessel_stack_values(3.4, x, 5)
+        bessel_j(3.4, x)
+    assert sorted(calls) == [103, 203]  # 30 and 60 digits
+    bessel._gamma_plus_one.cache_clear()
+
+
 def test_term_cap_raises_numerical_failure(monkeypatch):
     monkeypatch.setattr(bessel, "SERIES_TERM_CAP", 3)
     with pytest.raises(NumericalFailure, match="within 3 terms.*order=0"):

@@ -7,9 +7,9 @@ import math
 import pytest
 
 import chebcrit.bessel
-from chebcrit.bessel import bessel_zero
+from chebcrit.bessel import bessel_deriv_zero, bessel_deriv_zeros, bessel_zero, bessel_zeros
 from chebcrit.errors import NumericalFailure, UsageError
-from chebcrit.rootfind import kth_zero, refine_bracket, sign_changes
+from chebcrit.rootfind import first_zeros, kth_zero, refine_bracket, sign_changes
 
 
 def test_refine_requires_sign_change():
@@ -121,5 +121,49 @@ def test_bessel_zero_evaluates_no_abscissa_twice(monkeypatch, k):
 
     monkeypatch.setattr(chebcrit.bessel, "bessel_j", recording)
     bessel_zero(2.5, k)
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def test_first_zeros_refines_the_first_brackets_of_one_scan():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.sin(t)
+
+    grid = dict(start=0.5, step=0.1, cap=20.0)
+    got = list(first_zeros(f, 4, **grid))
+    assert got == [kth_zero(math.sin, k, **grid) for k in (1, 2, 3, 4)]
+    assert len(seen) == len(set(seen))  # no abscissa evaluated twice
+    # kth_zero scans the same grid but refines only its own bracket
+    all_four = len(seen)
+    del seen[:]
+    kth_zero(f, 4, **grid)
+    assert len(seen) < all_four - 3 * 20
+
+
+def test_first_zeros_yields_what_it_found_then_names_the_first_missing():
+    # sin has only two zeros (pi, 2*pi) in (0.5, 7)
+    zeros = first_zeros(math.sin, 5, start=0.5, step=0.1, cap=7.0)
+    assert abs(next(zeros).value - math.pi) <= 1e-11
+    assert abs(next(zeros).value - 2 * math.pi) <= 1e-11
+    with pytest.raises(NumericalFailure, match=r"only 2 sign change\(s\).*needed 3$"):
+        next(zeros)
+
+
+@pytest.mark.parametrize("zeros, zero, nu", [(bessel_zeros, bessel_zero, 2.5),
+                                             (bessel_deriv_zeros, bessel_deriv_zero, 3.4)])
+def test_bessel_zeros_match_one_call_per_k_and_scan_once(monkeypatch, zeros, zero, nu):
+    want = [zero(nu, k) for k in (1, 2, 3)]
+    seen = []
+    plain = chebcrit.bessel._series_values
+
+    def recording(nu_, x, *args, **kwargs):
+        seen.append(x)
+        return plain(nu_, x, *args, **kwargs)
+
+    monkeypatch.setattr(chebcrit.bessel, "_series_values", recording)
+    assert list(zeros(nu, 3)) == want
     assert seen
     assert len(seen) == len(set(seen))

@@ -498,6 +498,171 @@ def test_eval_bits_do_not_depend_on_the_callers_precision(outer_dps):
     assert got == want
 
 
+# ---------------------------------------------------------------- cheaper certificates
+
+def _certificate_cases():
+    """A seeded set of (element, x): f_n, f_n^(k) and v(f_n) for n <= 12
+    (but the pure polynomials, which the exact rational route evaluates),
+    with x on both sides of MACLAURIN_RADIUS and of both signs."""
+    from chebcrit.determinants import symbolic_v
+
+    rng = random.Random(20)
+    xs = (3e-4, 1e-3, 0.0042, 0.0099, -0.005, 0.01, 0.0101, 0.013, 0.7, 3.7, 11.0, 29.5)
+    cases = []
+    for n in range(13):
+        k = rng.randint(1, 2 * n + 2)
+        for a in (spherical_fn(n), fn_derivatives(n, k)[k], symbolic_v(n)):
+            if any(h for h, _, _ in a.terms):
+                cases += [(a, x) for x in rng.sample(xs, 4)]
+    return cases
+
+
+def _ref_value_and_dps(a, x, rtol):
+    """tp_eval_mp's value and final harmonic-route dps (None on the
+    Maclaurin route) through the mpf-operator references."""
+    if abs(x) < MACLAURIN_RADIUS:
+        want = _ref_maclaurin(a, x, 0)
+        if want is not None:
+            return want._mpf_, None
+    want, dps = _ref_eval_mp(a, x, rtol)
+    return want._mpf_, dps
+
+
+def _value_and_dps(a, x, rtol):
+    fresh = TrigPoly(a.terms)
+    got = tp_eval_mp(fresh, x, rtol)._mpf_
+    return got, max(_compiled_dps(fresh), default=None)
+
+
+@pytest.mark.parametrize("rtol", [1e-17, 1e-30])
+def test_certified_values_and_dps_match_the_references(rtol):
+    for a, x in _certificate_cases():
+        assert _value_and_dps(a, x, rtol) == _ref_value_and_dps(a, x, rtol), x
+
+
+def test_maclaurin_early_stop_is_bit_identical_and_stops_early(monkeypatch):
+    from chebcrit import trigpoly
+
+    products = []
+    plain = trigpoly.mpf_mul
+
+    def counting(*args):
+        products.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(trigpoly, "mpf_mul", counting)
+    for n in (2, 4, 8, 12):
+        a = TrigPoly(spherical_fn(n).terms)
+        for x in (3e-4, 1e-3, -0.0042, 0.0099):
+            for power in (0, 1, 2 * n + 1):
+                del products[:]
+                got = _eval_maclaurin_mp(a, x, power)
+                assert _raw(got) == _raw(_ref_maclaurin(a, x, power)), (n, x, power)
+                # the full sum takes 64 power products and ~32 term products
+                assert len(products) < 64, (n, x, len(products))
+
+
+def test_maclaurin_suffix_bounds_every_later_term():
+    # 2^later[i] bounds |c_j| * r^(j - i - 1) for every j > i at r = 2^-6, and
+    # so at every |x| below MACLAURIN_RADIUS; the table ends at the last
+    # nonzero coefficient
+    from chebcrit.determinants import symbolic_v
+    from chebcrit.trigpoly import _maclaurin_table
+
+    for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_v(6), PLANTED,
+              tp_from_poly([1, 0, 0, 1])):
+        m0, coeffs, later = _maclaurin_table(TrigPoly(a.terms))
+        full = maclaurin(a, m0 + 64)[m0:]
+        assert len(coeffs) == max(i for i, c in enumerate(full) if c) + 1
+        assert len(later) == len(coeffs) - 1
+        with mp.workdps(60):
+            for i in range(len(coeffs) - 1):
+                terms = [abs(mp.make_mpf(c)) * mp.mpf(2) ** (-6 * (j - i - 1))
+                         for j, c in enumerate(coeffs[i + 1:], i + 1) if c is not None]
+                assert max(terms) < mp.mpf(2) ** later[i] <= 2 * max(terms), i
+
+
+def test_maclaurin_terms_ending_inside_the_table_still_run_the_decay_test():
+    # a polynomial's Maclaurin terms end after its degree: the loop stops
+    # there and the 2^-110 decay test decides on the last term, as before
+    short = tp_from_poly([1, 0, 0, 1])         # 1 + x^3: x^3 fails the test
+    long = tp_from_poly([1] + [0] * 39 + [1])  # 1 + x^40: x^40 passes it
+    for x in (1e-3, -0.0042, 0.0099):
+        assert _ref_maclaurin(short, x, 0) is None
+        assert _eval_maclaurin_mp(TrigPoly(short.terms), x) is None
+        want = _ref_maclaurin(long, x, 0)
+        assert want is not None
+        assert _eval_maclaurin_mp(TrigPoly(long.terms), x)._mpf_ == want._mpf_
+    # the public entry point then falls back to the exact rational route
+    assert tp_eval(short, 1e-3) == 1.000000001
+
+
+def test_float_bound_never_undercuts_the_exact_bound():
+    from mpmath.libmp import dps_to_prec, mpf_le, mpf_mul
+
+    from chebcrit.trigpoly import _exact_bound, _float_bound, _harmonic_table
+
+    for a, x in _certificate_cases():
+        if abs(x) < MACLAURIN_RADIUS:
+            continue
+        for dps in (40, 80, 160, 320):
+            prec = dps_to_prec(dps)
+            table = _harmonic_table(a, dps)
+            quick, exact = _float_bound(table, x, prec), _exact_bound(table, x, prec)
+            assert quick is not None
+            assert mpf_le(exact, quick), (x, dps)
+            # and it is tight enough to decide: within 2^-30 of the exact bound
+            assert mpf_le(quick, mpf_mul(exact, (0, 2**30 + 1, -30, 31), prec)), (x, dps)
+
+
+def test_float_bound_stands_down_outside_its_range():
+    from mpmath.libmp import dps_to_prec
+
+    from chebcrit.trigpoly import _eval_adaptive_mp, _float_bound, _harmonic_table
+
+    prec = dps_to_prec(40)
+    # coefficients beyond 2^1000: the pre-test is never built, the exact bound decides
+    huge = tp_scale(spherical_fn(3), Fraction(10) ** 400)
+    assert _harmonic_table(TrigPoly(huge.terms), 40)[4] is None
+    for x in (0.7, 3.7, 11.0):
+        assert _value_and_dps(huge, x, 1e-30) == _ref_value_and_dps(huge, x, 1e-30)
+    # |x| = 1e-300 on the harmonic route: x^4 cos x has a float magnitude
+    # sum that underflows, so the pre-test stands down
+    tiny = tp_term(1, (0, 0, 0, 0, 1))
+    fresh = TrigPoly(tiny.terms)
+    assert _float_bound(_harmonic_table(fresh, 40), 1e-300, prec) is None
+    got = _eval_adaptive_mp(fresh, 1e-300, 1e-30)
+    want, dps = _ref_eval_mp(tiny, 1e-300, 1e-30)
+    assert (got._mpf_, max(_compiled_dps(fresh))) == (want._mpf_, dps)
+
+
+def test_rejected_pre_test_leaves_the_exact_path_deciding(monkeypatch):
+    from chebcrit import trigpoly
+
+    exact_calls = []
+    plain = trigpoly._exact_bound
+
+    def counting(*args):
+        exact_calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(trigpoly, "_exact_bound", counting)
+    cases = [(a, x) for a, x in _certificate_cases() if abs(x) >= MACLAURIN_RADIUS]
+    want = [_ref_value_and_dps(a, x, 1e-30) for a, x in cases]
+    escalations = sum((dps // 40).bit_length() - 1 for _, dps in want)
+    assert escalations > 0
+    # with the slack as it is, the pre-test accepts every certified value
+    # itself: the exact bound runs only on the precisions that escalate
+    assert [_value_and_dps(a, x, 1e-30) for a, x in cases] == want
+    assert len(exact_calls) == escalations
+    # an infinite slack makes it reject everything: the exact bound decides
+    # every precision, with the same values and the same escalation
+    monkeypatch.setattr(trigpoly, "_PRETEST_SLACK", math.inf)
+    del exact_calls[:]
+    assert [_value_and_dps(a, x, 1e-30) for a, x in cases] == want
+    assert len(exact_calls) == escalations + len(cases)
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_eval_leaves_mp_context_untouched():
