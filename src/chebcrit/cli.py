@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--tol", type=decimal_literal, default=None,
                      help="override the per-identity default tolerance")
     p_v.add_argument("--spacing", choices=("log", "linear"), default="log")
-    p_v.add_argument("--format", choices=("json",), default="json")
     p_v.set_defaults(run=_cmd_verify)
 
     p_c = sub.add_parser("critlen", help="critical-length estimate")

@@ -102,17 +102,18 @@ class DerivStack:
 
 def stack_from_trigpoly(f: TrigPoly, x: float, m: int) -> DerivStack:
     """Exact-derivative stack of a ring element, evaluated with validation."""
-    if m < 2:
-        raise UsageError("stack depth m must be >= 2")
-    derivs = derivatives(f, m)
-    return DerivStack(float(x), tuple(tp_eval(d, x) for d in derivs))
+    return _stack(derivatives, f, x, m)
 
 
 def stack_from_spherical(n: int, x: float, m: int) -> DerivStack:
+    """stack_from_trigpoly of f_n, from its cached derivatives."""
+    return _stack(fn_derivatives, n, x, m)
+
+
+def _stack(derivatives_of, f, x: float, m: int) -> DerivStack:
     if m < 2:
         raise UsageError("stack depth m must be >= 2")
-    derivs = fn_derivatives(n, m)
-    return DerivStack(float(x), tuple(tp_eval(d, x) for d in derivs))
+    return DerivStack(float(x), tuple(tp_eval(d, x) for d in derivatives_of(f, m)))
 
 
 # ----------------------------------------------------------------------

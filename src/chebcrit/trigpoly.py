@@ -15,11 +15,17 @@ element.
 Numeric evaluation is a separate concern: the closed forms have integer
 coefficients that grow like (2n+1)!! while the function values near x = 0
 vanish to high order, so a fixed-precision sum loses every significant
-digit.  ``tp_eval`` therefore evaluates with adaptive working precision
-(mpmath) against a running magnitude bound, and switches to an exact
-Maclaurin expansion below a small radius where the cancellation is worst.
-Values returned as ``float`` are correct to ~1 ulp whenever they are
-representable.
+digit.  ``tp_eval_mp`` is the one certified evaluator, with three routes:
+
+* below |x| = MACLAURIN_RADIUS (0.01), 0 included, the exact Maclaurin
+  expansion is summed at 50 digits, where the cancellation is worst (it
+  falls through only when its decay test fails, never at 0);
+* otherwise a pure polynomial is summed exactly in the rationals;
+* and any other element in its harmonic form, with adaptive working
+  precision (mpmath) against a running magnitude bound.
+
+``tp_eval`` and the far side of ``tp_eval_over_power`` round its value to
+a double, correct to ~1 ulp whenever it is representable.
 
 Each element is compiled for evaluation once per working precision: a
 table of its coefficients as raw mpf values (per harmonic, in Horner order,
@@ -32,12 +38,13 @@ operators give.  A coefficient is converted as ``mp.mpf(num) / den``: that
 rounds a numerator wider than the precision before the division, and an
 exact rational conversion would round once and differ in the last bit.
 
-Both numeric routes pass their precision explicitly (``dps_to_prec(dps)``,
-the precision ``mp.workdps(dps)`` would set) and enter no precision
-context except to compile a missing table.  The abscissa, its absolute
-value and cos/sin(k x) are kept in a one-entry memo of the last abscissa,
-per precision and harmonic, so the derivatives of f_n evaluated at one
-point share a single cos/sin evaluation.
+The Maclaurin and harmonic routes pass their precision explicitly
+(``dps_to_prec(dps)``, the precision ``mp.workdps(dps)`` would set); only
+the exact-polynomial route and the compilation of a missing table enter a
+precision context.  The abscissa, its absolute value and cos/sin(k x) are
+kept in a one-entry memo of the last abscissa, per precision and harmonic,
+so the derivatives of f_n evaluated at one point share a single cos/sin
+evaluation.
 
 Both certificates are made cheap without changing a bit:
 
@@ -88,8 +95,9 @@ from .errors import NumericalFailure, UsageError
 #: Largest n accepted by :func:`spherical_fn`; coefficient growth is ~(2n+1)!!.
 MAX_SPHERICAL_N = 16
 
-#: Below this |x|, tp_eval uses the exact Maclaurin expansion instead of the
-#: harmonic form (the harmonic form cancels catastrophically near 0).
+#: Below this |x|, 0 included, tp_eval_mp uses the exact Maclaurin expansion
+#: instead of the harmonic form (the harmonic form cancels catastrophically
+#: near 0).
 MACLAURIN_RADIUS = 1e-2
 
 _MACLAURIN_EXTRA_TERMS = 64
@@ -184,19 +192,6 @@ class TrigPoly:
         for _, c, s in self.terms:
             d = max(d, len(c) - 1, len(s) - 1)
         return d
-
-    # operator sugar; the module-level tp_* functions are the primary API
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return tp_add(self, other)
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return tp_add(self, tp_neg(other))
-
-    def __neg__(self) -> "TrigPoly":
-        return tp_neg(self)
-
-    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        return tp_mul(self, other)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrigPoly({format_trigpoly(self)})"
@@ -333,10 +328,7 @@ def tp_diff(a: TrigPoly, order: int = 1) -> TrigPoly:
     """Exact derivative (d/dx), applied ``order`` times."""
     if order < 0:
         raise UsageError("derivative order must be non-negative")
-    out = a
-    for _ in range(order):
-        out = _diff_once(out)
-    return out
+    return derivatives(a, order)[-1]
 
 
 @lru_cache(maxsize=1024)
@@ -608,18 +600,6 @@ def _float_bound(table, x: float, prec: int):
     return mpf_mul(from_float(m), table[5], prec, round_ceiling)
 
 
-def _eval_harmonic_mp(a: TrigPoly, x: float, dps: int):
-    """Evaluate the harmonic form at ``dps`` digits, in any precision context.
-
-    Returns raw (value, rounding_bound) where rounding_bound conservatively
-    covers the accumulated roundoff of the harmonic-form sum at this
-    precision.
-    """
-    prec = dps_to_prec(dps)
-    table = _harmonic_table(a, dps)
-    return _harmonic_value(table[0], x, prec), _exact_bound(table, x, prec)
-
-
 def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
     """mpf value certified to the requested relative error, escalating precision.
 
@@ -692,7 +672,8 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
 
     Returns an mpf good to ~1e-33 relative (50-digit working precision and
     a verified term decay), or None when the decay check fails and the
-    caller must fall back to the adaptive harmonic route.
+    caller must fall back to the adaptive route.  At x = 0 it returns the
+    coefficient of x^denom_power, rounded to 50 digits, and never None.
 
     Works at 50 digits in any precision context.  For |x| below
     MACLAURIN_RADIUS (< 2^-6) the sum stops early and returns exactly what
@@ -731,50 +712,40 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
     return mp.make_mpf(total)
 
 
-def tp_eval(a: TrigPoly, x: float) -> float:
-    """Numeric value of ``a`` at ``x``, correct to ~1 ulp of the result.
-
-    Evaluation is self-validating: the harmonic form is summed with
-    adaptive working precision until a running magnitude bound certifies
-    the relative error, and below |x| = MACLAURIN_RADIUS the exact
-    Maclaurin expansion is used instead (there the harmonic form cancels
-    to a value exponentially smaller than its terms).
-    """
+def _finite(x) -> float:
+    """x as a float, or UsageError when it is not finite."""
     x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise UsageError("x must be finite")
-    if a.is_zero():
-        return 0.0
-    if x == 0.0:
-        val = sum((c[0] for _, c, _ in a.terms if c), Fraction(0))
-        return float(val)
-    if abs(x) < MACLAURIN_RADIUS:
-        got = _eval_maclaurin_mp(a, x)
-        if got is not None:
-            return _to_float(got, x)
-    return _to_float(_eval_adaptive_mp(a, x, _EVAL_RTOL), x)
+    return x
 
 
 def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
-    """Like tp_eval but returns the certified mpf (for determinant entries).
+    """The certified mpf value of ``a`` at ``x`` (the only evaluator).
 
-    rtol is clamped at 1e-30; the Maclaurin route near 0 is good to ~1e-33.
+    Below |x| = MACLAURIN_RADIUS, 0 included, the exact Maclaurin expansion
+    is summed at 50 digits (there the harmonic form cancels to a value
+    exponentially smaller than its terms).  Elsewhere, or when its decay
+    test fails, a pure polynomial is summed exactly and any other element
+    with adaptive working precision until a running magnitude bound
+    certifies the relative error ``rtol``.  rtol is clamped at 1e-30; the
+    Maclaurin route is good to ~1e-33.
     """
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        raise UsageError("x must be finite")
+    x = _finite(x)
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
         return mp.mpf(0)
-    if abs(x) < MACLAURIN_RADIUS and x != 0.0:
+    if abs(x) < MACLAURIN_RADIUS:
         got = _eval_maclaurin_mp(a, x)
         if got is not None:
             return got
-    if x == 0.0:
-        val = sum((c[0] for _, c, _ in a.terms if c), Fraction(0))
-        with mp.workdps(40):
-            return mp.mpf(val.numerator) / val.denominator
     return _eval_adaptive_mp(a, x, rtol)
+
+
+def tp_eval(a: TrigPoly, x: float) -> float:
+    """Numeric value of ``a`` at ``x``: tp_eval_mp's value, rounded to a
+    double, so correct to ~1 ulp of the result."""
+    return _to_float(tp_eval_mp(a, x), float(x))
 
 
 def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
@@ -785,7 +756,7 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     """
     if power < 0:
         raise UsageError("power must be non-negative")
-    x = float(x)
+    x = _finite(x)
     if a.is_zero():
         if x == 0.0 and power > 0:
             raise UsageError("0/0 at x=0 for the zero element")

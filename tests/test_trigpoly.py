@@ -8,13 +8,16 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from chebcrit.errors import UsageError
 from chebcrit.trigpoly import (
     MACLAURIN_RADIUS,
     TrigPoly,
-    _eval_harmonic_mp,
     _eval_maclaurin_mp,
+    _exact_bound,
+    _harmonic_table,
+    _harmonic_value,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -255,6 +258,60 @@ def test_eval_mp_rejects_nonfinite(x):
         tp_eval_mp(spherical_fn(2), x)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("power", [0, 1])
+def test_eval_over_power_rejects_nonfinite_for_the_zero_element(x, power):
+    # the zero element is no exception to the finiteness check
+    with pytest.raises(UsageError, match="finite"):
+        tp_eval_over_power(tp_zero(), power, x)
+    with pytest.raises(UsageError, match="finite"):
+        tp_eval(tp_zero(), x)
+    with pytest.raises(UsageError, match="finite"):
+        tp_eval_mp(tp_zero(), x)
+
+
+def _contract_cases():
+    """A seeded set of (element, x) for the tp_eval/tp_eval_mp contract:
+    f_n, f_n^(k), v(f_n), pure polynomials (one of which fails the
+    Maclaurin decay test), the planted element and the zero element, at x
+    on both sides of MACLAURIN_RADIUS, of both signs, and at +-0."""
+    from chebcrit.determinants import symbolic_v
+
+    rng = random.Random(11)
+    elements = [tp_zero(), tp_from_poly([-1, 0, 1]), tp_from_poly([1, 0, 0, 1]), PLANTED]
+    for n in range(0, 13, 3):
+        k = rng.randint(1, 2 * n + 2)
+        elements += [spherical_fn(n), fn_derivatives(n, k)[k], symbolic_v(n)]
+    fixed = (0.0, -0.0, 3e-4, 0.0042, -0.005, 0.0099, 0.01, -0.0101, 0.7, -3.7, 29.5)
+    cases = []
+    for a in elements:
+        xs = list(fixed)
+        xs += [rng.choice((-1, 1)) * 10 ** rng.uniform(-4, 1.5) for _ in range(6)]
+        cases += [(a, x) for x in xs]
+    return cases
+
+
+def test_eval_is_the_rounding_of_eval_mp():
+    for a, x in _contract_cases():
+        want = float(tp_eval_mp(TrigPoly(a.terms), x))
+        assert tp_eval(TrigPoly(a.terms), x).hex() == want.hex(), (format_trigpoly(a), x)
+
+
+def test_eval_at_zero_is_the_exact_constant_term():
+    # x = 0 takes the Maclaurin route: its value is the exact a(0), the sum
+    # of the constant cos coefficients, rounded once
+    from chebcrit.determinants import admissible_j, symbolic_minor, symbolic_v, symbolic_w
+
+    elements = [d for n in range(17) for d in fn_derivatives(n, 2 * n + 4)]
+    elements += [symbolic_minor(n, j) for n in range(5) for j in admissible_j(n)]
+    elements += [symbolic_v(n) for n in range(5)] + [symbolic_w(n) for n in range(5)]
+    assert len(elements) == 382
+    for a in elements:
+        want = float(sum((c[0] for _, c, _ in a.terms if c), Fraction(0)))
+        for x in (0.0, -0.0):
+            assert tp_eval(a, x).hex() == want.hex(), (format_trigpoly(a), x)
+
+
 def test_eval_over_power_limit():
     # f_n / x^(2n+1) -> 1/(2n+1)!! at 0
     f2 = spherical_fn(2)
@@ -329,6 +386,14 @@ def _raw(v):
     return None if v is None else v._mpf_
 
 
+def _harmonic_raw(a, x, dps):
+    """Raw (value, rounding bound) of the harmonic form of ``a`` at ``dps``
+    digits, from its compiled table, in no precision context."""
+    prec = dps_to_prec(dps)
+    table = _harmonic_table(a, dps)
+    return _harmonic_value(table[0], x, prec), _exact_bound(table, x, prec)
+
+
 def _compiled_cases():
     from chebcrit.determinants import symbolic_v
 
@@ -352,7 +417,7 @@ def test_compiled_harmonic_route_is_bit_identical(name, a):
     a = TrigPoly(a.terms)  # a fresh instance: no table built elsewhere
     for dps in (40, 80, 160):
         for x in (0.013, 0.7, 3.7, 11.0, 29.5):
-            got = _eval_harmonic_mp(a, x, dps)  # raw, in no precision context
+            got = _harmonic_raw(a, x, dps)  # raw, in no precision context
             with mp.workdps(dps):
                 want = _ref_harmonic(a, x)
             assert got == (want[0]._mpf_, want[1]._mpf_), (dps, x)
@@ -387,9 +452,9 @@ def test_compiled_public_entry_points_match_reference():
 def test_compiled_table_is_per_precision():
     x = 3.7
     a = TrigPoly(PLANTED.terms)
-    _eval_harmonic_mp(a, x, 40)
-    got = _eval_harmonic_mp(a, x, 80)
-    assert got == _eval_harmonic_mp(TrigPoly(PLANTED.terms), x, 80)
+    _harmonic_raw(a, x, 40)
+    got = _harmonic_raw(a, x, 80)
+    assert got == _harmonic_raw(TrigPoly(PLANTED.terms), x, 80)
 
 
 def test_compiled_tables_leave_equality_and_hash_alone():
@@ -451,7 +516,7 @@ def test_point_memo_is_keyed_by_abscissa_and_precision():
     a = fn_derivatives(5, 3)[3]
     x1, x2 = 3.7, 0.7
     for x, dps in ((x1, 40), (x2, 40), (x1, 80), (x1, 40), (x2, 160), (x2, 80)):
-        got = _eval_harmonic_mp(a, x, dps)
+        got = _harmonic_raw(a, x, dps)
         with mp.workdps(dps):
             want = _ref_harmonic(TrigPoly(a.terms), x)
         assert got == (want[0]._mpf_, want[1]._mpf_), (x, dps)
@@ -598,9 +663,9 @@ def test_maclaurin_terms_ending_inside_the_table_still_run_the_decay_test():
 
 
 def test_float_bound_never_undercuts_the_exact_bound():
-    from mpmath.libmp import dps_to_prec, mpf_le, mpf_mul
+    from mpmath.libmp import mpf_le, mpf_mul
 
-    from chebcrit.trigpoly import _exact_bound, _float_bound, _harmonic_table
+    from chebcrit.trigpoly import _float_bound
 
     for a, x in _certificate_cases():
         if abs(x) < MACLAURIN_RADIUS:
@@ -616,9 +681,7 @@ def test_float_bound_never_undercuts_the_exact_bound():
 
 
 def test_float_bound_stands_down_outside_its_range():
-    from mpmath.libmp import dps_to_prec
-
-    from chebcrit.trigpoly import _eval_adaptive_mp, _float_bound, _harmonic_table
+    from chebcrit.trigpoly import _eval_adaptive_mp, _float_bound
 
     prec = dps_to_prec(40)
     # coefficients beyond 2^1000: the pre-test is never built, the exact bound decides
