@@ -55,12 +55,10 @@ from .trigpoly import (
     derivatives,
     fn_derivatives,
     tp_add,
-    tp_const,
     tp_eval,
     tp_eval_mp,
     tp_mul,
     tp_neg,
-    tp_sub,
     tp_zero,
 )
 
@@ -182,13 +180,13 @@ def _check_minor_args(n: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _minor_entry_grid(n: int, j: int) -> tuple[tuple[TrigPoly, ...], ...]:
-    """Exact ring elements of W(u_j..u_{2n+1}): entry (r, t) = f_n^(2n+1-j-t+r)."""
-    size = _check_minor_args(n, j)
-    top = 2 * n + 1 - j  # derivative order of the leftmost column's head
-    derivs = fn_derivatives(n, 2 * top)
+def _minor_entry_grid(n: int, size: int) -> tuple[tuple[TrigPoly, ...], ...]:
+    """Exact ring elements of the size x size Wronskian W(f_n^(size-1), ...,
+    f_n): entry (r, t) = f_n^(size-1-t+r).  It is W(u_j..u_{2n+1}) for
+    size = 2n+2-j, and the matrix of v(f_n) and w(f_n) for sizes 2 and 3."""
+    derivs = fn_derivatives(n, 2 * size - 2)
     return tuple(
-        tuple(derivs[top - t + r] for t in range(size))
+        tuple(derivs[size - 1 - t + r] for t in range(size))
         for r in range(size)
     )
 
@@ -353,13 +351,14 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
 # ----------------------------------------------------------------------
 
 def _symbolic_det(grid) -> TrigPoly:
-    """Cofactor expansion along the first column, memoized on row subsets."""
+    """Cofactor expansion along the first column, memoized on row subsets;
+    the last column's cofactor is its remaining entry."""
     size = len(grid)
     memo: dict[tuple[int, tuple[int, ...]], TrigPoly] = {}
 
     def expand(col: int, rows: tuple[int, ...]) -> TrigPoly:
-        if col == size:
-            return tp_const(1)
+        if col == size - 1:
+            return grid[rows[0]][col]
         key = (col, rows)
         got = memo.get(key)
         if got is not None:
@@ -378,25 +377,20 @@ def _symbolic_det(grid) -> TrigPoly:
 @lru_cache(maxsize=None)
 def symbolic_minor(n: int, j: int) -> TrigPoly:
     """The minor det W(u_j, ..., u_{2n+1}) expanded exactly in the ring."""
-    _check_minor_args(n, j)
+    size = _check_minor_args(n, j)
     if n > MAX_SYMBOLIC_N:
         raise UsageError(
             f"symbolic minors are budgeted for n <= {MAX_SYMBOLIC_N}, got n={n}")
-    return _symbolic_det(_minor_entry_grid(n, j))
+    return _symbolic_det(_minor_entry_grid(n, size))
 
 
 @lru_cache(maxsize=None)
 def symbolic_v(n: int) -> TrigPoly:
     """v(f_n) = f_n'^2 - f_n'' f_n as an exact ring element."""
-    f, f1, f2 = fn_derivatives(n, 2)[:3]
-    return tp_sub(tp_mul(f1, f1), tp_mul(f2, f))
+    return _symbolic_det(_minor_entry_grid(n, 2))
 
 
 @lru_cache(maxsize=None)
 def symbolic_w(n: int) -> TrigPoly:
     """w(f_n) (the 3x3 determinant above) as an exact ring element."""
-    f, f1, f2, f3, f4 = fn_derivatives(n, 4)[:5]
-    t1 = tp_mul(f2, tp_sub(tp_mul(f2, f2), tp_mul(f3, f1)))
-    t2 = tp_mul(f1, tp_sub(tp_mul(f3, f2), tp_mul(f4, f1)))
-    t3 = tp_mul(f, tp_sub(tp_mul(f3, f3), tp_mul(f4, f2)))
-    return tp_add(tp_sub(t1, t2), t3)
+    return _symbolic_det(_minor_entry_grid(n, 3))

@@ -5,13 +5,16 @@ to the coefficient data (p, q) and their derivatives.  Everything the
 module knows about an identity is one IdentityInfo row of REGISTRY: its
 kind, the stack depth it reads, its hypotheses, its tolerance and, for the
 pointwise kinds, its residual function.  The rows are listed in payload
-order (IDENTITY_TAGS is the tuple of their tags).  Every check but the
-positivity criterion yields (x, |LHS - RHS|, scale) rows that one
-reduction turns into a VerificationReport, and every check reads its
-derivative stacks from one cache per (family, parameter, x).  Residuals
-are normalized by the summed magnitude of the monomial terms entering the
-identity (with an absolute fallback when that scale is below 1), since the
-raw sides grow like powers of f.
+order (IDENTITY_TAGS is the tuple of their tags).  A residual function
+returns the signed terms of the identity's two sides, (lhs_terms,
+rhs_terms), and nothing else; residual_parts derives |LHS - RHS| and the
+scale from them, so each identity is written once.  Every check but the
+positivity criterion yields (x, |LHS - RHS|, scale) rows (the integral and
+coefficient checks build theirs directly) that one reduction turns into a
+VerificationReport, and every check reads its derivative stacks from one
+cache per (family, parameter, x).  Residuals are normalized by the summed
+magnitude of the terms entering the identity (with an absolute fallback
+when that scale is below 1), since the raw sides grow like powers of f.
 
 Identity tags, in payload order, and their requirements:
 
@@ -142,12 +145,8 @@ def _res_prop1(model, s):
     x = s.x
     f, f1, f2, f3 = s.values[:4]
     p, dp, dq = model.p(x), model.dp(x), model.dq(x)
-    v = f1 * f1 - f2 * f
     vp = f1 * f2 - f3 * f
-    lhs = vp + p * v
-    rhs = dp * f1 * f + dq * f * f
-    scale = abs(vp) + abs(p * v) + abs(dp * f1 * f) + abs(dq * f * f)
-    return abs(lhs - rhs), scale
+    return (vp, p * v_det(s)), (dp * f1 * f, dq * f * f)
 
 
 def _res_prop2(model, s):
@@ -157,17 +156,13 @@ def _res_prop2(model, s):
     q, dq, d2q = model.q(x), model.dq(x), model.d2q(x)
     if dp == 0.0:
         raise SingularPointError(f"p'({x}) = 0 in prop2")
-    v = f1 * f1 - f2 * f
     vp = f1 * f2 - f3 * f
     vpp = f2 * f2 - f4 * f
     c1 = p - d2p / dp
     c0 = 2 * dp - d2p * p / dp
     dq_over_dp_prime = (d2q * dp - dq * d2p) / (dp * dp)
-    lhs = vpp + c1 * vp + c0 * v
-    rhs = 2 * dp * f1 * f1 + f * f * dp * dq_over_dp_prime + 2 * dq * f1 * f
-    scale = (abs(vpp) + abs(c1 * vp) + abs(c0 * v) + abs(2 * dp * f1 * f1)
-             + abs(f * f * dp * dq_over_dp_prime) + abs(2 * dq * f1 * f))
-    return abs(lhs - rhs), scale
+    return ((vpp, c1 * vp, c0 * v_det(s)),
+            (2 * dp * f1 * f1, f * f * dp * dq_over_dp_prime, 2 * dq * f1 * f))
 
 
 def _res_cor2_ode(model, s):
@@ -179,10 +174,7 @@ def _res_cor2_ode(model, s):
     f, f1, f2, f3, f4 = s.values[:5]
     vp = f1 * f2 - f3 * f
     vpp = f2 * f2 - f4 * f
-    lhs = vpp - (2 * (n - 1) / x) * vp
-    rhs = (4 * n / x ** 2) * f1 * f1
-    scale = abs(vpp) + abs((2 * (n - 1) / x) * vp) + abs(rhs)
-    return abs(lhs - rhs), scale
+    return (vpp, -(2 * (n - 1) / x) * vp), ((4 * n / x ** 2) * f1 * f1,)
 
 
 def _res_vfprime(model, s):
@@ -191,11 +183,7 @@ def _res_vfprime(model, s):
     x = s.x
     f, f1, f2, f3 = s.values[:4]
     dp, dq, q = model.dp(x), model.dq(x), model.q(x)
-    lhs = f2 * f2 - f3 * f1
-    rhs = dp * f1 * f1 + dq * f1 * f + q * (f1 * f1 - f2 * f)
-    scale = (abs(lhs) + abs(dp * f1 * f1) + abs(dq * f1 * f)
-             + abs(q * (f1 * f1 - f2 * f)))
-    return abs(lhs - rhs), scale
+    return (f2 * f2 - f3 * f1,), (dp * f1 * f1, dq * f1 * f, q * v_det(s))
 
 
 def _coef_a_form2(model, x):
@@ -209,49 +197,36 @@ def _res_thm_main2(model, s):
     x = s.x
     f, f1 = s.values[0], s.values[1]
     dp, dq = model.dp(x), model.dq(x)
-    w = w_det(s)
     g = dp * f1 + dq * f
     ca, cb = _coef_a_form2(model, x)
-    a_val = ca * f1 + cb * f
-    v = v_det(s)
-    rhs = g * g * f - a_val * v
-    scale = abs(w) + abs(g * g * f) + abs(a_val * v)
-    return abs(w - rhs), scale
+    return (w_det(s),), (g * g * f, -(ca * f1 + cb * f) * v_det(s))
 
 
 def _res_remark_zero(model, s):
     # at a zero x0 of f:  w(x0) = -[p'' - p'p + 2q'] f'(x0)^3
-    x = s.x
-    f1 = s.values[1]
-    ca, _ = _coef_a_form2(model, x)
-    w = w_det(s)
-    rhs = -ca * f1 ** 3
-    scale = abs(w) + abs(ca * f1 ** 3)
-    return abs(w - rhs), scale
+    ca, _ = _coef_a_form2(model, s.x)
+    return (w_det(s),), (-ca * s.values[1] ** 3,)
+
+
+def _cubic_terms(coeffs, f, f1):
+    """The terms a0 f^3, a1 f'f^2, a2 f'^2 f, a3 f'^3 of the cubic form of w."""
+    a0, a1, a2, a3 = coeffs
+    return a0 * f ** 3, a1 * f1 * f * f, a2 * f1 * f1 * f, a3 * f1 ** 3
 
 
 def _res_cubic_coeffs(model, s):
-    f, f1 = s.values[0], s.values[1]
-    a0, a1, a2, a3 = cubic_coeffs(model, s.x)
-    w = w_det(s)
-    terms = (a0 * f ** 3, a1 * f1 * f * f, a2 * f1 * f1 * f, a3 * f1 ** 3)
-    rhs = sum(terms)
-    scale = abs(w) + sum(abs(t) for t in terms)
-    return abs(w - rhs), scale
+    return (w_det(s),), _cubic_terms(cubic_coeffs(model, s.x), *s.values[:2])
 
 
 def _res_cor5(model, s):
+    # the spherical closed forms of a0..a3: (4n/x^2) (1, -(3n-1)/x,
+    # (2n^2-n+x^2)/x^2, -(n-1)/x)
     n = model.param
     x = s.x
-    f, f1 = s.values[0], s.values[1]
-    w = w_det(s)
-    terms = (f ** 3,
-             -(3 * n - 1) / x * f1 * f * f,
-             (2 * n * n - n + x * x) / x ** 2 * f1 * f1 * f,
-             -(n - 1) / x * f1 ** 3)
-    rhs = 4 * n / x ** 2 * sum(terms)
-    scale = abs(w) + sum(abs(4 * n / x ** 2 * t) for t in terms)
-    return abs(w - rhs), scale
+    c = 4 * n / x ** 2
+    coeffs = (c, -c * (3 * n - 1) / x, c * (2 * n * n - n + x * x) / x ** 2,
+              -c * (n - 1) / x)
+    return (w_det(s),), _cubic_terms(coeffs, *s.values[:2])
 
 
 def _res_thm_main3(model, s):
@@ -260,31 +235,19 @@ def _res_thm_main3(model, s):
     f, f1, f2 = s.values[:3]
     p, dp, d2p, d3p = model.p(x), model.dp(x), model.d2p(x), model.d3p(x)
     q = model.q(x)
-    w = w_det(s)
-    wp = w_prime_det(s)
-    v = v_det(s)
     a_prime = ((d3p - d2p * p - dp * dp) * f1 + (d2p - dp * p) * f2
                - 2 * d2p * q * f - 2 * dp * q * f1)
-    lhs = wp + p * w
-    rhs = dp * f1 * f1 * (d2p * f + dp * f1) - a_prime * v
-    scale = (abs(wp) + abs(p * w) + abs(dp * f1 * f1 * (d2p * f + dp * f1))
-             + abs(a_prime * v))
-    return abs(lhs - rhs), scale
+    return ((w_prime_det(s), p * w_det(s)),
+            (dp * f1 * f1 * (d2p * f + dp * f1), -a_prime * v_det(s)))
 
 
 def _res_thm_main4(model, s):
     x = s.x
-    f1 = s.values[1]
     p, dp, d2p = model.p(x), model.dp(x), model.d2p(x)
     if dp == 0.0:
         raise SingularPointError(f"p'({x}) = 0 in thm-main4")
-    w = w_det(s)
-    wp = w_prime_det(s)
-    big_v = v_aux(model, s)
-    lhs = wp + 1.5 * (p - d2p / dp) * w
-    rhs = dp * f1 * big_v
-    scale = abs(wp) + abs(1.5 * (p - d2p / dp) * w) + abs(rhs)
-    return abs(lhs - rhs), scale
+    return ((w_prime_det(s), 1.5 * (p - d2p / dp) * w_det(s)),
+            (dp * s.values[1] * v_aux(model, s),))
 
 
 def _res_thm_main6(model, s):
@@ -292,19 +255,14 @@ def _res_thm_main6(model, s):
     x = s.x
     f, f1, f2, f3 = s.values[:4]
     p, dp, q = model.p(x), model.dp(x), model.q(x)
-    v = f1 * f1 - f2 * f
+    v = v_det(s)
     vp = f1 * f2 - f3 * f
     big_f = f1 * f1 + x * f1 * f + x * x * v
     big_f_prime = (2 * f1 * f2 + (f1 * f + x * (f1 * f1 + f2 * f))
                    + 2 * x * v + x * x * vp)
-    lhs = big_f_prime + p * big_f
     a_1 = -p + 2 * x
     a_2 = 1 - 2 * q + p * x + x * x * dp
-    a_3 = x
-    rhs = a_1 * f1 * f1 + a_2 * f1 * f + a_3 * v
-    scale = (abs(big_f_prime) + abs(p * big_f) + abs(a_1 * f1 * f1)
-             + abs(a_2 * f1 * f) + abs(a_3 * v))
-    return abs(lhs - rhs), scale
+    return (big_f_prime, p * big_f), (a_1 * f1 * f1, a_2 * f1 * f, x * v)
 
 
 def _res_eq_newaa(model, s):
@@ -314,22 +272,16 @@ def _res_eq_newaa(model, s):
     p, dp, d2p, d3p = model.p(x), model.dp(x), model.d2p(x), model.d3p(x)
     if dp == 0.0:
         raise SingularPointError(f"p'({x}) = 0 in eq-newAA")
-    v = f1 * f1 - f2 * f
+    v = v_det(s)
     vp = f1 * f2 - f3 * f
     a2c = 0.5 * (dp * p - d2p)
     a2c_prime = 0.5 * (d2p * p + dp * dp - d3p)
     b = _big_b(model, x)
-    bp = _big_b_prime(model, x)
-    big_v = dp * f1 * f1 + a2c * f1 * f - b * v
     big_v_prime = (d2p * f1 * f1 + 2 * dp * f1 * f2
                    + a2c_prime * f1 * f + a2c * (f1 * f1 + f2 * f)
-                   - bp * v - b * vp)
+                   - _big_b_prime(model, x) * v - b * vp)
     cap2, cap3 = a23_coeffs(model, x)
-    lhs = big_v_prime + p * big_v
-    rhs = cap2 * f1 * f + cap3 * v
-    scale = (abs(big_v_prime) + abs(p * big_v) + abs(cap2 * f1 * f)
-             + abs(cap3 * v))
-    return abs(lhs - rhs), scale
+    return (big_v_prime, p * v_aux(model, s)), (cap2 * f1 * f, cap3 * v)
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +297,7 @@ class IdentityInfo:
     families: tuple[str, ...] | None  # None = any family
     default_tol: float
     needs_dp_nonzero: bool = False
-    residual: Callable | None = None  # (model, stack) -> (|LHS - RHS|, scale)
+    residual: Callable | None = None  # (model, stack) -> (lhs_terms, rhs_terms)
 
 
 REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
@@ -440,7 +392,12 @@ def residual(tag: str, model: CoeffModel, stack: DerivStack) -> float:
 
 
 def residual_parts(tag: str, model: CoeffModel, stack: DerivStack) -> tuple[float, float]:
-    """(absolute residual, magnitude scale) of the identity at stack.x."""
+    """(absolute residual, magnitude scale) of the identity at stack.x.
+
+    The residual function returns the signed terms of the identity's two
+    sides; the residual is |sum(lhs) - sum(rhs)| and the scale the sum of
+    the terms' magnitudes, lhs then rhs, each summed left to right.
+    """
     info = _info(tag)
     if info.residual is None:
         raise UsageError(f"identity {tag!r} is not a pointwise stack residual")
@@ -448,7 +405,8 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack) -> tuple[floa
         model.require_qprime_zero(tag)
     stack.require(info.min_depth, tag)
     model.check_domain(stack.x)
-    return info.residual(model, stack)
+    lhs, rhs = info.residual(model, stack)
+    return abs(sum(lhs) - sum(rhs)), sum(abs(t) for t in lhs + rhs)
 
 
 # ----------------------------------------------------------------------
@@ -680,6 +638,11 @@ def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[floa
                               tol, worst_rel <= tol, worst_x, note=note)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise UsageError(f"tol must be >= 0, got {tol}")
+
+
 def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 30.0,
                  points: int = 500, tol: float | None = None,
                  spacing: str = "log") -> VerificationReport:
@@ -690,10 +653,11 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
     the caller's signal to inspect report.note.
     """
     info = _info(tag)
-    ok, reason = applicability(tag, model)
-    grid_desc = {"lo": lo, "hi": hi, "points": points, "spacing": spacing}
     if tol is None:
         tol = info.default_tol
+    _check_tol(tol)
+    ok, reason = applicability(tag, model)
+    grid_desc = {"lo": lo, "hi": hi, "points": points, "spacing": spacing}
     if not ok:
         return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
                                   math.nan, note=f"skipped: {reason}", skipped=True)
@@ -735,6 +699,7 @@ def integral_check(tag: str, model: CoeffModel, x: float,
     info = _info(tag)
     if info.kind != "integral":
         raise UsageError(f"{tag!r} is not an integral identity")
+    _check_tol(tol)
     ok, reason = applicability(tag, model)
     if not ok:
         raise UsageError(f"{tag} not applicable to {model.name}: {reason}")

@@ -99,12 +99,16 @@ def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
 
 
 def _first_brackets(f: Callable[[float], float], count: int, start: float,
-                    step: float, cap: float) -> Iterator[tuple[float, float, float, float]]:
+                    step: float, cap: float,
+                    xtol: float) -> Iterator[tuple[float, float, float, float]]:
     """The first ``count`` brackets of one scan of the grid start, then
     min(x + step, cap) up to the cap, lazily: nothing past the count-th
-    bracket is drawn."""
+    bracket is drawn.  The refiners' xtol is checked here, before the scan
+    draws its first sample."""
     if step <= 0 or cap <= start:
         raise UsageError("need step > 0 and cap > start")
+    if not xtol >= 0:
+        raise UsageError(f"xtol must be >= 0, got {xtol}")
     return islice(sign_changes(_grid(f, start, step, cap)), count)
 
 
@@ -127,7 +131,8 @@ def first_zeros(f: Callable[[float], float], count: int, *, start: float,
     if count < 1:
         raise UsageError("count must be >= 1")
     found = 0
-    for found, (lo, flo, hi, fhi) in enumerate(_first_brackets(f, count, start, step, cap), 1):
+    brackets = _first_brackets(f, count, start, step, cap, xtol)
+    for found, (lo, flo, hi, fhi) in enumerate(brackets, 1):
         yield refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
     if found < count:
         raise _too_few(found, found + 1, start, cap)
@@ -140,7 +145,7 @@ def kth_zero(f: Callable[[float], float], k: int, *, start: float, step: float,
     fewer than k zeros are seen."""
     if k < 1:
         raise UsageError("k must be >= 1")
-    brackets = list(_first_brackets(f, k, start, step, cap))
+    brackets = list(_first_brackets(f, k, start, step, cap, xtol))
     if len(brackets) < k:
         raise _too_few(len(brackets), k, start, cap)
     lo, flo, hi, fhi = brackets[-1]

@@ -172,6 +172,22 @@ def test_nonfinite_flag_rejected(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--nu", "2.5", "--count", "1", "--tol", "-1"),
+    ("verify", "--model", "spherical:1", "--tol", "-1"),
+])
+def test_negative_tol_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "tol" in err
+
+
+def test_zero_tol_is_valid(capsys):
+    code, out, _ = run_cli(capsys, "zeros", "--nu", "2.5", "--count", "1", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["header"]["config"]["tol"] == 0.0
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "zeros", "--nu", "0.5", "--count", "1",
                          "--bogus")

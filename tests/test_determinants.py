@@ -44,6 +44,7 @@ from chebcrit.trigpoly import (
     tp_from_poly,
     tp_mul,
     tp_sin,
+    tp_sub,
     tp_term,
     vanishing_order,
 )
@@ -171,7 +172,7 @@ def _exact_det(rows):
 
 def _pivoted_minor(n, j, x):
     """w_j by scaled-pivot LU on W itself, validated by precision doubling."""
-    grid = _minor_entry_grid(n, j)
+    grid = _minor_entry_grid(n, 2 * n + 2 - j)
     rows = [[tp_eval_mp(tp, x, 1e-30) for tp in row] for row in grid]
     dps = 40
     with mpmath.workdps(dps):
@@ -425,6 +426,18 @@ def test_symbolic_vs_numeric_dual_path():
 def test_symbolic_w_equals_minor():
     for n in (2, 3):
         assert symbolic_minor(n, 2 * n - 1) == symbolic_w(n)
+
+
+def test_symbolic_v_and_w_match_their_expansions():
+    # the size-2 and size-3 minors against v and w expanded by hand,
+    # including n = 0 and 1, where j = 2n - 1 is not an admissible index
+    for n in range(6):
+        f, f1, f2, f3, f4 = fn_derivatives(n, 4)
+        assert symbolic_v(n) == tp_sub(tp_mul(f1, f1), tp_mul(f2, f))
+        w = tp_add(tp_sub(tp_mul(f2, tp_sub(tp_mul(f2, f2), tp_mul(f3, f1))),
+                          tp_mul(f1, tp_sub(tp_mul(f3, f2), tp_mul(f4, f1)))),
+                   tp_mul(f, tp_sub(tp_mul(f3, f3), tp_mul(f4, f2))))
+        assert symbolic_w(n) == w
 
 
 def test_symbolic_budget():

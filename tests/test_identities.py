@@ -94,6 +94,34 @@ def test_thm_main4_spot():
     assert residual("thm-main4", model, s) <= 1e-9
 
 
+POINTWISE_TAGS = [tag for tag, info in REGISTRY.items() if info.residual is not None]
+
+
+@pytest.mark.parametrize("tag", POINTWISE_TAGS)
+def test_residuals_return_the_terms_of_their_two_sides(tag):
+    info = REGISTRY[tag]
+    model = spherical_model(3)
+    x = fn_zero(3, 1).value if info.kind == "zero-point" else 2.0
+    s = builtin_stack(model, x, info.min_depth)
+    lhs, rhs = info.residual(model, s)
+    assert lhs and rhs and all(isinstance(t, float) for t in lhs + rhs)
+    res, scale = residual_parts(tag, model, s)
+    assert res == abs(sum(lhs) - sum(rhs))
+    assert scale == sum(abs(t) for t in lhs + rhs)
+    assert res <= 1e-12 * max(1.0, scale)
+
+
+def test_negative_tol_is_a_usage_error():
+    model = spherical_model(2)
+    with pytest.raises(UsageError):
+        run_identity("prop1", model, lo=0.5, hi=2.0, points=3, tol=-1.0)
+    with pytest.raises(UsageError):
+        run_identity("integral-vJnu", model, lo=0.5, hi=2.0, points=3, tol=-1.0)
+    with pytest.raises(UsageError):
+        integral_check("integral-vfn", spherical_model(1), 5.0, tol=-1.0)
+    assert run_identity("prop1", model, lo=0.5, hi=2.0, points=3, tol=0.0).tolerance == 0.0
+
+
 def test_qprime_zero_gate():
     model = bessel_model(2.0)
     s = builtin_stack(model, 2.0, 4)

@@ -167,3 +167,20 @@ def test_bessel_zeros_match_one_call_per_k_and_scan_once(monkeypatch, zeros, zer
     assert list(zeros(nu, 3)) == want
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def test_negative_xtol_is_refused_before_the_scan():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.sin(t)
+
+    with pytest.raises(UsageError):
+        kth_zero(f, 1, start=1.0, step=0.1, cap=10.0, xtol=-1.0)
+    with pytest.raises(UsageError):
+        next(first_zeros(f, 1, start=1.0, step=0.1, cap=10.0, xtol=-1.0))
+    with pytest.raises(UsageError):
+        bessel_zero(2.5, 1, -1.0)
+    assert seen == []
+    assert abs(bessel_zero(2.5, 1, 0.0).value - 5.7634591968945498) <= 1e-14
