@@ -14,16 +14,16 @@ whole desk-scale range x <= 50 at any requested tolerance down to ~1e-15.
 Series only, no asymptotic expansions: at desk scale the adaptive series
 meets tolerance everywhere and keeps one code path for all real nu >= 0.
 
-One function, ``_series_values``, serves every entry point.  Its term loop
-runs on the ``mpmath.libmp`` primitives that mpf's operators call, at the
-same precision and rounding and in the same order, so every value is bit
-for bit what the mpf operators give; only the prefactor
-``(x/2)^nu / Gamma(nu+1)`` stays on mpf operators, with Gamma(nu+1)
-computed once per (nu, precision).  The term sequence does
-not depend on the derivative order, so a stack's orders are summed in one
-pass: each order keeps its own total, magnitude, previous |term| and
-stopping test, and only the orders whose roundoff bound fails at d digits
-are summed again at 2d digits.
+One function, ``_series_values``, serves every entry point.  It runs on
+the ``mpmath.libmp`` primitives that mpf's operators and mpmath's gamma
+call, at a precision passed as an argument (never mpmath's global
+context), with the same rounding and in the same order, so every value is
+bit for bit what the mpf operators give; Gamma(nu+1) is computed once per
+(nu, precision).  The term sequence does not depend on the derivative
+order, so a stack's orders are summed in one pass: each order keeps its
+own total, magnitude, previous |term| and stopping test, and only the
+orders whose roundoff bound fails at d digits are summed again at 2d
+digits.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from mpmath import mp
 from mpmath.libmp import (
+    dps_to_prec,
     fone,
     from_float,
     from_int,
@@ -41,13 +41,18 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_gamma,
+    mpf_le,
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_pow,
     mpf_pow_int,
+    mpf_shift,
     mpf_sub,
     round_nearest,
+    to_float,
 )
 
 from .errors import NumericalFailure, UsageError
@@ -81,33 +86,34 @@ def _check_order(nu: float) -> float:
 
 @lru_cache(maxsize=256)
 def _gamma_plus_one(nu: float, prec: int):
-    """Gamma(nu + 1) as ``mp.gamma(mp.mpf(nu) + 1)`` at ``prec`` bits, once
-    per (nu, prec): every series pass at one precision shares it."""
-    with mp.workprec(prec):
-        return mp.gamma(mp.mpf(nu) + 1)
+    """Gamma(nu + 1) as a raw mpf at ``prec`` bits, as mpmath's gamma gives
+    it for the mpf nu + 1, once per (nu, prec): every series pass at one
+    precision shares it."""
+    return mpf_gamma(mpf_add(from_float(nu), fone, prec, _RND), prec, _RND)
 
 
-def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float) -> list:
+def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float,
+                prec: int) -> list:
     """One pass of the series and its order-times differentiated forms.
 
-    Runs at the current precision and returns, per order in ``orders``, the
-    raw mpf triple (sum, magnitude, n_terms), where magnitude bounds
+    Runs at ``prec`` bits and returns, per order in ``orders``, the raw
+    mpf triple (sum, magnitude, n_terms), where magnitude bounds
     sum_k |T_k|.  Each order keeps its own total, magnitude, previous
     |term| and stopping test: it truncates when its current term is below
     tol * |partial sum| and its terms are decreasing.  Raises
     NumericalFailure at the term cap, naming the lowest order still open.
     The comments give the mpf expression each primitive call reproduces.
     """
-    prec = mp.prec
-    xm = mp.mpf(x)
-    num = mp.mpf(nu)  # keep the order in mpf: double-precision term factors
-    half = xm / 2     # would freeze a ~1e-16 error into every term
-    base = (half ** num / _gamma_plus_one(nu, prec))._mpf_  # k = 0 term before differentiation
-    ratio_num = mpf_mul(half._mpf_, half._mpf_, prec, _RND)
-    num = num._mpf_
+    # the order stays an mpf: double-precision term factors would freeze a
+    # ~1e-16 error into every term
+    xm, num = from_float(x), from_float(nu)
+    half = mpf_div(xm, from_int(2), prec, _RND)  # xm / 2
+    # half ** num / Gamma(nu + 1), the k = 0 term before differentiation
+    base = mpf_div(mpf_pow(half, num, prec, _RND), _gamma_plus_one(nu, prec), prec, _RND)
+    ratio_num = mpf_mul(half, half, prec, _RND)
     tol_r = from_float(tol)
     top = max(orders)
-    powers = {r: mpf_pow_int(xm._mpf_, r, prec, _RND) for r in orders if r}  # xm ** r
+    powers = {r: mpf_pow_int(xm, r, prec, _RND) for r in orders if r}  # xm ** r
     state = {r: [fzero, fzero, None] for r in orders}  # [total, mag, prev_abs]
     done = {}
     k = 0
@@ -166,16 +172,17 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
         return tuple(1.0 if nu == 0 else 0.0 for _ in orders)
     values = {}
     pending = list(orders)
+    half_tol = mpf_shift(from_float(tol), -1)  # tol * 0.5, exactly
     dps = 30
     while dps <= 2000:
-        with mp.workdps(dps):
-            sums = _series_raw(nu, x, pending, tol)
-            ulp = mp.mpf(10) ** (-dps)
-            for r, (total, mag, n_terms) in zip(pending, sums):
-                total, mag = mp.make_mpf(total), mp.make_mpf(mag)
-                bound = mag * ulp * (n_terms + 8)
-                if bound == 0 or bound <= abs(total) * mp.mpf(tol) * mp.mpf("0.5"):
-                    values[r] = float(total)
+        prec = dps_to_prec(dps)
+        sums = _series_raw(nu, x, pending, tol, prec)
+        ulp = mpf_pow_int(from_int(10), -dps, prec, _RND)  # mp.mpf(10) ** -dps
+        for r, (total, mag, n_terms) in zip(pending, sums):
+            # mag * ulp * (n_terms + 8) <= abs(total) * tol * 0.5
+            bound = mpf_mul_int(mpf_mul(mag, ulp, prec, _RND), n_terms + 8, prec, _RND)
+            if bound == fzero or mpf_le(bound, mpf_mul(mpf_abs(total), half_tol, prec, _RND)):
+                values[r] = to_float(total, rnd=_RND)
         pending = [r for r in pending if r not in values]
         if not pending:
             return tuple(values[r] for r in orders)

@@ -24,25 +24,32 @@ H_s of the one Hankel matrix H = [f_n^(r+t)], so
 
 Two independent evaluation routes are provided and cross-checked in tests:
 a numeric route (exact ring derivatives, validated extended-precision entry
-evaluation, every leading minor of H from one unpivoted elimination, with
-pivoted LU only from an exactly zero pivot on) and a fully symbolic route
-(cofactor expansion in the ring, then validated evaluation).
+evaluation, every leading minor of H from one unpivoted elimination, the
+same elimination with scaled partial pivoting only from an exactly zero
+pivot on, each minor accepted when two precisions agree relatively) and a
+fully symbolic route (cofactor expansion in the ring, then validated
+evaluation).  Every elimination runs on ``mpmath.libmp`` at a precision
+passed to it, never in mpmath's global precision context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Iterable
 
-from mpmath import mp
 from mpmath.libmp import (
+    dps_to_prec,
+    fone,
     from_float,
     fzero,
     mpf_abs,
-    mpf_gt,
+    mpf_cmp,
+    mpf_div,
+    mpf_le,
     mpf_mul,
+    mpf_neg,
     mpf_rdiv_int,
     mpf_sub,
     round_nearest,
@@ -65,9 +72,6 @@ from .trigpoly import (
 #: symbolic_minor cofactor expansion is budgeted for n <= 6 (the matrix is
 #: (2n+2-j)-square and coefficients grow combinatorially).
 MAX_SYMBOLIC_N = 6
-
-#: LU declares a determinant zero when the scaled pivot drops below this.
-PIVOT_FLOOR = 1e-300
 
 
 # ----------------------------------------------------------------------
@@ -193,37 +197,48 @@ def _minor_entry_grid(n: int, size: int) -> tuple[tuple[TrigPoly, ...], ...]:
 
 _ENTRY_RTOL = 1e-30
 _DET_RTOL = 1e-13
-_DET_ABS_FLOOR = "1e-25"  # times the Hadamard scale
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
+_ORDER = cmp_to_key(mpf_cmp)  # sorts raw mpfs by value
 
 
-def _lu_det(rows):
-    """Determinant by LU with scaled partial pivoting at the current precision.
+def _eliminate(a, k: int, prec: int) -> None:
+    """Subtract multiples of pivot row k of ``a`` from every row below it,
+    in place, on the columns after k (column k below the pivot is never
+    read again)."""
+    row = a[k]
+    inv = mpf_rdiv_int(1, row[k], prec, _RND)  # what 1 / mpf calls
+    for below in a[k + 1:]:
+        factor = mpf_mul(below[k], inv, prec, _RND)
+        if factor != fzero:
+            for c in range(k + 1, len(a)):
+                below[c] = mpf_sub(below[c], mpf_mul(factor, row[c], prec, _RND), prec, _RND)
 
-    A scaled pivot below PIVOT_FLOOR short-circuits to det = 0 (design
-    decision: the matrices are tiny, precision lives in the entries).
+
+def _lu_det(rows, prec: int):
+    """Determinant of raw mpf rows at ``prec`` bits, by elimination with
+    scaled partial pivoting.
+
+    The pivot of column k is the first row of largest |entry| / (largest
+    |entry| of that row at the start); a column with no nonzero candidate
+    gives det = 0.
     """
     a = [list(r) for r in rows]
-    nrows = len(a)
-    scales = [max(abs(x) for x in r) for r in a]
-    if any(s == 0 for s in scales):
-        return mp.mpf(0)
-    det = mp.mpf(1)
-    for col in range(nrows):
-        piv = max(range(col, nrows), key=lambda r: abs(a[r][col]) / scales[r])
-        if abs(a[piv][col]) / scales[piv] < mp.mpf(PIVOT_FLOOR):
-            return mp.mpf(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            scales[col], scales[piv] = scales[piv], scales[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, nrows):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, nrows):
-                    a[r][c] -= factor * a[col][c]
+    scales = [max((mpf_abs(v, prec, _RND) for v in r), key=_ORDER) for r in a]
+    if fzero in scales:
+        return fzero
+    det = fone
+    for k in range(len(a)):
+        piv = max(range(k, len(a)),
+                  key=lambda r: _ORDER(mpf_div(mpf_abs(a[r][k], prec, _RND), scales[r],
+                                               prec, _RND)))
+        if a[piv][k] == fzero:
+            return fzero
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            scales[k], scales[piv] = scales[piv], scales[k]
+            det = mpf_neg(det)
+        det = mpf_mul(det, a[k][k], prec, _RND)
+        _eliminate(a, k, prec)
     return det
 
 
@@ -232,8 +247,8 @@ def _hankel(vals, size: int) -> list[list]:
     return [[vals[r + t] for t in range(size)] for r in range(size)]
 
 
-def _hankel_minors(vals, sizes: list[int]) -> dict:
-    """det H_s for every s in sizes as raw mpfs, at the current precision.
+def _hankel_minors(vals, sizes: list[int], prec: int) -> dict:
+    """det H_s for every s in sizes as raw mpfs, at ``prec`` bits.
 
     ``vals`` are the raw mpf entries f^(0), f^(1), ...; the elimination runs
     on the ``mpmath.libmp`` primitives that mpf's operators call, in their
@@ -242,28 +257,22 @@ def _hankel_minors(vals, sizes: list[int]) -> dict:
     depends on H_k alone, so the running pivot product passes through every
     leading minor whatever the other sizes (the k-th diagonal entry of
     Bareiss's fraction-free form).  Once a pivot is exactly zero, its size
-    and every larger one fall back to pivoted LU (on mpfs).
+    and every larger one are computed by _lu_det, the same elimination
+    with scaled partial pivoting.
     """
-    prec = mp.prec
     a = _hankel(vals, max(sizes))
     out = {}
     for k, row in enumerate(a):
         piv = row[k]
         if piv == fzero:
-            rows = [mp.make_mpf(v) for v in vals]
             for s in sizes:
                 if s > k:
-                    out[s] = _lu_det(_hankel(rows, s))._mpf_
+                    out[s] = _lu_det(_hankel(vals, s), prec)
             break
         tau = mpf_mul(tau, piv, prec, _RND) if k else piv  # H_1 stays exact
         if k + 1 in sizes:
             out[k + 1] = tau
-        inv = mpf_rdiv_int(1, piv, prec, _RND)  # what 1 / mpf calls
-        for below in a[k + 1:]:
-            factor = mpf_mul(below[k], inv, prec, _RND)
-            if factor != fzero:
-                for c in range(k + 1, len(a)):
-                    below[c] = mpf_sub(below[c], mpf_mul(factor, row[c], prec, _RND), prec, _RND)
+        _eliminate(a, k, prec)
     return out
 
 
@@ -272,34 +281,25 @@ def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
     at doubled precision.
 
     The entries are already certified to _ENTRY_RTOL relative error, so the
-    doubling certifies the elimination roundoff.  Agreement is accepted
-    relatively at _DET_RTOL, or absolutely at 1e-25 of the Hadamard scale:
-    near a zero of the determinant relative agreement is unattainable,
-    while the absolute floor keeps sign queries meaningful far below any
-    bisection resolution used on these minors.  The Hadamard scale (product
-    of the row 2-norms) is built only when the relative test fails, and
-    each size is frozen at the first precision where it validates.  A
-    minor is returned as the float nearest to it (``float(mpf)`` under mp's
-    rounding; libmp's ``to_float`` rounds down by default).
+    doubling certifies the elimination roundoff.  A minor is accepted when
+    its values at d and 2d digits agree to _DET_RTOL relatively (an exact
+    zero only when both are zero), and each size is frozen at the first
+    precision where it validates.  A minor is returned as the float nearest
+    to it (``float(mpf)`` under mp's rounding; libmp's ``to_float`` rounds
+    down by default).
     """
     rtol = from_float(_DET_RTOL)
     dps = 40
-    with mp.workdps(dps):
-        prev = _hankel_minors(vals, sizes)
+    prev = _hankel_minors(vals, sizes, dps_to_prec(dps))
     out = {}
     while dps <= 1280:
         dps *= 2
+        prec = dps_to_prec(dps)
         open_sizes = [s for s in sizes if s not in out]
-        with mp.workdps(dps):
-            prec = mp.prec
-            cur = _hankel_minors(vals, open_sizes)
-            for s in open_sizes:
-                gap = mpf_abs(mpf_sub(cur[s], prev[s], prec, _RND), prec, _RND)
-                if mpf_gt(gap, mpf_mul(rtol, mpf_abs(cur[s], prec, _RND), prec, _RND)):
-                    rows = _hankel([mp.make_mpf(v) for v in vals], s)
-                    hadamard = mp.fprod(mp.norm(row) for row in rows)
-                    if mp.make_mpf(gap) > hadamard * mp.mpf(_DET_ABS_FLOOR):
-                        continue
+        cur = _hankel_minors(vals, open_sizes, prec)
+        for s in open_sizes:
+            gap = mpf_abs(mpf_sub(cur[s], prev[s], prec, _RND), prec, _RND)
+            if mpf_le(gap, mpf_mul(rtol, mpf_abs(cur[s], prec, _RND), prec, _RND)):
                 out[s] = to_float(cur[s], rnd=_RND)
         if len(out) == len(sizes):
             return out
@@ -325,8 +325,9 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     differentiated exactly in the ring and evaluated to a certified 1e-30
     relative error; the leading minors are the running products of the
     pivots of one unpivoted elimination, validated by recomputation at
-    doubled precision.  Only when a pivot is exactly zero does pivoted LU
-    take over, for that size and every larger one.
+    doubled precision.  Only when a pivot is exactly zero does the same
+    elimination with scaled partial pivoting take over, for that size and
+    every larger one.
     """
     if js is None:
         js = admissible_j(n)

@@ -34,17 +34,19 @@ The tables are stored on the instance, outside the dataclass fields, so
 ``==`` and ``hash`` are unchanged.  The sums run on the ``mpmath.libmp``
 primitives that mpf's operators and ``mp.cos``/``mp.sin`` call, at the
 same precision and rounding, so every value is bit for bit what the mpf
-operators give.  A coefficient is converted as ``mp.mpf(num) / den``: that
-rounds a numerator wider than the precision before the division, and an
-exact rational conversion would round once and differ in the last bit.
+operators give.  A coefficient is converted as ``mp.mpf(num) / den`` would
+convert it: the numerator is rounded to the precision before the division,
+and an exact rational conversion would round once and differ in the last
+bit.
 
-The Maclaurin and harmonic routes pass their precision explicitly
-(``dps_to_prec(dps)``, the precision ``mp.workdps(dps)`` would set); only
-the exact-polynomial route and the compilation of a missing table enter a
-precision context.  The abscissa, its absolute value and cos/sin(k x) are
-kept in a one-entry memo of the last abscissa, per precision and harmonic,
-so the derivatives of f_n evaluated at one point share a single cos/sin
-evaluation.
+There is no precision context: every route, the compilation of a table
+and the exact-polynomial route included, computes at a precision passed
+to it as an argument (``dps_to_prec(dps)`` bits for d digits), so no
+value depends on mpmath's global precision; the only mpf objects made
+are the values ``tp_eval_mp`` returns.  The abscissa, its absolute value
+and cos/sin(k x) are kept in a one-entry memo of the last abscissa, per
+precision and harmonic, so the derivatives of f_n evaluated at one point
+share a single cos/sin evaluation.
 
 Both certificates are made cheap without changing a bit:
 
@@ -75,10 +77,12 @@ from mpmath import mp
 from mpmath.libmp import (
     dps_to_prec,
     from_float,
+    from_int,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_cos_sin,
+    mpf_div,
     mpf_gt,
     mpf_le,
     mpf_mul,
@@ -119,10 +123,9 @@ _PRETEST_MAX_DEGREE = 1024
 _PRETEST_COEFF_RANGE = (2.0 ** -1000, 2.0 ** 1000)
 _PRETEST_MIN_MAG = 2.0 ** -900
 
-# Evaluation is single-threaded by design: mpmath's precision context is
-# process-global, so every mp.workdps section here (table compilation, the
-# exact-polynomial route) assumes no concurrent caller, and so does the
-# process-global point memo of the harmonic route.
+# Process-global state: the point memo of the harmonic route (_point) and
+# the tables compiled onto each element.  Neither is guarded by a lock, so
+# evaluation makes no claim of thread safety.
 
 
 # ----------------------------------------------------------------------
@@ -442,10 +445,10 @@ def vanishing_order(a: TrigPoly) -> int:
 # numeric evaluation
 # ----------------------------------------------------------------------
 
-def _raw_coeff(c: Fraction):
-    """c as a raw mpf at the working precision, as ``mp.mpf(num) / den``
+def _raw_coeff(c: Fraction, prec: int):
+    """c as a raw mpf at ``prec`` bits, as ``mp.mpf(num) / den`` gives it
     (not an exact rational conversion; the module docstring says why)."""
-    return (mp.mpf(c.numerator) / c.denominator)._mpf_
+    return mpf_div(from_int(c.numerator, prec, _RND), from_int(c.denominator), prec, _RND)
 
 
 def _harmonic_table(a: TrigPoly, dps: int):
@@ -472,13 +475,12 @@ def _harmonic_table(a: TrigPoly, dps: int):
     tables = a.__dict__.setdefault("_harmonic_tables", {})
     table = tables.get(dps)
     if table is None:
-        with mp.workdps(dps):
-            raw = [(k, [_raw_coeff(c) for c in cpart], [_raw_coeff(c) for c in spart])
-                   for k, cpart, spart in a.terms]
-            ten_pow = (mp.mpf(10) ** (-dps))._mpf_
+        prec = dps_to_prec(dps)
+        raw = [(k, [_raw_coeff(c, prec) for c in cpart], [_raw_coeff(c, prec) for c in spart])
+               for k, cpart, spart in a.terms]
+        ten_pow = mpf_pow_int(from_int(10), -dps, prec, _RND)  # mp.mpf(10) ** -dps
         parts = [part for _, cpart, spart in raw for part in (cpart, spart) if part]
         ops = a.max_degree() + 8 * len(a.terms) + 16
-        prec = dps_to_prec(dps)
         scale_up = mpf_mul(mpf_mul_int(ten_pow, ops, prec, round_ceiling),
                            from_float(1.0 + _PRETEST_SLACK), prec, round_ceiling)
         table = (tuple((k, _horner_row(c), _horner_row(s)) for k, c, s in raw),
@@ -618,8 +620,7 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
             for c in reversed(cpart):
                 p = p * fx + c
             val += p
-        with mp.workdps(40):
-            return mp.mpf(val.numerator) / val.denominator
+        return mp.make_mpf(_raw_coeff(val, dps_to_prec(40)))
     rtol = from_float(rtol)
     dps = _EVAL_START_DPS
     while dps <= _EVAL_MAX_DPS:
@@ -650,8 +651,7 @@ def _maclaurin_table(a: TrigPoly):
     if table is None:
         m0 = vanishing_order(a)
         coeffs = maclaurin(a, m0 + _MACLAURIN_EXTRA_TERMS)[m0:]
-        with mp.workdps(_MACLAURIN_DPS):
-            raw = [_raw_coeff(c) if c else None for c in coeffs]
+        raw = [_raw_coeff(c, _MACLAURIN_PREC) if c else None for c in coeffs]
         while raw[-1] is None:  # raw[0] is the nonzero leading coefficient
             raw.pop()
         later = [0] * (len(raw) - 1)
@@ -734,7 +734,7 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
     x = _finite(x)
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
-        return mp.mpf(0)
+        return mp.make_mpf(fzero)
     if abs(x) < MACLAURIN_RADIUS:
         got = _eval_maclaurin_mp(a, x)
         if got is not None:
@@ -769,7 +769,7 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
 
 
 def _to_float(v, x: float) -> float:
-    out = float(v)
+    out = to_float(v._mpf_, rnd=_RND)
     if out != out or out in (float("inf"), float("-inf")):
         raise NumericalFailure(f"value at x={x!r} overflows double precision")
     return out

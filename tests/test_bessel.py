@@ -8,6 +8,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from chebcrit import bessel
 from chebcrit.bessel import (
@@ -189,8 +190,9 @@ def test_compiled_series_pass_is_bit_identical(nu):
         for dps in (30, 60):
             with mp.workdps(dps):
                 want = [_raw(_ref_series(nu, x, r, 1e-15)) for r in range(6)]
-                together = _series_raw(nu, x, range(6), 1e-15)
-                alone = [_series_raw(nu, x, (r,), 1e-15)[0] for r in range(6)]
+            prec = dps_to_prec(dps)
+            together = _series_raw(nu, x, range(6), 1e-15, prec)
+            alone = [_series_raw(nu, x, (r,), 1e-15, prec)[0] for r in range(6)]
             assert together == want, (x, dps)
             assert alone == want, (x, dps)
 
@@ -223,13 +225,13 @@ def test_stack_escalates_only_the_orders_that_need_it():
 
 def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
     calls = []
-    plain = mp.gamma
+    plain = bessel.mpf_gamma
 
-    def counting(z):
-        calls.append(mp.prec)
-        return plain(z)
+    def counting(z, prec, rnd):
+        calls.append(prec)
+        return plain(z, prec, rnd)
 
-    monkeypatch.setattr(mp, "gamma", counting)
+    monkeypatch.setattr(bessel, "mpf_gamma", counting)
     bessel._gamma_plus_one.cache_clear()
     for x in (0.7, 3.0, 12.0, 40.0):   # 40.0 escalates to 60 digits
         bessel_stack_values(3.4, x, 5)

@@ -9,11 +9,10 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import to_float
+from mpmath.libmp import dps_to_prec, to_float
 
 from chebcrit import determinants
-from chebcrit.bessel import bessel_zero, fn_zero
-from chebcrit.critlen import EPSILON, SCAN_DIVISIONS
+from chebcrit.bessel import fn_zero
 from chebcrit.determinants import (
     _lu_det,
     _minor_entry_grid,
@@ -170,20 +169,46 @@ def _exact_det(rows):
                for t in range(len(rows)))
 
 
+def _ref_lu_det(rows):
+    """Determinant by LU with scaled partial pivoting through mpf operators
+    at the current precision, as _lu_det computed it before it ran on raw
+    libmp tuples (a column with no nonzero candidate gives 0)."""
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    scales = [max(abs(x) for x in r) for r in a]
+    if any(s == 0 for s in scales):
+        return mpmath.mpf(0)
+    det = mpmath.mpf(1)
+    for col in range(nrows):
+        piv = max(range(col, nrows), key=lambda r: abs(a[r][col]) / scales[r])
+        if not a[piv][col]:
+            return mpmath.mpf(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            scales[col], scales[piv] = scales[piv], scales[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, nrows):
+            factor = a[r][col] * inv
+            if factor:
+                for c in range(col, nrows):
+                    a[r][c] -= factor * a[col][c]
+    return det
+
+
 def _pivoted_minor(n, j, x):
     """w_j by scaled-pivot LU on W itself, validated by precision doubling."""
     grid = _minor_entry_grid(n, 2 * n + 2 - j)
     rows = [[tp_eval_mp(tp, x, 1e-30) for tp in row] for row in grid]
     dps = 40
     with mpmath.workdps(dps):
-        prev = _lu_det(rows)
+        prev = _ref_lu_det(rows)
     while dps <= 1280:
         dps *= 2
         with mpmath.workdps(dps):
-            det = _lu_det(rows)
-            gap = abs(det - prev)
-            had = mpmath.fprod(mpmath.norm(r) for r in rows)
-            if gap <= 1e-13 * abs(det) or gap <= had * mpmath.mpf("1e-25"):
+            det = _ref_lu_det(rows)
+            if abs(det - prev) <= 1e-13 * abs(det):
                 return float(det)
         prev = det
     raise AssertionError("reference LU did not stabilize")
@@ -203,6 +228,17 @@ def _plant_entries(monkeypatch, n, vals):
                         lambda d, x, rtol: planted[derivs.index(d)])
 
 
+def _exact_minors(n, vals):
+    """{j: w_j} exactly, from W(u_j..u_{2n+1}) in basis column order:
+    entry (r, t) = f^(s-1-t+r), s = 2n+2-j."""
+    out = {}
+    for j in admissible_j(n):
+        s = 2 * n + 2 - j
+        out[j] = _exact_det([[Fraction(vals[s - 1 - t + r]) for t in range(s)]
+                             for r in range(s)])
+    return out
+
+
 @pytest.mark.parametrize("vals", [
     (0, 1, 3, -2, 5),  # H_1 = 0: the first pivot is zero
     (1, 1, 1, 2, 5),   # H_2 = 0: the second pivot is exactly zero
@@ -212,47 +248,61 @@ def test_zero_pivot_falls_back_to_pivoted_lu(monkeypatch, vals):
     _plant_entries(monkeypatch, n, vals)
     fallback_sizes = []
 
-    def counting_lu(rows):
+    def counting_lu(rows, prec):
         fallback_sizes.append(len(rows))
-        return _lu_det(rows)
+        return _lu_det(rows, prec)
 
     monkeypatch.setattr(determinants, "_lu_det", counting_lu)
     got = minor_values(n, 1.0)
     assert fallback_sizes
+    want = _exact_minors(n, vals)
     for j, val in got.items():
+        assert abs(val - want[j]) <= 1e-15 * abs(want[j])
         s = 2 * n + 2 - j
-        # W(u_j..u_{2n+1}) itself, in basis column order: entry (r, t) = f^(s-1-t+r)
-        want = _exact_det([[vals[s - 1 - t + r] for t in range(s)] for r in range(s)])
-        assert abs(val - want) <= 1e-15 * abs(want)
         if s > 1:
             hankel = [[mpmath.mpf(vals[r + t]) for t in range(s)] for r in range(s)]
             with mpmath.workdps(80):
-                assert val == (-1) ** (s * (s - 1) // 2) * float(_lu_det(hankel))
+                assert val == (-1) ** (s * (s - 1) // 2) * float(_ref_lu_det(hankel))
 
 
 def test_minor_frozen_at_the_precision_where_it_validates(monkeypatch):
-    # the tiny second pivot 1e-30 makes the third elimination step grow the
-    # 40-digit roundoff past the absolute floor in det H_4 alone: sizes 1..3
-    # validate at 80 digits, and the 160-digit pass recomputes size 4 only
+    # the second pivot is 1e-30 * 3, so det H_2 and det H_4 carry the 40-digit
+    # roundoff of 1/3 + 1e-30 magnified 1e30 times: sizes 1 and 3 validate
+    # at 80 digits, and the 160-digit pass recomputes sizes 4 and 2 only
     n = 3
     vals = (3, 1, Fraction(1, 3) + Fraction(1, 10 ** 30), 1, 1, 2, 7)
     _plant_entries(monkeypatch, n, vals)
     passes = []
     hankel_minors = determinants._hankel_minors
 
-    def recording(entries, sizes):
-        passes.append((mpmath.mp.dps, tuple(sizes)))
-        return hankel_minors(entries, sizes)
+    def recording(entries, sizes, prec):
+        passes.append((prec, tuple(sizes)))
+        return hankel_minors(entries, sizes, prec)
 
     monkeypatch.setattr(determinants, "_hankel_minors", recording)
     got = minor_values(n, 1.0)
-    assert passes[-1] == (160, (4,))
+    assert passes[-1] == (dps_to_prec(160), (4, 2))
+    want = _exact_minors(n, vals)
     for j, val in got.items():
-        s = 2 * n + 2 - j
-        want = _exact_det([[Fraction(vals[s - 1 - t + r]) for t in range(s)]
-                           for r in range(s)])
-        assert val == float(want)
+        assert val == float(want[j])
         assert val == wronskian_minor(n, j, 1.0)
+
+
+def test_minor_below_the_roundoff_of_its_elimination_keeps_its_sign(monkeypatch):
+    # det H_3 of these entries is -1e-100/9, so w_3 = 1e-100/9; at 80 digits
+    # the elimination leaves a roundoff of ~6e-83 with the other sign.  An
+    # absolute acceptance floor (1e-25 of the Hadamard scale) took that
+    # roundoff for w_3; relative agreement between two precisions waits for
+    # the precision that resolves it
+    n = 2
+    vals = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), 1,
+            Fraction(5, 3) - Fraction(1, 10 ** 100))
+    _plant_entries(monkeypatch, n, vals)
+    got = minor_values(n, 1.0)
+    want = _exact_minors(n, vals)
+    assert want[3] == Fraction(1, 9 * 10 ** 100)
+    assert got == {j: float(w) for j, w in want.items()}
+    assert got[3] == 1.1111111111111112e-101
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -283,20 +333,6 @@ def test_hankel_minors_match_pivoted_lu_at_refined_zeros():
             assert got[j] == _pivoted_minor(n, j, x), (n, j, x)
 
 
-def test_first_scan_points_validate_without_the_hadamard_floor(monkeypatch):
-    # near the origin |w_j| is far below 1e-25 * Hadamard (log10 ratio about
-    # -91 at n = 6, x = 1e-3), so the floor could certify nothing there: the
-    # relative test alone must accept the first critical-length abscissae
-    xs_by_n = {}
-    for n in range(7):
-        step = bessel_zero(n + 0.5, 1).value / SCAN_DIVISIONS
-        xs_by_n[n] = [EPSILON + i * step for i in range(4)]
-    before = {(n, x): minor_values(n, x) for n, xs in xs_by_n.items() for x in xs}
-    monkeypatch.setattr(determinants, "_DET_ABS_FLOOR", "0")
-    for (n, x), vals in before.items():
-        assert minor_values(n, x) == vals, (n, x)
-
-
 def _ref_hankel_minors(vals, sizes):
     """The unpivoted elimination through mpf operators, on mpf entries, as
     _hankel_minors computed it before it ran on raw libmp tuples."""
@@ -307,7 +343,7 @@ def _ref_hankel_minors(vals, sizes):
         if not piv:
             for s in sizes:
                 if s > k:
-                    out[s] = _lu_det([[vals[r + t] for t in range(s)] for r in range(s)])
+                    out[s] = _ref_lu_det([[vals[r + t] for t in range(s)] for r in range(s)])
             break
         tau = tau * piv if k else piv
         if k + 1 in sizes:
@@ -333,13 +369,8 @@ def _ref_validated_minors(vals, sizes):
         with mpmath.workdps(dps):
             cur = _ref_hankel_minors(vals, [s for s in sizes if s not in out])
             for s, v in cur.items():
-                gap = abs(v - prev[s])
-                if gap > mpmath.mpf(1e-13) * abs(v):
-                    hankel = [[vals[r + t] for t in range(s)] for r in range(s)]
-                    had = mpmath.fprod(mpmath.norm(r) for r in hankel)
-                    if gap > had * mpmath.mpf("1e-25"):
-                        continue
-                out[s] = v
+                if abs(v - prev[s]) <= mpmath.mpf(1e-13) * abs(v):
+                    out[s] = v
         prev = cur
     return out
 
@@ -357,8 +388,9 @@ def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
     for x in (0.004, 0.3, 2.5, 7.9, 13.0):
         vals = _entries(n, x)
         for dps in (40, 80, 160):
+            got = determinants._hankel_minors([v._mpf_ for v in vals], sizes,
+                                              dps_to_prec(dps))
             with mpmath.workdps(dps):
-                got = determinants._hankel_minors([v._mpf_ for v in vals], sizes)
                 want = _ref_hankel_minors(vals, sizes)
             assert got == {s: v._mpf_ for s, v in want.items()}, (n, x, dps)
 
@@ -367,19 +399,42 @@ def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
 def test_raw_elimination_matches_at_planted_zero_pivots(monkeypatch, vals):
     lu_sizes = []
 
-    def counting_lu(rows):
+    def counting_lu(rows, prec):
         lu_sizes.append(len(rows))
-        return _lu_det(rows)
+        return _lu_det(rows, prec)
 
     monkeypatch.setattr(determinants, "_lu_det", counting_lu)
     entries = _planted_mpfs(vals)
     sizes = list(range(1, (len(vals) + 3) // 2))
     for dps in (40, 80, 160):
+        got = determinants._hankel_minors([v._mpf_ for v in entries], sizes,
+                                          dps_to_prec(dps))
         with mpmath.workdps(dps):
-            got = determinants._hankel_minors([v._mpf_ for v in entries], sizes)
             want = _ref_hankel_minors(entries, sizes)
         assert got == {s: v._mpf_ for s, v in want.items()}, dps
     assert lu_sizes  # the fallback ran
+
+
+def test_pivoted_elimination_is_bit_identical_to_mpf_operators():
+    # random blocks of 400-digit rationals, a third of them singular (one row
+    # an integer multiple of another), with zeros that force row exchanges
+    rng = random.Random(7)
+    zero_dets = 0
+    for trial in range(120):
+        size = rng.randint(1, 5)
+        rows = [[Fraction(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 3, 7, 10)))
+                 for _ in range(size)] for _ in range(size)]
+        if trial % 3 == 0 and size > 1:
+            src, dst = rng.sample(range(size), 2)
+            rows[dst] = [rng.randint(-3, 3) * v for v in rows[src]]
+        rows = [_planted_mpfs(r) for r in rows]
+        for dps in (40, 80, 160):
+            got = _lu_det([[v._mpf_ for v in r] for r in rows], dps_to_prec(dps))
+            with mpmath.workdps(dps):
+                want = _ref_lu_det(rows)
+            assert got == want._mpf_, (trial, dps)
+            zero_dets += not want
+    assert zero_dets >= 30
 
 
 def test_minor_values_rounds_the_validated_minor_to_nearest():

@@ -1,9 +1,8 @@
 """CLI payloads against the committed goldens, byte for byte, in-process.
 
 Each case runs one golden command through ``cli.dispatch`` with stdout
-captured.  The slow verify goldens (bessel:1.5, bessel:3.4) and the critlen
-reference stay with the CI steps, which also run every golden in a cold
-process.
+captured.  The critlen reference stays with the CI steps, which also run
+every golden in a cold process.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ CASES = {
     "verify_spherical_2.json": ("verify", "--identity", "all", "--model", "spherical:2"),
     "verify_spherical_4.json": ("verify", "--identity", "all", "--model", "spherical:4"),
     "verify_bessel_0.json": ("verify", "--identity", "all", "--model", "bessel:0"),
+    "verify_bessel_1.5.json": ("verify", "--identity", "all", "--model", "bessel:1.5"),
+    "verify_bessel_3.4.json": ("verify", "--identity", "all", "--model", "bessel:3.4"),
 }
 
 
