@@ -71,6 +71,9 @@ TOL_INTEGRAL = 1e-8
 
 _BESSEL_STACK_TOL = 1e-15
 
+#: relative tolerance of every cumulative quadrature an integral identity runs
+_QUAD_REL_TOL = 1e-13
+
 #: one grid row: (x, |LHS - RHS|, magnitude scale)
 Row = tuple[float, float, float]
 
@@ -524,19 +527,18 @@ def _v_over_power(n: int, power: int) -> Callable[[float], float]:
 _CUMULATIVE_CACHE: dict[tuple, list[float]] = {}
 
 
-def _cached_cumulative(key: tuple, integrand, xs, rel_tol: float) -> list[float]:
-    full_key = key + (tuple(xs), rel_tol)
+def _cached_cumulative(key: tuple, integrand, xs) -> list[float]:
+    full_key = key + (tuple(xs),)
     got = _CUMULATIVE_CACHE.get(full_key)
     if got is None:
         if len(_CUMULATIVE_CACHE) > 64:
             _CUMULATIVE_CACHE.clear()
-        got = cumulative_integrals(integrand, 0.0, xs, rel_tol=rel_tol)
+        got = cumulative_integrals(integrand, 0.0, xs, rel_tol=_QUAD_REL_TOL)
         _CUMULATIVE_CACHE[full_key] = got
     return got
 
 
-def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float],
-                   rel_tol: float) -> Iterator[Row]:
+def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float]) -> Iterator[Row]:
     """Rows of the integral identity along the grid (built-in families)."""
     if model.family == "bessel":
         nu = model.param
@@ -547,7 +549,7 @@ def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float],
             j = bessel_j(nu, t, _BESSEL_STACK_TOL)
             return j * j / (t * t)
 
-        integ = _cached_cumulative(("jsq", nu), j_sq_over_t2, xs, rel_tol)
+        integ = _cached_cumulative(("jsq", nu), j_sq_over_t2, xs)
         for x, inte in zip(xs, integ):
             s = builtin_stack(model, x, 2)
             jx = s.values[0]
@@ -559,7 +561,7 @@ def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float],
     n = int(model.param)
     if tag in ("integral-v", "integral-vfn"):
         integ = _cached_cumulative(("fsq", n, 2 * n + 3),
-                                   _fn_sq_over_power(n, 2 * n + 3), xs, rel_tol)
+                                   _fn_sq_over_power(n, 2 * n + 3), xs)
         for x, inte in zip(xs, integ):
             s = builtin_stack(model, x, 2)
             fx = s.values[0]
@@ -574,9 +576,9 @@ def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float],
         return
     pref = 6.0 * n * (n - 1)
     int_f = _cached_cumulative(("fsq", n, 2 * n + 5),
-                               _fn_sq_over_power(n, 2 * n + 5), xs, rel_tol)
+                               _fn_sq_over_power(n, 2 * n + 5), xs)
     int_v = _cached_cumulative(("vratio", n, 2 * n + 3),
-                               _v_over_power(n, 2 * n + 3), xs, rel_tol)
+                               _v_over_power(n, 2 * n + 3), xs)
     for x, ia, ib in zip(xs, int_f, int_v):
         s = builtin_stack(model, x, 2)
         fx = s.values[0]
@@ -610,10 +612,9 @@ def _a23_row(model: CoeffModel, x: float) -> Row:
     return x, abs(cap2 - want2) + abs(cap3 - want3), scale
 
 
-def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float],
-          rel_tol: float) -> Iterable[Row]:
+def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float]) -> Iterable[Row]:
     if info.kind == "integral":
-        return _integral_rows(info.tag, model, xs, rel_tol)
+        return _integral_rows(info.tag, model, xs)
     if info.kind == "coeff":
         return (_a23_row(model, x) for x in xs)
     return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth)))
@@ -621,7 +622,7 @@ def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float],
 
 
 def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[float],
-            tol: float, rel_tol: float, note: str = "") -> VerificationReport:
+            tol: float, note: str = "") -> VerificationReport:
     """The identity's rows over xs reduced to the row of largest relative
     residual (the earliest such row on ties)."""
     if info.tag == "eq-Vpositive" and model.param < 2:
@@ -630,7 +631,7 @@ def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[floa
                                   note="trivial: the prefactor 6n(n-1) vanishes")
     worst_abs = worst_rel = 0.0
     worst_x = None
-    for x, res, scale in _rows(info, model, xs, rel_tol):
+    for x, res, scale in _rows(info, model, xs):
         rel = res / max(1.0, scale)
         if worst_x is None or rel > worst_rel:
             worst_rel, worst_abs, worst_x = rel, res, x
@@ -665,15 +666,14 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
         return positivity_criterion(model, lo, hi, points, spacing)
     xs = make_grid(lo, hi, points, spacing)  # checked for the zero-point kind too
     if info.kind != "zero-point":
-        return _report(info, model, grid_desc, xs, tol, rel_tol=1e-13)
+        return _report(info, model, grid_desc, xs, tol)
     zeros = _first_zeros(model, hi)
     if not zeros:
         return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
                                   math.nan, note="no zeros of f below the grid cap",
                                   skipped=True)
     return _report(info, model, {"kind": "zeros-of-f", "count": len(zeros), "cap": hi},
-                   zeros, tol, rel_tol=1e-13,
-                   note=f"evaluated at {len(zeros)} zero(s) of f")
+                   zeros, tol, note=f"evaluated at {len(zeros)} zero(s) of f")
 
 
 def _first_zeros(model: CoeffModel, cap: float, count: int = 3) -> list[float]:
@@ -705,7 +705,7 @@ def integral_check(tag: str, model: CoeffModel, x: float,
         raise UsageError(f"{tag} not applicable to {model.name}: {reason}")
     if not (math.isfinite(x) and x > 0):
         raise UsageError("integral checks need finite x > 0")
-    return _report(info, model, {"x": x}, [x], tol, rel_tol=min(tol * 1e-3, 1e-12))
+    return _report(info, model, {"x": x}, [x], tol)
 
 
 def run_all(model: CoeffModel, *, lo: float = 1e-2, hi: float = 30.0,

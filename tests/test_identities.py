@@ -293,6 +293,14 @@ def test_integral_vfn_n1_at_5():
     assert abs(v_det(s) - want) <= 1e-12 * want
 
 
+def test_integral_check_at_zero_tolerance():
+    # the quadrature's tolerance is one fixed policy, not derived from the
+    # report's tol, which would make it 0 here, a value the quadrature refuses
+    rep = integral_check("integral-vfn", spherical_model(1), 5.0, tol=0.0)
+    assert rep.tolerance == 0.0
+    assert rep.passed, rep
+
+
 def test_integral_v_bessel_nu2_at_4():
     rep = integral_check("integral-vJnu", bessel_model(2.0), 4.0)
     assert rep.passed
