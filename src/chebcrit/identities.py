@@ -444,16 +444,21 @@ def _stack_values(family: str, param: float, x: float, m: int) -> tuple[float, .
 # ----------------------------------------------------------------------
 
 def make_grid(lo: float, hi: float, points: int, spacing: str = "log") -> list[float]:
+    """``points`` abscissae from lo to hi; the last is hi itself, not its
+    rounded reconstruction."""
     if not (0 <= lo < hi) or points < 2:
         raise UsageError("grid needs 0 <= lo < hi and points >= 2")
     if spacing == "linear":
-        return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    if spacing == "log":
+        xs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    elif spacing == "log":
         if lo <= 0:
             raise UsageError("log spacing needs lo > 0")
         ratio = math.log(hi / lo)
-        return [lo * math.exp(ratio * i / (points - 1)) for i in range(points)]
-    raise UsageError(f"unknown spacing {spacing!r}")
+        xs = [lo * math.exp(ratio * i / (points - 1)) for i in range(points)]
+    else:
+        raise UsageError(f"unknown spacing {spacing!r}")
+    xs[-1] = hi
+    return xs
 
 
 def positivity_criterion(model: CoeffModel, lo: float, hi: float,

@@ -17,6 +17,7 @@ from chebcrit.identities import (
     builtin_stack,
     cubic_coeffs,
     integral_check,
+    make_grid,
     positivity_criterion,
     residual,
     residual_parts,
@@ -109,6 +110,15 @@ def test_residuals_return_the_terms_of_their_two_sides(tag):
     assert res == abs(sum(lhs) - sum(rhs))
     assert scale == sum(abs(t) for t in lhs + rhs)
     assert res <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_grid_ends_at_hi(spacing):
+    # the log grid's reconstruction of 30 is 29.99999999999998; the criterion
+    # evaluates its endpoint condition at hi, which must be a grid point
+    xs = make_grid(0.01, 30.0, 500, spacing)
+    assert (len(xs), xs[0], xs[-1]) == (500, 0.01, 30.0)
+    assert xs == sorted(set(xs))
 
 
 def test_negative_tol_is_a_usage_error():
