@@ -107,7 +107,7 @@ def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float,
     # the order stays an mpf: double-precision term factors would freeze a
     # ~1e-16 error into every term
     xm, num = from_float(x), from_float(nu)
-    half = mpf_div(xm, from_int(2), prec, _RND)  # xm / 2
+    half = mpf_shift(xm, -1)  # xm / 2, exact
     # half ** num / Gamma(nu + 1), the k = 0 term before differentiation
     base = mpf_div(mpf_pow(half, num, prec, _RND), _gamma_plus_one(nu, prec), prec, _RND)
     ratio_num = mpf_mul(half, half, prec, _RND)

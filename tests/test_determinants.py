@@ -290,10 +290,10 @@ def test_minor_frozen_at_the_precision_where_it_validates(monkeypatch):
 
 def test_minor_below_the_roundoff_of_its_elimination_keeps_its_sign(monkeypatch):
     # det H_3 of these entries is -1e-100/9, so w_3 = 1e-100/9; at 80 digits
-    # the elimination leaves a roundoff of ~6e-83 with the other sign.  An
-    # absolute acceptance floor (1e-25 of the Hadamard scale) took that
-    # roundoff for w_3; relative agreement between two precisions waits for
-    # the precision that resolves it
+    # the elimination leaves a roundoff of ~6e-83 with the other sign, which
+    # any absolute acceptance test (say 1e-25 of the Hadamard scale) would
+    # take for w_3; relative agreement between two precisions waits for the
+    # precision that resolves it
     n = 2
     vals = (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), 1,
             Fraction(5, 3) - Fraction(1, 10 ** 100))
