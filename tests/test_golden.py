@@ -28,10 +28,12 @@ CASES = {
                             "--points", "60", "--format", "json"),
     "zeros_2.5.json": ("zeros", "--nu", "2.5", "--count", "3"),
     "zeros_3.4_deriv.json": ("zeros", "--nu", "3.4", "--count", "3", "--deriv"),
+    "verify_spherical_0.json": ("verify", "--identity", "all", "--model", "spherical:0"),
     "verify_spherical_1.json": ("verify", "--identity", "all", "--model", "spherical:1"),
     "verify_spherical_2.json": ("verify", "--identity", "all", "--model", "spherical:2"),
     "verify_spherical_4.json": ("verify", "--identity", "all", "--model", "spherical:4"),
     "verify_bessel_0.json": ("verify", "--identity", "all", "--model", "bessel:0"),
+    "verify_bessel_1.json": ("verify", "--identity", "all", "--model", "bessel:1"),
     "verify_bessel_1.5.json": ("verify", "--identity", "all", "--model", "bessel:1.5"),
     "verify_bessel_3.4.json": ("verify", "--identity", "all", "--model", "bessel:3.4"),
 }
