@@ -3,18 +3,24 @@
 Each identity relates determinants of a solution f of f'' + p f' + q f = 0
 to the coefficient data (p, q) and their derivatives.  Everything the
 module knows about an identity is one IdentityInfo row of REGISTRY: its
-kind, the stack depth it reads, its hypotheses, its tolerance and, for the
-pointwise kinds, its residual function.  The rows are listed in payload
-order (IDENTITY_TAGS is the tuple of their tags).  A residual function
-returns the signed terms of the identity's two sides, (lhs_terms,
-rhs_terms), and nothing else; residual_parts derives |LHS - RHS| and the
-scale from them, so each identity is written once.  Every check but the
-positivity criterion yields (x, |LHS - RHS|, scale) rows (the integral and
-coefficient checks build theirs directly) that one reduction turns into a
-VerificationReport, and every check reads its derivative stacks from one
-cache per (family, parameter, x).  Residuals are normalized by the summed
-magnitude of the terms entering the identity (with an absolute fallback
-when that scale is below 1), since the raw sides grow like powers of f.
+kind, the stack depth it reads, its hypotheses (q' = 0, the families, and
+bounds on the model parameter as (family, bound, reason) data), its
+tolerance and, for every kind but the coefficient and criterion checks,
+its residual function and the names of the cumulative integrals that
+function reads.  The rows are listed in payload order (IDENTITY_TAGS is
+the tuple of their tags).  A residual function returns, from the stack
+and the values at x of the row's integrals, the signed terms of the
+identity's two sides, (lhs_terms, rhs_terms), and nothing else;
+residual_parts derives |LHS - RHS| and the scale from them, so each
+identity is written once.  Every check but the positivity criterion yields
+(x, |LHS - RHS|, scale) rows (the coefficient check builds its own) that
+one reduction turns into a VerificationReport.  Every check reads its
+derivative stacks from one cache per (family, parameter, x) and its
+integrals from one cache per (family, parameter, integral, grid), each
+grid's integral computed in one quadrature pass.  Residuals are normalized
+by the summed magnitude of the terms entering the identity (with an
+absolute fallback when that scale is below 1), since the raw sides grow
+like powers of f.
 
 Identity tags, in payload order, and their requirements:
 
@@ -38,9 +44,11 @@ Identity tags, in payload order, and their requirements:
   integral-V          the integral representation of V, q' = 0
   eq-Vpositive        V(f_n)/(6n(n-1)) as a sum of positive integrals
 
-The q' = 0 identities reject models with qprime_is_zero = False; the
-integral checks are implemented for the built-in families (the exact ring
-resolves their removable 0/0 endpoint behavior).
+The q' = 0 identities reject models with qprime_is_zero = False.  The
+integrals of the integral checks are built in for the built-in families
+(the exact ring resolves their removable 0/0 endpoint behavior); for a
+stack of another solution, residual_parts takes their values from the
+caller.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bessel import bessel_j, bessel_stack_values, bessel_zero, fn_zero
 from .determinants import (
@@ -141,7 +149,7 @@ def v_aux(model: CoeffModel, s: DerivStack) -> float:
 
 
 # ----------------------------------------------------------------------
-# pointwise residuals (stack and zero-point kinds)
+# residuals (stack, zero-point and integral kinds)
 # ----------------------------------------------------------------------
 
 def _res_prop1(model, s):
@@ -287,6 +295,47 @@ def _res_eq_newaa(model, s):
     return (big_v_prime, p * v_aux(model, s)), (cap2 * f1 * f, cap3 * v)
 
 
+def _res_integral_vjnu(model, s, inte):
+    # v(J_nu) = -J^2/(2x^2) + (4nu^2 - 1)/(2x) Int_0^x J^2/t^2
+    x, nu, jx = s.x, model.param, s.values[0]
+    return (v_det(s),), (-jx * jx / (2.0 * x * x), (4.0 * nu * nu - 1.0) / (2.0 * x) * inte)
+
+
+def _res_integral_v(model, s, inte):
+    # v = f^2 p'/2 - e^-P/2 * Int f^2 (p''+p'p-2q') e^P; the integral-vJnu
+    # formula on bessel models
+    if model.family == "bessel":
+        return _res_integral_vjnu(model, s, inte)
+    n, x, fx = int(model.param), s.x, s.values[0]
+    return (v_det(s),), (0.5 * fx * fx * model.dp(x), 2.0 * n * (n + 1) * x ** (2 * n) * inte)
+
+
+def _res_integral_vfn(model, s, inte):
+    n, x, fx = int(model.param), s.x, s.values[0]
+    return (v_det(s),), (n / x ** 2 * fx * fx, 2.0 * n * (n + 1) * x ** (2 * n) * inte)
+
+
+def _v_terms(model, s, int_f, int_v):
+    """The three terms of V(f_n)/(6n(n-1)), each >= 0."""
+    n, x, fx = int(model.param), s.x, s.values[0]
+    return fx * fx / (2.0 * x ** 4), (n + 2.0) * x ** (2 * n) * int_f, x ** (2 * n) * int_v
+
+
+def _res_integral_big_v(model, s, int_f, int_v):
+    # one right-hand term, whose magnitude is 6n(n-1) times the summed
+    # magnitudes of the terms, since they are >= 0
+    n = int(model.param)
+    return (v_aux(model, s),), (6.0 * n * (n - 1) * sum(_v_terms(model, s, int_f, int_v)),)
+
+
+def _res_eq_vpositive(model, s, int_f, int_v):
+    n = int(model.param)
+    pref = 6.0 * n * (n - 1)
+    if pref == 0.0:
+        raise SingularPointError(f"the prefactor 6n(n-1) vanishes for n = {n}")
+    return (v_aux(model, s) / pref,), _v_terms(model, s, int_f, int_v)
+
+
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
@@ -299,18 +348,32 @@ class IdentityInfo:
     needs_qprime_zero: bool
     families: tuple[str, ...] | None  # None = any family
     default_tol: float
-    needs_dp_nonzero: bool = False
-    residual: Callable | None = None  # (model, stack) -> (lhs_terms, rhs_terms)
+    residual: Callable | None = None  # (model, stack, *integrals) -> (lhs_terms, rhs_terms)
+    integrals: tuple[str, ...] = ()  # names of the cumulative integrals the residual reads
+    param_above: tuple[tuple[str, float, str], ...] = ()  # (family, bound, reason):
+    #                                  a model of that family needs param > bound
+
+
+_DP_NONZERO = (("spherical", 0, "p' vanishes identically for the n = 0 model"),)
+_V_INTEGRALS = ("V:f", "V:v")
 
 
 REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
     IdentityInfo("prop1", "stack", 3, False, None, TOL_EXACT, residual=_res_prop1),
-    IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"), TOL_INTEGRAL),
-    IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",), TOL_INTEGRAL),
-    IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",), TOL_INTEGRAL),
-    IdentityInfo("thm-main1-criterion", "criterion", 0, False, None, 0.0, needs_dp_nonzero=True),
-    IdentityInfo("prop2", "stack", 4, False, None, TOL_EXACT, needs_dp_nonzero=True,
-                 residual=_res_prop2),
+    IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"), TOL_INTEGRAL,
+                 residual=_res_integral_v, integrals=("v",), param_above=(
+                     ("spherical", 0, "needs f vanishing to order >= 3 at 0 (n >= 1)"),
+                     ("bessel", 1, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"))),
+    IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",), TOL_INTEGRAL,
+                 residual=_res_integral_vfn, integrals=("v",), param_above=(
+                     ("spherical", 0, "needs f vanishing to order >= 3 at 0 (n >= 1)"),)),
+    IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",), TOL_INTEGRAL,
+                 residual=_res_integral_vjnu, integrals=("v",),
+                 param_above=(("bessel", 1, "stated for nu > 1 only"),)),
+    IdentityInfo("thm-main1-criterion", "criterion", 0, False, None, 0.0,
+                 param_above=_DP_NONZERO),
+    IdentityInfo("prop2", "stack", 4, False, None, TOL_EXACT, residual=_res_prop2,
+                 param_above=_DP_NONZERO),
     IdentityInfo("cor2-ode", "stack", 4, False, ("spherical",), TOL_EXACT,
                  residual=_res_cor2_ode),
     IdentityInfo("vfprime", "stack", 3, False, None, TOL_EXACT, residual=_res_vfprime),
@@ -321,14 +384,19 @@ REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
                  residual=_res_cubic_coeffs),
     IdentityInfo("cor5", "stack", 4, False, ("spherical",), TOL_EXACT, residual=_res_cor5),
     IdentityInfo("thm-main3", "stack", 5, True, None, TOL_EXACT, residual=_res_thm_main3),
-    IdentityInfo("thm-main4", "stack", 5, True, None, TOL_EXACT, needs_dp_nonzero=True,
-                 residual=_res_thm_main4),
+    IdentityInfo("thm-main4", "stack", 5, True, None, TOL_EXACT, residual=_res_thm_main4,
+                 param_above=_DP_NONZERO),
     IdentityInfo("thm-main6", "stack", 3, True, None, TOL_EXACT, residual=_res_thm_main6),
-    IdentityInfo("a23-coeffs", "coeff", 0, True, ("spherical",), TOL_EXACT, needs_dp_nonzero=True),
-    IdentityInfo("eq-newAA", "stack", 3, True, None, TOL_EXACT, needs_dp_nonzero=True,
-                 residual=_res_eq_newaa),
-    IdentityInfo("integral-V", "integral", 2, True, ("spherical",), TOL_INTEGRAL),
-    IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",), TOL_INTEGRAL),
+    IdentityInfo("a23-coeffs", "coeff", 0, True, ("spherical",), TOL_EXACT,
+                 param_above=_DP_NONZERO),
+    IdentityInfo("eq-newAA", "stack", 3, True, None, TOL_EXACT, residual=_res_eq_newaa,
+                 param_above=_DP_NONZERO),
+    IdentityInfo("integral-V", "integral", 2, True, ("spherical",), TOL_INTEGRAL,
+                 residual=_res_integral_big_v, integrals=_V_INTEGRALS, param_above=(
+                     ("spherical", 1,
+                      "the boundary term e^P V does not vanish at 0 for n < 2"),)),
+    IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",), TOL_INTEGRAL,
+                 residual=_res_eq_vpositive, integrals=_V_INTEGRALS),
 )}
 
 IDENTITY_TAGS = tuple(REGISTRY)
@@ -376,39 +444,37 @@ def applicability(tag: str, model: CoeffModel) -> tuple[bool, str]:
         return False, "requires q' = 0"
     if info.families is not None and model.family not in info.families:
         return False, f"defined for families {'/'.join(info.families)}"
-    if info.needs_dp_nonzero and model.family == "spherical" and model.param == 0:
-        return False, "p' vanishes identically for the n = 0 model"
-    if tag in ("integral-v", "integral-vfn") and model.family == "spherical" and model.param < 1:
-        return False, "needs f vanishing to order >= 3 at 0 (n >= 1)"
-    if tag == "integral-v" and model.family == "bessel" and model.param <= 1:
-        return False, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"
-    if tag == "integral-vJnu" and model.param <= 1:
-        return False, "stated for nu > 1 only"
-    if tag == "integral-V" and model.param < 2:
-        return False, "the boundary term e^P V does not vanish at 0 for n < 2"
+    for family, bound, reason in info.param_above:
+        if model.family == family and model.param <= bound:
+            return False, reason
     return True, ""
 
 
-def residual(tag: str, model: CoeffModel, stack: DerivStack) -> float:
+def residual(tag: str, model: CoeffModel, stack: DerivStack, *integrals: float) -> float:
     """|LHS - RHS| of the identity at stack.x (absolute, unnormalized)."""
-    return residual_parts(tag, model, stack)[0]
+    return residual_parts(tag, model, stack, *integrals)[0]
 
 
-def residual_parts(tag: str, model: CoeffModel, stack: DerivStack) -> tuple[float, float]:
+def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
+                   *integrals: float) -> tuple[float, float]:
     """(absolute residual, magnitude scale) of the identity at stack.x.
 
-    The residual function returns the signed terms of the identity's two
-    sides; the residual is |sum(lhs) - sum(rhs)| and the scale the sum of
-    the terms' magnitudes, lhs then rhs, each summed left to right.
+    An integral identity also takes the values at stack.x of the
+    cumulative integrals its row names, in that order.  The residual
+    function returns the signed terms of the identity's two sides; the
+    residual is |sum(lhs) - sum(rhs)| and the scale the sum of the terms'
+    magnitudes, lhs then rhs, each summed left to right.
     """
     info = _info(tag)
     if info.residual is None:
-        raise UsageError(f"identity {tag!r} is not a pointwise stack residual")
+        raise UsageError(f"identity {tag!r} has no pointwise residual")
+    if len(integrals) != len(info.integrals):
+        raise UsageError(f"{tag} takes the integrals {info.integrals}, got {len(integrals)}")
     if info.needs_qprime_zero:
         model.require_qprime_zero(tag)
     stack.require(info.min_depth, tag)
     model.check_domain(stack.x)
-    lhs, rhs = info.residual(model, stack)
+    lhs, rhs = info.residual(model, stack, *integrals)
     return abs(sum(lhs) - sum(rhs)), sum(abs(t) for t in lhs + rhs)
 
 
@@ -529,75 +595,35 @@ def _v_over_power(n: int, power: int) -> Callable[[float], float]:
     return g
 
 
-_CUMULATIVE_CACHE: dict[tuple, list[float]] = {}
+def _j_sq_over_t2(nu: float) -> Callable[[float], float]:
+    """t -> J_nu(t)^2 / t^2, 0 at the origin."""
+
+    def g(t: float) -> float:
+        if t == 0.0:
+            return 0.0
+        j = bessel_j(nu, t, _BESSEL_STACK_TOL)
+        return j * j / (t * t)
+
+    return g
 
 
-def _cached_cumulative(key: tuple, integrand, xs) -> list[float]:
-    full_key = key + (tuple(xs),)
-    got = _CUMULATIVE_CACHE.get(full_key)
-    if got is None:
-        if len(_CUMULATIVE_CACHE) > 64:
-            _CUMULATIVE_CACHE.clear()
-        got = cumulative_integrals(integrand, 0.0, xs, rel_tol=_QUAD_REL_TOL)
-        _CUMULATIVE_CACHE[full_key] = got
-    return got
+#: integrand of each named cumulative integral by (family, name), built from
+#: the model parameter: "v" is the integral of v's representation (f^2 times
+#: (p'' + p'p - 2q') e^P, less its constant), "V:f" and "V:v" the two of V
+_INTEGRANDS: dict[tuple[str, str], Callable[[float], Callable[[float], float]]] = {
+    ("spherical", "v"): lambda n: _fn_sq_over_power(int(n), 2 * int(n) + 3),
+    ("bessel", "v"): _j_sq_over_t2,
+    ("spherical", "V:f"): lambda n: _fn_sq_over_power(int(n), 2 * int(n) + 5),
+    ("spherical", "V:v"): lambda n: _v_over_power(int(n), 2 * int(n) + 3),
+}
 
 
-def _integral_rows(tag: str, model: CoeffModel, xs: Sequence[float]) -> Iterator[Row]:
-    """Rows of the integral identity along the grid (built-in families)."""
-    if model.family == "bessel":
-        nu = model.param
-
-        def j_sq_over_t2(t: float) -> float:
-            if t == 0.0:
-                return 0.0
-            j = bessel_j(nu, t, _BESSEL_STACK_TOL)
-            return j * j / (t * t)
-
-        integ = _cached_cumulative(("jsq", nu), j_sq_over_t2, xs)
-        for x, inte in zip(xs, integ):
-            s = builtin_stack(model, x, 2)
-            jx = s.values[0]
-            v = v_det(s)
-            t1 = -jx * jx / (2.0 * x * x)
-            t2 = (4.0 * nu * nu - 1.0) / (2.0 * x) * inte
-            yield x, abs(v - (t1 + t2)), abs(v) + abs(t1) + abs(t2)
-        return
-    n = int(model.param)
-    if tag in ("integral-v", "integral-vfn"):
-        integ = _cached_cumulative(("fsq", n, 2 * n + 3),
-                                   _fn_sq_over_power(n, 2 * n + 3), xs)
-        for x, inte in zip(xs, integ):
-            s = builtin_stack(model, x, 2)
-            fx = s.values[0]
-            if tag == "integral-v":
-                # v = f^2 p'/2 - e^-P/2 * Int f^2 (p''+p'p-2q') e^P
-                t1 = 0.5 * fx * fx * model.dp(x)
-            else:
-                t1 = n / x ** 2 * fx * fx
-            t2 = 2.0 * n * (n + 1) * x ** (2 * n) * inte
-            v = v_det(s)
-            yield x, abs(v - (t1 + t2)), abs(v) + abs(t1) + abs(t2)
-        return
-    pref = 6.0 * n * (n - 1)
-    int_f = _cached_cumulative(("fsq", n, 2 * n + 5),
-                               _fn_sq_over_power(n, 2 * n + 5), xs)
-    int_v = _cached_cumulative(("vratio", n, 2 * n + 3),
-                               _v_over_power(n, 2 * n + 3), xs)
-    for x, ia, ib in zip(xs, int_f, int_v):
-        s = builtin_stack(model, x, 2)
-        fx = s.values[0]
-        direct = v_aux(model, s)
-        t1 = fx * fx / (2.0 * x ** 4)
-        t2 = (n + 2.0) * x ** (2 * n) * ia
-        t3 = x ** (2 * n) * ib
-        if tag == "integral-V":
-            yield (x, abs(direct - pref * (t1 + t2 + t3)),
-                   abs(direct) + pref * (abs(t1) + abs(t2) + abs(t3)))
-        else:
-            ratio = direct / pref
-            yield (x, abs(ratio - (t1 + t2 + t3)),
-                   abs(ratio) + abs(t1) + abs(t2) + abs(t3))
+@lru_cache(maxsize=64)
+def _cumulative(family: str, param: float, name: str,
+                xs: tuple[float, ...]) -> tuple[float, ...]:
+    """The named integral from 0 to each x of xs, in one quadrature pass."""
+    return tuple(cumulative_integrals(_INTEGRANDS[family, name](param), 0.0, xs,
+                                      rel_tol=_QUAD_REL_TOL))
 
 
 def _a23_row(model: CoeffModel, x: float) -> Row:
@@ -618,12 +644,13 @@ def _a23_row(model: CoeffModel, x: float) -> Row:
 
 
 def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float]) -> Iterable[Row]:
-    if info.kind == "integral":
-        return _integral_rows(info.tag, model, xs)
     if info.kind == "coeff":
         return (_a23_row(model, x) for x in xs)
-    return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth)))
-            for x in xs)
+    columns = [_cumulative(model.family, model.param, name, tuple(xs))
+               for name in info.integrals]
+    return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth),
+                                *at_x))
+            for x, *at_x in zip(xs, *columns))
 
 
 def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[float],

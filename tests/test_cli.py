@@ -145,6 +145,16 @@ def test_verify_bad_model(capsys):
     assert "model" in err or "family" in err
 
 
+@pytest.mark.parametrize("tag", ["prop1", "integral-v", "integral-vfn", "integral-V",
+                                 "eq-Vpositive"])
+def test_verify_grid_through_the_origin_is_usage_error(capsys, tag):
+    # x = 0 lies outside the model's domain for every grid identity alike
+    code, out, err = run_cli(capsys, "verify", "--identity", tag, "--model", "spherical:2",
+                             "--range", "0:30", "--spacing", "linear", "--points", "5")
+    assert code == 2
+    assert out == "" and "outside the domain" in err
+
+
 def test_critlen_json(capsys):
     code, out, _ = run_cli(capsys, "critlen", "--n", "1")
     assert code == 0

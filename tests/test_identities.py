@@ -100,16 +100,34 @@ POINTWISE_TAGS = [tag for tag, info in REGISTRY.items() if info.residual is not 
 
 @pytest.mark.parametrize("tag", POINTWISE_TAGS)
 def test_residuals_return_the_terms_of_their_two_sides(tag):
+    from chebcrit.identities import _cumulative
+
     info = REGISTRY[tag]
-    model = spherical_model(3)
+    model = bessel_model(2.5) if tag == "integral-vJnu" else spherical_model(3)
+    assert applicability(tag, model)[0]
     x = fn_zero(3, 1).value if info.kind == "zero-point" else 2.0
     s = builtin_stack(model, x, info.min_depth)
-    lhs, rhs = info.residual(model, s)
+    integrals = [_cumulative(model.family, model.param, name, (x,))[0]
+                 for name in info.integrals]
+    assert bool(integrals) == (info.kind == "integral")
+    lhs, rhs = info.residual(model, s, *integrals)
     assert lhs and rhs and all(isinstance(t, float) for t in lhs + rhs)
-    res, scale = residual_parts(tag, model, s)
+    res, scale = residual_parts(tag, model, s, *integrals)
     assert res == abs(sum(lhs) - sum(rhs))
     assert scale == sum(abs(t) for t in lhs + rhs)
     assert res <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("tag", ["integral-v", "integral-V", "prop1"])
+def test_residual_parts_needs_each_named_integral(tag):
+    model = spherical_model(3)
+    s = builtin_stack(model, 2.0, 3)
+    wrong = len(REGISTRY[tag].integrals) + 1
+    with pytest.raises(UsageError, match="integrals"):
+        residual_parts(tag, model, s, *[0.0] * wrong)
+    if REGISTRY[tag].integrals:
+        with pytest.raises(UsageError, match="integrals"):
+            residual_parts(tag, model, s)
 
 
 @pytest.mark.parametrize("spacing", ["log", "linear"])
