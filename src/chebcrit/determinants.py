@@ -343,6 +343,9 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     derivs = fn_derivatives(n, 2 * max(sizes) - 2)
     vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
     dets = _validated_hankel_minors(vals, sizes)
+    for j, s in zip(js, sizes):
+        if math.isinf(dets[s]):
+            raise NumericalFailure(f"w_{j} of n = {n} at x={x!r} overflows double precision")
     return {j: -dets[s] if s * (s - 1) // 2 % 2 else dets[s]
             for j, s in zip(js, sizes)}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from chebcrit.determinants import (
     w_prime_det,
     wronskian_minor,
 )
-from chebcrit.errors import UsageError
+from chebcrit.errors import NumericalFailure, UsageError
 from chebcrit.trigpoly import (
     fn_derivatives,
     maclaurin,
@@ -454,6 +455,15 @@ def test_minor_values_rounds_the_validated_minor_to_nearest():
 
 
 # ---------------------------------------------------------------- symbolic route
+
+def test_minor_beyond_the_double_range_is_a_numerical_failure():
+    # |w_j(f_16)(30)| exceeds the largest double for j = 17..19
+    with pytest.raises(NumericalFailure, match="w_17 of n = 16 at x=30.0 overflows"):
+        minor_values(16, 30.0)
+    with pytest.raises(NumericalFailure, match="overflows double precision"):
+        wronskian_minor(16, 19, 30.0)
+    assert math.isfinite(wronskian_minor(16, 20, 30.0))
+
 
 def test_symbolic_minor_n1_j2_closed_form():
     # v(f_1) = cos(2x)/2 + x^2 - 1/2
