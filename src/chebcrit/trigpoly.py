@@ -687,12 +687,13 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
     Otherwise the sum runs to the last nonzero coefficient and the decay
     test decides as before.
     """
-    m0, coeffs, later = _maclaurin_table(a)
-    if denom_power and m0 < denom_power and x == 0.0:
-        raise UsageError(
-            f"a/x^{denom_power} is singular at 0 (vanishing order {m0})")
     if x == 0.0:
-        return mp.make_mpf(fzero if m0 > denom_power else coeffs[0])
+        *below, c = maclaurin(a, denom_power + 1)
+        if any(below):
+            raise UsageError(f"a/x^{denom_power} is singular at 0 "
+                             f"(vanishing order {vanishing_order(a)})")
+        return mp.make_mpf(_raw_coeff(c, _MACLAURIN_PREC))
+    m0, coeffs, later = _maclaurin_table(a)
     prec = _MACLAURIN_PREC
     xr = from_float(x)
     xp = mpf_pow_int(xr, m0 - denom_power, prec, _RND)

@@ -312,6 +312,17 @@ def test_eval_at_zero_is_the_exact_constant_term():
             assert tp_eval(a, x).hex() == want.hex(), (format_trigpoly(a), x)
 
 
+def test_eval_at_zero_reads_one_maclaurin_coefficient():
+    # x = 0 returns the coefficient of x^p without building the element's
+    # Maclaurin table; below the vanishing order the quotient is singular
+    f = TrigPoly(spherical_fn(4).terms)  # a fresh element: no table cached
+    for p in range(10):
+        assert tp_eval_over_power(f, p, 0.0) == float(maclaurin(f, p + 1)[p])
+    assert "_maclaurin_table" not in f.__dict__
+    with pytest.raises(UsageError, match="vanishing order 9"):
+        tp_eval_over_power(f, 10, 0.0)
+
+
 def test_eval_over_power_limit():
     # f_n / x^(2n+1) -> 1/(2n+1)!! at 0
     f2 = spherical_fn(2)
