@@ -17,7 +17,7 @@ change are surfaced as "indeterminate" rather than being counted as zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bessel import bessel_zero
 from .determinants import admissible_j, minor_values, wronskian_minor
@@ -49,13 +49,7 @@ class PerJResult:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "first_zero": self.first_zero,
-            "search_cap": self.search_cap,
-            "indeterminate": self.indeterminate,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -68,14 +62,7 @@ class CritLenReport:
     conjecture_consistent: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "per_j": [r.as_dict() for r in self.per_j],
-            "estimate": self.estimate,
-            "reference": self.reference,
-            "gap": self.gap,
-            "conjecture_consistent": self.conjecture_consistent,
-        }
+        return asdict(self)
 
 
 def _scan_one_minor(n: int, j: int, xs: list[float], vals: list[float],

@@ -54,7 +54,7 @@ caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -349,9 +349,9 @@ class IdentityInfo:
     families: tuple[str, ...] | None  # None = any family
     default_tol: float
     residual: Callable | None = None  # (model, stack, *integrals) -> (lhs_terms, rhs_terms)
-    integrals: tuple[str, ...] = ()  # names of the cumulative integrals the residual reads
-    param_above: tuple[tuple[str, float, str], ...] = ()  # (family, bound, reason):
-    #                                  a model of that family needs param > bound
+    integrals: tuple[str, ...] = ()  # the _INTEGRANDS names the residual reads, in order
+    # (family, bound, reason): a model of that family needs param > bound
+    param_above: tuple[tuple[str, float, str], ...] = ()
 
 
 _DP_NONZERO = (("spherical", 0, "p' vanishes identically for the n = 0 model"),)
@@ -416,18 +416,8 @@ class VerificationReport:
     skipped: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "model": self.model,
-            "grid": self.grid,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "worst_x": self.worst_x,
-            "note": self.note,
-            "skipped": self.skipped,
-        }
+        """The fields in order, ``passed`` under its payload key "pass"."""
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
 def _info(tag: str) -> IdentityInfo:
@@ -608,8 +598,9 @@ def _j_sq_over_t2(nu: float) -> Callable[[float], float]:
 
 
 #: integrand of each named cumulative integral by (family, name), built from
-#: the model parameter: "v" is the integral of v's representation (f^2 times
-#: (p'' + p'p - 2q') e^P, less its constant), "V:f" and "V:v" the two of V
+#: the model parameter: "v" is the integral of v's representation, f^2 times
+#: (p'' + p'p - 2q') e^P less its constant; "V:f" and "V:v" are the two of
+#: V(f_n), f_n^2 / t^(2n+5) and v(f_n) / t^(2n+3)
 _INTEGRANDS: dict[tuple[str, str], Callable[[float], Callable[[float], float]]] = {
     ("spherical", "v"): lambda n: _fn_sq_over_power(int(n), 2 * int(n) + 3),
     ("bessel", "v"): _j_sq_over_t2,

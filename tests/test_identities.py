@@ -130,6 +130,13 @@ def test_residual_parts_needs_each_named_integral(tag):
             residual_parts(tag, model, s)
 
 
+def test_eq_vpositive_is_singular_below_n_2():
+    # the prefactor 6n(n-1) divides V; the grid reports n < 2 as trivial
+    model = spherical_model(1)
+    with pytest.raises(SingularPointError):
+        residual_parts("eq-Vpositive", model, builtin_stack(model, 2.0, 2), 0.0, 0.0)
+
+
 @pytest.mark.parametrize("spacing", ["log", "linear"])
 def test_grid_ends_at_hi(spacing):
     # the log grid's reconstruction of 30 is 29.99999999999998; the criterion
