@@ -3,24 +3,21 @@
 Each identity relates determinants of a solution f of f'' + p f' + q f = 0
 to the coefficient data (p, q) and their derivatives.  Everything the
 module knows about an identity is one IdentityInfo row of REGISTRY: its
-kind, the stack depth it reads, its hypotheses (q' = 0, the families, and
-bounds on the model parameter as (family, bound, reason) data), its
-tolerance and, for every kind but the coefficient and criterion checks,
-its residual function and the names of the cumulative integrals that
-function reads.  The rows are listed in payload order (IDENTITY_TAGS is
-the tuple of their tags).  A residual function returns, from the stack
-and the values at x of the row's integrals, the signed terms of the
-identity's two sides, (lhs_terms, rhs_terms), and nothing else;
-residual_parts derives |LHS - RHS| and the scale from them, so each
-identity is written once.  Every check but the positivity criterion yields
-(x, |LHS - RHS|, scale) rows (the coefficient check builds its own) that
-one reduction turns into a VerificationReport.  Every check reads its
-derivative stacks from one cache per (family, parameter, x) and its
-integrals from one cache per (family, parameter, integral, grid), each
-grid's integral computed in one quadrature pass.  Residuals are normalized
-by the summed magnitude of the terms entering the identity (with an
-absolute fallback when that scale is below 1), since the raw sides grow
-like powers of f.
+kind, the stack depth it reads, its hypotheses (bounds on the model
+parameter as (family, bound, reason) data), its tolerance and, for the
+grid kinds, its residual function and the cumulative integrals it reads.
+The rows are listed in payload order (IDENTITY_TAGS is the tuple of their
+tags).  A residual function returns, from the stack and the integrals'
+values at x, the signed terms of the identity's two sides, (lhs_terms,
+rhs_terms), and nothing else; residual_parts derives |LHS - RHS| and the
+scale from them, so each identity is written once.  Every check but the
+positivity criterion yields (x, |LHS - RHS|, scale) rows (the coefficient
+check builds its own) that one reduction turns into a VerificationReport,
+and every check reads its stacks from one cache per (family, parameter,
+x) and its integrals from one per (family, parameter, integral, grid).
+Residuals are normalized by the summed magnitude of the terms entering
+the identity (with an absolute fallback when that scale is below 1),
+since the raw sides grow like powers of f.
 
 Identity tags, in payload order, and their requirements:
 
@@ -330,10 +327,9 @@ def _res_integral_big_v(model, s, int_f, int_v):
 
 def _res_eq_vpositive(model, s, int_f, int_v):
     n = int(model.param)
-    pref = 6.0 * n * (n - 1)
-    if pref == 0.0:
+    if n < 2:
         raise SingularPointError(f"the prefactor 6n(n-1) vanishes for n = {n}")
-    return (v_aux(model, s) / pref,), _v_terms(model, s, int_f, int_v)
+    return (v_aux(model, s) / (6.0 * n * (n - 1)),), _v_terms(model, s, int_f, int_v)
 
 
 # ----------------------------------------------------------------------
@@ -355,18 +351,16 @@ class IdentityInfo:
 
 
 _DP_NONZERO = (("spherical", 0, "p' vanishes identically for the n = 0 model"),)
-_V_INTEGRALS = ("V:f", "V:v")
+_F_ORDER_3 = ("spherical", 0, "needs f vanishing to order >= 3 at 0 (n >= 1)")
 
 
 REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
     IdentityInfo("prop1", "stack", 3, False, None, TOL_EXACT, residual=_res_prop1),
     IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"), TOL_INTEGRAL,
                  residual=_res_integral_v, integrals=("v",), param_above=(
-                     ("spherical", 0, "needs f vanishing to order >= 3 at 0 (n >= 1)"),
-                     ("bessel", 1, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"))),
+                     _F_ORDER_3, ("bessel", 1, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"))),
     IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",), TOL_INTEGRAL,
-                 residual=_res_integral_vfn, integrals=("v",), param_above=(
-                     ("spherical", 0, "needs f vanishing to order >= 3 at 0 (n >= 1)"),)),
+                 residual=_res_integral_vfn, integrals=("v",), param_above=(_F_ORDER_3,)),
     IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",), TOL_INTEGRAL,
                  residual=_res_integral_vjnu, integrals=("v",),
                  param_above=(("bessel", 1, "stated for nu > 1 only"),)),
@@ -392,11 +386,11 @@ REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
     IdentityInfo("eq-newAA", "stack", 3, True, None, TOL_EXACT, residual=_res_eq_newaa,
                  param_above=_DP_NONZERO),
     IdentityInfo("integral-V", "integral", 2, True, ("spherical",), TOL_INTEGRAL,
-                 residual=_res_integral_big_v, integrals=_V_INTEGRALS, param_above=(
+                 residual=_res_integral_big_v, integrals=("V:f", "V:v"), param_above=(
                      ("spherical", 1,
                       "the boundary term e^P V does not vanish at 0 for n < 2"),)),
     IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",), TOL_INTEGRAL,
-                 residual=_res_eq_vpositive, integrals=_V_INTEGRALS),
+                 residual=_res_eq_vpositive, integrals=("V:f", "V:v")),
 )}
 
 IDENTITY_TAGS = tuple(REGISTRY)
@@ -449,11 +443,10 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
                    *integrals: float) -> tuple[float, float]:
     """(absolute residual, magnitude scale) of the identity at stack.x.
 
-    An integral identity also takes the values at stack.x of the
-    cumulative integrals its row names, in that order.  The residual
-    function returns the signed terms of the identity's two sides; the
-    residual is |sum(lhs) - sum(rhs)| and the scale the sum of the terms'
-    magnitudes, lhs then rhs, each summed left to right.
+    integrals are the values at stack.x of the row's integrals, in order.
+    The residual function returns the signed terms of the identity's two
+    sides; the residual is |sum(lhs) - sum(rhs)| and the scale the sum of
+    the terms' magnitudes, lhs then rhs, each summed left to right.
     """
     info = _info(tag)
     if info.residual is None:
@@ -637,8 +630,7 @@ def _a23_row(model: CoeffModel, x: float) -> Row:
 def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float]) -> Iterable[Row]:
     if info.kind == "coeff":
         return (_a23_row(model, x) for x in xs)
-    columns = [_cumulative(model.family, model.param, name, tuple(xs))
-               for name in info.integrals]
+    columns = [_cumulative(model.family, model.param, name, tuple(xs)) for name in info.integrals]
     return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth),
                                 *at_x))
             for x, *at_x in zip(xs, *columns))
