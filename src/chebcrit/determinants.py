@@ -276,7 +276,7 @@ def _hankel_minors(vals, sizes: list[int], prec: int) -> dict:
     return out
 
 
-def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
+def _validated_hankel_minors(vals, sizes: list[int]) -> dict:
     """Leading Hankel minors of raw mpf entries, validated by recomputation
     at doubled precision.
 
@@ -284,9 +284,7 @@ def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
     doubling certifies the elimination roundoff.  A minor is accepted when
     its values at d and 2d digits agree to _DET_RTOL relatively (an exact
     zero only when both are zero), and each size is frozen at the first
-    precision where it validates.  A minor is returned as the float nearest
-    to it (``float(mpf)`` under mp's rounding; libmp's ``to_float`` rounds
-    down by default).
+    precision where it validates.  The minors are returned as raw mpfs.
     """
     rtol = from_float(_DET_RTOL)
     dps = 40
@@ -300,7 +298,7 @@ def _validated_hankel_minors(vals, sizes: list[int]) -> dict[int, float]:
         for s in open_sizes:
             gap = mpf_abs(mpf_sub(cur[s], prev[s], prec, _RND), prec, _RND)
             if mpf_le(gap, mpf_mul(rtol, mpf_abs(cur[s], prec, _RND), prec, _RND)):
-                out[s] = to_float(cur[s], rnd=_RND)
+                out[s] = cur[s]
         if len(out) == len(sizes):
             return out
         prev = cur
@@ -343,11 +341,17 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     derivs = fn_derivatives(n, 2 * max(sizes) - 2)
     vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
     dets = _validated_hankel_minors(vals, sizes)
+    out = {}
     for j, s in zip(js, sizes):
-        if math.isinf(dets[s]):
-            raise NumericalFailure(f"w_{j} of n = {n} at x={x!r} overflows double precision")
-    return {j: -dets[s] if s * (s - 1) // 2 % 2 else dets[s]
-            for j, s in zip(js, sizes)}
+        # the float nearest to the minor (libmp's to_float rounds down by
+        # default); subnormals pass, but not a nonzero minor that rounds to
+        # 0.0 or beyond the largest double
+        v = to_float(dets[s], rnd=_RND)
+        if math.isinf(v) or (v == 0.0 and dets[s] != fzero):
+            what = "overflows" if v else "underflows"
+            raise NumericalFailure(f"w_{j} of n = {n} at x={x!r} {what} double precision")
+        out[j] = -v if s * (s - 1) // 2 % 2 else v
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -630,6 +630,9 @@ def _a23_row(model: CoeffModel, x: float) -> Row:
 def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float]) -> Iterable[Row]:
     if info.kind == "coeff":
         return (_a23_row(model, x) for x in xs)
+    if info.integrals:  # the whole grid, before any quadrature
+        for x in xs:
+            model.check_domain(x)
     columns = [_cumulative(model.family, model.param, name, tuple(xs)) for name in info.integrals]
     return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth),
                                 *at_x))

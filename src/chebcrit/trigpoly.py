@@ -4,7 +4,9 @@ Elements are finite sums
 
     sum_k  A_k(x) * cos(k x) + B_k(x) * sin(k x),      k = 0, 1, 2, ...
 
-with rational polynomial coefficients A_k, B_k.  The ring is closed under
+with rational polynomial coefficients A_k, B_k, stored as integer
+numerators over one positive denominator per element, in lowest terms, so
+that every ring operation runs on Python ints.  The ring is closed under
 addition, multiplication (product-to-sum reduction) and differentiation,
 which is exactly what is needed to construct the spherical functions f_n
 and all of their derivatives without rounding: the canonical form of an
@@ -34,10 +36,11 @@ The tables are stored on the instance, outside the dataclass fields, so
 ``==`` and ``hash`` are unchanged.  The sums run on the ``mpmath.libmp``
 primitives that mpf's operators and ``mp.cos``/``mp.sin`` call, at the
 same precision and rounding, so every value is bit for bit what the mpf
-operators give.  A coefficient is converted as ``mp.mpf(num) / den`` would
-convert it: the numerator is rounded to the precision before the division,
-and an exact rational conversion would round once and differ in the last
-bit.
+operators give.  A coefficient is converted from its own num/den in
+lowest terms, as ``mp.mpf(num) / den`` would convert it: the numerator is
+rounded to the precision before the division, and an exact rational
+conversion would round once and differ in the last bit.  So the values do
+not depend on the denominator an element shares.
 
 There is no precision context: every route, the compilation of a table
 and the exact-polynomial route included, computes at a precision passed
@@ -71,7 +74,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -129,46 +132,33 @@ _PRETEST_MIN_MAG = 2.0 ** -900
 
 
 # ----------------------------------------------------------------------
-# polynomial coefficient tuples (index = power of x)
+# integer coefficient tuples (index = power of x)
 # ----------------------------------------------------------------------
 
-def _poly(coeffs: Iterable) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _trim(p) -> tuple[int, ...]:
+    n = len(p)
+    while n and not p[n - 1]:
+        n -= 1
+    return tuple(p[:n])
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
+def _lin(p, sp: int, q, sq: int) -> list[int]:
+    """sp * p + sq * q, coefficientwise."""
+    if len(p) < len(q):
+        p, sp, q, sq = q, sq, p, sp
+    out = [sp * c for c in p]
+    for i, c in enumerate(q):
+        out[i] += sq * c
+    return out
 
 
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def poly_scale(a, s: Fraction):
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _pmul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly(out)
-
-
-def poly_diff(a):
-    return _poly([i * a[i] for i in range(1, len(a))])
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -179,49 +169,62 @@ def poly_diff(a):
 class TrigPoly:
     """Canonical element of the ring: harmonics sorted by frequency k.
 
-    ``terms`` holds triples (k, cos_coeffs, sin_coeffs).  Invariants of the
-    canonical form: no triple with both parts empty, no trailing zero
-    polynomial coefficients, k = 0 carries an empty sin part.  Structural
+    ``terms`` holds triples (k, cos_coeffs, sin_coeffs) of integer
+    numerators over the one positive denominator ``den``.  Invariants of
+    the canonical form: no triple with both parts empty, no trailing zero
+    numerators, k = 0 carries an empty sin part, the gcd of ``den`` and
+    every numerator is 1, and the zero element has den = 1.  Structural
     equality of canonical forms is equality of functions.
     """
 
-    terms: tuple[tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]], ...]
+    terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    den: int
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def max_degree(self) -> int:
-        d = 0
-        for _, c, s in self.terms:
-            d = max(d, len(c) - 1, len(s) - 1)
-        return d
+        return max((len(p) - 1 for _, c, s in self.terms for p in (c, s)), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrigPoly({format_trigpoly(self)})"
 
 
-def _make(harmonics: dict) -> TrigPoly:
+def _make(harmonics: Mapping, den: int) -> TrigPoly:
+    """The canonical element sum_k (c_k cos kx + s_k sin kx) / den from
+    integer numerator sequences {k: (c_k, s_k)}, den > 0."""
     terms = []
+    g = den
     for k in sorted(harmonics):
         c, s = harmonics[k]
-        c = _poly(c)
-        s = () if k == 0 else _poly(s)
+        c = _trim(c)
+        s = () if k == 0 else _trim(s)
         if c or s:
             terms.append((k, c, s))
-    return TrigPoly(tuple(terms))
+            if g != 1:
+                g = math.gcd(g, *c, *s)
+    if g != 1:  # with no terms left, g = den and the element is TrigPoly((), 1)
+        terms = [(k, tuple(v // g for v in c), tuple(v // g for v in s)) for k, c, s in terms]
+    return TrigPoly(tuple(terms), den // g)
+
+
+def _from_rationals(harmonics: Mapping) -> TrigPoly:
+    """The canonical element from rational coefficients {k: (cos, sin)}."""
+    fracs = {k: ([Fraction(v) for v in c], [Fraction(v) for v in s])
+             for k, (c, s) in harmonics.items()}
+    den = math.lcm(*(v.denominator for c, s in fracs.values() for v in (*c, *s)))
+    return _make({k: ([v.numerator * (den // v.denominator) for v in c],
+                      [v.numerator * (den // v.denominator) for v in s])
+                  for k, (c, s) in fracs.items()}, den)
 
 
 def tp_zero() -> TrigPoly:
-    return TrigPoly(())
+    return _make({}, 1)
 
 
 def tp_from_poly(coeffs) -> TrigPoly:
     """Plain polynomial in x (the k = 0 harmonic)."""
-    return _make({0: (coeffs, ())})
-
-
-def tp_const(c) -> TrigPoly:
-    return tp_from_poly([c])
+    return tp_term(0, coeffs)
 
 
 def tp_x(power: int = 1) -> TrigPoly:
@@ -229,10 +232,11 @@ def tp_x(power: int = 1) -> TrigPoly:
 
 
 def tp_term(k: int, cos_coeffs=(), sin_coeffs=()) -> TrigPoly:
-    """A(x)*cos(kx) + B(x)*sin(kx) for a single frequency k >= 0."""
+    """A(x)*cos(kx) + B(x)*sin(kx) for a single frequency k >= 0, with
+    rational coefficients."""
     if k < 0:
         raise UsageError("harmonic frequency must be non-negative")
-    return _make({k: (cos_coeffs, sin_coeffs)})
+    return _from_rationals({k: (cos_coeffs, sin_coeffs)})
 
 
 def tp_sin() -> TrigPoly:
@@ -248,18 +252,19 @@ def tp_cos() -> TrigPoly:
 # ----------------------------------------------------------------------
 
 def tp_add(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    acc: dict[int, list] = {k: [c, s] for k, c, s in a.terms}
-    for k, c, s in b.terms:
-        if k in acc:
-            acc[k][0] = poly_add(acc[k][0], c)
-            acc[k][1] = poly_add(acc[k][1], s)
-        else:
-            acc[k] = [c, s]
-    return _make({k: (v[0], v[1]) for k, v in acc.items()})
+    den = math.lcm(a.den, b.den)
+    acc = {}
+    for e in (a, b):
+        scale = den // e.den
+        for k, c, s in e.terms:
+            c0, s0 = acc.get(k, ((), ()))
+            acc[k] = (_lin(c0, 1, c, scale), _lin(s0, 1, s, scale))
+    return _make(acc, den)
 
 
 def tp_neg(a: TrigPoly) -> TrigPoly:
-    return TrigPoly(tuple((k, poly_neg(c), poly_neg(s)) for k, c, s in a.terms))
+    return TrigPoly(tuple((k, tuple(-v for v in c), tuple(-v for v in s))
+                          for k, c, s in a.terms), a.den)
 
 
 def tp_sub(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -267,14 +272,11 @@ def tp_sub(a: TrigPoly, b: TrigPoly) -> TrigPoly:
 
 
 def tp_scale(a: TrigPoly, s) -> TrigPoly:
+    """a times the rational s."""
     s = Fraction(s)
-    if s == 0:
-        return tp_zero()
-    return TrigPoly(tuple((k, poly_scale(c, s), poly_scale(ss, s))
-                          for k, c, ss in a.terms))
-
-
-_HALF = Fraction(1, 2)
+    num = s.numerator
+    return _make({k: ([num * v for v in c], [num * v for v in ss]) for k, c, ss in a.terms},
+                 a.den * s.denominator)
 
 
 def tp_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -284,47 +286,46 @@ def tp_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
         cos j cos k = (cos(j-k) + cos(j+k)) / 2
         sin j sin k = (cos(j-k) - cos(j+k)) / 2
         sin j cos k = (sin(j+k) + sin(j-k)) / 2
-    with cos(-m) = cos m and sin(-m) = -sin m.
+    with cos(-m) = cos m and sin(-m) = -sin m.  The integer products are
+    accumulated unhalved over the denominator 2 * a.den * b.den, which is
+    reduced once.
     """
-    acc: dict[int, list] = {}
+    size = a.max_degree() + b.max_degree() + 1
+    acc: dict[int, tuple[list, list]] = {}
 
-    def add_cos(m: int, p):
-        if not p:
-            return
+    def add(m: int, part: int, p, sign: int):
         if m < 0:
             m = -m
-        slot = acc.setdefault(m, [(), ()])
-        slot[0] = poly_add(slot[0], p)
-
-    def add_sin(m: int, p):
-        if not p:
+            if part:
+                sign = -sign
+        elif m == 0 and part:
             return
-        if m == 0:
-            return
-        if m < 0:
-            m, p = -m, poly_neg(p)
-        slot = acc.setdefault(m, [(), ()])
-        slot[1] = poly_add(slot[1], p)
+        slot = acc.get(m)
+        if slot is None:
+            slot = acc[m] = ([0] * size, [0] * size)
+        dst = slot[part]
+        for i, v in enumerate(p):
+            dst[i] += sign * v
 
     for j, cj, sj in a.terms:
         for k, ck, sk in b.terms:
             if cj and ck:
-                p = poly_scale(poly_mul(cj, ck), _HALF)
-                add_cos(j - k, p)
-                add_cos(j + k, p)
+                p = _pmul(cj, ck)
+                add(j - k, 0, p, 1)
+                add(j + k, 0, p, 1)
             if sj and sk:
-                p = poly_scale(poly_mul(sj, sk), _HALF)
-                add_cos(j - k, p)
-                add_cos(j + k, poly_neg(p))
+                p = _pmul(sj, sk)
+                add(j - k, 0, p, 1)
+                add(j + k, 0, p, -1)
             if cj and sk:
-                p = poly_scale(poly_mul(cj, sk), _HALF)
-                add_sin(j + k, p)
-                add_sin(j - k, poly_neg(p))
+                p = _pmul(cj, sk)
+                add(j + k, 1, p, 1)
+                add(j - k, 1, p, -1)
             if sj and ck:
-                p = poly_scale(poly_mul(sj, ck), _HALF)
-                add_sin(j + k, p)
-                add_sin(j - k, p)
-    return _make({k: (v[0], v[1]) for k, v in acc.items()})
+                p = _pmul(sj, ck)
+                add(j + k, 1, p, 1)
+                add(j - k, 1, p, 1)
+    return _make(acc, 2 * a.den * b.den)
 
 
 def tp_diff(a: TrigPoly, order: int = 1) -> TrigPoly:
@@ -339,10 +340,9 @@ def _diff_once(a: TrigPoly) -> TrigPoly:
     # d/dx [A cos kx + B sin kx] = (A' + kB) cos kx + (B' - kA) sin kx
     acc = {}
     for k, c, s in a.terms:
-        dc = poly_add(poly_diff(c), poly_scale(s, Fraction(k)))
-        ds = poly_add(poly_diff(s), poly_scale(c, Fraction(-k)))
-        acc[k] = (dc, ds)
-    return _make(acc)
+        acc[k] = (_lin([i * v for i, v in enumerate(c)][1:], 1, s, k),
+                  _lin([i * v for i, v in enumerate(s)][1:], 1, c, -k))
+    return _make(acc, a.den)
 
 
 def derivatives(a: TrigPoly, m: int) -> tuple[TrigPoly, ...]:
@@ -396,30 +396,27 @@ def fn_derivatives(n: int, m: int) -> tuple[TrigPoly, ...]:
 
 @lru_cache(maxsize=512)
 def maclaurin(a: TrigPoly, count: int) -> tuple[Fraction, ...]:
-    """The first ``count`` Taylor coefficients of ``a`` at x = 0, exactly."""
-    out = [Fraction(0)] * count
+    """The first ``count`` Taylor coefficients of ``a`` at x = 0, exactly.
+
+    They are summed as integers over the common denominator
+    den * (count - 1)!, with cos(kx) and sin(kx) contributing
+    +-k^m (count - 1)! / m! to the coefficient of x^m.
+    """
+    top = math.factorial(max(count - 1, 0))
+    out = [0] * count
     for k, cpart, spart in a.terms:
-        if k == 0:
-            for i, ci in enumerate(cpart[:count]):
-                out[i] += ci
-            continue
-        tm = Fraction(1)  # k^m / m!
-        for m in range(count):
+        tm = top  # k^m (count - 1)! / m!, exact at every m < count
+        for m in range(count if k else 1):  # cos 0x = 1
             if m > 0:
-                tm = tm * k / m
-            if m % 2 == 0:
-                sgn = -1 if (m // 2) % 2 else 1
-                part = cpart
-            else:
-                sgn = -1 if ((m - 1) // 2) % 2 else 1
-                part = spart
+                tm = tm * k // m
+            part = spart if m % 2 else cpart
             if not part:
                 continue
-            t = sgn * tm
-            for i, ci in enumerate(part):
-                if ci and i + m < count:
-                    out[i + m] += ci * t
-    return tuple(out)
+            t = -tm if (m // 2) % 2 else tm
+            for i, ci in enumerate(part[:count - m]):
+                out[i + m] += ci * t
+    den = a.den * top
+    return tuple(Fraction(v, den) for v in out)
 
 
 def vanishing_order(a: TrigPoly) -> int:
@@ -445,10 +442,12 @@ def vanishing_order(a: TrigPoly) -> int:
 # numeric evaluation
 # ----------------------------------------------------------------------
 
-def _raw_coeff(c: Fraction, prec: int):
-    """c as a raw mpf at ``prec`` bits, as ``mp.mpf(num) / den`` gives it
-    (not an exact rational conversion; the module docstring says why)."""
-    return mpf_div(from_int(c.numerator, prec, _RND), from_int(c.denominator), prec, _RND)
+def _raw_coeff(num: int, den: int, prec: int):
+    """num/den as a raw mpf at ``prec`` bits, as ``mp.mpf(num) / den`` gives
+    it in lowest terms (not an exact rational conversion; the module
+    docstring says why)."""
+    g = math.gcd(num, den)
+    return mpf_div(from_int(num // g, prec, _RND), from_int(den // g), prec, _RND)
 
 
 def _harmonic_table(a: TrigPoly, dps: int):
@@ -470,13 +469,14 @@ def _harmonic_table(a: TrigPoly, dps: int):
       up.
 
     The tables live on the instance, so a lookup never hashes the
-    element's Fractions.
+    element's numerators.
     """
     tables = a.__dict__.setdefault("_harmonic_tables", {})
     table = tables.get(dps)
     if table is None:
         prec = dps_to_prec(dps)
-        raw = [(k, [_raw_coeff(c, prec) for c in cpart], [_raw_coeff(c, prec) for c in spart])
+        raw = [(k, [_raw_coeff(c, a.den, prec) for c in cpart],
+                [_raw_coeff(c, a.den, prec) for c in spart])
                for k, cpart, spart in a.terms]
         ten_pow = mpf_pow_int(from_int(10), -dps, prec, _RND)  # mp.mpf(10) ** -dps
         parts = [part for _, cpart, spart in raw for part in (cpart, spart) if part]
@@ -615,12 +615,11 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
     if all(k == 0 for k, _, _ in a.terms):
         fx = Fraction(x)
         val = Fraction(0)
-        for _, cpart, _ in a.terms:
-            p = Fraction(0)
+        for _, cpart, _ in a.terms:  # at most one, the k = 0 harmonic
             for c in reversed(cpart):
-                p = p * fx + c
-            val += p
-        return mp.make_mpf(_raw_coeff(val, dps_to_prec(40)))
+                val = val * fx + c
+        return mp.make_mpf(_raw_coeff(val.numerator, val.denominator * a.den,
+                                      dps_to_prec(40)))
     rtol = from_float(rtol)
     dps = _EVAL_START_DPS
     while dps <= _EVAL_MAX_DPS:
@@ -651,7 +650,8 @@ def _maclaurin_table(a: TrigPoly):
     if table is None:
         m0 = vanishing_order(a)
         coeffs = maclaurin(a, m0 + _MACLAURIN_EXTRA_TERMS)[m0:]
-        raw = [_raw_coeff(c, _MACLAURIN_PREC) if c else None for c in coeffs]
+        raw = [_raw_coeff(c.numerator, c.denominator, _MACLAURIN_PREC) if c else None
+               for c in coeffs]
         while raw[-1] is None:  # raw[0] is the nonzero leading coefficient
             raw.pop()
         later = [0] * (len(raw) - 1)
@@ -692,7 +692,7 @@ def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
         if any(below):
             raise UsageError(f"a/x^{denom_power} is singular at 0 "
                              f"(vanishing order {vanishing_order(a)})")
-        return mp.make_mpf(_raw_coeff(c, _MACLAURIN_PREC))
+        return mp.make_mpf(_raw_coeff(c.numerator, c.denominator, _MACLAURIN_PREC))
     m0, coeffs, later = _maclaurin_table(a)
     prec = _MACLAURIN_PREC
     xr = from_float(x)
@@ -780,35 +780,32 @@ def _to_float(v, x: float) -> float:
 # serialization / formatting
 # ----------------------------------------------------------------------
 
-def _rat_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
+def _rat_str(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction) but with the "/1"."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def to_json_dict(a: TrigPoly) -> dict:
     """JSON form: {harmonic k: {"cos": [rational strings], "sin": [...]}}."""
     return {
-        str(k): {"cos": [_rat_str(c) for c in cpart],
-                 "sin": [_rat_str(c) for c in spart]}
+        str(k): {"cos": [_rat_str(c, a.den) for c in cpart],
+                 "sin": [_rat_str(c, a.den) for c in spart]}
         for k, cpart, spart in a.terms
     }
 
 
 def from_json_dict(d: Mapping) -> TrigPoly:
-    acc = {}
-    for key, parts in d.items():
-        k = int(key)
-        acc[k] = ([Fraction(s) for s in parts.get("cos", ())],
-                  [Fraction(s) for s in parts.get("sin", ())])
-    return _make(acc)
+    return _from_rationals({int(k): (parts.get("cos", ()), parts.get("sin", ()))
+                            for k, parts in d.items()})
 
 
-def _poly_str(p, var="x") -> str:
-    if not p:
-        return "0"
+def _poly_str(p, den: int, var="x") -> str:
     bits = []
     for i, c in enumerate(p):
         if c == 0:
             continue
+        c = Fraction(c, den)
         if i == 0:
             bits.append(str(c))
             continue
@@ -830,11 +827,11 @@ def format_trigpoly(a: TrigPoly) -> str:
     for k, cpart, spart in a.terms:
         if k == 0:
             if cpart:
-                bits.append(f"({_poly_str(cpart)})")
+                bits.append(f"({_poly_str(cpart, a.den)})")
             continue
         arg = "x" if k == 1 else f"{k}*x"
         if cpart:
-            bits.append(f"({_poly_str(cpart)})*cos({arg})")
+            bits.append(f"({_poly_str(cpart, a.den)})*cos({arg})")
         if spart:
-            bits.append(f"({_poly_str(spart)})*sin({arg})")
+            bits.append(f"({_poly_str(spart, a.den)})*sin({arg})")
     return " + ".join(bits)

@@ -171,6 +171,14 @@ def test_critlen_table(capsys):
     assert "n=0" in out and "first_zero" in out
 
 
+def test_critlen_refuses_minors_below_the_double_range(capsys):
+    # at n = 10 the minors j = 11..16 underflow at the first grid point; they
+    # used to scan as exact zeros and give estimate 0.001
+    code, out, err = run_cli(capsys, "critlen", "--n", "10")
+    assert code == 3
+    assert out == "" and "underflows double precision" in err
+
+
 def test_critlen_needs_n(capsys):
     code, _, err = run_cli(capsys, "critlen")
     assert code == 2

@@ -32,9 +32,9 @@ def _results() -> list:
     for n in _NS:
         derivs = fn_derivatives(n, 2 * n)
         for x in _XS:
-            out += [tp_eval_mp(TrigPoly(d.terms), x)._mpf_ for d in derivs]
-            out += [tp_eval(TrigPoly(d.terms), x).hex() for d in derivs]
-            out.append(tp_eval_over_power(TrigPoly(derivs[0].terms), 2 * n + 1, x).hex())
+            out += [tp_eval_mp(TrigPoly(d.terms, d.den), x)._mpf_ for d in derivs]
+            out += [tp_eval(TrigPoly(d.terms, d.den), x).hex() for d in derivs]
+            out.append(tp_eval_over_power(TrigPoly(derivs[0].terms, derivs[0].den), 2 * n + 1, x).hex())
             out += [(j, v.hex()) for j, v in minor_values(n, x).items()]
     for nu in _NUS:
         for x in _BESSEL_XS:

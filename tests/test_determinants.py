@@ -465,6 +465,18 @@ def test_minor_beyond_the_double_range_is_a_numerical_failure():
     assert math.isfinite(wronskian_minor(16, 20, 30.0))
 
 
+def test_minor_below_the_double_range_is_a_numerical_failure():
+    # w_11..w_16 of f_10 at 1e-3 are certified and positive but round to 0.0;
+    # subnormal minors (w_10 and w_11 of n = 9, near 3e-313 and 1.7e-317) pass
+    with pytest.raises(NumericalFailure, match="w_11 of n = 10 at x=0.001 underflows"):
+        minor_values(10, 1e-3)
+    with pytest.raises(NumericalFailure, match="underflows double precision"):
+        wronskian_minor(10, 16, 1e-3)
+    assert 0 < wronskian_minor(10, 17, 1e-3)
+    got = minor_values(9, 1e-3)
+    assert 0 < got[10] < 2.2e-308 and 0 < got[11] < 1e-316
+
+
 def test_symbolic_minor_n1_j2_closed_form():
     # v(f_1) = cos(2x)/2 + x^2 - 1/2
     got = symbolic_minor(1, 2)

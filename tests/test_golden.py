@@ -19,6 +19,7 @@ AT = ("--at", "1e-4", "1e-3", "0.0099", "0.01", "0.5", "7.5", "29.9", "-0.005")
 CASES = {
     "fn_8_at.json": ("fn", "--n", "8", *AT),
     "fn_16_at.json": ("fn", "--n", "16", *AT),
+    "fn_16_show.json": ("fn", "--n", "16", "--show"),
     "scan_minor_3_5.json": ("scan", "--what", "minor", "--n", "3", "--j", "5",
                             "--range", "0.5:12", "--points", "200", "--format", "json"),
     "scan_minor_6_7_near0.json": ("scan", "--what", "minor", "--n", "6", "--j", "7",

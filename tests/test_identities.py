@@ -173,6 +173,19 @@ def test_stack_depth_gate():
         residual("thm-main2", model, s)
 
 
+@pytest.mark.parametrize("tag", ["integral-v", "integral-vfn", "integral-V", "eq-Vpositive"])
+def test_integral_grid_outside_the_domain_is_refused_before_quadrature(monkeypatch, tag):
+    from chebcrit import identities
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature ran on a grid outside the domain")
+
+    identities._cumulative.cache_clear()
+    monkeypatch.setattr(identities, "cumulative_integrals", forbidden)
+    with pytest.raises(UsageError, match="x=0.0 outside the domain"):
+        run_identity(tag, spherical_model(4), lo=0.0, hi=30.0, points=500, spacing="linear")
+
+
 @pytest.mark.parametrize("spec", ["bessel:2.7", "bessel:0", "spherical:2"])
 def test_every_check_reads_one_stack_per_x(monkeypatch, spec):
     # the depths every applicable check reads (2 for the integrals and the

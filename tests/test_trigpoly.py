@@ -155,6 +155,20 @@ def test_canonical_uniqueness_random():
             assert tp_sub(a, b).is_zero() == (a == b)
 
 
+def test_canonical_denominator_is_reduced_and_positive():
+    # integer numerators over one denominator: gcd 1, den > 0, zero has den 1
+    rng = random.Random(15)
+    elements = [random_element(rng) for _ in range(30)]
+    elements += [tp_scale(e, Fraction(-6, 4)) for e in elements] + [tp_zero()]
+    for a in elements:
+        nums = [v for _, c, s in a.terms for v in (*c, *s)]
+        assert a.den > 0 and math.gcd(a.den, *nums) == 1
+        assert a.terms or a.den == 1
+        assert tp_scale(tp_scale(a, Fraction(3, 7)), Fraction(7, 3)) == a
+        assert from_json_dict(to_json_dict(a)) == a
+    assert tp_sub(tp_mul(tp_sin(), tp_sin()), tp_mul(tp_sin(), tp_sin())) == TrigPoly((), 1)
+
+
 # ---------------------------------------------------------------- spherical functions
 
 def test_f0_is_sin():
@@ -293,8 +307,8 @@ def _contract_cases():
 
 def test_eval_is_the_rounding_of_eval_mp():
     for a, x in _contract_cases():
-        want = float(tp_eval_mp(TrigPoly(a.terms), x))
-        assert tp_eval(TrigPoly(a.terms), x).hex() == want.hex(), (format_trigpoly(a), x)
+        want = float(tp_eval_mp(TrigPoly(a.terms, a.den), x))
+        assert tp_eval(TrigPoly(a.terms, a.den), x).hex() == want.hex(), (format_trigpoly(a), x)
 
 
 def test_eval_at_zero_is_the_exact_constant_term():
@@ -307,7 +321,7 @@ def test_eval_at_zero_is_the_exact_constant_term():
     elements += [symbolic_v(n) for n in range(5)] + [symbolic_w(n) for n in range(5)]
     assert len(elements) == 382
     for a in elements:
-        want = float(sum((c[0] for _, c, _ in a.terms if c), Fraction(0)))
+        want = float(Fraction(sum(c[0] for _, c, _ in a.terms if c), a.den))
         for x in (0.0, -0.0):
             assert tp_eval(a, x).hex() == want.hex(), (format_trigpoly(a), x)
 
@@ -315,7 +329,8 @@ def test_eval_at_zero_is_the_exact_constant_term():
 def test_eval_at_zero_reads_one_maclaurin_coefficient():
     # x = 0 returns the coefficient of x^p without building the element's
     # Maclaurin table; below the vanishing order the quotient is singular
-    f = TrigPoly(spherical_fn(4).terms)  # a fresh element: no table cached
+    f = spherical_fn(4)
+    f = TrigPoly(f.terms, f.den)  # a fresh element: no table cached
     for p in range(10):
         assert tp_eval_over_power(f, p, 0.0) == float(maclaurin(f, p + 1)[p])
     assert "_maclaurin_table" not in f.__dict__
@@ -345,10 +360,11 @@ _WIDE = [Fraction(3**380 + i, d) for i, d in zip(range(1, 9), (7, 11, 13, 17) * 
 PLANTED = tp_add(tp_term(2, _WIDE[:4], _WIDE[4:]), tp_from_poly([0, Fraction(1, 3), _WIDE[1]]))
 
 
-def _ref_horner(coeffs, xm, ax):
+def _ref_horner(coeffs, den, xm, ax):
     acc = mp.mpf(0)
     mag = mp.mpf(0)
     for c in reversed(coeffs):
+        c = Fraction(c, den)
         cm = mp.mpf(c.numerator) / c.denominator
         acc = acc * xm + cm
         mag = mag * ax + abs(cm)
@@ -364,7 +380,7 @@ def _ref_harmonic(a, x):
     for k, cpart, spart in a.terms:
         for part, trig in ((cpart, mp.cos), (spart, mp.sin)):
             if part:
-                v, m_ = _ref_horner(part, xm, ax)
+                v, m_ = _ref_horner(part, a.den, xm, ax)
                 total += v if k == 0 else v * trig(k * xm)
                 mag += m_
     ops = a.max_degree() + 8 * len(a.terms) + 16
@@ -425,7 +441,7 @@ def test_planted_coefficients_are_double_rounding_traps():
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
 def test_compiled_harmonic_route_is_bit_identical(name, a):
-    a = TrigPoly(a.terms)  # a fresh instance: no table built elsewhere
+    a = TrigPoly(a.terms, a.den)  # a fresh instance: no table built elsewhere
     for dps in (40, 80, 160):
         for x in (0.013, 0.7, 3.7, 11.0, 29.5):
             got = _harmonic_raw(a, x, dps)  # raw, in no precision context
@@ -436,7 +452,7 @@ def test_compiled_harmonic_route_is_bit_identical(name, a):
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
 def test_compiled_maclaurin_route_is_bit_identical(name, a):
-    a = TrigPoly(a.terms)
+    a = TrigPoly(a.terms, a.den)
     for outer_dps in (40, 80, 160):  # the route works at 50 digits whatever the caller's
         for x in (0.0, 1e-3, 0.0042, 0.0099):
             for power in (0, vanishing_order(a)) if x == 0.0 else (0, 1):
@@ -448,7 +464,7 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
 
 def test_compiled_public_entry_points_match_reference():
     for _, a in _compiled_cases():
-        fresh = TrigPoly(a.terms)
+        fresh = TrigPoly(a.terms, a.den)
         for x in (0.004, 0.5, 7.25):
             if x < MACLAURIN_RADIUS:
                 want = _ref_maclaurin(a, x, 0)
@@ -462,15 +478,15 @@ def test_compiled_public_entry_points_match_reference():
 
 def test_compiled_table_is_per_precision():
     x = 3.7
-    a = TrigPoly(PLANTED.terms)
+    a = TrigPoly(PLANTED.terms, PLANTED.den)
     _harmonic_raw(a, x, 40)
     got = _harmonic_raw(a, x, 80)
-    assert got == _harmonic_raw(TrigPoly(PLANTED.terms), x, 80)
+    assert got == _harmonic_raw(TrigPoly(PLANTED.terms, PLANTED.den), x, 80)
 
 
 def test_compiled_tables_leave_equality_and_hash_alone():
-    a = TrigPoly(PLANTED.terms)
-    b = TrigPoly(PLANTED.terms)
+    a = TrigPoly(PLANTED.terms, PLANTED.den)
+    b = TrigPoly(PLANTED.terms, PLANTED.den)
     tp_eval(a, 0.005)
     tp_eval(a, 2.0)
     assert a == b and hash(a) == hash(b)
@@ -516,7 +532,7 @@ def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n):
         got = [tp_eval_mp(d, x, 1e-30)._mpf_ for d in derivs]
         got_float = [tp_eval(d, x) for d in derivs]
         for d, g, gf in zip(derivs, got, got_float):
-            fresh = TrigPoly(d.terms)
+            fresh = TrigPoly(d.terms, d.den)
             assert g == _ref_eval_mp(fresh, x, 1e-30)[0]._mpf_, (n, x)
             assert gf == float(_ref_eval_mp(fresh, x, 1e-17)[0]), (n, x)
             _forget_point()
@@ -529,7 +545,7 @@ def test_point_memo_is_keyed_by_abscissa_and_precision():
     for x, dps in ((x1, 40), (x2, 40), (x1, 80), (x1, 40), (x2, 160), (x2, 80)):
         got = _harmonic_raw(a, x, dps)
         with mp.workdps(dps):
-            want = _ref_harmonic(TrigPoly(a.terms), x)
+            want = _ref_harmonic(TrigPoly(a.terms, a.den), x)
         assert got == (want[0]._mpf_, want[1]._mpf_), (x, dps)
 
 
@@ -546,7 +562,7 @@ def test_escalating_elements_beside_entries_certified_at_40_digits():
         order = list(derivs[:2]) + [escalating] + list(derivs[2:])
         got = [tp_eval_mp(a, x, 1e-30)._mpf_ for a in order]
         for a, g in zip(order, got):
-            fresh = TrigPoly(a.terms)
+            fresh = TrigPoly(a.terms, a.den)
             want, dps = _ref_eval_mp(fresh, x, 1e-30)
             assert g == want._mpf_, x
             assert dps == (80 if a is escalating else 40), x
@@ -563,8 +579,8 @@ def test_eval_bits_do_not_depend_on_the_callers_precision(outer_dps):
 
     def evaluate():
         # fresh instances, so the tables are compiled under the caller's context
-        return [(tp_eval_mp(TrigPoly(a.terms), x, 1e-30)._mpf_, tp_eval(TrigPoly(a.terms), x))
-                for a, x in cases]
+        return [(tp_eval_mp(TrigPoly(a.terms, a.den), x, 1e-30)._mpf_,
+                 tp_eval(TrigPoly(a.terms, a.den), x)) for a, x in cases]
 
     want = evaluate()
     with mp.workdps(outer_dps):
@@ -605,7 +621,7 @@ def _ref_value_and_dps(a, x, rtol):
 
 
 def _value_and_dps(a, x, rtol):
-    fresh = TrigPoly(a.terms)
+    fresh = TrigPoly(a.terms, a.den)
     got = tp_eval_mp(fresh, x, rtol)._mpf_
     return got, max(_compiled_dps(fresh), default=None)
 
@@ -628,7 +644,8 @@ def test_maclaurin_early_stop_is_bit_identical_and_stops_early(monkeypatch):
 
     monkeypatch.setattr(trigpoly, "mpf_mul", counting)
     for n in (2, 4, 8, 12):
-        a = TrigPoly(spherical_fn(n).terms)
+        a = spherical_fn(n)
+        a = TrigPoly(a.terms, a.den)
         for x in (3e-4, 1e-3, -0.0042, 0.0099):
             for power in (0, 1, 2 * n + 1):
                 del products[:]
@@ -647,7 +664,7 @@ def test_maclaurin_suffix_bounds_every_later_term():
 
     for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_v(6), PLANTED,
               tp_from_poly([1, 0, 0, 1])):
-        m0, coeffs, later = _maclaurin_table(TrigPoly(a.terms))
+        m0, coeffs, later = _maclaurin_table(TrigPoly(a.terms, a.den))
         full = maclaurin(a, m0 + 64)[m0:]
         assert len(coeffs) == max(i for i, c in enumerate(full) if c) + 1
         assert len(later) == len(coeffs) - 1
@@ -665,10 +682,10 @@ def test_maclaurin_terms_ending_inside_the_table_still_run_the_decay_test():
     long = tp_from_poly([1] + [0] * 39 + [1])  # 1 + x^40: x^40 passes it
     for x in (1e-3, -0.0042, 0.0099):
         assert _ref_maclaurin(short, x, 0) is None
-        assert _eval_maclaurin_mp(TrigPoly(short.terms), x) is None
+        assert _eval_maclaurin_mp(TrigPoly(short.terms, short.den), x) is None
         want = _ref_maclaurin(long, x, 0)
         assert want is not None
-        assert _eval_maclaurin_mp(TrigPoly(long.terms), x)._mpf_ == want._mpf_
+        assert _eval_maclaurin_mp(TrigPoly(long.terms, long.den), x)._mpf_ == want._mpf_
     # the public entry point then falls back to the exact rational route
     assert tp_eval(short, 1e-3) == 1.000000001
 
@@ -697,13 +714,13 @@ def test_float_bound_stands_down_outside_its_range():
     prec = dps_to_prec(40)
     # coefficients beyond 2^1000: the pre-test is never built, the exact bound decides
     huge = tp_scale(spherical_fn(3), Fraction(10) ** 400)
-    assert _harmonic_table(TrigPoly(huge.terms), 40)[4] is None
+    assert _harmonic_table(TrigPoly(huge.terms, huge.den), 40)[4] is None
     for x in (0.7, 3.7, 11.0):
         assert _value_and_dps(huge, x, 1e-30) == _ref_value_and_dps(huge, x, 1e-30)
     # |x| = 1e-300 on the harmonic route: x^4 cos x has a float magnitude
     # sum that underflows, so the pre-test stands down
     tiny = tp_term(1, (0, 0, 0, 0, 1))
-    fresh = TrigPoly(tiny.terms)
+    fresh = TrigPoly(tiny.terms, tiny.den)
     assert _float_bound(_harmonic_table(fresh, 40), 1e-300, prec) is None
     got = _eval_adaptive_mp(fresh, 1e-300, 1e-30)
     want, dps = _ref_eval_mp(tiny, 1e-300, 1e-30)
@@ -748,8 +765,8 @@ def test_eval_leaves_mp_context_untouched():
     before = mpmath.mp.dps, mpmath.mp.prec
     tp_eval(spherical_fn(8), 1e-3)   # forces the exact-series path
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
-    tp_eval_over_power(TrigPoly(PLANTED.terms), 1, 0.004)  # builds a Maclaurin table
-    tp_eval_mp(TrigPoly(PLANTED.terms), 3.7, 1e-30)        # builds harmonic tables
+    tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a Maclaurin table
+    tp_eval_mp(TrigPoly(PLANTED.terms, PLANTED.den), 3.7, 1e-30)        # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
     bessel_stack_values(3.4, 40.0, 5)  # one series pass per precision for six orders
     minor_values(4, 3.0)             # two elimination passes (40 and 80 digits)
