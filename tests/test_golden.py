@@ -27,6 +27,7 @@ CASES = {
                                   "--format", "json"),
     "scan_w_8_near0.json": ("scan", "--what", "w", "--n", "8", "--range", "0.001:0.05",
                             "--points", "60", "--format", "json"),
+    "zeros_0.json": ("zeros", "--nu", "0", "--count", "3"),
     "zeros_2.5.json": ("zeros", "--nu", "2.5", "--count", "3"),
     "zeros_3.4_deriv.json": ("zeros", "--nu", "3.4", "--count", "3", "--deriv"),
     "verify_spherical_0.json": ("verify", "--identity", "all", "--model", "spherical:0"),
