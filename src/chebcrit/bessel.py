@@ -1,29 +1,36 @@
 """Real-order Bessel functions J_nu by power series, with bracketed zeros.
 
-The series
+    J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k s_k,  s_k = (-x^2/4)^k / (k! (nu+1)_k)
 
-    J_nu(x) = sum_k (-1)^k / (Gamma(k+1) Gamma(k+nu+1)) * (x/2)^(2k+nu)
+is summed term by term; order r of termwise differentiation weighs s_k by
+the falling factorial (2k+nu)(2k+nu-1)...(2k+nu-r+1) and divides by x^r.
+Partial sums cancel violently for large x (terms grow to ~e^x before the
+alternation wins), so each sum is redone at doubled precision until a
+rigorous bound on its roundoff is at most tol/2 of it: the returned double
+is then reliable for the whole desk-scale range x <= 50 at any requested
+tolerance down to ~1e-15.
 
-is evaluated term by term with a recurrence for the term ratio; termwise
-differentiation gives the derivatives.  Partial sums of this series cancel
-violently for large x (terms grow to ~e^x before the alternation wins), so
-the summation runs at adaptive working precision against a running bound
-on the accumulated roundoff: the returned double is then reliable for the
-whole desk-scale range x <= 50 at any requested tolerance down to ~1e-15.
+The terms are fixed-point Python ints.  nu = N/2^E and x are exact
+dyadics, so the step s_(k+1) = -s_k y 2^E / D_k, y = x^2/4, has the exact
+integer divisor D_k = (k+1)((k+1) 2^E + N), and 2^(E r) times the falling
+factorial is an integer.  Each term keeps at least F bits (F the working
+precision; the scale grows by exact shifts as the terms shrink), and the
+nearest rounding of that one division is the only rounding.  A running
+integer e_k bounds the error of the k-th term, e_(k+1) = ceil(e_k y 2^E /
+D_k) + 1, so each order's error sum bounds the error of its total; the
+prefactor, with Gamma(nu+1) computed once per (nu, precision), adds a few
+roundings at F bits.  A stack's orders share the terms and are summed in
+one pass, and only the orders whose bound fails are summed again.
+
+The bound covers the partial sum that the stopping rule selects.  The
+truncation rests on a hypothesis: an order stops at the first term below
+tol times its partial sum and below the term before it, and the omitted
+tail is smaller than that term when the later terms alternate in sign and
+shrink.  They do once the falling factorials are positive, since the term
+ratio then decreases in k, so a ratio below 1 stays below 1.
 
 Series only, no asymptotic expansions: at desk scale the adaptive series
 meets tolerance everywhere and keeps one code path for all real nu >= 0.
-
-One function, ``_series_values``, serves every entry point.  It runs on
-the ``mpmath.libmp`` primitives that mpf's operators and mpmath's gamma
-call, at a precision passed as an argument (never mpmath's global
-context), with the same rounding and in the same order, so every value is
-bit for bit what the mpf operators give; Gamma(nu+1) is computed once per
-(nu, precision).  The term sequence does not depend on the derivative
-order, so a stack's orders are summed in one pass: each order keeps its
-own total, magnitude, previous |term| and stopping test, and only the
-orders whose roundoff bound fails at d digits are summed again at 2d
-digits.
 """
 
 from __future__ import annotations
@@ -36,21 +43,14 @@ from mpmath.libmp import (
     dps_to_prec,
     fone,
     from_float,
-    from_int,
-    fzero,
-    mpf_abs,
+    from_man_exp,
     mpf_add,
     mpf_div,
     mpf_gamma,
-    mpf_le,
-    mpf_lt,
     mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
     mpf_pow,
     mpf_pow_int,
     mpf_shift,
-    mpf_sub,
     round_nearest,
     to_float,
 )
@@ -92,65 +92,62 @@ def _gamma_plus_one(nu: float, prec: int):
     return mpf_gamma(mpf_add(from_float(nu), fone, prec, _RND), prec, _RND)
 
 
-def _series_raw(nu: float, x: float, orders: Sequence[int], tol: float,
-                prec: int) -> list:
-    """One pass of the series and its order-times differentiated forms.
+def _series_pass(nu: float, x: float, orders: Sequence[int], tol: float,
+                 prec: int) -> list:
+    """One fixed-point pass of the series and its order-times differentiated forms.
 
-    Runs at ``prec`` bits and returns, per order in ``orders``, the raw
-    mpf triple (sum, magnitude, n_terms), where magnitude bounds
-    sum_k |T_k|.  Each order keeps its own total, magnitude, previous
-    |term| and stopping test: it truncates when its current term is below
-    tol * |partial sum| and its terms are decreasing.  Raises
-    NumericalFailure at the term cap, naming the lowest order still open.
-    The comments give the mpf expression each primitive call reproduces.
+    Returns per order r in ``orders`` the ints (total, err, n_terms, scale):
+    |total - 2^scale * the exact sum of the first n_terms terms| <= err,
+    the terms taken before the prefactor (x/2)^nu / Gamma(nu+1) / x^r.  An
+    order stops when its current term is below tol * |partial sum| and
+    below its previous term, both tested exactly.  Raises NumericalFailure
+    at the term cap, naming the lowest order still open.
     """
-    # the order stays an mpf: double-precision term factors would freeze a
-    # ~1e-16 error into every term
-    xm, num = from_float(x), from_float(nu)
-    half = mpf_shift(xm, -1)  # xm / 2, exact
-    # half ** num / Gamma(nu + 1), the k = 0 term before differentiation
-    base = mpf_div(mpf_pow(half, num, prec, _RND), _gamma_plus_one(nu, prec), prec, _RND)
-    ratio_num = mpf_mul(half, half, prec, _RND)
-    tol_r = from_float(tol)
+    n, e = nu.as_integer_ratio()
+    e = e.bit_length() - 1  # nu = n / 2^e
+    mx, dx = x.as_integer_ratio()
+    y_num, y_den = mx * mx << e, dx * dx << 2  # y 2^e, y = x^2 / 4
+    tol_num, tol_den = float(tol).as_integer_ratio()
+    state = {r: [0, 0, None] for r in orders}  # [total, err, previous |term|]
     top = max(orders)
-    powers = {r: mpf_pow_int(xm, r, prec, _RND) for r in orders if r}  # xm ** r
-    state = {r: [fzero, fzero, None] for r in orders}  # [total, mag, prev_abs]
     done = {}
+    s, err, scale = 1 << prec, 0, prec  # S_k = s_k 2^scale + error, |error| <= err
     k = 0
     while k <= SERIES_TERM_CAP:
-        if top:
-            a = mpf_add(num, from_int(2 * k), prec, _RND)  # 2 * k + num, the power of x
-        fall = fone
+        fall = 1
         for r in range(top + 1):
-            if r:  # fall *= a - (r - 1): now a (a-1) ... (a-r+1)
-                fall = mpf_mul(fall, mpf_sub(a, from_int(r - 1), prec, _RND), prec, _RND)
+            if r:  # fall = P_r(k) = P_(r-1)(k) * ((2k - r + 1) 2^E + N)
+                fall *= ((2 * k - r + 1) << e) + n
             st = state.get(r)
             if st is None:
                 continue
-            if r:  # base * fall / xm ** r
-                term = mpf_div(mpf_mul(base, fall, prec, _RND), powers[r], prec, _RND)
-            else:
-                term = base
-            total = st[0] = mpf_add(st[0], term, prec, _RND)
-            t_abs = mpf_abs(term, prec, _RND)
-            st[1] = mpf_add(st[1], t_abs, prec, _RND)
+            term = s * fall
+            total = st[0] = st[0] + term
+            st[1] += err * abs(fall)
+            t_abs = abs(term)
             prev_abs = st[2]
-            # t_abs < prev_abs and t_abs < tol * abs(total)
-            if (prev_abs is not None and mpf_lt(t_abs, prev_abs)
-                    and mpf_lt(t_abs, mpf_mul(mpf_abs(total, prec, _RND), tol_r,
-                                               prec, _RND))):
-                done[r] = (total, st[1], k + 1)
+            # t_abs < prev_abs and t_abs < tol * |total|
+            if (prev_abs is not None and t_abs < prev_abs
+                    and t_abs * tol_den < tol_num * abs(total)):
+                done[r] = (total, st[1], k + 1, scale + e * r)
                 del state[r]
                 if not state:
                     return [done[r] for r in orders]
                 top = max(state)
             else:
                 st[2] = t_abs
-        # base = -base * ratio_num / ((k + 1) * (k + num + 1))
-        den = mpf_add(mpf_add(num, from_int(k), prec, _RND), fone, prec, _RND)
-        den = mpf_mul_int(den, k + 1, prec, _RND)
-        base = mpf_div(mpf_mul(mpf_neg(base, prec, _RND), ratio_num, prec, _RND),
-                       den, prec, _RND)
+        d = (k + 1) * (((k + 1) << e) + n) * y_den  # D_k y_den
+        step = -s * y_num
+        # rescale by 2^b, exactly, so that the next S keeps prec bits
+        b = prec + d.bit_length() - step.bit_length()
+        if b > 0:
+            scale += b
+            step <<= b
+            err <<= b
+            for st in state.values():
+                st[:] = [v << b for v in st]
+        err = -(-err * y_num // d) + 1
+        s = (2 * step + d) // (2 * d)  # nearest
         k += 1
     raise NumericalFailure(
         f"Bessel series did not converge within {SERIES_TERM_CAP} terms "
@@ -161,8 +158,9 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
                    tol: float) -> tuple[float, ...]:
     """Adaptive-precision series values, relative error <~ a few * tol each.
 
-    All orders are summed in one pass per precision; only the orders whose
-    roundoff bound fails at d digits are summed again at 2d digits.
+    All orders are summed in one pass per precision; an order is accepted
+    once its error sum is at most |total| * tol / 2, and only the orders
+    that fail at d digits are summed again at 2d digits.
     """
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -170,19 +168,23 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
         if any(orders):
             raise UsageError("series derivatives need x > 0")
         return tuple(1.0 if nu == 0 else 0.0 for _ in orders)
+    tol_num, tol_den = float(tol).as_integer_ratio()
+    xm = from_float(x)
     values = {}
     pending = list(orders)
-    half_tol = mpf_shift(from_float(tol), -1)  # tol * 0.5, exactly
     dps = 30
     while dps <= 2000:
         prec = dps_to_prec(dps)
-        sums = _series_raw(nu, x, pending, tol, prec)
-        ulp = mpf_pow_int(from_int(10), -dps, prec, _RND)  # mp.mpf(10) ** -dps
-        for r, (total, mag, n_terms) in zip(pending, sums):
-            # mag * ulp * (n_terms + 8) <= abs(total) * tol * 0.5
-            bound = mpf_mul_int(mpf_mul(mag, ulp, prec, _RND), n_terms + 8, prec, _RND)
-            if bound == fzero or mpf_le(bound, mpf_mul(mpf_abs(total), half_tol, prec, _RND)):
-                values[r] = to_float(total, rnd=_RND)
+        sums = _series_pass(nu, x, pending, tol, prec)
+        # (x/2)^nu / Gamma(nu + 1), the k = 0 term before differentiation
+        base = mpf_div(mpf_pow(mpf_shift(xm, -1), from_float(nu), prec, _RND),
+                       _gamma_plus_one(nu, prec), prec, _RND)
+        for r, (total, err, _, scale) in zip(pending, sums):
+            if 2 * err * tol_den <= abs(total) * tol_num:
+                value = mpf_mul(from_man_exp(total, -scale), base, prec, _RND)
+                if r:
+                    value = mpf_div(value, mpf_pow_int(xm, r, prec, _RND), prec, _RND)
+                values[r] = to_float(value, rnd=_RND)
         pending = [r for r in pending if r not in values]
         if not pending:
             return tuple(values[r] for r in orders)

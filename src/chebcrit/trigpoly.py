@@ -118,7 +118,7 @@ _EVAL_RTOL = 1e-17
 _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
-# The harmonic route's float pre-test (see _float_bound): its relative
+# The harmonic route's float pre-test (see _float_accepts): its relative
 # slack, the largest degree the slack covers, the coefficient range it
 # accepts and the least float magnitude sum it trusts.
 _PRETEST_SLACK = 2.0 ** -40
@@ -464,7 +464,7 @@ def _harmonic_table(a: TrigPoly, dps: int):
     * fmag: the float pre-test's row, (leading, the rest) in Horner order,
       each entry the sum over all rows of the |coefficient|s of one power
       of x rounded up to a double; None where the pre-test cannot be sound
-      (see _float_bound);
+      (see _float_accepts);
     * scale_up: ten_pow * ops * (1 + _PRETEST_SLACK) as a raw mpf, rounded
       up.
 
@@ -572,9 +572,9 @@ def _exact_bound(table, x: float, prec: int):
     return mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
 
 
-def _float_bound(table, x: float, prec: int):
-    """A raw B' >= _exact_bound(table, x, prec) from one float Horner sum,
-    or None where the pre-test stands down.
+def _float_accepts(table, x: float, prec: int, limit) -> bool:
+    """Whether B' <= limit, for the raw B' >= _exact_bound(table, x, prec)
+    from one float Horner sum; False where the pre-test stands down.
 
     Let M be the exact sum of |coefficient| * |x|^i over all rows.  The
     exact bound B sums M at prec >= 136 bits (40 digits) with at most
@@ -584,22 +584,32 @@ def _float_bound(table, x: float, prec: int):
     entries are the per-power sums rounded up, so their exact Horner sum
     is >= M; each of its 2 * degree float roundings loses at most a factor
     (1 - 2^-53), less than 2^-41 in all for degree <= _PRETEST_MAX_DEGREE.
-    Requiring the float sum to be a finite normal double >= 2^-900 keeps
+    Requiring the float sum m to be a finite normal double >= 2^-900 keeps
     overflow out and bounds what gradual underflow of a product can lose
     (below 2^-1074 per step, shrinking with |x| < 1) far below that.  The
-    slack 2^-40 covers both, and the last product is rounded up, so
+    slack 2^-40 covers both, and B' = m * scale_up is rounded up, so
     B' >= B: whatever B' accepts, B accepts too.
+
+    B' lies in [2^(p-2), 2^p] for p the sum of the binary exponents of m
+    and scale_up, and a nonzero limit in [2^(q-1), 2^q); so p < q accepts
+    and p >= q + 2 rejects without forming B', which is formed only when
+    p is q or q + 1, or when scale_up is not finite.
     """
     fmag = table[4]
-    if fmag is None:
-        return None
+    if fmag is None or limit == fzero:
+        return False
     m, rest = fmag
     ax = abs(x)
     for c in rest:
         m = m * ax + c
     if not _PRETEST_MIN_MAG <= m < math.inf:
-        return None
-    return mpf_mul(from_float(m), table[5], prec, round_ceiling)
+        return False
+    scale_up = table[5]
+    p = math.frexp(m)[1] + scale_up[2] + scale_up[3]
+    q = limit[2] + limit[3]
+    if scale_up[1] and not q <= p <= q + 1:  # scale_up finite and p not q or q + 1
+        return p < q
+    return mpf_le(mpf_mul(from_float(m), scale_up, prec, round_ceiling), limit)
 
 
 def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
@@ -627,8 +637,7 @@ def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
         table = _harmonic_table(a, dps)
         total = _harmonic_value(table[0], x, prec)
         limit = mpf_mul(mpf_abs(total), rtol, prec, _RND)
-        quick = _float_bound(table, x, prec)
-        if quick is not None and mpf_le(quick, limit):
+        if _float_accepts(table, x, prec, limit):
             return mp.make_mpf(total)
         bound = _exact_bound(table, x, prec)
         if bound == fzero or mpf_le(bound, limit):

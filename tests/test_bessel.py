@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -12,7 +14,6 @@ from mpmath.libmp import dps_to_prec
 
 from chebcrit import bessel
 from chebcrit.bessel import (
-    _series_raw,
     bessel_deriv_zero,
     bessel_j,
     bessel_j_deriv,
@@ -122,7 +123,7 @@ def test_stack_values():
     assert abs(vals[4] - want) <= 1e-10 * max(1.0, abs(want))
 
 
-# ---------------------------------------------------------------- compiled series
+# ---------------------------------------------------------------- fixed-point series
 
 def _ref_series(nu, x, order, tol):
     """One order per pass through mpf operators: (sum, magnitude, n_terms)."""
@@ -177,24 +178,47 @@ def _ref_value(nu, x, order, tol=bessel.DEFAULT_SERIES_TOL):
     return _ref_escalation(nu, x, order, tol)[0]
 
 
-def _raw(triple):
-    total, mag, n_terms = triple
-    return total._mpf_, mag._mpf_, n_terms
+def _exact_partial_sum(nu, x, order, n_terms):
+    """The first n_terms terms of the order-times differentiated series in
+    the rationals, before the prefactor (x/2)^nu / Gamma(nu+1) / x^order."""
+    nu_q, x_q = Fraction(nu), Fraction(x)
+    y = x_q * x_q / 4
+    s, total = Fraction(1), Fraction(0)
+    for k in range(n_terms):
+        fall = Fraction(1)
+        for i in range(order):
+            fall *= 2 * k + nu_q - i
+        total += s * fall
+        s = -s * y / ((k + 1) * (k + 1 + nu_q))
+    return total
 
 
 @pytest.mark.parametrize("nu", _NUS)
-def test_compiled_series_pass_is_bit_identical(nu):
-    # the raw sums, magnitudes and term counts at 30 and 60 digits, one
-    # order alone and all six orders in one pass
+def test_fixed_point_error_sum_contains_the_exact_partial_sum(nu):
+    # per order, the pass stops where the mpf reference does, and its
+    # integer total lies within its error sum of the exact partial sum
+    # times 2^scale
     for x in _XS:
         for dps in (30, 60):
             with mp.workdps(dps):
-                want = [_raw(_ref_series(nu, x, r, 1e-15)) for r in range(6)]
+                want_terms = [_ref_series(nu, x, r, 1e-15)[2] for r in range(6)]
             prec = dps_to_prec(dps)
-            together = _series_raw(nu, x, range(6), 1e-15, prec)
-            alone = [_series_raw(nu, x, (r,), 1e-15, prec)[0] for r in range(6)]
-            assert together == want, (x, dps)
-            assert alone == want, (x, dps)
+            together = bessel._series_pass(nu, x, range(6), 1e-15, prec)
+            assert [n_terms for _, _, n_terms, _ in together] == want_terms, (x, dps)
+            for r, (total, err, n_terms, scale) in enumerate(together):
+                exact = _exact_partial_sum(nu, x, r, n_terms) * 2 ** scale
+                assert abs(total - exact) <= err, (x, dps, r)
+            alone = [bessel._series_pass(nu, x, (r,), 1e-15, prec)[0] for r in range(6)]
+            assert alone == together, (x, dps)
+
+
+def test_sampled_values_are_bit_identical_to_the_reference():
+    rng = random.Random(16)
+    for _ in range(200):
+        nu = rng.choice((0.0, 0.5, 1.0, 1.5, 2.0, 3.4, 7.25))
+        x = 10 ** rng.uniform(-3, math.log10(50))
+        want = tuple(_ref_value(nu, x, r) for r in range(6))
+        assert bessel._series_values(nu, x, range(6), bessel.DEFAULT_SERIES_TOL) == want, (nu, x)
 
 
 @pytest.mark.parametrize("nu", _NUS)
@@ -216,6 +240,16 @@ def test_stacks_match_reference(nu):
             assert bessel_stack_values(nu, x, m) == want, (x, m)
 
 
+def test_falling_factorials_stay_exact_for_a_tiny_order():
+    # at nu = 1e-300 the factor 2 + nu - 2 of order 3 at k = 1 is nu itself;
+    # rounded to 0 it used to stop orders 3-5 after one term, near 1e-300
+    with mp.workdps(40):
+        want = [float(mpmath.besselj(mp.mpf(1e-300), 2, derivative=r)) for r in range(6)]
+    got = bessel_stack_values(1e-300, 2.0, 5)
+    for r in range(6):
+        assert abs(got[r] - want[r]) <= 1e-14 * abs(want[r]), r
+
+
 def test_stack_escalates_only_the_orders_that_need_it():
     nu, x, tol = 1.5, 30.0, 1e-15
     ref = [_ref_escalation(nu, x, r, tol) for r in range(6)]
@@ -233,7 +267,7 @@ def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
 
     monkeypatch.setattr(bessel, "mpf_gamma", counting)
     bessel._gamma_plus_one.cache_clear()
-    for x in (0.7, 3.0, 12.0, 40.0):   # 40.0 escalates to 60 digits
+    for x in (0.7, 3.0, 12.0, 45.0):   # 45.0 escalates to 60 digits
         bessel_stack_values(3.4, x, 5)
         bessel_j(3.4, x)
     assert sorted(calls) == [103, 203]  # 30 and 60 digits

@@ -690,10 +690,25 @@ def test_maclaurin_terms_ending_inside_the_table_still_run_the_decay_test():
     assert tp_eval(short, 1e-3) == 1.000000001
 
 
+def _formed_float_bound(table, x, prec):
+    """The pre-test's B' formed as an mpf: the float Horner sum times
+    scale_up, rounded up; None where the pre-test stands down."""
+    from mpmath.libmp import from_float, mpf_mul, round_ceiling
+
+    from chebcrit import trigpoly
+
+    if table[4] is None:
+        return None
+    m, rest = table[4]
+    for c in rest:
+        m = m * abs(x) + c
+    if not trigpoly._PRETEST_MIN_MAG <= m < math.inf:
+        return None
+    return mpf_mul(from_float(m), table[5], prec, round_ceiling)
+
+
 def test_float_bound_never_undercuts_the_exact_bound():
     from mpmath.libmp import mpf_le, mpf_mul
-
-    from chebcrit.trigpoly import _float_bound
 
     for a, x in _certificate_cases():
         if abs(x) < MACLAURIN_RADIUS:
@@ -701,15 +716,67 @@ def test_float_bound_never_undercuts_the_exact_bound():
         for dps in (40, 80, 160, 320):
             prec = dps_to_prec(dps)
             table = _harmonic_table(a, dps)
-            quick, exact = _float_bound(table, x, prec), _exact_bound(table, x, prec)
+            quick, exact = _formed_float_bound(table, x, prec), _exact_bound(table, x, prec)
             assert quick is not None
             assert mpf_le(exact, quick), (x, dps)
             # and it is tight enough to decide: within 2^-30 of the exact bound
             assert mpf_le(quick, mpf_mul(exact, (0, 2**30 + 1, -30, 31), prec)), (x, dps)
 
 
+def test_float_accepts_decides_as_the_formed_bound_does():
+    # limits from a quarter to four times B', one ulp either side of it and
+    # zero: the exponent comparison and the mpf test agree on every one
+    from mpmath.libmp import from_man_exp, fzero, mpf_le, mpf_shift
+
+    from chebcrit.trigpoly import _float_accepts
+
+    for a, x in _certificate_cases()[::3]:
+        if abs(x) < MACLAURIN_RADIUS:
+            continue
+        for dps in (40, 160):
+            prec = dps_to_prec(dps)
+            table = _harmonic_table(a, dps)
+            quick = _formed_float_bound(table, x, prec)
+            _, man, exp, _ = quick
+            limits = [mpf_shift(quick, j) for j in range(-2, 3)] + [fzero]
+            limits += [from_man_exp(man - 1, exp), from_man_exp(man + 1, exp)]
+            for limit in limits:
+                got = _float_accepts(table, x, prec, limit)
+                assert got == (limit != fzero and mpf_le(quick, limit)), (x, dps, limit)
+
+
+def test_float_accepts_replays_a_spherical_4_grid(monkeypatch):
+    # every pre-test decision of tp_eval on f_4, its first five derivatives
+    # and v(f_4) over verify's default grid is the one the formed B' gives
+    from mpmath.libmp import fzero, mpf_le
+
+    from chebcrit import trigpoly
+    from chebcrit.determinants import symbolic_v
+    from chebcrit.identities import make_grid
+
+    decisions = []
+    plain = trigpoly._float_accepts
+
+    def replaying(table, x, prec, limit):
+        got = plain(table, x, prec, limit)
+        quick = _formed_float_bound(table, x, prec)
+        want = quick is not None and limit != fzero and mpf_le(quick, limit)
+        decisions.append((got, want))
+        return got
+
+    monkeypatch.setattr(trigpoly, "_float_accepts", replaying)
+    elements = [TrigPoly(a.terms, a.den) for a in (*fn_derivatives(4, 5), symbolic_v(4))]
+    for x in make_grid(0.01, 30.0, 500):
+        for a in elements:
+            tp_eval(a, x)
+    assert all(got == want for got, want in decisions)
+    assert {got for got, _ in decisions} == {True, False}
+
+
 def test_float_bound_stands_down_outside_its_range():
-    from chebcrit.trigpoly import _eval_adaptive_mp, _float_bound
+    from mpmath.libmp import fone, mpf_shift
+
+    from chebcrit.trigpoly import _eval_adaptive_mp, _float_accepts
 
     prec = dps_to_prec(40)
     # coefficients beyond 2^1000: the pre-test is never built, the exact bound decides
@@ -718,10 +785,12 @@ def test_float_bound_stands_down_outside_its_range():
     for x in (0.7, 3.7, 11.0):
         assert _value_and_dps(huge, x, 1e-30) == _ref_value_and_dps(huge, x, 1e-30)
     # |x| = 1e-300 on the harmonic route: x^4 cos x has a float magnitude
-    # sum that underflows, so the pre-test stands down
+    # sum that underflows, so the pre-test stands down even for a limit of 2^3000
     tiny = tp_term(1, (0, 0, 0, 0, 1))
     fresh = TrigPoly(tiny.terms, tiny.den)
-    assert _float_bound(_harmonic_table(fresh, 40), 1e-300, prec) is None
+    table = _harmonic_table(fresh, 40)
+    assert _formed_float_bound(table, 1e-300, prec) is None
+    assert not _float_accepts(table, 1e-300, prec, mpf_shift(fone, 3000))
     got = _eval_adaptive_mp(fresh, 1e-300, 1e-30)
     want, dps = _ref_eval_mp(tiny, 1e-300, 1e-30)
     assert (got._mpf_, max(_compiled_dps(fresh))) == (want._mpf_, dps)
