@@ -241,8 +241,8 @@ def test_stacks_match_reference(nu):
 
 
 def test_falling_factorials_stay_exact_for_a_tiny_order():
-    # at nu = 1e-300 the factor 2 + nu - 2 of order 3 at k = 1 is nu itself;
-    # rounded to 0 it used to stop orders 3-5 after one term, near 1e-300
+    # at nu = 1e-300 the factor 2 + nu - 2 of order 3 at k = 1 is nu itself:
+    # rounded to 0, it would stop orders 3-5 after one term, near 1e-300
     with mp.workdps(40):
         want = [float(mpmath.besselj(mp.mpf(1e-300), 2, derivative=r)) for r in range(6)]
     got = bessel_stack_values(1e-300, 2.0, 5)
@@ -255,6 +255,22 @@ def test_stack_escalates_only_the_orders_that_need_it():
     ref = [_ref_escalation(nu, x, r, tol) for r in range(6)]
     assert {dps for _, dps in ref} == {30, 60}  # orders 0, 2, 4 need 60 digits
     assert bessel_stack_values(nu, x, 5, tol) == tuple(v for v, _ in ref)
+
+
+def test_stack_resums_only_the_orders_whose_bound_fails(monkeypatch):
+    # at (1.5, 42.0) the error sums of orders 3 and 5 meet tol/2 at 30
+    # digits and the other four need 60
+    passes = []
+    plain = bessel._series_pass
+
+    def recording(nu, x, orders, tol, prec):
+        passes.append((prec, tuple(orders)))
+        return plain(nu, x, orders, tol, prec)
+
+    monkeypatch.setattr(bessel, "_series_pass", recording)
+    got = bessel_stack_values(1.5, 42.0, 5, 1e-15)
+    assert passes == [(103, (0, 1, 2, 3, 4, 5)), (203, (0, 1, 2, 4))]
+    assert got == tuple(_ref_escalation(1.5, 42.0, r, 1e-15)[0] for r in range(6))
 
 
 def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
