@@ -25,6 +25,12 @@ CASES = {
     "scan_minor_6_7_near0.json": ("scan", "--what", "minor", "--n", "6", "--j", "7",
                                   "--range", "0.001:0.05", "--points", "50",
                                   "--format", "json"),
+    "scan_minor_6_7_first_zero.json": ("scan", "--what", "minor", "--n", "6", "--j", "7",
+                                       "--range", "11.3:11.45", "--points", "40",
+                                       "--format", "json"),
+    "scan_minor_9_10_subnormal.json": ("scan", "--what", "minor", "--n", "9", "--j", "10",
+                                       "--range", "0.001:0.01", "--points", "10",
+                                       "--format", "json"),
     "scan_w_8_near0.json": ("scan", "--what", "w", "--n", "8", "--range", "0.001:0.05",
                             "--points", "60", "--format", "json"),
     "zeros_0.json": ("zeros", "--nu", "0", "--count", "3"),
