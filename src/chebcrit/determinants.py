@@ -23,38 +23,23 @@ H_s of the one Hankel matrix H = [f_n^(r+t)], so
     w_j = (-1)^(s(s-1)/2) det H_s.
 
 Two independent evaluation routes are provided and cross-checked in tests:
-a numeric route (exact ring derivatives, validated extended-precision entry
-evaluation, every leading minor of H from one unpivoted elimination, the
-same elimination with scaled partial pivoting only from an exactly zero
-pivot on, each minor accepted when two precisions agree relatively) and a
-fully symbolic route (cofactor expansion in the ring, then validated
-evaluation).  Every elimination runs on ``mpmath.libmp`` at a precision
-passed to it, never in mpmath's global precision context.
+a numeric route (exact ring derivatives, certified extended-precision entry
+evaluation, then every leading minor of H exactly, from one fraction-free
+elimination on Python ints with no roundoff and no precision to choose)
+and a fully symbolic route (cofactor expansion in the ring, then validated
+evaluation).  The exact minors are those of the evaluated entries, which
+carry a certified 1e-30 relative error; exactness removes the elimination
+roundoff, not that error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
-from mpmath.libmp import (
-    dps_to_prec,
-    fone,
-    from_float,
-    fzero,
-    mpf_abs,
-    mpf_cmp,
-    mpf_div,
-    mpf_le,
-    mpf_mul,
-    mpf_neg,
-    mpf_rdiv_int,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import from_man_exp, fzero, round_nearest, to_float
 
 from .errors import NumericalFailure, UsageError
 from .trigpoly import (
@@ -196,50 +181,36 @@ def _minor_entry_grid(n: int, size: int) -> tuple[tuple[TrigPoly, ...], ...]:
 
 
 _ENTRY_RTOL = 1e-30
-_DET_RTOL = 1e-13
-_RND = round_nearest  # mp's default rounding, the one its mpf operators use
-_ORDER = cmp_to_key(mpf_cmp)  # sorts raw mpfs by value
 
 
-def _eliminate(a, k: int, prec: int) -> None:
-    """Subtract multiples of pivot row k of ``a`` from every row below it,
-    in place, on the columns after k (column k below the pivot is never
-    read again)."""
+def _bareiss_step(a, k: int, prev: int) -> None:
+    """One step of Bareiss's fraction-free elimination on the int rows of
+    ``a``, in place: every entry below and right of the pivot (k, k) becomes
+    (a[i][j] a[k][k] - a[i][k] a[k][j]) / prev, a division without remainder
+    when ``prev`` is the previous pivot (1 before the first)."""
     row = a[k]
-    inv = mpf_rdiv_int(1, row[k], prec, _RND)  # what 1 / mpf calls
+    piv = row[k]
     for below in a[k + 1:]:
-        factor = mpf_mul(below[k], inv, prec, _RND)
-        if factor != fzero:
-            for c in range(k + 1, len(a)):
-                below[c] = mpf_sub(below[c], mpf_mul(factor, row[c], prec, _RND), prec, _RND)
+        factor = below[k]
+        for c in range(k + 1, len(a)):
+            below[c] = (below[c] * piv - factor * row[c]) // prev
 
 
-def _lu_det(rows, prec: int):
-    """Determinant of raw mpf rows at ``prec`` bits, by elimination with
-    scaled partial pivoting.
-
-    The pivot of column k is the first row of largest |entry| / (largest
-    |entry| of that row at the start); a column with no nonzero candidate
-    gives det = 0.
-    """
+def _bareiss_det(rows) -> int:
+    """Exact determinant of square int rows: Bareiss's elimination, with a
+    row exchange only where a pivot is zero (no candidate gives det = 0)."""
     a = [list(r) for r in rows]
-    scales = [max((mpf_abs(v, prec, _RND) for v in r), key=_ORDER) for r in a]
-    if fzero in scales:
-        return fzero
-    det = fone
-    for k in range(len(a)):
-        piv = max(range(k, len(a)),
-                  key=lambda r: _ORDER(mpf_div(mpf_abs(a[r][k], prec, _RND), scales[r],
-                                               prec, _RND)))
-        if a[piv][k] == fzero:
-            return fzero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            scales[k], scales[piv] = scales[piv], scales[k]
-            det = mpf_neg(det)
-        det = mpf_mul(det, a[k][k], prec, _RND)
-        _eliminate(a, k, prec)
-    return det
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, len(a)) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _hankel(vals, size: int) -> list[list]:
@@ -247,62 +218,34 @@ def _hankel(vals, size: int) -> list[list]:
     return [[vals[r + t] for t in range(size)] for r in range(size)]
 
 
-def _hankel_minors(vals, sizes: list[int], prec: int) -> dict:
-    """det H_s for every s in sizes as raw mpfs, at ``prec`` bits.
+def _exact_hankel_minors(vals, sizes: list[int]) -> dict:
+    """det H_s for every s in sizes, exactly, as raw mpfs.
 
-    ``vals`` are the raw mpf entries f^(0), f^(1), ...; the elimination runs
-    on the ``mpmath.libmp`` primitives that mpf's operators call, in their
-    order and rounding, so every minor is bit for bit the operators' value.
-    Unpivoted elimination: the k-th pivot is det H_k / det H_(k-1) and
-    depends on H_k alone, so the running pivot product passes through every
-    leading minor whatever the other sizes (the k-th diagonal entry of
-    Bareiss's fraction-free form).  Once a pivot is exactly zero, its size
-    and every larger one are computed by _lu_det, the same elimination
-    with scaled partial pivoting.
+    ``vals`` are the raw mpf entries f^(0), f^(1), ..., each a dyadic
+    rational man * 2^exp.  Shifted to their least exponent emin they are
+    Python ints, and det H_s is 2^(emin s) times the integer minor.
+    Unpivoted fraction-free elimination: the k-th pivot is the integer
+    det H_(k+1), so one pass gives every leading minor.  Once a pivot is
+    exactly zero, its minor is zero, and every larger size takes
+    _bareiss_det of its own block.
     """
-    a = _hankel(vals, max(sizes))
-    out = {}
+    emin = min((exp for _, man, exp, _ in vals if man), default=0)
+    ints = [(-man if sign else man) << (exp - emin) for sign, man, exp, _ in vals]
+    a = _hankel(ints, max(sizes))
+    dets = {}
+    prev = 1
     for k, row in enumerate(a):
         piv = row[k]
-        if piv == fzero:
+        if not piv:
             for s in sizes:
                 if s > k:
-                    out[s] = _lu_det(_hankel(vals, s), prec)
+                    dets[s] = _bareiss_det(_hankel(ints, s))
             break
-        tau = mpf_mul(tau, piv, prec, _RND) if k else piv  # H_1 stays exact
         if k + 1 in sizes:
-            out[k + 1] = tau
-        _eliminate(a, k, prec)
-    return out
-
-
-def _validated_hankel_minors(vals, sizes: list[int]) -> dict:
-    """Leading Hankel minors of raw mpf entries, validated by recomputation
-    at doubled precision.
-
-    The entries are already certified to _ENTRY_RTOL relative error, so the
-    doubling certifies the elimination roundoff.  A minor is accepted when
-    its values at d and 2d digits agree to _DET_RTOL relatively (an exact
-    zero only when both are zero), and each size is frozen at the first
-    precision where it validates.  The minors are returned as raw mpfs.
-    """
-    rtol = from_float(_DET_RTOL)
-    dps = 40
-    prev = _hankel_minors(vals, sizes, dps_to_prec(dps))
-    out = {}
-    while dps <= 1280:
-        dps *= 2
-        prec = dps_to_prec(dps)
-        open_sizes = [s for s in sizes if s not in out]
-        cur = _hankel_minors(vals, open_sizes, prec)
-        for s in open_sizes:
-            gap = mpf_abs(mpf_sub(cur[s], prev[s], prec, _RND), prec, _RND)
-            if mpf_le(gap, mpf_mul(rtol, mpf_abs(cur[s], prec, _RND), prec, _RND)):
-                out[s] = cur[s]
-        if len(out) == len(sizes):
-            return out
-        prev = cur
-    raise NumericalFailure("minor evaluation did not stabilize")
+            dets[k + 1] = piv
+        _bareiss_step(a, k, prev)
+        prev = piv
+    return {s: from_man_exp(d, emin * s) for s, d in dets.items()}
 
 
 def wronskian_minor(n: int, j: int, x: float) -> float:
@@ -321,11 +264,11 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     leading s x s block of the Hankel matrix H = [f_n^(r+t)], s = 2n+2-j,
     so w_j = (-1)^(s(s-1)/2) det H_s.  The entries f_n^(0..2s-2) are
     differentiated exactly in the ring and evaluated to a certified 1e-30
-    relative error; the leading minors are the running products of the
-    pivots of one unpivoted elimination, validated by recomputation at
-    doubled precision.  Only when a pivot is exactly zero does the same
-    elimination with scaled partial pivoting take over, for that size and
-    every larger one.
+    relative error; the leading minors of those entries are then exact, the
+    pivots of one fraction-free elimination on Python ints, and each w_j is
+    the double nearest to its exact minor.  Exactness removes the
+    elimination roundoff, not the entries' error: a minor is only as good
+    as its 1e-30 entries allow.
     """
     if js is None:
         js = admissible_j(n)
@@ -340,13 +283,13 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     sizes = [2 * n + 2 - j for j in js]
     derivs = fn_derivatives(n, 2 * max(sizes) - 2)
     vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
-    dets = _validated_hankel_minors(vals, sizes)
+    dets = _exact_hankel_minors(vals, sizes)
     out = {}
     for j, s in zip(js, sizes):
         # the float nearest to the minor (libmp's to_float rounds down by
         # default); subnormals pass, but not a nonzero minor that rounds to
         # 0.0 or beyond the largest double
-        v = to_float(dets[s], rnd=_RND)
+        v = to_float(dets[s], rnd=round_nearest)
         if math.isinf(v) or (v == 0.0 and dets[s] != fzero):
             what = "overflows" if v else "underflows"
             raise NumericalFailure(f"w_{j} of n = {n} at x={x!r} {what} double precision")

@@ -28,8 +28,15 @@ from .errors import NumericalFailure, UsageError
 
 @dataclass(frozen=True)
 class ZeroResult:
+    """A refined zero: its abscissa, |f| there, and the bisection steps.
+
+    ``refine_bracket`` leaves the residual of an interpolated root as None
+    (the critical-length scan has no use for it); ``first_zeros`` and
+    ``kth_zero`` report every zero with its residual.
+    """
+
     value: float
-    residual: float
+    residual: float | None
     iterations: int
 
 
@@ -66,10 +73,11 @@ def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
     """Refine a sign-change bracket by bisection.
 
     Terminates when the bracket width is below xtol (plus a few ulps of the
-    abscissa), then interpolates linearly between the final ends.  A caller
-    that already holds f(lo) or f(hi) passes it as flo or fhi, and that end
-    is not evaluated again; an end whose value is exactly zero is returned
-    with no iteration.
+    abscissa), then interpolates linearly between the final ends, without
+    evaluating f there (the residual is None).  A caller that already holds
+    f(lo) or f(hi) passes it as flo or fhi, and that end is not evaluated
+    again; an end whose value is exactly zero is returned with no iteration
+    and residual 0.0, as is an exact zero met while bisecting.
     """
     if flo is None:
         flo = f(lo)
@@ -95,7 +103,14 @@ def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
         else:
             lo, flo = x, fx
     root = lo + (hi - lo) * flo / (flo - fhi)  # final linear interpolation
-    return ZeroResult(root, abs(f(root)), iters)
+    return ZeroResult(root, None, iters)
+
+
+def _reported(f: Callable[[float], float], res: ZeroResult) -> ZeroResult:
+    """res with its residual |f(root)| filled in where refine_bracket left it."""
+    if res.residual is None:
+        res = ZeroResult(res.value, abs(f(res.value)), res.iterations)
+    return res
 
 
 def _first_brackets(f: Callable[[float], float], count: int, start: float,
@@ -124,7 +139,7 @@ def first_zeros(f: Callable[[float], float], count: int, *, start: float,
 
     The step must be small enough that no two zeros share one scan cell.
     Each bracket is refined by ``refine_bracket`` with the scan values of
-    its ends and yielded before the scan goes on.  When the scan ends with
+    its ends and yielded, with its residual, before the scan goes on.  When the scan ends with
     fewer than ``count`` zeros, the ones found have been yielded and
     NumericalFailure names the first missing one.
     """
@@ -133,7 +148,7 @@ def first_zeros(f: Callable[[float], float], count: int, *, start: float,
     found = 0
     brackets = _first_brackets(f, count, start, step, cap, xtol)
     for found, (lo, flo, hi, fhi) in enumerate(brackets, 1):
-        yield refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
+        yield _reported(f, refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi))
     if found < count:
         raise _too_few(found, found + 1, start, cap)
 
@@ -149,4 +164,4 @@ def kth_zero(f: Callable[[float], float], k: int, *, start: float, step: float,
     if len(brackets) < k:
         raise _too_few(len(brackets), k, start, cap)
     lo, flo, hi, fhi = brackets[-1]
-    return refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
+    return _reported(f, refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi))

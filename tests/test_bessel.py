@@ -250,11 +250,27 @@ def test_falling_factorials_stay_exact_for_a_tiny_order():
         assert abs(got[r] - want[r]) <= 1e-14 * abs(want[r]), r
 
 
-def test_stack_escalates_only_the_orders_that_need_it():
-    nu, x, tol = 1.5, 30.0, 1e-15
-    ref = [_ref_escalation(nu, x, r, tol) for r in range(6)]
-    assert {dps for _, dps in ref} == {30, 60}  # orders 0, 2, 4 need 60 digits
-    assert bessel_stack_values(nu, x, 5, tol) == tuple(v for v, _ in ref)
+def test_stack_escalates_only_the_orders_that_need_it(monkeypatch):
+    # at (2.0, 40.0) the kernel's own error sums of orders 1, 3, 5 meet
+    # tol/2 at 30 digits and orders 0, 2, 4 need 60: the second pass sums
+    # exactly the orders whose bound failed, and every one of them passes
+    nu, x, tol = 2.0, 40.0, 1e-15
+    passes = []
+    plain = bessel._series_pass
+
+    def recording(nu_, x_, orders, tol_, prec):
+        sums = plain(nu_, x_, orders, tol_, prec)
+        passes.append((prec, {r: 2 * err <= abs(total) * Fraction(tol)
+                              for r, (total, err, _, _) in zip(orders, sums)}))
+        return sums
+
+    monkeypatch.setattr(bessel, "_series_pass", recording)
+    got = bessel_stack_values(nu, x, 5, tol)
+    assert [prec for prec, _ in passes] == [dps_to_prec(30), dps_to_prec(60)]
+    at_30, at_60 = passes[0][1], passes[1][1]
+    assert [r for r, met in at_30.items() if not met] == [0, 2, 4]
+    assert at_60 == {0: True, 2: True, 4: True}
+    assert got == tuple(_ref_escalation(nu, x, r, tol)[0] for r in range(6))
 
 
 def test_stack_resums_only_the_orders_whose_bound_fails(monkeypatch):

@@ -105,6 +105,7 @@ def test_sign_change_is_refined_and_exact_zero_reported(monkeypatch):
     res = critlen._scan_one_minor(1, 3, xs, [x - root for x in xs], cap=0.5, tol=tol)
     assert abs(res.first_zero - root) <= tol
     assert seen and 0.2 not in seen and 0.3 not in seen  # the scan's values are reused
+    assert res.first_zero not in seen  # and no residual is evaluated at the root
     assert not res.indeterminate
     assert res.note == ""
 

@@ -10,12 +10,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import dps_to_prec, to_float
+from mpmath.libmp import to_float
 
 from chebcrit import determinants
 from chebcrit.bessel import fn_zero
 from chebcrit.determinants import (
-    _lu_det,
     _minor_entry_grid,
     DerivStack,
     admissible_j,
@@ -150,9 +149,9 @@ def test_admissible_range():
 
 
 def test_minor_values_batch_matches_single():
-    # x = 11.0317... is the refined zero of the n = 6, j = 11 minor; each
-    # minor is frozen at the precision where it validates, so the batch
-    # and the single-minor slice agree bit for bit
+    # x = 11.0317... is the refined zero of the n = 6, j = 11 minor; every
+    # minor is exact in the entries, so the batch and the single-minor
+    # slice agree bit for bit
     for n, x in ((3, 2.4), (6, 11.031776717530253)):
         batch = minor_values(n, x)
         assert sorted(batch) == list(admissible_j(n))
@@ -163,17 +162,29 @@ def test_minor_values_batch_matches_single():
 # ---------------------------------------------------------------- Hankel elimination
 
 def _exact_det(rows):
-    """Exact integer determinant by cofactor expansion along the first row."""
+    """Exact determinant by cofactor expansion along the first row (exact
+    for ints and Fractions, and for mpfs at a precision that rounds nothing)."""
     if len(rows) == 1:
         return rows[0][0]
     return sum((-1) ** t * rows[0][t] * _exact_det([r[:t] + r[t + 1:] for r in rows[1:]])
                for t in range(len(rows)))
 
 
+#: mpf operators at this many bits round nothing in the determinants below
+#: (every one needs under 5000)
+_EXACT_PREC = 1 << 14
+
+
+def _mpf_det(rows):
+    """The determinant of int or mpf rows through mpf operators, without
+    rounding."""
+    with mpmath.workprec(_EXACT_PREC):
+        return _exact_det([[mpmath.mpf(v) for v in r] for r in rows])
+
+
 def _ref_lu_det(rows):
     """Determinant by LU with scaled partial pivoting through mpf operators
-    at the current precision, as _lu_det computed it before it ran on raw
-    libmp tuples (a column with no nonzero candidate gives 0)."""
+    at the current precision (a column with no nonzero candidate gives 0)."""
     a = [list(r) for r in rows]
     nrows = len(a)
     scales = [max(abs(x) for x in r) for r in a]
@@ -240,49 +251,67 @@ def _exact_minors(n, vals):
     return out
 
 
-@pytest.mark.parametrize("vals", [
-    (0, 1, 3, -2, 5),  # H_1 = 0: the first pivot is zero
-    (1, 1, 1, 2, 5),   # H_2 = 0: the second pivot is exactly zero
-])
+def _hankel_block(vals, s):
+    return [[vals[r + t] for t in range(s)] for r in range(s)]
+
+
+def _count_pivoted_dets(monkeypatch):
+    """Record the size of every block _bareiss_det is asked for."""
+    sizes = []
+    bareiss_det = determinants._bareiss_det
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return bareiss_det(rows)
+
+    monkeypatch.setattr(determinants, "_bareiss_det", counting)
+    return sizes
+
+
+#: integer Hankel entries whose leading minors H_1..H_(s-1) vanish exactly at
+#: each position in turn, two of them in a row twice
+_PLANTED_ZERO_PIVOTS = [
+    (0, 1, 3, -2, 5),        # n = 2: H_1 = 0
+    (1, 1, 1, 2, 5),         # n = 2: H_2 = 0
+    (0, 1, 3, -2, 5, 1, 4),  # n = 3: H_1 = 0
+    (1, 1, 1, 2, 5, 3, 2),   # n = 3: H_2 = 0
+    (1, 0, 1, 0, 1, 2, 3),   # n = 3: H_3 = 0
+    (0, 0, 2, 1, 1, 2, 7),   # n = 3: H_1 = H_2 = 0
+    (1, 1, 1, 1, 2, 3, 5),   # n = 3: H_2 = H_3 = 0
+]
+
+
+@pytest.mark.parametrize("vals", _PLANTED_ZERO_PIVOTS)
 def test_zero_pivot_falls_back_to_pivoted_lu(monkeypatch, vals):
-    n = 2
+    # the fallback is Bareiss's fraction-free LU with row exchanges, run on
+    # the block of every requested size from the first zero pivot on
+    n = (len(vals) - 1) // 2
     _plant_entries(monkeypatch, n, vals)
-    fallback_sizes = []
-
-    def counting_lu(rows, prec):
-        fallback_sizes.append(len(rows))
-        return _lu_det(rows, prec)
-
-    monkeypatch.setattr(determinants, "_lu_det", counting_lu)
+    fallback_sizes = _count_pivoted_dets(monkeypatch)
     got = minor_values(n, 1.0)
-    assert fallback_sizes
+    hankel = {s: _exact_det(_hankel_block(vals, s)) for s in range(1, n + 2)}
+    first_zero = min(s for s, d in hankel.items() if d == 0)
+    assert first_zero <= n
+    assert sorted(fallback_sizes) == list(range(first_zero, n + 2))
     want = _exact_minors(n, vals)
+    assert {j: want[j] == 0 for j in want} == {
+        j: hankel[2 * n + 2 - j] == 0 for j in want}
     for j, val in got.items():
-        assert abs(val - want[j]) <= 1e-15 * abs(want[j])
+        assert val == float(want[j]), (j, val, want[j])
         s = 2 * n + 2 - j
-        if s > 1:
-            hankel = [[mpmath.mpf(vals[r + t]) for t in range(s)] for r in range(s)]
-            with mpmath.workdps(80):
-                assert val == (-1) ** (s * (s - 1) // 2) * float(_ref_lu_det(hankel))
+        assert val == (-1) ** (s * (s - 1) // 2) * float(hankel[s])
 
 
-def test_minor_frozen_at_the_precision_where_it_validates(monkeypatch):
-    # the second pivot is 1e-30 * 3, so det H_2 and det H_4 carry the 40-digit
-    # roundoff of 1/3 + 1e-30 magnified 1e30 times: sizes 1 and 3 validate
-    # at 80 digits, and the 160-digit pass recomputes sizes 4 and 2 only
+def test_minor_past_a_tiny_pivot_is_exact(monkeypatch):
+    # the second pivot is 1e-30 * 3, so det H_2 and det H_4 sit thirty
+    # digits below the products that make them; a rounded elimination at 40
+    # digits got them wrong, the exact one needs no second precision
     n = 3
     vals = (3, 1, Fraction(1, 3) + Fraction(1, 10 ** 30), 1, 1, 2, 7)
     _plant_entries(monkeypatch, n, vals)
-    passes = []
-    hankel_minors = determinants._hankel_minors
-
-    def recording(entries, sizes, prec):
-        passes.append((prec, tuple(sizes)))
-        return hankel_minors(entries, sizes, prec)
-
-    monkeypatch.setattr(determinants, "_hankel_minors", recording)
+    fallback_sizes = _count_pivoted_dets(monkeypatch)
     got = minor_values(n, 1.0)
-    assert passes[-1] == (dps_to_prec(160), (4, 2))
+    assert fallback_sizes == []
     want = _exact_minors(n, vals)
     for j, val in got.items():
         assert val == float(want[j])
@@ -334,107 +363,54 @@ def test_hankel_minors_match_pivoted_lu_at_refined_zeros():
             assert got[j] == _pivoted_minor(n, j, x), (n, j, x)
 
 
-def _ref_hankel_minors(vals, sizes):
-    """The unpivoted elimination through mpf operators, on mpf entries, as
-    _hankel_minors computed it before it ran on raw libmp tuples."""
-    a = [[vals[r + t] for t in range(max(sizes))] for r in range(max(sizes))]
-    out = {}
-    for k, row in enumerate(a):
-        piv = row[k]
-        if not piv:
-            for s in sizes:
-                if s > k:
-                    out[s] = _ref_lu_det([[vals[r + t] for t in range(s)] for r in range(s)])
-            break
-        tau = tau * piv if k else piv
-        if k + 1 in sizes:
-            out[k + 1] = tau
-        inv = 1 / piv
-        for below in a[k + 1:]:
-            factor = below[k] * inv
-            if factor:
-                for c in range(k + 1, len(a)):
-                    below[c] -= factor * row[c]
-    return out
-
-
-def _ref_validated_minors(vals, sizes):
-    """The validated minors as mpfs, through _ref_hankel_minors and mpf
-    operators (the acceptance rule of _validated_hankel_minors)."""
-    dps = 40
-    with mpmath.workdps(dps):
-        prev = _ref_hankel_minors(vals, sizes)
-    out = {}
-    while len(out) < len(sizes):
-        dps *= 2
-        with mpmath.workdps(dps):
-            cur = _ref_hankel_minors(vals, [s for s in sizes if s not in out])
-            for s, v in cur.items():
-                if abs(v - prev[s]) <= mpmath.mpf(1e-13) * abs(v):
-                    out[s] = v
-        prev = cur
-    return out
-
-
 def _entries(n, x):
     return [tp_eval_mp(d, x, 1e-30) for d in fn_derivatives(n, 2 * n)]
 
 
-_PLANTED_ZERO_PIVOTS = [(0, 1, 3, -2, 5), (1, 1, 1, 2, 5), (0, 0, 2, 1, 1, 2, 7)]
+def _ref_hankel_minors(vals, sizes):
+    """{s: det H_s} of mpf entries, through mpf operators without rounding."""
+    return {s: _mpf_det(_hankel_block(vals, s)) for s in sizes}
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
+    # the integer elimination on the raw libmp tuples gives the very bits of
+    # the exact determinant that mpf operators expand from the same entries
     sizes = list(range(1, n + 2))
     for x in (0.004, 0.3, 2.5, 7.9, 13.0):
         vals = _entries(n, x)
-        for dps in (40, 80, 160):
-            got = determinants._hankel_minors([v._mpf_ for v in vals], sizes,
-                                              dps_to_prec(dps))
-            with mpmath.workdps(dps):
-                want = _ref_hankel_minors(vals, sizes)
-            assert got == {s: v._mpf_ for s, v in want.items()}, (n, x, dps)
+        got = determinants._exact_hankel_minors([v._mpf_ for v in vals], sizes)
+        want = _ref_hankel_minors(vals, sizes)
+        assert got == {s: v._mpf_ for s, v in want.items()}, (n, x)
 
 
-@pytest.mark.parametrize("vals", _PLANTED_ZERO_PIVOTS)
+@pytest.mark.parametrize("vals", _PLANTED_ZERO_PIVOTS[:2] + _PLANTED_ZERO_PIVOTS[5:6])
 def test_raw_elimination_matches_at_planted_zero_pivots(monkeypatch, vals):
-    lu_sizes = []
-
-    def counting_lu(rows, prec):
-        lu_sizes.append(len(rows))
-        return _lu_det(rows, prec)
-
-    monkeypatch.setattr(determinants, "_lu_det", counting_lu)
+    lu_sizes = _count_pivoted_dets(monkeypatch)
     entries = _planted_mpfs(vals)
     sizes = list(range(1, (len(vals) + 3) // 2))
-    for dps in (40, 80, 160):
-        got = determinants._hankel_minors([v._mpf_ for v in entries], sizes,
-                                          dps_to_prec(dps))
-        with mpmath.workdps(dps):
-            want = _ref_hankel_minors(entries, sizes)
-        assert got == {s: v._mpf_ for s, v in want.items()}, dps
+    got = determinants._exact_hankel_minors([v._mpf_ for v in entries], sizes)
+    want = _ref_hankel_minors(entries, sizes)
+    assert got == {s: v._mpf_ for s, v in want.items()}
     assert lu_sizes  # the fallback ran
 
 
 def test_pivoted_elimination_is_bit_identical_to_mpf_operators():
-    # random blocks of 400-digit rationals, a third of them singular (one row
-    # an integer multiple of another), with zeros that force row exchanges
+    # random integer blocks, a third of them singular (one row an integer
+    # multiple of another), with zeros that force row exchanges
     rng = random.Random(7)
     zero_dets = 0
     for trial in range(120):
         size = rng.randint(1, 5)
-        rows = [[Fraction(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 3, 7, 10)))
+        rows = [[rng.choice((0, rng.randint(-9 * 10 ** 40, 9 * 10 ** 40)))
                  for _ in range(size)] for _ in range(size)]
         if trial % 3 == 0 and size > 1:
             src, dst = rng.sample(range(size), 2)
             rows[dst] = [rng.randint(-3, 3) * v for v in rows[src]]
-        rows = [_planted_mpfs(r) for r in rows]
-        for dps in (40, 80, 160):
-            got = _lu_det([[v._mpf_ for v in r] for r in rows], dps_to_prec(dps))
-            with mpmath.workdps(dps):
-                want = _ref_lu_det(rows)
-            assert got == want._mpf_, (trial, dps)
-            zero_dets += not want
+        got = determinants._bareiss_det(rows)
+        want = _mpf_det(rows)
+        assert got == want, trial
+        zero_dets += not want
     assert zero_dets >= 30
 
 
@@ -445,7 +421,7 @@ def test_minor_values_rounds_the_validated_minor_to_nearest():
     for n in range(1, 7):
         for x in (0.3, 2.5, 7.9):
             got = minor_values(n, x)
-            want = _ref_validated_minors(_entries(n, x), list(range(1, n + 2)))
+            want = _ref_hankel_minors(_entries(n, x), list(range(1, n + 2)))
             for j, val in got.items():
                 s = 2 * n + 2 - j
                 v = want[s] if s * (s - 1) // 2 % 2 == 0 else -want[s]

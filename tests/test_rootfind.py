@@ -29,8 +29,28 @@ def test_refine_converges_within_xtol():
     xtol = 1e-10
     res = refine_bracket(math.sin, 3.0, 3.3, xtol=xtol)
     assert abs(res.value - math.pi) <= xtol
-    assert res.residual <= 1e-9
+    assert res.residual is None  # the refiner does not evaluate its root
     assert 0 < res.iterations < 200
+
+
+def test_reported_zeros_carry_the_residual_the_refiner_leaves_out():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.sin(t)
+
+    xtol = 1e-10
+    refined = refine_bracket(f, 3.0, 3.3, xtol=xtol)
+    refine_evals = len(seen)
+    assert refined.value not in seen
+    grid = dict(start=3.0, step=0.3, cap=3.3, xtol=xtol)
+    for res in (kth_zero(math.sin, 1, **grid), next(first_zeros(math.sin, 1, **grid))):
+        assert res.value == refined.value and res.iterations == refined.iterations
+        assert res.residual == abs(math.sin(res.value)) <= 1e-9
+    del seen[:]
+    kth_zero(f, 1, **grid)
+    assert len(seen) == refine_evals + 1  # the refiner's, plus the root's residual
 
 
 def test_refine_skips_known_endpoint_values():
