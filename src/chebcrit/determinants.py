@@ -226,8 +226,8 @@ def _exact_hankel_minors(vals, sizes: list[int]) -> dict:
     Python ints, and det H_s is 2^(emin s) times the integer minor.
     Unpivoted fraction-free elimination: the k-th pivot is the integer
     det H_(k+1), so one pass gives every leading minor.  Once a pivot is
-    exactly zero, its minor is zero, and every larger size takes
-    _bareiss_det of its own block.
+    exactly zero, that size and every larger one take _bareiss_det of their
+    own block.
     """
     emin = min((exp for _, man, exp, _ in vals if man), default=0)
     ints = [(-man if sign else man) << (exp - emin) for sign, man, exp, _ in vals]
