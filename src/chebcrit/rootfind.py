@@ -139,9 +139,9 @@ def first_zeros(f: Callable[[float], float], count: int, *, start: float,
 
     The step must be small enough that no two zeros share one scan cell.
     Each bracket is refined by ``refine_bracket`` with the scan values of
-    its ends and yielded, with its residual, before the scan goes on.  When the scan ends with
-    fewer than ``count`` zeros, the ones found have been yielded and
-    NumericalFailure names the first missing one.
+    its ends and yielded, with its residual, before the scan goes on.  When
+    the scan ends with fewer than ``count`` zeros, the ones found have been
+    yielded and NumericalFailure names the first missing one.
     """
     if count < 1:
         raise UsageError("count must be >= 1")

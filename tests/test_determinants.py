@@ -304,8 +304,8 @@ def test_zero_pivot_falls_back_to_pivoted_lu(monkeypatch, vals):
 
 def test_minor_past_a_tiny_pivot_is_exact(monkeypatch):
     # the second pivot is 1e-30 * 3, so det H_2 and det H_4 sit thirty
-    # digits below the products that make them; a rounded elimination at 40
-    # digits got them wrong, the exact one needs no second precision
+    # digits below the products that make them: an elimination rounded to
+    # 40 digits loses them, the exact one needs no second pass
     n = 3
     vals = (3, 1, Fraction(1, 3) + Fraction(1, 10 ** 30), 1, 1, 2, 7)
     _plant_entries(monkeypatch, n, vals)
