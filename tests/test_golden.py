@@ -31,6 +31,8 @@ CASES = {
     "scan_minor_9_10_subnormal.json": ("scan", "--what", "minor", "--n", "9", "--j", "10",
                                        "--range", "0.001:0.01", "--points", "10",
                                        "--format", "json"),
+    "scan_v_4_cancel.json": ("scan", "--what", "v", "--n", "4", "--range", "0.05:0.2",
+                             "--points", "1000", "--format", "json"),
     "scan_w_8_near0.json": ("scan", "--what", "w", "--n", "8", "--range", "0.001:0.05",
                             "--points", "60", "--format", "json"),
     "zeros_0.json": ("zeros", "--nu", "0", "--count", "3"),
