@@ -17,55 +17,63 @@ element.
 Numeric evaluation is a separate concern: the closed forms have integer
 coefficients that grow like (2n+1)!! while the function values near x = 0
 vanish to high order, so a fixed-precision sum loses every significant
-digit.  ``tp_eval_mp`` is the one certified evaluator, with three routes:
+digit.  ``tp_eval_mp`` and ``tp_eval`` share three routes:
 
 * below |x| = MACLAURIN_RADIUS (0.01), 0 included, the exact Maclaurin
-  expansion is summed at 50 digits, where the cancellation is worst (it
-  falls through only when its decay test fails, never at 0);
+  expansion is summed at 50 digits (it falls through only when its decay
+  test fails, never at 0);
 * otherwise a pure polynomial is summed exactly in the rationals;
-* and any other element in its harmonic form, with adaptive working
-  precision (mpmath) against a running magnitude bound.
+* and any other element on a fixed-point kernel on Python ints.
 
-``tp_eval`` and the far side of ``tp_eval_over_power`` round its value to
-a double, correct to ~1 ulp whenever it is representable.
+``tp_eval`` rounds the first two routes' mpf value to a double (~1 ulp).
 
-Each element is compiled for evaluation once per working precision: a
-table of its coefficients as raw mpf values (per harmonic, in Horner order,
-with their absolute values), and once for the 50-digit Maclaurin route.
-The tables are stored on the instance, outside the dataclass fields, so
-``==`` and ``hash`` are unchanged.  The sums run on the ``mpmath.libmp``
-primitives that mpf's operators and ``mp.cos``/``mp.sin`` call, at the
-same precision and rounding, so every value is bit for bit what the mpf
-operators give.  A coefficient is converted from its own num/den in
-lowest terms, as ``mp.mpf(num) / den`` would convert it: the numerator is
-rounded to the precision before the division, and an exact rational
-conversion would round once and differ in the last bit.  So the values do
-not depend on the denominator an element shares.
+The kernel works at F fraction bits.  Each coefficient num/den is the
+integer nearest to num 2^F / den, and the double x is the exact dyadic
+p / 2^s.  It returns integers T and E with |T 2^-F - a(x)| <= E 2^-F,
+E summed term by term in units of 2^-F:
 
-There is no precision context: every route, the compilation of a table
-and the exact-polynomial route included, computes at a precision passed
-to it as an argument (``dps_to_prec(dps)`` bits for d digits), so no
-value depends on mpmath's global precision; the only mpf objects made
-are the values ``tp_eval_mp`` returns.  The abscissa, its absolute value
-and cos/sin(k x) are kept in a one-entry memo of the last abscissa, per
-precision and harmonic, so the derivatives of f_n evaluated at one point
-share a single cos/sin evaluation.
+* Horner's rule acc = (acc p >> s) + c per cos or sin polynomial: the
+  leading coefficient is off by at most 1/2, and each step floors (below
+  1) and adds a coefficient off by 1/2, so the error grows as
+  e' = ceil(e |p| / 2^s) + 2 from e = 1.
+* cos kx and sin kx come from one ``mpf_cos_sin`` of the exact kx at
+  F + 20 bits, trusted to be within 1 ulp (2^-(F+20), as both are at most
+  1); rounded to F fraction bits, each is off by at most 1/2 + 2^-20 < 1.
+* A product (P C) >> F of a polynomial value P, off by e_P, with such a
+  C adds e_P + (|P| >> F) + 2: |P| 2^-F from C, e_P |cos| <= e_P from P,
+  and below 1 from the floor.  A k = 0 polynomial adds its e alone.
 
-Both certificates are made cheap without changing a bit:
+F starts at dps_to_prec(40) bits, plus enough 64-bit steps for the
+coefficient magnitude sum at |x| to keep 40 digits where it is below
+2^-64.  It grows with the digits, 40, 80, ..., 2560, until the caller's
+test passes, and past the cap of 5000 digits NumericalFailure is raised:
 
-* The Maclaurin sum stops early.  Its table ends at the last nonzero
-  coefficient and carries a suffix bound per slot i, an integer bound on
-  log2 of max over j > i of |c_j| 2^(-6 (j - i - 1)).  Below
-  MACLAURIN_RADIUS (< 2^-6) that bounds every later term through the
-  current power of x; once it is at most 1/8 ulp of the running total, no
-  later addition can move the total, and the final 2^-110 decay test
-  would pass, so the early return is what the full 64-slot loop returns.
-* The harmonic route's rounding bound B (the sum of |coefficient| |x|^i
-  over all rows, times 10^-dps and an operation count) is first tried as
-  a double: one float Horner sum of the per-power magnitudes rounded up,
-  with a 2^-40 relative slack, gives B' >= B.  If B' certifies the value,
-  so would B; otherwise B is computed on raw mpfs and decides as before.
-  The pre-test stands down where underflow or overflow could undercut B'.
+* ``tp_eval_mp(a, x, rtol)`` accepts when (E + (|T| >> F) + 1) rd <=
+  |T| rn for rtol = rn / rd exactly, the two extra terms covering the
+  rounding of T 2^-F to the F-bit mpf it returns;
+* ``tp_eval`` accepts when (T - E) 2^-F and (T + E) 2^-F round to the
+  same double (Ziv's rounding test), which is then a(x) correctly
+  rounded.
+
+On every route a double that overflows, or that is 0.0 for a value not
+certified zero (an underflow), raises NumericalFailure.
+
+The tables of both routes are built once per element (per F for the
+kernel) and stored on the instance, outside the dataclass fields, so
+``==`` and ``hash`` are unchanged.  There is no precision context: every
+route computes at a precision passed to it as an argument, so no value
+depends on mpmath's global precision.  The kernel keeps x = p / 2^s, its
+Horner error counts and cos/sin(k x) per (F, k) in a one-entry memo of
+the last abscissa, so the derivatives of f_n evaluated at one point share
+one cos/sin evaluation per F.
+
+The Maclaurin sum stops early without changing a bit.  Its table ends at
+the last nonzero coefficient and carries a suffix bound per slot i, an
+integer bound on log2 of max over j > i of |c_j| 2^(-6 (j - i - 1)).
+Below MACLAURIN_RADIUS (< 2^-6) that bounds every later term through the
+current power of x; once it is at most 1/8 ulp of the running total, no
+later addition can move the total, and the final 2^-110 decay test would
+pass, so the early return is what the full 64-slot loop returns.
 """
 
 from __future__ import annotations
@@ -81,18 +89,16 @@ from mpmath.libmp import (
     dps_to_prec,
     from_float,
     from_int,
+    from_man_exp,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_cos_sin,
     mpf_div,
     mpf_gt,
-    mpf_le,
     mpf_mul,
-    mpf_mul_int,
     mpf_pow_int,
     mpf_shift,
-    round_ceiling,
     round_nearest,
     to_float,
 )
@@ -114,20 +120,15 @@ _SUFFIX_SHIFT = 6  # the early stop's radius is 2^-6 >= MACLAURIN_RADIUS
 _VANISHING_ORDER_CAP = 600
 _EVAL_START_DPS = 40
 _EVAL_MAX_DPS = 5000
+# the kernel's working precisions in bits: 40, 80, ..., 2560 digits
+_EVAL_PRECS = tuple(dps_to_prec(_EVAL_START_DPS << j)
+                    for j in range((_EVAL_MAX_DPS // _EVAL_START_DPS).bit_length()))
 _EVAL_RTOL = 1e-17
 _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
-# The harmonic route's float pre-test (see _float_accepts): its relative
-# slack, the largest degree the slack covers, the coefficient range it
-# accepts and the least float magnitude sum it trusts.
-_PRETEST_SLACK = 2.0 ** -40
-_PRETEST_MAX_DEGREE = 1024
-_PRETEST_COEFF_RANGE = (2.0 ** -1000, 2.0 ** 1000)
-_PRETEST_MIN_MAG = 2.0 ** -900
-
-# Process-global state: the point memo of the harmonic route (_point) and
-# the tables compiled onto each element.  Neither is guarded by a lock, so
+# Process-global state: the point memo of the fixed-point kernel (_point)
+# and the tables compiled onto each element.  Neither is guarded by a lock, so
 # evaluation makes no claim of thread safety.
 
 
@@ -444,205 +445,128 @@ def vanishing_order(a: TrigPoly) -> int:
 
 def _raw_coeff(num: int, den: int, prec: int):
     """num/den as a raw mpf at ``prec`` bits, as ``mp.mpf(num) / den`` gives
-    it in lowest terms (not an exact rational conversion; the module
-    docstring says why)."""
+    it in lowest terms: the numerator rounds before the division, whatever
+    denominator the element shares."""
     g = math.gcd(num, den)
     return mpf_div(from_int(num // g, prec, _RND), from_int(den // g), prec, _RND)
 
 
-def _harmonic_table(a: TrigPoly, dps: int):
-    """The compiled harmonic form of ``a`` at ``dps`` digits, built once.
+def _fixed_form(a: TrigPoly):
+    """(low, logs, degree, tables): the fixed-point form of ``a``, built once.
 
-    Returns (rows, mag_rows, ten_pow, ops, fmag, scale_up):
-
-    * rows: one (k, cos row, sin row) per harmonic, a row being None for an
-      empty part and otherwise (leading coefficient, the rest) as raw mpfs
-      in Horner order;
-    * mag_rows: the rows of |coefficient|, in the order the rounding bound
-      adds them;
-    * ten_pow, ops: 10^-dps and the operation count of the rounding bound;
-    * fmag: the float pre-test's row, (leading, the rest) in Horner order,
-      each entry the sum over all rows of the |coefficient|s of one power
-      of x rounded up to a double; None where the pre-test cannot be sound
-      (see _float_accepts);
-    * scale_up: ten_pow * ops * (1 + _PRETEST_SLACK) as a raw mpf, rounded
-      up.
-
-    The tables live on the instance, so a lookup never hashes the
-    element's numerators.
+    logs holds (i, l) per power i of x with a nonzero coefficient, l the
+    bit length of its largest numerator less that of the denominator, so
+    lg(xe) = max (l + i xe) estimates log2 of the largest term at
+    |x| < 2^xe.  low is the least xe with lg(xe) > -64 (lg grows with xe).
+    tables maps F to the rows of _fixed_table.  Stored on the instance, so
+    a lookup never hashes the element's numerators.
     """
-    tables = a.__dict__.setdefault("_harmonic_tables", {})
-    table = tables.get(dps)
+    form = a.__dict__.get("_fixed_form")
+    if form is None:
+        top: dict[int, int] = {}
+        for _, cpart, spart in a.terms:
+            for part in (cpart, spart):
+                for i, c in enumerate(part):
+                    if c:
+                        top[i] = max(top.get(i, 0), abs(c).bit_length())
+        dlen = a.den.bit_length()
+        logs = tuple((i, b - dlen) for i, b in top.items())
+        low = min((-64 - l) // i + 1 if i else (-math.inf if l > -64 else math.inf)
+                  for i, l in logs)
+        form = a.__dict__["_fixed_form"] = (low, logs, a.max_degree(), {})
+    return form
+
+
+def _fixed_table(a: TrigPoly, F: int):
+    """One (k, cos row, sin row) per harmonic of ``a`` at F fraction bits,
+    built once: a row is None for an empty part, else (leading, the rest in
+    Horner order), each num/den as the integer nearest to num 2^F / den."""
+    tables = _fixed_form(a)[3]
+    table = tables.get(F)
     if table is None:
-        prec = dps_to_prec(dps)
-        raw = [(k, [_raw_coeff(c, a.den, prec) for c in cpart],
-                [_raw_coeff(c, a.den, prec) for c in spart])
-               for k, cpart, spart in a.terms]
-        ten_pow = mpf_pow_int(from_int(10), -dps, prec, _RND)  # mp.mpf(10) ** -dps
-        parts = [part for _, cpart, spart in raw for part in (cpart, spart) if part]
-        ops = a.max_degree() + 8 * len(a.terms) + 16
-        scale_up = mpf_mul(mpf_mul_int(ten_pow, ops, prec, round_ceiling),
-                           from_float(1.0 + _PRETEST_SLACK), prec, round_ceiling)
-        table = (tuple((k, _horner_row(c), _horner_row(s)) for k, c, s in raw),
-                 tuple(_horner_row([mpf_abs(c) for c in part]) for part in parts),
-                 ten_pow, ops, _float_magnitudes(parts), scale_up)
-        tables[dps] = table
+        den, den2 = a.den, 2 * a.den
+
+        def row(part):
+            if not part:
+                return None
+            ints = [((c << (F + 1)) + den) // den2 for c in reversed(part)]
+            return ints[0], tuple(ints[1:])
+
+        table = tables[F] = tuple((k, row(c), row(s)) for k, c, s in a.terms)
     return table
 
 
-def _horner_row(part):
-    """(leading coefficient, the rest in Horner order) of a coefficient
-    list (index = power of x), or None for an empty one."""
-    return (part[-1], tuple(reversed(part[:-1]))) if part else None
-
-
-def _float_magnitudes(parts):
-    """The pre-test's float row for the raw coefficient lists ``parts``
-    (index = power of x), or None when a coefficient lies outside
-    [2^-1000, 2^1000], or the degree or the number of parts exceeds
-    _PRETEST_MAX_DEGREE."""
-    lo, hi = _PRETEST_COEFF_RANGE
-    if len(parts) > _PRETEST_MAX_DEGREE:
-        return None
-    sums = []
-    for raw in parts:
-        if len(raw) > _PRETEST_MAX_DEGREE + 1:
-            return None
-        sums.extend([fzero] * (len(raw) - len(sums)))
-        for i, c in enumerate(raw):
-            if c == fzero:
-                continue
-            if not lo <= abs(to_float(c)) <= hi:
-                return None
-            sums[i] = mpf_add(sums[i], mpf_abs(c))  # exact: no precision given
-    fmag = [to_float(s, rnd=round_ceiling) for s in reversed(sums)]
-    return fmag[0], tuple(fmag[1:])
-
-
-# (x, raw x, raw |x|, {(prec, k): mpf_cos_sin(k x)}) for the last abscissa
-_point = (None, None, None, None)
+# (x, p, s, errs, {(F, k): (cos kx, sin kx) at F fraction bits}) for the
+# last abscissa x = p / 2^s; errs[j] bounds the error of a Horner sum after
+# j steps at x, in units of its fraction bits
+_point = (None, 0, 0, [1], {})
 
 
 def _point_values(x: float):
     """The point memo for ``x``, replacing the memo of any other abscissa."""
     global _point
     if _point[0] != x:
-        xr = from_float(x)
-        _point = (x, xr, mpf_abs(xr), {})
+        p, d = x.as_integer_ratio()
+        _point = (x, p, d.bit_length() - 1, [1], {})
     return _point
 
 
-def _horner_raw(row, xr, prec):
-    """Horner evaluation of a (leading, rest) row on raw mpfs."""
-    acc, rest = row
-    for c in rest:
-        acc = mpf_add(mpf_mul(acc, xr, prec, _RND), c, prec, _RND)
-    return acc
+def _to_fixed(v, F: int) -> int:
+    """The raw mpf v as the integer nearest to v 2^F."""
+    sign, man, exp, _ = v
+    shift = exp + F
+    n = man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
+    return -n if sign else n
 
 
-def _harmonic_value(rows, x: float, prec: int):
-    """The raw value of the harmonic form with table rows ``rows`` at ``x``."""
-    _, xr, _, trig = _point_values(x)
-    total = fzero
+def _fixed_value(a: TrigPoly, x: float, F: int):
+    """(T, E) with |T 2^-F - a(x)| <= E 2^-F, on Python ints, by the error
+    model of the module docstring (errs[j] is e after j Horner steps)."""
+    degree = _fixed_form(a)[2]
+    rows = _fixed_table(a, F)
+    _, p, s, errs, trig = _point_values(x)
+    while len(errs) <= degree:
+        errs.append(-(-errs[-1] * abs(p) >> s) + 2)
+    total = bound = 0
     for k, crow, srow in rows:
-        if k == 0:
-            total = mpf_add(total, _horner_raw(crow, xr, prec), prec, _RND)
-            continue
-        cos_sin = trig.get((prec, k))
-        if cos_sin is None:
-            cos_sin = trig[prec, k] = mpf_cos_sin(mpf_mul_int(xr, k, prec, _RND), prec, _RND)
-        cos_kx, sin_kx = cos_sin
-        if crow:
-            total = mpf_add(total, mpf_mul(_horner_raw(crow, xr, prec), cos_kx, prec, _RND),
-                            prec, _RND)
-        if srow:
-            total = mpf_add(total, mpf_mul(_horner_raw(srow, xr, prec), sin_kx, prec, _RND),
-                            prec, _RND)
-    return total
+        if k:
+            cos_sin = trig.get((F, k))
+            if cos_sin is None:
+                cos_sin = trig[F, k] = tuple(
+                    _to_fixed(v, F) for v in mpf_cos_sin(from_man_exp(k * p, -s), F + 20, _RND))
+        else:
+            cos_sin = (None, None)
+        for row, c in zip((crow, srow), cos_sin):
+            if row is None:
+                continue
+            acc, rest = row
+            for coeff in rest:
+                acc = (acc * p >> s) + coeff
+            if c is None:
+                total += acc
+                bound += errs[len(rest)]
+            else:
+                total += acc * c >> F
+                bound += errs[len(rest)] + (abs(acc) >> F) + 2
+    return total, bound
 
 
-def _exact_bound(table, x: float, prec: int):
-    """The raw rounding bound B of the harmonic-form sum: the sum of the
-    |term| magnitudes, times 10^-dps and the operation count."""
-    _, mag_rows, ten_pow, ops, _, _ = table
-    axr = _point_values(x)[2]
-    mag = fzero
-    for row in mag_rows:
-        mag = mpf_add(mag, _horner_raw(row, axr, prec), prec, _RND)
-    return mpf_mul_int(mpf_mul(mag, ten_pow, prec, _RND), ops, prec, _RND)
+def _eval_fixed(a: TrigPoly, x: float, accept):
+    """accept(T, E, F) for the first working precision where it is not None.
 
-
-def _float_accepts(table, x: float, prec: int, limit) -> bool:
-    """Whether B' <= limit, for the raw B' >= _exact_bound(table, x, prec)
-    from one float Horner sum; False where the pre-test stands down.
-
-    Let M be the exact sum of |coefficient| * |x|^i over all rows.  The
-    exact bound B sums M at prec >= 136 bits (40 digits) with at most
-    2 * degree + rows nearest roundings of relative error 2^-prec each and
-    rounds twice more; with degree and rows at most _PRETEST_MAX_DEGREE
-    that is B <= M * 10^-dps * ops * (1 + 2^-120).  The float row's
-    entries are the per-power sums rounded up, so their exact Horner sum
-    is >= M; each of its 2 * degree float roundings loses at most a factor
-    (1 - 2^-53), less than 2^-41 in all for degree <= _PRETEST_MAX_DEGREE.
-    Requiring the float sum m to be a finite normal double >= 2^-900 keeps
-    overflow out and bounds what gradual underflow of a product can lose
-    (below 2^-1074 per step, shrinking with |x| < 1) far below that.  The
-    slack 2^-40 covers both, and B' = m * scale_up is rounded up, so
-    B' >= B: whatever B' accepts, B accepts too.
-
-    B' lies in [2^(p-2), 2^p] for p the sum of the binary exponents of m
-    and scale_up, and a nonzero limit in [2^(q-1), 2^q); so p < q accepts
-    and p >= q + 2 rejects without forming B', which is formed only when
-    p is q or q + 1, or when scale_up is not finite.
+    F is dps_to_prec(dps) fraction bits for dps = 40, 80, ... up to 5000
+    (_EVAL_PRECS).  Where the largest term of the coefficient magnitude sum
+    at |x| is below 2^-64 (by the estimate lg of _fixed_form), F also
+    carries -lg rounded up to a multiple of 64, so the sum keeps dps digits.
     """
-    fmag = table[4]
-    if fmag is None or limit == fzero:
-        return False
-    m, rest = fmag
-    ax = abs(x)
-    for c in rest:
-        m = m * ax + c
-    if not _PRETEST_MIN_MAG <= m < math.inf:
-        return False
-    scale_up = table[5]
-    p = math.frexp(m)[1] + scale_up[2] + scale_up[3]
-    q = limit[2] + limit[3]
-    if scale_up[1] and not q <= p <= q + 1:  # scale_up finite and p not q or q + 1
-        return p < q
-    return mpf_le(mpf_mul(from_float(m), scale_up, prec, round_ceiling), limit)
-
-
-def _eval_adaptive_mp(a: TrigPoly, x: float, rtol: float):
-    """mpf value certified to the requested relative error, escalating precision.
-
-    At each precision the float bound B' is tried first; only when it
-    fails is the exact bound B computed, and B decides.  Since B <= B',
-    every accepted value and every escalation is what B alone gives.
-    """
-    # A pure polynomial can be evaluated exactly in the rationals, which also
-    # covers exact zeros at rational points (the harmonic route cannot
-    # certify a true zero).
-    if all(k == 0 for k, _, _ in a.terms):
-        fx = Fraction(x)
-        val = Fraction(0)
-        for _, cpart, _ in a.terms:  # at most one, the k = 0 harmonic
-            for c in reversed(cpart):
-                val = val * fx + c
-        return mp.make_mpf(_raw_coeff(val.numerator, val.denominator * a.den,
-                                      dps_to_prec(40)))
-    rtol = from_float(rtol)
-    dps = _EVAL_START_DPS
-    while dps <= _EVAL_MAX_DPS:
-        prec = dps_to_prec(dps)
-        table = _harmonic_table(a, dps)
-        total = _harmonic_value(table[0], x, prec)
-        limit = mpf_mul(mpf_abs(total), rtol, prec, _RND)
-        if _float_accepts(table, x, prec, limit):
-            return mp.make_mpf(total)
-        bound = _exact_bound(table, x, prec)
-        if bound == fzero or mpf_le(bound, limit):
-            return mp.make_mpf(total)
-        dps *= 2
+    low, logs, _, _ = _fixed_form(a)
+    xe = math.frexp(x)[1]  # |x| < 2^xe
+    extra = 0 if xe >= low else -(max(l + i * xe for i, l in logs) >> 6) << 6
+    for prec in _EVAL_PRECS:
+        F = prec + extra
+        got = accept(*_fixed_value(a, x, F), F)
+        if got is not None:
+            return got
     raise NumericalFailure(
         f"evaluation at x={x!r} did not certify below {_EVAL_MAX_DPS} digits")
 
@@ -730,32 +654,77 @@ def _finite(x) -> float:
     return x
 
 
+def _mpf_route(a: TrigPoly, x: float):
+    """The value of ``a`` (nonzero) at ``x`` from the Maclaurin route or,
+    for a pure polynomial, the exact one; None for the fixed-point kernel."""
+    if abs(x) < MACLAURIN_RADIUS:
+        got = _eval_maclaurin_mp(a, x)
+        if got is not None:
+            return got
+    if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+        return None
+    # summed exactly (the kernel cannot certify a true zero), then rounded
+    fx, val = Fraction(x), Fraction(0)
+    for c in reversed(a.terms[0][1]):
+        val = val * fx + c
+    return mp.make_mpf(_raw_coeff(val.numerator, val.denominator * a.den, dps_to_prec(40)))
+
+
 def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
-    """The certified mpf value of ``a`` at ``x`` (the only evaluator).
+    """The certified mpf value of ``a`` at ``x``.
 
     Below |x| = MACLAURIN_RADIUS, 0 included, the exact Maclaurin expansion
     is summed at 50 digits (there the harmonic form cancels to a value
     exponentially smaller than its terms).  Elsewhere, or when its decay
     test fails, a pure polynomial is summed exactly and any other element
-    with adaptive working precision until a running magnitude bound
-    certifies the relative error ``rtol``.  rtol is clamped at 1e-30; the
-    Maclaurin route is good to ~1e-33.
+    on the fixed-point kernel, at growing precision until its error bound
+    E, plus the rounding of T to F bits, is at most rtol |T|, compared
+    exactly.  rtol is clamped at 1e-30; the Maclaurin route is good to
+    ~1e-33.
     """
     x = _finite(x)
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
         return mp.make_mpf(fzero)
-    if abs(x) < MACLAURIN_RADIUS:
-        got = _eval_maclaurin_mp(a, x)
-        if got is not None:
-            return got
-    return _eval_adaptive_mp(a, x, rtol)
+    got = _mpf_route(a, x)
+    if got is not None:
+        return got
+    rn, rd = rtol.as_integer_ratio()
+
+    def within_rtol(total, bound, F):
+        mag = abs(total)
+        if (bound + (mag >> F) + 1) * rd <= mag * rn:
+            return mp.make_mpf(from_man_exp(total, -F, F, _RND))
+        return None
+
+    return _eval_fixed(a, x, within_rtol)
 
 
 def tp_eval(a: TrigPoly, x: float) -> float:
-    """Numeric value of ``a`` at ``x``: tp_eval_mp's value, rounded to a
-    double, so correct to ~1 ulp of the result."""
-    return _to_float(tp_eval_mp(a, x), float(x))
+    """Numeric value of ``a`` at ``x`` as a double.
+
+    On the fixed-point kernel it is the correctly rounded value: precision
+    grows until both ends of the certified interval [T - E, T + E] 2^-F
+    round to one double.  The Maclaurin and exact-polynomial routes round
+    their mpf value, correct to ~1 ulp.  Raises NumericalFailure when the
+    value overflows a double, or is nonzero and rounds to 0.0.
+    """
+    x = _finite(x)
+    if a.is_zero():
+        return 0.0
+    got = _mpf_route(a, x)
+    if got is not None:
+        return _to_float(got, x)
+
+    def one_double(total, bound, F):
+        lo = _nearest_double(total - bound, F)
+        if lo != _nearest_double(total + bound, F):
+            return None
+        # an interval that rounds to 0.0 is refused like an underflow: a
+        # nonzero value there is below the least subnormal
+        return _checked_double(lo, True, x)
+
+    return _eval_fixed(a, x, one_double)
 
 
 def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
@@ -778,11 +747,27 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     return tp_eval(a, x) / x ** power
 
 
-def _to_float(v, x: float) -> float:
-    out = to_float(v._mpf_, rnd=_RND)
-    if out != out or out in (float("inf"), float("-inf")):
+def _nearest_double(n: int, F: int) -> float:
+    """n 2^-F rounded to the nearest double (int division rounds
+    correctly), infinite beyond the double range."""
+    try:
+        return n / (1 << F)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _checked_double(out: float, nonzero: bool, x: float) -> float:
+    """out, or NumericalFailure when it overflowed or when a nonzero value
+    rounded to 0.0."""
+    if not math.isfinite(out):
         raise NumericalFailure(f"value at x={x!r} overflows double precision")
+    if out == 0.0 and nonzero:
+        raise NumericalFailure(f"value at x={x!r} underflows double precision")
     return out
+
+
+def _to_float(v, x: float) -> float:
+    return _checked_double(to_float(v._mpf_, rnd=_RND), v._mpf_ != fzero, x)
 
 
 # ----------------------------------------------------------------------

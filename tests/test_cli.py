@@ -179,6 +179,15 @@ def test_critlen_refuses_minors_below_the_double_range(capsys):
     assert out == "" and "underflows double precision" in err
 
 
+def test_scan_refuses_a_value_below_the_double_range(capsys):
+    # w(f_16) at x = 1e-3 is positive and below the least subnormal; the scan
+    # used to print it as value 0, sign 0
+    code, out, err = run_cli(capsys, "scan", "--what", "w", "--n", "16",
+                             "--range", "0.001:0.002", "--points", "2", "--format", "json")
+    assert code == 3
+    assert out == "" and "value at x=0.001 underflows double precision" in err
+
+
 def test_critlen_needs_n(capsys):
     code, _, err = run_cli(capsys, "critlen")
     assert code == 2

@@ -5,19 +5,21 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
 
-from chebcrit.errors import UsageError
+from chebcrit.errors import NumericalFailure, UsageError
 from chebcrit.trigpoly import (
+    _EVAL_PRECS,
     MACLAURIN_RADIUS,
     TrigPoly,
+    _eval_fixed,
     _eval_maclaurin_mp,
-    _exact_bound,
-    _harmonic_table,
-    _harmonic_value,
+    _fixed_form,
+    _fixed_table,
+    _fixed_value,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -353,38 +355,11 @@ def test_eval_over_power_limit():
 
 # Coefficients with 603-bit numerators: mp.mpf(num) rounds the numerator
 # before the division, so an exact rational conversion differs from the
-# evaluator's expression in the last bit for some of them at 40, 50, 80 and
-# 160 digits alike (checked in test_planted_coefficients_are_double_rounding_traps).
+# Maclaurin route's expression in the last bit for some of them at 40, 50,
+# 80 and 160 digits alike (checked in test_planted_coefficients_are_double_rounding_traps).
 # The leading Maclaurin coefficient of PLANTED is _WIDE[0], a trap at 50 digits.
 _WIDE = [Fraction(3**380 + i, d) for i, d in zip(range(1, 9), (7, 11, 13, 17) * 2)]
 PLANTED = tp_add(tp_term(2, _WIDE[:4], _WIDE[4:]), tp_from_poly([0, Fraction(1, 3), _WIDE[1]]))
-
-
-def _ref_horner(coeffs, den, xm, ax):
-    acc = mp.mpf(0)
-    mag = mp.mpf(0)
-    for c in reversed(coeffs):
-        c = Fraction(c, den)
-        cm = mp.mpf(c.numerator) / c.denominator
-        acc = acc * xm + cm
-        mag = mag * ax + abs(cm)
-    return acc, mag
-
-
-def _ref_harmonic(a, x):
-    """(value, rounding bound) at the current precision through mpf operators."""
-    xm = mp.mpf(x)
-    ax = abs(xm)
-    total = mp.mpf(0)
-    mag = mp.mpf(0)
-    for k, cpart, spart in a.terms:
-        for part, trig in ((cpart, mp.cos), (spart, mp.sin)):
-            if part:
-                v, m_ = _ref_horner(part, a.den, xm, ax)
-                total += v if k == 0 else v * trig(k * xm)
-                mag += m_
-    ops = a.max_degree() + 8 * len(a.terms) + 16
-    return total, mag * mp.mpf(10) ** (-mp.dps) * ops
 
 
 def _ref_maclaurin(a, x, denom_power):
@@ -413,14 +388,6 @@ def _raw(v):
     return None if v is None else v._mpf_
 
 
-def _harmonic_raw(a, x, dps):
-    """Raw (value, rounding bound) of the harmonic form of ``a`` at ``dps``
-    digits, from its compiled table, in no precision context."""
-    prec = dps_to_prec(dps)
-    table = _harmonic_table(a, dps)
-    return _harmonic_value(table[0], x, prec), _exact_bound(table, x, prec)
-
-
 def _compiled_cases():
     from chebcrit.determinants import symbolic_v
 
@@ -440,17 +407,6 @@ def test_planted_coefficients_are_double_rounding_traps():
 
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
-def test_compiled_harmonic_route_is_bit_identical(name, a):
-    a = TrigPoly(a.terms, a.den)  # a fresh instance: no table built elsewhere
-    for dps in (40, 80, 160):
-        for x in (0.013, 0.7, 3.7, 11.0, 29.5):
-            got = _harmonic_raw(a, x, dps)  # raw, in no precision context
-            with mp.workdps(dps):
-                want = _ref_harmonic(a, x)
-            assert got == (want[0]._mpf_, want[1]._mpf_), (dps, x)
-
-
-@pytest.mark.parametrize("name,a", _compiled_cases())
 def test_compiled_maclaurin_route_is_bit_identical(name, a):
     a = TrigPoly(a.terms, a.den)
     for outer_dps in (40, 80, 160):  # the route works at 50 digits whatever the caller's
@@ -462,26 +418,42 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
                 assert _raw(got) == _raw(want), (outer_dps, x, power)
 
 
-def test_compiled_public_entry_points_match_reference():
-    for _, a in _compiled_cases():
-        fresh = TrigPoly(a.terms, a.den)
-        for x in (0.004, 0.5, 7.25):
-            if x < MACLAURIN_RADIUS:
-                want = _ref_maclaurin(a, x, 0)
-            else:
-                with mp.workdps(40):
-                    want, bound = _ref_harmonic(a, x)
-                    assert bound <= abs(want) * mp.mpf(1e-17)  # certifies at 40 digits
-            assert tp_eval_mp(fresh, x)._mpf_ == want._mpf_
-            assert tp_eval(fresh, x) == float(want)
+@pytest.mark.parametrize("name,a", _compiled_cases())
+def test_compiled_harmonic_route_is_bit_identical(name, a):
+    # the kernel's (T, E) against _ref_fixed, written from the error model
+    a = _fresh(a)
+    for F in _EVAL_PRECS[:3]:
+        for x in (0.013, 0.7, 3.7, 11.0, 29.5):
+            assert _fixed_value(a, x, F) == _ref_fixed(a, x, F), (F, x)
 
 
 def test_compiled_table_is_per_precision():
-    x = 3.7
-    a = TrigPoly(PLANTED.terms, PLANTED.den)
-    _harmonic_raw(a, x, 40)
-    got = _harmonic_raw(a, x, 80)
-    assert got == _harmonic_raw(TrigPoly(PLANTED.terms, PLANTED.den), x, 80)
+    # one table per working precision, each coefficient num/den the integer
+    # nearest to num 2^F / den, in Horner order (highest power first)
+    for _, a in _compiled_cases():
+        a = _fresh(a)
+        for F in _EVAL_PRECS[:2]:
+            table = _fixed_table(a, F)
+            assert [k for k, _, _ in table] == [k for k, _, _ in a.terms]
+            for (_, crow, srow), (_, cpart, spart) in zip(table, a.terms):
+                for row, part in ((crow, cpart), (srow, spart)):
+                    if not part:
+                        assert row is None
+                        continue
+                    lead, rest = row
+                    assert len(rest) + 1 == len(part)
+                    for got, num in zip((lead, *rest), reversed(part)):
+                        assert abs(got - Fraction(num << F, a.den)) <= Fraction(1, 2), (F, num)
+        assert _compiled_precisions(a) == list(_EVAL_PRECS[:2])
+
+
+def test_compiled_public_entry_points_match_reference():
+    for _, a in _compiled_cases():
+        for x in (0.004, 0.5, 7.25):
+            ref = _ref_value(a, x)
+            assert _within_rtol(tp_eval_mp(_fresh(a), x), ref, 1e-17), x
+            assert _within_rtol(tp_eval_mp(_fresh(a), x, 1e-30), ref, 1e-30), x
+            assert tp_eval(_fresh(a), x) == _nearest_double(ref), x
 
 
 def test_compiled_tables_leave_equality_and_hash_alone():
@@ -493,23 +465,87 @@ def test_compiled_tables_leave_equality_and_hash_alone():
     assert {a: 1}[b] == 1
 
 
-# ---------------------------------------------------------------- point memo, context-free loop
+# ---------------------------------------------------------------- the fixed-point kernel
 
-def _ref_eval_mp(a, x, rtol):
-    """The certified harmonic-route value through mpf operators, escalating
-    precision under mp.workdps as the evaluator did before its loop went raw."""
-    dps = 40
-    while True:
-        with mp.workdps(dps):
-            total, bound = _ref_harmonic(a, x)
-            if bound == 0 or bound <= abs(total) * mp.mpf(rtol):
-                return total, dps
-        dps *= 2
+@lru_cache(maxsize=None)
+def _ref_value(a, x):
+    """a(x) at 2000 bits through mpf operators: x and every numerator exact,
+    one rounding per coefficient num/den, cos and sin kx at 2000 bits."""
+    with mp.workprec(2000):
+        xm = mp.mpf(x)
+        total = mp.mpf(0)
+        for k, cpart, spart in a.terms:
+            for part, trig in ((cpart, mp.cos), (spart, mp.sin)):
+                if part:
+                    acc = mp.mpf(0)
+                    for c in reversed(part):
+                        acc = acc * xm + mp.mpf(c) / a.den
+                    total += acc if k == 0 else acc * trig(k * xm)
+        return total
 
 
-def _compiled_dps(a):
-    """The precisions an element has compiled harmonic tables for."""
-    return sorted(a.__dict__.get("_harmonic_tables", ()))
+def _ref_fixed(a, x, F):
+    """(T, E) of the fixed-point kernel, from its error model on Fractions:
+    coefficients and cos/sin kx (computed at F + 20 bits) rounded to the
+    nearest multiple of 2^-F, every product floored to one, and E summing
+    1 for the leading coefficient, 2 per Horner step on top of the error
+    carried through |x|, and |P| 2^-F + 2 per product with cos or sin."""
+    xf = Fraction(x)
+    unit = 2 ** F
+    total = bound = 0
+    for k, cpart, spart in a.terms:
+        for part, trig in ((cpart, mp.cos), (spart, mp.sin)):
+            if not part:
+                continue
+            acc = err = 0
+            for i, num in enumerate(reversed(part)):
+                c = math.floor(Fraction(num * unit, a.den) + Fraction(1, 2))
+                acc = math.floor(acc * xf) + c
+                err = 1 if i == 0 else math.ceil(err * abs(xf)) + 2
+            if k == 0:
+                total, bound = total + acc, bound + err
+                continue
+            with mp.workprec(F + 20):
+                t = trig(k * mp.mpf(x))
+            C = math.floor(Fraction(int(t.man) * (-1 if t < 0 else 1)) * Fraction(2) ** (int(t.exp) + F)
+                           + Fraction(1, 2)) if t else 0
+            total += math.floor(Fraction(acc * C, unit))
+            bound += err + abs(acc) // unit + 2
+    return total, bound
+
+
+def _nearest_double(v):
+    """The double nearest to the mpf v (int division rounds correctly, also
+    below the normal range)."""
+    man, exp = int(v.man), int(v.exp)
+    n = -man if v < 0 else man
+    return float(n << exp) if exp >= 0 else n / (1 << -exp)
+
+
+def _bound_holds(T, E, F, ref):
+    with mp.workprec(2000):
+        return abs(mp.ldexp(T, -F) - ref) <= mp.ldexp(E, -F)
+
+
+def _within_rtol(got, ref, rtol):
+    with mp.workprec(2000):
+        return abs(got - ref) <= abs(ref) * mp.mpf(rtol)
+
+
+def _reference_cases():
+    """_certificate_cases() plus PLANTED, next to its zero included."""
+    xs = (3e-4, 0.0042, 0.013, 0.7, 3.7, 11.0, 29.5, _root_of(PLANTED, 1.25, 1.3))
+    return _certificate_cases() + [(PLANTED, x) for x in xs]
+
+
+def _fresh(a):
+    """A new instance of ``a``, with no compiled table."""
+    return TrigPoly(a.terms, a.den)
+
+
+def _compiled_precisions(a):
+    """The fraction bit counts ``a`` has compiled tables for."""
+    return sorted(_fixed_form(a)[3])
 
 
 def _root_of(a, lo, hi):
@@ -520,54 +556,174 @@ def _root_of(a, lo, hi):
 def _forget_point():
     from chebcrit import trigpoly
 
-    trigpoly._point = (None, None, None, None)
+    trigpoly._point = (None, 0, 0, [1], {})
+
+
+def _count_cos_sin(monkeypatch):
+    """The precision of every mpf_cos_sin call the kernel makes from now on."""
+    from chebcrit import trigpoly
+
+    calls = []
+    plain = trigpoly.mpf_cos_sin
+
+    def counting(*args):
+        calls.append(args[1])
+        return plain(*args)
+
+    monkeypatch.setattr(trigpoly, "mpf_cos_sin", counting)
+    return calls
+
+
+@pytest.mark.parametrize("F", _EVAL_PRECS[:3])
+def test_kernel_error_bound_holds_against_a_2000_bit_reference(F):
+    # |T 2^-F - a(x)| <= E 2^-F at any x, also where the sum cancels
+    # (x near 0, next to a zero) and the bound certifies nothing
+    for a, x in _reference_cases():
+        T, E = _fixed_value(a, x, F)
+        assert _bound_holds(T, E, F, _ref_value(a, x)), (format_trigpoly(a)[:40], x)
+
+
+@pytest.mark.parametrize("rtol", [1e-17, 1e-30])
+def test_certified_values_and_dps_match_the_references(rtol, monkeypatch):
+    # the value is within rtol of the 2000-bit reference (the Maclaurin
+    # route: within ~1e-33); the kernel stops at the first precision where
+    # _ref_fixed passes the exact rtol test, and every bound it formed on
+    # the way holds against the reference
+    from chebcrit import trigpoly
+
+    visited = []
+    plain = trigpoly._fixed_value
+
+    def recording(a, x, F):
+        got = plain(a, x, F)
+        visited.append((a, x, F, got))
+        return got
+
+    monkeypatch.setattr(trigpoly, "_fixed_value", recording)
+    rn, rd = rtol.as_integer_ratio()
+    for a, x in _reference_cases():
+        del visited[:]
+        got = tp_eval_mp(a, x, rtol)
+        assert _within_rtol(got, _ref_value(a, x), rtol), (format_trigpoly(a)[:40], x)
+        if not visited:
+            assert abs(x) < MACLAURIN_RADIUS
+            continue
+        for i, (_, _, F, (T, E)) in enumerate(visited):
+            assert (T, E) == _ref_fixed(a, x, F)
+            assert _bound_holds(T, E, F, _ref_value(a, x)), (x, F)
+            last = i == len(visited) - 1
+            assert ((E + (abs(T) >> F) + 1) * rd <= abs(T) * rn) == last, (x, F)
+        with mp.workprec(F):
+            assert got == +mp.ldexp(T, -F)  # T 2^-F rounded to F bits
+
+
+def test_eval_is_correctly_rounded_against_a_2000_bit_reference():
+    for a, x in _reference_cases():
+        assert tp_eval(a, x) == _nearest_double(_ref_value(a, x)), (format_trigpoly(a)[:40], x)
+
+
+def test_eval_is_correctly_rounded_in_the_cancellation_band():
+    # the grid of `scan --what v --n 4 --range 0.05:0.2 --points 1000`, where
+    # v(f_4) is ~1e-26 to ~1e-21 while its terms are O(1); a value accepted
+    # at a relative error of 1e-17 need not be the nearest double here
+    from chebcrit.determinants import symbolic_v
+
+    v = symbolic_v(4)
+    for i in range(1000):
+        x = 0.05 + (0.2 - 0.05) * i / 999
+        assert tp_eval(v, x) == _nearest_double(_ref_value(v, x)), x
+
+
+def test_escalating_elements_beside_entries_certified_at_40_digits(monkeypatch):
+    # at a double next to a zero of PLANTED (harmonic 2), or of f_6'''
+    # (harmonic 1, like every f_n entry), that element escalates one
+    # precision while the other entries of the stack certify at the first
+    # (40 digits); cos and sin are computed once per (precision, harmonic)
+    derivs = fn_derivatives(6, 12)
+    calls = _count_cos_sin(monkeypatch)
+    for escalating, x, want_calls in ((PLANTED, _root_of(PLANTED, 1.25, 1.3), 3),
+                                      (derivs[3], _root_of(derivs[3], 6.5, 7.5), 2)):
+        order = list(derivs[:2]) + [escalating] + list(derivs[2:])
+        fresh = [_fresh(a) for a in order]
+        _forget_point()
+        del calls[:]
+        for a, f in zip(order, fresh):
+            assert _within_rtol(tp_eval_mp(f, x, 1e-30), _ref_value(a, x), 1e-30), x
+        for a, f in zip(order, fresh):
+            want = list(_EVAL_PRECS[:2]) if a is escalating else [_EVAL_PRECS[0]]
+            assert _compiled_precisions(f) == want, x
+        harmonics = {(F, k) for f in fresh for F in _compiled_precisions(f)
+                     for k, _, _ in f.terms if k}
+        assert len(calls) == len(harmonics) == want_calls, x
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n):
-    # the derivative stack of f_n evaluated in sequence, as minor_values does,
-    # against the mpf-operator reference and against fresh instances
-    derivs = fn_derivatives(n, 2 * n)
+def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n, monkeypatch):
+    # the stack f_n, ..., f_n^(2n) evaluated in sequence, as minor_values
+    # does, makes one mpf_cos_sin call per working precision, and each value
+    # is the one a fresh instance gives with no shared memo
+    calls = _count_cos_sin(monkeypatch)
+    counts = []
     for x in (0.013, 0.7, 3.7, 11.0):
-        got = [tp_eval_mp(d, x, 1e-30)._mpf_ for d in derivs]
-        got_float = [tp_eval(d, x) for d in derivs]
-        for d, g, gf in zip(derivs, got, got_float):
-            fresh = TrigPoly(d.terms, d.den)
-            assert g == _ref_eval_mp(fresh, x, 1e-30)[0]._mpf_, (n, x)
-            assert gf == float(_ref_eval_mp(fresh, x, 1e-17)[0]), (n, x)
+        derivs = fn_derivatives(n, 2 * n)
+        stack = [_fresh(d) for d in derivs]
+        _forget_point()
+        del calls[:]
+        got = [(tp_eval_mp(f, x, 1e-30)._mpf_, tp_eval(f, x)) for f in stack]
+        precisions = {F for f in stack for F in _compiled_precisions(f)}
+        assert len(calls) == len(precisions), x
+        counts.append(len(calls))
+        for d, (g, gf) in zip(derivs, got):
+            assert _within_rtol(mp.make_mpf(g), _ref_value(d, x), 1e-30), (x, d)
+            assert gf == _nearest_double(_ref_value(d, x)), (x, d)
             _forget_point()
-            assert tp_eval_mp(fresh, x, 1e-30)._mpf_ == g, (n, x)
+            assert (tp_eval_mp(_fresh(d), x, 1e-30)._mpf_, tp_eval(_fresh(d), x)) == (g, gf)
+    assert 1 in counts
 
 
 def test_point_memo_is_keyed_by_abscissa_and_precision():
     a = fn_derivatives(5, 3)[3]
-    x1, x2 = 3.7, 0.7
-    for x, dps in ((x1, 40), (x2, 40), (x1, 80), (x1, 40), (x2, 160), (x2, 80)):
-        got = _harmonic_raw(a, x, dps)
-        with mp.workdps(dps):
-            want = _ref_harmonic(TrigPoly(a.terms, a.den), x)
-        assert got == (want[0]._mpf_, want[1]._mpf_), (x, dps)
-
-
-def test_escalating_elements_beside_entries_certified_at_40_digits():
-    # at a double next to a zero of PLANTED (harmonic 2), and of f_6'''
-    # (harmonic 1, like every f_n entry), that element escalates to 80 digits
-    # while the other entries of the stack certify at 40; evaluated
-    # interleaved, every value matches the reference
-    derivs = fn_derivatives(6, 12)
-    planted_zero = _root_of(PLANTED, 1.25, 1.3)
-    entry_zero = _root_of(derivs[3], 6.5, 7.5)
-    for x, escalating in ((planted_zero, PLANTED), (entry_zero, derivs[3])):
+    p0, p1, p2 = _EVAL_PRECS[:3]
+    steps = ((3.7, p0), (0.7, p0), (3.7, p1), (3.7, p0), (0.7, p2), (0.7, p1))
+    want = {}
+    for x, F in steps:
         _forget_point()
-        order = list(derivs[:2]) + [escalating] + list(derivs[2:])
-        got = [tp_eval_mp(a, x, 1e-30)._mpf_ for a in order]
-        for a, g in zip(order, got):
-            fresh = TrigPoly(a.terms, a.den)
-            want, dps = _ref_eval_mp(fresh, x, 1e-30)
-            assert g == want._mpf_, x
-            assert dps == (80 if a is escalating else 40), x
-            tp_eval_mp(fresh, x, 1e-30)
-            assert _compiled_dps(fresh) == ([40, 80] if a is escalating else [40])
+        want[x, F] = _fixed_value(_fresh(a), x, F)
+    _forget_point()
+    for x, F in steps:  # interleaved, with the memo kept between the steps
+        assert _fixed_value(a, x, F) == want[x, F] == _ref_fixed(a, x, F), (x, F)
+
+
+@pytest.mark.parametrize("a,x,extra", [
+    (tp_term(1, (0, 0, 0, 0, 1)), 1e-300, 4032),  # x^4 cos x ~ 2^-3987
+    (tp_scale(spherical_fn(3), Fraction(1, 10**400)), 3.7, 1344),
+    (tp_scale(spherical_fn(3), 10**400), 3.7, 0),
+], ids=["tiny-x", "tiny-coefficients", "huge-coefficients"])
+def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, extra):
+    # the start precision is chosen so that the coefficient magnitude sum
+    # carries 40 digits: each of these certifies 1e-30 at its first precision
+    fresh = _fresh(a)
+    got = _eval_fixed(fresh, x, lambda T, E, F: (T, E, F) if E * 10**30 <= abs(T) else None)
+    assert got[2] == _EVAL_PRECS[0] + extra
+    assert _bound_holds(*got, _ref_value(a, x))
+    assert _compiled_precisions(fresh) == [got[2]]
+    assert _within_rtol(tp_eval_mp(fresh, x, 1e-30), _ref_value(a, x), 1e-30)
+
+
+@pytest.mark.parametrize("route", ["kernel", "maclaurin"])
+def test_eval_refuses_a_value_beyond_the_double_range(route):
+    # sin 1 ~ 2^-0.25 on the kernel; f_16(1e-3) ~ 2^-391 on the Maclaurin route
+    a, x, shift = (tp_sin(), 1.0, 0) if route == "kernel" else (spherical_fn(16), 1e-3, 391)
+    with pytest.raises(NumericalFailure, match="underflows double precision"):
+        tp_eval(tp_scale(a, Fraction(1, 2 ** (1100 - shift))), x)
+    with pytest.raises(NumericalFailure, match="overflows double precision"):
+        tp_eval(tp_scale(a, 2 ** (1030 + shift)), x)
+    # a subnormal value is a value
+    sub = tp_scale(a, Fraction(1, 2 ** (1060 - shift)))
+    got = tp_eval(sub, x)
+    assert 0 < got < 2.0 ** -1022
+    if route == "kernel":
+        assert got == _nearest_double(_ref_value(sub, x))
 
 
 @pytest.mark.parametrize("outer_dps", [15, 200])
@@ -590,7 +746,7 @@ def test_eval_bits_do_not_depend_on_the_callers_precision(outer_dps):
     assert got == want
 
 
-# ---------------------------------------------------------------- cheaper certificates
+# ---------------------------------------------------------------- the Maclaurin certificate
 
 def _certificate_cases():
     """A seeded set of (element, x): f_n, f_n^(k) and v(f_n) for n <= 12
@@ -607,29 +763,6 @@ def _certificate_cases():
             if any(h for h, _, _ in a.terms):
                 cases += [(a, x) for x in rng.sample(xs, 4)]
     return cases
-
-
-def _ref_value_and_dps(a, x, rtol):
-    """tp_eval_mp's value and final harmonic-route dps (None on the
-    Maclaurin route) through the mpf-operator references."""
-    if abs(x) < MACLAURIN_RADIUS:
-        want = _ref_maclaurin(a, x, 0)
-        if want is not None:
-            return want._mpf_, None
-    want, dps = _ref_eval_mp(a, x, rtol)
-    return want._mpf_, dps
-
-
-def _value_and_dps(a, x, rtol):
-    fresh = TrigPoly(a.terms, a.den)
-    got = tp_eval_mp(fresh, x, rtol)._mpf_
-    return got, max(_compiled_dps(fresh), default=None)
-
-
-@pytest.mark.parametrize("rtol", [1e-17, 1e-30])
-def test_certified_values_and_dps_match_the_references(rtol):
-    for a, x in _certificate_cases():
-        assert _value_and_dps(a, x, rtol) == _ref_value_and_dps(a, x, rtol), x
 
 
 def test_maclaurin_early_stop_is_bit_identical_and_stops_early(monkeypatch):
@@ -688,139 +821,6 @@ def test_maclaurin_terms_ending_inside_the_table_still_run_the_decay_test():
         assert _eval_maclaurin_mp(TrigPoly(long.terms, long.den), x)._mpf_ == want._mpf_
     # the public entry point then falls back to the exact rational route
     assert tp_eval(short, 1e-3) == 1.000000001
-
-
-def _formed_float_bound(table, x, prec):
-    """The pre-test's B' formed as an mpf: the float Horner sum times
-    scale_up, rounded up; None where the pre-test stands down."""
-    from mpmath.libmp import from_float, mpf_mul, round_ceiling
-
-    from chebcrit import trigpoly
-
-    if table[4] is None:
-        return None
-    m, rest = table[4]
-    for c in rest:
-        m = m * abs(x) + c
-    if not trigpoly._PRETEST_MIN_MAG <= m < math.inf:
-        return None
-    return mpf_mul(from_float(m), table[5], prec, round_ceiling)
-
-
-def test_float_bound_never_undercuts_the_exact_bound():
-    from mpmath.libmp import mpf_le, mpf_mul
-
-    for a, x in _certificate_cases():
-        if abs(x) < MACLAURIN_RADIUS:
-            continue
-        for dps in (40, 80, 160, 320):
-            prec = dps_to_prec(dps)
-            table = _harmonic_table(a, dps)
-            quick, exact = _formed_float_bound(table, x, prec), _exact_bound(table, x, prec)
-            assert quick is not None
-            assert mpf_le(exact, quick), (x, dps)
-            # and it is tight enough to decide: within 2^-30 of the exact bound
-            assert mpf_le(quick, mpf_mul(exact, (0, 2**30 + 1, -30, 31), prec)), (x, dps)
-
-
-def test_float_accepts_decides_as_the_formed_bound_does():
-    # limits from a quarter to four times B', one ulp either side of it and
-    # zero: the exponent comparison and the mpf test agree on every one
-    from mpmath.libmp import from_man_exp, fzero, mpf_le, mpf_shift
-
-    from chebcrit.trigpoly import _float_accepts
-
-    for a, x in _certificate_cases()[::3]:
-        if abs(x) < MACLAURIN_RADIUS:
-            continue
-        for dps in (40, 160):
-            prec = dps_to_prec(dps)
-            table = _harmonic_table(a, dps)
-            quick = _formed_float_bound(table, x, prec)
-            _, man, exp, _ = quick
-            limits = [mpf_shift(quick, j) for j in range(-2, 3)] + [fzero]
-            limits += [from_man_exp(man - 1, exp), from_man_exp(man + 1, exp)]
-            for limit in limits:
-                got = _float_accepts(table, x, prec, limit)
-                assert got == (limit != fzero and mpf_le(quick, limit)), (x, dps, limit)
-
-
-def test_float_accepts_replays_a_spherical_4_grid(monkeypatch):
-    # every pre-test decision of tp_eval on f_4, its first five derivatives
-    # and v(f_4) over verify's default grid is the one the formed B' gives
-    from mpmath.libmp import fzero, mpf_le
-
-    from chebcrit import trigpoly
-    from chebcrit.determinants import symbolic_v
-    from chebcrit.identities import make_grid
-
-    decisions = []
-    plain = trigpoly._float_accepts
-
-    def replaying(table, x, prec, limit):
-        got = plain(table, x, prec, limit)
-        quick = _formed_float_bound(table, x, prec)
-        want = quick is not None and limit != fzero and mpf_le(quick, limit)
-        decisions.append((got, want))
-        return got
-
-    monkeypatch.setattr(trigpoly, "_float_accepts", replaying)
-    elements = [TrigPoly(a.terms, a.den) for a in (*fn_derivatives(4, 5), symbolic_v(4))]
-    for x in make_grid(0.01, 30.0, 500):
-        for a in elements:
-            tp_eval(a, x)
-    assert all(got == want for got, want in decisions)
-    assert {got for got, _ in decisions} == {True, False}
-
-
-def test_float_bound_stands_down_outside_its_range():
-    from mpmath.libmp import fone, mpf_shift
-
-    from chebcrit.trigpoly import _eval_adaptive_mp, _float_accepts
-
-    prec = dps_to_prec(40)
-    # coefficients beyond 2^1000: the pre-test is never built, the exact bound decides
-    huge = tp_scale(spherical_fn(3), Fraction(10) ** 400)
-    assert _harmonic_table(TrigPoly(huge.terms, huge.den), 40)[4] is None
-    for x in (0.7, 3.7, 11.0):
-        assert _value_and_dps(huge, x, 1e-30) == _ref_value_and_dps(huge, x, 1e-30)
-    # |x| = 1e-300 on the harmonic route: x^4 cos x has a float magnitude
-    # sum that underflows, so the pre-test stands down even for a limit of 2^3000
-    tiny = tp_term(1, (0, 0, 0, 0, 1))
-    fresh = TrigPoly(tiny.terms, tiny.den)
-    table = _harmonic_table(fresh, 40)
-    assert _formed_float_bound(table, 1e-300, prec) is None
-    assert not _float_accepts(table, 1e-300, prec, mpf_shift(fone, 3000))
-    got = _eval_adaptive_mp(fresh, 1e-300, 1e-30)
-    want, dps = _ref_eval_mp(tiny, 1e-300, 1e-30)
-    assert (got._mpf_, max(_compiled_dps(fresh))) == (want._mpf_, dps)
-
-
-def test_rejected_pre_test_leaves_the_exact_path_deciding(monkeypatch):
-    from chebcrit import trigpoly
-
-    exact_calls = []
-    plain = trigpoly._exact_bound
-
-    def counting(*args):
-        exact_calls.append(1)
-        return plain(*args)
-
-    monkeypatch.setattr(trigpoly, "_exact_bound", counting)
-    cases = [(a, x) for a, x in _certificate_cases() if abs(x) >= MACLAURIN_RADIUS]
-    want = [_ref_value_and_dps(a, x, 1e-30) for a, x in cases]
-    escalations = sum((dps // 40).bit_length() - 1 for _, dps in want)
-    assert escalations > 0
-    # with the slack as it is, the pre-test accepts every certified value
-    # itself: the exact bound runs only on the precisions that escalate
-    assert [_value_and_dps(a, x, 1e-30) for a, x in cases] == want
-    assert len(exact_calls) == escalations
-    # an infinite slack makes it reject everything: the exact bound decides
-    # every precision, with the same values and the same escalation
-    monkeypatch.setattr(trigpoly, "_PRETEST_SLACK", math.inf)
-    del exact_calls[:]
-    assert [_value_and_dps(a, x, 1e-30) for a, x in cases] == want
-    assert len(exact_calls) == escalations + len(cases)
 
 
 # ---------------------------------------------------------------- serialization
