@@ -52,11 +52,11 @@ test passes, and past the cap of 5000 digits NumericalFailure is raised:
   |T| rn for rtol = rn / rd exactly, the two extra terms covering the
   rounding of T 2^-F to the F-bit mpf it returns;
 * ``tp_eval`` accepts when (T - E) 2^-F and (T + E) 2^-F round to the
-  same double (Ziv's rounding test), which is then a(x) correctly
-  rounded.
+  same double (Ziv's rounding test) and |T| > E, and that double is then
+  a(x) correctly rounded (so a true zero is never accepted).
 
-On every route a double that overflows, or that is 0.0 for a value not
-certified zero (an underflow), raises NumericalFailure.
+On every route a double that overflows, or that is 0.0 for a nonzero
+value (an underflow), raises NumericalFailure.
 
 The tables of both routes are built once per element (per F for the
 kernel) and stored on the instance, outside the dataclass fields, so
@@ -128,8 +128,8 @@ _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
 # Process-global state: the point memo of the fixed-point kernel (_point)
-# and the tables compiled onto each element.  Neither is guarded by a lock, so
-# evaluation makes no claim of thread safety.
+# and the tables compiled onto each element.  Neither is guarded by a lock,
+# so evaluation makes no claim of thread safety.
 
 
 # ----------------------------------------------------------------------
@@ -705,9 +705,10 @@ def tp_eval(a: TrigPoly, x: float) -> float:
 
     On the fixed-point kernel it is the correctly rounded value: precision
     grows until both ends of the certified interval [T - E, T + E] 2^-F
-    round to one double.  The Maclaurin and exact-polynomial routes round
-    their mpf value, correct to ~1 ulp.  Raises NumericalFailure when the
-    value overflows a double, or is nonzero and rounds to 0.0.
+    round to one double and the interval excludes 0.  The Maclaurin and
+    exact-polynomial routes round their mpf value, correct to ~1 ulp.
+    Raises NumericalFailure when the value overflows a double, or is
+    nonzero and rounds to 0.0.
     """
     x = _finite(x)
     if a.is_zero():
@@ -718,10 +719,8 @@ def tp_eval(a: TrigPoly, x: float) -> float:
 
     def one_double(total, bound, F):
         lo = _nearest_double(total - bound, F)
-        if lo != _nearest_double(total + bound, F):
-            return None
-        # an interval that rounds to 0.0 is refused like an underflow: a
-        # nonzero value there is below the least subnormal
+        if lo != _nearest_double(total + bound, F) or abs(total) <= bound:
+            return None  # two doubles, or not certified nonzero
         return _checked_double(lo, True, x)
 
     return _eval_fixed(a, x, one_double)

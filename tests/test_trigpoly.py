@@ -507,8 +507,8 @@ def _ref_fixed(a, x, F):
                 continue
             with mp.workprec(F + 20):
                 t = trig(k * mp.mpf(x))
-            C = math.floor(Fraction(int(t.man) * (-1 if t < 0 else 1)) * Fraction(2) ** (int(t.exp) + F)
-                           + Fraction(1, 2)) if t else 0
+            sign, man, exp, _ = t._mpf_
+            C = math.floor((-1) ** sign * man * Fraction(2) ** (exp + F) + Fraction(1, 2))
             total += math.floor(Fraction(acc * C, unit))
             bound += err + abs(acc) // unit + 2
     return total, bound
@@ -724,6 +724,15 @@ def test_eval_refuses_a_value_beyond_the_double_range(route):
     assert 0 < got < 2.0 ** -1022
     if route == "kernel":
         assert got == _nearest_double(_ref_value(sub, x))
+
+
+def test_eval_does_not_round_a_true_zero_of_the_kernel():
+    # (x - 1/2) cos x vanishes at the double 1/2: its interval never excludes
+    # 0, so the kernel escalates to the cap rather than report an underflow
+    a = tp_term(1, (Fraction(-1, 2), 1))
+    for evaluate in (tp_eval, tp_eval_mp):
+        with pytest.raises(NumericalFailure, match="did not certify below 5000 digits"):
+            evaluate(a, 0.5)
 
 
 @pytest.mark.parametrize("outer_dps", [15, 200])
