@@ -33,6 +33,8 @@ CASES = {
                                        "--format", "json"),
     "scan_v_4_cancel.json": ("scan", "--what", "v", "--n", "4", "--range", "0.05:0.2",
                              "--points", "1000", "--format", "json"),
+    "scan_v_12_near0.json": ("scan", "--what", "v", "--n", "12", "--range", "0.0001:0.0099",
+                             "--points", "50", "--format", "json"),
     "scan_w_8_near0.json": ("scan", "--what", "w", "--n", "8", "--range", "0.001:0.05",
                             "--points", "60", "--format", "json"),
     "zeros_0.json": ("zeros", "--nu", "0", "--count", "3"),
