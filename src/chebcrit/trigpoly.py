@@ -17,15 +17,17 @@ element.
 Numeric evaluation is a separate concern: the closed forms have integer
 coefficients that grow like (2n+1)!! while the function values near x = 0
 vanish to high order, so a fixed-precision sum loses every significant
-digit.  ``tp_eval_mp`` and ``tp_eval`` share three routes:
+digit.  ``tp_eval_mp``, ``tp_eval`` and ``tp_eval_over_power`` share one
+fixed-point kernel on Python ints, and only exact values bypass it:
 
-* below |x| = MACLAURIN_RADIUS (0.01), 0 included, the exact Maclaurin
-  expansion is summed at 50 digits (it falls through only when its decay
-  test fails, never at 0);
-* otherwise a pure polynomial is summed exactly in the rationals;
-* and any other element on a fixed-point kernel on Python ints.
-
-``tp_eval`` rounds the first two routes' mpf value to a double (~1 ulp).
+* at x = 0 the value is the exact Maclaurin coefficient, and a pure
+  polynomial is summed exactly in the rationals; each is rounded once to
+  40 digits, and ``tp_eval`` rounds that to a double (~1 ulp);
+* below |x| = MACLAURIN_RADIUS (0.01) the kernel sums the element's
+  Maclaurin form, its exact truncated Maclaurin polynomial with a rigorous
+  tail bound (below);
+* elsewhere, and where the Maclaurin form gives no certificate, the kernel
+  sums the harmonic form.
 
 The kernel works at F fraction bits.  Each coefficient num/den is the
 integer nearest to num 2^F / den, and the double x is the exact dyadic
@@ -51,29 +53,38 @@ test passes, and past the cap of 5000 digits NumericalFailure is raised:
 * ``tp_eval_mp(a, x, rtol)`` accepts when (E + (|T| >> F) + 1) rd <=
   |T| rn for rtol = rn / rd exactly, the two extra terms covering the
   rounding of T 2^-F to the F-bit mpf it returns;
-* ``tp_eval`` accepts when (T - E) 2^-F and (T + E) 2^-F round to the
-  same double (Ziv's rounding test) and |T| > E, and that double is then
-  a(x) correctly rounded (so a true zero is never accepted).
+* ``tp_eval`` and ``tp_eval_over_power`` accept when (T - E) 2^-F and
+  (T + E) 2^-F round to the same double (Ziv's rounding test) and
+  |T| > E, and that double is then the value correctly rounded (so a true
+  zero is never accepted).
 
 On every route a double that overflows, or that is 0.0 for a nonzero
 value (an underflow), raises NumericalFailure.
 
-The tables of both routes are built once per element (per F for the
-kernel) and stored on the instance, outside the dataclass fields, so
-``==`` and ``hash`` are unchanged.  There is no precision context: every
-route computes at a precision passed to it as an argument, so no value
-depends on mpmath's global precision.  The kernel keeps x = p / 2^s, its
-Horner error counts and cos/sin(k x) per (F, k) in a one-entry memo of
-the last abscissa, so the derivatives of f_n evaluated at one point share
-one cos/sin evaluation per F.
+The Maclaurin form of a, vanishing to order m0, is the pure polynomial
+q = c_m0 + ... + c_(m0+63) x^63 of its exact Maclaurin coefficients and a
+rational K with |a(x)/x^m0 - q(x)| <= K |x|^64 for |x| < R =
+MACLAURIN_RADIUS.  A term c x^i cos kx or c x^i sin kx leaves at most
+|c| |x|^D k^M / M! / (1 - k|x|/(M+1)) in degrees D = m0 + 64 and above,
+M = D - i, as the Taylor terms (k|x|)^m / m!, m >= M, of cos and sin
+shrink at least by the ratio k|x|/(M+1); K sums these at |x| = R.  This
+needs M >= 0 and k R < M + 1, checked per term (else there is no form).
+With e = m0 - power, a(x)/x^power = x^e (q(x) + t), |t| <= K |x|^64, so
+the kernel's (T, E) for q at F bits give (T p^e, (E + tail) |p|^e) at
+F + s e bits, tail = K |x|^64 2^F rounded up.  They reach the caller's
+test shifted right by r, 2^r <= |p|^e < 2^(r+1), so that T keeps its
+size: T p^e floored, E rounded up plus 1 for that floor, at F + s e - r
+bits.  More precision shrinks E but not the tail: once tail >= E and the
+test still fails, the form gives up and the harmonic form is summed.
 
-The Maclaurin sum stops early without changing a bit.  Its table ends at
-the last nonzero coefficient and carries a suffix bound per slot i, an
-integer bound on log2 of max over j > i of |c_j| 2^(-6 (j - i - 1)).
-Below MACLAURIN_RADIUS (< 2^-6) that bounds every later term through the
-current power of x; once it is at most 1/8 ulp of the running total, no
-later addition can move the total, and the final 2^-110 decay test would
-pass, so the early return is what the full 64-slot loop returns.
+The kernel's tables and the Maclaurin form are built once per element
+(the tables per F) and stored on the instance, outside the dataclass
+fields, so ``==`` and ``hash`` are unchanged.  There is no precision
+context: every route computes at a precision passed to it as an argument,
+so no value depends on mpmath's global precision.  The kernel keeps
+x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in a
+one-entry memo of the last abscissa, so the derivatives of f_n evaluated
+at one point share one cos/sin evaluation per F.
 """
 
 from __future__ import annotations
@@ -81,24 +92,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 from mpmath import mp
 from mpmath.libmp import (
     dps_to_prec,
-    from_float,
-    from_int,
     from_man_exp,
+    from_rational,
     fzero,
-    mpf_abs,
-    mpf_add,
     mpf_cos_sin,
-    mpf_div,
-    mpf_gt,
-    mpf_mul,
-    mpf_pow_int,
-    mpf_shift,
     round_nearest,
     to_float,
 )
@@ -108,15 +111,11 @@ from .errors import NumericalFailure, UsageError
 #: Largest n accepted by :func:`spherical_fn`; coefficient growth is ~(2n+1)!!.
 MAX_SPHERICAL_N = 16
 
-#: Below this |x|, 0 included, tp_eval_mp uses the exact Maclaurin expansion
-#: instead of the harmonic form (the harmonic form cancels catastrophically
-#: near 0).
+#: Below this |x| the kernel sums an element's Maclaurin form instead of its
+#: harmonic form (the harmonic form cancels catastrophically near 0).
 MACLAURIN_RADIUS = 1e-2
 
-_MACLAURIN_EXTRA_TERMS = 64
-_MACLAURIN_DPS = 50
-_MACLAURIN_PREC = dps_to_prec(_MACLAURIN_DPS)
-_SUFFIX_SHIFT = 6  # the early stop's radius is 2^-6 >= MACLAURIN_RADIUS
+_MACLAURIN_TERMS = 64  # the Maclaurin form's tail is O(|x|^64)
 _VANISHING_ORDER_CAP = 600
 _EVAL_START_DPS = 40
 _EVAL_MAX_DPS = 5000
@@ -443,14 +442,6 @@ def vanishing_order(a: TrigPoly) -> int:
 # numeric evaluation
 # ----------------------------------------------------------------------
 
-def _raw_coeff(num: int, den: int, prec: int):
-    """num/den as a raw mpf at ``prec`` bits, as ``mp.mpf(num) / den`` gives
-    it in lowest terms: the numerator rounds before the division, whatever
-    denominator the element shares."""
-    g = math.gcd(num, den)
-    return mpf_div(from_int(num // g, prec, _RND), from_int(den // g), prec, _RND)
-
-
 def _fixed_form(a: TrigPoly):
     """(low, logs, degree, tables): the fixed-point form of ``a``, built once.
 
@@ -571,79 +562,75 @@ def _eval_fixed(a: TrigPoly, x: float, accept):
         f"evaluation at x={x!r} did not certify below {_EVAL_MAX_DPS} digits")
 
 
-def _maclaurin_table(a: TrigPoly):
-    """(m0, coefficients, later), built once.
-
-    The coefficients are the raw Maclaurin coefficients m0, m0+1, ... at
-    50 digits, None where zero, up to the last nonzero one below m0+64.
-    later[i], for every slot i but the last, is an integer upper bound on
-    log2 of max over j > i of |c_j| * 2^(-6 (j - i - 1)).
-    """
-    table = a.__dict__.get("_maclaurin_table")
-    if table is None:
-        m0 = vanishing_order(a)
-        coeffs = maclaurin(a, m0 + _MACLAURIN_EXTRA_TERMS)[m0:]
-        raw = [_raw_coeff(c.numerator, c.denominator, _MACLAURIN_PREC) if c else None
-               for c in coeffs]
-        while raw[-1] is None:  # raw[0] is the nonzero leading coefficient
-            raw.pop()
-        later = [0] * (len(raw) - 1)
-        s = raw[-1][2] + raw[-1][3]
-        for i in reversed(range(len(raw) - 1)):
-            later[i] = s
-            c = raw[i]
-            s -= _SUFFIX_SHIFT
-            if c is not None:
-                s = max(s, c[2] + c[3])
-        table = m0, tuple(raw), tuple(later)
-        a.__dict__["_maclaurin_table"] = table
-    return table
+def _tail_bound(a: TrigPoly, degree: int):
+    """The rational K of the module docstring's tail bound for the Maclaurin
+    terms of ``a`` of degree D = ``degree`` and above, or None where a term
+    fails its hypothesis."""
+    R = Fraction(MACLAURIN_RADIUS)
+    total = Fraction(0)
+    for k, cpart, spart in a.terms:
+        for i, c in (*enumerate(cpart), *enumerate(spart)):
+            M = degree - i
+            if M < 0 or k * R >= M + 1:
+                return None
+            if c:
+                total += Fraction(abs(c) * k**M * (M + 1), math.factorial(M)) / (M + 1 - k * R)
+    return total / a.den
 
 
-def _eval_maclaurin_mp(a: TrigPoly, x: float, denom_power: int = 0):
-    """Evaluate a(x)/x^denom_power near 0 from the exact Maclaurin series.
+def _maclaurin_form(a: TrigPoly):
+    """(m0, q, K), the Maclaurin form of the module docstring, built once
+    and stored on the instance; None for a pure polynomial (summed exactly)
+    and where _tail_bound is None."""
+    if "_maclaurin_form" not in a.__dict__:
+        form = None
+        if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+            m0 = vanishing_order(a)
+            K = _tail_bound(a, m0 + _MACLAURIN_TERMS)
+            if K is not None:
+                form = m0, tp_from_poly(maclaurin(a, m0 + _MACLAURIN_TERMS)[m0:]), K
+        a.__dict__["_maclaurin_form"] = form
+    return a.__dict__["_maclaurin_form"]
 
-    Returns an mpf good to ~1e-33 relative (50-digit working precision and
-    a verified term decay), or None when the decay check fails and the
-    caller must fall back to the adaptive route.  At x = 0 it returns the
-    coefficient of x^denom_power, rounded to 50 digits, and never None.
 
-    Works at 50 digits in any precision context.  For |x| below
-    MACLAURIN_RADIUS (< 2^-6) the sum stops early and returns exactly what
-    the full sum returns.  After slot i the power xp for slot i + 1 is at
-    hand, and every later term c_j xp_j, j > i, is below
-    2^later[i] * |xp| * 2 (the 2 covers the roundings of the later powers
-    and of the product).  Once that is at most 1/8 ulp of the nonzero
-    running total, round-to-nearest gives the total back on every later
-    addition, and the final decay test (the last nonzero term at most
-    2^-110 of the total) passes, as 2^-(prec+2) is far below 2^-110.
-    Otherwise the sum runs to the last nonzero coefficient and the decay
-    test decides as before.
-    """
-    if x == 0.0:
-        *below, c = maclaurin(a, denom_power + 1)
-        if any(below):
-            raise UsageError(f"a/x^{denom_power} is singular at 0 "
-                             f"(vanishing order {vanishing_order(a)})")
-        return mp.make_mpf(_raw_coeff(c.numerator, c.denominator, _MACLAURIN_PREC))
-    m0, coeffs, later = _maclaurin_table(a)
-    prec = _MACLAURIN_PREC
-    xr = from_float(x)
-    xp = mpf_pow_int(xr, m0 - denom_power, prec, _RND)
-    near = abs(x) < MACLAURIN_RADIUS
-    gap = prec + 4  # 1/8 ulp, and the factor 2 of the roundings
-    total = fzero
-    for c, rest in zip(coeffs, later):  # every slot but the last
-        if c is not None:
-            total = mpf_add(total, mpf_mul(c, xp, prec, _RND), prec, _RND)
-        xp = mpf_mul(xp, xr, prec, _RND)
-        if near and total[1] and rest + xp[2] + xp[3] + gap <= total[2] + total[3]:
-            return mp.make_mpf(total)
-    last = mpf_mul(coeffs[-1], xp, prec, _RND)
-    total = mpf_add(total, last, prec, _RND)
-    if total != fzero and mpf_gt(mpf_abs(last), mpf_shift(mpf_abs(total), -110)):
-        return None  # decay not established at this radius
-    return mp.make_mpf(total)
+_NO_CERTIFICATE = object()  # the Maclaurin form gave up
+
+
+def _maclaurin_value(a: TrigPoly, x: float, power: int, accept):
+    """accept(T, E, F) for a(x)/x^power, 0 < |x| < MACLAURIN_RADIUS, from
+    the kernel on the Maclaurin form, scaled by x^(m0 - power) with the
+    tail added as the module docstring says; None where ``a`` has no form,
+    where power exceeds m0, or where the form gives up (tail >= E and
+    accept still refuses)."""
+    form = _maclaurin_form(a)
+    if form is None or power > form[0]:
+        return None
+    m0, q, K = form
+    _, p, s, _, _ = _point_values(x)
+    e = m0 - power
+    pe, scale = p**e, abs(p) ** e
+    r = scale.bit_length() - 1
+    tail_num = K.numerator * abs(p) ** _MACLAURIN_TERMS
+    tail_den = K.denominator << _MACLAURIN_TERMS * s
+
+    def scaled(total, bound, F):
+        tail = -(-(tail_num << F) // tail_den)
+        got = accept(total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r)
+        return _NO_CERTIFICATE if got is None and tail >= bound else got
+
+    got = _eval_fixed(q, x, scaled)
+    return None if got is _NO_CERTIFICATE else got
+
+
+def _certified(a: TrigPoly, x: float, accept):
+    """accept(T, E, F) for a(x): from the Maclaurin form below
+    MACLAURIN_RADIUS, else, or where it gives no certificate, from the
+    kernel on the harmonic form."""
+    if abs(x) < MACLAURIN_RADIUS:
+        got = _maclaurin_value(a, x, 0, accept)
+        if got is not None:
+            return got
+    return _eval_fixed(a, x, accept)
 
 
 def _finite(x) -> float:
@@ -654,39 +641,37 @@ def _finite(x) -> float:
     return x
 
 
-def _mpf_route(a: TrigPoly, x: float):
-    """The value of ``a`` (nonzero) at ``x`` from the Maclaurin route or,
-    for a pure polynomial, the exact one; None for the fixed-point kernel."""
-    if abs(x) < MACLAURIN_RADIUS:
-        got = _eval_maclaurin_mp(a, x)
-        if got is not None:
-            return got
-    if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+def _exact_value(a: TrigPoly, x: float, power: int = 0):
+    """a(x)/x^power where it is an exact rational, rounded to a 40-digit
+    mpf: at x = 0 the coefficient of x^power (UsageError where that is
+    singular) and a pure polynomial at power 0 (the kernel cannot certify a
+    true zero); None otherwise."""
+    if x == 0.0:
+        *below, c = maclaurin(a, power + 1)
+        if any(below):
+            raise UsageError(f"a/x^{power} is singular at 0 "
+                             f"(vanishing order {vanishing_order(a)})")
+    elif a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
         return None
-    # summed exactly (the kernel cannot certify a true zero), then rounded
-    fx, val = Fraction(x), Fraction(0)
-    for c in reversed(a.terms[0][1]):
-        val = val * fx + c
-    return mp.make_mpf(_raw_coeff(val.numerator, val.denominator * a.den, dps_to_prec(40)))
+    else:
+        c = Fraction(sum(v * Fraction(x) ** i for i, v in enumerate(a.terms[0][1])), a.den)
+    return mp.make_mpf(from_rational(c.numerator, c.denominator, _EVAL_PRECS[0], _RND))
 
 
 def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
     """The certified mpf value of ``a`` at ``x``.
 
-    Below |x| = MACLAURIN_RADIUS, 0 included, the exact Maclaurin expansion
-    is summed at 50 digits (there the harmonic form cancels to a value
-    exponentially smaller than its terms).  Elsewhere, or when its decay
-    test fails, a pure polynomial is summed exactly and any other element
-    on the fixed-point kernel, at growing precision until its error bound
-    E, plus the rounding of T to F bits, is at most rtol |T|, compared
-    exactly.  rtol is clamped at 1e-30; the Maclaurin route is good to
-    ~1e-33.
+    At x = 0 and for a pure polynomial it is the exact value rounded to 40
+    digits.  Otherwise the kernel sums the Maclaurin form below
+    MACLAURIN_RADIUS and the harmonic form elsewhere, at growing precision
+    until its error bound E, plus the rounding of T to F bits, is at most
+    rtol |T|, compared exactly.  rtol is clamped at 1e-30.
     """
     x = _finite(x)
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
         return mp.make_mpf(fzero)
-    got = _mpf_route(a, x)
+    got = _exact_value(a, x)
     if got is not None:
         return got
     rn, rd = rtol.as_integer_ratio()
@@ -697,40 +682,45 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
             return mp.make_mpf(from_man_exp(total, -F, F, _RND))
         return None
 
-    return _eval_fixed(a, x, within_rtol)
+    return _certified(a, x, within_rtol)
+
+
+def _one_double(x: float, total: int, bound: int, F: int):
+    """tp_eval's acceptance at x: the double both ends of [T - E, T + E] 2^-F
+    round to, once they round to one and the interval excludes 0."""
+    lo = _nearest_double(total - bound, F)
+    if lo != _nearest_double(total + bound, F) or abs(total) <= bound:
+        return None  # two doubles, or not certified nonzero
+    return _checked_double(lo, True, x)
 
 
 def tp_eval(a: TrigPoly, x: float) -> float:
     """Numeric value of ``a`` at ``x`` as a double.
 
     On the fixed-point kernel it is the correctly rounded value: precision
-    grows until both ends of the certified interval [T - E, T + E] 2^-F
-    round to one double and the interval excludes 0.  The Maclaurin and
-    exact-polynomial routes round their mpf value, correct to ~1 ulp.
-    Raises NumericalFailure when the value overflows a double, or is
-    nonzero and rounds to 0.0.
+    grows until both ends of the certified interval round to one double and
+    the interval excludes 0.  The exact values (x = 0, pure polynomials)
+    round their 40-digit mpf, correct to ~1 ulp.  Raises NumericalFailure
+    when the value overflows a double, or is nonzero and rounds to 0.0.
     """
     x = _finite(x)
     if a.is_zero():
         return 0.0
-    got = _mpf_route(a, x)
+    got = _exact_value(a, x)
     if got is not None:
         return _to_float(got, x)
-
-    def one_double(total, bound, F):
-        lo = _nearest_double(total - bound, F)
-        if lo != _nearest_double(total + bound, F) or abs(total) <= bound:
-            return None  # two doubles, or not certified nonzero
-        return _checked_double(lo, True, x)
-
-    return _eval_fixed(a, x, one_double)
+    return _certified(a, x, partial(_one_double, x))
 
 
 def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     """a(x) / x^power with the removable singularity at 0 resolved exactly.
 
     Used for integrands like f_n^2 / t^(2n+3) whose factors vanish/blow up
-    separately but whose ratio extends continuously to 0.
+    separately but whose ratio extends continuously to 0.  Below
+    MACLAURIN_RADIUS the Maclaurin form gives the correctly rounded
+    quotient, as tp_eval does; elsewhere, for a power above the vanishing
+    order, and where the form gives no certificate, it is
+    tp_eval(a, x) / x^power.
     """
     if power < 0:
         raise UsageError("power must be non-negative")
@@ -739,10 +729,12 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
         if x == 0.0 and power > 0:
             raise UsageError("0/0 at x=0 for the zero element")
         return 0.0
+    if x == 0.0:
+        return _to_float(_exact_value(a, x, power), x)
     if abs(x) < MACLAURIN_RADIUS:
-        got = _eval_maclaurin_mp(a, x, denom_power=power)
+        got = _maclaurin_value(a, x, power, partial(_one_double, x))
         if got is not None:
-            return _to_float(got, x)
+            return got
     return tp_eval(a, x) / x ** power
 
 

@@ -16,10 +16,11 @@ from chebcrit.trigpoly import (
     MACLAURIN_RADIUS,
     TrigPoly,
     _eval_fixed,
-    _eval_maclaurin_mp,
     _fixed_form,
     _fixed_table,
     _fixed_value,
+    _maclaurin_form,
+    _maclaurin_value,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -288,9 +289,9 @@ def test_eval_over_power_rejects_nonfinite_for_the_zero_element(x, power):
 
 def _contract_cases():
     """A seeded set of (element, x) for the tp_eval/tp_eval_mp contract:
-    f_n, f_n^(k), v(f_n), pure polynomials (one of which fails the
-    Maclaurin decay test), the planted element and the zero element, at x
-    on both sides of MACLAURIN_RADIUS, of both signs, and at +-0."""
+    f_n, f_n^(k), v(f_n), pure polynomials, the planted element and the
+    zero element, at x on both sides of MACLAURIN_RADIUS, of both signs,
+    and at +-0."""
     from chebcrit.determinants import symbolic_v
 
     rng = random.Random(11)
@@ -314,7 +315,7 @@ def test_eval_is_the_rounding_of_eval_mp():
 
 
 def test_eval_at_zero_is_the_exact_constant_term():
-    # x = 0 takes the Maclaurin route: its value is the exact a(0), the sum
+    # x = 0 takes the exact route: its value is the exact a(0), the sum
     # of the constant cos coefficients, rounded once
     from chebcrit.determinants import admissible_j, symbolic_minor, symbolic_v, symbolic_w
 
@@ -330,12 +331,12 @@ def test_eval_at_zero_is_the_exact_constant_term():
 
 def test_eval_at_zero_reads_one_maclaurin_coefficient():
     # x = 0 returns the coefficient of x^p without building the element's
-    # Maclaurin table; below the vanishing order the quotient is singular
+    # Maclaurin form; below the vanishing order the quotient is singular
     f = spherical_fn(4)
-    f = TrigPoly(f.terms, f.den)  # a fresh element: no table cached
+    f = TrigPoly(f.terms, f.den)  # a fresh element: no form cached
     for p in range(10):
         assert tp_eval_over_power(f, p, 0.0) == float(maclaurin(f, p + 1)[p])
-    assert "_maclaurin_table" not in f.__dict__
+    assert "_maclaurin_form" not in f.__dict__
     with pytest.raises(UsageError, match="vanishing order 9"):
         tp_eval_over_power(f, 10, 0.0)
 
@@ -354,38 +355,13 @@ def test_eval_over_power_limit():
 # ---------------------------------------------------------------- compiled evaluation
 
 # Coefficients with 603-bit numerators: mp.mpf(num) rounds the numerator
-# before the division, so an exact rational conversion differs from the
-# Maclaurin route's expression in the last bit for some of them at 40, 50,
-# 80 and 160 digits alike (checked in test_planted_coefficients_are_double_rounding_traps).
-# The leading Maclaurin coefficient of PLANTED is _WIDE[0], a trap at 50 digits.
+# before the division, so an exact rational conversion differs from
+# mp.mpf(num) / den in the last bit for some of them at 40, 50, 80 and 160
+# digits alike (checked in test_planted_coefficients_are_double_rounding_traps);
+# the kernel rounds each num/den once, to F fraction bits.  The leading
+# Maclaurin coefficient of PLANTED is _WIDE[0].
 _WIDE = [Fraction(3**380 + i, d) for i, d in zip(range(1, 9), (7, 11, 13, 17) * 2)]
 PLANTED = tp_add(tp_term(2, _WIDE[:4], _WIDE[4:]), tp_from_poly([0, Fraction(1, 3), _WIDE[1]]))
-
-
-def _ref_maclaurin(a, x, denom_power):
-    """a(x)/x^denom_power from the Maclaurin series through mpf operators."""
-    m0 = vanishing_order(a)
-    coeffs = maclaurin(a, m0 + 64)
-    with mp.workdps(50):
-        if x == 0.0:
-            c = coeffs[m0]
-            return mp.mpf(0) if m0 > denom_power else mp.mpf(c.numerator) / c.denominator
-        xm = mp.mpf(x)
-        xp = xm ** (m0 - denom_power)
-        total = mp.mpf(0)
-        last = mp.mpf(0)
-        for c in coeffs[m0:]:
-            if c:
-                last = mp.mpf(c.numerator) / c.denominator * xp
-                total += last
-            xp *= xm
-        if total != 0 and abs(last) > abs(total) * mp.mpf(2) ** -110:
-            return None
-        return total
-
-
-def _raw(v):
-    return None if v is None else v._mpf_
 
 
 def _compiled_cases():
@@ -408,14 +384,18 @@ def test_planted_coefficients_are_double_rounding_traps():
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
 def test_compiled_maclaurin_route_is_bit_identical(name, a):
-    a = TrigPoly(a.terms, a.den)
-    for outer_dps in (40, 80, 160):  # the route works at 50 digits whatever the caller's
-        for x in (0.0, 1e-3, 0.0042, 0.0099):
-            for power in (0, vanishing_order(a)) if x == 0.0 else (0, 1):
+    # the (T, E, F) the caller's test sees below MACLAURIN_RADIUS: the
+    # kernel's (T, E) for the Maclaurin form's q against _ref_fixed, scaled
+    # to a(x)/x^power on Fractions, whatever the caller's precision
+    m0, q, K = _maclaurin_form(a)
+    for outer_dps in (40, 80, 160):
+        for x in (3e-4, 1e-3, -0.0042, 0.0099):
+            for power in (0, m0):
                 with mp.workdps(outer_dps):
-                    got = _eval_maclaurin_mp(a, x, power)
-                want = _ref_maclaurin(a, x, power)
-                assert _raw(got) == _raw(want), (outer_dps, x, power)
+                    got = _maclaurin_value(_fresh(a), x, power, lambda *triple: triple)
+                T, E, F = _eval_fixed(_fresh(q), x, lambda *triple: triple)
+                assert (T, E) == _ref_fixed(q, x, F), (outer_dps, x)
+                assert got == _scaled_to_power(T, E, F, x, m0 - power, K), (outer_dps, x, power)
 
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
@@ -532,6 +512,20 @@ def _within_rtol(got, ref, rtol):
         return abs(got - ref) <= abs(ref) * mp.mpf(rtol)
 
 
+def _scaled_to_power(T, E, F, x, e, K):
+    """The kernel's (T, E, F) for the Maclaurin form's q at x, turned into
+    those of x^e (q(x) + t), |t| <= K |x|^64, on Fractions: x = p / 2^s,
+    the tail K |x|^64 2^F rounded up joins E, and all is divided by 2^r,
+    2^r <= |p|^e < 2^(r+1), T rounded down and E up, plus 1 for T."""
+    xf = Fraction(x)
+    p, s = xf.numerator, xf.denominator.bit_length() - 1
+    tail = math.ceil(K * abs(xf) ** 64 * 2**F)
+    r = (abs(p) ** e).bit_length() - 1
+    unit = Fraction(2) ** r
+    return (math.floor(T * p**e / unit), math.ceil((E + tail) * abs(p) ** e / unit) + 1,
+            F + s * e - r)
+
+
 def _reference_cases():
     """_certificate_cases() plus PLANTED, next to its zero included."""
     xs = (3e-4, 0.0042, 0.013, 0.7, 3.7, 11.0, 29.5, _root_of(PLANTED, 1.25, 1.3))
@@ -585,10 +579,11 @@ def test_kernel_error_bound_holds_against_a_2000_bit_reference(F):
 
 @pytest.mark.parametrize("rtol", [1e-17, 1e-30])
 def test_certified_values_and_dps_match_the_references(rtol, monkeypatch):
-    # the value is within rtol of the 2000-bit reference (the Maclaurin
-    # route: within ~1e-33); the kernel stops at the first precision where
-    # _ref_fixed passes the exact rtol test, and every bound it formed on
-    # the way holds against the reference
+    # the value is within rtol of the 2000-bit reference; the kernel stops
+    # at the first precision where _ref_fixed passes the exact rtol test,
+    # and every bound it formed on the way holds against the reference.
+    # Below MACLAURIN_RADIUS the kernel sums the Maclaurin form's q, and
+    # its (T, E, F) are scaled by x^m0 with the tail added
     from chebcrit import trigpoly
 
     visited = []
@@ -605,11 +600,17 @@ def test_certified_values_and_dps_match_the_references(rtol, monkeypatch):
         del visited[:]
         got = tp_eval_mp(a, x, rtol)
         assert _within_rtol(got, _ref_value(a, x), rtol), (format_trigpoly(a)[:40], x)
-        if not visited:
-            assert abs(x) < MACLAURIN_RADIUS
-            continue
-        for i, (_, _, F, (T, E)) in enumerate(visited):
-            assert (T, E) == _ref_fixed(a, x, F)
+        form = _maclaurin_form(a) if abs(x) < MACLAURIN_RADIUS else None
+        assert visited
+        for i, (b, _, F, (T, E)) in enumerate(visited):
+            if form is None:
+                assert b is a
+            else:
+                m0, q, K = form
+                assert b is q
+            assert (T, E) == _ref_fixed(b, x, F)
+            if form is not None:
+                T, E, F = _scaled_to_power(T, E, F, x, m0, K)
             assert _bound_holds(T, E, F, _ref_value(a, x)), (x, F)
             last = i == len(visited) - 1
             assert ((E + (abs(T) >> F) + 1) * rd <= abs(T) * rn) == last, (x, F)
@@ -712,7 +713,7 @@ def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, extra):
 
 @pytest.mark.parametrize("route", ["kernel", "maclaurin"])
 def test_eval_refuses_a_value_beyond_the_double_range(route):
-    # sin 1 ~ 2^-0.25 on the kernel; f_16(1e-3) ~ 2^-391 on the Maclaurin route
+    # sin 1 ~ 2^-0.25 on the kernel; f_16(1e-3) ~ 2^-391 on the Maclaurin form
     a, x, shift = (tp_sin(), 1.0, 0) if route == "kernel" else (spherical_fn(16), 1e-3, 391)
     with pytest.raises(NumericalFailure, match="underflows double precision"):
         tp_eval(tp_scale(a, Fraction(1, 2 ** (1100 - shift))), x)
@@ -722,8 +723,7 @@ def test_eval_refuses_a_value_beyond_the_double_range(route):
     sub = tp_scale(a, Fraction(1, 2 ** (1060 - shift)))
     got = tp_eval(sub, x)
     assert 0 < got < 2.0 ** -1022
-    if route == "kernel":
-        assert got == _nearest_double(_ref_value(sub, x))
+    assert got == _nearest_double(_ref_value(sub, x))
 
 
 def test_eval_does_not_round_a_true_zero_of_the_kernel():
@@ -774,62 +774,87 @@ def _certificate_cases():
     return cases
 
 
-def test_maclaurin_early_stop_is_bit_identical_and_stops_early(monkeypatch):
+def _near_zero_elements():
+    """f_n, f_n^(k) and v(f_n) for n <= 12 (seeded k), every symbolic minor
+    for n <= 6, and PLANTED, but the pure polynomials (summed exactly)."""
+    from chebcrit.determinants import admissible_j, symbolic_minor, symbolic_v
+
+    rng = random.Random(19)
+    elements = [PLANTED]
+    for n in range(13):
+        k = rng.randint(1, 2 * n + 2)
+        elements += [spherical_fn(n), fn_derivatives(n, k)[k], symbolic_v(n)]
+    elements += [symbolic_minor(n, j) for n in range(7) for j in admissible_j(n)]
+    return [a for a in elements if a.terms[-1][0]]
+
+
+def test_maclaurin_form_bound_holds_against_a_2000_bit_reference():
+    # |T 2^-F - a(x)/x^power| <= E 2^-F for the (T, E, F) the caller's
+    # acceptance sees, E holding the tail K |x|^64 |x|^(m0 - power)
+    for a in _near_zero_elements():
+        m0, q, K = _maclaurin_form(a)
+        for x in (3e-4, -3e-4, 1e-3, 0.0042, 0.0099):
+            for power in (0, m0):
+                T, E, F = _maclaurin_value(_fresh(a), x, power, lambda *got: got)
+                assert Fraction(E, 2**F) >= K * abs(Fraction(x)) ** (64 + m0 - power)
+                with mp.workprec(2000):
+                    ref = _ref_value(a, x) / mp.mpf(x) ** power
+                assert _bound_holds(T, E, F, ref), (format_trigpoly(a)[:40], x, power)
+
+
+def test_maclaurin_tail_bound_covers_the_terms_beyond_the_form():
+    # K |x|^64 bounds the Maclaurin terms of a/x^m0 of degree 64 and above,
+    # summed here through degree 400 at |x| = R, with their absolute values;
+    # at sin 4000x the geometric factor 1/(1 - 40/66) carries weight
+    from chebcrit.determinants import symbolic_minor
+
+    R = Fraction(MACLAURIN_RADIUS)
+    for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_minor(6, 9), PLANTED,
+              tp_term(4000, (), (1,))):
+        m0, q, K = _maclaurin_form(_fresh(a))
+        beyond = maclaurin(a, m0 + 400)[m0 + 64:]
+        assert 0 < sum(abs(c) * R**i for i, c in enumerate(beyond)) <= K
+
+
+# sin x + 10^300 x^65: the x^65 term lies beyond q (degrees 0..63 of a/x), and
+# at x = 0.005 its tail, ~10^150, dwarfs q(x) ~ 1
+_BEYOND = tp_add(tp_sin(), tp_scale(tp_x(65), 10**300))
+
+
+@pytest.mark.parametrize("a,tried", [
+    (tp_term(4000, (), (1,)), 1),  # 4000 R = 40 < 66: a form, its tail ~1e-6 of the value
+    (tp_term(8000, (), (1,)), 0),  # 8000 R = 80 >= 66: no form
+    (_BEYOND, 1),
+], ids=["sin-4000x", "sin-8000x", "beyond-q"])
+def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, tried, monkeypatch):
+    # the form gives up at its first precision (the tail, not the kernel's
+    # error, keeps the acceptance from passing) or does not apply, and the
+    # harmonic kernel gives the value at its first precision: no precision
+    # climbs towards 5000 digits
     from chebcrit import trigpoly
 
-    products = []
-    plain = trigpoly.mpf_mul
+    calls = []
+    plain = trigpoly._fixed_value
 
-    def counting(*args):
-        products.append(1)
-        return plain(*args)
+    def recording(b, x, F):
+        calls.append((b, F))
+        return plain(b, x, F)
 
-    monkeypatch.setattr(trigpoly, "mpf_mul", counting)
-    for n in (2, 4, 8, 12):
-        a = spherical_fn(n)
-        a = TrigPoly(a.terms, a.den)
-        for x in (3e-4, 1e-3, -0.0042, 0.0099):
-            for power in (0, 1, 2 * n + 1):
-                del products[:]
-                got = _eval_maclaurin_mp(a, x, power)
-                assert _raw(got) == _raw(_ref_maclaurin(a, x, power)), (n, x, power)
-                # the full sum takes 64 power products and ~32 term products
-                assert len(products) < 64, (n, x, len(products))
-
-
-def test_maclaurin_suffix_bounds_every_later_term():
-    # 2^later[i] bounds |c_j| * r^(j - i - 1) for every j > i at r = 2^-6, and
-    # so at every |x| below MACLAURIN_RADIUS; the table ends at the last
-    # nonzero coefficient
-    from chebcrit.determinants import symbolic_v
-    from chebcrit.trigpoly import _maclaurin_table
-
-    for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_v(6), PLANTED,
-              tp_from_poly([1, 0, 0, 1])):
-        m0, coeffs, later = _maclaurin_table(TrigPoly(a.terms, a.den))
-        full = maclaurin(a, m0 + 64)[m0:]
-        assert len(coeffs) == max(i for i, c in enumerate(full) if c) + 1
-        assert len(later) == len(coeffs) - 1
-        with mp.workdps(60):
-            for i in range(len(coeffs) - 1):
-                terms = [abs(mp.make_mpf(c)) * mp.mpf(2) ** (-6 * (j - i - 1))
-                         for j, c in enumerate(coeffs[i + 1:], i + 1) if c is not None]
-                assert max(terms) < mp.mpf(2) ** later[i] <= 2 * max(terms), i
-
-
-def test_maclaurin_terms_ending_inside_the_table_still_run_the_decay_test():
-    # a polynomial's Maclaurin terms end after its degree: the loop stops
-    # there and the 2^-110 decay test decides on the last term, as before
-    short = tp_from_poly([1, 0, 0, 1])         # 1 + x^3: x^3 fails the test
-    long = tp_from_poly([1] + [0] * 39 + [1])  # 1 + x^40: x^40 passes it
-    for x in (1e-3, -0.0042, 0.0099):
-        assert _ref_maclaurin(short, x, 0) is None
-        assert _eval_maclaurin_mp(TrigPoly(short.terms, short.den), x) is None
-        want = _ref_maclaurin(long, x, 0)
-        assert want is not None
-        assert _eval_maclaurin_mp(TrigPoly(long.terms, long.den), x)._mpf_ == want._mpf_
-    # the public entry point then falls back to the exact rational route
-    assert tp_eval(short, 1e-3) == 1.000000001
+    monkeypatch.setattr(trigpoly, "_fixed_value", recording)
+    x = 0.005
+    ref = _ref_value(a, x)
+    for evaluate, holds in ((tp_eval, lambda got: got == _nearest_double(ref)),
+                            (tp_eval_mp, lambda got: _within_rtol(got, ref, 1e-17))):
+        fresh = _fresh(a)
+        del calls[:]
+        assert holds(evaluate(fresh, x))
+        form = _maclaurin_form(fresh)
+        assert (form is None) == (not tried)
+        tried_q = [F for b, F in calls if form is not None and b is form[1]]
+        assert tried_q == [_EVAL_PRECS[0]] * tried
+        assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
+    # a quotient the form gives up on is tp_eval's value over x^power
+    assert tp_eval_over_power(_fresh(a), 1, x) == tp_eval(a, x) / x
 
 
 # ---------------------------------------------------------------- serialization
@@ -841,13 +866,13 @@ def test_eval_leaves_mp_context_untouched():
     from chebcrit.determinants import minor_values
 
     before = mpmath.mp.dps, mpmath.mp.prec
-    tp_eval(spherical_fn(8), 1e-3)   # forces the exact-series path
+    tp_eval(spherical_fn(8), 1e-3)   # the Maclaurin form on the kernel
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
-    tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a Maclaurin table
+    tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a Maclaurin form
     tp_eval_mp(TrigPoly(PLANTED.terms, PLANTED.den), 3.7, 1e-30)        # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
     bessel_stack_values(3.4, 40.0, 5)  # one series pass per precision for six orders
-    minor_values(4, 3.0)             # two elimination passes (40 and 80 digits)
+    minor_values(4, 3.0)             # 1e-30 entries, then the exact Hankel elimination
     assert (mpmath.mp.dps, mpmath.mp.prec) == before
 
 
