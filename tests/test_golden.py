@@ -17,6 +17,8 @@ GOLDEN = Path(__file__).parent / "golden"
 AT = ("--at", "1e-4", "1e-3", "0.0099", "0.01", "0.5", "7.5", "29.9", "-0.005")
 
 CASES = {
+    "fn_3_large_x.json": ("fn", "--n", "3", "--at", "1.5707963267948966", "3.141592653589793",
+                          "4.71238898038469", "1e6", "1e15", "1e80", "-30000"),
     "fn_8_at.json": ("fn", "--n", "8", *AT),
     "fn_16_at.json": ("fn", "--n", "16", *AT),
     "fn_16_show.json": ("fn", "--n", "16", "--show"),
