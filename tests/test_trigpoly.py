@@ -15,10 +15,12 @@ from chebcrit.trigpoly import (
     _EVAL_PRECS,
     MACLAURIN_RADIUS,
     TrigPoly,
+    _cos_sin,
     _eval_fixed,
     _fixed_form,
     _fixed_table,
     _fixed_value,
+    _half_pi,
     _maclaurin_form,
     _maclaurin_value,
     derivatives,
@@ -466,15 +468,17 @@ def _ref_value(a, x):
 
 def _ref_fixed(a, x, F):
     """(T, E) of the fixed-point kernel, from its error model on Fractions:
-    coefficients and cos/sin kx (computed at F + 20 bits) rounded to the
-    nearest multiple of 2^-F, every product floored to one, and E summing
-    1 for the leading coefficient, 2 per Horner step on top of the error
-    carried through |x|, and |P| 2^-F + 2 per product with cos or sin."""
+    coefficients rounded to the nearest multiple of 2^-F, cos/sin kx the
+    integers of _cos_sin (whose bound test_cos_sin_is_within_one_unit
+    checks), every product floored to one, and E summing 1 for the leading
+    coefficient, 2 per Horner step on top of the error carried through |x|,
+    and |P| 2^-F + 2 per product with cos or sin."""
     xf = Fraction(x)
+    p, s = xf.numerator, xf.denominator.bit_length() - 1
     unit = 2 ** F
     total = bound = 0
     for k, cpart, spart in a.terms:
-        for part, trig in ((cpart, mp.cos), (spart, mp.sin)):
+        for part, C in zip((cpart, spart), _cos_sin(k * p, s, F)):
             if not part:
                 continue
             acc = err = 0
@@ -485,10 +489,6 @@ def _ref_fixed(a, x, F):
             if k == 0:
                 total, bound = total + acc, bound + err
                 continue
-            with mp.workprec(F + 20):
-                t = trig(k * mp.mpf(x))
-            sign, man, exp, _ = t._mpf_
-            C = math.floor((-1) ** sign * man * Fraction(2) ** (exp + F) + Fraction(1, 2))
             total += math.floor(Fraction(acc * C, unit))
             bound += err + abs(acc) // unit + 2
     return total, bound
@@ -554,18 +554,44 @@ def _forget_point():
 
 
 def _count_cos_sin(monkeypatch):
-    """The precision of every mpf_cos_sin call the kernel makes from now on."""
+    """The precision F of every _cos_sin call the kernel makes from now on."""
     from chebcrit import trigpoly
 
     calls = []
-    plain = trigpoly.mpf_cos_sin
+    plain = trigpoly._cos_sin
 
-    def counting(*args):
-        calls.append(args[1])
-        return plain(*args)
+    def counting(m, s, F):
+        calls.append(F)
+        return plain(m, s, F)
 
-    monkeypatch.setattr(trigpoly, "mpf_cos_sin", counting)
+    monkeypatch.setattr(trigpoly, "_cos_sin", counting)
     return calls
+
+
+# doubles at quadrant edges (the nearest to j pi/4), tiny and huge |x|
+_TRIG_XS = (5e-324, 1e-300, 1e-3, *(float(mp.pi * j / 4) for j in range(1, 9)),
+            -30000.0, 1e6, 1e15, 1e80, 1e300)
+
+
+@pytest.mark.parametrize("F", [*_EVAL_PRECS[:3], _EVAL_PRECS[4]])
+def test_cos_sin_is_within_one_unit(F):
+    # |C - 2^F cos kx| < 1 and |S - 2^F sin kx| < 1 against mpmath at F +
+    # 2000 bits, which reduces kx with guard bits of its own
+    for x in _TRIG_XS:
+        xf = Fraction(x)
+        p, s = xf.numerator, xf.denominator.bit_length() - 1
+        for k in (1, 2, 7, 40):
+            C, S = _cos_sin(k * p, s, F)
+            with mp.workprec(F + 2000):
+                y = k * mp.mpf(x)
+                assert abs(C - mp.ldexp(mp.cos(y), F)) < 1, (x, k)
+                assert abs(S - mp.ldexp(mp.sin(y), F)) < 1, (x, k)
+
+
+@pytest.mark.parametrize("L", [32, 33, 64, 136, 156, 1000, 2149, 8527])
+def test_half_pi_is_within_one_unit(L):
+    with mp.workprec(L + 64):
+        assert abs(_half_pi(L) - mp.ldexp(mp.pi, L - 1)) <= 1
 
 
 @pytest.mark.parametrize("F", _EVAL_PRECS[:3])
@@ -661,7 +687,7 @@ def test_escalating_elements_beside_entries_certified_at_40_digits(monkeypatch):
 @pytest.mark.parametrize("n", range(7))
 def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n, monkeypatch):
     # the stack f_n, ..., f_n^(2n) evaluated in sequence, as minor_values
-    # does, makes one mpf_cos_sin call per working precision, and each value
+    # does, makes one _cos_sin call per working precision, and each value
     # is the one a fresh instance gives with no shared memo
     calls = _count_cos_sin(monkeypatch)
     counts = []
@@ -853,8 +879,15 @@ def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, tried, monkeypat
         tried_q = [F for b, F in calls if form is not None and b is form[1]]
         assert tried_q == [_EVAL_PRECS[0]] * tried
         assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
-    # a quotient the form gives up on is tp_eval's value over x^power
-    assert tp_eval_over_power(_fresh(a), 1, x) == tp_eval(a, x) / x
+    # a quotient the form gives up on is the harmonic kernel's value over
+    # x^power: q and the harmonic form are summed once each, as above
+    want = tp_eval(a, x) / x
+    fresh = _fresh(a)
+    del calls[:]
+    assert tp_eval_over_power(fresh, 1, x) == want
+    form = _maclaurin_form(fresh)
+    assert [F for b, F in calls if form is not None and b is form[1]] == [_EVAL_PRECS[0]] * tried
+    assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
 
 
 # ---------------------------------------------------------------- serialization
