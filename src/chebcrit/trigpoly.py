@@ -131,7 +131,7 @@ _TRIG_ROW_BITS = 8  # the cos/sin table holds multiples of 2^-8
 
 # Process-global state: the point memo of the fixed-point kernel (_point),
 # the tables compiled onto each element, and the caches of pi/2 and of the
-# cos/sin table rows (_half_pi, _trig_row).  None is guarded by a lock, so
+# cos/sin table rows (_half_pi, _TRIG_ROWS).  None is guarded by a lock, so
 # evaluation makes no claim of thread safety.
 
 
@@ -531,7 +531,9 @@ def _half_pi(L: int) -> int:
     return (8 * atan_inv(5) - 2 * atan_inv(239) + (1 << (W - L - 1))) >> (W - L)
 
 
-@lru_cache(maxsize=None)
+_TRIG_ROWS: dict[int, list] = {}  # W -> the table at W bits, rows j = 0..402
+
+
 def _trig_row(W: int, j: int):
     """cos and sin of j / 2^8, 0 <= j <= 402, each within 1 of its value
     times 2^W: one row of the table, built on first use per (W, j).
@@ -544,16 +546,22 @@ def _trig_row(W: int, j: int):
     7.  Both sums are off by at most 3 N + 7 <= 2^(g-1) units of
     2^-(W+g) for W >= 64; the rounding to W bits adds 1/2.
     """
-    g = W.bit_length() + 3
-    t = 1 << (W + g)
-    parts = [0, 0, 0, 0]  # the terms t_i by i mod 4, of signs +cos +sin -cos -sin
-    i = 0
-    while t:
-        parts[i & 3] += t
-        i += 1
-        t = t * j // (i << _TRIG_ROW_BITS)
-    half = 1 << (g - 1)
-    return (parts[0] - parts[2] + half) >> g, (parts[1] - parts[3] + half) >> g
+    rows = _TRIG_ROWS.get(W)
+    if rows is None:
+        rows = _TRIG_ROWS[W] = [None] * 403  # pi/2 < 403 / 2^8
+    row = rows[j]
+    if row is None:
+        g = W.bit_length() + 3
+        t = 1 << (W + g)
+        parts = [0, 0, 0, 0]  # the terms t_i by i mod 4, of signs +cos +sin -cos -sin
+        i = 0
+        while t:
+            parts[i & 3] += t
+            i += 1
+            t = t * j // (i << _TRIG_ROW_BITS)
+        half = 1 << (g - 1)
+        row = rows[j] = ((parts[0] - parts[2] + half) >> g, (parts[1] - parts[3] + half) >> g)
+    return row
 
 
 def _trig_small(D: int, W: int):

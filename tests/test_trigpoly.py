@@ -568,16 +568,18 @@ def _count_cos_sin(monkeypatch):
     return calls
 
 
-# doubles at quadrant edges (the nearest to j pi/4), tiny and huge |x|
-_TRIG_XS = (5e-324, 1e-300, 1e-3, *(float(mp.pi * j / 4) for j in range(1, 9)),
-            -30000.0, 1e6, 1e15, 1e80, 1e300)
+def _trig_xs():
+    """Doubles at quadrant edges (the nearest to j pi/4), tiny and huge |x|."""
+    with mp.workprec(200):
+        edges = [float(mp.pi * j / 4) for j in range(1, 9)]
+    return (5e-324, 1e-300, 1e-3, *edges, -30000.0, 1e6, 1e15, 1e80, 1e300)
 
 
 @pytest.mark.parametrize("F", [*_EVAL_PRECS[:3], _EVAL_PRECS[4]])
 def test_cos_sin_is_within_one_unit(F):
     # |C - 2^F cos kx| < 1 and |S - 2^F sin kx| < 1 against mpmath at F +
     # 2000 bits, which reduces kx with guard bits of its own
-    for x in _TRIG_XS:
+    for x in _trig_xs():
         xf = Fraction(x)
         p, s = xf.numerator, xf.denominator.bit_length() - 1
         for k in (1, 2, 7, 40):
