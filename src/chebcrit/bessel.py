@@ -1,33 +1,46 @@
 """Real-order Bessel functions J_nu by power series, with bracketed zeros.
 
-    J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k s_k,  s_k = (-x^2/4)^k / (k! (nu+1)_k)
+    J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-y)^k / (k! (nu+1)_k),  y = x^2/4
 
-is summed term by term; order r of termwise differentiation weighs s_k by
-the falling factorial (2k+nu)(2k+nu-1)...(2k+nu-r+1) and divides by x^r.
-Partial sums cancel violently for large x (terms grow to ~e^x before the
-alternation wins), so each sum is redone at doubled precision until a
-rigorous bound on its roundoff is at most tol/2 of it: the returned double
-is then reliable for the whole desk-scale range x <= 50 at any requested
-tolerance down to ~1e-15.
+Order r of termwise differentiation weighs term k by the falling factorial
+P_r(k) = (2k+nu)(2k+nu-1)...(2k+nu-r+1) and divides by x^r, so every order
+is a power series sum_k b_k y^k with the exact rational coefficients
 
-The terms are fixed-point Python ints.  nu = N/2^E and x are exact
-dyadics, so the step s_(k+1) = -s_k y 2^E / D_k, y = x^2/4, has the exact
-integer divisor D_k = (k+1)((k+1) 2^E + N), and 2^(E r) times the falling
-factorial is an integer.  Each term keeps at least F bits (F the working
-precision; the scale grows by exact shifts as the terms shrink), and the
-nearest rounding of that one division is the only rounding.  A running
-integer e_k bounds the error of the k-th term, e_(k+1) = ceil(e_k y 2^E /
-D_k) + 1, so each order's error sum bounds the error of its total; the
-prefactor, with Gamma(nu+1) computed once per (nu, precision), adds a few
-roundings at F bits.  A stack's orders share the terms and are summed in
-one pass, and only the orders whose bound fails are summed again.
+    b_k = (-1)^k P_r(k) / (k! (nu+1)_k).
 
-The bound covers the partial sum that the stopping rule selects.  The
-truncation rests on a hypothesis: an order stops at the first term below
-tol times its partial sum and below the term before it, and the omitted
-tail is smaller than that term when the later terms alternate in sign and
-shrink.  They do once the falling factorials are positive, since the term
-ratio then decreases in k, so a ratio below 1 stays below 1.
+nu = N/2^E and x are exact dyadics, so b_k is a ratio of integers.  Let
+2^rho be the least power of two above y and u = y / 2^rho < 1.  The row
+of (nu, r, F, rho) holds c_k = b_k 2^(rho k + F) rounded to the nearest
+integer, k = 0..K, each from one integer division; rows are cached, and a
+call sums its row by Horner's rule in u, acc <- floor(acc u) + c_k, with
+u = Y / 2^sh for the integers Y = mx^2 and sh its bit length, x = mx/2^s.
+
+The row stops at the first K where
+  (1) every factor of P_r(K+1) is positive,
+  (2) q = 2^rho |b_(K+2) / b_(K+1)| < 1, and
+  (3) |b_(K+1)| 2^(rho (K+1) + F) / (1 - q) <= 1,
+each checked exactly on integers.  The tail past K is then at most one
+unit of 2^-F.  Proof: the term ratio |b_(k+1)/b_k| y is
+y P_r(k+1) / (P_r(k) (k+1)(k+1+nu)).  Once the factors of P_r(k) are
+positive, each (2k+2+nu-i)/(2k+nu-i) and 1/((k+1)(k+1+nu)) decreases in
+k, so for k >= K+1 the ratio is at most its value at K+1, which is below q
+since y < 2^rho.  The tail is then at most |b_(K+1)| y^(K+1) / (1 - q),
+and y^(K+1) < 2^(rho (K+1)).  (Without (1) the test is unsound: for tiny
+nu one factor of P_r(k) is about nu at a small k, and that term is tiny
+while the next one is not.)
+
+Roundoff: c_K is off by at most 1/2, and each Horner step adds at most 1
+for the floor and 1/2 for the coefficient to the error times u < 1.  So
+the total is within 1/2 + 1.5 K + 1 <= 1.5 (K + 1) units of 2^-F of
+2^F sum_k b_k y^k, truncation included, with no per-term division and no
+rescaling.  Each order is summed at F = 103 bits (30 digits), then at
+doubled digits, until 1.5 (K + 1) <= tol/2 of its total; the prefactor,
+with Gamma(nu+1) computed once per (nu, precision), adds a few roundings
+at F bits.  The returned double is then within tol/2 of J_nu^(r)(x)
+relative, plus those roundings and half an ulp, for any x whose row fits
+in SERIES_TERM_CAP terms (at 30 digits every x < 128 does).  A stack's
+orders share one abscissa, and only the orders whose bound fails are
+summed again.
 
 Series only, no asymptotic expansions: at desk scale the adaptive series
 meets tolerance everywhere and keeps one code path for all real nu >= 0.
@@ -87,80 +100,70 @@ def _check_order(nu: float) -> float:
 @lru_cache(maxsize=256)
 def _gamma_plus_one(nu: float, prec: int):
     """Gamma(nu + 1) as a raw mpf at ``prec`` bits, as mpmath's gamma gives
-    it for the mpf nu + 1, once per (nu, prec): every series pass at one
-    precision shares it."""
+    it for the mpf nu + 1, once per (nu, prec): every sum at one precision
+    shares it."""
     return mpf_gamma(mpf_add(from_float(nu), fone, prec, _RND), prec, _RND)
 
 
-def _series_pass(nu: float, x: float, orders: Sequence[int], tol: float,
-                 prec: int) -> list:
-    """One fixed-point pass of the series and its order-times differentiated forms.
+@lru_cache(maxsize=1024)
+def _row(nu: float, r: int, F: int, rho: int):
+    """The Horner row of order r for y < 2^rho at F fraction bits.
 
-    Returns per order r in ``orders`` the ints (total, err, n_terms, scale):
-    |total - 2^scale * the exact sum of the first n_terms terms| <= err,
-    the terms taken before the prefactor (x/2)^nu / Gamma(nu+1) / x^r.  An
-    order stops when its current term is below tol * |partial sum| and
-    below its previous term, both tested exactly.  Raises NumericalFailure
-    at the term cap, naming the lowest order still open.
+    Returns (c_K, (c_(K-1), ..., c_0)), c_k the integer nearest to
+    b_k 2^(rho k + F), K the first index that meets the three tests of the
+    module docstring.  Raises NumericalFailure if K + 1 > SERIES_TERM_CAP.
     """
-    n, e = nu.as_integer_ratio()
-    e = e.bit_length() - 1  # nu = n / 2^e
-    mx, dx = x.as_integer_ratio()
-    y_num, y_den = mx * mx << e, dx * dx << 2  # y 2^e, y = x^2 / 4
-    tol_num, tol_den = float(tol).as_integer_ratio()
-    state = {r: [0, 0, None] for r in orders}  # [total, err, previous |term|]
-    top = max(orders)
-    done = {}
-    s, err, scale = 1 << prec, 0, prec  # S_k = s_k 2^scale + error, |error| <= err
-    k = 0
-    while k <= SERIES_TERM_CAP:
-        fall = 1
-        for r in range(top + 1):
-            if r:  # fall = P_r(k) = P_(r-1)(k) * ((2k - r + 1) 2^E + N)
-                fall *= ((2 * k - r + 1) << e) + n
-            st = state.get(r)
-            if st is None:
-                continue
-            term = s * fall
-            total = st[0] = st[0] + term
-            st[1] += err * abs(fall)
-            t_abs = abs(term)
-            prev_abs = st[2]
-            # t_abs < prev_abs and t_abs < tol * |total|
-            if (prev_abs is not None and t_abs < prev_abs
-                    and t_abs * tol_den < tol_num * abs(total)):
-                done[r] = (total, st[1], k + 1, scale + e * r)
-                del state[r]
-                if not state:
-                    return [done[r] for r in orders]
-                top = max(state)
-            else:
-                st[2] = t_abs
-        d = (k + 1) * (((k + 1) << e) + n) * y_den  # D_k y_den
-        step = -s * y_num
-        # rescale by 2^b, exactly, so that the next S keeps prec bits
-        b = prec + d.bit_length() - step.bit_length()
-        if b > 0:
-            scale += b
-            step <<= b
-            err <<= b
-            for st in state.values():
-                st[:] = [v << b for v in st]
-        err = -(-err * y_num // d) + 1
-        s = (2 * step + d) // (2 * d)  # nearest
-        k += 1
-    raise NumericalFailure(
-        f"Bessel series did not converge within {SERIES_TERM_CAP} terms "
-        f"(nu={nu}, x={x}, order={min(state)})")
+    n, d = nu.as_integer_ratio()
+    e = d.bit_length() - 1  # nu = n / 2^e
+
+    def fall(k: int) -> int:  # 2^(e r) P_r(k)
+        p = 1
+        for i in range(r):
+            p *= ((2 * k - i) << e) + n
+        return p
+
+    # b_k = (-1)^k fall(k) 2^(e (k - r)) / d_k, d_k = k! prod_(j <= k) (j 2^e + n)
+    dens = [1]
+    K = 0
+    while True:
+        if K >= SERIES_TERM_CAP:
+            raise NumericalFailure(
+                f"Bessel series did not converge within {SERIES_TERM_CAP} terms "
+                f"(nu={nu}, y < 2^{rho}, order={r})")
+        j = K + 1
+        dens.append(dens[-1] * j * ((j << e) + n))
+        # every factor of P_r(K + 1) is positive
+        if r == 0 or ((2 * j - r + 1) << e) + n > 0:
+            a, p1 = fall(j + 1), fall(j)
+            b = p1 * (j + 1) * (((j + 1) << e) + n)
+            g, h = rho + e, e * (j - r) + rho * j + F
+            low = min(g, h, 0)  # both sides times 2^-low, so no shift is negative
+            # q = 2^g a / b = 2^rho |b_(K+2) / b_(K+1)| < 1, and
+            # |b_(K+1)| 2^(rho (K+1) + F) <= 1 - q, times d_(K+1) b
+            if (a << g - low < b << -low and (p1 * b << h - low)
+                    + (dens[j] * a << g - low) <= dens[j] * b << -low):
+                break
+        K += 1
+    row = []
+    for k in range(K + 1):
+        t = e * (k - r) + rho * k + F
+        num, den = (-fall(k) if k & 1 else fall(k)), dens[k]
+        if t >= 0:
+            num <<= t
+        else:
+            den <<= -t
+        row.append((2 * num + den) // (2 * den))  # nearest
+    return row[-1], tuple(reversed(row[:-1]))
 
 
 def _series_values(nu: float, x: float, orders: Sequence[int],
                    tol: float) -> tuple[float, ...]:
-    """Adaptive-precision series values, relative error <~ a few * tol each.
+    """Adaptive-precision series values, relative error <= tol/2 each
+    before the prefactor's few roundings at the accepting precision.
 
-    All orders are summed in one pass per precision; an order is accepted
-    once its error sum is at most |total| * tol / 2, and only the orders
-    that fail at d digits are summed again at 2d digits.
+    At F fraction bits every order's row is summed by Horner's rule, and an
+    order is accepted once its error bound is at most |total| * tol / 2;
+    only the orders that fail at d digits are summed again at 2d digits.
     """
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -169,19 +172,26 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
             raise UsageError("series derivatives need x > 0")
         return tuple(1.0 if nu == 0 else 0.0 for _ in orders)
     tol_num, tol_den = float(tol).as_integer_ratio()
+    mx, dx = x.as_integer_ratio()
+    Y = mx * mx
+    sh = Y.bit_length()  # u = Y / 2^sh = y / 2^rho < 1, y = x^2 / 4
+    rho = sh - 2 * dx.bit_length()
     xm = from_float(x)
     values = {}
     pending = list(orders)
     dps = 30
     while dps <= 2000:
         prec = dps_to_prec(dps)
-        sums = _series_pass(nu, x, pending, tol, prec)
         # (x/2)^nu / Gamma(nu + 1), the k = 0 term before differentiation
         base = mpf_div(mpf_pow(mpf_shift(xm, -1), from_float(nu), prec, _RND),
                        _gamma_plus_one(nu, prec), prec, _RND)
-        for r, (total, err, _, scale) in zip(pending, sums):
-            if 2 * err * tol_den <= abs(total) * tol_num:
-                value = mpf_mul(from_man_exp(total, -scale), base, prec, _RND)
+        for r in pending:
+            acc, rest = _row(nu, r, prec, rho)
+            for c in rest:
+                acc = (acc * Y >> sh) + c
+            # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest)
+            if 3 * (len(rest) + 1) * tol_den <= abs(acc) * tol_num:
+                value = mpf_mul(from_man_exp(acc, -prec), base, prec, _RND)
                 if r:
                     value = mpf_div(value, mpf_pow_int(xm, r, prec, _RND), prec, _RND)
                 values[r] = to_float(value, rnd=_RND)
@@ -190,11 +200,12 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
             return tuple(values[r] for r in orders)
         dps *= 2
     raise NumericalFailure(
-        f"Bessel series roundoff bound not met below 2000 digits (nu={nu}, x={x})")
+        f"Bessel series error bound not met below 2000 digits (nu={nu}, x={x})")
 
 
 def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """J_nu(x) by the power series, relative error <= 10*tol for x <= 50."""
+    """J_nu(x) by the power series, within tol/2 relative plus half an ulp
+    (see the module docstring)."""
     nu = _check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0:

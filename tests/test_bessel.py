@@ -125,60 +125,36 @@ def test_stack_values():
 
 # ---------------------------------------------------------------- fixed-point series
 
-def _ref_series(nu, x, order, tol):
-    """One order per pass through mpf operators: (sum, magnitude, n_terms)."""
-    xm = mp.mpf(x)
-    num = mp.mpf(nu)
-    half = xm / 2
-    base = half ** num / mp.gamma(num + 1)
-    ratio_num = half * half
-    total = mp.mpf(0)
-    mag = mp.mpf(0)
-    prev_abs = None
-    k = 0
-    while k <= bessel.SERIES_TERM_CAP:
-        a = 2 * k + num
-        if order == 0:
-            term = base
-        else:
-            fall = mp.mpf(1)
-            for i in range(order):
-                fall *= a - i
-            term = base * fall / xm ** order
-        total += term
-        t_abs = abs(term)
-        mag += t_abs
-        if prev_abs is not None and t_abs < prev_abs and t_abs < tol * abs(total):
-            return total, mag, k + 1
-        prev_abs = t_abs
-        base = -base * ratio_num / ((k + 1) * (k + num + 1))
-        k += 1
-    raise AssertionError("reference series hit the term cap")
+@lru_cache(maxsize=None)
+def _mp_value(nu, x, order):
+    """J_nu^(order)(x) at 80 digits, independent of the series kernel."""
+    with mp.workdps(80):
+        return mpmath.besselj(mp.mpf(nu), mp.mpf(x), derivative=order)
 
 
-def _ref_escalation(nu, x, order, tol):
-    """(float value, digits at which the roundoff bound was met)."""
-    dps = 30
-    while dps <= 2000:
-        with mp.workdps(dps):
-            total, mag, n_terms = _ref_series(nu, x, order, tol)
-            bound = mag * mp.mpf(10) ** (-dps) * (n_terms + 8)
-            if bound == 0 or bound <= abs(total) * mp.mpf(tol) * mp.mpf("0.5"):
-                return float(total), dps
-        dps *= 2
-    raise AssertionError("reference bound not met below 2000 digits")
+def _within_bound(got, nu, x, order, tol=bessel.DEFAULT_SERIES_TOL):
+    """got within tol/2 of the 80-digit value, relative, plus half an ulp."""
+    want = _mp_value(nu, x, order)
+    with mp.workdps(80):
+        return abs(mp.mpf(got) - want) <= tol / 2 * abs(want) + math.ulp(float(want)) / 2
 
 
 _NUS = (0.0, 0.5, 1.5, 2.0, 3.4)
 _XS = (1e-2, 0.7, 3.0, 12.0, 30.0, 40.0)
 
 
-@lru_cache(maxsize=None)
-def _ref_value(nu, x, order, tol=bessel.DEFAULT_SERIES_TOL):
-    return _ref_escalation(nu, x, order, tol)[0]
+def _horner(nu, x, order, F):
+    """(total, K) of the order's row at x, summed as the kernel sums it."""
+    mx, dx = x.as_integer_ratio()
+    Y = mx * mx
+    sh = Y.bit_length()
+    acc, rest = bessel._row(nu, order, F, sh - 2 * dx.bit_length())
+    for c in rest:
+        acc = (acc * Y >> sh) + c
+    return acc, len(rest)
 
 
-def _exact_partial_sum(nu, x, order, n_terms):
+def _exact_sum(nu, x, order, n_terms):
     """The first n_terms terms of the order-times differentiated series in
     the rationals, before the prefactor (x/2)^nu / Gamma(nu+1) / x^order."""
     nu_q, x_q = Fraction(nu), Fraction(x)
@@ -195,49 +171,59 @@ def _exact_partial_sum(nu, x, order, n_terms):
 
 @pytest.mark.parametrize("nu", _NUS)
 def test_fixed_point_error_sum_contains_the_exact_partial_sum(nu):
-    # per order, the pass stops where the mpf reference does, and its
-    # integer total lies within its error sum of the exact partial sum
-    # times 2^scale
+    # per order, the Horner total of the row lies within its bound
+    # 1.5 (K + 1) of 2^F times the exact series; 40 terms past the row's
+    # last index stand for the series, whose rest is far below one unit
     for x in _XS:
         for dps in (30, 60):
-            with mp.workdps(dps):
-                want_terms = [_ref_series(nu, x, r, 1e-15)[2] for r in range(6)]
-            prec = dps_to_prec(dps)
-            together = bessel._series_pass(nu, x, range(6), 1e-15, prec)
-            assert [n_terms for _, _, n_terms, _ in together] == want_terms, (x, dps)
-            for r, (total, err, n_terms, scale) in enumerate(together):
-                exact = _exact_partial_sum(nu, x, r, n_terms) * 2 ** scale
-                assert abs(total - exact) <= err, (x, dps, r)
-            alone = [bessel._series_pass(nu, x, (r,), 1e-15, prec)[0] for r in range(6)]
-            assert alone == together, (x, dps)
+            F = dps_to_prec(dps)
+            for r in range(6):
+                total, K = _horner(nu, x, r, F)
+                exact = _exact_sum(nu, x, r, K + 41) * 2 ** F
+                assert abs(total - exact) <= Fraction(3, 2) * (K + 1), (x, dps, r)
 
 
-def test_sampled_values_are_bit_identical_to_the_reference():
+def test_a_row_stops_only_where_every_factor_is_positive():
+    # the tail bound needs every factor 2(K+1) + nu - i, i < r, of
+    # P_r(K+1) positive; at x = 1e-20 the terms past the first are below
+    # one unit, and only that test stops order 5 at nu = 0.5 from ending at
+    # K = 0, where P_5(1) is positive with two negative factors
+    for nu in _NUS:
+        for x in (1e-20, *_XS):
+            for r in range(6):
+                _, K = _horner(nu, x, r, dps_to_prec(30))
+                assert r == 0 or 2 * (K + 1) + Fraction(nu) - (r - 1) > 0, (nu, x, r)
+
+
+def test_sampled_values_meet_the_bound():
     rng = random.Random(16)
     for _ in range(200):
         nu = rng.choice((0.0, 0.5, 1.0, 1.5, 2.0, 3.4, 7.25))
         x = 10 ** rng.uniform(-3, math.log10(50))
-        want = tuple(_ref_value(nu, x, r) for r in range(6))
-        assert bessel._series_values(nu, x, range(6), bessel.DEFAULT_SERIES_TOL) == want, (nu, x)
+        got = bessel._series_values(nu, x, range(6), bessel.DEFAULT_SERIES_TOL)
+        for r in range(6):
+            assert _within_bound(got[r], nu, x, r), (nu, x, r)
 
 
 @pytest.mark.parametrize("nu", _NUS)
 def test_single_orders_match_reference(nu):
     for x in _XS:
-        assert bessel_j(nu, x) == _ref_value(nu, x, 0), x
+        assert _within_bound(bessel_j(nu, x), nu, x, 0), x
         for order in (1, 2):
-            assert bessel_j_deriv(nu, x, order) == _ref_value(nu, x, order), (x, order)
+            assert _within_bound(bessel_j_deriv(nu, x, order), nu, x, order), (x, order)
         for order in range(6):
             got = bessel._series_values(nu, x, (order,), bessel.DEFAULT_SERIES_TOL)
-            assert got == (_ref_value(nu, x, order),), (x, order)
+            assert got == bessel_stack_values(nu, x, 5)[order:order + 1], (x, order)
 
 
 @pytest.mark.parametrize("nu", _NUS)
 def test_stacks_match_reference(nu):
     for x in _XS:
         for m in range(2, 6):
-            want = tuple(_ref_value(nu, x, r) for r in range(m + 1))
-            assert bessel_stack_values(nu, x, m) == want, (x, m)
+            got = bessel_stack_values(nu, x, m)
+            assert len(got) == m + 1
+            for r in range(m + 1):
+                assert _within_bound(got[r], nu, x, r), (x, m, r)
 
 
 def test_falling_factorials_stay_exact_for_a_tiny_order():
@@ -250,43 +236,74 @@ def test_falling_factorials_stay_exact_for_a_tiny_order():
         assert abs(got[r] - want[r]) <= 1e-14 * abs(want[r]), r
 
 
+@pytest.mark.parametrize("nu, x, order", [
+    (1e-20, 6e-4, 5), (1e-20, 1e-7, 3), (1e-20, 2e-7, 4), (1e-20, 1e-4, 5),
+    (1e-12, 6e-4, 5)])
+def test_tiny_order_stack_meets_an_80_digit_reference(nu, x, order):
+    # a factor of P_r(k) is about nu at a small k, so that term is tiny
+    # while the next is not: a stopping test that reads the tiny term as
+    # the tail (6.5% off at the first case) is what the row's positivity
+    # test rules out
+    got = bessel_stack_values(nu, x, 5)[order]
+    want = _mp_value(nu, x, order)
+    with mp.workdps(80):
+        assert abs(mp.mpf(got) - want) <= 1e-13 * abs(want)
+
+
+def _recording_rows(monkeypatch):
+    """A list that gets (F, order) for every row the kernel asks for."""
+    asked = []
+    plain = bessel._row
+
+    def recording(nu, r, F, rho):
+        asked.append((F, r))
+        return plain(nu, r, F, rho)
+
+    monkeypatch.setattr(bessel, "_row", recording)
+    return asked
+
+
+def _meets_bound(nu, x, order, F, tol):
+    total, K = _horner(nu, x, order, F)
+    return 3 * (K + 1) <= abs(total) * Fraction(tol)
+
+
 def test_stack_escalates_only_the_orders_that_need_it(monkeypatch):
-    # at (2.0, 40.0) the kernel's own error sums of orders 1, 3, 5 meet
-    # tol/2 at 30 digits and orders 0, 2, 4 need 60: the second pass sums
-    # exactly the orders whose bound failed, and every one of them passes
-    nu, x, tol = 2.0, 40.0, 1e-15
-    passes = []
-    plain = bessel._series_pass
-
-    def recording(nu_, x_, orders, tol_, prec):
-        sums = plain(nu_, x_, orders, tol_, prec)
-        passes.append((prec, {r: 2 * err <= abs(total) * Fraction(tol)
-                              for r, (total, err, _, _) in zip(orders, sums)}))
-        return sums
-
-    monkeypatch.setattr(bessel, "_series_pass", recording)
+    # at (2.0, 1e-8) orders 3-5 start at y or y^2, so their bounds fail
+    # at 30 digits and orders 0-2 meet tol/2: the second pass sums exactly
+    # the orders whose bound failed, and every one of them passes
+    nu, x, tol = 2.0, 1e-8, 1e-15
+    at_30 = {r: _meets_bound(nu, x, r, dps_to_prec(30), tol) for r in range(6)}
+    at_60 = {r: _meets_bound(nu, x, r, dps_to_prec(60), tol) for r in range(6)}
+    assert [r for r, met in at_30.items() if not met] == [3, 4, 5]
+    assert all(at_60[r] for r in (3, 4, 5))
+    asked = _recording_rows(monkeypatch)
     got = bessel_stack_values(nu, x, 5, tol)
-    assert [prec for prec, _ in passes] == [dps_to_prec(30), dps_to_prec(60)]
-    at_30, at_60 = passes[0][1], passes[1][1]
-    assert [r for r, met in at_30.items() if not met] == [0, 2, 4]
-    assert at_60 == {0: True, 2: True, 4: True}
-    assert got == tuple(_ref_escalation(nu, x, r, tol)[0] for r in range(6))
+    assert asked == [(dps_to_prec(30), r) for r in range(6)] + [
+        (dps_to_prec(60), r) for r in (3, 4, 5)]
+    for r in range(6):
+        assert _within_bound(got[r], nu, x, r, tol), r
 
 
 def test_stack_resums_only_the_orders_whose_bound_fails(monkeypatch):
-    # at (1.5, 42.0) the error sums of orders 3 and 5 meet tol/2 at 30
-    # digits and the other four need 60
-    passes = []
-    plain = bessel._series_pass
+    # at (2.0, 1e-6) only order 5, which starts at y^2, needs 60 digits
+    asked = _recording_rows(monkeypatch)
+    got = bessel_stack_values(2.0, 1e-6, 5, 1e-15)
+    assert asked == [(103, r) for r in range(6)] + [(203, 5)]
+    for r in range(6):
+        assert _within_bound(got[r], 2.0, 1e-6, r, 1e-15), r
 
-    def recording(nu, x, orders, tol, prec):
-        passes.append((prec, tuple(orders)))
-        return plain(nu, x, orders, tol, prec)
 
-    monkeypatch.setattr(bessel, "_series_pass", recording)
-    got = bessel_stack_values(1.5, 42.0, 5, 1e-15)
-    assert passes == [(103, (0, 1, 2, 3, 4, 5)), (203, (0, 1, 2, 4))]
-    assert got == tuple(_ref_escalation(1.5, 42.0, r, 1e-15)[0] for r in range(6))
+def test_a_second_abscissa_with_the_same_rho_builds_no_row():
+    # y = 2.25 and 3.0625 both lie below 2^2: the second call reuses the
+    # row of the first
+    assert bessel._row.cache_info().maxsize is not None
+    bessel._row.cache_clear()
+    first = bessel_j(1.5, 3.0)
+    built = bessel._row.cache_info().misses
+    second = bessel_j(1.5, 3.5)
+    assert bessel._row.cache_info().misses == built
+    assert _within_bound(first, 1.5, 3.0, 0) and _within_bound(second, 1.5, 3.5, 0)
 
 
 def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
@@ -299,7 +316,8 @@ def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
 
     monkeypatch.setattr(bessel, "mpf_gamma", counting)
     bessel._gamma_plus_one.cache_clear()
-    for x in (0.7, 3.0, 12.0, 45.0):   # 45.0 escalates to 60 digits
+    # the double nearest j_(3.4,1): J_3.4 there needs 60 digits
+    for x in (0.7, 3.0, 12.0, 45.0, 6.867010195869923):
         bessel_stack_values(3.4, x, 5)
         bessel_j(3.4, x)
     assert sorted(calls) == [103, 203]  # 30 and 60 digits
@@ -307,6 +325,8 @@ def test_gamma_is_computed_once_per_order_and_precision(monkeypatch):
 
 
 def test_term_cap_raises_numerical_failure(monkeypatch):
+    # a row built under the full cap would be summed as it is
+    bessel._row.cache_clear()
     monkeypatch.setattr(bessel, "SERIES_TERM_CAP", 3)
     with pytest.raises(NumericalFailure, match="within 3 terms.*order=0"):
         bessel_j(1.5, 20.0)
