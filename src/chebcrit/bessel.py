@@ -25,18 +25,20 @@ y P_r(k+1) / (P_r(k) (k+1)(k+1+nu)).  Once the factors of P_r(k) are
 positive, each (2k+2+nu-i)/(2k+nu-i) and 1/((k+1)(k+1+nu)) decreases in
 k, so for k >= K+1 the ratio is at most its value at K+1, which is below q
 since y < 2^rho.  The tail is then at most |b_(K+1)| y^(K+1) / (1 - q),
-and y^(K+1) < 2^(rho (K+1)).  (Without (1) the test is unsound: for tiny
-nu one factor of P_r(k) is about nu at a small k, and that term is tiny
-while the next one is not.)
+and y^(K+1) < 2^(rho (K+1)).  (Without (1) the ratios need not decrease:
+for tiny nu one factor of P_r(k) is about nu at a small k, so that term
+is tiny while the next one is not.)
 
 Roundoff: c_K is off by at most 1/2, and each Horner step adds at most 1
 for the floor and 1/2 for the coefficient to the error times u < 1.  So
-the total is within 1/2 + 1.5 K + 1 <= 1.5 (K + 1) units of 2^-F of
-2^F sum_k b_k y^k, truncation included, with no per-term division and no
-rescaling.  Each order is summed at F = 103 bits (30 digits), then at
-doubled digits, until 1.5 (K + 1) <= tol/2 of its total; the prefactor,
-with Gamma(nu+1) computed once per (nu, precision), adds a few roundings
-at F bits.  The returned double is then within tol/2 of J_nu^(r)(x)
+the total is within 1/2 + 1.5 K of the row's exact sum, and within
+1.5 (K + 1) units of 2^F sum_k b_k y^k once the tail's one unit is
+added, with no per-term division and no rescaling.
+
+Each order is summed at F = 103 bits (30 digits), then at doubled
+digits, until 1.5 (K + 1) <= tol/2 of its total; the prefactor, with
+Gamma(nu+1) computed once per (nu, precision), adds a few roundings at
+F bits.  The returned double is then within tol/2 of J_nu^(r)(x)
 relative, plus those roundings and half an ulp, for any x whose row fits
 in SERIES_TERM_CAP terms (at 30 digits every x < 128 does).  A stack's
 orders share one abscissa, and only the orders whose bound fails are

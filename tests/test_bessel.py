@@ -154,7 +154,7 @@ def _horner(nu, x, order, F):
     return acc, len(rest)
 
 
-def _exact_sum(nu, x, order, n_terms):
+def _exact_partial_sum(nu, x, order, n_terms):
     """The first n_terms terms of the order-times differentiated series in
     the rationals, before the prefactor (x/2)^nu / Gamma(nu+1) / x^order."""
     nu_q, x_q = Fraction(nu), Fraction(x)
@@ -179,7 +179,7 @@ def test_fixed_point_error_sum_contains_the_exact_partial_sum(nu):
             F = dps_to_prec(dps)
             for r in range(6):
                 total, K = _horner(nu, x, r, F)
-                exact = _exact_sum(nu, x, r, K + 41) * 2 ** F
+                exact = _exact_partial_sum(nu, x, r, K + 41) * 2 ** F
                 assert abs(total - exact) <= Fraction(3, 2) * (K + 1), (x, dps, r)
 
 
@@ -241,9 +241,8 @@ def test_falling_factorials_stay_exact_for_a_tiny_order():
     (1e-12, 6e-4, 5)])
 def test_tiny_order_stack_meets_an_80_digit_reference(nu, x, order):
     # a factor of P_r(k) is about nu at a small k, so that term is tiny
-    # while the next is not: a stopping test that reads the tiny term as
-    # the tail (6.5% off at the first case) is what the row's positivity
-    # test rules out
+    # while the next is not: a stopping test that takes the tiny term for
+    # the tail fails here (6.5% off at the first case)
     got = bessel_stack_values(nu, x, 5)[order]
     want = _mp_value(nu, x, order)
     with mp.workdps(80):
