@@ -134,8 +134,8 @@ def _row(nu: float, r: int, F: int, rho: int):
                 f"(nu={nu}, y < 2^{rho}, order={r})")
         j = K + 1
         dens.append(dens[-1] * j * ((j << e) + n))
-        # every factor of P_r(K + 1) is positive
-        if r == 0 or ((2 * j - r + 1) << e) + n > 0:
+        # every factor of P_r(K + 1) is positive: the last, 2(K+1) + nu - r + 1, is least
+        if ((2 * j - r + 1) << e) + n > 0:
             a, p1 = fall(j + 1), fall(j)
             b = p1 * (j + 1) * (((j + 1) << e) + n)
             g, h = rho + e, e * (j - r) + rho * j + F
