@@ -42,6 +42,8 @@ CASES = {
     "zeros_0.json": ("zeros", "--nu", "0", "--count", "3"),
     "zeros_2.5.json": ("zeros", "--nu", "2.5", "--count", "3"),
     "zeros_3.4_deriv.json": ("zeros", "--nu", "3.4", "--count", "3", "--deriv"),
+    "zeros_7.3.json": ("zeros", "--nu", "7.3", "--count", "3"),
+    "zeros_1.5_deriv.json": ("zeros", "--nu", "1.5", "--count", "3", "--deriv"),
     "verify_spherical_0.json": ("verify", "--identity", "all", "--model", "spherical:0"),
     "verify_spherical_1.json": ("verify", "--identity", "all", "--model", "spherical:1"),
     "verify_spherical_2.json": ("verify", "--identity", "all", "--model", "spherical:2"),
