@@ -36,13 +36,25 @@ the total is within 1/2 + 1.5 K of the row's exact sum, and within
 added, with no per-term division and no rescaling.
 
 Each order is summed at F = 103 bits (30 digits), then at doubled
-digits, until 1.5 (K + 1) <= tol/2 of its total; the prefactor, with
-Gamma(nu+1) computed once per (nu, precision), adds a few roundings at
-F bits.  The returned double is then within tol/2 of J_nu^(r)(x)
-relative, plus those roundings and half an ulp, for any x whose row fits
-in SERIES_TERM_CAP terms (at 30 digits every x < 128 does).  A stack's
-orders share one abscissa, and only the orders whose bound fails are
-summed again.
+digits, until 1.5 (K + 1) <= tol/2 of its total.  The prefactor
+(x/2)^nu / Gamma(nu+1) / x^r takes no mpf arithmetic but Gamma:
+
+  * (x/2)^nu is an integer pair (M, X), M 2^X within 2^-W relative at
+    W = F + 20 bits (_half_x_power): exact for integer nu, one isqrt for
+    half-integer nu, else a fixed-point ln and exp on 2^-8 table rows;
+  * Gamma(nu+1) is mpmath's mpf_gamma at F bits, computed once per
+    (nu, F), the one mpmath value still trusted: within one unit of its
+    last bit, 2^(1-F) relative;
+  * the double is one int true division, acc M / (gman mx^r) times a
+    power of two, where Gamma(nu+1) = gman 2^gexp and x = mx / 2^s;
+    Python rounds it correctly, and it goes to +-inf past the double
+    range and to a signed zero below it, as mpmath's to_float did.
+
+The returned double is then within tol/2 + 2^-W + 2^(1-F) of
+J_nu^(r)(x) relative (with their products, below 2^-F tol), plus half an
+ulp, for any x whose row fits in SERIES_TERM_CAP terms (at 30 digits
+every x < 128 does).  A stack's orders share one abscissa, one prefactor
+per precision, and only the orders whose bound fails are summed again.
 
 Series only, no asymptotic expansions: at desk scale the adaptive series
 meets tolerance everywhere and keeps one code path for all real nu >= 0.
@@ -54,21 +66,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from mpmath.libmp import (
-    dps_to_prec,
-    fone,
-    from_float,
-    from_man_exp,
-    mpf_add,
-    mpf_div,
-    mpf_gamma,
-    mpf_mul,
-    mpf_pow,
-    mpf_pow_int,
-    mpf_shift,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import dps_to_prec, fone, from_float, mpf_add, mpf_gamma, round_nearest
 
 from .errors import NumericalFailure, UsageError
 from .rootfind import ZeroResult, first_zeros, kth_zero
@@ -90,6 +88,19 @@ DEFAULT_ROOT_XTOL = 1e-12
 _MAX_SERIES_DERIV = 5
 
 _RND = round_nearest
+
+#: the prefactor (x/2)^nu is computed at W = F + _PREFACTOR_GUARD bits
+_PREFACTOR_GUARD = 20
+
+#: integer and half-integer nu below this take the exact and isqrt routes
+_EXACT_POWER_CAP = 1024
+
+_TABLE_BITS = 8  # the ln and exp tables hold multiples of 2^-8
+
+# Process-global caches of the ln and exp table rows, one list per working
+# precision, as trigpoly keeps its cos/sin rows; not guarded by a lock.
+_LN_ROWS: dict[int, list] = {}  # V -> rows j = 0..256, ln(1 + j/2^8); row 256 is ln 2
+_EXP_ROWS: dict[int, list] = {}  # V -> rows j = 0..177, exp(j/2^8)
 
 
 def _check_order(nu: float) -> float:
@@ -158,14 +169,159 @@ def _row(nu: float, r: int, F: int, rho: int):
     return row[-1], tuple(reversed(row[:-1]))
 
 
+def _ln_ratio(zn: int, zd: int, W: int) -> int:
+    """The integer within 1 of 2^W ln((zd + zn) / (zd - zn)), for
+    0 <= zn/zd <= 1/3 and W >= 64.
+
+    2 atanh(z), z = zn/zd, at Wg = W + g bits, g = W.bit_length() + 3, in
+    units of 2^-Wg.  t_0 = floor(2^(Wg+1) z) is off by < 1, and z2 =
+    floor(t_0^2 / 2^(Wg+2)) by < z + 1 <= 4/3 from z^2 2^Wg.  The power
+    t_i = floor(t_(i-1) z2 / 2^Wg), t_(i-1) <= 2^(Wg+1) / 3, is off by e_i
+    <= e_(i-1) z^2 + 8/9 + 1 < 2.13, so each summand floor(t_i / (2i+1))
+    by < 2.13.  The sum stops at the first t_N = 0, N < Wg/3 + 2 (z^2 <=
+    1/9), and the terms left out add < 2.4.  The sum is off by < 0.71 Wg
+    + 6.7 <= 2^(g-1), and the rounding to W bits adds 1/2.
+    """
+    g = W.bit_length() + 3
+    Wg = W + g
+    t = (zn << (Wg + 1)) // zd
+    z2 = t * t >> (Wg + 2)
+    total, i = 0, 1
+    while t:
+        total += t // i
+        t = t * z2 >> Wg
+        i += 2
+    return (total + (1 << (g - 1))) >> g
+
+
+def _ln_row(V: int, j: int) -> int:
+    """ln(1 + j/2^8), 0 <= j <= 256, within 1 of its value times 2^V
+    (row 256 is ln 2): one row of the table, built on first use per
+    (V, j), as 2 atanh(j / (512 + j)) by _ln_ratio."""
+    rows = _LN_ROWS.get(V)
+    if rows is None:
+        rows = _LN_ROWS[V] = [None] * 257
+    row = rows[j]
+    if row is None:
+        row = rows[j] = _ln_ratio(j, (2 << _TABLE_BITS) + j, V)
+    return row
+
+
+def _exp_row(V: int, j: int) -> int:
+    """exp(j/2^8), 0 <= j <= 177, within 1 of its value times 2^V: one row
+    of the table, built on first use per (V, j).
+
+    The Taylor sum of the exact argument u = j/2^8 < 0.692 at V + g bits,
+    g = V.bit_length() + 3.  The term t_i = floor(t_(i-1) u / i) is off by
+    e_i <= e_(i-1) u + 1 < 3.25; the sum stops at the first t_N = 0 (N <=
+    V + g, as (2u)^i < i! past i = 1), and the terms left out, shrinking by
+    u / (N + 1) < 0.35, add < 5.  The sum is off by < 3.25 (V + g) + 5 <=
+    2^(g-1) units of 2^-(V+g) for V >= 64; the rounding to V bits adds 1/2.
+    """
+    rows = _EXP_ROWS.get(V)
+    if rows is None:
+        rows = _EXP_ROWS[V] = [None] * 178  # ln 2 < 178 / 2^8
+    row = rows[j]
+    if row is None:
+        g = V.bit_length() + 3
+        t = 1 << (V + g)
+        total, i = 0, 0
+        while t:
+            total += t
+            i += 1
+            t = t * j // (i << _TABLE_BITS)
+        row = rows[j] = (total + (1 << (g - 1))) >> g
+    return row
+
+
+def _exp_small(D: int, V: int) -> int:
+    """The integer within 1 of 2^V exp(d), d = D / 2^V, 0 <= d < 2^-8.
+
+    The Taylor sum at V + g bits, g = V.bit_length() + 3: the term t_i =
+    floor(t_(i-1) d / i) is off by < 1.004, the sum stops at the first
+    t_N = 0 (N <= (V + g)/8 + 1), and the terms left out add < 1.01.  The
+    sum is off by < 1.004 N + 1.01 < 2^(g-1) units, and the rounding to V
+    bits adds 1/2.
+    """
+    g = V.bit_length() + 3
+    t = 1 << (V + g)
+    total, i = 0, 0
+    while t:
+        total += t
+        i += 1
+        t = (t * D >> V) // i
+    return (total + (1 << (g - 1))) >> g
+
+
+def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
+    """(M, X) with |M 2^X - (x/2)^nu| < 2^-W (x/2)^nu, for x = mx / 2^s > 0,
+    on Python ints, W >= 64.  Three routes:
+
+    * Integer nu < _EXACT_POWER_CAP: M = mx^nu and X = -(s + 1) nu, exact.
+    * Half-integer nu = n + 1/2 < _EXACT_POWER_CAP: with x/2 = m / 2^u, u
+      even (m = mx, u = s + 1 or m = 2 mx, u = s + 2), sqrt(x/2) =
+      isqrt(m 2^(2W)) 2^-(W + u/2) is floored from a value >= 2^W, so off
+      by < 2^-W relative, and the factor (x/2)^n is exact.
+    * Any other nu = n / 2^e: at V = W + a + 12 bits, nu < 2^a, in units of
+      2^-V.  Write x/2 = v 2^E2, v in [1, 2), |E2| <= 1075, and v = (1 +
+      j/2^8)(1 + d), 0 <= d < 2^-8.  Then ln(x/2) = E2 ln 2 + _ln_row(V, j)
+      + ln(1 + d), the last by _ln_ratio on the exact ratio, so off by <=
+      |E2| + 2; z = nu ln(x/2), floored, by <= nu (|E2| + 2) + 1.  With
+      k = floor(z / ln 2), |k| <= nu (|E2| + 1) + 2, the remainder r = z -
+      k ln 2 in [0, ln 2) is off by < nu (2 |E2| + 3) + 3 < 1.06 2^(a+11)
+      + 3, and r = i/2^8 + d', 0 <= d' < 2^-8.  exp(r) = _exp_row(V, i)
+      _exp_small(d'), each within 1, is off by < 4.01 from the product and
+      the floor, so by < 2^(a+12) with the error in r, relative to
+      exp(r) >= 1.  So M = exp(r) 2^V, X = k - V is off by < 2^-W
+      relative.
+    """
+    n, d = nu.as_integer_ratio()
+    t = s + 1  # x/2 = mx / 2^t
+    if nu < _EXACT_POWER_CAP:
+        if d == 1:
+            return mx ** n, -t * n
+        if d == 2:
+            n >>= 1
+            m, u = (mx, t) if t % 2 == 0 else (mx << 1, t + 1)
+            return math.isqrt(m << 2 * W) * mx ** n, -W - u // 2 - t * n
+    e = d.bit_length() - 1
+    V = W + max(n.bit_length() - e, 0) + 12
+    b = mx.bit_length()
+    j = (mx - (1 << b - 1) << _TABLE_BITS) >> b - 1
+    P, Q = mx << _TABLE_BITS, (1 << _TABLE_BITS) + j << b - 1  # 1 + d = P / Q
+    ln2 = _ln_row(V, 1 << _TABLE_BITS)
+    z = n * ((b - 1 - t) * ln2 + _ln_row(V, j) + _ln_ratio(P - Q, P + Q, V)) >> e
+    k, R = divmod(z, ln2)
+    i = R >> V - _TABLE_BITS
+    E = _exp_row(V, i) * _exp_small(R - (i << V - _TABLE_BITS), V) >> V
+    return E, k - V
+
+
+def _scaled_quotient(num: int, den: int, e: int) -> float:
+    """The double nearest num 2^e / den, den > 0, from one int true
+    division (correctly rounded); +-inf past the double range and a signed
+    zero below it, as mpmath's to_float gives them."""
+    mag = num.bit_length() - den.bit_length() + e  # 2^(mag-1) < |quotient| < 2^(mag+1)
+    if mag > 1024:
+        return math.copysign(math.inf, num)
+    if mag < -1075:
+        return math.copysign(0.0, num)
+    try:
+        return (num << e) / den if e >= 0 else num / (den << -e)
+    except OverflowError:
+        return math.copysign(math.inf, num)
+
+
 def _series_values(nu: float, x: float, orders: Sequence[int],
                    tol: float) -> tuple[float, ...]:
-    """Adaptive-precision series values, relative error <= tol/2 each
-    before the prefactor's few roundings at the accepting precision.
+    """Adaptive-precision series values, each within tol/2 relative plus
+    the prefactor's and Gamma's roundings and half an ulp.
 
     At F fraction bits every order's row is summed by Horner's rule, and an
     order is accepted once its error bound is at most |total| * tol / 2;
     only the orders that fail at d digits are summed again at 2d digits.
+    The prefactor (x/2)^nu and Gamma(nu + 1) are computed once per F, and
+    each accepted order's double is one correctly rounded int division.
     """
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -175,28 +331,26 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
         return tuple(1.0 if nu == 0 else 0.0 for _ in orders)
     tol_num, tol_den = float(tol).as_integer_ratio()
     mx, dx = x.as_integer_ratio()
+    s = dx.bit_length() - 1  # x = mx / 2^s
     Y = mx * mx
     sh = Y.bit_length()  # u = Y / 2^sh = y / 2^rho < 1, y = x^2 / 4
-    rho = sh - 2 * dx.bit_length()
-    xm = from_float(x)
+    rho = sh - 2 * s - 2
     values = {}
     pending = list(orders)
     dps = 30
     while dps <= 2000:
         prec = dps_to_prec(dps)
-        # (x/2)^nu / Gamma(nu + 1), the k = 0 term before differentiation
-        base = mpf_div(mpf_pow(mpf_shift(xm, -1), from_float(nu), prec, _RND),
-                       _gamma_plus_one(nu, prec), prec, _RND)
+        # J_nu^(r)(x) = acc 2^-prec M 2^X / (gman 2^gexp (mx 2^-s)^r)
+        M, X = _half_x_power(nu, mx, s, prec + _PREFACTOR_GUARD)
+        _, gman, gexp, _ = _gamma_plus_one(nu, prec)
         for r in pending:
             acc, rest = _row(nu, r, prec, rho)
             for c in rest:
                 acc = (acc * Y >> sh) + c
             # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest)
             if 3 * (len(rest) + 1) * tol_den <= abs(acc) * tol_num:
-                value = mpf_mul(from_man_exp(acc, -prec), base, prec, _RND)
-                if r:
-                    value = mpf_div(value, mpf_pow_int(xm, r, prec, _RND), prec, _RND)
-                values[r] = to_float(value, rnd=_RND)
+                values[r] = _scaled_quotient(acc * M, gman * mx ** r,
+                                             X - prec - gexp + s * r)
         pending = [r for r in pending if r not in values]
         if not pending:
             return tuple(values[r] for r in orders)
@@ -206,7 +360,9 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
 
 
 def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """J_nu(x) by the power series, within tol/2 relative plus half an ulp
+    """J_nu(x) by the power series, within tol/2 relative plus the
+    prefactor's 2^-(F+20), Gamma's rounding at F bits (2^(1-F), F >= 103,
+    from mpmath's mpf_gamma, the one mpmath value trusted) and half an ulp
     (see the module docstring)."""
     nu = _check_order(nu)
     x = float(x)

@@ -335,6 +335,91 @@ def test_term_cap_raises_numerical_failure(monkeypatch):
         bessel_j_deriv(1.5, 20.0, 2)
 
 
+# ---------------------------------------------------------------- prefactor
+
+_PREFACTOR_XS = (5e-324, 1e-300, 1e-7, 0.01, 1.0, 6.867010195869923, 29.0, 127.5)
+
+
+@pytest.mark.parametrize("nu", (0.0, 1.0, 2.0, 0.5, 1.5, 2.5, 3.4, 1e-20, 7.3, 40.75))
+def test_half_x_power_meets_its_bound(nu):
+    # (M, X) within 2^-W relative of (x/2)^nu; integer nu takes the exact
+    # route, half-integer nu the isqrt, the rest ln and exp
+    for x in _PREFACTOR_XS:
+        mx, dx = x.as_integer_ratio()
+        for F in (103, 203):
+            W = F + bessel._PREFACTOR_GUARD
+            M, X = bessel._half_x_power(nu, mx, dx.bit_length() - 1, W)
+            with mp.workdps(120):
+                want = (mp.mpf(x) / 2) ** mp.mpf(nu)
+                assert abs(mp.ldexp(M, X) - want) < mp.ldexp(want, -W), (x, F)
+                if nu == int(nu):
+                    assert mp.ldexp(M, X) == want, (x, F)
+
+
+def test_integer_orders_take_the_exact_power():
+    assert bessel._half_x_power(3.0, 5, 1, 123) == (125, -6)  # (5/4)^3
+
+
+@pytest.mark.parametrize("F", (103, 203))
+def test_ln_and_exp_rows_are_within_one_unit(F):
+    # the rows at the working precision of nu = 3.4 (V = W + 2 + 12)
+    V = F + bessel._PREFACTOR_GUARD + 14
+    with mp.workprec(V + 40):
+        for j in range(257):
+            want = mp.ldexp(mp.log(1 + mp.mpf(j) / 256), V)
+            assert abs(bessel._ln_row(V, j) - want) < 1, j
+        for j in range(178):
+            want = mp.ldexp(mp.exp(mp.mpf(j) / 256), V)
+            assert abs(bessel._exp_row(V, j) - want) < 1, j
+    assert 178 / 256 > math.log(2) > 177 / 256  # no reduced argument needs row 178
+
+
+def test_ln_ratio_and_exp_small_are_within_one_unit():
+    V = 137
+    rng = random.Random(22)
+    with mp.workprec(V + 40):
+        for _ in range(200):
+            zd = rng.getrandbits(80) | 1 << 80
+            zn = rng.randrange(zd // 3 + 1)
+            want = mp.ldexp(mp.log(mp.mpf(zd + zn) / (zd - zn)), V)
+            assert abs(bessel._ln_ratio(zn, zd, V) - want) < 1, (zn, zd)
+            D = rng.getrandbits(V - 8)
+            want = mp.ldexp(mp.exp(mp.ldexp(D, -V)), V)
+            assert abs(bessel._exp_small(D, V) - want) < 1, D
+
+
+def test_over_and_underflow_give_what_mpmath_to_float_gave():
+    # to_float gave +-inf past the double range and 0.0 below it; the int
+    # division keeps both, and the finite values stay as they were
+    assert bessel_stack_values(0.5, 1e-300, 5) == (
+        7.978845608028654e-151, 3.9894228040143267e+149, -math.inf, math.inf,
+        -math.inf, math.inf)
+    assert bessel_stack_values(3.4, 1e-200, 5) == (
+        0.0, 0.0, 7.626358340432819e-282, 1.0676901676605946e-81,
+        4.270760670642377e+118, -math.inf)
+    assert bessel_j(0.5, 5e-324) == 1.7735048886036274e-162
+    assert bessel_j(3.4, 1e-300) == 0.0
+    assert bessel_j(200.0, 1.0) == 0.0
+
+
+def test_the_prefactor_is_computed_once_per_precision(monkeypatch):
+    # the double nearest j_(3.4,1): order 0 needs 60 digits, the other
+    # five orders of the stack are accepted at 30
+    asked = _recording_rows(monkeypatch)
+    calls = []
+    plain = bessel._half_x_power
+
+    def counting(nu, mx, s, W):
+        calls.append(W)
+        return plain(nu, mx, s, W)
+
+    monkeypatch.setattr(bessel, "_half_x_power", counting)
+    bessel_stack_values(3.4, 6.867010195869923, 5)
+    precs = sorted({F for F, _ in asked})
+    assert len(asked) > len(precs) == 2
+    assert calls == [F + bessel._PREFACTOR_GUARD for F in precs]
+
+
 # ---------------------------------------------------------------- zeros
 
 def test_first_zero_of_sin_order():
