@@ -301,15 +301,16 @@ def _scaled_quotient(num: int, den: int, e: int) -> float:
     """The double nearest num 2^e / den, den > 0, from one int true
     division (correctly rounded); +-inf past the double range and a signed
     zero below it, as mpmath's to_float gives them."""
+    sign = -1.0 if num < 0 else 1.0
     mag = num.bit_length() - den.bit_length() + e  # 2^(mag-1) < |quotient| < 2^(mag+1)
     if mag > 1024:
-        return math.copysign(math.inf, num)
+        return sign * math.inf
     if mag < -1075:
-        return math.copysign(0.0, num)
+        return sign * 0.0
     try:
         return (num << e) / den if e >= 0 else num / (den << -e)
     except OverflowError:
-        return math.copysign(math.inf, num)
+        return sign * math.inf
 
 
 def _series_values(nu: float, x: float, orders: Sequence[int],
