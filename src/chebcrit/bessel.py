@@ -51,8 +51,8 @@ digits, until 1.5 (K + 1) <= tol/2 of its total.  The prefactor
     range and to a signed zero below it, as mpmath's to_float did.
 
 The returned double is then within tol/2 + 2^-W + 2^(1-F) of
-J_nu^(r)(x) relative (with their products, below 2^-F tol), plus half an
-ulp, for any x whose row fits in SERIES_TERM_CAP terms (at 30 digits
+J_nu^(r)(x) relative (their products add below 2^(1-F) tol), plus half
+an ulp, for any x whose row fits in SERIES_TERM_CAP terms (at 30 digits
 every x < 128 does).  A stack's orders share one abscissa, one prefactor
 per precision, and only the orders whose bound fails are summed again.
 
@@ -207,41 +207,17 @@ def _ln_row(V: int, j: int) -> int:
     return row
 
 
-def _exp_row(V: int, j: int) -> int:
-    """exp(j/2^8), 0 <= j <= 177, within 1 of its value times 2^V: one row
-    of the table, built on first use per (V, j).
+def _exp_fixed(D: int, V: int) -> int:
+    """The integer within 1 of 2^V exp(u), u = D / 2^V, 0 <= u < 0.7, for
+    V >= 64.
 
-    The Taylor sum of the exact argument u = j/2^8 < 0.692 at V + g bits,
-    g = V.bit_length() + 3.  The term t_i = floor(t_(i-1) u / i) is off by
-    e_i <= e_(i-1) u + 1 < 3.25; the sum stops at the first t_N = 0 (N <=
-    V + g, as (2u)^i < i! past i = 1), and the terms left out, shrinking by
-    u / (N + 1) < 0.35, add < 5.  The sum is off by < 3.25 (V + g) + 5 <=
-    2^(g-1) units of 2^-(V+g) for V >= 64; the rounding to V bits adds 1/2.
-    """
-    rows = _EXP_ROWS.get(V)
-    if rows is None:
-        rows = _EXP_ROWS[V] = [None] * 178  # ln 2 < 178 / 2^8
-    row = rows[j]
-    if row is None:
-        g = V.bit_length() + 3
-        t = 1 << (V + g)
-        total, i = 0, 0
-        while t:
-            total += t
-            i += 1
-            t = t * j // (i << _TABLE_BITS)
-        row = rows[j] = (total + (1 << (g - 1))) >> g
-    return row
-
-
-def _exp_small(D: int, V: int) -> int:
-    """The integer within 1 of 2^V exp(d), d = D / 2^V, 0 <= d < 2^-8.
-
-    The Taylor sum at V + g bits, g = V.bit_length() + 3: the term t_i =
-    floor(t_(i-1) d / i) is off by < 1.004, the sum stops at the first
-    t_N = 0 (N <= (V + g)/8 + 1), and the terms left out add < 1.01.  The
-    sum is off by < 1.004 N + 1.01 < 2^(g-1) units, and the rounding to V
-    bits adds 1/2.
+    The Taylor sum at V + g bits, g = V.bit_length() + 3.  The term t_i =
+    floor(t_(i-1) u / i) is off by e_i <= e_(i-1) u + 1 < 3.34; the sum
+    stops at the first t_N = 0 (N <= V + g, as (2u)^i < i! past i = 1),
+    and the terms left out, shrinking by u / (N + 1) < 0.35, add < 5.2.
+    The sum is off by < 3.34 (V + g) + 5.2 <= 2^(g-1) units of 2^-(V+g),
+    and the rounding to V bits adds 1/2.  For u < 2^-8 it stops after
+    N <= (V + g)/8 + 1 terms.
     """
     g = V.bit_length() + 3
     t = 1 << (V + g)
@@ -251,6 +227,18 @@ def _exp_small(D: int, V: int) -> int:
         i += 1
         t = (t * D >> V) // i
     return (total + (1 << (g - 1))) >> g
+
+
+def _exp_row(V: int, j: int) -> int:
+    """exp(j/2^8), 0 <= j <= 177, within 1 of its value times 2^V: one row
+    of the table, built on first use per (V, j), by _exp_fixed."""
+    rows = _EXP_ROWS.get(V)
+    if rows is None:
+        rows = _EXP_ROWS[V] = [None] * 178  # ln 2 < 178 / 2^8
+    row = rows[j]
+    if row is None:
+        row = rows[j] = _exp_fixed(j << V - _TABLE_BITS, V)
+    return row
 
 
 def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
@@ -270,7 +258,7 @@ def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
       k = floor(z / ln 2), |k| <= nu (|E2| + 1) + 2, the remainder r = z -
       k ln 2 in [0, ln 2) is off by < nu (2 |E2| + 3) + 3 < 1.06 2^(a+11)
       + 3, and r = i/2^8 + d', 0 <= d' < 2^-8.  exp(r) = _exp_row(V, i)
-      _exp_small(d'), each within 1, is off by < 4.01 from the product and
+      _exp_fixed(d'), each within 1, is off by < 4.01 from the product and
       the floor, so by < 2^(a+12) with the error in r, relative to
       exp(r) >= 1.  So M = exp(r) 2^V, X = k - V is off by < 2^-W
       relative.
@@ -293,7 +281,7 @@ def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
     z = n * ((b - 1 - t) * ln2 + _ln_row(V, j) + _ln_ratio(P - Q, P + Q, V)) >> e
     k, R = divmod(z, ln2)
     i = R >> V - _TABLE_BITS
-    E = _exp_row(V, i) * _exp_small(R - (i << V - _TABLE_BITS), V) >> V
+    E = _exp_row(V, i) * _exp_fixed(R - (i << V - _TABLE_BITS), V) >> V
     return E, k - V
 
 

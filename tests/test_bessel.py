@@ -370,7 +370,7 @@ def test_ln_and_exp_rows_are_within_one_unit(F):
     assert 178 / 256 > math.log(2) > 177 / 256  # no reduced argument needs row 178
 
 
-def test_ln_ratio_and_exp_small_are_within_one_unit():
+def test_ln_ratio_and_exp_fixed_are_within_one_unit():
     V = 137
     rng = random.Random(22)
     with mp.workprec(V + 40):
@@ -379,9 +379,10 @@ def test_ln_ratio_and_exp_small_are_within_one_unit():
             zn = rng.randrange(zd // 3 + 1)
             want = mp.ldexp(mp.log(mp.mpf(zd + zn) / (zd - zn)), V)
             assert abs(bessel._ln_ratio(zn, zd, V) - want) < 1, (zn, zd)
-            D = rng.getrandbits(V - 8)
-            want = mp.ldexp(mp.exp(mp.ldexp(D, -V)), V)
-            assert abs(bessel._exp_small(D, V) - want) < 1, D
+            D = rng.randrange(7 << V - 4)  # u < 0.4375 here, u < 2^-8 below
+            for D in (D, D >> 8):
+                want = mp.ldexp(mp.exp(mp.ldexp(D, -V)), V)
+                assert abs(bessel._exp_fixed(D, V) - want) < 1, D
 
 
 def test_over_and_underflow_give_what_mpmath_to_float_gave():
@@ -415,9 +416,8 @@ def test_the_prefactor_is_computed_once_per_precision(monkeypatch):
 
     monkeypatch.setattr(bessel, "_half_x_power", counting)
     bessel_stack_values(3.4, 6.867010195869923, 5)
-    precs = sorted({F for F, _ in asked})
-    assert len(asked) > len(precs) == 2
-    assert calls == [F + bessel._PREFACTOR_GUARD for F in precs]
+    assert asked == [(103, r) for r in range(6)] + [(203, 0)]
+    assert calls == [103 + bessel._PREFACTOR_GUARD, 203 + bessel._PREFACTOR_GUARD]
 
 
 # ---------------------------------------------------------------- zeros
