@@ -41,7 +41,8 @@ digits, until 1.5 (K + 1) <= tol/2 of its total.  The prefactor
 
   * (x/2)^nu is an integer pair (M, X), M 2^X within 2^-W relative at
     W = F + 20 bits (_half_x_power): exact for integer nu, one isqrt for
-    half-integer nu, else a fixed-point ln and exp on 2^-8 table rows;
+    half-integer nu, else the fixed-point ln and exp of ``fixedpoint``,
+    on 2^-8 table rows, whose docstrings prove their bounds;
   * Gamma(nu+1) is mpmath's mpf_gamma at F bits, computed once per
     (nu, F), the one mpmath value still trusted: within one unit of its
     last bit, 2^(1-F) relative;
@@ -69,6 +70,7 @@ from typing import Callable, Iterator, Sequence
 from mpmath.libmp import dps_to_prec, fone, from_float, mpf_add, mpf_gamma, round_nearest
 
 from .errors import NumericalFailure, UsageError
+from .fixedpoint import _exp, _int_to_double, _ln
 from .rootfind import ZeroResult, first_zeros, kth_zero
 from .trigpoly import fn_derivatives, spherical_fn, tp_eval
 
@@ -94,13 +96,6 @@ _PREFACTOR_GUARD = 20
 
 #: integer and half-integer nu below this take the exact and isqrt routes
 _EXACT_POWER_CAP = 1024
-
-_TABLE_BITS = 8  # the ln and exp tables hold multiples of 2^-8
-
-# Process-global caches of the ln and exp table rows, one list per working
-# precision, as trigpoly keeps its cos/sin rows; not guarded by a lock.
-_LN_ROWS: dict[int, list] = {}  # V -> rows j = 0..256, ln(1 + j/2^8); row 256 is ln 2
-_EXP_ROWS: dict[int, list] = {}  # V -> rows j = 0..177, exp(j/2^8)
 
 
 def _check_order(nu: float) -> float:
@@ -169,81 +164,9 @@ def _row(nu: float, r: int, F: int, rho: int):
     return row[-1], tuple(reversed(row[:-1]))
 
 
-def _ln_ratio(zn: int, zd: int, W: int) -> int:
-    """The integer within 1 of 2^W ln((zd + zn) / (zd - zn)), for
-    0 <= zn/zd <= 1/3 and W >= 64.
-
-    2 atanh(z), z = zn/zd, at Wg = W + g bits, g = W.bit_length() + 3, in
-    units of 2^-Wg.  t_0 = floor(2^(Wg+1) z) is off by < 1, and z2 =
-    floor(t_0^2 / 2^(Wg+2)) by < z + 1 <= 4/3 from z^2 2^Wg.  The power
-    t_i = floor(t_(i-1) z2 / 2^Wg), t_(i-1) <= 2^(Wg+1) / 3, is off by e_i
-    <= e_(i-1) z^2 + 8/9 + 1 < 2.13, so each summand floor(t_i / (2i+1))
-    by < 2.13.  The sum stops at the first t_N = 0, N < Wg/3 + 2 (z^2 <=
-    1/9), and the terms left out add < 2.4.  The sum is off by < 0.71 Wg
-    + 6.7 <= 2^(g-1), and the rounding to W bits adds 1/2.
-    """
-    g = W.bit_length() + 3
-    Wg = W + g
-    t = (zn << (Wg + 1)) // zd
-    z2 = t * t >> (Wg + 2)
-    total, i = 0, 1
-    while t:
-        total += t // i
-        t = t * z2 >> Wg
-        i += 2
-    return (total + (1 << (g - 1))) >> g
-
-
-def _ln_row(V: int, j: int) -> int:
-    """ln(1 + j/2^8), 0 <= j <= 256, within 1 of its value times 2^V
-    (row 256 is ln 2): one row of the table, built on first use per
-    (V, j), as 2 atanh(j / (512 + j)) by _ln_ratio."""
-    rows = _LN_ROWS.get(V)
-    if rows is None:
-        rows = _LN_ROWS[V] = [None] * 257
-    row = rows[j]
-    if row is None:
-        row = rows[j] = _ln_ratio(j, (2 << _TABLE_BITS) + j, V)
-    return row
-
-
-def _exp_fixed(D: int, V: int) -> int:
-    """The integer within 1 of 2^V exp(u), u = D / 2^V, 0 <= u < 0.7, for
-    V >= 64.
-
-    The Taylor sum at V + g bits, g = V.bit_length() + 3.  The term t_i =
-    floor(t_(i-1) u / i) is off by e_i <= e_(i-1) u + 1 < 3.34; the sum
-    stops at the first t_N = 0 (N <= V + g, as (2u)^i < i! past i = 1),
-    and the terms left out, shrinking by u / (N + 1) < 0.35, add < 5.2.
-    The sum is off by < 3.34 (V + g) + 5.2 <= 2^(g-1) units of 2^-(V+g),
-    and the rounding to V bits adds 1/2.  For u < 2^-8 it stops after
-    N <= (V + g)/8 + 1 terms.
-    """
-    g = V.bit_length() + 3
-    t = 1 << (V + g)
-    total, i = 0, 0
-    while t:
-        total += t
-        i += 1
-        t = (t * D >> V) // i
-    return (total + (1 << (g - 1))) >> g
-
-
-def _exp_row(V: int, j: int) -> int:
-    """exp(j/2^8), 0 <= j <= 177, within 1 of its value times 2^V: one row
-    of the table, built on first use per (V, j), by _exp_fixed."""
-    rows = _EXP_ROWS.get(V)
-    if rows is None:
-        rows = _EXP_ROWS[V] = [None] * 178  # ln 2 < 178 / 2^8
-    row = rows[j]
-    if row is None:
-        row = rows[j] = _exp_fixed(j << V - _TABLE_BITS, V)
-    return row
-
-
 def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
     """(M, X) with |M 2^X - (x/2)^nu| < 2^-W (x/2)^nu, for x = mx / 2^s > 0,
-    on Python ints, W >= 64.  Three routes:
+    on Python ints, W >= 116.  Three routes:
 
     * Integer nu < _EXACT_POWER_CAP: M = mx^nu and X = -(s + 1) nu, exact.
     * Half-integer nu = n + 1/2 < _EXACT_POWER_CAP: with x/2 = m / 2^u, u
@@ -251,17 +174,14 @@ def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
       isqrt(m 2^(2W)) 2^-(W + u/2) is floored from a value >= 2^W, so off
       by < 2^-W relative, and the factor (x/2)^n is exact.
     * Any other nu = n / 2^e: at V = W + a + 12 bits, nu < 2^a, in units of
-      2^-V.  Write x/2 = v 2^E2, v in [1, 2), |E2| <= 1075, and v = (1 +
-      j/2^8)(1 + d), 0 <= d < 2^-8.  Then ln(x/2) = E2 ln 2 + _ln_row(V, j)
-      + ln(1 + d), the last by _ln_ratio on the exact ratio, so off by <=
-      |E2| + 2; z = nu ln(x/2), floored, by <= nu (|E2| + 2) + 1.  With
-      k = floor(z / ln 2), |k| <= nu (|E2| + 1) + 2, the remainder r = z -
-      k ln 2 in [0, ln 2) is off by < nu (2 |E2| + 3) + 3 < 1.06 2^(a+11)
-      + 3, and r = i/2^8 + d', 0 <= d' < 2^-8.  exp(r) = _exp_row(V, i)
-      _exp_fixed(d'), each within 1, is off by < 4.01 from the product and
-      the floor, so by < 2^(a+12) with the error in r, relative to
-      exp(r) >= 1.  So M = exp(r) 2^V, X = k - V is off by < 2^-W
-      relative.
+      2^-V.  x/2 = mx 2^-t lies in [2^E2, 2^(E2+1)), |E2| <= 1075, so
+      fixedpoint._ln gives ln(x/2) off by < |E2| + 2, and z = nu ln(x/2),
+      floored, is off by < nu (|E2| + 2) + 1: exp(z 2^-V) is within 1.01
+      (nu (|E2| + 2) + 1) 2^-V relative of (x/2)^nu.  fixedpoint._exp gives
+      (E, k), E 2^(k-V) within (1.01 |k| + 4.02) 2^-V relative of exp(z
+      2^-V), with |k| <= nu (|E2| + 1) + 2.  The two add to < 1.01 nu (2
+      |E2| + 3) + 7.1 < 2^(a+12) units, so M = E, X = k - V is off by <
+      2^-W relative.
     """
     n, d = nu.as_integer_ratio()
     t = s + 1  # x/2 = mx / 2^t
@@ -274,31 +194,8 @@ def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
             return math.isqrt(m << 2 * W) * mx ** n, -W - u // 2 - t * n
     e = d.bit_length() - 1
     V = W + max(n.bit_length() - e, 0) + 12
-    b = mx.bit_length()
-    j = (mx - (1 << b - 1) << _TABLE_BITS) >> b - 1
-    P, Q = mx << _TABLE_BITS, (1 << _TABLE_BITS) + j << b - 1  # 1 + d = P / Q
-    ln2 = _ln_row(V, 1 << _TABLE_BITS)
-    z = n * ((b - 1 - t) * ln2 + _ln_row(V, j) + _ln_ratio(P - Q, P + Q, V)) >> e
-    k, R = divmod(z, ln2)
-    i = R >> V - _TABLE_BITS
-    E = _exp_row(V, i) * _exp_fixed(R - (i << V - _TABLE_BITS), V) >> V
+    E, k = _exp(n * _ln(mx, -t, V) >> e, V)
     return E, k - V
-
-
-def _scaled_quotient(num: int, den: int, e: int) -> float:
-    """The double nearest num 2^e / den, den > 0, from one int true
-    division (correctly rounded); +-inf past the double range and a signed
-    zero below it, as mpmath's to_float gives them."""
-    sign = -1.0 if num < 0 else 1.0
-    mag = num.bit_length() - den.bit_length() + e  # 2^(mag-1) < |quotient| < 2^(mag+1)
-    if mag > 1024:
-        return sign * math.inf
-    if mag < -1075:
-        return sign * 0.0
-    try:
-        return (num << e) / den if e >= 0 else num / (den << -e)
-    except OverflowError:
-        return sign * math.inf
 
 
 def _series_values(nu: float, x: float, orders: Sequence[int],
@@ -338,8 +235,8 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
                 acc = (acc * Y >> sh) + c
             # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest)
             if 3 * (len(rest) + 1) * tol_den <= abs(acc) * tol_num:
-                values[r] = _scaled_quotient(acc * M, gman * mx ** r,
-                                             X - prec - gexp + s * r)
+                values[r] = _int_to_double(acc * M, gman * mx ** r,
+                                           X - prec - gexp + s * r)
         pending = [r for r in pending if r not in values]
         if not pending:
             return tuple(values[r] for r in orders)

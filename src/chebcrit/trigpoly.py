@@ -38,12 +38,13 @@ E summed term by term in units of 2^-F:
   leading coefficient is off by at most 1/2, and each step floors (below
   1) and adds a coefficient off by 1/2, so the error grows as
   e' = ceil(e |p| / 2^s) + 2 from e = 1.
-* cos kx and sin kx come from ``_cos_sin`` of the exact kx = k p / 2^s,
-  on Python ints at W = F + 20 bits: a reduction by pi/2 (Machin's
-  formula) with guard bits that grow with the quadrant count, a table of
-  cos and sin at multiples of 2^-8 built row by row, a Taylor sum on the
-  rest and one angle addition.  Its docstring sums the bound: rounded to
-  F fraction bits, each is off by less than 1/2 + 4.15 2^-20 < 1.
+* cos kx and sin kx come from ``fixedpoint._cos_sin`` of the exact kx =
+  k p / 2^s, on Python ints at W = F + 20 bits: a reduction by pi/2
+  (Machin's formula) with guard bits that grow with the quadrant count, a
+  table of cos and sin at multiples of 2^-8 built row by row, a Taylor sum
+  on the rest and one angle addition.  Its docstring sums the bound:
+  rounded to F fraction bits, each is off by less than 1/2 + 4.15 2^-20 <
+  1.
 * A product (P C) >> F of a polynomial value P, off by e_P, with such a
   C adds e_P + (|P| >> F) + 2: |P| 2^-F from C, e_P |cos| <= e_P from P,
   and below 1 from the floor.  A k = 0 polynomial adds its e alone.
@@ -109,6 +110,7 @@ from mpmath.libmp import (
 )
 
 from .errors import NumericalFailure, UsageError
+from .fixedpoint import _cos_sin, _int_to_double
 
 #: Largest n accepted by :func:`spherical_fn`; coefficient growth is ~(2n+1)!!.
 MAX_SPHERICAL_N = 16
@@ -127,11 +129,10 @@ _EVAL_PRECS = tuple(dps_to_prec(_EVAL_START_DPS << j)
 _EVAL_RTOL = 1e-17
 _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
-_TRIG_ROW_BITS = 8  # the cos/sin table holds multiples of 2^-8
 
 # Process-global state: the point memo of the fixed-point kernel (_point),
 # the tables compiled onto each element, and the caches of pi/2 and of the
-# cos/sin table rows (_half_pi, _TRIG_ROWS).  None is guarded by a lock, so
+# cos/sin table rows in ``fixedpoint``.  None is guarded by a lock, so
 # evaluation makes no claim of thread safety.
 
 
@@ -506,148 +507,6 @@ def _point_values(x: float):
     return _point
 
 
-@lru_cache(maxsize=None)
-def _half_pi(L: int) -> int:
-    """The integer nearest to (pi/2) 2^L, within 1, for L >= 32.
-
-    Machin's formula pi/2 = 8 atan(1/5) - 2 atan(1/239) at W = L + g bits,
-    g = L.bit_length() + 3.  Each summand floor(2^W / (i n^i)), i odd, is
-    one floor (nested floors by integers are one floor), so off by < 1;
-    the alternating tail past the last nonzero power is below 1.  With
-    at most W / (2 lg n) + 1 summands, the sum is off by < 1.86 W + 20
-    units of 2^-W, at most 2^(g-1) for L >= 32, and the rounding to L bits
-    adds 1/2.
-    """
-    W = L + L.bit_length() + 3
-
-    def atan_inv(n: int) -> int:
-        total, power, i, n2 = 0, (1 << W) // n, 1, n * n
-        while power:
-            total += power // i if i & 2 == 0 else -(power // i)
-            power //= n2
-            i += 2
-        return total
-
-    return (8 * atan_inv(5) - 2 * atan_inv(239) + (1 << (W - L - 1))) >> (W - L)
-
-
-_TRIG_ROWS: dict[int, list] = {}  # W -> the table at W bits, rows j = 0..402
-
-
-def _trig_row(W: int, j: int):
-    """cos and sin of j / 2^8, 0 <= j <= 402, each within 1 of its value
-    times 2^W: one row of the table, built on first use per (W, j).
-
-    The alternating Taylor sum of the exact argument u = j / 2^8 < 1.571
-    at W + g bits, g = W.bit_length() + 3.  The term t_i = floor(t_(i-1)
-    u / i) is off by e_i <= e_(i-1) u / i + 1, so by at most 3; the sum
-    stops at the first t_N = 0 (N <= W + g, as 3.2^i < i! past i = 8), and
-    the terms left out, shrinking by u / (N + 1) <= 0.53, sum to at most
-    7.  Both sums are off by at most 3 N + 7 <= 2^(g-1) units of
-    2^-(W+g) for W >= 64; the rounding to W bits adds 1/2.
-    """
-    rows = _TRIG_ROWS.get(W)
-    if rows is None:
-        rows = _TRIG_ROWS[W] = [None] * 403  # pi/2 < 403 / 2^8
-    row = rows[j]
-    if row is None:
-        g = W.bit_length() + 3
-        t = 1 << (W + g)
-        parts = [0, 0, 0, 0]  # the terms t_i by i mod 4, of signs +cos +sin -cos -sin
-        i = 0
-        while t:
-            parts[i & 3] += t
-            i += 1
-            t = t * j // (i << _TRIG_ROW_BITS)
-        half = 1 << (g - 1)
-        row = rows[j] = ((parts[0] - parts[2] + half) >> g, (parts[1] - parts[3] + half) >> g)
-    return row
-
-
-def _trig_small(D: int, W: int):
-    """cos and sin of d = D / 2^W, 0 <= d < 2^-8, each within 1 of its
-    value times 2^W.
-
-    With z = d^2, cos d = sum_m z^(2m) / (4m)! - z sum_m z^(2m) / (4m+2)!
-    and sin d = d (sum_m z^(2m) / (4m+1)! - z sum_m z^(2m) / (4m+3)!).
-    At W + g bits, g = W.bit_length() + 3, in units of 2^-(W+g): z and
-    z^2 are floored (off by < 1 and < 1.01).  One running term feeds the
-    four sums: each loop divides it by 4m+1, ..., 4m+4 (one floor each)
-    and multiplies it by z^2 < 2^-32 (off by < 2.02 after the floor), so
-    every summand is off by < 4.  The term is 0 after n <= (W + g) / 32
-    + 1 loops, and the terms left out add < 2.1 to each sum, so each sum
-    is off by < 4 n + 2.1; cos d by < 4 n + 4, sin d (the sum times d <
-    2^-8) by < 1 + (4 n + 4) / 2^8.  Both are below 2^(g-1), and the
-    rounding to W bits adds 1/2.
-    """
-    g = W.bit_length() + 3
-    Wg = W + g
-    D <<= g
-    z = D * D >> Wg
-    z2 = z * z >> Wg
-    term = 1 << Wg
-    c0 = s0 = c1 = s1 = 0
-    for i in range(1, 4 * (Wg // 32 + 1), 4):
-        c0 += term
-        term //= i
-        s0 += term
-        term //= i + 1
-        c1 += term
-        term //= i + 2
-        s1 += term
-        term = (term // (i + 3)) * z2 >> Wg
-        if not term:
-            break
-    half = 1 << (g - 1)
-    C = c0 - (z * c1 >> Wg)
-    S = D * (s0 - (z * s1 >> Wg)) >> Wg
-    return (C + half) >> g, (S + half) >> g
-
-
-def _cos_sin(m: int, s: int, F: int):
-    """(C, S) with |C - 2^F cos y| < 1 and |S - 2^F sin y| < 1 for the
-    exact dyadic y = m / 2^s, s >= 0, F >= 64, on Python ints.
-
-    At W = F + 20 bits, in units of 2^-W:
-
-    * Reduction.  |y| < 2^b, b = max(bit length of |m| - s, 0), so the
-      quadrant count q = floor(|y| / (pi/2)) is below 2^b, and it and the
-      remainder r come from divmod(Y, P) at L = W + b + 2 bits, Y = |y| 2^L
-      floored (off by < 1) and P = _half_pi(L) (within 1).  The remainder
-      R = Y - q P is off by < 1 + q <= 2^b units of 2^-L (the code checks
-      q < 2^b), so by 1/4 of a unit at W, and R >> (L - W) by < 1.25.
-    * Table and Taylor sum.  R / 2^W = j / 2^8 + d, 0 <= d < 2^-8; the row
-      _trig_row(W, j) and _trig_small(d) are each within 1.
-    * Angle addition.  cos(t + d) = cos t cos d - sin t sin d and sin(t +
-      d) = sin t cos d + cos t sin d with every factor off by <= 1 are off
-      by < |cos t| + |sin t| + |cos d| + |sin d| + 2 2^-W < 2.9.
-    * Rounding.  With the reduction, cos and sin of r at W bits are off by
-      < 4.15, and the rounding to F bits adds 1/2: each of C and S is off
-      by < 1/2 + 4.15 2^-20.  The quadrant map (q mod 4) and the sign of y
-      are exact.
-    """
-    W = F + 20
-    y = abs(m)
-    b = max(y.bit_length() - s, 0)
-    L = W + b + 2
-    Y = y << (L - s) if L >= s else y >> (s - L)
-    q, R = divmod(Y, _half_pi(L))
-    if q >> b:
-        raise NumericalFailure(f"cos/sin reduction of {m}/2^{s} needs more than {b} guard bits")
-    R >>= L - W
-    j = R >> (W - _TRIG_ROW_BITS)
-    cd, sd = _trig_small(R - (j << (W - _TRIG_ROW_BITS)), W)
-    ct, st = _trig_row(W, j)
-    shift = 2 * W - F
-    half = 1 << (shift - 1)
-    C = (ct * cd - st * sd + half) >> shift
-    S = (st * cd + ct * sd + half) >> shift
-    q &= 3
-    if q:
-        C, S = ((-S, C), (-C, -S), (S, -C))[q - 1]
-    return C, -S if m < 0 else S
-
-
 def _fixed_value(a: TrigPoly, x: float, F: int):
     """(T, E) with |T 2^-F - a(x)| <= E 2^-F, on Python ints, by the error
     model of the module docstring (errs[j] is e after j Horner steps)."""
@@ -829,8 +688,8 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
 def _one_double(x: float, total: int, bound: int, F: int):
     """tp_eval's acceptance at x: the double both ends of [T - E, T + E] 2^-F
     round to, once they round to one and the interval excludes 0."""
-    lo = _nearest_double(total - bound, F)
-    if lo != _nearest_double(total + bound, F) or abs(total) <= bound:
+    lo = _int_to_double(total - bound, 1, -F)
+    if lo != _int_to_double(total + bound, 1, -F) or abs(total) <= bound:
         return None  # two doubles, or not certified nonzero
     return _checked_double(lo, True, x)
 
@@ -879,15 +738,6 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     accept = partial(_one_double, x)
     got = _maclaurin_value(a, x, power, accept)
     return _eval_fixed(a, x, accept) / x ** power if got is None else got
-
-
-def _nearest_double(n: int, F: int) -> float:
-    """n 2^-F rounded to the nearest double (int division rounds
-    correctly), infinite beyond the double range."""
-    try:
-        return n / (1 << F)
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
 
 
 def _checked_double(out: float, nonzero: bool, x: float) -> float:

@@ -11,16 +11,15 @@ import pytest
 from mpmath import mp
 
 from chebcrit.errors import NumericalFailure, UsageError
+from chebcrit.fixedpoint import _cos_sin, _half_pi
 from chebcrit.trigpoly import (
     _EVAL_PRECS,
     MACLAURIN_RADIUS,
     TrigPoly,
-    _cos_sin,
     _eval_fixed,
     _fixed_form,
     _fixed_table,
     _fixed_value,
-    _half_pi,
     _maclaurin_form,
     _maclaurin_value,
     derivatives,
