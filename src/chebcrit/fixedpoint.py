@@ -129,19 +129,22 @@ def _ln_1p(D: int, W: int) -> int:
     return _ln_ratio(D, (2 << W) + D, W)
 
 
-# f -> W -> [f at j / 2^8 at W bits, or None before its first use]; a row
-# count of 2^9 covers every table argument, all of them below 2.  Plain
-# lists: an lru_cache per row costs more memory.
-_ROWS: dict = {_cos_sin_taylor: {}, _exp_taylor: {}, _ln_1p: {}}
+# f -> ({W: [f at j / 2^8 at W bits, or None before its first use]}, the
+# row count).  Plain lists: an lru_cache per row costs more memory.
+_ROWS: dict = {
+    _cos_sin_taylor: ({}, 403),  # pi/2 < 403 / 2^8
+    _exp_taylor: ({}, 178),  # ln 2 < 178 / 2^8
+    _ln_1p: ({}, 257),  # row 256 is ln 2
+}
 
 
 def _row(f, W: int, j: int):
     """f(j << W - 8, W), the row j of the table of f at W bits, built on
     first use per (f, W, j)."""
-    tables = _ROWS[f]
+    tables, count = _ROWS[f]
     rows = tables.get(W)
     if rows is None:
-        rows = tables[W] = [None] * (2 << _TABLE_BITS)
+        rows = tables[W] = [None] * count
     row = rows[j]
     if row is None:
         row = rows[j] = f(j << W - _TABLE_BITS, W)

@@ -84,7 +84,8 @@ def test_int_to_double_gives_what_the_two_former_helpers_gave():
     big = 3 << _SHIFT_CAP + 9  # |e| at or past _SHIFT_CAP takes the bit-length path
     cases += [(big, 1, -_SHIFT_CAP - 9), (-big, 7, -_SHIFT_CAP - 10),
               (5, 1, -_SHIFT_CAP), (-5, 3, -_SHIFT_CAP), (5, 1, _SHIFT_CAP),
-              (-5, big, _SHIFT_CAP + 9), (0, 1, -_SHIFT_CAP), (0, 5, 0)]
+              (-5, big, _SHIFT_CAP + 9), (0, 1, -_SHIFT_CAP), (0, 1, _SHIFT_CAP),
+              (0, 5, 0)]
     for num, den, e in cases:
         got = _int_to_double(num, den, e)
         # the former helper gave inf for 0 2^e past the double range, a
