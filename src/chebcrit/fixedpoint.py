@@ -1,8 +1,8 @@
 """Fixed-point elementary functions on Python ints, each with a proved bound.
 
-An integer V at W bits stands for V 2^-W.  Every function here takes its
-argument as exact integers and returns integers within a stated number of
-units of 2^-W of the true value, so the certificates built on them
+An integer V at W bits stands for V 2^-W.  Each elementary function here
+takes exact integers and returns integers within a stated number of units
+of 2^-W of the true value, so the certificates built on them
 (``trigpoly``'s kernel, ``bessel``'s prefactor) rest on integer arithmetic
 alone:
 
