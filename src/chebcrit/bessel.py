@@ -71,8 +71,8 @@ from mpmath.libmp import dps_to_prec, fone, from_float, mpf_add, mpf_gamma, roun
 
 from .errors import NumericalFailure, UsageError
 from .fixedpoint import _exp, _int_to_double, _ln
-from .rootfind import ZeroResult, first_zeros, kth_zero
-from .trigpoly import fn_derivatives, spherical_fn, tp_eval
+from .rootfind import ZeroResult, first_zeros
+from .trigpoly import fn_derivatives, tp_eval
 
 DEFAULT_SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 500
@@ -285,15 +285,6 @@ def bessel_stack_values(nu: float, x: float, m: int,
 # zeros
 # ----------------------------------------------------------------------
 
-def _zero_of(f: Callable[[float], float], k: int, *, scan_from: float,
-             cap: float, xtol: float, label: str) -> ZeroResult:
-    try:
-        return kth_zero(f, k, start=scan_from, step=ZERO_SCAN_STEP, cap=cap,
-                        xtol=xtol)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"{label}: {exc}") from exc
-
-
 def _zeros_of(f: Callable[[float], float], count: int, *, scan_from: float,
               cap: float, xtol: float, label: str) -> Iterator[ZeroResult]:
     try:
@@ -304,7 +295,7 @@ def _zeros_of(f: Callable[[float], float], count: int, *, scan_from: float,
 
 
 def _j_scan(nu: float, tol: float):
-    """(f, keywords of _zero_of/_zeros_of) for the zeros of J_nu."""
+    """(f, keywords of _zeros_of) for the zeros of J_nu."""
     nu = _check_order(nu)
     return (lambda t: bessel_j(nu, t)), dict(
         scan_from=max(nu, tol, 1e-6), cap=nu + ZERO_SCAN_SPAN, xtol=tol,
@@ -312,13 +303,22 @@ def _j_scan(nu: float, tol: float):
 
 
 def _j_prime_scan(nu: float, tol: float):
-    """(nu as a float, f, keywords of _zero_of/_zeros_of) for the zeros of J_nu'."""
+    """(nu as a float, f, keywords of _zeros_of) for the zeros of J_nu'."""
     nu = _check_order(nu)
     if nu == 0:
         raise UsageError("derivative zeros need nu > 0")
     return nu, (lambda t: bessel_j_deriv(nu, t, 1)), dict(
         scan_from=max(nu * 0.5, tol, 1e-6), cap=nu + ZERO_SCAN_SPAN, xtol=tol,
         label=f"zero of J_{nu}'")
+
+
+def _f_scan(n: int, order: int, tol: float):
+    """(f, keywords of _zeros_of) for the zeros of f_n (order 0) or f_n'
+    (order 1); spherical_fn refuses an n out of range."""
+    a = fn_derivatives(n, order)[order]
+    return (lambda t: tp_eval(a, t)), dict(
+        scan_from=max(tol, 1e-3), cap=n + 0.5 + ZERO_SCAN_SPAN, xtol=tol,
+        label=f"zero of f_{n}" + "'" * order)
 
 
 def _above_nu(nu: float, k: int, res: ZeroResult) -> ZeroResult:
@@ -330,11 +330,11 @@ def _above_nu(nu: float, k: int, res: ZeroResult) -> ZeroResult:
 
 
 def bessel_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
-    """k-th positive zero j_{nu,k}, bracketed by scanning then refined."""
+    """k-th positive zero j_{nu,k}: the last of the first k zeros of one
+    scan (see ``rootfind.first_zeros``)."""
     f, scan = _j_scan(nu, tol)
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    return _zero_of(f, k, **scan)
+    *_, res = _zeros_of(f, k, **scan)
+    return res
 
 
 def bessel_zeros(nu: float, count: int,
@@ -346,15 +346,14 @@ def bessel_zeros(nu: float, count: int,
 
 
 def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
-    """k-th positive zero j'_{nu,k} of J_nu'.
+    """k-th positive zero j'_{nu,k} of J_nu', as ``bessel_zero`` finds j_{nu,k}.
 
     The classical bound j'_{nu,1} > nu is enforced as a sanity check on the
     result; a violation signals a numerical failure, not a mathematical one.
     """
     nu, f, scan = _j_prime_scan(nu, tol)
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    return _above_nu(nu, k, _zero_of(f, k, **scan))
+    *_, res = _zeros_of(f, k, **scan)
+    return _above_nu(nu, k, res)
 
 
 def bessel_deriv_zeros(nu: float, count: int,
@@ -367,21 +366,13 @@ def bessel_deriv_zeros(nu: float, count: int,
 
 def fn_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     """k-th positive zero of the spherical function f_n (equals j_{n+1/2,k})."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    f_n = spherical_fn(n)
-    cap = (n + 0.5) + ZERO_SCAN_SPAN
-    return _zero_of(lambda t: tp_eval(f_n, t), k, scan_from=max(tol, 1e-3),
-                    cap=cap, xtol=tol, label=f"zero of f_{n}")
+    f, scan = _f_scan(n, 0, tol)
+    *_, res = _zeros_of(f, k, **scan)
+    return res
 
 
 def fn_deriv_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     """k-th positive zero of f_n' (equals j_{n-1/2,k} for n >= 1)."""
-    if n < 0:
-        raise UsageError("n must be >= 0")
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    fp = fn_derivatives(n, 1)[1]
-    cap = (n + 0.5) + ZERO_SCAN_SPAN
-    return _zero_of(lambda t: tp_eval(fp, t), k, scan_from=max(tol, 1e-3),
-                    cap=cap, xtol=tol, label=f"zero of f_{n}'")
+    f, scan = _f_scan(n, 1, tol)
+    *_, res = _zeros_of(f, k, **scan)
+    return res

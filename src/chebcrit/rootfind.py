@@ -5,9 +5,9 @@ length scans) locate simple zeros of smooth functions whose consecutive
 zeros are well separated, so a fixed-step scan followed by bisection is
 sufficient and fully deterministic.  ``sign_changes`` is the only scan and
 ``refine_bracket`` the only refiner.  ``first_zeros`` joins them on a
-fixed grid, refining the first few brackets of one scan; ``kth_zero`` runs
-the same scan and refines only its k-th bracket; the critical-length scan
-feeds ``sign_changes`` its precomputed rows of minor values.
+fixed grid, refining the first few brackets of one scan, so the k-th zero
+is the last of the first k it yields; the critical-length scan feeds
+``sign_changes`` its precomputed rows of minor values.
 
 The refiner once took safeguarded secant steps.  They bought nothing: on
 45 zeros of J_nu and f_n (k = 1..3) the secant took 1,777 evaluations
@@ -31,8 +31,8 @@ class ZeroResult:
     """A refined zero: its abscissa, |f| there, and the bisection steps.
 
     ``refine_bracket`` leaves the residual of an interpolated root as None
-    (the critical-length scan has no use for it); ``first_zeros`` and
-    ``kth_zero`` report every zero with its residual.
+    (the critical-length scan has no use for it); ``first_zeros`` reports
+    every zero with its residual.
     """
 
     value: float
@@ -113,55 +113,30 @@ def _reported(f: Callable[[float], float], res: ZeroResult) -> ZeroResult:
     return res
 
 
-def _first_brackets(f: Callable[[float], float], count: int, start: float,
-                    step: float, cap: float,
-                    xtol: float) -> Iterator[tuple[float, float, float, float]]:
-    """The first ``count`` brackets of one scan of the grid start, then
-    min(x + step, cap) up to the cap, lazily: nothing past the count-th
-    bracket is drawn.  The refiners' xtol is checked here, before the scan
-    draws its first sample."""
-    if step <= 0 or cap <= start:
-        raise UsageError("need step > 0 and cap > start")
-    if not xtol >= 0:
-        raise UsageError(f"xtol must be >= 0, got {xtol}")
-    return islice(sign_changes(_grid(f, start, step, cap)), count)
-
-
-def _too_few(found: int, needed: int, start: float, cap: float) -> NumericalFailure:
-    return NumericalFailure(
-        f"only {found} sign change(s) of the target found in ({start}, {cap}); "
-        f"needed {needed}")
-
-
 def first_zeros(f: Callable[[float], float], count: int, *, start: float,
                 step: float, cap: float, xtol: float = 1e-12) -> Iterator[ZeroResult]:
     """The first ``count`` zeros of f on [start, cap], from one scan.
 
-    The step must be small enough that no two zeros share one scan cell.
-    Each bracket is refined by ``refine_bracket`` with the scan values of
-    its ends and yielded, with its residual, before the scan goes on.  When
+    The grid is start, then min(x + step, cap) up to the cap, and the step
+    must be small enough that no two zeros share one scan cell.  Each
+    bracket is refined by ``refine_bracket`` with the scan values of its
+    ends and yielded, with its residual, before the scan goes on, and
+    nothing past the count-th bracket is drawn.  The arguments, xtol
+    included, are checked before the scan draws its first sample.  When
     the scan ends with fewer than ``count`` zeros, the ones found have been
     yielded and NumericalFailure names the first missing one.
     """
     if count < 1:
         raise UsageError("count must be >= 1")
+    if step <= 0 or cap <= start:
+        raise UsageError("need step > 0 and cap > start")
+    if not xtol >= 0:
+        raise UsageError(f"xtol must be >= 0, got {xtol}")
     found = 0
-    brackets = _first_brackets(f, count, start, step, cap, xtol)
+    brackets = islice(sign_changes(_grid(f, start, step, cap)), count)
     for found, (lo, flo, hi, fhi) in enumerate(brackets, 1):
         yield _reported(f, refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi))
     if found < count:
-        raise _too_few(found, found + 1, start, cap)
-
-
-def kth_zero(f: Callable[[float], float], k: int, *, start: float, step: float,
-             cap: float, xtol: float = 1e-12) -> ZeroResult:
-    """The k-th zero of f on [start, cap], from the scan ``first_zeros``
-    makes; only the k-th bracket is refined.  Raises NumericalFailure when
-    fewer than k zeros are seen."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    brackets = list(_first_brackets(f, k, start, step, cap, xtol))
-    if len(brackets) < k:
-        raise _too_few(len(brackets), k, start, cap)
-    lo, flo, hi, fhi = brackets[-1]
-    return _reported(f, refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi))
+        raise NumericalFailure(
+            f"only {found} sign change(s) of the target found in ({start}, {cap}); "
+            f"needed {found + 1}")

@@ -21,8 +21,8 @@ digit.  ``tp_eval_mp``, ``tp_eval`` and ``tp_eval_over_power`` share one
 fixed-point kernel on Python ints, and only exact values bypass it:
 
 * at x = 0 the value is the exact Maclaurin coefficient, and a pure
-  polynomial is summed exactly in the rationals; each is rounded once to
-  40 digits, and ``tp_eval`` rounds that to a double (~1 ulp);
+  polynomial is summed exactly in the rationals; ``tp_eval`` rounds that
+  rational once to the nearest double and ``tp_eval_mp`` to 40 digits;
 * below |x| = MACLAURIN_RADIUS (0.01) the kernel sums the element's
   Maclaurin form, its exact truncated Maclaurin polynomial with a rigorous
   tail bound (below);
@@ -100,14 +100,7 @@ from functools import lru_cache, partial
 from typing import Mapping
 
 from mpmath import mp
-from mpmath.libmp import (
-    dps_to_prec,
-    from_man_exp,
-    from_rational,
-    fzero,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, round_nearest
 
 from .errors import NumericalFailure, UsageError
 from .fixedpoint import _cos_sin, _int_to_double
@@ -622,15 +615,21 @@ def _maclaurin_value(a: TrigPoly, x: float, power: int, accept):
     return None if got is _NO_CERTIFICATE else got
 
 
-def _certified(a: TrigPoly, x: float, accept):
-    """accept(T, E, F) for a(x): from the Maclaurin form below
-    MACLAURIN_RADIUS, else, or where it gives no certificate, from the
-    kernel on the harmonic form."""
+def _certified(a: TrigPoly, x: float, power: int, accept):
+    """(v, d) with v / x^d = a(x)/x^power, v = accept(T, E, F) for a(x)/x^(power - d).
+
+    Below MACLAURIN_RADIUS the Maclaurin form gives v at d = 0 where power
+    is at most the vanishing order m0, and at d = power above it.
+    Elsewhere, where ``a`` has no form, and where the form gives no
+    certificate, v is the kernel's a(x) on the harmonic form, d = power.
+    """
     if abs(x) < MACLAURIN_RADIUS:
-        got = _maclaurin_value(a, x, 0, accept)
+        form = _maclaurin_form(a)
+        at = power if form is not None and power <= form[0] else 0
+        got = _maclaurin_value(a, x, at, accept)
         if got is not None:
-            return got
-    return _eval_fixed(a, x, accept)
+            return got, power - at
+    return _eval_fixed(a, x, accept), power
 
 
 def _finite(x) -> float:
@@ -641,21 +640,20 @@ def _finite(x) -> float:
     return x
 
 
-def _exact_value(a: TrigPoly, x: float, power: int = 0):
-    """a(x)/x^power where it is an exact rational, rounded to a 40-digit
-    mpf: at x = 0 the coefficient of x^power (UsageError where that is
-    singular) and a pure polynomial at power 0 (the kernel cannot certify a
-    true zero); None otherwise."""
+def _exact_value(a: TrigPoly, x: float, power: int):
+    """The exact Fraction where the kernel is bypassed: at x = 0 the
+    coefficient of x^power, a(x)/x^power there (UsageError where that is
+    singular), and elsewhere a(x) for a pure polynomial (the kernel cannot
+    certify a true zero); None otherwise."""
     if x == 0.0:
         *below, c = maclaurin(a, power + 1)
         if any(below):
             raise UsageError(f"a/x^{power} is singular at 0 "
                              f"(vanishing order {vanishing_order(a)})")
-    elif a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+        return c
+    if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
         return None
-    else:
-        c = Fraction(sum(v * Fraction(x) ** i for i, v in enumerate(a.terms[0][1])), a.den)
-    return mp.make_mpf(from_rational(c.numerator, c.denominator, _EVAL_PRECS[0], _RND))
+    return Fraction(sum(v * Fraction(x) ** i for i, v in enumerate(a.terms[0][1])), a.den)
 
 
 def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
@@ -671,9 +669,9 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
     rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
         return mp.make_mpf(fzero)
-    got = _exact_value(a, x)
+    got = _exact_value(a, x, 0)
     if got is not None:
-        return got
+        return mp.make_mpf(from_rational(got.numerator, got.denominator, _EVAL_PRECS[0], _RND))
     rn, rd = rtol.as_integer_ratio()
 
     def within_rtol(total, bound, F):
@@ -682,7 +680,7 @@ def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
             return mp.make_mpf(from_man_exp(total, -F, F, _RND))
         return None
 
-    return _certified(a, x, within_rtol)
+    return _certified(a, x, 0, within_rtol)[0]
 
 
 def _one_double(x: float, total: int, bound: int, F: int):
@@ -695,33 +693,32 @@ def _one_double(x: float, total: int, bound: int, F: int):
 
 
 def tp_eval(a: TrigPoly, x: float) -> float:
-    """Numeric value of ``a`` at ``x`` as a double.
-
-    On the fixed-point kernel it is the correctly rounded value: precision
-    grows until both ends of the certified interval round to one double and
-    the interval excludes 0.  The exact values (x = 0, pure polynomials)
-    round their 40-digit mpf, correct to ~1 ulp.  Raises NumericalFailure
-    when the value overflows a double, or is nonzero and rounds to 0.0.
-    """
-    x = _finite(x)
-    if a.is_zero():
-        return 0.0
-    got = _exact_value(a, x)
-    if got is not None:
-        return _to_float(got, x)
-    return _certified(a, x, partial(_one_double, x))
+    """Numeric value of ``a`` at ``x`` as a double, correctly rounded:
+    ``tp_eval_over_power(a, 0, x)``."""
+    return tp_eval_over_power(a, 0, x)
 
 
 def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
-    """a(x) / x^power with the removable singularity at 0 resolved exactly.
+    """a(x) / x^power as a double, with the removable singularity at 0
+    resolved exactly.
 
     Used for integrands like f_n^2 / t^(2n+3) whose factors vanish/blow up
-    separately but whose ratio extends continuously to 0.  Below
-    MACLAURIN_RADIUS the Maclaurin form gives the correctly rounded
-    quotient, as tp_eval does, and where it gives no certificate the
-    harmonic kernel's a(x) is divided by x^power.  Elsewhere, where a has
-    no form, and for a power above the vanishing order it is
-    tp_eval(a, x) / x^power.
+    separately but whose ratio extends continuously to 0.  The route is
+    picked once:
+
+    * an exact value is rounded once to the nearest double: the quotient
+      itself at x = 0, and a(x) divided by x^power for a pure polynomial;
+    * below MACLAURIN_RADIUS the Maclaurin form gives the quotient itself
+      where power is at most the vanishing order, and a(x) divided by
+      x^power above it;
+    * elsewhere, and where the form gives no certificate, the harmonic
+      kernel's a(x) is divided by x^power.
+
+    The kernel's doubles are correctly rounded: precision grows until both
+    ends of the certified interval round to one double and the interval
+    excludes 0.  At power 0 this is ``tp_eval``, correctly rounded on every
+    route.  Raises NumericalFailure when the value overflows a double, or
+    is nonzero and rounds to 0.0.
     """
     if power < 0:
         raise UsageError("power must be non-negative")
@@ -730,14 +727,13 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
         if x == 0.0 and power > 0:
             raise UsageError("0/0 at x=0 for the zero element")
         return 0.0
-    if x == 0.0:
-        return _to_float(_exact_value(a, x, power), x)
-    form = _maclaurin_form(a) if abs(x) < MACLAURIN_RADIUS else None
-    if form is None or power > form[0]:
-        return tp_eval(a, x) / x ** power
-    accept = partial(_one_double, x)
-    got = _maclaurin_value(a, x, power, accept)
-    return _eval_fixed(a, x, accept) / x ** power if got is None else got
+    exact = _exact_value(a, x, power)
+    if exact is not None:
+        got = _checked_double(_int_to_double(exact.numerator, exact.denominator, 0),
+                              exact != 0, x)
+        return got / x ** power if x else got
+    got, d = _certified(a, x, power, partial(_one_double, x))
+    return got / x ** d
 
 
 def _checked_double(out: float, nonzero: bool, x: float) -> float:
@@ -748,10 +744,6 @@ def _checked_double(out: float, nonzero: bool, x: float) -> float:
     if out == 0.0 and nonzero:
         raise NumericalFailure(f"value at x={x!r} underflows double precision")
     return out
-
-
-def _to_float(v, x: float) -> float:
-    return _checked_double(to_float(v._mpf_, rnd=_RND), v._mpf_ != fzero, x)
 
 
 # ----------------------------------------------------------------------

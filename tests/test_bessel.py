@@ -495,3 +495,13 @@ def test_usage_errors():
         bessel_zero(1.0, 0)
     with pytest.raises(UsageError):
         bessel_deriv_zero(0.0, 1)
+    for zero in (fn_zero, fn_deriv_zero):
+        for n, k in ((-1, 1), (1.5, 1), (17, 1), (2, 0)):
+            with pytest.raises(UsageError):
+                zero(n, k)
+
+
+def test_missing_fn_deriv_zero_names_its_target():
+    # f_2' has about a dozen zeros below its scan cap 2.5 + ZERO_SCAN_SPAN
+    with pytest.raises(NumericalFailure, match=r"^zero of f_2': only \d+ sign change"):
+        fn_deriv_zero(2, 40)

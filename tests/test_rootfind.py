@@ -9,7 +9,13 @@ import pytest
 import chebcrit.bessel
 from chebcrit.bessel import bessel_deriv_zero, bessel_deriv_zeros, bessel_zero, bessel_zeros
 from chebcrit.errors import NumericalFailure, UsageError
-from chebcrit.rootfind import first_zeros, kth_zero, refine_bracket, sign_changes
+from chebcrit.rootfind import first_zeros, refine_bracket, sign_changes
+
+
+def _kth(f, k, **grid):
+    """The k-th zero: the last of the first k that first_zeros yields."""
+    *_, last = first_zeros(f, k, **grid)
+    return last
 
 
 def test_refine_requires_sign_change():
@@ -45,11 +51,11 @@ def test_reported_zeros_carry_the_residual_the_refiner_leaves_out():
     refine_evals = len(seen)
     assert refined.value not in seen
     grid = dict(start=3.0, step=0.3, cap=3.3, xtol=xtol)
-    for res in (kth_zero(math.sin, 1, **grid), next(first_zeros(math.sin, 1, **grid))):
-        assert res.value == refined.value and res.iterations == refined.iterations
-        assert res.residual == abs(math.sin(res.value)) <= 1e-9
+    res = next(first_zeros(math.sin, 1, **grid))
+    assert res.value == refined.value and res.iterations == refined.iterations
+    assert res.residual == abs(math.sin(res.value)) <= 1e-9
     del seen[:]
-    kth_zero(f, 1, **grid)
+    next(first_zeros(f, 1, **grid))
     assert len(seen) == refine_evals + 1  # the refiner's, plus the root's residual
 
 
@@ -84,19 +90,19 @@ def test_sign_changes_yields_crossings_and_exact_zeros():
 
 
 def test_kth_zero_finds_kth_crossing_of_sin():
-    res = kth_zero(math.sin, 3, start=0.5, step=0.1, cap=20.0, xtol=1e-12)
+    res = _kth(math.sin, 3, start=0.5, step=0.1, cap=20.0, xtol=1e-12)
     assert abs(res.value - 3 * math.pi) <= 1e-11
     assert res.iterations > 0
 
 
 def test_kth_zero_raises_below_k_sign_changes():
     # sin has only two zeros (pi, 2*pi) in (0.5, 7)
-    with pytest.raises(NumericalFailure):
-        kth_zero(math.sin, 3, start=0.5, step=0.1, cap=7.0)
+    with pytest.raises(NumericalFailure, match="needed 3$"):
+        _kth(math.sin, 3, start=0.5, step=0.1, cap=7.0)
 
 
 def test_kth_zero_returns_exact_grid_zero():
-    res = kth_zero(lambda t: t - 1.0, 1, start=0.5, step=0.25, cap=2.0)
+    res = _kth(lambda t: t - 1.0, 1, start=0.5, step=0.25, cap=2.0)
     assert res.value == 1.0
     assert res.residual == 0.0
     assert res.iterations == 0
@@ -104,13 +110,13 @@ def test_kth_zero_returns_exact_grid_zero():
 
 def test_kth_zero_counts_tangential_grid_zero():
     # no sign change anywhere: the double zero sits exactly on a grid point
-    res = kth_zero(lambda t: (t - 1.0) ** 2, 1, start=0.5, step=0.25, cap=2.0)
+    res = _kth(lambda t: (t - 1.0) ** 2, 1, start=0.5, step=0.25, cap=2.0)
     assert res.value == 1.0
     assert res.iterations == 0
 
 
 def test_kth_zero_counts_exact_zero_at_cap():
-    res = kth_zero(lambda t: t - 2.0, 1, start=0.5, step=0.25, cap=2.0)
+    res = _kth(lambda t: t - 2.0, 1, start=0.5, step=0.25, cap=2.0)
     assert res.value == 2.0
     assert res.iterations == 0
 
@@ -126,7 +132,7 @@ def test_kth_zero_evaluates_nothing_past_the_bracket():
     while grid[-1] < 20.0:
         grid.append(min(grid[-1] + 0.1, 20.0))
     hi = list(sign_changes((x, math.sin(x)) for x in grid))[1][2]
-    kth_zero(f, 2, start=0.5, step=0.1, cap=20.0)
+    _kth(f, 2, start=0.5, step=0.1, cap=20.0)
     assert max(seen) == hi
 
 
@@ -154,13 +160,8 @@ def test_first_zeros_refines_the_first_brackets_of_one_scan():
 
     grid = dict(start=0.5, step=0.1, cap=20.0)
     got = list(first_zeros(f, 4, **grid))
-    assert got == [kth_zero(math.sin, k, **grid) for k in (1, 2, 3, 4)]
+    assert got == [_kth(math.sin, k, **grid) for k in (1, 2, 3, 4)]
     assert len(seen) == len(set(seen))  # no abscissa evaluated twice
-    # kth_zero scans the same grid but refines only its own bracket
-    all_four = len(seen)
-    del seen[:]
-    kth_zero(f, 4, **grid)
-    assert len(seen) < all_four - 3 * 20
 
 
 def test_first_zeros_yields_what_it_found_then_names_the_first_missing():
@@ -196,8 +197,6 @@ def test_negative_xtol_is_refused_before_the_scan():
         seen.append(t)
         return math.sin(t)
 
-    with pytest.raises(UsageError):
-        kth_zero(f, 1, start=1.0, step=0.1, cap=10.0, xtol=-1.0)
     with pytest.raises(UsageError):
         next(first_zeros(f, 1, start=1.0, step=0.1, cap=10.0, xtol=-1.0))
     with pytest.raises(UsageError):

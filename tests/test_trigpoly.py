@@ -342,6 +342,17 @@ def test_eval_at_zero_reads_one_maclaurin_coefficient():
         tp_eval_over_power(f, 10, 0.0)
 
 
+def test_exact_values_are_rounded_once():
+    # c lies just above the midpoint of 1 and 1 + 2^-52: rounded to 40
+    # digits first, it lands on the midpoint, and the tie then goes to 1.0
+    c = 1 + Fraction(1, 2**53) + Fraction(1, 2**200)
+    want = 1 + 2.0**-52
+    bump = tp_from_poly([c - 1])
+    assert tp_eval(tp_from_poly([c]), 0.5) == want  # a pure polynomial
+    assert tp_eval(tp_add(tp_cos(), bump), 0.0) == want  # x = 0
+    assert tp_eval_over_power(tp_mul(tp_x(2), tp_add(tp_cos(), bump)), 2, 0.0) == want
+
+
 def test_eval_over_power_limit():
     # f_n / x^(2n+1) -> 1/(2n+1)!! at 0
     f2 = spherical_fn(2)
