@@ -22,14 +22,27 @@ H_s of the one Hankel matrix H = [f_n^(r+t)], so
 
     w_j = (-1)^(s(s-1)/2) det H_s.
 
-Two independent evaluation routes are provided and cross-checked in tests:
-a numeric route (exact ring derivatives, certified extended-precision entry
-evaluation, then every leading minor of H exactly, from one fraction-free
-elimination on Python ints with no roundoff and no precision to choose)
-and a fully symbolic route (cofactor expansion in the ring, then validated
-evaluation).  The exact minors are those of the evaluated entries, which
-carry a certified 1e-30 relative error; exactness removes the elimination
-roundoff, not that error.
+Two independent evaluation routes are provided and cross-checked in tests,
+each computing every leading minor of H once:
+
+* numeric (``minor_values``): exact ring derivatives, certified
+  extended-precision entries, then det H_1 .. det H_S exactly as the
+  pivots of one fraction-free (Bareiss) elimination on Python ints, with
+  no roundoff and no precision to choose.  A Bareiss step keeps a Hankel
+  block symmetric, so the elimination updates only the upper triangle.
+  Each w_j is rounded straight from its integer to the nearest double by
+  ``fixedpoint._int_to_double``, so this module needs no mpmath.  The
+  minors of the last (n, x) are kept in a one-entry memo, so the
+  single-minor calls of a loop over j at one abscissa share one
+  evaluation and one elimination;
+* symbolic (``symbolic_minor``): one cofactor expansion of H in the ring
+  per n, memoized on row subsets, gives every det H_s of that n.
+
+The exact minors are those of the evaluated entries, which carry a
+certified 1e-30 relative error; exactness removes the elimination
+roundoff, not that error.  The memo, like the point memo and tables of
+``trigpoly`` and the caches of ``fixedpoint``, is process-global and not
+guarded by a lock.
 """
 
 from __future__ import annotations
@@ -39,9 +52,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath.libmp import from_man_exp, fzero, round_nearest, to_float
-
 from .errors import NumericalFailure, UsageError
+from .fixedpoint import _int_to_double
 from .trigpoly import (
     TrigPoly,
     derivatives,
@@ -168,37 +180,20 @@ def _check_minor_args(n: int, j: int) -> int:
     return 2 * n + 2 - j  # matrix size
 
 
-@lru_cache(maxsize=None)
-def _minor_entry_grid(n: int, size: int) -> tuple[tuple[TrigPoly, ...], ...]:
-    """Exact ring elements of the size x size Wronskian W(f_n^(size-1), ...,
-    f_n): entry (r, t) = f_n^(size-1-t+r).  It is W(u_j..u_{2n+1}) for
-    size = 2n+2-j, and the matrix of v(f_n) and w(f_n) for sizes 2 and 3."""
-    derivs = fn_derivatives(n, 2 * size - 2)
-    return tuple(
-        tuple(derivs[size - 1 - t + r] for t in range(size))
-        for r in range(size)
-    )
-
-
 _ENTRY_RTOL = 1e-30
 
-
-def _bareiss_step(a, k: int, prev: int) -> None:
-    """One step of Bareiss's fraction-free elimination on the int rows of
-    ``a``, in place: every entry below and right of the pivot (k, k) becomes
-    (a[i][j] a[k][k] - a[i][k] a[k][j]) / prev, a division without remainder
-    when ``prev`` is the previous pivot (1 before the first)."""
-    row = a[k]
-    piv = row[k]
-    for below in a[k + 1:]:
-        factor = below[k]
-        for c in range(k + 1, len(a)):
-            below[c] = (below[c] * piv - factor * row[c]) // prev
+# (n, x, minors) of the last minor_values evaluation: minors[s - 1] is
+# det H_s of f_n's entries at x as an (integer, exponent) pair, s = 1..S
+_last = (None, None, ())
 
 
 def _bareiss_det(rows) -> int:
-    """Exact determinant of square int rows: Bareiss's elimination, with a
-    row exchange only where a pivot is zero (no candidate gives det = 0)."""
+    """Exact determinant of square int rows: Bareiss's fraction-free
+    elimination, with a row exchange only where a pivot is zero (no
+    candidate gives det = 0).  Each step turns every entry below and right
+    of the pivot (k, k) into (a[i][c] a[k][k] - a[i][k] a[k][c]) / prev, a
+    division without remainder when ``prev`` is the previous pivot (1
+    before the first)."""
     a = [list(r) for r in rows]
     sign, prev = 1, 1
     for k in range(len(a) - 1):
@@ -208,8 +203,13 @@ def _bareiss_det(rows) -> int:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
+        row = a[k]
+        piv = row[k]
+        for below in a[k + 1:]:
+            factor = below[k]
+            for c in range(k + 1, len(a)):
+                below[c] = (below[c] * piv - factor * row[c]) // prev
+        prev = piv
     return sign * a[-1][-1]
 
 
@@ -218,34 +218,38 @@ def _hankel(vals, size: int) -> list[list]:
     return [[vals[r + t] for t in range(size)] for r in range(size)]
 
 
-def _exact_hankel_minors(vals, sizes: list[int]) -> dict:
-    """det H_s for every s in sizes, exactly, as raw mpfs.
+def _exact_hankel_minors(vals, size: int) -> list[tuple[int, int]]:
+    """[det H_1, ..., det H_size] exactly, each as a pair (d, e) for d 2^e.
 
     ``vals`` are the raw mpf entries f^(0), f^(1), ..., each a dyadic
-    rational man * 2^exp.  Shifted to their least exponent emin they are
-    Python ints, and det H_s is 2^(emin s) times the integer minor.
-    Unpivoted fraction-free elimination: the k-th pivot is the integer
-    det H_(k+1), so one pass gives every leading minor.  Once a pivot is
-    exactly zero, that size and every larger one take _bareiss_det of their
-    own block.
+    rational man * 2^exp.  Shifted to the least exponent emin of the
+    nonzero ones they are Python ints, and det H_s is 2^(emin s) times the
+    integer minor.  Unpivoted fraction-free elimination: the k-th pivot is the integer
+    det H_(k+1), so one pass gives every leading minor.  A Bareiss step
+    keeps the trailing block of a symmetric matrix symmetric, so the pass
+    updates only the upper triangle (columns c >= i of row i) and reads
+    the factor a[i][k] as a[k][i] from the pivot row.  Once a pivot is
+    exactly zero, that size and every larger one take _bareiss_det of
+    their own block.
     """
     emin = min((exp for _, man, exp, _ in vals if man), default=0)
-    ints = [(-man if sign else man) << (exp - emin) for sign, man, exp, _ in vals]
-    a = _hankel(ints, max(sizes))
-    dets = {}
+    ints = [(-man if sign else man) << (exp - emin) if man else 0
+            for sign, man, exp, _ in vals]
+    a = _hankel(ints, size)
+    dets = []
     prev = 1
     for k, row in enumerate(a):
         piv = row[k]
         if not piv:
-            for s in sizes:
-                if s > k:
-                    dets[s] = _bareiss_det(_hankel(ints, s))
+            dets += [_bareiss_det(_hankel(ints, s)) for s in range(k + 1, size + 1)]
             break
-        if k + 1 in sizes:
-            dets[k + 1] = piv
-        _bareiss_step(a, k, prev)
+        dets.append(piv)
+        for i in range(k + 1, size):
+            below, factor = a[i], row[i]
+            for c in range(i, size):
+                below[c] = (below[c] * piv - factor * row[c]) // prev
         prev = piv
-    return {s: from_man_exp(d, emin * s) for s, d in dets.items()}
+    return [(d, emin * s) for s, d in enumerate(dets, 1)]
 
 
 def wronskian_minor(n: int, j: int, x: float) -> float:
@@ -262,14 +266,20 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
 
     Reversing the column order of W(u_j..u_{2n+1}) turns it into the
     leading s x s block of the Hankel matrix H = [f_n^(r+t)], s = 2n+2-j,
-    so w_j = (-1)^(s(s-1)/2) det H_s.  The entries f_n^(0..2s-2) are
-    differentiated exactly in the ring and evaluated to a certified 1e-30
-    relative error; the leading minors of those entries are then exact, the
-    pivots of one fraction-free elimination on Python ints, and each w_j is
-    the double nearest to its exact minor.  Exactness removes the
-    elimination roundoff, not the entries' error: a minor is only as good
-    as its 1e-30 entries allow.
+    so w_j = (-1)^(s(s-1)/2) det H_s.  The entries f_n^(0..2S-2), S the
+    largest s asked for, are differentiated exactly in the ring and
+    evaluated to a certified 1e-30 relative error; the leading minors
+    det H_1 .. det H_S of those entries are then exact, the pivots of one
+    fraction-free elimination on Python ints, and each w_j is the double
+    nearest to its exact minor, rounded straight from its integer.
+    Exactness removes the elimination roundoff, not the entries' error: a
+    minor is only as good as its 1e-30 entries allow.
+
+    The minors of the last (n, x) are kept, so a call at that point whose
+    sizes they cover (the next j of a loop over ascending j) reads them
+    without evaluating or eliminating again.
     """
+    global _last
     if js is None:
         js = admissible_j(n)
     js = sorted(set(js))
@@ -280,17 +290,21 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
         raise UsageError("Wronskian minors need finite x > 0")
     if not js:
         return {}
-    sizes = [2 * n + 2 - j for j in js]
-    derivs = fn_derivatives(n, 2 * max(sizes) - 2)
-    vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
-    dets = _exact_hankel_minors(vals, sizes)
+    size = 2 * n + 2 - js[0]
+    last_n, last_x, dets = _last
+    if last_n != n or last_x != x or len(dets) < size:
+        derivs = fn_derivatives(n, 2 * size - 2)
+        vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
+        dets = _exact_hankel_minors(vals, size)
+        _last = (n, x, dets)
     out = {}
-    for j, s in zip(js, sizes):
-        # the float nearest to the minor (libmp's to_float rounds down by
-        # default); subnormals pass, but not a nonzero minor that rounds to
-        # 0.0 or beyond the largest double
-        v = to_float(dets[s], rnd=round_nearest)
-        if math.isinf(v) or (v == 0.0 and dets[s] != fzero):
+    for j in js:
+        s = 2 * n + 2 - j
+        d, e = dets[s - 1]
+        # subnormals pass, but not a nonzero minor that rounds to 0.0 or
+        # beyond the largest double
+        v = _int_to_double(d, 1, e)
+        if math.isinf(v) or (v == 0.0 and d):
             what = "overflows" if v else "underflows"
             raise NumericalFailure(f"w_{j} of n = {n} at x={x!r} {what} double precision")
         out[j] = -v if s * (s - 1) // 2 % 2 else v
@@ -301,28 +315,34 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
 # symbolic route
 # ----------------------------------------------------------------------
 
-def _symbolic_det(grid) -> TrigPoly:
-    """Cofactor expansion along the first column, memoized on row subsets;
-    the last column's cofactor is its remaining entry."""
-    size = len(grid)
-    memo: dict[tuple[int, tuple[int, ...]], TrigPoly] = {}
+@lru_cache(maxsize=None)
+def _ring_hankel_minors(n: int, size: int) -> tuple[TrigPoly, ...]:
+    """(det H_1, ..., det H_size) of f_n's Hankel matrix H[r][t] = f_n^(r+t),
+    exactly in the ring, from one cofactor expansion.
 
-    def expand(col: int, rows: tuple[int, ...]) -> TrigPoly:
-        if col == size - 1:
-            return grid[rows[0]][col]
-        key = (col, rows)
-        got = memo.get(key)
+    D(rows) is the determinant of those rows of H against its first
+    len(rows) columns, expanded along its last column and memoized on the
+    row subset.  Every leading block's rows {0..s-1} turn up in the
+    expansion of the largest, so det H_s is D(0..s-1) for every s.
+    """
+    derivs = fn_derivatives(n, 2 * size - 2)
+    memo: dict[tuple[int, ...], TrigPoly] = {}
+
+    def expand(rows: tuple[int, ...]) -> TrigPoly:
+        col = len(rows) - 1
+        if not col:
+            return derivs[rows[0]]
+        got = memo.get(rows)
         if got is not None:
             return got
         acc = tp_zero()
         for idx, r in enumerate(rows):
-            sub = expand(col + 1, rows[:idx] + rows[idx + 1:])
-            term = tp_mul(grid[r][col], sub)
-            acc = tp_add(acc, term if idx % 2 == 0 else tp_neg(term))
-        memo[key] = acc
+            term = tp_mul(derivs[r + col], expand(rows[:idx] + rows[idx + 1:]))
+            acc = tp_add(acc, term if (col - idx) % 2 == 0 else tp_neg(term))
+        memo[rows] = acc
         return acc
 
-    return expand(0, tuple(range(size)))
+    return tuple(expand(tuple(range(s))) for s in range(1, size + 1))
 
 
 @lru_cache(maxsize=None)
@@ -332,16 +352,17 @@ def symbolic_minor(n: int, j: int) -> TrigPoly:
     if n > MAX_SYMBOLIC_N:
         raise UsageError(
             f"symbolic minors are budgeted for n <= {MAX_SYMBOLIC_N}, got n={n}")
-    return _symbolic_det(_minor_entry_grid(n, size))
+    det = _ring_hankel_minors(n, n + 1)[size - 1]
+    return tp_neg(det) if size * (size - 1) // 2 % 2 else det
 
 
 @lru_cache(maxsize=None)
 def symbolic_v(n: int) -> TrigPoly:
-    """v(f_n) = f_n'^2 - f_n'' f_n as an exact ring element."""
-    return _symbolic_det(_minor_entry_grid(n, 2))
+    """v(f_n) = f_n'^2 - f_n'' f_n as an exact ring element: -det H_2."""
+    return tp_neg(_ring_hankel_minors(n, 2)[1])
 
 
 @lru_cache(maxsize=None)
 def symbolic_w(n: int) -> TrigPoly:
-    """w(f_n) (the 3x3 determinant above) as an exact ring element."""
-    return _symbolic_det(_minor_entry_grid(n, 3))
+    """w(f_n) (the 3x3 determinant above) as an exact ring element: -det H_3."""
+    return tp_neg(_ring_hankel_minors(n, 3)[2])

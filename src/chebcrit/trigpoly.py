@@ -124,9 +124,10 @@ _EVAL_RTOL_FLOOR = 1e-30
 _RND = round_nearest  # mp's default rounding, the one its mpf operators use
 
 # Process-global state: the point memo of the fixed-point kernel (_point),
-# the tables compiled onto each element, and the caches of pi/2 and of the
-# cos/sin table rows in ``fixedpoint``.  None is guarded by a lock, so
-# evaluation makes no claim of thread safety.
+# the tables compiled onto each element, the caches of pi/2 and of the
+# cos/sin table rows in ``fixedpoint``, and the memo of the last (n, x) of
+# ``determinants.minor_values``.  None is guarded by a lock, so evaluation
+# makes no claim of thread safety.
 
 
 # ----------------------------------------------------------------------
@@ -393,12 +394,12 @@ def fn_derivatives(n: int, m: int) -> tuple[TrigPoly, ...]:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=512)
-def maclaurin(a: TrigPoly, count: int) -> tuple[Fraction, ...]:
-    """The first ``count`` Taylor coefficients of ``a`` at x = 0, exactly.
+def _maclaurin_ints(a: TrigPoly, count: int) -> tuple[int, ...]:
+    """The numerators of the first ``count`` Taylor coefficients of ``a`` at
+    x = 0 over the common denominator den * (count - 1)!, exactly.
 
-    They are summed as integers over the common denominator
-    den * (count - 1)!, with cos(kx) and sin(kx) contributing
-    +-k^m (count - 1)! / m! to the coefficient of x^m.
+    cos(kx) and sin(kx) contribute +-k^m (count - 1)! / m! to the
+    coefficient of x^m.
     """
     top = math.factorial(max(count - 1, 0))
     out = [0] * count
@@ -413,8 +414,14 @@ def maclaurin(a: TrigPoly, count: int) -> tuple[Fraction, ...]:
             t = -tm if (m // 2) % 2 else tm
             for i, ci in enumerate(part[:count - m]):
                 out[i + m] += ci * t
-    den = a.den * top
-    return tuple(Fraction(v, den) for v in out)
+    return tuple(out)
+
+
+def maclaurin(a: TrigPoly, count: int) -> tuple[Fraction, ...]:
+    """The first ``count`` Taylor coefficients of ``a`` at x = 0, exactly:
+    the numerators of _maclaurin_ints over den * (count - 1)!."""
+    den = a.den * math.factorial(max(count - 1, 0))
+    return tuple(Fraction(v, den) for v in _maclaurin_ints(a, count))
 
 
 def vanishing_order(a: TrigPoly) -> int:
@@ -427,9 +434,8 @@ def vanishing_order(a: TrigPoly) -> int:
         raise UsageError("the zero element has no vanishing order")
     count = 8
     while count <= _VANISHING_ORDER_CAP:
-        coeffs = maclaurin(a, count)
-        for i, c in enumerate(coeffs):
-            if c != 0:
+        for i, c in enumerate(_maclaurin_ints(a, count)):
+            if c:
                 return i
         count *= 2
     raise NumericalFailure(
@@ -581,7 +587,10 @@ def _maclaurin_form(a: TrigPoly):
             m0 = vanishing_order(a)
             K = _tail_bound(a, m0 + _MACLAURIN_TERMS)
             if K is not None:
-                form = m0, tp_from_poly(maclaurin(a, m0 + _MACLAURIN_TERMS)[m0:]), K
+                count = m0 + _MACLAURIN_TERMS
+                q = _make({0: (_maclaurin_ints(a, count)[m0:], ())},
+                          a.den * math.factorial(count - 1))
+                form = m0, q, K
         a.__dict__["_maclaurin_form"] = form
     return a.__dict__["_maclaurin_form"]
 

@@ -10,12 +10,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import to_float
+from mpmath.libmp import from_man_exp, to_float
 
 from chebcrit import determinants
 from chebcrit.bessel import fn_zero
 from chebcrit.determinants import (
-    _minor_entry_grid,
     DerivStack,
     admissible_j,
     canonical_basis,
@@ -42,6 +41,7 @@ from chebcrit.trigpoly import (
     tp_eval_mp,
     tp_from_poly,
     tp_mul,
+    tp_neg,
     tp_sin,
     tp_sub,
     tp_term,
@@ -148,15 +148,46 @@ def test_admissible_range():
     assert list(admissible_j(2)) == [3, 4, 5]
 
 
-def test_minor_values_batch_matches_single():
+def _forget_minors(monkeypatch):
+    """Empty minor_values' memo of the last abscissa, so the next call
+    evaluates and eliminates afresh."""
+    monkeypatch.setattr(determinants, "_last", (None, None, ()))
+
+
+def test_minor_values_batch_matches_single(monkeypatch):
     # x = 11.0317... is the refined zero of the n = 6, j = 11 minor; every
     # minor is exact in the entries, so the batch and the single-minor
-    # slice agree bit for bit
+    # slice agree bit for bit: each slice from a cold memo, and the slices
+    # in ascending j (memo hits) and in descending j (a fresh elimination
+    # per call) after one cold start each
     for n, x in ((3, 2.4), (6, 11.031776717530253)):
+        _forget_minors(monkeypatch)
         batch = minor_values(n, x)
         assert sorted(batch) == list(admissible_j(n))
         for j, val in batch.items():
+            _forget_minors(monkeypatch)
             assert val == wronskian_minor(n, j, x)
+        for order in (sorted(batch), sorted(batch, reverse=True)):
+            _forget_minors(monkeypatch)
+            assert {j: wronskian_minor(n, j, x) for j in order} == batch
+
+
+def test_interleaved_points_match_fresh_minors(monkeypatch):
+    # the memo holds one (n, x): calls that hop between points, orders and
+    # subsets of j must each give what a cold evaluation gives
+    points = [(2, 0.7), (5, 0.7), (5, 3.1), (4, 0.004), (6, 3.1), (3, 9.5)]
+    fresh = {}
+    for n, x in points:
+        _forget_minors(monkeypatch)
+        fresh[n, x] = minor_values(n, x)
+    rng = random.Random(2024)
+    for _ in range(300):
+        n, x = rng.choice(points)
+        js = rng.sample(list(admissible_j(n)), rng.randint(1, n + 1))
+        if len(js) == 1 and rng.random() < 0.5:
+            assert wronskian_minor(n, js[0], x) == fresh[n, x][js[0]], (n, x, js)
+        else:
+            assert minor_values(n, x, js) == {j: fresh[n, x][j] for j in js}, (n, x, js)
 
 
 # ---------------------------------------------------------------- Hankel elimination
@@ -209,9 +240,18 @@ def _ref_lu_det(rows):
     return det
 
 
+def _wronskian_grid(n, s):
+    """The s x s Wronskian W(f_n^(s-1), ..., f_n) as ring elements, in
+    basis column order: entry (r, t) = f_n^(s-1-t+r).  It is
+    W(u_j..u_{2n+1}) for s = 2n+2-j, and the matrix of v(f_n) and w(f_n)
+    for s = 2 and 3."""
+    derivs = fn_derivatives(n, 2 * s - 2)
+    return [[derivs[s - 1 - t + r] for t in range(s)] for r in range(s)]
+
+
 def _pivoted_minor(n, j, x):
     """w_j by scaled-pivot LU on W itself, validated by precision doubling."""
-    grid = _minor_entry_grid(n, 2 * n + 2 - j)
+    grid = _wronskian_grid(n, 2 * n + 2 - j)
     rows = [[tp_eval_mp(tp, x, 1e-30) for tp in row] for row in grid]
     dps = 40
     with mpmath.workdps(dps):
@@ -233,9 +273,11 @@ def _planted_mpfs(vals):
 
 
 def _plant_entries(monkeypatch, n, vals):
-    """Make f_n^(k)(x) evaluate to the rational vals[k] (to 400 digits) for any x."""
+    """Make f_n^(k)(x) evaluate to the rational vals[k] (to 400 digits) for
+    any x, with minor_values' memo emptied so that it reads them."""
     derivs = fn_derivatives(n, 2 * n)
     planted = _planted_mpfs(vals)
+    _forget_minors(monkeypatch)
     monkeypatch.setattr(determinants, "tp_eval_mp",
                         lambda d, x, rtol: planted[derivs.index(d)])
 
@@ -372,6 +414,13 @@ def _ref_hankel_minors(vals, sizes):
     return {s: _mpf_det(_hankel_block(vals, s)) for s in sizes}
 
 
+def _raw_minors(vals, size):
+    """_exact_hankel_minors of mpf entries, each (d, e) as the raw mpf of
+    d 2^e, normalized without rounding."""
+    got = determinants._exact_hankel_minors([v._mpf_ for v in vals], size)
+    return [from_man_exp(d, e) for d, e in got]
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
     # the integer elimination on the raw libmp tuples gives the very bits of
@@ -379,9 +428,8 @@ def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
     sizes = list(range(1, n + 2))
     for x in (0.004, 0.3, 2.5, 7.9, 13.0):
         vals = _entries(n, x)
-        got = determinants._exact_hankel_minors([v._mpf_ for v in vals], sizes)
         want = _ref_hankel_minors(vals, sizes)
-        assert got == {s: v._mpf_ for s, v in want.items()}, (n, x)
+        assert _raw_minors(vals, n + 1) == [want[s]._mpf_ for s in sizes], (n, x)
 
 
 @pytest.mark.parametrize("vals", _PLANTED_ZERO_PIVOTS)
@@ -389,10 +437,27 @@ def test_raw_elimination_matches_at_planted_zero_pivots(monkeypatch, vals):
     lu_sizes = _count_pivoted_dets(monkeypatch)
     entries = _planted_mpfs(vals)
     sizes = list(range(1, (len(vals) + 3) // 2))
-    got = determinants._exact_hankel_minors([v._mpf_ for v in entries], sizes)
     want = _ref_hankel_minors(entries, sizes)
-    assert got == {s: v._mpf_ for s, v in want.items()}
+    assert _raw_minors(entries, sizes[-1]) == [want[s]._mpf_ for s in sizes]
     assert lu_sizes  # the fallback ran
+
+
+def test_upper_triangle_pass_matches_pivoted_elimination_of_every_block():
+    # seeded random integer Hankel sequences, many with zero entries, so
+    # that leading minors vanish (a zero pivot) before nonzero larger ones;
+    # each leading minor against the full row-exchanging elimination
+    rng = random.Random(11)
+    zero_pivots = 0
+    for _ in range(200):
+        size = rng.randint(1, 7)
+        ints = [rng.choice((0, 0, 1, -1, rng.randint(-10 ** 30, 10 ** 30)))
+                for _ in range(2 * size - 1)]
+        got = determinants._exact_hankel_minors([from_man_exp(v, 0) for v in ints], size)
+        assert len(got) == size
+        want = [determinants._bareiss_det(_hankel_block(ints, s)) for s in range(1, size + 1)]
+        assert [d << e for d, e in got] == want, ints
+        zero_pivots += any(not d for d in want[:-1]) and bool(want[-1])
+    assert zero_pivots >= 20
 
 
 def test_pivoted_elimination_is_bit_identical_to_mpf_operators():
@@ -491,6 +556,29 @@ def test_symbolic_v_and_w_match_their_expansions():
                           tp_mul(f1, tp_sub(tp_mul(f3, f2), tp_mul(f4, f1)))),
                    tp_mul(f, tp_sub(tp_mul(f3, f3), tp_mul(f4, f2))))
         assert symbolic_w(n) == w
+
+
+def _ring_det(grid):
+    """Determinant of a grid of ring elements by cofactor expansion along
+    its first row, with no memo."""
+    if len(grid) == 1:
+        return grid[0][0]
+    total = None
+    for t, entry in enumerate(grid[0]):
+        term = tp_mul(entry, _ring_det([row[:t] + row[t + 1:] for row in grid[1:]]))
+        term = term if t % 2 == 0 else tp_neg(term)
+        total = term if total is None else tp_add(total, term)
+    return total
+
+
+def test_symbolic_minors_match_a_wronskian_expansion():
+    # the Hankel expansion against the Wronskian W(u_j..u_{2n+1}) itself,
+    # in basis column order, expanded along another line
+    for n in range(5):
+        for j in admissible_j(n):
+            assert symbolic_minor(n, j) == _ring_det(_wronskian_grid(n, 2 * n + 2 - j)), (n, j)
+        assert symbolic_v(n) == _ring_det(_wronskian_grid(n, 2))
+        assert symbolic_w(n) == _ring_det(_wronskian_grid(n, 3))
 
 
 def test_symbolic_budget():

@@ -1,8 +1,8 @@
 """CLI payloads against the committed goldens, byte for byte, in-process.
 
 Each case runs one golden command through ``cli.dispatch`` with stdout
-captured.  The critlen reference stays with the CI steps, which also run
-every golden in a cold process.
+captured.  The critlen --n-max 6 reference stays with the CI steps, which
+also run every golden in a cold process.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ GOLDEN = Path(__file__).parent / "golden"
 AT = ("--at", "1e-4", "1e-3", "0.0099", "0.01", "0.5", "7.5", "29.9", "-0.005")
 
 CASES = {
+    "critlen_9.json": ("critlen", "--n", "9"),
     "fn_3_large_x.json": ("fn", "--n", "3", "--at", "1.5707963267948966", "3.141592653589793",
                           "4.71238898038469", "1e6", "1e15", "1e80", "-30000"),
     "fn_8_at.json": ("fn", "--n", "8", *AT),
