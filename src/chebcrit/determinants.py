@@ -224,13 +224,13 @@ def _exact_hankel_minors(vals, size: int) -> list[tuple[int, int]]:
     ``vals`` are the raw mpf entries f^(0), f^(1), ..., each a dyadic
     rational man * 2^exp.  Shifted to the least exponent emin of the
     nonzero ones they are Python ints, and det H_s is 2^(emin s) times the
-    integer minor.  Unpivoted fraction-free elimination: the k-th pivot is the integer
-    det H_(k+1), so one pass gives every leading minor.  A Bareiss step
-    keeps the trailing block of a symmetric matrix symmetric, so the pass
-    updates only the upper triangle (columns c >= i of row i) and reads
-    the factor a[i][k] as a[k][i] from the pivot row.  Once a pivot is
-    exactly zero, that size and every larger one take _bareiss_det of
-    their own block.
+    integer minor.  Unpivoted fraction-free elimination: the k-th pivot is
+    the integer det H_(k+1), so one pass gives every leading minor.  A
+    Bareiss step keeps the trailing block of a symmetric matrix symmetric,
+    so the pass updates only the upper triangle (columns c >= i of row i)
+    and reads the factor a[i][k] as a[k][i] from the pivot row.  Once a
+    pivot is exactly zero, that size and every larger one take
+    _bareiss_det of their own block.
     """
     emin = min((exp for _, man, exp, _ in vals if man), default=0)
     ints = [(-man if sign else man) << (exp - emin) if man else 0
