@@ -36,7 +36,8 @@ the total is within 1/2 + 1.5 K of the row's exact sum, and within
 added, with no per-term division and no rescaling.
 
 Each order is summed at F = 103 bits (30 digits), then at doubled
-digits, until 1.5 (K + 1) <= tol/2 of its total.  The prefactor
+digits up to 1920 (``fixedpoint._ladder``, which builds ``trigpoly``'s
+ladder too), until 1.5 (K + 1) <= tol/2 of its total.  The prefactor
 (x/2)^nu / Gamma(nu+1) / x^r takes no mpf arithmetic but Gamma:
 
   * (x/2)^nu is an integer pair (M, X), M 2^X within 2^-W relative at
@@ -44,12 +45,15 @@ digits, until 1.5 (K + 1) <= tol/2 of its total.  The prefactor
     half-integer nu, else the fixed-point ln and exp of ``fixedpoint``,
     on 2^-8 table rows, whose docstrings prove their bounds;
   * Gamma(nu+1) is mpmath's mpf_gamma at F bits, computed once per
-    (nu, F), the one mpmath value still trusted: within one unit of its
-    last bit, 2^(1-F) relative;
+    (nu, F) and handed on as the integer pair (gman, gexp), Gamma(nu+1) =
+    gman 2^gexp: the one value, and the one place in the package, that
+    mpmath still supplies, within one unit of its last bit, 2^(1-F)
+    relative;
   * the double is one int true division, acc M / (gman mx^r) times a
-    power of two, where Gamma(nu+1) = gman 2^gexp and x = mx / 2^s;
-    Python rounds it correctly, and it goes to +-inf past the double
-    range and to a signed zero below it, as mpmath's to_float did.
+    power of two, where x = mx / 2^s; Python rounds it correctly, and
+    ``fixedpoint._checked_double`` raises NumericalFailure where it
+    overflows or where the nonzero value rounds to 0.0, as ``trigpoly``'s
+    values and the minors do (subnormals pass).
 
 The returned double is then within tol/2 + 2^-W + 2^(1-F) of
 J_nu^(r)(x) relative (their products add below 2^(1-F) tol), plus half
@@ -67,10 +71,10 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from mpmath.libmp import dps_to_prec, fone, from_float, mpf_add, mpf_gamma, round_nearest
+from mpmath.libmp import fone, from_float, mpf_add, mpf_gamma, round_nearest
 
 from .errors import NumericalFailure, UsageError
-from .fixedpoint import _exp, _int_to_double, _ln
+from .fixedpoint import _checked_double, _exp, _ladder, _ln
 from .rootfind import ZeroResult, first_zeros
 from .trigpoly import fn_derivatives, tp_eval
 
@@ -91,6 +95,10 @@ _MAX_SERIES_DERIV = 5
 
 _RND = round_nearest
 
+_SERIES_MAX_DPS = 2000
+#: the series' working precisions in bits: 30, 60, ..., 1920 digits
+_SERIES_PRECS = _ladder(30, _SERIES_MAX_DPS)
+
 #: the prefactor (x/2)^nu is computed at W = F + _PREFACTOR_GUARD bits
 _PREFACTOR_GUARD = 20
 
@@ -106,11 +114,12 @@ def _check_order(nu: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _gamma_plus_one(nu: float, prec: int):
-    """Gamma(nu + 1) as a raw mpf at ``prec`` bits, as mpmath's gamma gives
-    it for the mpf nu + 1, once per (nu, prec): every sum at one precision
-    shares it."""
-    return mpf_gamma(mpf_add(from_float(nu), fone, prec, _RND), prec, _RND)
+def _gamma_plus_one(nu: float, prec: int) -> tuple[int, int]:
+    """(gman, gexp) with Gamma(nu + 1) = gman 2^gexp at ``prec`` bits, as
+    mpmath's gamma gives it for the mpf nu + 1, once per (nu, prec): every
+    sum at one precision shares it.  The one use of mpmath in the package."""
+    _, gman, gexp, _ = mpf_gamma(mpf_add(from_float(nu), fone, prec, _RND), prec, _RND)
+    return gman, gexp
 
 
 @lru_cache(maxsize=1024)
@@ -207,7 +216,8 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
     order is accepted once its error bound is at most |total| * tol / 2;
     only the orders that fail at d digits are summed again at 2d digits.
     The prefactor (x/2)^nu and Gamma(nu + 1) are computed once per F, and
-    each accepted order's double is one correctly rounded int division.
+    each accepted order's double is one correctly rounded int division,
+    refused (NumericalFailure) outside the double range.
     """
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -223,33 +233,31 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
     rho = sh - 2 * s - 2
     values = {}
     pending = list(orders)
-    dps = 30
-    while dps <= 2000:
-        prec = dps_to_prec(dps)
+    for prec in _SERIES_PRECS:
         # J_nu^(r)(x) = acc 2^-prec M 2^X / (gman 2^gexp (mx 2^-s)^r)
         M, X = _half_x_power(nu, mx, s, prec + _PREFACTOR_GUARD)
-        _, gman, gexp, _ = _gamma_plus_one(nu, prec)
+        gman, gexp = _gamma_plus_one(nu, prec)
         for r in pending:
             acc, rest = _row(nu, r, prec, rho)
             for c in rest:
                 acc = (acc * Y >> sh) + c
             # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest)
             if 3 * (len(rest) + 1) * tol_den <= abs(acc) * tol_num:
-                values[r] = _int_to_double(acc * M, gman * mx ** r,
-                                           X - prec - gexp + s * r)
+                values[r] = _checked_double(acc * M, gman * mx ** r, X - prec - gexp + s * r,
+                                            "J_{}^({}) at x={!r}", nu, r, x)
         pending = [r for r in pending if r not in values]
         if not pending:
             return tuple(values[r] for r in orders)
-        dps *= 2
     raise NumericalFailure(
-        f"Bessel series error bound not met below 2000 digits (nu={nu}, x={x})")
+        f"Bessel series error bound not met below {_SERIES_MAX_DPS} digits (nu={nu}, x={x})")
 
 
 def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
     """J_nu(x) by the power series, within tol/2 relative plus the
     prefactor's 2^-(F+20), Gamma's rounding at F bits (2^(1-F), F >= 103,
     from mpmath's mpf_gamma, the one mpmath value trusted) and half an ulp
-    (see the module docstring)."""
+    (see the module docstring).  Raises NumericalFailure where the value
+    overflows a double or is nonzero and rounds to 0.0."""
     nu = _check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0:

@@ -25,13 +25,14 @@ H_s of the one Hankel matrix H = [f_n^(r+t)], so
 Two independent evaluation routes are provided and cross-checked in tests,
 each computing every leading minor of H once:
 
-* numeric (``minor_values``): exact ring derivatives, certified
-  extended-precision entries, then det H_1 .. det H_S exactly as the
-  pivots of one fraction-free (Bareiss) elimination on Python ints, with
-  no roundoff and no precision to choose.  A Bareiss step keeps a Hankel
-  block symmetric, so the elimination updates only the upper triangle.
-  Each w_j is rounded straight from its integer to the nearest double by
-  ``fixedpoint._int_to_double``, so this module needs no mpmath.  The
+* numeric (``minor_values``): exact ring derivatives, certified entries
+  as the dyadic integer pairs of ``tp_eval_mp``, then det H_1 .. det H_S
+  exactly as the pivots of one fraction-free (Bareiss) elimination on
+  Python ints, with no roundoff and no precision to choose.  A Bareiss
+  step keeps a Hankel block symmetric, so the elimination updates only
+  the upper triangle.  Each w_j is rounded straight from its integer to
+  the nearest double by ``fixedpoint._checked_double``, so integers are
+  all this module handles and it imports nothing from mpmath.  The
   minors of the last (n, x) are kept in a one-entry memo, so the
   single-minor calls of a loop over j at one abscissa share one
   evaluation and one elimination;
@@ -52,8 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import NumericalFailure, UsageError
-from .fixedpoint import _int_to_double
+from .errors import UsageError
+from .fixedpoint import _checked_double
 from .trigpoly import (
     TrigPoly,
     derivatives,
@@ -180,8 +181,6 @@ def _check_minor_args(n: int, j: int) -> int:
     return 2 * n + 2 - j  # matrix size
 
 
-_ENTRY_RTOL = 1e-30
-
 # (n, x, minors) of the last minor_values evaluation: minors[s - 1] is
 # det H_s of f_n's entries at x as an (integer, exponent) pair, s = 1..S
 _last = (None, None, ())
@@ -221,20 +220,19 @@ def _hankel(vals, size: int) -> list[list]:
 def _exact_hankel_minors(vals, size: int) -> list[tuple[int, int]]:
     """[det H_1, ..., det H_size] exactly, each as a pair (d, e) for d 2^e.
 
-    ``vals`` are the raw mpf entries f^(0), f^(1), ..., each a dyadic
-    rational man * 2^exp.  Shifted to the least exponent emin of the
-    nonzero ones they are Python ints, and det H_s is 2^(emin s) times the
-    integer minor.  Unpivoted fraction-free elimination: the k-th pivot is
-    the integer det H_(k+1), so one pass gives every leading minor.  A
-    Bareiss step keeps the trailing block of a symmetric matrix symmetric,
-    so the pass updates only the upper triangle (columns c >= i of row i)
-    and reads the factor a[i][k] as a[k][i] from the pivot row.  Once a
-    pivot is exactly zero, that size and every larger one take
-    _bareiss_det of their own block.
+    ``vals`` are the entries f^(0), f^(1), ... as ``tp_eval_mp`` gives
+    them, dyadic pairs (man, exp) for man 2^exp.  Shifted to the least
+    exponent emin of the nonzero ones they are Python ints, and det H_s is
+    2^(emin s) times the integer minor.  Unpivoted fraction-free
+    elimination: the k-th pivot is the integer det H_(k+1), so one pass
+    gives every leading minor.  A Bareiss step keeps the trailing block of
+    a symmetric matrix symmetric, so the pass updates only the upper
+    triangle (columns c >= i of row i) and reads the factor a[i][k] as
+    a[k][i] from the pivot row.  Once a pivot is exactly zero, that size
+    and every larger one take _bareiss_det of their own block.
     """
-    emin = min((exp for _, man, exp, _ in vals if man), default=0)
-    ints = [(-man if sign else man) << (exp - emin) if man else 0
-            for sign, man, exp, _ in vals]
+    emin = min((exp for man, exp in vals if man), default=0)
+    ints = [man << (exp - emin) if man else 0 for man, exp in vals]
     a = _hankel(ints, size)
     dets = []
     prev = 1
@@ -294,19 +292,13 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     last_n, last_x, dets = _last
     if last_n != n or last_x != x or len(dets) < size:
         derivs = fn_derivatives(n, 2 * size - 2)
-        vals = [tp_eval_mp(d, x, _ENTRY_RTOL)._mpf_ for d in derivs]
-        dets = _exact_hankel_minors(vals, size)
+        dets = _exact_hankel_minors([tp_eval_mp(d, x) for d in derivs], size)
         _last = (n, x, dets)
     out = {}
     for j in js:
         s = 2 * n + 2 - j
         d, e = dets[s - 1]
-        # subnormals pass, but not a nonzero minor that rounds to 0.0 or
-        # beyond the largest double
-        v = _int_to_double(d, 1, e)
-        if math.isinf(v) or (v == 0.0 and d):
-            what = "overflows" if v else "underflows"
-            raise NumericalFailure(f"w_{j} of n = {n} at x={x!r} {what} double precision")
+        v = _checked_double(d, 1, e, "w_{} of n = {} at x={!r}", j, n, x)
         out[j] = -v if s * (s - 1) // 2 % 2 else v
     return out
 

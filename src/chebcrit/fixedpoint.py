@@ -14,7 +14,12 @@ alone:
   table row at a multiple of 2^-8 and a sum on the rest below 2^-8, the
   usual table-plus-reduced-argument evaluation (Brent and Zimmermann,
   Modern Computer Arithmetic, 2010, section 4.4);
-* one correctly rounded int-to-double conversion (``_int_to_double``).
+* one correctly rounded int-to-double conversion (``_int_to_double``),
+  and its checked form (``_checked_double``), which refuses a value
+  outside the double range;
+* the rounding of an exact rational to a given number of bits
+  (``_nearest_bits``), and the one precision ladder of the multiprecision
+  sums (``_ladder``).
 
 The table rows are built on first use per (function, W, row) and kept in
 plain lists, and pi/2 once per precision.  These caches are process-global
@@ -29,6 +34,8 @@ from functools import lru_cache
 from .errors import NumericalFailure
 
 _TABLE_BITS = 8  # the table rows sit at multiples of 2^-8
+
+_LOG2_10 = 3.3219280948873626  # the float mpmath's dps_to_prec multiplies by
 
 #: Below this |e| _int_to_double shifts before it looks at the bit lengths.
 _SHIFT_CAP = 1 << 20
@@ -271,3 +278,45 @@ def _int_to_double(num: int, den: int, e: int) -> float:
         return (num << e) / den if e >= 0 else num / (den << -e)
     except OverflowError:
         return math.inf if num > 0 else -math.inf
+
+
+def _checked_double(num: int, den: int, e: int, what: str, *args) -> float:
+    """_int_to_double(num, den, e), or NumericalFailure where it overflows
+    or where a nonzero value rounds to 0.0 (subnormals pass).  The message
+    names the value as what.format(*args), formatted only on failure."""
+    v = _int_to_double(num, den, e)
+    if math.isinf(v) or (not v and num):
+        raise NumericalFailure(
+            f"{what.format(*args)} {'overflows' if v else 'underflows'} double precision")
+    return v
+
+
+def _nearest_bits(num: int, den: int, prec: int) -> tuple[int, int]:
+    """(m, e) with m 2^e the number of ``prec`` bits nearest num / den,
+    den > 0, ties to even: the rounding of mpmath's from_rational.
+
+    With e = bit length of |num| - bit length of den - prec, the quotient
+    |num| / (den 2^e) lies in (2^(prec-1), 2^(prec+1)), and one more bit
+    of e puts its floor below 2^prec.
+    """
+    if not num:
+        return 0, 0
+    a = abs(num)
+    e = a.bit_length() - den.bit_length() - prec
+    while True:
+        n, d = (a << -e, den) if e < 0 else (a, den << e)
+        q, r = divmod(n, d)
+        if not q >> prec:
+            break
+        e += 1
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return (-q if num < 0 else q), e
+
+
+def _ladder(dps: int, max_dps: int) -> tuple[int, ...]:
+    """The working precisions in bits for dps, 2 dps, 4 dps, ... up to
+    max_dps decimal digits, each round((d + 1) log2 10) as mpmath's
+    dps_to_prec gives it."""
+    return tuple(round(((dps << j) + 1) * _LOG2_10)
+                 for j in range((max_dps // dps).bit_length()))

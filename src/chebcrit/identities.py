@@ -79,6 +79,9 @@ _BESSEL_STACK_TOL = 1e-15
 #: relative tolerance of every cumulative quadrature an integral identity runs
 _QUAD_REL_TOL = 1e-13
 
+#: a zero-point identity is checked at the first this many zeros of f
+_ZERO_POINTS = 3
+
 #: one grid row: (x, |LHS - RHS|, magnitude scale)
 Row = tuple[float, float, float]
 
@@ -694,9 +697,11 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
                    zeros, tol, note=f"evaluated at {len(zeros)} zero(s) of f")
 
 
-def _first_zeros(model: CoeffModel, cap: float, count: int = 3) -> list[float]:
+def _first_zeros(model: CoeffModel, cap: float) -> list[float]:
+    """The first _ZERO_POINTS zeros of the model's f, up to the first one
+    past ``cap`` or not found."""
     out = []
-    for k in range(1, count + 1):
+    for k in range(1, _ZERO_POINTS + 1):
         try:
             if model.family == "spherical":
                 z = fn_zero(int(model.param), k).value

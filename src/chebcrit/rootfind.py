@@ -25,6 +25,9 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import NumericalFailure, UsageError
 
+#: the most bisection steps refine_bracket takes
+_MAX_BISECTIONS = 200
+
 
 @dataclass(frozen=True)
 class ZeroResult:
@@ -68,13 +71,14 @@ def _grid(f: Callable[[float], float], start: float, step: float,
 
 
 def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
-                   xtol: float = 1e-12, max_iter: int = 200,
+                   xtol: float = 1e-12,
                    flo: float | None = None, fhi: float | None = None) -> ZeroResult:
     """Refine a sign-change bracket by bisection.
 
     Terminates when the bracket width is below xtol (plus a few ulps of the
-    abscissa), then interpolates linearly between the final ends, without
-    evaluating f there (the residual is None).  A caller that already holds
+    abscissa), or after _MAX_BISECTIONS steps, then interpolates linearly
+    between the final ends, without evaluating f there (the residual is
+    None).  A caller that already holds
     f(lo) or f(hi) passes it as flo or fhi, and that end is not evaluated
     again; an end whose value is exactly zero is returned with no iteration
     and residual 0.0, as is an exact zero met while bisecting.
@@ -90,7 +94,7 @@ def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
     if flo * fhi > 0:
         raise UsageError("refine_bracket requires a sign change")
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if hi - lo <= xtol + 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
         iters += 1

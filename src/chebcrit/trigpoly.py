@@ -22,7 +22,8 @@ fixed-point kernel on Python ints, and only exact values bypass it:
 
 * at x = 0 the value is the exact Maclaurin coefficient, and a pure
   polynomial is summed exactly in the rationals; ``tp_eval`` rounds that
-  rational once to the nearest double and ``tp_eval_mp`` to 40 digits;
+  rational once to the nearest double and ``tp_eval_mp`` to 136 bits (40
+  digits);
 * below |x| = MACLAURIN_RADIUS (0.01) the kernel sums the element's
   Maclaurin form, its exact truncated Maclaurin polynomial with a rigorous
   tail bound (below);
@@ -49,14 +50,21 @@ E summed term by term in units of 2^-F:
   C adds e_P + (|P| >> F) + 2: |P| 2^-F from C, e_P |cos| <= e_P from P,
   and below 1 from the floor.  A k = 0 polynomial adds its e alone.
 
-F starts at dps_to_prec(40) bits, plus enough 64-bit steps for the
-coefficient magnitude sum at |x| to keep 40 digits where it is below
-2^-64.  It grows with the digits, 40, 80, ..., 2560, until the caller's
-test passes, and past the cap of 5000 digits NumericalFailure is raised:
+The precision climbs one ladder, the bits of 40, 80, ..., 2560 digits
+(``fixedpoint._ladder``), until the caller's test passes; past its top,
+the cap of 5000 digits, NumericalFailure is raised.  The harmonic form
+starts at 40 digits, 136 bits.  The Maclaurin form starts higher where
+its exact leading coefficient c_m0 is small: at F = max(136, 105 - l)
+bits, l the bit length of c_m0's numerator less that of its denominator,
+so that |c_m0| > 2^(l-1) puts |c_m0| 2^F above 2^104, the bits of 1e30
+and 4 for the error count, and its first pass already meets
+tp_eval_mp's test (below).  For the f_n entries and v(f_n) of n <= 6
+that start is 136 bits, for f_12 (l = -42) it is 147.  The tests:
 
-* ``tp_eval_mp(a, x, rtol)`` accepts when (E + (|T| >> F) + 1) rd <=
-  |T| rn for rtol = rn / rd exactly, the two extra terms covering the
-  rounding of T 2^-F to the F-bit mpf it returns;
+* ``tp_eval_mp(a, x)`` accepts when E rd <= |T| rn for the one relative
+  tolerance 1e-30 = rn / rd exactly, and returns the dyadic pair (T, -F),
+  the value T 2^-F itself, so the integers pass to ``determinants``
+  without a conversion;
 * ``tp_eval`` and ``tp_eval_over_power`` accept when (T - E) 2^-F and
   (T + E) 2^-F round to the same double (Ziv's rounding test) and
   |T| > E, and that double is then the value correctly rounded (so a true
@@ -85,7 +93,7 @@ The kernel's tables and the Maclaurin form are built once per element
 (the tables per F) and stored on the instance, outside the dataclass
 fields, so ``==`` and ``hash`` are unchanged.  There is no precision
 context: every route computes at a precision passed to it as an argument,
-so no value depends on mpmath's global precision.  The kernel keeps
+on Python ints, and nothing here imports mpmath.  The kernel keeps
 x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in a
 one-entry memo of the last abscissa, so the derivatives of f_n evaluated
 at one point share one cos/sin evaluation per F.
@@ -99,11 +107,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Mapping
 
-from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, round_nearest
-
 from .errors import NumericalFailure, UsageError
-from .fixedpoint import _cos_sin, _int_to_double
+from .fixedpoint import _checked_double, _cos_sin, _int_to_double, _ladder, _nearest_bits
 
 #: Largest n accepted by :func:`spherical_fn`; coefficient growth is ~(2n+1)!!.
 MAX_SPHERICAL_N = 16
@@ -114,14 +119,14 @@ MACLAURIN_RADIUS = 1e-2
 
 _MACLAURIN_TERMS = 64  # the Maclaurin form's tail is O(|x|^64)
 _VANISHING_ORDER_CAP = 600
-_EVAL_START_DPS = 40
 _EVAL_MAX_DPS = 5000
 # the kernel's working precisions in bits: 40, 80, ..., 2560 digits
-_EVAL_PRECS = tuple(dps_to_prec(_EVAL_START_DPS << j)
-                    for j in range((_EVAL_MAX_DPS // _EVAL_START_DPS).bit_length()))
-_EVAL_RTOL = 1e-17
-_EVAL_RTOL_FLOOR = 1e-30
-_RND = round_nearest  # mp's default rounding, the one its mpf operators use
+_EVAL_PRECS = _ladder(40, _EVAL_MAX_DPS)
+# tp_eval_mp's relative tolerance, 1e-30 = _RTOL_NUM / _RTOL_DEN exactly
+_RTOL_NUM, _RTOL_DEN = (1e-30).as_integer_ratio()
+# the Maclaurin route starts where |c_m0| 2^F > 2^_START_BITS: the bits of
+# 1/rtol and 4 more for the error count
+_START_BITS = (_RTOL_DEN // _RTOL_NUM).bit_length() + 4
 
 # Process-global state: the point memo of the fixed-point kernel (_point),
 # the tables compiled onto each element, the caches of pi/2 and of the
@@ -446,37 +451,16 @@ def vanishing_order(a: TrigPoly) -> int:
 # numeric evaluation
 # ----------------------------------------------------------------------
 
-def _fixed_form(a: TrigPoly):
-    """(low, logs, degree, tables): the fixed-point form of ``a``, built once.
-
-    logs holds (i, l) per power i of x with a nonzero coefficient, l the
-    bit length of its largest numerator less that of the denominator, so
-    lg(xe) = max (l + i xe) estimates log2 of the largest term at
-    |x| < 2^xe.  low is the least xe with lg(xe) > -64 (lg grows with xe).
-    tables maps F to the rows of _fixed_table.  Stored on the instance, so
-    a lookup never hashes the element's numerators.
-    """
-    form = a.__dict__.get("_fixed_form")
-    if form is None:
-        top: dict[int, int] = {}
-        for _, cpart, spart in a.terms:
-            for part in (cpart, spart):
-                for i, c in enumerate(part):
-                    if c:
-                        top[i] = max(top.get(i, 0), abs(c).bit_length())
-        dlen = a.den.bit_length()
-        logs = tuple((i, b - dlen) for i, b in top.items())
-        low = min((-64 - l) // i + 1 if i else (-math.inf if l > -64 else math.inf)
-                  for i, l in logs)
-        form = a.__dict__["_fixed_form"] = (low, logs, a.max_degree(), {})
-    return form
-
-
 def _fixed_table(a: TrigPoly, F: int):
-    """One (k, cos row, sin row) per harmonic of ``a`` at F fraction bits,
-    built once: a row is None for an empty part, else (leading, the rest in
-    Horner order), each num/den as the integer nearest to num 2^F / den."""
-    tables = _fixed_form(a)[3]
+    """(degree, rows) of ``a`` at F fraction bits, built once per F and
+    stored on the instance, so a lookup never hashes the element's
+    numerators: one (k, cos row, sin row) per harmonic, a row None for an
+    empty part, else (leading, the rest in Horner order), each num/den the
+    integer nearest to num 2^F / den; degree is the most Horner steps of a
+    row."""
+    tables = a.__dict__.get("_fixed_tables")
+    if tables is None:
+        tables = a.__dict__["_fixed_tables"] = {}
     table = tables.get(F)
     if table is None:
         den, den2 = a.den, 2 * a.den
@@ -487,7 +471,8 @@ def _fixed_table(a: TrigPoly, F: int):
             ints = [((c << (F + 1)) + den) // den2 for c in reversed(part)]
             return ints[0], tuple(ints[1:])
 
-        table = tables[F] = tuple((k, row(c), row(s)) for k, c, s in a.terms)
+        rows = tuple((k, row(c), row(s)) for k, c, s in a.terms)
+        table = tables[F] = (a.max_degree(), rows)
     return table
 
 
@@ -509,8 +494,7 @@ def _point_values(x: float):
 def _fixed_value(a: TrigPoly, x: float, F: int):
     """(T, E) with |T 2^-F - a(x)| <= E 2^-F, on Python ints, by the error
     model of the module docstring (errs[j] is e after j Horner steps)."""
-    degree = _fixed_form(a)[2]
-    rows = _fixed_table(a, F)
+    degree, rows = _fixed_table(a, F)
     _, p, s, errs, trig = _point_values(x)
     while len(errs) <= degree:
         e = -(-errs[-1] * abs(p) >> s) + 2
@@ -541,17 +525,10 @@ def _fixed_value(a: TrigPoly, x: float, F: int):
     return total, bound
 
 
-def _eval_fixed(a: TrigPoly, x: float, accept):
-    """accept(T, E, F) for the first working precision where it is not None.
-
-    F is dps_to_prec(dps) fraction bits for dps = 40, 80, ... up to 5000
-    (_EVAL_PRECS).  Where the largest term of the coefficient magnitude sum
-    at |x| is below 2^-64 (by the estimate lg of _fixed_form), F also
-    carries -lg rounded up to a multiple of 64, so the sum keeps dps digits.
-    """
-    low, logs, _, _ = _fixed_form(a)
-    xe = math.frexp(x)[1]  # |x| < 2^xe
-    extra = 0 if xe >= low else -(max(l + i * xe for i, l in logs) >> 6) << 6
+def _eval_fixed(a: TrigPoly, x: float, accept, extra: int = 0):
+    """accept(T, E, F) for the first working precision where it is not None:
+    F = prec + extra fraction bits for prec in _EVAL_PRECS (40, 80, ...,
+    2560 digits)."""
     for prec in _EVAL_PRECS:
         F = prec + extra
         got = accept(*_fixed_value(a, x, F), F)
@@ -578,9 +555,10 @@ def _tail_bound(a: TrigPoly, degree: int):
 
 
 def _maclaurin_form(a: TrigPoly):
-    """(m0, q, K), the Maclaurin form of the module docstring, built once
-    and stored on the instance; None for a pure polynomial (summed exactly)
-    and where _tail_bound is None."""
+    """(m0, q, K, extra), the Maclaurin form of the module docstring, built
+    once and stored on the instance; None for a pure polynomial (summed
+    exactly) and where _tail_bound is None.  q is summed from
+    _EVAL_PRECS[0] + extra bits, where |c_m0| 2^F > 2^_START_BITS."""
     if "_maclaurin_form" not in a.__dict__:
         form = None
         if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
@@ -590,7 +568,9 @@ def _maclaurin_form(a: TrigPoly):
                 count = m0 + _MACLAURIN_TERMS
                 q = _make({0: (_maclaurin_ints(a, count)[m0:], ())},
                           a.den * math.factorial(count - 1))
-                form = m0, q, K
+                # |c_m0| > 2^(lg - 1): |c_m0| 2^F > 2^_START_BITS from F = _START_BITS + 1 - lg
+                lg = abs(q.terms[0][1][0]).bit_length() - q.den.bit_length()
+                form = m0, q, K, max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
         a.__dict__["_maclaurin_form"] = form
     return a.__dict__["_maclaurin_form"]
 
@@ -607,7 +587,7 @@ def _maclaurin_value(a: TrigPoly, x: float, power: int, accept):
     form = _maclaurin_form(a)
     if form is None or power > form[0]:
         return None
-    m0, q, K = form
+    m0, q, K, extra = form
     _, p, s, _, _ = _point_values(x)
     e = m0 - power
     pe, scale = p**e, abs(p) ** e
@@ -620,7 +600,7 @@ def _maclaurin_value(a: TrigPoly, x: float, power: int, accept):
         got = accept(total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r)
         return _NO_CERTIFICATE if got is None and tail >= bound else got
 
-    got = _eval_fixed(q, x, scaled)
+    got = _eval_fixed(q, x, scaled, extra)
     return None if got is _NO_CERTIFICATE else got
 
 
@@ -665,31 +645,29 @@ def _exact_value(a: TrigPoly, x: float, power: int):
     return Fraction(sum(v * Fraction(x) ** i for i, v in enumerate(a.terms[0][1])), a.den)
 
 
-def tp_eval_mp(a: TrigPoly, x: float, rtol: float = _EVAL_RTOL):
-    """The certified mpf value of ``a`` at ``x``.
+def _within_rtol(total: int, bound: int, F: int):
+    """tp_eval_mp's acceptance: the pair (T, -F) once E <= 1e-30 |T|,
+    compared exactly."""
+    return (total, -F) if bound * _RTOL_DEN <= abs(total) * _RTOL_NUM else None
 
-    At x = 0 and for a pure polynomial it is the exact value rounded to 40
-    digits.  Otherwise the kernel sums the Maclaurin form below
-    MACLAURIN_RADIUS and the harmonic form elsewhere, at growing precision
-    until its error bound E, plus the rounding of T to F bits, is at most
-    rtol |T|, compared exactly.  rtol is clamped at 1e-30.
+
+def tp_eval_mp(a: TrigPoly, x: float) -> tuple[int, int]:
+    """The certified value of ``a`` at ``x`` as a dyadic pair (man, exp),
+    the value man 2^exp.
+
+    At x = 0 and for a pure polynomial it is the exact value rounded to
+    _EVAL_PRECS[0] bits (40 digits).  Otherwise the kernel sums the
+    Maclaurin form below MACLAURIN_RADIUS and the harmonic form elsewhere,
+    at growing precision until its error bound E is at most 1e-30 |T|,
+    compared exactly, and the pair is (T, -F).
     """
     x = _finite(x)
-    rtol = max(float(rtol), _EVAL_RTOL_FLOOR)
     if a.is_zero():
-        return mp.make_mpf(fzero)
+        return 0, 0
     got = _exact_value(a, x, 0)
     if got is not None:
-        return mp.make_mpf(from_rational(got.numerator, got.denominator, _EVAL_PRECS[0], _RND))
-    rn, rd = rtol.as_integer_ratio()
-
-    def within_rtol(total, bound, F):
-        mag = abs(total)
-        if (bound + (mag >> F) + 1) * rd <= mag * rn:
-            return mp.make_mpf(from_man_exp(total, -F, F, _RND))
-        return None
-
-    return _certified(a, x, 0, within_rtol)[0]
+        return _nearest_bits(got.numerator, got.denominator, _EVAL_PRECS[0])
+    return _certified(a, x, 0, _within_rtol)[0]
 
 
 def _one_double(x: float, total: int, bound: int, F: int):
@@ -698,7 +676,9 @@ def _one_double(x: float, total: int, bound: int, F: int):
     lo = _int_to_double(total - bound, 1, -F)
     if lo != _int_to_double(total + bound, 1, -F) or abs(total) <= bound:
         return None  # two doubles, or not certified nonzero
-    return _checked_double(lo, True, x)
+    if not lo or math.isinf(lo):  # T - E is nonzero: this raises
+        _checked_double(total - bound, 1, -F, "value at x={!r}", x)
+    return lo
 
 
 def tp_eval(a: TrigPoly, x: float) -> float:
@@ -738,21 +718,10 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
         return 0.0
     exact = _exact_value(a, x, power)
     if exact is not None:
-        got = _checked_double(_int_to_double(exact.numerator, exact.denominator, 0),
-                              exact != 0, x)
+        got = _checked_double(exact.numerator, exact.denominator, 0, "value at x={!r}", x)
         return got / x ** power if x else got
     got, d = _certified(a, x, power, partial(_one_double, x))
     return got / x ** d
-
-
-def _checked_double(out: float, nonzero: bool, x: float) -> float:
-    """out, or NumericalFailure when it overflowed or when a nonzero value
-    rounded to 0.0."""
-    if not math.isfinite(out):
-        raise NumericalFailure(f"value at x={x!r} overflows double precision")
-    if out == 0.0 and nonzero:
-        raise NumericalFailure(f"value at x={x!r} underflows double precision")
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -385,22 +385,25 @@ def test_ln_ratio_and_exp_fixed_are_within_one_unit():
                 assert abs(fixedpoint._exp_taylor(D, V) - want) < 1, D
 
 
-def test_over_and_underflow_give_what_mpmath_to_float_gave():
-    # to_float gave +-inf past the double range and 0.0 below it; the int
-    # division keeps both, and the finite values stay as they were
-    assert bessel_stack_values(0.5, 1e-300, 5) == (
-        7.978845608028654e-151, 3.9894228040143267e+149, -math.inf, math.inf,
-        -math.inf, math.inf)
-    assert bessel_stack_values(3.4, 1e-200, 5) == (
-        0.0, 0.0, 7.626358340432819e-282, 1.0676901676605946e-81,
-        4.270760670642377e+118, -math.inf)
+def test_over_and_underflow_raise_numerical_failure():
+    # a nonzero J_nu^(r)(x) outside the double range raises, as trigpoly's
+    # values and the minors do, where mpmath's to_float gave +-inf or 0.0;
+    # subnormal and finite values stay as they were
+    for call, what in (
+            (lambda: bessel_stack_values(0.5, 1e-300, 5), r"J_0.5\^\(2\) at x=1e-300 overflows"),
+            (lambda: bessel_stack_values(3.4, 1e-200, 5), r"J_3.4\^\(0\) at x=1e-200 underflows"),
+            (lambda: bessel_j(3.4, 1e-300), r"J_3.4\^\(0\) at x=1e-300 underflows"),
+            (lambda: bessel_j(200.0, 1.0), "underflows"),
+            # numerators far past the double range underflow without a
+            # float conversion; integer nu = 1e300 takes the ln and exp route
+            (lambda: bessel_j(1000.0, 100.0), "underflows"),
+            (lambda: bessel_stack_values(1e300, 1.0, 5), "underflows")):
+        with pytest.raises(NumericalFailure, match=what):
+            call()
+    assert bessel_j(0.5, 1e-300) == 7.978845608028654e-151
+    assert bessel_j_deriv(0.5, 1e-300, 1) == 3.9894228040143267e+149
     assert bessel_j(0.5, 5e-324) == 1.7735048886036274e-162
-    assert bessel_j(3.4, 1e-300) == 0.0
-    assert bessel_j(200.0, 1.0) == 0.0
-    # numerators far past the double range underflow without a float
-    # conversion; integer nu = 1e300 takes the ln and exp route
-    assert bessel_j(1000.0, 100.0) == 0.0
-    assert bessel_stack_values(1e300, 1.0, 5) == (0.0,) * 6
+    assert bessel_j(3.4, 2e-91) == float(mpmath.besselj(3.4, mp.mpf(2e-91))) < 2.0**-1022
 
 
 def test_the_prefactor_is_computed_once_per_precision(monkeypatch):

@@ -252,7 +252,7 @@ def _wronskian_grid(n, s):
 def _pivoted_minor(n, j, x):
     """w_j by scaled-pivot LU on W itself, validated by precision doubling."""
     grid = _wronskian_grid(n, 2 * n + 2 - j)
-    rows = [[tp_eval_mp(tp, x, 1e-30) for tp in row] for row in grid]
+    rows = [[_mpf(tp_eval_mp(tp, x)) for tp in row] for row in grid]
     dps = 40
     with mpmath.workdps(dps):
         prev = _ref_lu_det(rows)
@@ -272,14 +272,24 @@ def _planted_mpfs(vals):
         return [mpmath.mpf(v.numerator) / v.denominator for v in map(Fraction, vals)]
 
 
+def _mpf(pair):
+    """The exact mpf of a dyadic pair (man, exp)."""
+    return mpmath.mp.make_mpf(from_man_exp(*pair))
+
+
+def _pair(v):
+    """The dyadic pair (man, exp) of the mpf v, as tp_eval_mp gives values."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), exp
+
+
 def _plant_entries(monkeypatch, n, vals):
     """Make f_n^(k)(x) evaluate to the rational vals[k] (to 400 digits) for
     any x, with minor_values' memo emptied so that it reads them."""
     derivs = fn_derivatives(n, 2 * n)
-    planted = _planted_mpfs(vals)
+    planted = [_pair(v) for v in _planted_mpfs(vals)]
     _forget_minors(monkeypatch)
-    monkeypatch.setattr(determinants, "tp_eval_mp",
-                        lambda d, x, rtol: planted[derivs.index(d)])
+    monkeypatch.setattr(determinants, "tp_eval_mp", lambda d, x: planted[derivs.index(d)])
 
 
 def _exact_minors(n, vals):
@@ -406,7 +416,7 @@ def test_hankel_minors_match_pivoted_lu_at_refined_zeros():
 
 
 def _entries(n, x):
-    return [tp_eval_mp(d, x, 1e-30) for d in fn_derivatives(n, 2 * n)]
+    return [_mpf(tp_eval_mp(d, x)) for d in fn_derivatives(n, 2 * n)]
 
 
 def _ref_hankel_minors(vals, sizes):
@@ -415,15 +425,15 @@ def _ref_hankel_minors(vals, sizes):
 
 
 def _raw_minors(vals, size):
-    """_exact_hankel_minors of mpf entries, each (d, e) as the raw mpf of
-    d 2^e, normalized without rounding."""
-    got = determinants._exact_hankel_minors([v._mpf_ for v in vals], size)
+    """_exact_hankel_minors of mpf entries, as dyadic pairs, each (d, e) as
+    the raw mpf of d 2^e, normalized without rounding."""
+    got = determinants._exact_hankel_minors([_pair(v) for v in vals], size)
     return [from_man_exp(d, e) for d, e in got]
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_raw_elimination_is_bit_identical_to_mpf_operators(n):
-    # the integer elimination on the raw libmp tuples gives the very bits of
+    # the integer elimination on the dyadic pairs gives the very bits of
     # the exact determinant that mpf operators expand from the same entries
     sizes = list(range(1, n + 2))
     for x in (0.004, 0.3, 2.5, 7.9, 13.0):
@@ -452,7 +462,7 @@ def test_upper_triangle_pass_matches_pivoted_elimination_of_every_block():
         size = rng.randint(1, 7)
         ints = [rng.choice((0, 0, 1, -1, rng.randint(-10 ** 30, 10 ** 30)))
                 for _ in range(2 * size - 1)]
-        got = determinants._exact_hankel_minors([from_man_exp(v, 0) for v in ints], size)
+        got = determinants._exact_hankel_minors([(v, 0) for v in ints], size)
         assert len(got) == size
         want = [determinants._bareiss_det(_hankel_block(ints, s)) for s in range(1, size + 1)]
         assert [d << e for d, e in got] == want, ints

@@ -1,4 +1,5 @@
-"""Bounds of the fixed-point elementary functions, and the int-to-double rounding."""
+"""Bounds of the fixed-point elementary functions, the int-to-double and
+rational roundings, and the precision ladder."""
 
 from __future__ import annotations
 
@@ -7,12 +8,18 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational
 
+from chebcrit import bessel, trigpoly
+from chebcrit.errors import NumericalFailure
 from chebcrit.fixedpoint import (
     _SHIFT_CAP,
+    _checked_double,
     _cos_sin_taylor,
     _exp_taylor,
     _int_to_double,
+    _ladder,
+    _nearest_bits,
     _row,
 )
 
@@ -94,3 +101,36 @@ def test_int_to_double_gives_what_the_two_former_helpers_gave():
         assert _same(got, want), (num, den, e)
         if den == 1 and e <= 0:
             assert _same(got, _old_nearest_double(num, -e)), (num, e)
+
+
+def test_checked_double_refuses_what_leaves_the_double_range():
+    assert _checked_double(3, 1, -1076, "tiny") == 2.0**-1074  # a subnormal passes
+    assert _checked_double(0, 1, -2000, "zero") == 0.0  # a true zero passes
+    assert _checked_double(-5, 3, 0, "plain") == -5 / 3
+    with pytest.raises(NumericalFailure, match="^w_3 at x=0.5 underflows double precision$"):
+        _checked_double(1, 1, -1076, "w_{} at x={!r}", 3, 0.5)
+    with pytest.raises(NumericalFailure, match="^big overflows double precision$"):
+        _checked_double(-1, 1, 1024, "big")
+
+
+def test_nearest_bits_is_from_rational():
+    # (m, e) is the value of mpmath's from_rational at prec bits, ties to
+    # even, for random quotients and for exact ties (power-of-two dens)
+    rng = random.Random(29)
+    for _ in range(3000):
+        num = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1))
+        den = 1 << rng.randrange(300) if rng.random() < 0.3 else rng.getrandbits(300) | 1
+        prec = rng.choice((1, 2, 53, 136, 269))
+        want = mp.make_mpf(from_rational(num, den, prec, "n"))
+        assert mp.make_mpf(from_man_exp(*_nearest_bits(num, den, prec))) == want, (num, den, prec)
+    assert _nearest_bits(0, 7, 136) == (0, 0)
+
+
+def test_ladder_is_dps_to_prec_at_every_digit_count():
+    # the one ladder helper builds the kernel's 40 ... 2560 digits and the
+    # Bessel series' 30 ... 1920 digits, as mpmath's dps_to_prec gave them
+    kernel = [dps_to_prec(40 << j) for j in range(7)]
+    series = [dps_to_prec(30 << j) for j in range(7)]
+    assert list(_ladder(40, 5000)) == list(trigpoly._EVAL_PRECS) == kernel
+    assert list(_ladder(30, 2000)) == list(bessel._SERIES_PRECS) == series
+    assert kernel[0] == 136 and series[0] == 103

@@ -1,12 +1,17 @@
-"""CLI payloads against the committed goldens, byte for byte, in-process.
+"""CLI payloads against the committed goldens, byte for byte.
 
-Each case runs one golden command through ``cli.dispatch`` with stdout
-captured.  The critlen --n-max 6 reference stays with the CI steps, which
-also run every golden in a cold process.
+``CASES`` is the one table of golden commands.  Under pytest each case
+runs in-process through ``cli.dispatch`` with stdout captured.  Run as a
+script, ``PYTHONPATH=src python tests/test_golden.py``, it replays every
+case in a fresh interpreter (``python -m chebcrit.cli``) and exits nonzero
+if any payload or exit code differs; CI runs it so, beside its own step
+for the critlen --n-max 6 reference.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +67,21 @@ def test_payload_matches_golden(capsys, golden):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def replay_cold() -> int:
+    """Run each case as ``python -m chebcrit.cli`` in a fresh interpreter,
+    print one line per case, and return how many payloads or exit codes
+    differ from the golden and 0."""
+    failed = 0
+    for golden in sorted(CASES):
+        run = subprocess.run([sys.executable, "-m", "chebcrit.cli", *CASES[golden]],
+                             capture_output=True, check=False)
+        ok = run.returncode == 0 and run.stdout == (GOLDEN / golden).read_bytes()
+        print(f"{'ok' if ok else 'DIFFERS'} {golden} (exit {run.returncode})", flush=True)
+        failed += not ok
+    return failed
+
+
+if __name__ == "__main__":
+    sys.exit(1 if replay_cold() else 0)

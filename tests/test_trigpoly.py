@@ -9,15 +9,16 @@ from functools import lru_cache
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, from_rational
 
 from chebcrit.errors import NumericalFailure, UsageError
 from chebcrit.fixedpoint import _cos_sin, _half_pi
 from chebcrit.trigpoly import (
     _EVAL_PRECS,
+    _START_BITS,
     MACLAURIN_RADIUS,
     TrigPoly,
     _eval_fixed,
-    _fixed_form,
     _fixed_table,
     _fixed_value,
     _maclaurin_form,
@@ -311,7 +312,7 @@ def _contract_cases():
 
 def test_eval_is_the_rounding_of_eval_mp():
     for a, x in _contract_cases():
-        want = float(tp_eval_mp(TrigPoly(a.terms, a.den), x))
+        want = float(_mpf(tp_eval_mp(TrigPoly(a.terms, a.den), x)))
         assert tp_eval(TrigPoly(a.terms, a.den), x).hex() == want.hex(), (format_trigpoly(a), x)
 
 
@@ -340,6 +341,20 @@ def test_eval_at_zero_reads_one_maclaurin_coefficient():
     assert "_maclaurin_form" not in f.__dict__
     with pytest.raises(UsageError, match="vanishing order 9"):
         tp_eval_over_power(f, 10, 0.0)
+
+
+def test_eval_mp_rounds_exact_values_to_the_first_precision():
+    # x = 0 and a pure polynomial give the exact value as the pair of
+    # from_rational at _EVAL_PRECS[0] bits (136), ties to even: the last
+    # bit of 1 + ... at 136 bits is 2^-135
+    down, up = 1 + Fraction(1, 2**136), 1 + Fraction(3, 2**136)  # two ties
+    past = down + Fraction(1, 2**200)  # just past a tie
+    for value in (down, up, past, -past, Fraction(1, 3), Fraction(-10**50, 7)):
+        want = from_rational(value.numerator, value.denominator, _EVAL_PRECS[0], "n")
+        poly = tp_from_poly([value])
+        for a, x in ((poly, 0.5), (tp_add(tp_sin(), poly), 0.0)):
+            assert _mpf(tp_eval_mp(a, x)) == mp.make_mpf(want), (value, x)
+    assert tp_eval_mp(tp_zero(), 0.7) == (0, 0)
 
 
 def test_exact_values_are_rounded_once():
@@ -376,6 +391,11 @@ _WIDE = [Fraction(3**380 + i, d) for i, d in zip(range(1, 9), (7, 11, 13, 17) * 
 PLANTED = tp_add(tp_term(2, _WIDE[:4], _WIDE[4:]), tp_from_poly([0, Fraction(1, 3), _WIDE[1]]))
 
 
+def _mpf(pair):
+    """The exact mpf of a dyadic pair (man, exp)."""
+    return mp.make_mpf(from_man_exp(*pair))
+
+
 def _compiled_cases():
     from chebcrit.determinants import symbolic_v
 
@@ -385,8 +405,6 @@ def _compiled_cases():
 
 
 def test_planted_coefficients_are_double_rounding_traps():
-    from mpmath.libmp import from_rational
-
     assert maclaurin(PLANTED, 1)[0] == _WIDE[0]
     for dps in (40, 50, 80, 160):
         with mp.workdps(dps):
@@ -399,13 +417,13 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
     # the (T, E, F) the caller's test sees below MACLAURIN_RADIUS: the
     # kernel's (T, E) for the Maclaurin form's q against _ref_fixed, scaled
     # to a(x)/x^power on Fractions, whatever the caller's precision
-    m0, q, K = _maclaurin_form(a)
+    m0, q, K, extra = _maclaurin_form(a)
     for outer_dps in (40, 80, 160):
         for x in (3e-4, 1e-3, -0.0042, 0.0099):
             for power in (0, m0):
                 with mp.workdps(outer_dps):
                     got = _maclaurin_value(_fresh(a), x, power, lambda *triple: triple)
-                T, E, F = _eval_fixed(_fresh(q), x, lambda *triple: triple)
+                T, E, F = _eval_fixed(_fresh(q), x, lambda *triple: triple, extra)
                 assert (T, E) == _ref_fixed(q, x, F), (outer_dps, x)
                 assert got == _scaled_to_power(T, E, F, x, m0 - power, K), (outer_dps, x, power)
 
@@ -425,7 +443,8 @@ def test_compiled_table_is_per_precision():
     for _, a in _compiled_cases():
         a = _fresh(a)
         for F in _EVAL_PRECS[:2]:
-            table = _fixed_table(a, F)
+            degree, table = _fixed_table(a, F)
+            assert degree == a.max_degree()
             assert [k for k, _, _ in table] == [k for k, _, _ in a.terms]
             for (_, crow, srow), (_, cpart, spart) in zip(table, a.terms):
                 for row, part in ((crow, cpart), (srow, spart)):
@@ -443,8 +462,7 @@ def test_compiled_public_entry_points_match_reference():
     for _, a in _compiled_cases():
         for x in (0.004, 0.5, 7.25):
             ref = _ref_value(a, x)
-            assert _within_rtol(tp_eval_mp(_fresh(a), x), ref, 1e-17), x
-            assert _within_rtol(tp_eval_mp(_fresh(a), x, 1e-30), ref, 1e-30), x
+            assert _within_rtol(_mpf(tp_eval_mp(_fresh(a), x)), ref, 1e-30), x
             assert tp_eval(_fresh(a), x) == _nearest_double(ref), x
 
 
@@ -549,7 +567,7 @@ def _fresh(a):
 
 def _compiled_precisions(a):
     """The fraction bit counts ``a`` has compiled tables for."""
-    return sorted(_fixed_form(a)[3])
+    return sorted(a.__dict__.get("_fixed_tables", {}))
 
 
 def _root_of(a, lo, hi):
@@ -576,6 +594,21 @@ def _count_cos_sin(monkeypatch):
 
     monkeypatch.setattr(trigpoly, "_cos_sin", counting)
     return calls
+
+
+def _count_passes(monkeypatch):
+    """The (x, F) of every kernel pass (_fixed_value call) from now on."""
+    from chebcrit import trigpoly
+
+    passes = []
+    plain = trigpoly._fixed_value
+
+    def counting(a, x, F):
+        passes.append((x, F))
+        return plain(a, x, F)
+
+    monkeypatch.setattr(trigpoly, "_fixed_value", counting)
+    return passes
 
 
 def _trig_xs():
@@ -615,13 +648,13 @@ def test_kernel_error_bound_holds_against_a_2000_bit_reference(F):
         assert _bound_holds(T, E, F, _ref_value(a, x)), (format_trigpoly(a)[:40], x)
 
 
-@pytest.mark.parametrize("rtol", [1e-17, 1e-30])
-def test_certified_values_and_dps_match_the_references(rtol, monkeypatch):
-    # the value is within rtol of the 2000-bit reference; the kernel stops
-    # at the first precision where _ref_fixed passes the exact rtol test,
+def test_certified_values_and_dps_match_the_references(monkeypatch):
+    # the pair is within 1e-30 of the 2000-bit reference; the kernel stops
+    # at the first precision where _ref_fixed passes the exact 1e-30 test,
     # and every bound it formed on the way holds against the reference.
-    # Below MACLAURIN_RADIUS the kernel sums the Maclaurin form's q, and
-    # its (T, E, F) are scaled by x^m0 with the tail added
+    # Below MACLAURIN_RADIUS the kernel sums the Maclaurin form's q from
+    # its start precision, and its (T, E, F) are scaled by x^m0 with the
+    # tail added
     from chebcrit import trigpoly
 
     visited = []
@@ -633,27 +666,27 @@ def test_certified_values_and_dps_match_the_references(rtol, monkeypatch):
         return got
 
     monkeypatch.setattr(trigpoly, "_fixed_value", recording)
-    rn, rd = rtol.as_integer_ratio()
+    rn, rd = (1e-30).as_integer_ratio()
     for a, x in _reference_cases():
         del visited[:]
-        got = tp_eval_mp(a, x, rtol)
-        assert _within_rtol(got, _ref_value(a, x), rtol), (format_trigpoly(a)[:40], x)
+        got = tp_eval_mp(a, x)
+        assert _within_rtol(_mpf(got), _ref_value(a, x), 1e-30), (format_trigpoly(a)[:40], x)
         form = _maclaurin_form(a) if abs(x) < MACLAURIN_RADIUS else None
         assert visited
+        assert visited[0][2] == _EVAL_PRECS[0] + (form[3] if form else 0)
         for i, (b, _, F, (T, E)) in enumerate(visited):
             if form is None:
                 assert b is a
             else:
-                m0, q, K = form
+                m0, q, K, _ = form
                 assert b is q
             assert (T, E) == _ref_fixed(b, x, F)
             if form is not None:
                 T, E, F = _scaled_to_power(T, E, F, x, m0, K)
             assert _bound_holds(T, E, F, _ref_value(a, x)), (x, F)
             last = i == len(visited) - 1
-            assert ((E + (abs(T) >> F) + 1) * rd <= abs(T) * rn) == last, (x, F)
-        with mp.workprec(F):
-            assert got == +mp.ldexp(T, -F)  # T 2^-F rounded to F bits
+            assert (E * rd <= abs(T) * rn) == last, (x, F)
+        assert got == (T, -F)  # T 2^-F itself
 
 
 def test_eval_is_correctly_rounded_against_a_2000_bit_reference():
@@ -687,7 +720,7 @@ def test_escalating_elements_beside_entries_certified_at_40_digits(monkeypatch):
         _forget_point()
         del calls[:]
         for a, f in zip(order, fresh):
-            assert _within_rtol(tp_eval_mp(f, x, 1e-30), _ref_value(a, x), 1e-30), x
+            assert _within_rtol(_mpf(tp_eval_mp(f, x)), _ref_value(a, x), 1e-30), x
         for a, f in zip(order, fresh):
             want = list(_EVAL_PRECS[:2]) if a is escalating else [_EVAL_PRECS[0]]
             assert _compiled_precisions(f) == want, x
@@ -708,15 +741,15 @@ def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n, monkeypatch):
         stack = [_fresh(d) for d in derivs]
         _forget_point()
         del calls[:]
-        got = [(tp_eval_mp(f, x, 1e-30)._mpf_, tp_eval(f, x)) for f in stack]
+        got = [(tp_eval_mp(f, x), tp_eval(f, x)) for f in stack]
         precisions = {F for f in stack for F in _compiled_precisions(f)}
         assert len(calls) == len(precisions), x
         counts.append(len(calls))
         for d, (g, gf) in zip(derivs, got):
-            assert _within_rtol(mp.make_mpf(g), _ref_value(d, x), 1e-30), (x, d)
+            assert _within_rtol(_mpf(g), _ref_value(d, x), 1e-30), (x, d)
             assert gf == _nearest_double(_ref_value(d, x)), (x, d)
             _forget_point()
-            assert (tp_eval_mp(_fresh(d), x, 1e-30)._mpf_, tp_eval(_fresh(d), x)) == (g, gf)
+            assert (tp_eval_mp(_fresh(d), x), tp_eval(_fresh(d), x)) == (g, gf)
     assert 1 in counts
 
 
@@ -733,20 +766,59 @@ def test_point_memo_is_keyed_by_abscissa_and_precision():
         assert _fixed_value(a, x, F) == want[x, F] == _ref_fixed(a, x, F), (x, F)
 
 
-@pytest.mark.parametrize("a,x,extra", [
-    (tp_term(1, (0, 0, 0, 0, 1)), 1e-300, 4032),  # x^4 cos x ~ 2^-3987
-    (tp_scale(spherical_fn(3), Fraction(1, 10**400)), 3.7, 1344),
-    (tp_scale(spherical_fn(3), 10**400), 3.7, 0),
+@pytest.mark.parametrize("a,x,precs", [
+    (tp_term(1, (0, 0, 0, 0, 1)), 1e-300, _EVAL_PRECS[:1]),  # x^4 cos x ~ 2^-3987
+    (tp_scale(spherical_fn(3), Fraction(1, 10**400)), 3.7, _EVAL_PRECS[:5]),
+    (tp_scale(spherical_fn(3), 10**400), 3.7, _EVAL_PRECS[:1]),
 ], ids=["tiny-x", "tiny-coefficients", "huge-coefficients"])
-def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, extra):
-    # the start precision is chosen so that the coefficient magnitude sum
-    # carries 40 digits: each of these certifies 1e-30 at its first precision
-    fresh = _fresh(a)
-    got = _eval_fixed(fresh, x, lambda T, E, F: (T, E, F) if E * 10**30 <= abs(T) else None)
-    assert got[2] == _EVAL_PRECS[0] + extra
-    assert _bound_holds(*got, _ref_value(a, x))
-    assert _compiled_precisions(fresh) == [got[2]]
-    assert _within_rtol(tp_eval_mp(fresh, x, 1e-30), _ref_value(a, x), 1e-30)
+def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, precs, monkeypatch):
+    # near 0 the Maclaurin form's leading coefficient sets the start (here
+    # 1, so the first precision); elsewhere the harmonic form starts at the
+    # first precision and climbs until the sum carries the digits: a value
+    # of 10^-400 (2^-1329) certifies 1e-30 at the fifth, 2129 bits
+    passes = _count_passes(monkeypatch)
+    assert _within_rtol(_mpf(tp_eval_mp(_fresh(a), x)), _ref_value(a, x), 1e-30)
+    assert passes == [(x, F) for F in precs]
+
+
+def _maclaurin_start(a):
+    """The first precision of the Maclaurin route of ``a``."""
+    return _EVAL_PRECS[0] + _maclaurin_form(a)[3]
+
+
+def test_maclaurin_start_puts_the_leading_coefficient_above_the_acceptance():
+    # |c_m0| 2^F > 2^_START_BITS at the start F, which is the first
+    # precision for every entry and v of n <= 6 and grows with n past that
+    from chebcrit.determinants import symbolic_v
+
+    for n in range(17):
+        for a in (*fn_derivatives(n, 2 * n + 2), *([symbolic_v(n)] if n <= 12 else ())):
+            if not a.terms[-1][0]:
+                continue  # a pure polynomial is summed exactly
+            m0 = _maclaurin_form(a)[0]
+            c = abs(maclaurin(a, m0 + 1)[m0])
+            F = _maclaurin_start(a)
+            assert c * 2**F > 2**_START_BITS, (n, m0)
+            if F > _EVAL_PRECS[0]:
+                assert c * 2 ** (F - 2) <= 2**_START_BITS, (n, m0)
+            if n <= 6:
+                assert F == _EVAL_PRECS[0], (n, m0)
+    assert _maclaurin_start(spherical_fn(12)) == 147
+
+
+def test_f12_near_zero_takes_one_pass_per_abscissa(monkeypatch):
+    # f_12 leads with about 2^-42 x^25: at 136 bits its T ~ 2^94 misses
+    # 1e-30 and the sum ran a second time; the start from c_m0 certifies
+    # at the first pass, at 200 log-spaced x below MACLAURIN_RADIUS
+    passes = _count_passes(monkeypatch)
+    f = _fresh(spherical_fn(12))
+    xs = [10 ** (-4 + 2 * i / 200) for i in range(200)]
+    for x in xs:
+        got = tp_eval_mp(f, x)
+        assert got[1] < 0 and got[0] > 0, x
+    assert passes == [(x, 147) for x in xs]
+    for x in xs[::40]:
+        assert _within_rtol(_mpf(tp_eval_mp(f, x)), _ref_value(f, x), 1e-30), x
 
 
 @pytest.mark.parametrize("route", ["kernel", "maclaurin"])
@@ -782,7 +854,7 @@ def test_eval_bits_do_not_depend_on_the_callers_precision(outer_dps):
 
     def evaluate():
         # fresh instances, so the tables are compiled under the caller's context
-        return [(tp_eval_mp(TrigPoly(a.terms, a.den), x, 1e-30)._mpf_,
+        return [(tp_eval_mp(TrigPoly(a.terms, a.den), x),
                  tp_eval(TrigPoly(a.terms, a.den), x)) for a, x in cases]
 
     want = evaluate()
@@ -830,7 +902,7 @@ def test_maclaurin_form_bound_holds_against_a_2000_bit_reference():
     # |T 2^-F - a(x)/x^power| <= E 2^-F for the (T, E, F) the caller's
     # acceptance sees, E holding the tail K |x|^64 |x|^(m0 - power)
     for a in _near_zero_elements():
-        m0, q, K = _maclaurin_form(a)
+        m0, q, K, _ = _maclaurin_form(a)
         for x in (3e-4, -3e-4, 1e-3, 0.0042, 0.0099):
             for power in (0, m0):
                 T, E, F = _maclaurin_value(_fresh(a), x, power, lambda *got: got)
@@ -849,7 +921,7 @@ def test_maclaurin_tail_bound_covers_the_terms_beyond_the_form():
     R = Fraction(MACLAURIN_RADIUS)
     for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_minor(6, 9), PLANTED,
               tp_term(4000, (), (1,))):
-        m0, q, K = _maclaurin_form(_fresh(a))
+        m0, q, K, _ = _maclaurin_form(_fresh(a))
         beyond = maclaurin(a, m0 + 400)[m0 + 64:]
         assert 0 < sum(abs(c) * R**i for i, c in enumerate(beyond)) <= K
 
@@ -882,7 +954,7 @@ def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, tried, monkeypat
     x = 0.005
     ref = _ref_value(a, x)
     for evaluate, holds in ((tp_eval, lambda got: got == _nearest_double(ref)),
-                            (tp_eval_mp, lambda got: _within_rtol(got, ref, 1e-17))):
+                            (tp_eval_mp, lambda got: _within_rtol(_mpf(got), ref, 1e-30))):
         fresh = _fresh(a)
         del calls[:]
         assert holds(evaluate(fresh, x))
@@ -914,7 +986,7 @@ def test_eval_leaves_mp_context_untouched():
     tp_eval(spherical_fn(8), 1e-3)   # the Maclaurin form on the kernel
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
     tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a Maclaurin form
-    tp_eval_mp(TrigPoly(PLANTED.terms, PLANTED.den), 3.7, 1e-30)        # builds harmonic tables
+    tp_eval_mp(TrigPoly(PLANTED.terms, PLANTED.den), 3.7)               # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
     bessel_stack_values(3.4, 40.0, 5)  # one series pass per precision for six orders
     minor_values(4, 3.0)             # 1e-30 entries, then the exact Hankel elimination
