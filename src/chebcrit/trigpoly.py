@@ -104,7 +104,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import NumericalFailure, UsageError
@@ -525,19 +525,6 @@ def _fixed_value(a: TrigPoly, x: float, F: int):
     return total, bound
 
 
-def _eval_fixed(a: TrigPoly, x: float, accept, extra: int = 0):
-    """accept(T, E, F) for the first working precision where it is not None:
-    F = prec + extra fraction bits for prec in _EVAL_PRECS (40, 80, ...,
-    2560 digits)."""
-    for prec in _EVAL_PRECS:
-        F = prec + extra
-        got = accept(*_fixed_value(a, x, F), F)
-        if got is not None:
-            return got
-    raise NumericalFailure(
-        f"evaluation at x={x!r} did not certify below {_EVAL_MAX_DPS} digits")
-
-
 def _tail_bound(a: TrigPoly, degree: int):
     """The rational K of the module docstring's tail bound for the Maclaurin
     terms of ``a`` of degree D = ``degree`` and above, or None where a term
@@ -575,50 +562,40 @@ def _maclaurin_form(a: TrigPoly):
     return a.__dict__["_maclaurin_form"]
 
 
-_NO_CERTIFICATE = object()  # the Maclaurin form gave up
+def _enclosures(a: TrigPoly, x: float, power: int):
+    """(T, E, F, d) with |T 2^-F - a(x)/x^(power - d)| <= E 2^-F, at each
+    working precision in turn: F = prec + extra fraction bits for prec in
+    _EVAL_PRECS (40, 80, ..., 2560 digits), extra 0 but on the Maclaurin
+    form.  The caller draws until its own test passes.
 
-
-def _maclaurin_value(a: TrigPoly, x: float, power: int, accept):
-    """accept(T, E, F) for a(x)/x^power, 0 < |x| < MACLAURIN_RADIUS, from
-    the kernel on the Maclaurin form, scaled by x^(m0 - power) with the
-    tail added as the module docstring says; None where ``a`` has no form,
-    where power exceeds m0, or where the form gives up (tail >= E and
-    accept still refuses)."""
-    form = _maclaurin_form(a)
-    if form is None or power > form[0]:
-        return None
-    m0, q, K, extra = form
-    _, p, s, _, _ = _point_values(x)
-    e = m0 - power
-    pe, scale = p**e, abs(p) ** e
-    r = scale.bit_length() - 1
-    tail_num = K.numerator * abs(p) ** _MACLAURIN_TERMS
-    tail_den = K.denominator << _MACLAURIN_TERMS * s
-
-    def scaled(total, bound, F):
-        tail = -(-(tail_num << F) // tail_den)
-        got = accept(total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r)
-        return _NO_CERTIFICATE if got is None and tail >= bound else got
-
-    got = _eval_fixed(q, x, scaled, extra)
-    return None if got is _NO_CERTIFICATE else got
-
-
-def _certified(a: TrigPoly, x: float, power: int, accept):
-    """(v, d) with v / x^d = a(x)/x^power, v = accept(T, E, F) for a(x)/x^(power - d).
-
-    Below MACLAURIN_RADIUS the Maclaurin form gives v at d = 0 where power
-    is at most the vanishing order m0, and at d = power above it.
-    Elsewhere, where ``a`` has no form, and where the form gives no
-    certificate, v is the kernel's a(x) on the harmonic form, d = power.
+    Below MACLAURIN_RADIUS they come from the Maclaurin form, scaled by
+    x^(m0 - power + d) with the tail added as the module docstring says,
+    d = 0 where power is at most m0 and d = power above it, until the form
+    gives up (tail >= E).  Then, elsewhere and where ``a`` has no form, they
+    come from the harmonic form, d = power.  Past the ladder's top this
+    raises NumericalFailure.
     """
-    if abs(x) < MACLAURIN_RADIUS:
-        form = _maclaurin_form(a)
-        at = power if form is not None and power <= form[0] else 0
-        got = _maclaurin_value(a, x, at, accept)
-        if got is not None:
-            return got, power - at
-    return _eval_fixed(a, x, accept), power
+    form = _maclaurin_form(a) if abs(x) < MACLAURIN_RADIUS else None
+    if form is not None:
+        m0, q, K, extra = form
+        d = 0 if power <= m0 else power
+        e = m0 - power + d
+        _, p, s, _, _ = _point_values(x)
+        pe, scale = p**e, abs(p) ** e
+        r = scale.bit_length() - 1
+        tail_num = K.numerator * abs(p) ** _MACLAURIN_TERMS
+        tail_den = K.denominator << _MACLAURIN_TERMS * s
+        for prec in _EVAL_PRECS:
+            F = prec + extra
+            total, bound = _fixed_value(q, x, F)
+            tail = -(-(tail_num << F) // tail_den)
+            yield total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r, d
+            if tail >= bound:
+                break
+    for F in _EVAL_PRECS:
+        yield (*_fixed_value(a, x, F), F, power)
+    raise NumericalFailure(
+        f"evaluation at x={x!r} did not certify below {_EVAL_MAX_DPS} digits")
 
 
 def _finite(x) -> float:
@@ -645,12 +622,6 @@ def _exact_value(a: TrigPoly, x: float, power: int):
     return Fraction(sum(v * Fraction(x) ** i for i, v in enumerate(a.terms[0][1])), a.den)
 
 
-def _within_rtol(total: int, bound: int, F: int):
-    """tp_eval_mp's acceptance: the pair (T, -F) once E <= 1e-30 |T|,
-    compared exactly."""
-    return (total, -F) if bound * _RTOL_DEN <= abs(total) * _RTOL_NUM else None
-
-
 def tp_eval_mp(a: TrigPoly, x: float) -> tuple[int, int]:
     """The certified value of ``a`` at ``x`` as a dyadic pair (man, exp),
     the value man 2^exp.
@@ -667,18 +638,9 @@ def tp_eval_mp(a: TrigPoly, x: float) -> tuple[int, int]:
     got = _exact_value(a, x, 0)
     if got is not None:
         return _nearest_bits(got.numerator, got.denominator, _EVAL_PRECS[0])
-    return _certified(a, x, 0, _within_rtol)[0]
-
-
-def _one_double(x: float, total: int, bound: int, F: int):
-    """tp_eval's acceptance at x: the double both ends of [T - E, T + E] 2^-F
-    round to, once they round to one and the interval excludes 0."""
-    lo = _int_to_double(total - bound, 1, -F)
-    if lo != _int_to_double(total + bound, 1, -F) or abs(total) <= bound:
-        return None  # two doubles, or not certified nonzero
-    if not lo or math.isinf(lo):  # T - E is nonzero: this raises
-        _checked_double(total - bound, 1, -F, "value at x={!r}", x)
-    return lo
+    for T, E, F, _ in _enclosures(a, x, 0):
+        if E * _RTOL_DEN <= abs(T) * _RTOL_NUM:
+            return T, -F
 
 
 def tp_eval(a: TrigPoly, x: float) -> float:
@@ -720,8 +682,12 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     if exact is not None:
         got = _checked_double(exact.numerator, exact.denominator, 0, "value at x={!r}", x)
         return got / x ** power if x else got
-    got, d = _certified(a, x, power, partial(_one_double, x))
-    return got / x ** d
+    for T, E, F, d in _enclosures(a, x, power):
+        lo = _int_to_double(T - E, 1, -F)
+        if lo == _int_to_double(T + E, 1, -F) and abs(T) > E:  # one double, nonzero
+            if not lo or math.isinf(lo):  # T - E is nonzero: this raises
+                _checked_double(T - E, 1, -F, "value at x={!r}", x)
+            return lo / x ** d
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,10 @@ from chebcrit.trigpoly import (
     _START_BITS,
     MACLAURIN_RADIUS,
     TrigPoly,
-    _eval_fixed,
+    _enclosures,
     _fixed_table,
     _fixed_value,
     _maclaurin_form,
-    _maclaurin_value,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -422,10 +421,12 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
         for x in (3e-4, 1e-3, -0.0042, 0.0099):
             for power in (0, m0):
                 with mp.workdps(outer_dps):
-                    got = _maclaurin_value(_fresh(a), x, power, lambda *triple: triple)
-                T, E, F = _eval_fixed(_fresh(q), x, lambda *triple: triple, extra)
+                    *got, d = next(_enclosures(_fresh(a), x, power))
+                F = _EVAL_PRECS[0] + extra
+                T, E = _fixed_value(_fresh(q), x, F)
                 assert (T, E) == _ref_fixed(q, x, F), (outer_dps, x)
-                assert got == _scaled_to_power(T, E, F, x, m0 - power, K), (outer_dps, x, power)
+                assert d == 0
+                assert tuple(got) == _scaled_to_power(T, E, F, x, m0 - power, K), (outer_dps, x, power)
 
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
@@ -905,7 +906,7 @@ def test_maclaurin_form_bound_holds_against_a_2000_bit_reference():
         m0, q, K, _ = _maclaurin_form(a)
         for x in (3e-4, -3e-4, 1e-3, 0.0042, 0.0099):
             for power in (0, m0):
-                T, E, F = _maclaurin_value(_fresh(a), x, power, lambda *got: got)
+                T, E, F, _ = next(_enclosures(_fresh(a), x, power))
                 assert Fraction(E, 2**F) >= K * abs(Fraction(x)) ** (64 + m0 - power)
                 with mp.workprec(2000):
                     ref = _ref_value(a, x) / mp.mpf(x) ** power
