@@ -21,14 +21,19 @@ digit.  ``tp_eval_mp``, ``tp_eval`` and ``tp_eval_over_power`` share one
 fixed-point kernel on Python ints, and only exact values bypass it:
 
 * at x = 0 the value is the exact Maclaurin coefficient, and a pure
-  polynomial is summed exactly in the rationals; ``tp_eval`` rounds that
-  rational once to the nearest double and ``tp_eval_mp`` to 136 bits (40
-  digits);
+  polynomial is summed exactly in the rationals; ``tp_eval`` and
+  ``tp_eval_over_power`` round that rational once to the nearest double
+  and ``tp_eval_mp`` to 136 bits (40 digits);
 * below |x| = MACLAURIN_RADIUS (0.01) the kernel sums the element's
   Maclaurin form, its exact truncated Maclaurin polynomial with a rigorous
   tail bound (below);
-* elsewhere, and where the Maclaurin form gives no certificate, the kernel
-  sums the harmonic form.
+* elsewhere, and where the Maclaurin form gives up, the kernel sums the
+  harmonic form.
+
+One generator, ``_enclosures(a, x, power)``, decides the route, the start
+precision and the ladder, and yields the integer enclosures (T, E, F, d)
+of a(x)/x^(power - d) at each precision in turn; each caller draws from it
+until its own acceptance test passes.
 
 The kernel works at F fraction bits.  Each coefficient num/den is the
 integer nearest to num 2^F / den, and the double x is the exact dyadic
@@ -51,7 +56,7 @@ E summed term by term in units of 2^-F:
   and below 1 from the floor.  A k = 0 polynomial adds its e alone.
 
 The precision climbs one ladder, the bits of 40, 80, ..., 2560 digits
-(``fixedpoint._ladder``), until the caller's test passes; past its top,
+(``fixedpoint._ladder``), until the caller stops drawing; past its top,
 the cap of 5000 digits, NumericalFailure is raised.  The harmonic form
 starts at 40 digits, 136 bits.  The Maclaurin form starts higher where
 its exact leading coefficient c_m0 is small: at F = max(136, 105 - l)
@@ -65,10 +70,11 @@ that start is 136 bits, for f_12 (l = -42) it is 147.  The tests:
   tolerance 1e-30 = rn / rd exactly, and returns the dyadic pair (T, -F),
   the value T 2^-F itself, so the integers pass to ``determinants``
   without a conversion;
-* ``tp_eval`` and ``tp_eval_over_power`` accept when (T - E) 2^-F and
-  (T + E) 2^-F round to the same double (Ziv's rounding test) and
-  |T| > E, and that double is then the value correctly rounded (so a true
-  zero is never accepted).
+* ``tp_eval_over_power(a, power, x)``, and ``tp_eval`` at power 0,
+  accept when both ends of the quotient, (T -+ E) 2^(s d - F) / p^d, round
+  to the same double (Ziv's rounding test) and |T| > E, and that double is
+  then the quotient correctly rounded (so a true zero is never accepted):
+  each end is one int division, and neither a(x) nor x^d is rounded.
 
 On every route a double that overflows, or that is 0.0 for a nonzero
 value (an underflow), raises NumericalFailure.
@@ -81,13 +87,15 @@ MACLAURIN_RADIUS.  A term c x^i cos kx or c x^i sin kx leaves at most
 M = D - i, as the Taylor terms (k|x|)^m / m!, m >= M, of cos and sin
 shrink at least by the ratio k|x|/(M+1); K sums these at |x| = R.  This
 needs M >= 0 and k R < M + 1, checked per term (else there is no form).
-With e = m0 - power, a(x)/x^power = x^e (q(x) + t), |t| <= K |x|^64, so
-the kernel's (T, E) for q at F bits give (T p^e, (E + tail) |p|^e) at
-F + s e bits, tail = K |x|^64 2^F rounded up.  They reach the caller's
-test shifted right by r, 2^r <= |p|^e < 2^(r+1), so that T keeps its
-size: T p^e floored, E rounded up plus 1 for that floor, at F + s e - r
-bits.  More precision shrinks E but not the tail: once tail >= E and the
-test still fails, the form gives up and the harmonic form is summed.
+The form gives a(x)/x^(power - d), d = 0 where power <= m0 and d = power
+above it.  With e = m0 - power + d, a(x)/x^(power - d) = x^e (q(x) + t),
+|t| <= K |x|^64, so the kernel's (T, E) for q at F bits give (T p^e,
+(E + tail) |p|^e) at F + s e bits, tail = K |x|^64 2^F rounded up.  They
+are yielded shifted right by r, 2^r <= |p|^e < 2^(r+1), so that T keeps
+its size: T p^e floored, E rounded up plus 1 for that floor, at
+F + s e - r bits.  More precision shrinks E but not the tail: once
+tail >= E and the caller draws again, the form gives up and the harmonic
+form is summed from 136 bits, d = power.
 
 The kernel's tables and the Maclaurin form are built once per element
 (the tables per F) and stored on the instance, outside the dataclass
@@ -607,9 +615,9 @@ def _finite(x) -> float:
 
 
 def _exact_value(a: TrigPoly, x: float, power: int):
-    """The exact Fraction where the kernel is bypassed: at x = 0 the
-    coefficient of x^power, a(x)/x^power there (UsageError where that is
-    singular), and elsewhere a(x) for a pure polynomial (the kernel cannot
+    """The exact Fraction a(x)/x^power where the kernel is bypassed: at
+    x = 0 the coefficient of x^power (UsageError where the quotient is
+    singular there), and elsewhere for a pure polynomial (the kernel cannot
     certify a true zero); None otherwise."""
     if x == 0.0:
         *below, c = maclaurin(a, power + 1)
@@ -619,7 +627,8 @@ def _exact_value(a: TrigPoly, x: float, power: int):
         return c
     if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
         return None
-    return Fraction(sum(v * Fraction(x) ** i for i, v in enumerate(a.terms[0][1])), a.den)
+    xf = Fraction(x)
+    return Fraction(sum(v * xf ** i for i, v in enumerate(a.terms[0][1])), a.den) / xf ** power
 
 
 def tp_eval_mp(a: TrigPoly, x: float) -> tuple[int, int]:
@@ -627,10 +636,9 @@ def tp_eval_mp(a: TrigPoly, x: float) -> tuple[int, int]:
     the value man 2^exp.
 
     At x = 0 and for a pure polynomial it is the exact value rounded to
-    _EVAL_PRECS[0] bits (40 digits).  Otherwise the kernel sums the
-    Maclaurin form below MACLAURIN_RADIUS and the harmonic form elsewhere,
-    at growing precision until its error bound E is at most 1e-30 |T|,
-    compared exactly, and the pair is (T, -F).
+    _EVAL_PRECS[0] bits (40 digits).  Otherwise it draws the enclosures
+    (T, E, F) of ``_enclosures`` until E is at most 1e-30 |T|, compared
+    exactly, and the pair is (T, -F).
     """
     x = _finite(x)
     if a.is_zero():
@@ -654,22 +662,19 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     resolved exactly.
 
     Used for integrands like f_n^2 / t^(2n+3) whose factors vanish/blow up
-    separately but whose ratio extends continuously to 0.  The route is
-    picked once:
+    separately but whose ratio extends continuously to 0.  The quotient is
+    correctly rounded on every route and at every power:
 
-    * an exact value is rounded once to the nearest double: the quotient
-      itself at x = 0, and a(x) divided by x^power for a pure polynomial;
-    * below MACLAURIN_RADIUS the Maclaurin form gives the quotient itself
-      where power is at most the vanishing order, and a(x) divided by
-      x^power above it;
-    * elsewhere, and where the form gives no certificate, the harmonic
-      kernel's a(x) is divided by x^power.
+    * an exact value, the coefficient of x^power at x = 0 or the Fraction
+      a(x) / x^power of a pure polynomial, is rounded once;
+    * otherwise ``_enclosures`` gives (T, E, F, d) for a(x)/x^(power - d),
+      and with x = p / 2^s both ends (T -+ E) 2^(s d - F) / p^d of the
+      quotient are rounded once each, from the integers; precision grows
+      until they round to one double and |T| > E, so that the interval
+      excludes 0 (Ziv's rounding test on the quotient itself).
 
-    The kernel's doubles are correctly rounded: precision grows until both
-    ends of the certified interval round to one double and the interval
-    excludes 0.  At power 0 this is ``tp_eval``, correctly rounded on every
-    route.  Raises NumericalFailure when the value overflows a double, or
-    is nonzero and rounds to 0.0.
+    Neither a(x) nor x^power has to be a double.  Raises NumericalFailure
+    when the quotient overflows a double, or is nonzero and rounds to 0.0.
     """
     if power < 0:
         raise UsageError("power must be non-negative")
@@ -680,14 +685,18 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
         return 0.0
     exact = _exact_value(a, x, power)
     if exact is not None:
-        got = _checked_double(exact.numerator, exact.denominator, 0, "value at x={!r}", x)
-        return got / x ** power if x else got
+        return _checked_double(exact.numerator, exact.denominator, 0, "value at x={!r}", x)
+    _, p, s, _, _ = _point_values(x)
     for T, E, F, d in _enclosures(a, x, power):
-        lo = _int_to_double(T - E, 1, -F)
-        if lo == _int_to_double(T + E, 1, -F) and abs(T) > E:  # one double, nonzero
+        # (T -+ E) 2^-F / x^d with x^d = p^d / 2^(s d), each end rounded once
+        den, e = p**d, s * d - F
+        if den < 0:
+            T, den = -T, -den
+        lo = _int_to_double(T - E, den, e)
+        if lo == _int_to_double(T + E, den, e) and abs(T) > E:  # one double, nonzero
             if not lo or math.isinf(lo):  # T - E is nonzero: this raises
-                _checked_double(T - E, 1, -F, "value at x={!r}", x)
-            return lo / x ** d
+                _checked_double(T - E, den, e, "value at x={!r}", x)
+            return lo
 
 
 # ----------------------------------------------------------------------

@@ -378,6 +378,51 @@ def test_eval_over_power_limit():
     assert abs(tp_eval_over_power(f2, 5, x) - tp_eval(f2, x) / x**5) <= 1e-15
 
 
+def test_eval_over_power_is_correctly_rounded_against_a_3000_bit_reference():
+    # a(x)/x^power rounded once at every power 1..30, on both routes and on
+    # both sides of the vanishing order: f_0..f_7, v(f_1)..v(f_6) and f_5'''
+    # at five seeded +-x, log-uniform in [1e-3, 30], 2,250 quotients.
+    # Dividing the double a(x) by the double x^power rounds twice
+    from chebcrit.determinants import symbolic_v
+
+    rng = random.Random(23)
+    elements = [spherical_fn(n) for n in range(8)] + [symbolic_v(n) for n in range(1, 7)]
+    elements.append(fn_derivatives(5, 3)[3])
+    count = 0
+    for a in elements:
+        for _ in range(5):
+            x = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, math.log10(30))
+            value = _ref_value(a, x, 3000)
+            for power in range(1, 31):
+                with mp.workprec(3000):
+                    want = _nearest_double(value / mp.mpf(x) ** power)
+                assert tp_eval_over_power(a, power, x) == want, (format_trigpoly(a)[:40], x, power)
+                count += 1
+    assert count == 2250
+
+
+@pytest.mark.parametrize("a,power,x", [
+    (tp_sin(), 2, 1e-170),              # x^2 underflows, the quotient ~1e170 does not
+    (tp_from_poly([0, 1]), 3, 1e120),   # x^3 overflows, the quotient ~1e-240 does not
+    (spherical_fn(2), 2, 1e200),        # f_2(x) overflows, the quotient ~0.644 does not
+], ids=["sin-tiny-x", "poly-huge-x", "f2-huge-x"])
+def test_eval_over_power_is_in_range_where_its_factors_are_not(a, power, x):
+    with mp.workprec(3000):
+        want = _nearest_double(_ref_value(a, x, 3000) / mp.mpf(x) ** power)
+    assert tp_eval_over_power(a, power, x) == want
+
+
+@pytest.mark.parametrize("a,power,x,what", [
+    (tp_sin(), 3, 1e-170, "overflows"),              # ~1e340, Maclaurin form
+    (spherical_fn(2), 7, -1e-170, "overflows"),      # ~-x^-2 / 15, Maclaurin form
+    (tp_from_poly([0, 1]), 3, 1e200, "underflows"),  # ~1e-400, exact
+    (spherical_fn(2), 4, 1e300, "underflows"),       # ~1e-600 sin x, harmonic form
+], ids=["sin-tiny-x", "f2-tiny-x", "poly-huge-x", "f2-huge-x"])
+def test_eval_over_power_out_of_range_raises_numerical_failure(a, power, x, what):
+    with pytest.raises(NumericalFailure, match=what):
+        tp_eval_over_power(a, power, x)
+
+
 # ---------------------------------------------------------------- compiled evaluation
 
 # Coefficients with 603-bit numerators: mp.mpf(num) rounds the numerator
@@ -479,10 +524,11 @@ def test_compiled_tables_leave_equality_and_hash_alone():
 # ---------------------------------------------------------------- the fixed-point kernel
 
 @lru_cache(maxsize=None)
-def _ref_value(a, x):
-    """a(x) at 2000 bits through mpf operators: x and every numerator exact,
-    one rounding per coefficient num/den, cos and sin kx at 2000 bits."""
-    with mp.workprec(2000):
+def _ref_value(a, x, prec=2000):
+    """a(x) at ``prec`` bits through mpf operators: x and every numerator
+    exact, one rounding per coefficient num/den, cos and sin kx at ``prec``
+    bits."""
+    with mp.workprec(prec):
         xm = mp.mpf(x)
         total = mp.mpf(0)
         for k, cpart, spart in a.terms:
@@ -964,9 +1010,11 @@ def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, tried, monkeypat
         tried_q = [F for b, F in calls if form is not None and b is form[1]]
         assert tried_q == [_EVAL_PRECS[0]] * tried
         assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
-    # a quotient the form gives up on is the harmonic kernel's value over
-    # x^power: q and the harmonic form are summed once each, as above
-    want = tp_eval(a, x) / x
+    # a quotient the form gives up on is the harmonic kernel's enclosure of
+    # a(x) over x^power, rounded once: q and the harmonic form are summed
+    # once each, as above
+    with mp.workprec(2000):
+        want = _nearest_double(ref / x)
     fresh = _fresh(a)
     del calls[:]
     assert tp_eval_over_power(fresh, 1, x) == want
