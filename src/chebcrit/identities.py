@@ -51,8 +51,9 @@ caller.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
 from .bessel import bessel_j, bessel_stack_values, bessel_zero, fn_zero
@@ -315,6 +316,13 @@ def _res_integral_vfn(model, s, inte):
     return (v_det(s),), (n / x ** 2 * fx * fx, 2.0 * n * (n + 1) * x ** (2 * n) * inte)
 
 
+def _sum_left_to_right(terms) -> float:
+    """The terms summed left to right from int 0, one rounding per addition,
+    as ``sum`` summed floats before Python 3.12 compensated them, so that
+    every payload is the same on every Python."""
+    return reduce(operator.add, terms, 0)
+
+
 def _v_terms(model, s, int_f, int_v):
     """The three terms of V(f_n)/(6n(n-1)), each >= 0."""
     n, x, fx = int(model.param), s.x, s.values[0]
@@ -325,7 +333,7 @@ def _res_integral_big_v(model, s, int_f, int_v):
     # one right-hand term, whose magnitude is 6n(n-1) times the summed
     # magnitudes of the terms, since they are >= 0
     n = int(model.param)
-    return (v_aux(model, s),), (6.0 * n * (n - 1) * sum(_v_terms(model, s, int_f, int_v)),)
+    return (v_aux(model, s),), (6.0 * n * (n - 1) * _sum_left_to_right(_v_terms(model, s, int_f, int_v)),)
 
 
 def _res_eq_vpositive(model, s, int_f, int_v):
@@ -449,7 +457,8 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
     integrals are the values at stack.x of the row's integrals, in order.
     The residual function returns the signed terms of the identity's two
     sides; the residual is |sum(lhs) - sum(rhs)| and the scale the sum of
-    the terms' magnitudes, lhs then rhs, each summed left to right.
+    the terms' magnitudes, lhs then rhs, each summed left to right
+    (``_sum_left_to_right``, the same on every Python).
     """
     info = _info(tag)
     if info.residual is None:
@@ -461,7 +470,8 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
     stack.require(info.min_depth, tag)
     model.check_domain(stack.x)
     lhs, rhs = info.residual(model, stack, *integrals)
-    return abs(sum(lhs) - sum(rhs)), sum(abs(t) for t in lhs + rhs)
+    return (abs(_sum_left_to_right(lhs) - _sum_left_to_right(rhs)),
+            _sum_left_to_right(abs(t) for t in lhs + rhs))
 
 
 # ----------------------------------------------------------------------

@@ -113,9 +113,28 @@ def test_residuals_return_the_terms_of_their_two_sides(tag):
     lhs, rhs = info.residual(model, s, *integrals)
     assert lhs and rhs and all(isinstance(t, float) for t in lhs + rhs)
     res, scale = residual_parts(tag, model, s, *integrals)
-    assert res == abs(sum(lhs) - sum(rhs))
-    assert scale == sum(abs(t) for t in lhs + rhs)
+    assert res == abs(_sum_left_to_right(lhs) - _sum_left_to_right(rhs))
+    assert scale == _sum_left_to_right(abs(t) for t in lhs + rhs)
     assert res <= 1e-12 * max(1.0, scale)
+
+
+def _sum_left_to_right(terms):
+    """The documented sum of residual_parts: left to right from int 0."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
+
+
+def test_residual_sums_round_each_addition_on_every_python():
+    # 1e16 + 1 is a tie that rounds back to 1e16, twice; the compensated
+    # sum of Python 3.12 and later gives 1e16 + 2
+    from chebcrit.identities import _sum_left_to_right as summed
+
+    terms = [1e16, 1.0, 1.0]
+    assert summed(terms) == _sum_left_to_right(terms) == 1e16
+    assert summed(t for t in terms) == 1e16
+    assert math.copysign(1.0, summed([-0.0])) == 1.0 and summed([]) == 0
 
 
 @pytest.mark.parametrize("tag", ["integral-v", "integral-V", "prop1"])
