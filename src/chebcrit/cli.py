@@ -85,8 +85,14 @@ def render_json(obj, indent: int = 0) -> str:
     raise UsageError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _header(config: dict) -> dict:
-    return {"version": __version__, "config": config}
+def _config(args) -> dict:
+    """The fully resolved configuration: every flag of the subcommand, in
+    the order its parser declares them."""
+    return {k: v for k, v in vars(args).items() if k != "run"}
+
+
+def _header(args) -> dict:
+    return {"version": __version__, "config": _config(args)}
 
 
 def _emit(text: str) -> None:
@@ -122,9 +128,7 @@ def _sign(v: float) -> int:
 
 def _cmd_fn(args) -> int:
     f = spherical_fn(args.n)
-    config = {"subcommand": "fn", "n": args.n, "show": bool(args.show),
-              "at": list(args.at) if args.at else None}
-    payload: dict = {"header": _header(config), "n": args.n}
+    payload: dict = {"header": _header(args), "n": args.n}
     if args.at:
         payload["values"] = [{"x": x, "value": tp_eval(f, x)} for x in args.at]
     else:
@@ -140,9 +144,7 @@ def _cmd_zeros(args) -> int:
     finder = bessel_deriv_zeros if args.deriv else bessel_zeros
     rows = [{"index": k, "value": z.value, "residual": z.residual}
             for k, z in enumerate(finder(args.nu, args.count, args.tol), 1)]
-    config = {"subcommand": "zeros", "nu": args.nu, "count": args.count,
-              "deriv": bool(args.deriv), "tol": args.tol}
-    _emit(render_json({"header": _header(config), "zeros": rows}))
+    _emit(render_json({"header": _header(args), "zeros": rows}))
     return 0
 
 
@@ -163,19 +165,16 @@ def _scan_values(args) -> tuple[list[float], list[float]]:
 
 def _cmd_scan(args) -> int:
     xs, vals = _scan_values(args)
-    config = {"subcommand": "scan", "what": args.what, "n": args.n,
-              "j": args.j, "range": args.range, "points": args.points,
-              "format": args.format}
     if args.format == "csv":
         lines = [f"# chebcrit {__version__}"]
-        lines.append("# " + " ".join(f"{k}={v}" for k, v in config.items()))
+        lines.append("# " + " ".join(f"{k}={v}" for k, v in _config(args).items()))
         lines.append("x,value,sign")
         for x, v in zip(xs, vals):
             lines.append(f"{fmt_float(x)},{fmt_float(v)},{_sign(v)}")
         _emit("\n".join(lines))
     else:
         rows = [{"x": x, "value": v, "sign": _sign(v)} for x, v in zip(xs, vals)]
-        _emit(render_json({"header": _header(config), "rows": rows}))
+        _emit(render_json({"header": _header(args), "rows": rows}))
     return 0
 
 
@@ -188,11 +187,8 @@ def _cmd_verify(args) -> int:
         reports = run_all(model, **kwargs)
     else:
         reports = [run_identity(args.identity, model, **kwargs)]
-    config = {"subcommand": "verify", "identity": args.identity,
-              "model": args.model, "range": args.range, "points": args.points,
-              "tol": args.tol, "spacing": args.spacing}
     all_passed = all(r.passed for r in reports)
-    payload = {"header": _header(config),
+    payload = {"header": _header(args),
                "all_pass": all_passed,
                "reports": [r.as_dict() for r in reports]}
     _emit(render_json(payload))
@@ -204,11 +200,9 @@ def _cmd_critlen(args) -> int:
         reports = [r.as_dict() for r in conjecture_scan(args.n_max)]
     else:
         reports = [estimate_critical_length(args.n, args.cap, args.tol).as_dict()]
-    config = {"subcommand": "critlen", "n": args.n, "n_max": args.n_max,
-              "cap": args.cap, "tol": args.tol, "format": args.format}
     if args.format == "table":
         lines = [f"# chebcrit {__version__}",
-                 "# " + " ".join(f"{k}={v}" for k, v in config.items())]
+                 "# " + " ".join(f"{k}={v}" for k, v in _config(args).items())]
         for rep in reports:
             lines.append(
                 f"n={rep['n']}  estimate={fmt_float(rep['estimate'])}  "
@@ -222,7 +216,7 @@ def _cmd_critlen(args) -> int:
                              f"{'yes' if row['indeterminate'] else 'no'}")
         _emit("\n".join(lines))
     else:
-        _emit(render_json({"header": _header(config), "reports": reports}))
+        _emit(render_json({"header": _header(args), "reports": reports}))
     return 0
 
 
@@ -242,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fn = sub.add_parser("fn", help="evaluate f_n or show its exact form")
     p_fn.add_argument("--n", type=int, required=True)
-    p_fn.add_argument("--at", type=decimal_literal, nargs="+",
-                      help="evaluate at these abscissae instead of showing")
     p_fn.add_argument("--show", action="store_true",
                       help="emit the exact rational harmonics (default)")
+    p_fn.add_argument("--at", type=decimal_literal, nargs="+",
+                      help="evaluate at these abscissae instead of showing")
     p_fn.set_defaults(run=_cmd_fn)
 
     p_z = sub.add_parser("zeros", help="positive zeros of J_nu or J_nu'")
