@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from mpmath import mp
@@ -1021,6 +1022,82 @@ def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, tried, monkeypat
     form = _maclaurin_form(fresh)
     assert [F for b, F in calls if form is not None and b is form[1]] == [_EVAL_PRECS[0]] * tried
     assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
+
+
+# ---------------------------------------------------------------- the enclosure stream
+
+def _draw_to_the_harmonic_form(a, x, power, monkeypatch):
+    """The enclosures of ``a`` drawn until the first one of the harmonic
+    form, and the (element, F, (T, E)) of every kernel pass behind them."""
+    from chebcrit import trigpoly
+
+    passes = []
+    plain = trigpoly._fixed_value
+
+    def recording(b, x, F):
+        got = plain(b, x, F)
+        passes.append((b, F, got))
+        return got
+
+    monkeypatch.setattr(trigpoly, "_fixed_value", recording)
+    drawn = []
+    for got in _enclosures(a, x, power):
+        drawn.append(got)
+        if passes[-1][0] is a:
+            return drawn, passes
+
+
+@pytest.mark.parametrize("a", [PLANTED, spherical_fn(12), tp_term(4000, (), (1,)), _BEYOND],
+                         ids=["planted", "f12", "sin-4000x", "beyond-q"])
+@pytest.mark.parametrize("x", [3e-4, -0.005])
+def test_stream_sums_the_maclaurin_form_until_it_gives_up(a, x, monkeypatch):
+    # below MACLAURIN_RADIUS the first enclosure is q's at _EVAL_PRECS[0] +
+    # extra bits (at power m0 it is not scaled), q climbs the ladder while
+    # its tail K |x|^64 2^F, rounded up, is below its E, and the harmonic
+    # form follows at 136 bits only after the first pass with tail >= E
+    a = _fresh(a)
+    m0, q, K, extra = _maclaurin_form(a)
+    drawn, passes = _draw_to_the_harmonic_form(a, x, m0, monkeypatch)
+    assert drawn[0][2] == _EVAL_PRECS[0] + extra
+    *maclaurin, (harmonic, F, _) = passes
+    assert harmonic is a and F == _EVAL_PRECS[0]
+    assert [b for b, _, _ in maclaurin] == [q] * len(maclaurin)
+    assert [F for _, F, _ in maclaurin] == [prec + extra for prec in _EVAL_PRECS[:len(maclaurin)]]
+    tails = [math.ceil(K * abs(Fraction(x)) ** 64 * 2**F) for _, F, _ in maclaurin]
+    gave_up = [tail >= E for tail, (_, _, (_, E)) in zip(tails, maclaurin)]
+    assert gave_up == [False] * (len(maclaurin) - 1) + [True]
+    assert [d for *_, d in drawn] == [0] * len(maclaurin) + [m0]
+
+
+@pytest.mark.parametrize("x", [3e-4, -0.0042, 0.0099])
+def test_stream_divides_by_x_to_the_d_where_power_exceeds_the_vanishing_order(x):
+    # d = 0 where power <= m0 (the form gives the quotient itself) and
+    # d = power above it (the form gives a(x)); each first enclosure holds
+    # against the 2000-bit reference of a(x)/x^(power - d)
+    from chebcrit.determinants import symbolic_v
+
+    for a in (PLANTED, spherical_fn(3), symbolic_v(2)):
+        m0 = _maclaurin_form(a)[0]
+        for power in range(m0 + 3):
+            T, E, F, d = next(_enclosures(_fresh(a), x, power))
+            assert d == (0 if power <= m0 else power), (format_trigpoly(a)[:40], power)
+            with mp.workprec(2000):
+                ref = _ref_value(a, x) / mp.mpf(x) ** (power - d)
+            assert _bound_holds(T, E, F, ref), (format_trigpoly(a)[:40], power)
+
+
+@pytest.mark.parametrize("a,x", [(PLANTED, 0.01), (PLANTED, -0.7), (spherical_fn(3), 29.5),
+                                 (tp_term(8000, (), (1,)), 0.005)],
+                         ids=["planted-radius", "planted", "f3", "sin-8000x-no-form"])
+def test_stream_elsewhere_climbs_the_ladder_from_136_bits(a, x):
+    # at and above MACLAURIN_RADIUS, and below it where there is no form,
+    # the harmonic form gives a(x) at each precision of the ladder, d = power
+    for power in (0, 2, 9):
+        drawn = list(islice(_enclosures(_fresh(a), x, power), 3))
+        assert [F for _, _, F, _ in drawn] == list(_EVAL_PRECS[:3])
+        assert [d for *_, d in drawn] == [power] * 3
+        for T, E, F, _ in drawn:
+            assert _bound_holds(T, E, F, _ref_value(a, x)), (x, power, F)
 
 
 # ---------------------------------------------------------------- serialization
