@@ -333,7 +333,8 @@ def _res_integral_big_v(model, s, int_f, int_v):
     # one right-hand term, whose magnitude is 6n(n-1) times the summed
     # magnitudes of the terms, since they are >= 0
     n = int(model.param)
-    return (v_aux(model, s),), (6.0 * n * (n - 1) * _sum_left_to_right(_v_terms(model, s, int_f, int_v)),)
+    terms = _v_terms(model, s, int_f, int_v)
+    return (v_aux(model, s),), (6.0 * n * (n - 1) * _sum_left_to_right(terms),)
 
 
 def _res_eq_vpositive(model, s, int_f, int_v):

@@ -472,7 +472,8 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
                 T, E = _fixed_value(_fresh(q), x, F)
                 assert (T, E) == _ref_fixed(q, x, F), (outer_dps, x)
                 assert d == 0
-                assert tuple(got) == _scaled_to_power(T, E, F, x, m0 - power, K), (outer_dps, x, power)
+                want = _scaled_to_power(T, E, F, x, m0 - power, K)
+                assert tuple(got) == want, (outer_dps, x, power)
 
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
