@@ -571,10 +571,10 @@ def _maclaurin_form(a: TrigPoly):
 
 
 def _enclosures(a: TrigPoly, x: float, power: int):
-    """(T, E, F, d) with |T 2^-F - a(x)/x^(power - d)| <= E 2^-F, at each
-    working precision in turn: F = prec + extra fraction bits for prec in
-    _EVAL_PRECS (40, 80, ..., 2560 digits), extra 0 but on the Maclaurin
-    form.  The caller draws until its own test passes.
+    """(T, E, F, d) with |T 2^-F - a(x)/x^(power - d)| <= E 2^-F, one per
+    kernel pass, the kernel at prec + extra fraction bits for prec in
+    _EVAL_PRECS (40, 80, ..., 2560 digits): extra is the Maclaurin form's
+    and 0 on the harmonic form.  The caller draws until its own test passes.
 
     Below MACLAURIN_RADIUS they come from the Maclaurin form, scaled by
     x^(m0 - power + d) with the tail added as the module docstring says,
