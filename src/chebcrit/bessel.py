@@ -63,6 +63,15 @@ per precision, and only the orders whose bound fails are summed again.
 
 Series only, no asymptotic expansions: at desk scale the adaptive series
 meets tolerance everywhere and keeps one code path for all real nu >= 0.
+``_series_values`` is the one entry of the three evaluators and checks
+their common arguments; each evaluator checks only its own.
+
+Zeros: ``bessel_zeros``, ``bessel_deriv_zeros`` and ``_fn_zeros`` (of f_n
+and f_n') each state where their scan starts, where it gives up and what
+its failures name, and all three draw from ``_zeros``, the one fixed-step
+scan (ZERO_SCAN_STEP) and bisection of ``rootfind.first_zeros``.  The k-th
+zero is the last of the first k, and argument errors are raised at the
+call, before any zero is drawn.
 """
 
 from __future__ import annotations
@@ -212,18 +221,25 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
     """Adaptive-precision series values, each within tol/2 relative plus
     the prefactor's and Gamma's roundings and half an ulp.
 
-    At F fraction bits every order's row is summed by Horner's rule, and an
-    order is accepted once its error bound is at most |total| * tol / 2;
-    only the orders that fail at d digits are summed again at 2d digits.
-    The prefactor (x/2)^nu and Gamma(nu + 1) are computed once per F, and
-    each accepted order's double is one correctly rounded int division,
-    refused (NumericalFailure) outside the double range.
+    The one entry of ``bessel_j``, ``bessel_j_deriv`` and
+    ``bessel_stack_values``, and the one place their common arguments are
+    checked: nu and x finite and >= 0, x > 0 for a derivative order, and
+    tol > 0 (UsageError).  At F fraction bits every order's row is summed
+    by Horner's rule, and an order is accepted once its error bound is at
+    most |total| * tol / 2; only the orders that fail at d digits are
+    summed again at 2d digits.  The prefactor (x/2)^nu and Gamma(nu + 1)
+    are computed once per F, and each accepted order's double is one
+    correctly rounded int division, refused (NumericalFailure) outside the
+    double range.
     """
+    nu, x = _check_order(nu), float(x)
+    if not math.isfinite(x) or x < 0:
+        raise UsageError("J_nu needs finite x >= 0")
     if tol <= 0:
         raise UsageError("tol must be positive")
     if x == 0.0:
         if any(orders):
-            raise UsageError("series derivatives need x > 0")
+            raise UsageError("derivatives of J_nu need x > 0")
         return tuple(1.0 if nu == 0 else 0.0 for _ in orders)
     tol_num, tol_den = float(tol).as_integer_ratio()
     mx, dx = x.as_integer_ratio()
@@ -258,34 +274,22 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
     from mpmath's mpf_gamma, the one mpmath value trusted) and half an ulp
     (see the module docstring).  Raises NumericalFailure where the value
     overflows a double or is nonzero and rounds to 0.0."""
-    nu = _check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise UsageError("bessel_j requires finite x >= 0")
     return _series_values(nu, x, (0,), tol)[0]
 
 
 def bessel_j_deriv(nu: float, x: float, order: int = 1,
                    tol: float = DEFAULT_SERIES_TOL) -> float:
     """First or second derivative of J_nu at x > 0, by termwise differentiation."""
-    nu = _check_order(nu)
     if order not in (1, 2):
         raise UsageError("order must be 1 or 2")
-    x = float(x)
-    if not math.isfinite(x) or x <= 0:
-        raise UsageError("bessel_j_deriv requires finite x > 0")
     return _series_values(nu, x, (order,), tol)[0]
 
 
 def bessel_stack_values(nu: float, x: float, m: int,
                         tol: float = DEFAULT_SERIES_TOL) -> tuple[float, ...]:
     """(J_nu(x), J_nu'(x), ..., J_nu^(m)(x)) for identity checking, m <= 5."""
-    nu = _check_order(nu)
     if not 2 <= m <= _MAX_SERIES_DERIV:
         raise UsageError(f"stack depth m must be in [2, {_MAX_SERIES_DERIV}]")
-    x = float(x)
-    if not math.isfinite(x) or x <= 0:
-        raise UsageError("stacks need finite x > 0")
     return _series_values(nu, x, range(m + 1), tol)
 
 
@@ -293,94 +297,79 @@ def bessel_stack_values(nu: float, x: float, m: int,
 # zeros
 # ----------------------------------------------------------------------
 
-def _zeros_of(f: Callable[[float], float], count: int, *, scan_from: float,
-              cap: float, xtol: float, label: str) -> Iterator[ZeroResult]:
+def _zeros(f: Callable[[float], float], count: int, start: float, cap: float,
+           tol: float, label: str) -> Iterator[ZeroResult]:
+    """The first ``count`` zeros of f on [start, cap], from one scan at
+    ZERO_SCAN_STEP (``rootfind.first_zeros``), each refined to within tol.
+    Every zero the package reports comes from here; a NumericalFailure is
+    prefixed with ``label``, the target."""
     try:
-        yield from first_zeros(f, count, start=scan_from, step=ZERO_SCAN_STEP,
-                               cap=cap, xtol=xtol)
+        yield from first_zeros(f, count, start=start, step=ZERO_SCAN_STEP, cap=cap, xtol=tol)
     except NumericalFailure as exc:
         raise NumericalFailure(f"{label}: {exc}") from exc
-
-
-def _j_scan(nu: float, tol: float):
-    """(f, keywords of _zeros_of) for the zeros of J_nu."""
-    nu = _check_order(nu)
-    return (lambda t: bessel_j(nu, t)), dict(
-        scan_from=max(nu, tol, 1e-6), cap=nu + ZERO_SCAN_SPAN, xtol=tol,
-        label=f"zero of J_{nu}")
-
-
-def _j_prime_scan(nu: float, tol: float):
-    """(nu as a float, f, keywords of _zeros_of) for the zeros of J_nu'."""
-    nu = _check_order(nu)
-    if nu == 0:
-        raise UsageError("derivative zeros need nu > 0")
-    return nu, (lambda t: bessel_j_deriv(nu, t, 1)), dict(
-        scan_from=max(nu * 0.5, tol, 1e-6), cap=nu + ZERO_SCAN_SPAN, xtol=tol,
-        label=f"zero of J_{nu}'")
-
-
-def _f_scan(n: int, order: int, tol: float):
-    """(f, keywords of _zeros_of) for the zeros of f_n (order 0) or f_n'
-    (order 1); spherical_fn refuses an n out of range."""
-    a = fn_derivatives(n, order)[order]
-    return (lambda t: tp_eval(a, t)), dict(
-        scan_from=max(tol, 1e-3), cap=n + 0.5 + ZERO_SCAN_SPAN, xtol=tol,
-        label=f"zero of f_{n}" + "'" * order)
-
-
-def _above_nu(nu: float, k: int, res: ZeroResult) -> ZeroResult:
-    """res, the k-th zero of J_nu', checked against j' > nu."""
-    if res.value <= nu:
-        raise NumericalFailure(
-            f"computed j'_{{{nu},{k}}} = {res.value} <= nu, violating j' > nu")
-    return res
-
-
-def bessel_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
-    """k-th positive zero j_{nu,k}: the last of the first k zeros of one
-    scan (see ``rootfind.first_zeros``)."""
-    f, scan = _j_scan(nu, tol)
-    *_, res = _zeros_of(f, k, **scan)
-    return res
 
 
 def bessel_zeros(nu: float, count: int,
                  tol: float = DEFAULT_ROOT_XTOL) -> Iterator[ZeroResult]:
     """The first ``count`` positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu,
-    lazily, from one scan (see ``rootfind.first_zeros``)."""
-    f, scan = _j_scan(nu, tol)
-    return _zeros_of(f, count, **scan)
-
-
-def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
-    """k-th positive zero j'_{nu,k} of J_nu', as ``bessel_zero`` finds j_{nu,k}.
-
-    The classical bound j'_{nu,1} > nu is enforced as a sanity check on the
-    result; a violation signals a numerical failure, not a mathematical one.
-    """
-    nu, f, scan = _j_prime_scan(nu, tol)
-    *_, res = _zeros_of(f, k, **scan)
-    return _above_nu(nu, k, res)
+    lazily, from one scan; nu is checked at the call."""
+    nu = _check_order(nu)
+    return _zeros(lambda t: bessel_j(nu, t), count, max(nu, tol, 1e-6),
+                  nu + ZERO_SCAN_SPAN, tol, f"zero of J_{nu}")
 
 
 def bessel_deriv_zeros(nu: float, count: int,
                        tol: float = DEFAULT_ROOT_XTOL) -> Iterator[ZeroResult]:
     """The first ``count`` positive zeros j'_{nu,1}, j'_{nu,2}, ... of J_nu',
-    lazily, from one scan, each checked against j' > nu in turn."""
-    nu, f, scan = _j_prime_scan(nu, tol)
-    return (_above_nu(nu, k, res) for k, res in enumerate(_zeros_of(f, count, **scan), 1))
+    lazily, from one scan; nu > 0 is checked at the call.
+
+    The classical bound j'_{nu,k} > nu is enforced on every zero drawn as a
+    sanity check; a violation signals a numerical failure, not a
+    mathematical one.
+    """
+    nu = _check_order(nu)
+    if nu == 0:
+        raise UsageError("derivative zeros need nu > 0")
+    zeros = _zeros(lambda t: bessel_j_deriv(nu, t, 1), count, max(nu * 0.5, tol, 1e-6),
+                   nu + ZERO_SCAN_SPAN, tol, f"zero of J_{nu}'")
+
+    def checked():
+        for k, res in enumerate(zeros, 1):
+            if res.value <= nu:
+                raise NumericalFailure(
+                    f"computed j'_{{{nu},{k}}} = {res.value} <= nu, violating j' > nu")
+            yield res
+    return checked()
+
+
+def _fn_zeros(n: int, order: int, count: int, tol: float) -> Iterator[ZeroResult]:
+    """The first ``count`` positive zeros of f_n (order 0) or f_n' (order 1),
+    lazily, from one scan; spherical_fn refuses an n out of range at the
+    call."""
+    a = fn_derivatives(n, order)[order]
+    return _zeros(lambda t: tp_eval(a, t), count, max(tol, 1e-3), n + 0.5 + ZERO_SCAN_SPAN,
+                  tol, f"zero of f_{n}" + "'" * order)
+
+
+def bessel_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
+    """k-th positive zero j_{nu,k}: the last of ``bessel_zeros(nu, k)``."""
+    *_, res = bessel_zeros(nu, k, tol)
+    return res
+
+
+def bessel_deriv_zero(nu: float, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
+    """k-th positive zero j'_{nu,k} of J_nu': the last of ``bessel_deriv_zeros(nu, k)``."""
+    *_, res = bessel_deriv_zeros(nu, k, tol)
+    return res
 
 
 def fn_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     """k-th positive zero of the spherical function f_n (equals j_{n+1/2,k})."""
-    f, scan = _f_scan(n, 0, tol)
-    *_, res = _zeros_of(f, k, **scan)
+    *_, res = _fn_zeros(n, 0, k, tol)
     return res
 
 
 def fn_deriv_zero(n: int, k: int, tol: float = DEFAULT_ROOT_XTOL) -> ZeroResult:
     """k-th positive zero of f_n' (equals j_{n-1/2,k} for n >= 1)."""
-    f, scan = _f_scan(n, 1, tol)
-    *_, res = _zeros_of(f, k, **scan)
+    *_, res = _fn_zeros(n, 1, k, tol)
     return res

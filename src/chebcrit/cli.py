@@ -18,7 +18,9 @@ pass, 1 a verification or positivity check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -55,21 +57,10 @@ def render_json(obj, indent: int = 0) -> str:
     """Canonical JSON: insertion-ordered keys, floats at 17 significant
     digits, non-finite floats rendered as null."""
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return fmt_float(obj) if math.isfinite(obj) else "null"
+    if obj is None or isinstance(obj, (int, str)):  # bools are ints
+        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -139,8 +130,6 @@ def _cmd_fn(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     finder = bessel_deriv_zeros if args.deriv else bessel_zeros
     rows = [{"index": k, "value": z.value, "residual": z.residual}
             for k, z in enumerate(finder(args.nu, args.count, args.tol), 1)]
@@ -224,8 +213,20 @@ def _cmd_critlen(args) -> int:
 # parser / dispatch
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one change: an argument that starts with "-" and a
+    digit, or with "-." and a digit, is a value, never an option.
+    argparse's own test passes -5 and -0.5 but reads -1e-3, -5. and -1:1
+    as unknown options.  No flag of the CLI starts so, and the subparsers
+    are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebcrit",
         description="Determinant machinery and critical-length estimation "
                     "for the trig-polynomial spaces built from spherical "

@@ -110,13 +110,6 @@ def refine_bracket(f: Callable[[float], float], lo: float, hi: float, *,
     return ZeroResult(root, None, iters)
 
 
-def _reported(f: Callable[[float], float], res: ZeroResult) -> ZeroResult:
-    """res with its residual |f(root)| filled in where refine_bracket left it."""
-    if res.residual is None:
-        res = ZeroResult(res.value, abs(f(res.value)), res.iterations)
-    return res
-
-
 def first_zeros(f: Callable[[float], float], count: int, *, start: float,
                 step: float, cap: float, xtol: float = 1e-12) -> Iterator[ZeroResult]:
     """The first ``count`` zeros of f on [start, cap], from one scan.
@@ -124,7 +117,8 @@ def first_zeros(f: Callable[[float], float], count: int, *, start: float,
     The grid is start, then min(x + step, cap) up to the cap, and the step
     must be small enough that no two zeros share one scan cell.  Each
     bracket is refined by ``refine_bracket`` with the scan values of its
-    ends and yielded, with its residual, before the scan goes on, and
+    ends and yielded, with its residual |f(root)| filled in where the
+    refiner interpolated, before the scan goes on, and
     nothing past the count-th bracket is drawn.  The arguments, xtol
     included, are checked before the scan draws its first sample.  When
     the scan ends with fewer than ``count`` zeros, the ones found have been
@@ -139,7 +133,10 @@ def first_zeros(f: Callable[[float], float], count: int, *, start: float,
     found = 0
     brackets = islice(sign_changes(_grid(f, start, step, cap)), count)
     for found, (lo, flo, hi, fhi) in enumerate(brackets, 1):
-        yield _reported(f, refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi))
+        res = refine_bracket(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
+        if res.residual is None:  # an interpolated root
+            res = ZeroResult(res.value, abs(f(res.value)), res.iterations)
+        yield res
     if found < count:
         raise NumericalFailure(
             f"only {found} sign change(s) of the target found in ({start}, {cap}); "

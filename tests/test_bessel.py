@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,10 +16,12 @@ from mpmath.libmp import dps_to_prec
 from chebcrit import bessel, fixedpoint
 from chebcrit.bessel import (
     bessel_deriv_zero,
+    bessel_deriv_zeros,
     bessel_j,
     bessel_j_deriv,
     bessel_stack_values,
     bessel_zero,
+    bessel_zeros,
     fn_deriv_zero,
     fn_zero,
 )
@@ -498,6 +501,9 @@ def test_usage_errors():
         bessel_zero(1.0, 0)
     with pytest.raises(UsageError):
         bessel_deriv_zero(0.0, 1)
+    for zeros, nu in ((bessel_zeros, -1.0), (bessel_deriv_zeros, 0.0)):
+        with pytest.raises(UsageError):
+            zeros(nu, 3)  # at the call, before any zero is drawn
     for zero in (fn_zero, fn_deriv_zero):
         for n, k in ((-1, 1), (1.5, 1), (17, 1), (2, 0)):
             with pytest.raises(UsageError):
@@ -508,3 +514,20 @@ def test_missing_fn_deriv_zero_names_its_target():
     # f_2' has about a dozen zeros below its scan cap 2.5 + ZERO_SCAN_SPAN
     with pytest.raises(NumericalFailure, match=r"^zero of f_2': only \d+ sign change"):
         fn_deriv_zero(2, 40)
+
+
+@pytest.mark.parametrize("zero, arg, label", [(bessel_zero, 2.5, "J_2.5"),
+                                              (bessel_deriv_zero, 3.4, "J_3.4'"),
+                                              (fn_zero, 2, "f_2")])
+def test_missing_zero_names_its_target(zero, arg, label):
+    # each scan gives up at nu (or n + 0.5) + ZERO_SCAN_SPAN, about a dozen zeros in
+    with pytest.raises(NumericalFailure, match=rf"^zero of {re.escape(label)}: only \d+ sign"):
+        zero(arg, 40)
+
+
+def test_every_derivative_zero_drawn_is_checked_against_nu(monkeypatch):
+    # a stand-in J_3.4' with its first zero at pi < 3.4, then 2 pi and 3 pi
+    monkeypatch.setattr(bessel, "bessel_j_deriv", lambda nu, t, order: math.sin(t))
+    zeros = bessel_deriv_zeros(3.4, 3)
+    with pytest.raises(NumericalFailure, match=r"^computed j'_\{3.4,1\} = 3.14159"):
+        next(zeros)

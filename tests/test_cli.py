@@ -8,6 +8,8 @@ import math
 import pytest
 
 from chebcrit.cli import dispatch, fmt_float, render_json
+from chebcrit.determinants import symbolic_v
+from chebcrit.trigpoly import spherical_fn, tp_eval
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +215,31 @@ def test_zero_tol_is_valid(capsys):
     code, out, _ = run_cli(capsys, "zeros", "--nu", "2.5", "--count", "1", "--tol", "0")
     assert code == 0
     assert json.loads(out)["header"]["config"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("literal", ["-1e-3", "-5.", "-1E2"])
+def test_negative_literals_in_every_decimal_form_are_values(capsys, literal):
+    # argparse alone reads these as unknown options: only -5 and -0.5 pass it
+    code, out, err = run_cli(capsys, "fn", "--n", "2", "--at", "0.5", literal)
+    assert code == 0, err
+    xs = (0.5, float(literal))
+    assert json.loads(out)["values"] == [{"x": x, "value": tp_eval(spherical_fn(2), x)}
+                                         for x in xs]
+
+
+def test_scan_range_may_start_negative(capsys):
+    code, out, err = run_cli(capsys, "scan", "--what", "v", "--n", "2", "--range", "-1:1",
+                             "--points", "3", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["rows"] == [
+        {"x": x, "value": tp_eval(symbolic_v(2), x), "sign": s}
+        for x, s in ((-1.0, 1), (0.0, 0), (1.0, 1))]
+
+
+def test_zeros_count_below_one_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "zeros", "--nu", "2", "--count", "0")
+    assert code == 2
+    assert out == "" and "count" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -4,8 +4,9 @@
 runs in-process through ``cli.dispatch`` with stdout captured.  Run as a
 script, ``PYTHONPATH=src python tests/test_golden.py``, it replays every
 case in a fresh interpreter (``python -m chebcrit.cli``) and exits nonzero
-if any payload or exit code differs; CI runs it so, beside its own step
-for the critlen --n-max 6 reference.
+if any payload or exit code differs; it needs no pytest, and CI runs it so
+before pytest is installed, beside its own step for the critlen --n-max 6
+reference.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from chebcrit.cli import dispatch
 
@@ -61,7 +60,14 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("golden", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    """One test per case, parametrized by pytest's hook, so the module
+    imports without pytest and the replay below runs wherever chebcrit
+    does."""
+    if "golden" in metafunc.fixturenames:
+        metafunc.parametrize("golden", sorted(CASES))
+
+
 def test_payload_matches_golden(capsys, golden):
     code = dispatch(list(CASES[golden]))
     out = capsys.readouterr().out
