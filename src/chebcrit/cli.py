@@ -215,14 +215,16 @@ def _cmd_critlen(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with one change: an argument that starts with "-" and a
-    digit, or with "-." and a digit, is a value, never an option.
-    argparse's own test passes -5 and -0.5 but reads -1e-3, -5. and -1:1
-    as unknown options.  No flag of the CLI starts so, and the subparsers
-    are of this class too."""
+    digit, or with "-." and a digit, or that is -inf, -infinity or -nan in
+    any case, is a value, never an option.  argparse's own test passes -5
+    and -0.5 but reads -1e-3, -5., -1:1 and -inf as unknown options (so a
+    non-finite flag would not reach decimal_literal's message).  No flag of
+    the CLI starts so, and the subparsers are of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)",
+                                                   re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

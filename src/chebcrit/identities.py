@@ -42,10 +42,15 @@ Identity tags, in payload order, and their requirements:
   eq-Vpositive        V(f_n)/(6n(n-1)) as a sum of positive integrals
 
 The q' = 0 identities reject models with qprime_is_zero = False.  The
-integrals of the integral checks are built in for the built-in families
-(the exact ring resolves their removable 0/0 endpoint behavior); for a
-stack of another solution, residual_parts takes their values from the
-caller.
+integrals of the integral checks are built in for the built-in families;
+for a stack of another solution, residual_parts takes their values from
+the caller.  Each spherical integral is a ring quotient a(t)/t^p, data in
+_SPHERICAL_INTEGRANDS: its cumulative column is the exact Maclaurin series
+of trigpoly.tp_integral_over_power, correctly rounded, at every grid
+point from the first for as long as the series certifies (x up to about
+8-11), and adaptive Simpson on tp_eval_over_power(a, p, t) continues from
+the last certified point.  The Bessel integral J_nu^2/t^2 is Simpson's
+from 0.
 """
 
 from __future__ import annotations
@@ -68,7 +73,16 @@ from .determinants import (
 from .errors import NumericalFailure, SingularPointError, UsageError
 from .models import CoeffModel
 from .quadrature import cumulative_integrals
-from .trigpoly import spherical_fn, tp_eval, tp_eval_over_power
+# nothing here calls tp_eval: the binding stays for perfbench's per-layer
+# trace, which patches identities.tp_eval and fails where it is gone
+from .trigpoly import (
+    TrigPoly,
+    spherical_fn,
+    tp_eval,
+    tp_eval_over_power,
+    tp_integral_over_power,
+    tp_mul,
+)
 
 #: residual budget per check class: identities evaluated from exact stacks
 #: and integral identities.
@@ -357,7 +371,7 @@ class IdentityInfo:
     families: tuple[str, ...] | None  # None = any family
     default_tol: float
     residual: Callable | None = None  # (model, stack, *integrals) -> (lhs_terms, rhs_terms)
-    integrals: tuple[str, ...] = ()  # the _INTEGRANDS names the residual reads, in order
+    integrals: tuple[str, ...] = ()  # the _cumulative names the residual reads, in order
     # (family, bound, reason): a model of that family needs param > bound
     param_above: tuple[tuple[str, float, str], ...] = ()
 
@@ -567,31 +581,6 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
     )
 
 
-def _fn_sq_over_power(n: int, power: int) -> Callable[[float], float]:
-    """t -> f_n(t)^2 / t^power as a total function on [0, inf)."""
-    f = spherical_fn(n)
-    half = 2 * n + 1
-
-    def g(t: float) -> float:
-        if t < 0.05:
-            r = tp_eval_over_power(f, half, t)
-            return r * r * t ** (2 * half - power)
-        ft = tp_eval(f, t)
-        return ft * ft / t ** power
-
-    return g
-
-
-def _v_over_power(n: int, power: int) -> Callable[[float], float]:
-    """t -> v(f_n)(t) / t^power, resolved exactly at the origin."""
-    sv = symbolic_v(n)
-
-    def g(t: float) -> float:
-        return tp_eval_over_power(sv, power, t)
-
-    return g
-
-
 def _j_sq_over_t2(nu: float) -> Callable[[float], float]:
     """t -> J_nu(t)^2 / t^2, 0 at the origin."""
 
@@ -604,24 +593,44 @@ def _j_sq_over_t2(nu: float) -> Callable[[float], float]:
     return g
 
 
-#: integrand of each named cumulative integral by (family, name), built from
-#: the model parameter: "v" is the integral of v's representation, f^2 times
-#: (p'' + p'p - 2q') e^P less its constant; "V:f" and "V:v" are the two of
-#: V(f_n), f_n^2 / t^(2n+5) and v(f_n) / t^(2n+3)
-_INTEGRANDS: dict[tuple[str, str], Callable[[float], Callable[[float], float]]] = {
-    ("spherical", "v"): lambda n: _fn_sq_over_power(int(n), 2 * int(n) + 3),
-    ("bessel", "v"): _j_sq_over_t2,
-    ("spherical", "V:f"): lambda n: _fn_sq_over_power(int(n), 2 * int(n) + 5),
-    ("spherical", "V:v"): lambda n: _v_over_power(int(n), 2 * int(n) + 3),
+@lru_cache(maxsize=None)
+def _fn_squared(n: int) -> TrigPoly:
+    return tp_mul(spherical_fn(n), spherical_fn(n))
+
+
+#: each spherical integral as the ring quotient (a, p), a(t)/t^p, from n:
+#: "v" is the integral of v's representation, f_n^2 / t^(2n+3); "V:f" and
+#: "V:v" are the two of V(f_n), f_n^2 / t^(2n+5) and v(f_n) / t^(2n+3)
+_SPHERICAL_INTEGRANDS: dict[str, Callable[[int], tuple[TrigPoly, int]]] = {
+    "v": lambda n: (_fn_squared(n), 2 * n + 3),
+    "V:f": lambda n: (_fn_squared(n), 2 * n + 5),
+    "V:v": lambda n: (symbolic_v(n), 2 * n + 3),
 }
 
 
 @lru_cache(maxsize=64)
 def _cumulative(family: str, param: float, name: str,
                 xs: tuple[float, ...]) -> tuple[float, ...]:
-    """The named integral from 0 to each x of xs, in one quadrature pass."""
-    return tuple(cumulative_integrals(_INTEGRANDS[family, name](param), 0.0, xs,
-                                      rel_tol=_QUAD_REL_TOL))
+    """The named integral from 0 to each x of xs.
+
+    A spherical integral is the exact series of ``tp_integral_over_power``,
+    correctly rounded, at each x from the first for as long as it
+    certifies, and adaptive Simpson on its quotient from the last such x
+    on; J_nu^2 / t^2 ("v" of a Bessel model) is Simpson's from 0.
+    """
+    if family == "bessel":
+        return tuple(cumulative_integrals(_j_sq_over_t2(param), 0.0, xs,
+                                          rel_tol=_QUAD_REL_TOL))
+    a, p = _SPHERICAL_INTEGRANDS[name](int(param))
+    head = []
+    for x in xs:
+        value = tp_integral_over_power(a, p, x)
+        if value is None:
+            break
+        head.append(value)
+    start, at = (xs[len(head) - 1], head[-1]) if head else (0.0, 0.0)
+    return (*head, *cumulative_integrals(lambda t: tp_eval_over_power(a, p, t), start,
+                                         xs[len(head):], rel_tol=_QUAD_REL_TOL, start=at))
 
 
 def _a23_row(model: CoeffModel, x: float) -> Row:

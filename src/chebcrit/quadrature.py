@@ -8,6 +8,11 @@ distributed to subintervals by halving.  A node is also accepted once its
 error estimate reaches the double-precision roundoff floor of the local
 panel magnitude, so requesting a tolerance far below what doubles can
 express degrades gracefully instead of exhausting the subdivision budget.
+
+Its estimate is not a bound.  ``identities`` runs it only where the exact
+series of ``trigpoly.tp_integral_over_power`` gives up (the spherical
+integrals past x ~ 8-11, continued from the series' last value through
+``cumulative_integrals``' ``start``) and on the Bessel integral.
 """
 
 from __future__ import annotations
@@ -71,22 +76,24 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def cumulative_integrals(f: Callable[[float], float], a: float, xs, *,
-                         rel_tol: float = 1e-12) -> list[float]:
-    """Integrals from a to each x of the ascending sequence xs, incrementally.
+                         rel_tol: float = 1e-12, start: float = 0.0) -> list[float]:
+    """Integrals to each x of the ascending sequence xs, incrementally: the
+    integral's value ``start`` at a plus that of f from a to x.
 
     Each new segment is integrated once and accumulated, so evaluating an
     integral identity over a whole grid costs a single pass.  The segment
-    tolerance follows the running magnitude of the accumulated integral
-    (with a one-panel probe bootstrapping the scale), keeping the total
-    relative error near rel_tol * len(xs) for integrands of one sign.  The
-    probe's three values seed the segment's Simpson rule, and f(x) carries
-    over to the next segment, so no abscissa is evaluated twice.
+    tolerance follows the running magnitude of the accumulated integral,
+    from |start| (with a one-panel probe bootstrapping the scale), keeping
+    the total relative error near rel_tol * len(xs) for integrands of one
+    sign.  The probe's three values seed the segment's Simpson rule, and
+    f(x) carries over to the next segment, so no abscissa is evaluated
+    twice.
     """
     out = []
-    total = 0.0
+    total = start
     prev = a
     fprev = None
-    scale = 0.0
+    scale = abs(start)
     for x in xs:
         if x < prev:
             raise NumericalFailure("cumulative_integrals needs ascending points")

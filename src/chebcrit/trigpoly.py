@@ -17,8 +17,9 @@ element.
 Numeric evaluation is a separate concern: the closed forms have integer
 coefficients that grow like (2n+1)!! while the function values near x = 0
 vanish to high order, so a fixed-precision sum loses every significant
-digit.  ``tp_eval_mp``, ``tp_eval`` and ``tp_eval_over_power`` share one
-fixed-point kernel on Python ints, and only exact values bypass it:
+digit.  ``tp_eval_mp``, ``tp_eval``, ``tp_eval_over_power`` and
+``tp_integral_over_power`` share one fixed-point kernel on Python ints, and
+only exact values bypass it:
 
 * at x = 0 the value is the exact Maclaurin coefficient, and a pure
   polynomial is summed exactly in the rationals; ``tp_eval`` and
@@ -97,9 +98,25 @@ F + s e - r bits.  More precision shrinks E but not the tail: once
 tail >= E and the caller draws again, the form gives up and the harmonic
 form is summed from 136 bits, d = power.
 
-The kernel's tables and the Maclaurin form are built once per element
-(the tables per F) and stored on the instance, outside the dataclass
-fields, so ``==`` and ``hash`` are unchanged.  There is no precision
+The same 64 coefficients integrate: ``tp_integral_over_power(a, power,
+x)`` is the integral of a(t)/t^power from 0 to x, correctly rounded.
+With e = m0 - power + 1 it is x^e (Q(x) + t), Q = sum_j c_(m0+j) x^j /
+(e + j) over the 64 exact coefficients, since integrating the bound
+K |t|^(m0 - power + 64) gives |t| <= K' |x|^64, K' = K / (e + 64).  Here
+K is the tail bound above at a radius R taken from the element, not
+MACLAURIN_RADIUS: the largest R with k R <= (M + 1)/2 for every term, so
+that each factor 1/(1 - k R/(M + 1)) is at most 2; for f_n^2 it is
+(2n + 67)/4.  The kernel sums Q, and the enclosures and the rounding test
+are those of the Maclaurin form above at d = 0.  It returns None where
+|x| > R and where the tail stops the rounding test, as the Maclaurin form
+gives up, and refuses e <= 0 (UsageError), where the integral diverges at
+0.  For the spherical integrands of ``identities`` it certifies up to
+x ~ 8-11.
+
+The kernel's tables, the Maclaurin form and the integral's forms are
+built once per element (the tables per F, the integral's forms per power)
+and stored on the instance, outside the dataclass fields, so ``==`` and
+``hash`` are unchanged.  There is no precision
 context: every route computes at a precision passed to it as an argument,
 on Python ints, and nothing here imports mpmath.  The kernel keeps
 x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in a
@@ -533,11 +550,10 @@ def _fixed_value(a: TrigPoly, x: float, F: int):
     return total, bound
 
 
-def _tail_bound(a: TrigPoly, degree: int):
+def _tail_bound(a: TrigPoly, degree: int, R: Fraction):
     """The rational K of the module docstring's tail bound for the Maclaurin
-    terms of ``a`` of degree D = ``degree`` and above, or None where a term
-    fails its hypothesis."""
-    R = Fraction(MACLAURIN_RADIUS)
+    terms of ``a`` of degree D = ``degree`` and above on |x| <= R, or None
+    where a term fails its hypothesis."""
     total = Fraction(0)
     for k, cpart, spart in a.terms:
         for i, c in (*enumerate(cpart), *enumerate(spart)):
@@ -558,16 +574,70 @@ def _maclaurin_form(a: TrigPoly):
         form = None
         if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
             m0 = vanishing_order(a)
-            K = _tail_bound(a, m0 + _MACLAURIN_TERMS)
+            K = _tail_bound(a, m0 + _MACLAURIN_TERMS, Fraction(MACLAURIN_RADIUS))
             if K is not None:
                 count = m0 + _MACLAURIN_TERMS
                 q = _make({0: (_maclaurin_ints(a, count)[m0:], ())},
                           a.den * math.factorial(count - 1))
-                # |c_m0| > 2^(lg - 1): |c_m0| 2^F > 2^_START_BITS from F = _START_BITS + 1 - lg
-                lg = abs(q.terms[0][1][0]).bit_length() - q.den.bit_length()
-                form = m0, q, K, max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
+                form = m0, q, K, _extra_bits(q)
         a.__dict__["_maclaurin_form"] = form
     return a.__dict__["_maclaurin_form"]
+
+
+def _extra_bits(q: TrigPoly) -> int:
+    """The bits above _EVAL_PRECS[0] from which |c| 2^F > 2^_START_BITS for
+    the constant coefficient c of the pure polynomial q: |c| > 2^(lg - 1)
+    gives it from F = _START_BITS + 1 - lg."""
+    lg = abs(q.terms[0][1][0]).bit_length() - q.den.bit_length()
+    return max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
+
+
+def _integral_form(a: TrigPoly, power: int):
+    """(e, Q, K', R, extra) of the integral of a(t)/t^power in the module
+    docstring, built once per power and stored on the instance; None for a
+    pure polynomial and where _tail_bound is None.  UsageError where
+    e <= 0, where the integral diverges at 0."""
+    forms = a.__dict__.setdefault("_integral_forms", {})
+    if power not in forms:
+        m0 = vanishing_order(a)
+        e = m0 - power + 1
+        if e <= 0:
+            raise UsageError(f"the integral of a/t^{power} diverges at 0 "
+                             f"(vanishing order {m0})")
+        form = None
+        count = m0 + _MACLAURIN_TERMS
+        if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+            # the largest R with k R <= (M + 1)/2 for every term
+            R = min(Fraction(count - max(len(c), len(s)) + 2, 2 * k) for k, c, s in a.terms if k)
+            K = _tail_bound(a, count, R)
+            if K is not None:
+                L = math.lcm(*range(e, e + _MACLAURIN_TERMS))
+                Q = _make({0: ([c * (L // (e + j)) for j, c in
+                                enumerate(_maclaurin_ints(a, count)[m0:])], ())},
+                          a.den * math.factorial(count - 1) * L)
+                form = e, Q, K / (e + _MACLAURIN_TERMS), R, _extra_bits(Q)
+        forms[power] = form
+    return forms[power]
+
+
+def _series_enclosures(q: TrigPoly, K: Fraction, extra: int, e: int, x: float, d: int):
+    """(T, E, F, d) with |T 2^-F - x^e (q(x) + t)| <= E 2^-F for every
+    |t| <= K |x|^64, one per pass of the kernel on the pure polynomial q at
+    prec + extra fraction bits for prec in _EVAL_PRECS, until the tail
+    K |x|^64 2^F reaches the kernel's error: more precision cannot shrink
+    it, so the stream ends there.  d passes through for the caller."""
+    _, p, s, _, _ = _point_values(x)
+    pe, scale = p**e, abs(p) ** e
+    r = scale.bit_length() - 1
+    tail_num = K.numerator * abs(p) ** _MACLAURIN_TERMS
+    tail_den = K.denominator << _MACLAURIN_TERMS * s
+    for prec in _EVAL_PRECS:
+        F = prec + extra
+        total, bound = _fixed_value(q, x, F)
+        tail = -(-(tail_num << F) // tail_den)
+        yield total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r, d
+        if tail >= bound:
+            return
 
 
 def _enclosures(a: TrigPoly, x: float, power: int):
@@ -587,19 +657,7 @@ def _enclosures(a: TrigPoly, x: float, power: int):
     if form is not None:
         m0, q, K, extra = form
         d = 0 if power <= m0 else power
-        e = m0 - power + d
-        _, p, s, _, _ = _point_values(x)
-        pe, scale = p**e, abs(p) ** e
-        r = scale.bit_length() - 1
-        tail_num = K.numerator * abs(p) ** _MACLAURIN_TERMS
-        tail_den = K.denominator << _MACLAURIN_TERMS * s
-        for prec in _EVAL_PRECS:
-            F = prec + extra
-            total, bound = _fixed_value(q, x, F)
-            tail = -(-(tail_num << F) // tail_den)
-            yield total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r, d
-            if tail >= bound:
-                break
+        yield from _series_enclosures(q, K, extra, m0 - power + d, x, d)
     for F in _EVAL_PRECS:
         yield (*_fixed_value(a, x, F), F, power)
     raise NumericalFailure(
@@ -686,8 +744,40 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
     exact = _exact_value(a, x, power)
     if exact is not None:
         return _checked_double(exact.numerator, exact.denominator, 0, "value at x={!r}", x)
+    return _rounded(_enclosures(a, x, power), x)
+
+
+def tp_integral_over_power(a: TrigPoly, power: int, x: float) -> float | None:
+    """The integral of a(t)/t^power from 0 to x as a double, correctly
+    rounded, from the exact series of the module docstring; None past its
+    reach: where |x| > R or where its tail stops the rounding test.
+
+    UsageError where e = m0 - power + 1 <= 0 (the integral diverges at 0,
+    m0 the vanishing order of ``a``); None where ``a`` has no form (a pure
+    polynomial, or a term that fails _tail_bound's hypothesis).
+    """
+    if power < 0:
+        raise UsageError("power must be non-negative")
+    x = _finite(x)
+    form = _integral_form(a, power)
+    if form is None:
+        return None
+    e, Q, K, R, extra = form
+    if abs(x) > R:
+        return None
+    if x == 0.0:
+        return 0.0
+    return _rounded(_series_enclosures(Q, K, extra, e, x, 0), x)
+
+
+def _rounded(enclosures, x: float) -> float | None:
+    """The value of the first (T, E, F, d) of ``enclosures`` that passes
+    Ziv's rounding test, T 2^-F / x^d as a double: with x = p / 2^s both
+    ends (T -+ E) 2^(s d - F) / p^d are rounded once each, from the
+    integers, and must give one double, with |T| > E so that the interval
+    excludes 0.  None when the enclosures run out."""
     _, p, s, _, _ = _point_values(x)
-    for T, E, F, d in _enclosures(a, x, power):
+    for T, E, F, d in enclosures:
         # (T -+ E) 2^-F / x^d with x^d = p^d / 2^(s d), each end rounded once
         den, e = p**d, s * d - F
         if den < 0:
@@ -697,6 +787,7 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
             if not lo or math.isinf(lo):  # T - E is nonzero: this raises
                 _checked_double(T - E, den, e, "value at x={!r}", x)
             return lo
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -217,6 +217,22 @@ def test_zero_tol_is_valid(capsys):
     assert json.loads(out)["header"]["config"]["tol"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("fn", "--n", "2", "--at", "-inf"),
+    ("fn", "--n", "2", "--at", "0.5", "-nan"),
+    ("zeros", "--nu", "-Infinity", "--count", "2"),
+    ("fn", "--n", "2", "--at", "-INF"),
+    ("fn", "--n", "2", "--at", "-NaN"),
+    ("zeros", "--nu", "-infinity", "--count", "2"),
+])
+def test_negative_nonfinite_literals_reach_the_finite_check(capsys, argv):
+    # argparse alone reads these as options ("expected at least one
+    # argument", "unrecognized arguments"), so the message named the wrong cause
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "numeric flags must be finite" in err
+
+
 @pytest.mark.parametrize("literal", ["-1e-3", "-5.", "-1E2"])
 def test_negative_literals_in_every_decimal_form_are_values(capsys, literal):
     # argparse alone reads these as unknown options: only -5 and -0.5 pass it

@@ -75,16 +75,32 @@ def test_payload_matches_golden(capsys, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def first_difference(got: bytes, want: bytes) -> str:
+    """The first line where two payloads differ, as ``line N: got | want``
+    (a missing line reads as <end>)."""
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    for i in range(max(len(got_lines), len(want_lines))):
+        g = got_lines[i] if i < len(got_lines) else "<end>"
+        w = want_lines[i] if i < len(want_lines) else "<end>"
+        if g != w:
+            return f"line {i + 1}: {g.strip()} | golden {w.strip()}"
+    return "no line differs"
+
+
 def replay_cold() -> int:
     """Run each case as ``python -m chebcrit.cli`` in a fresh interpreter,
-    print one line per case, and return how many payloads or exit codes
-    differ from the golden and 0."""
+    print one line per case, with the first differing line under each case
+    that differs, and return how many payloads or exit codes differ from
+    the golden and 0."""
     failed = 0
     for golden in sorted(CASES):
         run = subprocess.run([sys.executable, "-m", "chebcrit.cli", *CASES[golden]],
                              capture_output=True, check=False)
-        ok = run.returncode == 0 and run.stdout == (GOLDEN / golden).read_bytes()
+        want = (GOLDEN / golden).read_bytes()
+        ok = run.returncode == 0 and run.stdout == want
         print(f"{'ok' if ok else 'DIFFERS'} {golden} (exit {run.returncode})", flush=True)
+        if not ok:
+            print(f"  {first_difference(run.stdout, want)}", flush=True)
         failed += not ok
     return failed
 

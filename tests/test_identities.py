@@ -192,6 +192,42 @@ def test_stack_depth_gate():
         residual("thm-main2", model, s)
 
 
+def _simpson_from_0(a, power, xs):
+    from chebcrit.identities import _QUAD_REL_TOL
+    from chebcrit.quadrature import cumulative_integrals
+    from chebcrit.trigpoly import tp_eval_over_power
+
+    return cumulative_integrals(lambda t: tp_eval_over_power(a, power, t), 0.0, xs,
+                                rel_tol=_QUAD_REL_TOL)
+
+
+@pytest.mark.parametrize("name", ["v", "V:f", "V:v"])
+def test_series_then_simpson_column_matches_simpson_from_0(name):
+    # the column is the exact series up to its reach (x ~ 9 at n = 4) and
+    # Simpson from there on; Simpson from 0 agrees within its own error
+    from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
+    from chebcrit.trigpoly import tp_integral_over_power
+
+    model = spherical_model(4)
+    a, power = _SPHERICAL_INTEGRANDS[name](4)
+    xs = tuple(make_grid(0.01, 30.0, 80))
+    got = _cumulative(model.family, model.param, name, xs)
+    series = [tp_integral_over_power(a, power, x) for x in xs]
+    head = series.index(None)
+    assert 50 < head < len(xs) and got[:head] == tuple(series[:head])
+    for x, g, w in zip(xs, got, _simpson_from_0(a, power, xs)):
+        assert abs(g - w) <= 1e-12 * w, (x, g, w)
+
+
+def test_column_past_the_series_reach_is_simpson_from_0():
+    from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
+
+    model = spherical_model(4)
+    xs = tuple(make_grid(20.0, 30.0, 20))
+    got = _cumulative(model.family, model.param, "V:v", xs)
+    assert got == tuple(_simpson_from_0(*_SPHERICAL_INTEGRANDS["V:v"](4), xs))
+
+
 @pytest.mark.parametrize("tag", ["integral-v", "integral-vfn", "integral-V", "eq-Vpositive"])
 def test_integral_grid_outside_the_domain_is_refused_before_quadrature(monkeypatch, tag):
     from chebcrit import identities

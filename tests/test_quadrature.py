@@ -55,6 +55,30 @@ def test_cumulative_with_tiny_head_segment():
         assert abs(got - want) <= 1e-10 * want
 
 
+def test_cumulative_continues_from_a_start_value():
+    # the integral of t e^-t from 0, continued from its exact value at a = 2
+    def f(t):
+        return t * math.exp(-t)
+
+    a, xs = 2.0, [2.0, 3.5, 7.0]
+    start = 1.0 - 3.0 * math.exp(-a)
+    cum = cumulative_integrals(f, a, xs, rel_tol=1e-13, start=start)
+    assert cum[0] == start
+    for x, got in zip(xs, cum):
+        want = 1.0 - (1.0 + x) * math.exp(-x)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_cumulative_tolerance_scale_starts_from_the_start_value():
+    # a large |start| loosens every segment's tolerance: fewer nodes
+    nodes = []
+    for start in (0.0, 1e4):
+        g, calls = _recording(math.cos)
+        cumulative_integrals(g, 0.0, [1.0, 2.0, 3.0], rel_tol=1e-13, start=start)
+        nodes.append(len(calls))
+    assert nodes[0] > nodes[1]
+
+
 def _recording(f):
     calls = []
 

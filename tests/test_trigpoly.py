@@ -22,7 +22,9 @@ from chebcrit.trigpoly import (
     _enclosures,
     _fixed_table,
     _fixed_value,
+    _integral_form,
     _maclaurin_form,
+    _tail_bound,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -37,6 +39,7 @@ from chebcrit.trigpoly import (
     tp_eval_mp,
     tp_eval_over_power,
     tp_from_poly,
+    tp_integral_over_power,
     tp_mul,
     tp_neg,
     tp_scale,
@@ -1099,6 +1102,99 @@ def test_stream_elsewhere_climbs_the_ladder_from_136_bits(a, x):
         assert [d for *_, d in drawn] == [power] * 3
         for T, E, F, _ in drawn:
             assert _bound_holds(T, E, F, _ref_value(a, x)), (x, power, F)
+
+
+# ---------------------------------------------------------------- integrals
+
+def _integral_ref(a, power, x, prec=1500):
+    """The integral of a(t)/t^power from 0 to x at 60 digits: Gauss-Legendre
+    on u = t/x, the integrand scaled to 1 at u = 1 and each of its values
+    taken at ``prec`` bits (the harmonic form cancels near 0)."""
+    with mp.workprec(prec):
+        top = _ref_value(a, x, prec) / mp.mpf(x) ** power
+
+    def g(u):
+        with mp.workprec(prec):
+            t = u * x
+            value = _ref_value(a, t, prec) / t**power / top
+        return +value  # rounded to the quadrature's 60 digits
+
+    with mp.workdps(60):
+        return mp.quad(g, [0, 1], method="gauss-legendre") * x * top
+
+
+def _spherical_integrals(n):
+    """The (name, a, power) of the three spherical integrals of ``identities``."""
+    from chebcrit.identities import _SPHERICAL_INTEGRANDS
+
+    return [(name, *make(n)) for name, make in _SPHERICAL_INTEGRANDS.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_integral_series_is_the_correctly_rounded_60_digit_value(n):
+    checked = 0
+    for name, a, power in _spherical_integrals(n):
+        if vanishing_order(a) - power + 1 <= 0:  # n = 1: V:f and V:v diverge at 0
+            continue
+        for x in (0.01, 1.0, 7.5):
+            got = tp_integral_over_power(a, power, x)
+            assert got == float(_integral_ref(a, power, x)), (n, name, x)
+            checked += 1
+    assert checked == (3 if n == 1 else 9)
+
+
+def test_integral_series_gives_up_past_its_reach():
+    # x = 20 lies inside R for every n here, so the tail, not the radius,
+    # stops it; x = 30 lies past R itself
+    for n in (2, 4, 8, 16):
+        for name, a, power in _spherical_integrals(n):
+            if name != "V:v":  # f_n^2: k = 2 on degree 2n, D = 4n + 66
+                assert _integral_form(a, power)[3] == Fraction(2 * n + 67, 4)
+            assert tp_integral_over_power(a, power, 20.0) is None, (n, name)
+            assert tp_integral_over_power(a, power, 30.0) is None, (n, name)
+    assert tp_integral_over_power(spherical_fn(2), 1, 0.0) == 0.0
+
+
+def test_integral_series_refuses_an_integral_divergent_at_0():
+    f1_squared = tp_mul(spherical_fn(1), spherical_fn(1))  # vanishing order 6
+    assert tp_integral_over_power(f1_squared, 6, 1.0) is not None  # e = 1
+    for power in (7, 9):  # e = 0 ("V:f" at n = 1), e = -2
+        with pytest.raises(UsageError, match="diverges at 0"):
+            tp_integral_over_power(f1_squared, power, 1.0)
+    with pytest.raises(UsageError):
+        tp_integral_over_power(f1_squared, -1, 1.0)
+
+
+def test_integral_series_without_a_tail_bound_gives_none():
+    # x^70 lies beyond the 64 terms of sin x + x^70 (vanishing order 1), so
+    # its term fails _tail_bound's hypothesis M >= 0; a pure polynomial has
+    # no form either
+    assert tp_integral_over_power(tp_add(tp_sin(), tp_x(70)), 0, 0.5) is None
+    assert tp_integral_over_power(tp_add(tp_sin(), tp_x(60)), 0, 0.5) is not None
+    assert tp_integral_over_power(tp_x(3), 0, 0.5) is None
+
+
+def test_integral_series_tail_carries_weight(monkeypatch):
+    # at x = 8.24, just past the reach of f_1^2 / t^5 (the first x = k/100
+    # where it gives up is 8.01), the 64 terms alone certify a value one ulp
+    # off the 60-digit reference: the tail bound is what keeps it out
+    from chebcrit import trigpoly
+
+    a, power, x = tp_mul(spherical_fn(1), spherical_fn(1)), 5, 8.24
+    want = float(_integral_ref(a, power, x))
+    assert tp_integral_over_power(_fresh(a), power, x) is None
+    monkeypatch.setattr(trigpoly, "_tail_bound", lambda *args: Fraction(0))
+    planted = tp_integral_over_power(_fresh(a), power, x)
+    assert planted is not None and planted != want
+
+
+def test_integral_series_leaves_the_kernel_radius_alone():
+    # the kernel's own tail bound stays at MACLAURIN_RADIUS: an integral
+    # form built first does not change the element's Maclaurin form
+    a = _fresh(tp_mul(spherical_fn(4), spherical_fn(4)))
+    tp_integral_over_power(a, 11, 3.0)
+    m0, _, K, _ = _maclaurin_form(a)
+    assert K == _tail_bound(a, m0 + 64, Fraction(MACLAURIN_RADIUS))
 
 
 # ---------------------------------------------------------------- serialization
