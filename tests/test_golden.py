@@ -53,6 +53,9 @@ CASES = {
     "verify_spherical_1.json": ("verify", "--identity", "all", "--model", "spherical:1"),
     "verify_spherical_2.json": ("verify", "--identity", "all", "--model", "spherical:2"),
     "verify_spherical_4.json": ("verify", "--identity", "all", "--model", "spherical:4"),
+    # every grid point lies inside the series' reach: no Simpson node runs
+    "verify_integral_V_8_inside.json": ("verify", "--identity", "integral-V",
+                                        "--model", "spherical:8", "--range", "0.01:5"),
     "verify_bessel_0.json": ("verify", "--identity", "all", "--model", "bessel:0"),
     "verify_bessel_1.json": ("verify", "--identity", "all", "--model", "bessel:1"),
     "verify_bessel_1.5.json": ("verify", "--identity", "all", "--model", "bessel:1.5"),

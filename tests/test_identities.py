@@ -219,6 +219,17 @@ def test_series_then_simpson_column_matches_simpson_from_0(name):
         assert abs(g - w) <= 1e-12 * w, (x, g, w)
 
 
+def test_grid_inside_the_series_reach_runs_no_simpson_node(monkeypatch):
+    from chebcrit import identities
+
+    def forbidden(*args):
+        raise AssertionError("a Simpson node ran inside the series' reach")
+
+    identities._cumulative.cache_clear()
+    monkeypatch.setattr(identities, "tp_eval_over_power", forbidden)
+    assert run_identity("integral-V", spherical_model(8), lo=0.01, hi=5.0).passed
+
+
 def test_column_past_the_series_reach_is_simpson_from_0():
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
 
