@@ -22,6 +22,7 @@ AT = ("--at", "1e-4", "1e-3", "0.0099", "0.01", "0.5", "7.5", "29.9", "-0.005")
 
 CASES = {
     "critlen_9.json": ("critlen", "--n", "9"),
+    "critlen_1_table.txt": ("critlen", "--n-max", "1", "--format", "table"),
     "fn_3_large_x.json": ("fn", "--n", "3", "--at", "1.5707963267948966", "3.141592653589793",
                           "4.71238898038469", "1e6", "1e15", "1e80", "-30000"),
     "fn_8_at.json": ("fn", "--n", "8", *AT),
@@ -42,6 +43,8 @@ CASES = {
                              "--points", "1000", "--format", "json"),
     "scan_v_12_near0.json": ("scan", "--what", "v", "--n", "12", "--range", "0.0001:0.0099",
                              "--points", "50", "--format", "json"),
+    "scan_w_2_csv.csv": ("scan", "--what", "w", "--n", "2", "--range", "0.5:8",
+                         "--points", "9"),
     "scan_w_8_near0.json": ("scan", "--what", "w", "--n", "8", "--range", "0.001:0.05",
                             "--points", "60", "--format", "json"),
     "zeros_0.json": ("zeros", "--nu", "0", "--count", "3"),
