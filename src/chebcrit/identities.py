@@ -3,9 +3,10 @@
 Each identity relates determinants of a solution f of f'' + p f' + q f = 0
 to the coefficient data (p, q) and their derivatives.  Everything the
 module knows about an identity is one IdentityInfo row of REGISTRY: its
-kind, the stack depth it reads, its hypotheses (bounds on the model
-parameter as (family, bound, reason) data), its tolerance and, for the
-grid kinds, its residual function and the cumulative integrals it reads.
+kind (which fixes its default tolerance), the stack depth it reads, its
+hypotheses (bounds on the model parameter as (family, bound, reason)
+data) and, for the grid kinds, its residual function and the cumulative
+integrals it reads.
 The rows are listed in payload order (IDENTITY_TAGS is the tuple of their
 tags).  A residual function returns, from the stack and the integrals'
 values at x, the signed terms of the identity's two sides, (lhs_terms,
@@ -88,6 +89,10 @@ from .trigpoly import (
 #: and integral identities.
 TOL_EXACT = 1e-9
 TOL_INTEGRAL = 1e-8
+
+#: the default tolerance of a registry row, by its kind; every other kind
+#: takes TOL_EXACT, and the criterion passes on no violation at all
+_KIND_TOL = {"integral": TOL_INTEGRAL, "criterion": 0.0}
 
 _BESSEL_STACK_TOL = 1e-15
 
@@ -369,7 +374,6 @@ class IdentityInfo:
     min_depth: int
     needs_qprime_zero: bool
     families: tuple[str, ...] | None  # None = any family
-    default_tol: float
     residual: Callable | None = None  # (model, stack, *integrals) -> (lhs_terms, rhs_terms)
     integrals: tuple[str, ...] = ()  # the _cumulative names the residual reads, in order
     # (family, bound, reason): a model of that family needs param > bound
@@ -381,41 +385,37 @@ _F_ORDER_3 = ("spherical", 0, "needs f vanishing to order >= 3 at 0 (n >= 1)")
 
 
 REGISTRY: dict[str, IdentityInfo] = {i.tag: i for i in (
-    IdentityInfo("prop1", "stack", 3, False, None, TOL_EXACT, residual=_res_prop1),
-    IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"), TOL_INTEGRAL,
+    IdentityInfo("prop1", "stack", 3, False, None, residual=_res_prop1),
+    IdentityInfo("integral-v", "integral", 2, False, ("spherical", "bessel"),
                  residual=_res_integral_v, integrals=("v",), param_above=(
                      _F_ORDER_3, ("bessel", 1, "needs J_nu(0) = J_nu'(0) = 0 (nu > 1)"))),
-    IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",), TOL_INTEGRAL,
+    IdentityInfo("integral-vfn", "integral", 2, False, ("spherical",),
                  residual=_res_integral_vfn, integrals=("v",), param_above=(_F_ORDER_3,)),
-    IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",), TOL_INTEGRAL,
+    IdentityInfo("integral-vJnu", "integral", 2, False, ("bessel",),
                  residual=_res_integral_vjnu, integrals=("v",),
                  param_above=(("bessel", 1, "stated for nu > 1 only"),)),
-    IdentityInfo("thm-main1-criterion", "criterion", 0, False, None, 0.0,
+    IdentityInfo("thm-main1-criterion", "criterion", 0, False, None, param_above=_DP_NONZERO),
+    IdentityInfo("prop2", "stack", 4, False, None, residual=_res_prop2,
                  param_above=_DP_NONZERO),
-    IdentityInfo("prop2", "stack", 4, False, None, TOL_EXACT, residual=_res_prop2,
-                 param_above=_DP_NONZERO),
-    IdentityInfo("cor2-ode", "stack", 4, False, ("spherical",), TOL_EXACT,
-                 residual=_res_cor2_ode),
-    IdentityInfo("vfprime", "stack", 3, False, None, TOL_EXACT, residual=_res_vfprime),
-    IdentityInfo("thm-main2", "stack", 4, False, None, TOL_EXACT, residual=_res_thm_main2),
-    IdentityInfo("remark-zero", "zero-point", 4, False, ("spherical", "bessel"), TOL_EXACT,
+    IdentityInfo("cor2-ode", "stack", 4, False, ("spherical",), residual=_res_cor2_ode),
+    IdentityInfo("vfprime", "stack", 3, False, None, residual=_res_vfprime),
+    IdentityInfo("thm-main2", "stack", 4, False, None, residual=_res_thm_main2),
+    IdentityInfo("remark-zero", "zero-point", 4, False, ("spherical", "bessel"),
                  residual=_res_remark_zero),
-    IdentityInfo("cubic-coeffs", "stack", 4, False, None, TOL_EXACT,
-                 residual=_res_cubic_coeffs),
-    IdentityInfo("cor5", "stack", 4, False, ("spherical",), TOL_EXACT, residual=_res_cor5),
-    IdentityInfo("thm-main3", "stack", 5, True, None, TOL_EXACT, residual=_res_thm_main3),
-    IdentityInfo("thm-main4", "stack", 5, True, None, TOL_EXACT, residual=_res_thm_main4,
+    IdentityInfo("cubic-coeffs", "stack", 4, False, None, residual=_res_cubic_coeffs),
+    IdentityInfo("cor5", "stack", 4, False, ("spherical",), residual=_res_cor5),
+    IdentityInfo("thm-main3", "stack", 5, True, None, residual=_res_thm_main3),
+    IdentityInfo("thm-main4", "stack", 5, True, None, residual=_res_thm_main4,
                  param_above=_DP_NONZERO),
-    IdentityInfo("thm-main6", "stack", 3, True, None, TOL_EXACT, residual=_res_thm_main6),
-    IdentityInfo("a23-coeffs", "coeff", 0, True, ("spherical",), TOL_EXACT,
+    IdentityInfo("thm-main6", "stack", 3, True, None, residual=_res_thm_main6),
+    IdentityInfo("a23-coeffs", "coeff", 0, True, ("spherical",), param_above=_DP_NONZERO),
+    IdentityInfo("eq-newAA", "stack", 3, True, None, residual=_res_eq_newaa,
                  param_above=_DP_NONZERO),
-    IdentityInfo("eq-newAA", "stack", 3, True, None, TOL_EXACT, residual=_res_eq_newaa,
-                 param_above=_DP_NONZERO),
-    IdentityInfo("integral-V", "integral", 2, True, ("spherical",), TOL_INTEGRAL,
+    IdentityInfo("integral-V", "integral", 2, True, ("spherical",),
                  residual=_res_integral_big_v, integrals=("V:f", "V:v"), param_above=(
                      ("spherical", 1,
                       "the boundary term e^P V does not vanish at 0 for n < 2"),)),
-    IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",), TOL_INTEGRAL,
+    IdentityInfo("eq-Vpositive", "integral", 2, False, ("spherical",),
                  residual=_res_eq_vpositive, integrals=("V:f", "V:v")),
 )}
 
@@ -556,7 +556,9 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
         dp = model.dp(x)
         if dp == 0.0:
             raise SingularPointError(f"p'({x}) = 0 while scanning the criterion")
-        g = model.q(x) - model.p(x) / dp * model.dq(x)
+        g = model.q(x)
+        if not model.qprime_is_zero:  # q' = 0 reads as 2b/x^3, which overflows past ~5.6e102
+            g -= model.p(x) / dp * model.dq(x)
         if g < worst:
             worst, worst_x = g, x
     violation = max(0.0, -worst)
@@ -690,14 +692,27 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
                  spacing: str = "log") -> VerificationReport:
     """Evaluate one identity on a grid and aggregate into a report.
 
+    The default tolerance follows from the row's kind (_KIND_TOL).
     Inapplicable (tag, model) combinations produce a skipped report that
     counts as passing; explicitly asking for an impossible single check is
-    the caller's signal to inspect report.note.
+    the caller's signal to inspect report.note.  A grid where a power of x
+    underflows to 0 or overflows, so that a coefficient or residual cannot
+    be formed in doubles, raises NumericalFailure.
     """
     info = _info(tag)
     if tol is None:
-        tol = info.default_tol
+        tol = _KIND_TOL.get(info.kind, TOL_EXACT)
     _check_tol(tol)
+    try:
+        return _run_on_grid(info, model, lo, hi, points, tol, spacing)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalFailure(f"{tag} on {model.name} leaves the double range: "
+                               f"{exc}") from exc
+
+
+def _run_on_grid(info: IdentityInfo, model: CoeffModel, lo: float, hi: float,
+                 points: int, tol: float, spacing: str) -> VerificationReport:
+    tag = info.tag
     ok, reason = applicability(tag, model)
     grid_desc = {"lo": lo, "hi": hi, "points": points, "spacing": spacing}
     if not ok:

@@ -6,9 +6,9 @@ Derivatives are supplied analytically, not by differences: the identities
 involve quotients in p' where difference noise would dominate the residual
 budget.
 
-Built-ins:
-  spherical n:  p = -2n/x, q = 1          (solved by f_n; q' = 0)
-  bessel nu:    p = 1/x,  q = 1 - nu^2/x^2 (solved by J_nu; q' = 0 iff nu = 0)
+Both built-ins are the one inverse-power form p = a/x, q = 1 - b/x^2:
+  spherical n:  a = -2n, b = 0      (solved by f_n; q' = 0)
+  bessel nu:    a = 1,   b = nu^2   (solved by J_nu; q' = 0 iff nu = 0)
 """
 
 from __future__ import annotations
@@ -49,26 +49,35 @@ class CoeffModel:
             raise UsageError(f"x={x} outside the domain ({a}, {b}) of {self.name}")
 
 
+def _inverse_power_model(name: str, family: str, param: float, a: float, b: float,
+                         qprime_is_zero: bool) -> CoeffModel:
+    """p = a/x, q = 1 - b/x^2 on (0, inf), with its derivatives in closed form.
+
+    qprime_is_zero is the caller's, not b == 0: b = nu^2 underflows to 0
+    for nu below about 1.5e-162, where q' is still not identically 0.
+    """
+    return CoeffModel(
+        name=name,
+        p=lambda x: a / x,
+        dp=lambda x: -a / x ** 2,
+        d2p=lambda x: 2.0 * a / x ** 3,
+        d3p=lambda x: -6.0 * a / x ** 4,
+        d4p=lambda x: 24.0 * a / x ** 5,
+        q=lambda x: 1.0 - b / x ** 2,
+        dq=lambda x: 2.0 * b / x ** 3,
+        d2q=lambda x: -6.0 * b / x ** 4,
+        domain=(0.0, math.inf),
+        qprime_is_zero=qprime_is_zero,
+        family=family,
+        param=param,
+    )
+
+
 def spherical_model(n: int) -> CoeffModel:
     """p = -2n/x, q = 1 on (0, inf); f_n solves the equation."""
     if not isinstance(n, int) or n < 0:
         raise UsageError("spherical model needs integer n >= 0")
-    c = -2.0 * n
-    return CoeffModel(
-        name=f"spherical:{n}",
-        p=lambda x: c / x,
-        dp=lambda x: -c / x ** 2,
-        d2p=lambda x: 2.0 * c / x ** 3,
-        d3p=lambda x: -6.0 * c / x ** 4,
-        d4p=lambda x: 24.0 * c / x ** 5,
-        q=lambda x: 1.0,
-        dq=lambda x: 0.0,
-        d2q=lambda x: 0.0,
-        domain=(0.0, math.inf),
-        qprime_is_zero=True,
-        family="spherical",
-        param=float(n),
-    )
+    return _inverse_power_model(f"spherical:{n}", "spherical", float(n), -2.0 * n, 0.0, True)
 
 
 def bessel_model(nu: float) -> CoeffModel:
@@ -76,22 +85,7 @@ def bessel_model(nu: float) -> CoeffModel:
     nu = float(nu)
     if not math.isfinite(nu) or nu < 0:
         raise UsageError("bessel model needs finite nu >= 0")
-    n2 = nu * nu
-    return CoeffModel(
-        name=f"bessel:{nu:g}",
-        p=lambda x: 1.0 / x,
-        dp=lambda x: -1.0 / x ** 2,
-        d2p=lambda x: 2.0 / x ** 3,
-        d3p=lambda x: -6.0 / x ** 4,
-        d4p=lambda x: 24.0 / x ** 5,
-        q=lambda x: 1.0 - n2 / x ** 2,
-        dq=lambda x: 2.0 * n2 / x ** 3,
-        d2q=lambda x: -6.0 * n2 / x ** 4,
-        domain=(0.0, math.inf),
-        qprime_is_zero=(nu == 0.0),
-        family="bessel",
-        param=nu,
-    )
+    return _inverse_power_model(f"bessel:{nu:g}", "bessel", nu, 1.0, nu * nu, nu == 0.0)
 
 
 def parse_model(text: str) -> CoeffModel:

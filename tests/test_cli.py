@@ -271,3 +271,18 @@ def test_byte_determinism(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "thm-main1-criterion", "--model", "spherical:2",
+     "--range", "1e-200:1e-150"),
+    ("verify", "--identity", "a23-coeffs", "--model", "spherical:2", "--range", "1e-40:1e-39"),
+    ("verify", "--identity", "thm-main1-criterion", "--model", "bessel:2",
+     "--range", "1e200:1e201"),
+])
+def test_verify_past_the_double_range_is_a_numerical_failure(capsys, argv):
+    # these raised ZeroDivisionError / OverflowError out of dispatch (exit 1)
+    code, out, err = run_cli(capsys, *argv, "--points", "3")
+    assert code == 3
+    assert out == "" and err.startswith("numerical failure: ")
+

@@ -8,10 +8,12 @@ import pytest
 
 from chebcrit.bessel import bessel_zero, fn_zero
 from chebcrit.determinants import DerivStack, symbolic_v, v_det
-from chebcrit.errors import SingularPointError, UsageError
+from chebcrit.errors import NumericalFailure, SingularPointError, UsageError
 from chebcrit.identities import (
     IDENTITY_TAGS,
     REGISTRY,
+    TOL_EXACT,
+    TOL_INTEGRAL,
     a23_coeffs,
     applicability,
     builtin_stack,
@@ -65,6 +67,22 @@ def test_parse_model():
 def test_bessel_nu0_has_qprime_zero():
     assert bessel_model(0.0).qprime_is_zero
     assert not bessel_model(1.5).qprime_is_zero
+
+
+def test_qprime_zero_is_not_read_off_an_underflowed_nu_squared():
+    # nu^2 underflows to 0 below nu ~ 1.5e-162, yet q' = 0 only at nu = 0
+    model = bessel_model(1e-170)
+    assert model.dq(1.0) == 0.0 and not model.qprime_is_zero
+
+
+@pytest.mark.parametrize("model, a, b", [(spherical_model(3), -6.0, 0.0),
+                                          (bessel_model(2.5), 1.0, 6.25)])
+def test_builtin_models_are_one_inverse_power_form(model, a, b):
+    # p = a/x, q = 1 - b/x^2 at a point where every power of x is exact
+    x = 2.0
+    assert (model.p(x), model.dp(x), model.d2p(x), model.d3p(x), model.d4p(x)) == (
+        a / 2, -a / 4, 2 * a / 8, -6 * a / 16, 24 * a / 32)
+    assert (model.q(x), model.dq(x), model.d2q(x)) == (1 - b / 4, 2 * b / 8, -6 * b / 16)
 
 
 # ---------------------------------------------------------------- pointwise residuals
@@ -176,6 +194,29 @@ def test_negative_tol_is_a_usage_error():
     assert run_identity("prop1", model, lo=0.5, hi=2.0, points=3, tol=0.0).tolerance == 0.0
 
 
+def test_default_tolerance_follows_from_the_kind():
+    by_kind = {"integral": TOL_INTEGRAL, "criterion": 0.0}
+    for tag in IDENTITY_TAGS:
+        rep = run_identity(tag, spherical_model(2), lo=0.5, hi=2.0, points=3)
+        assert rep.tolerance == by_kind.get(REGISTRY[tag].kind, TOL_EXACT), tag
+
+
+@pytest.mark.parametrize("tag, spec, lo, hi", [
+    ("thm-main1-criterion", "spherical:2", 1e-200, 1e-150),  # x^2 underflows to 0
+    ("a23-coeffs", "spherical:2", 1e-40, 1e-39),             # p''^3 overflows
+    ("thm-main1-criterion", "bessel:2", 1e200, 1e201),        # x^2 overflows
+])
+def test_a_grid_past_the_double_range_is_a_numerical_failure(tag, spec, lo, hi):
+    with pytest.raises(NumericalFailure, match=f"{tag} on {spec} leaves the double range"):
+        run_identity(tag, parse_model(spec), lo=lo, hi=hi, points=3)
+
+
+def test_criterion_of_a_qprime_zero_model_reads_no_qprime():
+    # q' = 0 * 2/x^3 would overflow past x ~ 5.6e102; p' and q are still in range
+    rep = run_identity("thm-main1-criterion", spherical_model(1), lo=1e103, hi=1e104, points=3)
+    assert rep.passed and rep.max_abs_residual == 0.0
+
+
 def test_qprime_zero_gate():
     model = bessel_model(2.0)
     s = builtin_stack(model, 2.0, 4)
@@ -228,6 +269,19 @@ def test_grid_inside_the_series_reach_runs_no_simpson_node(monkeypatch):
     identities._cumulative.cache_clear()
     monkeypatch.setattr(identities, "tp_eval_over_power", forbidden)
     assert run_identity("integral-V", spherical_model(8), lo=0.01, hi=5.0).passed
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_bessel_and_spherical_integral_routes_agree(n):
+    # J_{n+1/2}(t)^2 / t^2 = (2/pi) f_n(t)^2 / t^(2n+3): Simpson from 0 on
+    # the Bessel side, the exact series then Simpson on the spherical side
+    from chebcrit.identities import _cumulative
+
+    xs = tuple(make_grid(0.01, 30.0, 500))
+    bessel = _cumulative("bessel", n + 0.5, "v", xs)
+    spherical = _cumulative("spherical", float(n), "v", xs)
+    for x, b, s in zip(xs, bessel, spherical):
+        assert abs(b - 2 / math.pi * s) <= 1e-12 * abs(b), (x, b, s)
 
 
 def test_column_past_the_series_reach_is_simpson_from_0():
