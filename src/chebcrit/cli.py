@@ -275,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.set_defaults(run=_cmd_verify)
 
     p_c = sub.add_parser("critlen", help="critical-length estimate")
-    p_c.add_argument("--n", type=int)
-    p_c.add_argument("--n-max", type=int, dest="n_max",
-                     help="scan n = 0..n_max instead of a single n")
+    which = p_c.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int)
+    which.add_argument("--n-max", type=int, dest="n_max",
+                       help="scan n = 0..n_max instead of a single n")
     p_c.add_argument("--cap", type=decimal_literal, default=None,
                      help="scan cap (default 1.5 * reference)")
     p_c.add_argument("--tol", type=decimal_literal, default=1e-10)
@@ -294,8 +295,6 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
-        if args.subcommand == "critlen" and args.n is None and args.n_max is None:
-            raise UsageError("critlen needs --n or --n-max")
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -286,3 +286,11 @@ def test_verify_past_the_double_range_is_a_numerical_failure(capsys, argv):
     assert code == 3
     assert out == "" and err.startswith("numerical failure: ")
 
+
+@pytest.mark.parametrize("argv", [("--n", "3", "--n-max", "1"), ("--n-max", "1", "--n", "3")])
+def test_critlen_takes_one_of_n_and_n_max(capsys, argv):
+    # --n-max used to win silently over --n
+    code, out, err = run_cli(capsys, "critlen", *argv)
+    assert code == 2
+    assert out == "" and "not allowed with" in err
+
