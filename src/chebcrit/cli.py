@@ -142,6 +142,7 @@ def _scan_values(args) -> tuple[list[float], list[float]]:
     if args.points < 2:
         raise UsageError("--points must be >= 2")
     xs = [lo + (hi - lo) * i / (args.points - 1) for i in range(args.points)]
+    xs[-1] = hi  # the range end itself, not its rounded reconstruction
     if args.what == "minor":
         if args.j is None:
             raise UsageError("scan --what minor needs --j")

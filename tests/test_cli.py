@@ -294,3 +294,13 @@ def test_critlen_takes_one_of_n_and_n_max(capsys, argv):
     assert code == 2
     assert out == "" and "not allowed with" in err
 
+
+@pytest.mark.parametrize("rng, points", [("0.001:0.01", 10), ("0.5:12", 200),
+                                         ("-1:1", 3), ("0.3:0.9", 4)])
+def test_scan_ends_at_the_range_end(capsys, rng, points):
+    # 0.001:0.01 and 0.3:0.9 used to end at the rounded reconstruction above hi
+    code, out, err = run_cli(capsys, "scan", "--what", "v", "--n", "2", "--range", rng,
+                             "--points", str(points), "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert (len(rows), rows[-1]["x"]) == (points, float(rng.split(":")[1]))
