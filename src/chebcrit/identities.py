@@ -6,14 +6,14 @@ module knows about an identity is one IdentityInfo row of REGISTRY: its
 kind (which fixes its default tolerance), the stack depth it reads, its
 hypotheses (bounds on the model parameter as (family, bound, reason)
 data) and, for the grid kinds, its residual function and the cumulative
-integrals it reads.
-The rows are listed in payload order (IDENTITY_TAGS is the tuple of their
-tags).  A residual function returns, from the stack and the integrals'
-values at x, the signed terms of the identity's two sides, (lhs_terms,
-rhs_terms), and nothing else; residual_parts derives |LHS - RHS| and the
-scale from them, so each identity is written once.  Every check but the
-positivity criterion yields (x, |LHS - RHS|, scale) rows (the coefficient
-check builds its own) that one reduction turns into a VerificationReport,
+integrals it reads.  The rows are listed in payload order (IDENTITY_TAGS
+is the tuple of their tags).  A residual function returns, from the stack
+and the integrals' values at x, the signed terms of the identity's two
+sides, (lhs_terms, rhs_terms), and nothing else; residual_parts derives
+|LHS - RHS| and the scale from them, so each identity is written once.
+Every check but the positivity criterion yields (x, |LHS - RHS|, scale)
+rows (the coefficient check builds its own) that one reduction turns
+into a VerificationReport,
 and every check reads its stacks from one cache per (family, parameter,
 x) and its integrals from one per (family, parameter, integral, grid).
 Residuals are normalized by the summed magnitude of the terms entering
@@ -703,33 +703,27 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
     if tol is None:
         tol = _KIND_TOL.get(info.kind, TOL_EXACT)
     _check_tol(tol)
-    try:
-        return _run_on_grid(info, model, lo, hi, points, tol, spacing)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise NumericalFailure(f"{tag} on {model.name} leaves the double range: "
-                               f"{exc}") from exc
-
-
-def _run_on_grid(info: IdentityInfo, model: CoeffModel, lo: float, hi: float,
-                 points: int, tol: float, spacing: str) -> VerificationReport:
-    tag = info.tag
     ok, reason = applicability(tag, model)
     grid_desc = {"lo": lo, "hi": hi, "points": points, "spacing": spacing}
     if not ok:
         return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
                                   math.nan, note=f"skipped: {reason}", skipped=True)
-    if info.kind == "criterion":
-        return positivity_criterion(model, lo, hi, points, spacing)
-    xs = make_grid(lo, hi, points, spacing)  # checked for the zero-point kind too
-    if info.kind != "zero-point":
-        return _report(info, model, grid_desc, xs, tol)
-    zeros = _first_zeros(model, hi)
-    if not zeros:
-        return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
-                                  math.nan, note="no zeros of f below the grid cap",
-                                  skipped=True)
-    return _report(info, model, {"kind": "zeros-of-f", "count": len(zeros), "cap": hi},
-                   zeros, tol, note=f"evaluated at {len(zeros)} zero(s) of f")
+    try:
+        if info.kind == "criterion":
+            return positivity_criterion(model, lo, hi, points, spacing)
+        xs = make_grid(lo, hi, points, spacing)  # checked for the zero-point kind too
+        if info.kind != "zero-point":
+            return _report(info, model, grid_desc, xs, tol)
+        zeros = _first_zeros(model, hi)
+        if not zeros:
+            return VerificationReport(tag, model.name, grid_desc, 0.0, 0.0, tol, True,
+                                      math.nan, note="no zeros of f below the grid cap",
+                                      skipped=True)
+        return _report(info, model, {"kind": "zeros-of-f", "count": len(zeros), "cap": hi},
+                       zeros, tol, note=f"evaluated at {len(zeros)} zero(s) of f")
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalFailure(f"{tag} on {model.name} leaves the double range: "
+                               f"{exc}") from exc
 
 
 def _first_zeros(model: CoeffModel, cap: float) -> list[float]:
