@@ -13,9 +13,9 @@ sides, (lhs_terms, rhs_terms), and nothing else; residual_parts derives
 |LHS - RHS| and the scale from them, so each identity is written once.
 Every check but the positivity criterion yields (x, |LHS - RHS|, scale)
 rows (the coefficient check builds its own) that one reduction turns
-into a VerificationReport,
-and every check reads its stacks from one cache per (family, parameter,
-x) and its integrals from one per (family, parameter, integral, grid).
+into a VerificationReport, and every check reads its stacks from one
+cache per (family, parameter, x) and its integrals from one per (family,
+parameter, integral, grid).
 Residuals are normalized by the summed magnitude of the terms entering
 the identity (with an absolute fallback when that scale is below 1),
 since the raw sides grow like powers of f.
@@ -557,7 +557,7 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
         if dp == 0.0:
             raise SingularPointError(f"p'({x}) = 0 while scanning the criterion")
         g = model.q(x)
-        if not model.qprime_is_zero:  # q' = 0 reads as 2b/x^3, which overflows past ~5.6e102
+        if not model.qprime_is_zero:  # the term is 0, but its x^3 overflows past ~5.6e102
             g -= model.p(x) / dp * model.dq(x)
         if g < worst:
             worst, worst_x = g, x

@@ -273,18 +273,18 @@ def test_byte_determinism(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--identity", "thm-main1-criterion", "--model", "spherical:2",
-     "--range", "1e-200:1e-150"),
-    ("verify", "--identity", "a23-coeffs", "--model", "spherical:2", "--range", "1e-40:1e-39"),
-    ("verify", "--identity", "thm-main1-criterion", "--model", "bessel:2",
-     "--range", "1e200:1e201"),
+@pytest.mark.parametrize("tag, spec, rng", [
+    ("thm-main1-criterion", "spherical:2", "1e-200:1e-150"),  # x^2 underflows to 0
+    ("a23-coeffs", "spherical:2", "1e-40:1e-39"),             # p''^3 overflows
+    ("thm-main1-criterion", "bessel:2", "1e200:1e201"),        # x^2 overflows
 ])
-def test_verify_past_the_double_range_is_a_numerical_failure(capsys, argv):
+def test_verify_past_the_double_range_is_a_numerical_failure(capsys, tag, spec, rng):
     # these raised ZeroDivisionError / OverflowError out of dispatch (exit 1)
-    code, out, err = run_cli(capsys, *argv, "--points", "3")
+    code, out, err = run_cli(capsys, "verify", "--identity", tag, "--model", spec,
+                             "--range", rng, "--points", "3")
     assert code == 3
-    assert out == "" and err.startswith("numerical failure: ")
+    assert out == "" and err.startswith(f"numerical failure: {tag} on {spec} leaves the "
+                                        "double range")
 
 
 @pytest.mark.parametrize("argv", [("--n", "3", "--n-max", "1"), ("--n-max", "1", "--n", "3")])
