@@ -1,4 +1,5 @@
-"""Real-order Bessel functions J_nu by power series, with bracketed zeros.
+"""Real-order Bessel functions J_nu by power series, the integral of
+J_nu^2/t^2 by its exact series, and bracketed zeros.
 
     J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-y)^k / (k! (nu+1)_k),  y = x^2/4
 
@@ -66,6 +67,42 @@ meets tolerance everywhere and keeps one code path for all real nu >= 0.
 ``_series_values`` is the one entry of the three evaluators and checks
 their common arguments; each evaluator checks only its own.
 
+The integral of J_nu^2/t^2 (``j_squared_integral``).  By the product
+formula (DLMF 10.8.3),
+
+    J_nu(x)^2 = (x/2)^(2nu) / Gamma(nu+1)^2 * sum_k (2nu+k+1)_k (-y)^k / (k! (nu+1)_k^2),
+
+and termwise integration gives, for nu > 1/2 (below, the integral
+diverges at 0),
+
+    int_0^x J_nu(t)^2 / t^2 dt = (x/2)^(2nu) / (x Gamma(nu+1)^2) * sum_k b_k y^k,
+    b_k = (-1)^k (2nu+k+1)_k / (k! (nu+1)_k^2 (2nu+2k-1)).
+
+``_squared_integral_row(nu, F, rho)`` holds c_k = b_k 2^(rho k + F) rounded
+to the nearest integer, from |b_0| = 1/(2nu-1) and the ratio
+
+    |b_(k+1) / b_k| = 2 (2nu+2k-1) / ((2nu+k+1)(k+1)(nu+k+1)),
+
+each a ratio of integers with every factor positive, and it is summed by
+the same Horner rule in u.  Since 2nu+2k-1 < 2 (2nu+k+1), the term ratio
+|b_(k+1)/b_k| y is below 4y / ((k+1)(nu+k+1)), which decreases in k.  The
+row stops at the first K where
+
+    |b_(K+1)| 2^(rho (K+1) + F) <= 1 - q,   q = 2^rho 4 / ((K+2)(nu+K+2)),
+
+checked exactly on integers (the test implies q < 1).  For k >= K+1 the
+term ratio is then below q, since y < 2^rho, so the tail past K is at most
+|b_(K+1)| y^(K+1) / (1 - q) < |b_(K+1)| 2^(rho (K+1)) / (1 - q), one unit of
+2^-F, and the Horner total is within 1.5 (K + 1) units of 2^F sum_k b_k y^k,
+as for J_nu.  A row holds at most trigpoly._MACLAURIN_TERMS (64) terms, the
+budget of the spherical integrals' series; where it would need more, the
+integral gives None.  At 30 digits that reach is y < 2^6 (x < 16) for
+nu = 1.5 to 3.4, y < 2^5 for nu near 1 and y < 2^7 at nu = 20.  The
+prefactor is ``_half_x_power`` squared over Gamma's pair squared, within
+2^(3-F) relative; the enclosure is widened by that, and both of its ends
+are rounded once each and must give one double (Ziv's test), so the
+double is the value correctly rounded.
+
 Zeros: ``bessel_zeros``, ``bessel_deriv_zeros`` and ``_fn_zeros`` (of f_n
 and f_n') each state where their scan starts, where it gives up and what
 its failures name, and all three draw from ``_zeros``, the one fixed-step
@@ -83,9 +120,9 @@ from typing import Callable, Iterator, Sequence
 from mpmath.libmp import fone, from_float, mpf_add, mpf_gamma, round_nearest
 
 from .errors import NumericalFailure, UsageError
-from .fixedpoint import _checked_double, _exp, _ladder, _ln
+from .fixedpoint import _checked_double, _exp, _int_to_double, _ladder, _ln
 from .rootfind import ZeroResult, first_zeros
-from .trigpoly import fn_derivatives, tp_eval
+from .trigpoly import _MACLAURIN_TERMS, fn_derivatives, tp_eval
 
 DEFAULT_SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 500
@@ -174,6 +211,45 @@ def _row(nu: float, r: int, F: int, rho: int):
     for k in range(K + 1):
         t = e * (k - r) + rho * k + F
         num, den = (-fall(k) if k & 1 else fall(k)), dens[k]
+        if t >= 0:
+            num <<= t
+        else:
+            den <<= -t
+        row.append((2 * num + den) // (2 * den))  # nearest
+    return row[-1], tuple(reversed(row[:-1]))
+
+
+@lru_cache(maxsize=256)
+def _squared_integral_row(nu: float, F: int, rho: int):
+    """The Horner row of the integral of J_nu^2 / t^2 for y < 2^rho at F
+    fraction bits, nu > 1/2.
+
+    Returns (c_K, (c_(K-1), ..., c_0)), c_k the integer nearest to
+    b_k 2^(rho k + F) for the b_k of the module docstring, K the first index
+    that meets its stop test; None where no K < _MACLAURIN_TERMS does.
+    """
+    n, d = nu.as_integer_ratio()
+    e = d.bit_length() - 1  # nu = n / 2^e
+    # |b_k| = nums[k] / dens[k]; b_0 = 1 / (2 nu - 1), and |b_(k+1) / b_k| is
+    # 2 (2nu+2k-1) / ((2nu+k+1)(k+1)(nu+k+1)), each factor times 2^e
+    nums, dens = [1 << e], [2 * n - (1 << e)]
+    for K in range(_MACLAURIN_TERMS):
+        j = K + 1
+        nums.append(nums[K] * (((2 * K - 1) << e) + 2 * n) << e + 1)
+        dens.append(dens[K] * ((j << e) + 2 * n) * j * ((j << e) + n))
+        # q = 2^g / B = 2^rho 4 / ((K+2)(nu+K+2)), and the test
+        # |b_(K+1)| 2^(rho (K+1) + F) <= 1 - q, times dens[j] B
+        B = (j + 1) * (((j + 1) << e) + n)
+        g, h = rho + 2 + e, rho * j + F
+        low = min(g, h, 0)  # both sides times 2^-low, so no shift is negative
+        if (nums[j] * B << h - low) + (dens[j] << g - low) <= dens[j] * B << -low:
+            break
+    else:
+        return None
+    row = []
+    for k in range(K + 1):
+        t = rho * k + F
+        num, den = (-nums[k] if k & 1 else nums[k]), dens[k]
         if t >= 0:
             num <<= t
         else:
@@ -275,6 +351,58 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
     (see the module docstring).  Raises NumericalFailure where the value
     overflows a double or is nonzero and rounds to 0.0."""
     return _series_values(nu, x, (0,), tol)[0]
+
+
+def j_squared_integral(nu: float, x: float) -> float | None:
+    """The integral of J_nu(t)^2 / t^2 from 0 to x as a double, correctly
+    rounded, from the exact series of the module docstring; None past its
+    reach, where the row of y = x^2/4 needs more than _MACLAURIN_TERMS
+    terms (x up to about 16 at 30 digits).
+
+    At F bits of _SERIES_PRECS the row is summed by Horner's rule, its
+    error 1.5 (K + 1) units is widened by the prefactor's 2^(4-F) relative,
+    and both ends of the enclosure are rounded once each, from the
+    integers; precision grows until they give one double and the interval
+    excludes 0 (Ziv's test, as ``trigpoly``'s quotients take it).  Raises
+    UsageError for nu <= 1/2, where the integral diverges at 0, and for x
+    that is not finite and >= 0; NumericalFailure where the value
+    overflows a double or is nonzero and rounds to 0.0.
+    """
+    nu, x = _check_order(nu), float(x)
+    if nu <= 0.5:
+        raise UsageError("the integral of J_nu^2/t^2 from 0 diverges for nu <= 1/2")
+    if not math.isfinite(x) or x < 0:
+        raise UsageError("the integral of J_nu^2/t^2 needs finite x >= 0")
+    if x == 0.0:
+        return 0.0
+    mx, dx = x.as_integer_ratio()
+    s = dx.bit_length() - 1  # x = mx / 2^s
+    Y = mx * mx
+    sh = Y.bit_length()  # u = Y / 2^sh = y / 2^rho < 1
+    rho = sh - 2 * s - 2
+    for prec in _SERIES_PRECS:
+        row = _squared_integral_row(nu, prec, rho)
+        if row is None:
+            return None
+        acc, rest = row
+        for c in rest:
+            acc = (acc * Y >> sh) + c
+        # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest), and the
+        # prefactor ((x/2)^nu)^2 / (x Gamma(nu+1)^2) = M^2 2^(2X) / (x (gman 2^gexp)^2)
+        # is off by < 2^(3-prec) relative, which moves 2^prec times the value
+        # divided by it by < 2^(4-prec) of it
+        err = (3 * len(rest) + 4) // 2
+        err += (abs(acc) + err >> prec - 4) + 1
+        M, X = _half_x_power(nu, mx, s, prec + _PREFACTOR_GUARD)
+        gman, gexp = _gamma_plus_one(nu, prec)
+        num, den, e = M * M, gman * gman * mx, 2 * (X - gexp) + s - prec
+        lo = _int_to_double((acc - err) * num, den, e)
+        if abs(acc) > err and lo == _int_to_double((acc + err) * num, den, e):
+            if not lo or math.isinf(lo):  # acc - err is nonzero: this raises
+                _checked_double((acc - err) * num, den, e,
+                                "the integral of J_{}^2/t^2 at x={!r}", nu, x)
+            return lo
+    return None
 
 
 def bessel_j_deriv(nu: float, x: float, order: int = 1,

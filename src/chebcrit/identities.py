@@ -46,12 +46,15 @@ The q' = 0 identities reject models with qprime_is_zero = False.  The
 integrals of the integral checks are built in for the built-in families;
 for a stack of another solution, residual_parts takes their values from
 the caller.  Each spherical integral is a ring quotient a(t)/t^p, data in
-_SPHERICAL_INTEGRANDS: its cumulative column is the exact Maclaurin series
-of trigpoly.tp_integral_over_power, correctly rounded, at every grid
-point from the first for as long as the series certifies (x up to about
-8-11), and adaptive Simpson on tp_eval_over_power(a, p, t) continues from
-the last certified point.  The Bessel integral J_nu^2/t^2 is Simpson's
-from 0.
+_SPHERICAL_INTEGRANDS, and the Bessel integral is J_nu^2/t^2.  Both fill
+their cumulative column with one loop: the family's exact series head,
+correctly rounded, at every grid point from the first for as long as it
+certifies, and adaptive Simpson on the integrand from the last certified
+point on.  The spherical head is the Maclaurin series of
+trigpoly.tp_integral_over_power (x up to about 8-11), Simpson's integrand
+tp_eval_over_power(a, p, t); the Bessel head is the product-formula series
+of bessel.j_squared_integral (x below 16 for nu = 1.5 to 3.4), Simpson's
+integrand J_nu(t)^2/t^2.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Sequence
 
-from .bessel import bessel_j, bessel_stack_values, bessel_zero, fn_zero
+from .bessel import bessel_j, bessel_stack_values, bessel_zero, fn_zero, j_squared_integral
 from .determinants import (
     DerivStack,
     stack_from_spherical,
@@ -615,24 +618,27 @@ def _cumulative(family: str, param: float, name: str,
                 xs: tuple[float, ...]) -> tuple[float, ...]:
     """The named integral from 0 to each x of xs.
 
-    A spherical integral is the exact series of ``tp_integral_over_power``,
-    correctly rounded, at each x from the first for as long as it
-    certifies, and adaptive Simpson on its quotient from the last such x
-    on; J_nu^2 / t^2 ("v" of a Bessel model) is Simpson's from 0.
+    Both families run one loop: the family's exact series head, correctly
+    rounded, at each x from the first for as long as it certifies, and
+    adaptive Simpson on the integrand from the last such x on.  The head
+    of J_nu^2 / t^2 ("v" of a Bessel model) is ``j_squared_integral``, and
+    that of a spherical quotient a(t)/t^p is ``tp_integral_over_power``.
     """
     if family == "bessel":
-        return tuple(cumulative_integrals(_j_sq_over_t2(param), 0.0, xs,
-                                          rel_tol=_QUAD_REL_TOL))
-    a, p = _SPHERICAL_INTEGRANDS[name](int(param))
-    head = []
+        head, integrand = partial(j_squared_integral, param), _j_sq_over_t2(param)
+    else:
+        a, p = _SPHERICAL_INTEGRANDS[name](int(param))
+        head, integrand = (partial(tp_integral_over_power, a, p),
+                           lambda t: tp_eval_over_power(a, p, t))
+    values = []
     for x in xs:
-        value = tp_integral_over_power(a, p, x)
+        value = head(x)
         if value is None:
             break
-        head.append(value)
-    start, at = (xs[len(head) - 1], head[-1]) if head else (0.0, 0.0)
-    return (*head, *cumulative_integrals(lambda t: tp_eval_over_power(a, p, t), start,
-                                         xs[len(head):], rel_tol=_QUAD_REL_TOL, start=at))
+        values.append(value)
+    start, at = (xs[len(values) - 1], values[-1]) if values else (0.0, 0.0)
+    return (*values, *cumulative_integrals(integrand, start, xs[len(values):],
+                                           rel_tol=_QUAD_REL_TOL, start=at))
 
 
 def _a23_row(model: CoeffModel, x: float) -> Row:
@@ -667,7 +673,9 @@ def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float]) -> Iterabl
 def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[float],
             tol: float, note: str = "") -> VerificationReport:
     """The identity's rows over xs reduced to the row of largest relative
-    residual (the earliest such row on ties)."""
+    residual (the earliest such row on ties).  A row whose residual or
+    scale is not finite raises NumericalFailure: it has no place in the
+    order, and would otherwise lose to any finite row."""
     if info.tag == "eq-Vpositive" and model.param < 2:
         return VerificationReport(info.tag, model.name, grid, 0.0, 0.0, tol, True,
                                   math.nan,
@@ -675,6 +683,9 @@ def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[floa
     worst_abs = worst_rel = 0.0
     worst_x = None
     for x, res, scale in _rows(info, model, xs):
+        if not (math.isfinite(res) and math.isfinite(scale)):
+            raise NumericalFailure(f"{info.tag} on {model.name}: the residual at x={x!r} "
+                                   f"is not finite ({res!r} over the scale {scale!r})")
         rel = res / max(1.0, scale)
         if worst_x is None or rel > worst_rel:
             worst_rel, worst_abs, worst_x = rel, res, x

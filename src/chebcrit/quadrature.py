@@ -9,10 +9,12 @@ error estimate reaches the double-precision roundoff floor of the local
 panel magnitude, so requesting a tolerance far below what doubles can
 express degrades gracefully instead of exhausting the subdivision budget.
 
-Its estimate is not a bound.  ``identities`` runs it only where the exact
-series of ``trigpoly.tp_integral_over_power`` gives up (the spherical
-integrals past x ~ 8-11, continued from the series' last value through
-``cumulative_integrals``' ``start``) and on the Bessel integral.
+Its estimate is not a bound.  ``identities`` runs it only where an exact
+series head gives up, continued from the head's last value through
+``cumulative_integrals``' ``start``: on the spherical integrals past the
+reach of ``trigpoly.tp_integral_over_power`` (x ~ 8-11), and on the Bessel
+integral past the Bessel head's reach (``bessel.j_squared_integral``,
+x ~ 16).
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ from chebcrit.bessel import (
     bessel_zeros,
     fn_deriv_zero,
     fn_zero,
+    j_squared_integral,
 )
 from chebcrit.errors import NumericalFailure, UsageError
+from chebcrit.identities import make_grid
 from chebcrit.trigpoly import spherical_fn, tp_eval
 
 
@@ -424,6 +426,97 @@ def test_the_prefactor_is_computed_once_per_precision(monkeypatch):
     bessel_stack_values(3.4, 6.867010195869923, 5)
     assert asked == [(103, r) for r in range(6)] + [(203, 0)]
     assert calls == [103 + bessel._PREFACTOR_GUARD, 203 + bessel._PREFACTOR_GUARD]
+
+
+# ---------------------------------------------------------------- integral of J_nu^2/t^2
+
+#: the default verify grid, on which the integral's head runs
+_GRID = tuple(make_grid(0.01, 30.0, 500))
+
+
+@lru_cache(maxsize=None)
+def _squared_integral_ref(nu, x):
+    """The integral of J_nu^2 / t^2 from 0 to x at 40 digits, by mpmath's
+    quadrature on panels of length at most 2."""
+    with mp.workdps(40):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        return mp.quad(lambda t: mpmath.besselj(nu, t) ** 2 / t ** 2,
+                       mp.linspace(0, x, int(x) // 2 + 2))
+
+
+@pytest.mark.parametrize("nu", (1.5, 2.0, 3.4))
+def test_squared_integral_is_the_correctly_rounded_40_digit_value(nu):
+    for x in (0.01, 0.5, 3.0, 9.0, 15.0):
+        assert j_squared_integral(nu, x) == float(_squared_integral_ref(nu, x)), x
+
+
+def test_squared_integral_gives_none_past_its_reach():
+    # the row of y = x^2/4 < 2^rho holds at most 64 terms: rho = 6 (x < 16)
+    # fits at 30 digits for nu = 1.5 and 3.4, and rho = 7 does not
+    assert j_squared_integral(1.5, 0.0) == 0.0
+    for nu in (1.5, 3.4):
+        reach = max(x for x in _GRID if j_squared_integral(nu, x) is not None)
+        assert reach == max(x for x in _GRID if x < 16.0), nu
+        assert len(bessel._squared_integral_row(nu, 103, 6)[1]) < 64
+        assert bessel._squared_integral_row(nu, 103, 7) is None
+        for x in (16.0, 30.0, 1e300):
+            assert j_squared_integral(nu, x) is None, (nu, x)
+
+
+def test_squared_integral_refuses_nu_at_most_one_half():
+    # J_nu^2 / t^2 ~ t^(2 nu - 2) at 0: the integral diverges for nu <= 1/2
+    for nu in (0.0, 0.25, 0.5):
+        with pytest.raises(UsageError, match="diverges"):
+            j_squared_integral(nu, 1.0)
+    for nu, x in ((-1.0, 1.0), (math.inf, 1.0), (1.5, -1.0), (1.5, math.inf), (1.5, math.nan)):
+        with pytest.raises(UsageError):
+            j_squared_integral(nu, x)
+
+
+def _integral_row_total(nu, x, row):
+    """(total, K): the integral row at x summed as the kernel sums it."""
+    mx, _ = x.as_integer_ratio()
+    Y = mx * mx
+    sh = Y.bit_length()
+    acc, rest = row
+    for c in rest:
+        acc = (acc * Y >> sh) + c
+    return acc, len(rest)
+
+
+def _integral_series(nu, x, n_terms):
+    """The first n_terms terms of sum_k b_k y^k in the rationals."""
+    nu_q, y = Fraction(nu), Fraction(x) ** 2 / 4
+    term, total = 1 / (2 * nu_q - 1), Fraction(0)  # b_0 = 1 / (2 nu - 1)
+    for k in range(n_terms):
+        total += term
+        term *= -2 * y * (2 * nu_q + 2 * k - 1) / ((2 * nu_q + k + 1) * (k + 1) * (nu_q + k + 1))
+    return total
+
+
+@pytest.mark.parametrize("nu", (1.5, 3.4))
+def test_the_integral_stop_test_carries_weight(nu):
+    # at the first default-grid point of each row below x = 1, the full
+    # row's Horner total lies within 1.5 (K + 1) units of 2^F times the
+    # series (40 more terms stand for it); a row cut one term short leaves
+    # that bound at some of them, so its enclosure would no longer hold the
+    # value.  (No double moves: the dropped term is below 2^13 units of
+    # 2^-103.)
+    F, broken, rows = 103, 0, {}
+    for x in _GRID:
+        mx, dx = x.as_integer_ratio()
+        rows.setdefault((mx * mx).bit_length() - 2 * dx.bit_length(), x)
+    for rho, x in rows.items():
+        if x >= 1.0:
+            break
+        row = bessel._squared_integral_row(nu, F, rho)
+        rest = row[1]
+        exact = _integral_series(nu, x, len(rest) + 41) * 2 ** F
+        total, K = _integral_row_total(nu, x, row)
+        assert abs(total - exact) <= Fraction(3, 2) * (K + 1), x
+        total, K = _integral_row_total(nu, x, (rest[0], rest[1:]))
+        broken += abs(total - exact) > Fraction(3, 2) * (K + 1)
+    assert broken
 
 
 # ---------------------------------------------------------------- zeros

@@ -287,6 +287,17 @@ def test_verify_past_the_double_range_is_a_numerical_failure(capsys, tag, spec, 
                                         "double range")
 
 
+def test_verify_refuses_a_row_that_is_not_finite(capsys):
+    # at x = 5e103 and 1e104 the terms of thm-main6 overflow and the residual
+    # is NaN; the reduction used to skip it after a finite first row (exit 0)
+    code, out, err = run_cli(capsys, "verify", "--identity", "thm-main6", "--model",
+                             "spherical:1", "--range", "10:1e104", "--points", "3",
+                             "--spacing", "linear")
+    assert code == 3
+    assert out == "" and err.startswith("numerical failure: thm-main6 on spherical:1: "
+                                        "the residual at x=5e+103 is not finite")
+
+
 @pytest.mark.parametrize("argv", [("--n", "3", "--n-max", "1"), ("--n-max", "1", "--n", "3")])
 def test_critlen_takes_one_of_n_and_n_max(capsys, argv):
     # --n-max used to win silently over --n

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from chebcrit.bessel import bessel_zero, fn_zero
+from chebcrit.bessel import bessel_j, bessel_zero, fn_zero, j_squared_integral
 from chebcrit.determinants import DerivStack, symbolic_v, v_det
 from chebcrit.errors import SingularPointError, UsageError
 from chebcrit.identities import (
@@ -34,7 +34,7 @@ from chebcrit.models import (
     parse_model,
     spherical_model,
 )
-from chebcrit.trigpoly import tp_diff, tp_eval, tp_term
+from chebcrit.trigpoly import tp_diff, tp_eval, tp_integral_over_power, tp_term
 
 
 def linear_p_model():
@@ -237,7 +237,6 @@ def test_series_then_simpson_column_matches_simpson_from_0(name):
     # the column is the exact series up to its reach (x ~ 9 at n = 4) and
     # Simpson from there on; Simpson from 0 agrees within its own error
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
-    from chebcrit.trigpoly import tp_integral_over_power
 
     model = spherical_model(4)
     a, power = _SPHERICAL_INTEGRANDS[name](4)
@@ -261,17 +260,49 @@ def test_grid_inside_the_series_reach_runs_no_simpson_node(monkeypatch):
     assert run_identity("integral-V", spherical_model(8), lo=0.01, hi=5.0).passed
 
 
+def test_bessel_grid_runs_no_simpson_node_below_the_head_reach(monkeypatch):
+    # the Bessel column is the series head up to its last certified point
+    # (x ~ 15.79 on the default grid at nu = 1.5) and Simpson only past it
+    from chebcrit import identities
+    from chebcrit.bessel import j_squared_integral
+
+    xs = make_grid(0.01, 30.0, 500)
+    reach = max(x for x in xs if j_squared_integral(1.5, x) is not None)
+    nodes = []
+
+    def integrand_node(nu, t, tol):
+        if t < reach:
+            raise AssertionError(f"a Simpson node ran at t={t}, below the head's reach")
+        nodes.append(t)
+        return bessel_j(nu, t, tol)
+
+    identities._cumulative.cache_clear()
+    monkeypatch.setattr(identities, "bessel_j", integrand_node)
+    assert run_identity("integral-v", bessel_model(1.5)).passed
+    assert nodes and 15.7 < reach < 16.0
+    identities._cumulative.cache_clear()
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_bessel_and_spherical_integral_routes_agree(n):
-    # J_{n+1/2}(t)^2 / t^2 = (2/pi) f_n(t)^2 / t^(2n+3): Simpson from 0 on
-    # the Bessel side, the exact series then Simpson on the spherical side
-    from chebcrit.identities import _cumulative
+    # J_{n+1/2}(t)^2 / t^2 = (2/pi) f_n(t)^2 / t^(2n+3): where both exact
+    # series certify (x up to ~8.4-9.3) the two correctly rounded columns
+    # agree to rounding, within 4 ulps; past it, within 1e-12 relative
+    from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
 
     xs = tuple(make_grid(0.01, 30.0, 500))
     bessel = _cumulative("bessel", n + 0.5, "v", xs)
     spherical = _cumulative("spherical", float(n), "v", xs)
+    a, power = _SPHERICAL_INTEGRANDS["v"](n)
+    both = 0
     for x, b, s in zip(xs, bessel, spherical):
-        assert abs(b - 2 / math.pi * s) <= 1e-12 * abs(b), (x, b, s)
+        if (j_squared_integral(n + 0.5, x) is not None
+                and tp_integral_over_power(a, power, x) is not None):
+            assert abs(b - 2 / math.pi * s) <= 4 * math.ulp(b), (x, b, s)
+            both += 1
+        else:
+            assert abs(b - 2 / math.pi * s) <= 1e-12 * abs(b), (x, b, s)
+    assert both > 400
 
 
 def test_column_past_the_series_reach_is_simpson_from_0():
