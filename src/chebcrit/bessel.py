@@ -168,6 +168,22 @@ def _gamma_plus_one(nu: float, prec: int) -> tuple[int, int]:
     return gman, gexp
 
 
+def _horner_row(terms: list[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(c_K, (c_(K-1), ..., c_0)) for the terms (n_k, d_k, t_k), k = 0..K,
+    c_k the integer nearest (-1)^k n_k 2^t_k / d_k, from one integer
+    division each: a row as Horner's rule reads it."""
+    row = []
+    for k, (num, den, t) in enumerate(terms):
+        if k & 1:
+            num = -num
+        if t >= 0:
+            num <<= t
+        else:
+            den <<= -t
+        row.append((2 * num + den) // (2 * den))  # nearest
+    return row[-1], tuple(reversed(row[:-1]))
+
+
 @lru_cache(maxsize=1024)
 def _row(nu: float, r: int, F: int, rho: int):
     """The Horner row of order r for y < 2^rho at F fraction bits.
@@ -207,16 +223,7 @@ def _row(nu: float, r: int, F: int, rho: int):
                     + (dens[j] * a << g - low) <= dens[j] * b << -low):
                 break
         K += 1
-    row = []
-    for k in range(K + 1):
-        t = e * (k - r) + rho * k + F
-        num, den = (-fall(k) if k & 1 else fall(k)), dens[k]
-        if t >= 0:
-            num <<= t
-        else:
-            den <<= -t
-        row.append((2 * num + den) // (2 * den))  # nearest
-    return row[-1], tuple(reversed(row[:-1]))
+    return _horner_row([(fall(k), dens[k], e * (k - r) + rho * k + F) for k in range(K + 1)])
 
 
 @lru_cache(maxsize=256)
@@ -246,16 +253,7 @@ def _squared_integral_row(nu: float, F: int, rho: int):
             break
     else:
         return None
-    row = []
-    for k in range(K + 1):
-        t = rho * k + F
-        num, den = (-nums[k] if k & 1 else nums[k]), dens[k]
-        if t >= 0:
-            num <<= t
-        else:
-            den <<= -t
-        row.append((2 * num + den) // (2 * den))  # nearest
-    return row[-1], tuple(reversed(row[:-1]))
+    return _horner_row([(nums[k], dens[k], rho * k + F) for k in range(K + 1)])
 
 
 def _half_x_power(nu: float, mx: int, s: int, W: int) -> tuple[int, int]:
@@ -387,10 +385,9 @@ def j_squared_integral(nu: float, x: float) -> float | None:
         acc, rest = row
         for c in rest:
             acc = (acc * Y >> sh) + c
-        # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest), and the
-        # prefactor ((x/2)^nu)^2 / (x Gamma(nu+1)^2) = M^2 2^(2X) / (x (gman 2^gexp)^2)
-        # is off by < 2^(3-prec) relative, which moves 2^prec times the value
-        # divided by it by < 2^(4-prec) of it
+        # with S = sum_k b_k y^k, |acc - 2^prec S| <= 1.5 (K + 1), K = len(rest);
+        # the value is P S, and P' = M^2 2^(2X) / (x (gman 2^gexp)^2) is within
+        # 2^(3-prec) of P relative, so 2^prec P S / P' lies within err of acc
         err = (3 * len(rest) + 4) // 2
         err += (abs(acc) + err >> prec - 4) + 1
         M, X = _half_x_power(nu, mx, s, prec + _PREFACTOR_GUARD)

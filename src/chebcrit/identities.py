@@ -674,8 +674,8 @@ def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[floa
             tol: float, note: str = "") -> VerificationReport:
     """The identity's rows over xs reduced to the row of largest relative
     residual (the earliest such row on ties).  A row whose residual or
-    scale is not finite raises NumericalFailure: it has no place in the
-    order, and would otherwise lose to any finite row."""
+    scale is not finite raises NumericalFailure: a NaN compares false with
+    every row, so no order can rank it."""
     if info.tag == "eq-Vpositive" and model.param < 2:
         return VerificationReport(info.tag, model.name, grid, 0.0, 0.0, tol, True,
                                   math.nan,
