@@ -473,7 +473,7 @@ def test_squared_integral_refuses_nu_at_most_one_half():
             j_squared_integral(nu, x)
 
 
-def _integral_row_total(nu, x, row):
+def _integral_row_total(x, row):
     """(total, K): the integral row at x summed as the kernel sums it."""
     mx, _ = x.as_integer_ratio()
     Y = mx * mx
@@ -512,9 +512,9 @@ def test_the_integral_stop_test_carries_weight(nu):
         row = bessel._squared_integral_row(nu, F, rho)
         rest = row[1]
         exact = _integral_series(nu, x, len(rest) + 41) * 2 ** F
-        total, K = _integral_row_total(nu, x, row)
+        total, K = _integral_row_total(x, row)
         assert abs(total - exact) <= Fraction(3, 2) * (K + 1), x
-        total, K = _integral_row_total(nu, x, (rest[0], rest[1:]))
+        total, K = _integral_row_total(x, (rest[0], rest[1:]))
         broken += abs(total - exact) > Fraction(3, 2) * (K + 1)
     assert broken
 

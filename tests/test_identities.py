@@ -264,7 +264,6 @@ def test_bessel_grid_runs_no_simpson_node_below_the_head_reach(monkeypatch):
     # the Bessel column is the series head up to its last certified point
     # (x ~ 15.79 on the default grid at nu = 1.5) and Simpson only past it
     from chebcrit import identities
-    from chebcrit.bessel import j_squared_integral
 
     xs = make_grid(0.01, 30.0, 500)
     reach = max(x for x in xs if j_squared_integral(1.5, x) is not None)
