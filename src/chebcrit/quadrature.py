@@ -12,9 +12,9 @@ express degrades gracefully instead of exhausting the subdivision budget.
 Its estimate is not a bound.  ``identities`` runs it only where an exact
 series head gives up, continued from the head's last value through
 ``cumulative_integrals``' ``start``: on the spherical integrals past the
-reach of ``trigpoly.tp_integral_over_power`` (x ~ 8-11), and on the Bessel
-integral past the Bessel head's reach (``bessel.j_squared_integral``,
-x ~ 16).
+reach of ``trigpoly.tp_integral_over_power`` (x ~ 20-21, 24 at n = 16),
+and on the Bessel integral past the Bessel head's reach
+(``bessel.j_squared_integral``, x ~ 16).
 """
 
 from __future__ import annotations

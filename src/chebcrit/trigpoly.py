@@ -98,26 +98,41 @@ F + s e - r bits.  More precision shrinks E but not the tail: once
 tail >= E and the caller draws again, the form gives up and the harmonic
 form is summed from 136 bits, d = power.
 
-The same 64 coefficients integrate: ``tp_integral_over_power(a, power,
-x)`` is the integral of a(t)/t^power from 0 to x, correctly rounded.
-With e = m0 - power + 1 it is x^e (Q(x) + t), Q = sum_j c_(m0+j) x^j /
-(e + j) over the 64 exact coefficients, since integrating the bound
-K |t|^(m0 - power + 64) gives |t| <= K' |x|^64, K' = K / (e + 64).  Here
-K is the tail bound above at a radius R taken from the element, not
-MACLAURIN_RADIUS: the largest R with k R <= (M + 1)/2 for every term, so
-that each factor 1/(1 - k R/(M + 1)) is at most 2; for f_n^2 it is
-(2n + 67)/4.  The kernel sums Q, and the enclosures and the rounding test
-are those of the Maclaurin form above at d = 0.  It returns None where
-|x| > R and where the tail stops the rounding test, as the Maclaurin form
-gives up, and refuses e <= 0 (UsageError), where the integral diverges at
-0.  For the spherical integrands of ``identities`` it certifies up to
-x ~ 8-11.
+The same coefficients integrate: ``tp_integral_over_power(a, power, x)``
+is the integral of a(t)/t^power from 0 to x, correctly rounded.  Its form
+of N terms is built once per (power, N): with e = m0 - power + 1 the
+integral is x^e (Q(x) + t), Q = sum_j c_(m0+j) x^j / (e + j) over N exact
+coefficients, since integrating the bound K |t|^(m0 - power + N) gives
+|t| <= K' |x|^N, K' = K / (e + N).  Here K is the tail bound above at
+degree D = m0 + N and at a radius R taken from the element, not
+MACLAURIN_RADIUS: the largest R with k R <= (M + 1)/2 for every term at
+that D, so that each factor 1/(1 - k R/(M + 1)) is at most 2; for f_n^2
+it is (2n + 3 + N)/4.  Two forms are tried in turn, N = 64 and N = 128
+(``_INTEGRAL_TERMS``): the 128-term form only where the 64-term form
+gives up or has none.  Each yields the enclosures of the Maclaurin form
+above at d = 0, the tail K' |x|^(e+N), and gives up as it does; the
+first value that passes the rounding test is returned, None where both
+forms give up (|x| > R, or the tail stops the test), and e <= 0, where
+the integral diverges at 0, is refused (UsageError).  For the spherical
+integrands of ``identities`` the 64-term form certifies up to x ~ 8.5-9.3
+on the default grid, and the 128-term form up to x ~ 20-21 (24 at
+n = 16).
+
+Below |x| = 1 the kernel sums Q.  From |x| = 1 on, where the kernel's
+error count grows like |x|^j, ``_scaled_value`` sums Q by Horner's rule
+in u = x / 2^r = p / 2^t, t = s + r the least with |p| <= 2^t, so |u| <=
+1: its row holds c_j 2^(r j) rounded to the nearest multiple of 2^-F,
+built once per (F, r) and stored on Q, and acc = floor(acc p / 2^t) +
+c_j.  The leading coefficient is off by at most 1/2, and each step adds
+below 1 for the floor and 1/2 for the coefficient to the error times
+|u| <= 1, so after K steps E = floor(3K/2) + 1 >= 1/2 + 1.5 K, as in
+``bessel._row``: each form certifies a point in one pass.
 
 The kernel's tables, the Maclaurin form and the integral's forms are
-built once per element (the tables per F, the integral's forms per power)
-and stored on the instance, outside the dataclass fields, so ``==`` and
-``hash`` are unchanged.  There is no precision
-context: every route computes at a precision passed to it as an argument,
+built once per element (the tables per F, the integral's forms per
+(power, N), their scaled rows per (F, r)) and stored on the instance,
+outside the dataclass fields, so ``==`` and ``hash`` are unchanged.
+There is no precision context: every route computes at a precision passed to it as an argument,
 on Python ints, and nothing here imports mpmath.  The kernel keeps
 x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in a
 one-entry memo of the last abscissa, so the derivatives of f_n evaluated
@@ -143,6 +158,8 @@ MAX_SPHERICAL_N = 16
 MACLAURIN_RADIUS = 1e-2
 
 _MACLAURIN_TERMS = 64  # the Maclaurin form's tail is O(|x|^64)
+# the term budgets of the integral's forms, tried in turn
+_INTEGRAL_TERMS = (_MACLAURIN_TERMS, 2 * _MACLAURIN_TERMS)
 _VANISHING_ORDER_CAP = 600
 _EVAL_MAX_DPS = 5000
 # the kernel's working precisions in bits: 40, 80, ..., 2560 digits
@@ -592,48 +609,70 @@ def _extra_bits(q: TrigPoly) -> int:
     return max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
 
 
-def _integral_form(a: TrigPoly, power: int):
-    """(e, Q, K', R, extra) of the integral of a(t)/t^power in the module
-    docstring, built once per power and stored on the instance; None for a
-    pure polynomial and where _tail_bound is None.  UsageError where
-    e <= 0, where the integral diverges at 0."""
+def _integral_form(a: TrigPoly, power: int, terms: int):
+    """(e, Q, K', R, extra) of the integral of a(t)/t^power from ``terms``
+    exact coefficients in the module docstring, built once per (power,
+    terms) and stored on the instance; None for a pure polynomial and where
+    _tail_bound is None.  UsageError where e <= 0, where the integral
+    diverges at 0."""
     forms = a.__dict__.setdefault("_integral_forms", {})
-    if power not in forms:
+    if (power, terms) not in forms:
         m0 = vanishing_order(a)
         e = m0 - power + 1
         if e <= 0:
             raise UsageError(f"the integral of a/t^{power} diverges at 0 "
                              f"(vanishing order {m0})")
         form = None
-        count = m0 + _MACLAURIN_TERMS
+        count = m0 + terms
         if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
             # the largest R with k R <= (M + 1)/2 for every term
             R = min(Fraction(count - max(len(c), len(s)) + 2, 2 * k) for k, c, s in a.terms if k)
             K = _tail_bound(a, count, R)
             if K is not None:
-                L = math.lcm(*range(e, e + _MACLAURIN_TERMS))
+                L = math.lcm(*range(e, e + terms))
                 Q = _make({0: ([c * (L // (e + j)) for j, c in
                                 enumerate(_maclaurin_ints(a, count)[m0:])], ())},
                           a.den * math.factorial(count - 1) * L)
-                form = e, Q, K / (e + _MACLAURIN_TERMS), R, _extra_bits(Q)
-        forms[power] = form
-    return forms[power]
+                form = e, Q, K / (e + terms), R, _extra_bits(Q)
+        forms[power, terms] = form
+    return forms[power, terms]
 
 
-def _series_enclosures(q: TrigPoly, K: Fraction, extra: int, e: int, x: float, d: int):
+def _scaled_value(q: TrigPoly, p: int, s: int, F: int):
+    """(T, E) with |T 2^-F - q(x)| <= E 2^-F for the pure polynomial q at
+    x = p / 2^s, |x| >= 1, by Horner's rule in u = x / 2^r, |u| <= 1, on the
+    row of c_j 2^(r j) at F fraction bits (see the module docstring)."""
+    t = (abs(p) - 1).bit_length()  # |p| <= 2^t: u = p / 2^t, r = t - s
+    r = t - s
+    rows = q.__dict__.setdefault("_scaled_rows", {})
+    row = rows.get((F, r))
+    if row is None:
+        den = q.den
+        ints = [((c << F + r * j + 1) + den) // (2 * den)
+                for j, c in reversed(tuple(enumerate(q.terms[0][1])))]
+        row = rows[F, r] = ints[0], tuple(ints[1:])
+    acc, rest = row
+    for c in rest:
+        acc = (acc * p >> t) + c
+    return acc, 3 * len(rest) // 2 + 1
+
+
+def _series_enclosures(q: TrigPoly, K: Fraction, terms: int, extra: int, e: int,
+                       x: float, d: int):
     """(T, E, F, d) with |T 2^-F - x^e (q(x) + t)| <= E 2^-F for every
-    |t| <= K |x|^64, one per pass of the kernel on the pure polynomial q at
+    |t| <= K |x|^terms, one per pass on the pure polynomial q at
     prec + extra fraction bits for prec in _EVAL_PRECS, until the tail
-    K |x|^64 2^F reaches the kernel's error: more precision cannot shrink
-    it, so the stream ends there.  d passes through for the caller."""
+    K |x|^terms 2^F reaches the sum's error: more precision cannot shrink
+    it, so the stream ends there.  Below |x| = 1 the kernel sums q, and
+    from 1 on _scaled_value does.  d passes through for the caller."""
     _, p, s, _, _ = _point_values(x)
     pe, scale = p**e, abs(p) ** e
     r = scale.bit_length() - 1
-    tail_num = K.numerator * abs(p) ** _MACLAURIN_TERMS
-    tail_den = K.denominator << _MACLAURIN_TERMS * s
+    tail_num = K.numerator * abs(p) ** terms
+    tail_den = K.denominator << terms * s
     for prec in _EVAL_PRECS:
         F = prec + extra
-        total, bound = _fixed_value(q, x, F)
+        total, bound = _fixed_value(q, x, F) if abs(x) < 1 else _scaled_value(q, p, s, F)
         tail = -(-(tail_num << F) // tail_den)
         yield total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r, d
         if tail >= bound:
@@ -657,7 +696,7 @@ def _enclosures(a: TrigPoly, x: float, power: int):
     if form is not None:
         m0, q, K, extra = form
         d = 0 if power <= m0 else power
-        yield from _series_enclosures(q, K, extra, m0 - power + d, x, d)
+        yield from _series_enclosures(q, K, _MACLAURIN_TERMS, extra, m0 - power + d, x, d)
     for F in _EVAL_PRECS:
         yield (*_fixed_value(a, x, F), F, power)
     raise NumericalFailure(
@@ -749,25 +788,30 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
 
 def tp_integral_over_power(a: TrigPoly, power: int, x: float) -> float | None:
     """The integral of a(t)/t^power from 0 to x as a double, correctly
-    rounded, from the exact series of the module docstring; None past its
-    reach: where |x| > R or where its tail stops the rounding test.
+    rounded, from the exact series of the module docstring: its form of
+    64 terms, then its form of 128 terms past the first one's reach, and
+    the first value that passes the rounding test; None past both, where
+    |x| > R or where the tail stops the rounding test.
 
     UsageError where e = m0 - power + 1 <= 0 (the integral diverges at 0,
-    m0 the vanishing order of ``a``); None where ``a`` has no form (a pure
-    polynomial, or a term that fails _tail_bound's hypothesis).
+    m0 the vanishing order of ``a``).  A form is skipped where ``a`` has
+    none (a term that fails _tail_bound's hypothesis at its budget), so a
+    pure polynomial gives None.
     """
     if power < 0:
         raise UsageError("power must be non-negative")
     x = _finite(x)
-    form = _integral_form(a, power)
-    if form is None:
-        return None
-    e, Q, K, R, extra = form
-    if abs(x) > R:
-        return None
-    if x == 0.0:
-        return 0.0
-    return _rounded(_series_enclosures(Q, K, extra, e, x, 0), x)
+    for terms in _INTEGRAL_TERMS:
+        form = _integral_form(a, power, terms)
+        if form is None or abs(x) > form[3]:
+            continue
+        if x == 0.0:
+            return 0.0
+        e, Q, K, _, extra = form
+        value = _rounded(_series_enclosures(Q, K, terms, extra, e, x, 0), x)
+        if value is not None:
+            return value
+    return None
 
 
 def _rounded(enclosures, x: float) -> float | None:

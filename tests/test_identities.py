@@ -234,7 +234,7 @@ def _simpson_from_0(a, power, xs):
 
 @pytest.mark.parametrize("name", ["v", "V:f", "V:v"])
 def test_series_then_simpson_column_matches_simpson_from_0(name):
-    # the column is the exact series up to its reach (x ~ 9 at n = 4) and
+    # the column is the exact series up to its reach (x ~ 21 at n = 4) and
     # Simpson from there on; Simpson from 0 agrees within its own error
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
 
@@ -285,8 +285,9 @@ def test_bessel_grid_runs_no_simpson_node_below_the_head_reach(monkeypatch):
 @pytest.mark.parametrize("n", [2, 4])
 def test_bessel_and_spherical_integral_routes_agree(n):
     # J_{n+1/2}(t)^2 / t^2 = (2/pi) f_n(t)^2 / t^(2n+3): where both exact
-    # series certify (x up to ~8.4-9.3) the two correctly rounded columns
-    # agree to rounding, within 4 ulps; past it, within 1e-12 relative
+    # series certify (x up to the Bessel head's reach, ~15.8, inside the
+    # spherical reach, ~20-21) the two correctly rounded columns agree to
+    # rounding, within 4 ulps; past it, within 1e-12 relative
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
 
     xs = tuple(make_grid(0.01, 30.0, 500))
@@ -301,16 +302,21 @@ def test_bessel_and_spherical_integral_routes_agree(n):
             both += 1
         else:
             assert abs(b - 2 / math.pi * s) <= 1e-12 * abs(b), (x, b, s)
-    assert both > 400
+    assert both > 450
 
 
 def test_column_past_the_series_reach_is_simpson_from_0():
+    # a grid that starts where the series first gives up on the default
+    # grid (x ~ 21 for V:v at n = 4) is Simpson from 0 at every point
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, _cumulative
 
     model = spherical_model(4)
-    xs = tuple(make_grid(20.0, 30.0, 20))
+    a, power = _SPHERICAL_INTEGRANDS["V:v"](4)
+    lo = next(x for x in make_grid(0.01, 30.0, 500) if tp_integral_over_power(a, power, x) is None)
+    xs = tuple(make_grid(lo, 30.0, 20))
+    assert xs[0] == lo > 20.0
     got = _cumulative(model.family, model.param, "V:v", xs)
-    assert got == tuple(_simpson_from_0(*_SPHERICAL_INTEGRANDS["V:v"](4), xs))
+    assert got == tuple(_simpson_from_0(a, power, xs))
 
 
 @pytest.mark.parametrize("tag", ["integral-v", "integral-vfn", "integral-V", "eq-Vpositive"])
