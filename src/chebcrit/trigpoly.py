@@ -132,11 +132,12 @@ The kernel's tables, the Maclaurin form and the integral's forms are
 built once per element (the tables per F, the integral's forms per
 (power, N), their scaled rows per (F, r)) and stored on the instance,
 outside the dataclass fields, so ``==`` and ``hash`` are unchanged.
-There is no precision context: every route computes at a precision passed to it as an argument,
-on Python ints, and nothing here imports mpmath.  The kernel keeps
-x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in a
-one-entry memo of the last abscissa, so the derivatives of f_n evaluated
-at one point share one cos/sin evaluation per F.
+There is no precision context: every route computes at a precision
+passed to it as an argument, on Python ints, and nothing here imports
+mpmath.  The kernel keeps x = p / 2^s, its Horner error counts and
+cos/sin(k x) per (F, k) in a one-entry memo of the last abscissa, so the
+derivatives of f_n evaluated at one point share one cos/sin evaluation
+per F.
 """
 
 from __future__ import annotations
