@@ -100,23 +100,20 @@ form is summed from 136 bits, d = power.
 
 The same coefficients integrate: ``tp_integral_over_power(a, power, x)``
 is the integral of a(t)/t^power from 0 to x, correctly rounded.  Its form
-of N terms is built once per (power, N): with e = m0 - power + 1 the
-integral is x^e (Q(x) + t), Q = sum_j c_(m0+j) x^j / (e + j) over N exact
-coefficients, since integrating the bound K |t|^(m0 - power + N) gives
-|t| <= K' |x|^N, K' = K / (e + N).  Here K is the tail bound above at
-degree D = m0 + N and at a radius R taken from the element, not
-MACLAURIN_RADIUS: the largest R with k R <= (M + 1)/2 for every term at
-that D, so that each factor 1/(1 - k R/(M + 1)) is at most 2; for f_n^2
-it is (2n + 3 + N)/4.  Two forms are tried in turn, N = 64 and N = 128
-(``_INTEGRAL_TERMS``): the 128-term form only where the 64-term form
-gives up or has none.  Each yields the enclosures of the Maclaurin form
-above at d = 0, the tail K' |x|^(e+N), and gives up as it does; the
-first value that passes the rounding test is returned, None where both
-forms give up (|x| > R, or the tail stops the test), and e <= 0, where
-the integral diverges at 0, is refused (UsageError).  For the spherical
-integrands of ``identities`` the 64-term form certifies up to x ~ 8.5-9.3
-on the default grid, and the 128-term form up to x ~ 20-21 (24 at
-n = 16).
+of N = 128 terms (``_INTEGRAL_TERMS``) is built once per power: with
+e = m0 - power + 1 the integral is x^e (Q(x) + t), Q = sum_j c_(m0+j)
+x^j / (e + j) over N exact coefficients, since integrating the bound
+K |t|^(m0 - power + N) gives |t| <= K' |x|^N, K' = K / (e + N).  Here K
+is the tail bound above at degree D = m0 + N and at a radius R taken from
+the element, not MACLAURIN_RADIUS: the largest R with k R <= (M + 1)/2
+for every term at that D, so that each factor 1/(1 - k R/(M + 1)) is at
+most 2; for f_n^2 it is (2n + 131)/4.  The form yields the enclosures of
+the Maclaurin form above at d = 0, the tail K' |x|^(e+N), and gives up as
+it does; the first value that passes the rounding test is returned, None
+where the form gives up (|x| > R, or the tail stops the test) or where
+there is none, and e <= 0, where the integral diverges at 0, is refused
+(UsageError).  For the spherical integrands of ``identities`` it
+certifies up to x ~ 20-21 on the default grid (24 at n = 16).
 
 Below |x| = 1 the kernel sums Q.  From |x| = 1 on, where the kernel's
 error count grows like |x|^j, ``_scaled_value`` sums Q by Horner's rule
@@ -126,18 +123,17 @@ built once per (F, r) and stored on Q, and acc = floor(acc p / 2^t) +
 c_j.  The leading coefficient is off by at most 1/2, and each step adds
 below 1 for the floor and 1/2 for the coefficient to the error times
 |u| <= 1, so after K steps E = floor(3K/2) + 1 >= 1/2 + 1.5 K, as in
-``bessel._row``: each form certifies a point in one pass.
+``bessel._row``: the form certifies a point in one pass.
 
 The kernel's tables, the Maclaurin form and the integral's forms are
-built once per element (the tables per F, the integral's forms per
-(power, N), their scaled rows per (F, r)) and stored on the instance,
-outside the dataclass fields, so ``==`` and ``hash`` are unchanged.
-There is no precision context: every route computes at a precision
-passed to it as an argument, on Python ints, and nothing here imports
-mpmath.  The kernel keeps x = p / 2^s, its Horner error counts and
-cos/sin(k x) per (F, k) in a one-entry memo of the last abscissa, so the
-derivatives of f_n evaluated at one point share one cos/sin evaluation
-per F.
+built once per element (the tables per F, the integral's forms per power,
+their scaled rows per (F, r)) and stored on the instance, outside the
+dataclass fields, so ``==`` and ``hash`` are unchanged.  There is no
+precision context: every route computes at a precision passed to it as an
+argument, on Python ints, and nothing here imports mpmath.  The kernel
+keeps x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in
+a one-entry memo of the last abscissa, so the derivatives of f_n
+evaluated at one point share one cos/sin evaluation per F.
 """
 
 from __future__ import annotations
@@ -159,8 +155,7 @@ MAX_SPHERICAL_N = 16
 MACLAURIN_RADIUS = 1e-2
 
 _MACLAURIN_TERMS = 64  # the Maclaurin form's tail is O(|x|^64)
-# the term budgets of the integral's forms, tried in turn
-_INTEGRAL_TERMS = (_MACLAURIN_TERMS, 2 * _MACLAURIN_TERMS)
+_INTEGRAL_TERMS = 2 * _MACLAURIN_TERMS  # the integral's form's tail is O(|x|^128)
 _VANISHING_ORDER_CAP = 600
 _EVAL_MAX_DPS = 5000
 # the kernel's working precisions in bits: 40, 80, ..., 2560 digits
@@ -610,33 +605,33 @@ def _extra_bits(q: TrigPoly) -> int:
     return max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
 
 
-def _integral_form(a: TrigPoly, power: int, terms: int):
-    """(e, Q, K', R, extra) of the integral of a(t)/t^power from ``terms``
-    exact coefficients in the module docstring, built once per (power,
-    terms) and stored on the instance; None for a pure polynomial and where
-    _tail_bound is None.  UsageError where e <= 0, where the integral
+def _integral_form(a: TrigPoly, power: int):
+    """(e, Q, K', R, extra) of the integral of a(t)/t^power from
+    _INTEGRAL_TERMS exact coefficients in the module docstring, built once
+    per power and stored on the instance; None for a pure polynomial and
+    where _tail_bound is None.  UsageError where e <= 0, where the integral
     diverges at 0."""
     forms = a.__dict__.setdefault("_integral_forms", {})
-    if (power, terms) not in forms:
+    if power not in forms:
         m0 = vanishing_order(a)
         e = m0 - power + 1
         if e <= 0:
             raise UsageError(f"the integral of a/t^{power} diverges at 0 "
                              f"(vanishing order {m0})")
         form = None
-        count = m0 + terms
+        count = m0 + _INTEGRAL_TERMS
         if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
             # the largest R with k R <= (M + 1)/2 for every term
             R = min(Fraction(count - max(len(c), len(s)) + 2, 2 * k) for k, c, s in a.terms if k)
             K = _tail_bound(a, count, R)
             if K is not None:
-                L = math.lcm(*range(e, e + terms))
+                L = math.lcm(*range(e, e + _INTEGRAL_TERMS))
                 Q = _make({0: ([c * (L // (e + j)) for j, c in
                                 enumerate(_maclaurin_ints(a, count)[m0:])], ())},
                           a.den * math.factorial(count - 1) * L)
-                form = e, Q, K / (e + terms), R, _extra_bits(Q)
-        forms[power, terms] = form
-    return forms[power, terms]
+                form = e, Q, K / (e + _INTEGRAL_TERMS), R, _extra_bits(Q)
+        forms[power] = form
+    return forms[power]
 
 
 def _scaled_value(q: TrigPoly, p: int, s: int, F: int):
@@ -789,30 +784,24 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
 
 def tp_integral_over_power(a: TrigPoly, power: int, x: float) -> float | None:
     """The integral of a(t)/t^power from 0 to x as a double, correctly
-    rounded, from the exact series of the module docstring: its form of
-    64 terms, then its form of 128 terms past the first one's reach, and
-    the first value that passes the rounding test; None past both, where
+    rounded, from the 128-term form of the exact series in the module
+    docstring: the first value that passes the rounding test, None where
     |x| > R or where the tail stops the rounding test.
 
     UsageError where e = m0 - power + 1 <= 0 (the integral diverges at 0,
-    m0 the vanishing order of ``a``).  A form is skipped where ``a`` has
-    none (a term that fails _tail_bound's hypothesis at its budget), so a
-    pure polynomial gives None.
+    m0 the vanishing order of ``a``).  None where ``a`` has no form (a term
+    that fails _tail_bound's hypothesis, or a pure polynomial).
     """
     if power < 0:
         raise UsageError("power must be non-negative")
     x = _finite(x)
-    for terms in _INTEGRAL_TERMS:
-        form = _integral_form(a, power, terms)
-        if form is None or abs(x) > form[3]:
-            continue
-        if x == 0.0:
-            return 0.0
-        e, Q, K, _, extra = form
-        value = _rounded(_series_enclosures(Q, K, terms, extra, e, x, 0), x)
-        if value is not None:
-            return value
-    return None
+    form = _integral_form(a, power)
+    if form is None or abs(x) > form[3]:
+        return None
+    if x == 0.0:
+        return 0.0
+    e, Q, K, _, extra = form
+    return _rounded(_series_enclosures(Q, K, _INTEGRAL_TERMS, extra, e, x, 0), x)
 
 
 def _rounded(enclosures, x: float) -> float | None:

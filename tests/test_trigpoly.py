@@ -1146,7 +1146,7 @@ def test_integral_series_is_the_correctly_rounded_60_digit_value(n):
 
 @pytest.mark.parametrize("n", [1, 2, 6, 16])
 def test_integral_far_range_is_the_correctly_rounded_60_digit_value(n):
-    # past the 64-term form's reach (x ~ 8.5-9.3 at n <= 6) the 128-term
+    # past the reach of 64 terms (x ~ 8.5-9.3 at n <= 6) the 128-term
     # form certifies, up to x ~ 20-21 (24 at n = 16)
     checked = 0
     for name, a, power in _spherical_integrals(n):
@@ -1165,42 +1165,40 @@ def test_integral_series_gives_up_past_its_reach():
     # R + 1 lies past R itself
     for n in (2, 4, 8, 16):
         for name, a, power in _spherical_integrals(n):
-            R64, R128 = (_integral_form(a, power, terms)[3] for terms in (64, 128))
-            if name != "V:v":  # f_n^2: k = 2 on degree 2n, D = 4n + 2 + terms
-                assert (R64, R128) == (Fraction(2 * n + 67, 4), Fraction(2 * n + 131, 4))
-            assert R64 < 30.0 < R128, (n, name)
+            R = _integral_form(a, power)[3]
+            if name != "V:v":  # f_n^2: k = 2 on degree 2n, D = 4n + 2 + 128
+                assert R == Fraction(2 * n + 131, 4)
+            assert 30.0 < R, (n, name)
             assert tp_integral_over_power(a, power, 20.0) is not None, (n, name)
             assert tp_integral_over_power(a, power, 30.0) is None, (n, name)
-            assert tp_integral_over_power(a, power, float(R128) + 1) is None, (n, name)
+            assert tp_integral_over_power(a, power, float(R) + 1) is None, (n, name)
     assert tp_integral_over_power(spherical_fn(2), 1, 0.0) == 0.0
 
 
-def test_integral_series_takes_one_pass_per_form(monkeypatch):
+def test_integral_series_takes_one_pass_per_point(monkeypatch):
     # from x = 1 on Q is summed by Horner's rule in x/2^r, 1.5 units a
-    # step, so on the default grid up to the reach each form that a point
-    # reaches draws one enclosure: the 64-term form up to its radius, and
-    # the 128-term form where the 64-term form gives up
+    # step, so on the default grid up to the reach the form draws one
+    # enclosure per point
     from chebcrit import trigpoly
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, make_grid
 
     a, power = _SPHERICAL_INTEGRANDS["V:f"](4)
     plain, draws = trigpoly._series_enclosures, []
 
-    def counting(q, K, terms, *args):
-        for enclosure in plain(q, K, terms, *args):
-            draws.append(terms)
+    def counting(*args):
+        for enclosure in plain(*args):
+            draws.append(enclosure)
             yield enclosure
 
     monkeypatch.setattr(trigpoly, "_series_enclosures", counting)
-    forms = {}
+    passes = {}
     for x in make_grid(0.01, 30.0, 500):
         draws.clear()
         if tp_integral_over_power(a, power, x) is None:
             break
         if x >= 1.0:
-            forms[x] = tuple(draws)
-    assert set(forms.values()) == {(64,), (64, 128), (128,)}
-    assert max(forms) > 20.0 and min(x for x, d in forms.items() if 128 in d) < 10.0
+            passes[x] = len(draws)
+    assert set(passes.values()) == {1} and max(passes) > 20.0
 
 
 def test_scaled_sum_is_within_its_bound():
@@ -1208,15 +1206,13 @@ def test_scaled_sum_is_within_its_bound():
     # bits: after K steps T is within 1/2 + 1.5 K units of 2^F Q(x), exactly
     for n in (2, 6):
         for name, a, power in _spherical_integrals(n):
-            for terms in (64, 128):
-                _, Q, _, _, extra = _integral_form(a, power, terms)
-                coeffs, F = Q.terms[0][1], _EVAL_PRECS[0] + extra
-                for x in (1.0, 1.7, 9.3, 20.5, -3.25):
-                    xf = Fraction(x)
-                    exact = sum(Fraction(c, Q.den) * xf**j for j, c in enumerate(coeffs))
-                    T, E = _scaled_value(Q, xf.numerator, xf.denominator.bit_length() - 1, F)
-                    assert abs(T - exact * 2**F) <= E == 3 * (len(coeffs) - 1) // 2 + 1, \
-                        (n, name, terms, x)
+            _, Q, _, _, extra = _integral_form(a, power)
+            coeffs, F = Q.terms[0][1], _EVAL_PRECS[0] + extra
+            for x in (1.0, 1.7, 9.3, 20.5, -3.25):
+                xf = Fraction(x)
+                exact = sum(Fraction(c, Q.den) * xf**j for j, c in enumerate(coeffs))
+                T, E = _scaled_value(Q, xf.numerator, xf.denominator.bit_length() - 1, F)
+                assert abs(T - exact * 2**F) <= E == 3 * (len(coeffs) - 1) // 2 + 1, (n, name, x)
 
 
 def test_integral_series_refuses_an_integral_divergent_at_0():
@@ -1230,31 +1226,28 @@ def test_integral_series_refuses_an_integral_divergent_at_0():
 
 
 def test_integral_series_without_a_tail_bound_gives_none():
-    # x^70 lies beyond the 64 terms of sin x + x^70 (vanishing order 1), so
-    # its term fails _tail_bound's hypothesis M >= 0 at that budget; the
-    # 128-term form holds x^70 exactly and gives the value.  x^140 fails at
-    # both budgets, and a pure polynomial has no form either
-    with_70 = tp_add(tp_sin(), tp_x(70))
-    assert _integral_form(with_70, 0, 64) is None
+    # x^140 lies beyond the 128 terms of sin x + x^140 (vanishing order 1),
+    # so its term fails _tail_bound's hypothesis M >= 0: there is no form,
+    # and a pure polynomial has none either.  x^70 lies within them, and
+    # sin x + x^70 gives its value
+    with_140 = tp_add(tp_sin(), tp_x(140))
+    assert _integral_form(with_140, 0) is None
+    assert tp_integral_over_power(with_140, 0, 0.5) is None
+    assert tp_integral_over_power(tp_x(3), 0, 0.5) is None
     with mp.workdps(60):
         want = float(1 - mp.cos(1.5) + mp.mpf(1.5) ** 71 / 71)
-    assert tp_integral_over_power(with_70, 0, 1.5) == want
-    assert tp_integral_over_power(tp_add(tp_sin(), tp_x(60)), 0, 0.5) is not None
-    assert tp_integral_over_power(tp_add(tp_sin(), tp_x(140)), 0, 0.5) is None
-    assert tp_integral_over_power(tp_x(3), 0, 0.5) is None
+    assert tp_integral_over_power(tp_add(tp_sin(), tp_x(70)), 0, 1.5) == want
 
 
 def test_integral_series_tail_carries_weight(monkeypatch):
     # at x = 20.12, on the ragged edge of the 128-term form's reach for
     # f_1^2 / t^5 (the first x = k/100 where it gives up is 19.96, the last
-    # where it certifies 20.14) and past the 64-term form's radius 17.25,
-    # the 128 terms alone certify a value one ulp off the 60-digit
-    # reference: the tail bound is what keeps it out
+    # where it certifies 20.14), the 128 terms alone certify a value one
+    # ulp off the 60-digit reference: the tail bound is what keeps it out
     from chebcrit import trigpoly
 
     a, power, x = tp_mul(spherical_fn(1), spherical_fn(1)), 5, 20.12
     want = float(_integral_ref(a, power, x))
-    assert _integral_form(a, power, 64)[3] < x
     assert tp_integral_over_power(_fresh(a), power, x) is None
     monkeypatch.setattr(trigpoly, "_tail_bound", lambda *args: Fraction(0))
     planted = tp_integral_over_power(_fresh(a), power, x)
