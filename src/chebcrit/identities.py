@@ -51,9 +51,8 @@ their cumulative column with one loop: the family's exact series head,
 correctly rounded, at every grid point from the first for as long as it
 certifies, and adaptive Simpson on the integrand from the last certified
 point on.  The spherical head is the Maclaurin series of
-trigpoly.tp_integral_over_power, its 64-term form and then its 128-term
-form (x up to about 20-21), Simpson's integrand tp_eval_over_power(a, p,
-t); the Bessel head is the product-formula series of
+trigpoly.tp_integral_over_power, a form of 128 terms (x up to about
+20-21), Simpson's integrand tp_eval_over_power(a, p, t); the Bessel head is the product-formula series of
 bessel.j_squared_integral (x below 16 for nu = 1.5 to 3.4), Simpson's
 integrand J_nu(t)^2/t^2.
 """
