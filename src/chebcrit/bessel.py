@@ -94,14 +94,14 @@ checked exactly on integers (the test implies q < 1).  For k >= K+1 the
 term ratio is then below q, since y < 2^rho, so the tail past K is at most
 |b_(K+1)| y^(K+1) / (1 - q) < |b_(K+1)| 2^(rho (K+1)) / (1 - q), one unit of
 2^-F, and the Horner total is within 1.5 (K + 1) units of 2^F sum_k b_k y^k,
-as for J_nu.  A row holds at most trigpoly._MACLAURIN_TERMS (64) terms, the
-budget of the spherical integrals' series; where it would need more, the
-integral gives None.  At 30 digits that reach is y < 2^6 (x < 16) for
-nu = 1.5 to 3.4, y < 2^5 for nu near 1 and y < 2^7 at nu = 20.  The
-prefactor is ``_half_x_power`` squared over Gamma's pair squared, within
-2^(3-F) relative; the enclosure is widened by that, and both of its ends
-are rounded once each and must give one double (Ziv's test), so the
-double is the value correctly rounded.
+as for J_nu.  A row holds at most _SQUARED_INTEGRAL_TERMS (64) terms;
+where it would need more, the integral gives None and Simpson continues.
+At 30 digits that reach is y < 2^6 (x < 16) for nu = 1.5 to 3.4, y < 2^5
+for nu near 1 and y < 2^7 at nu = 20.  The prefactor is ``_half_x_power``
+squared over Gamma's pair squared, within 2^(3-F) relative; the enclosure
+is widened by that, and ``fixedpoint._ziv_double`` rounds both of its ends
+and must get one double (Ziv's test), so the double is the value
+correctly rounded.
 
 Zeros: ``bessel_zeros``, ``bessel_deriv_zeros`` and ``_fn_zeros`` (of f_n
 and f_n') each state where their scan starts, where it gives up and what
@@ -120,9 +120,9 @@ from typing import Callable, Iterator, Sequence
 from mpmath.libmp import fone, from_float, mpf_add, mpf_gamma, round_nearest
 
 from .errors import NumericalFailure, UsageError
-from .fixedpoint import _checked_double, _exp, _int_to_double, _ladder, _ln
+from .fixedpoint import _checked_double, _exp, _horner_row, _ladder, _ln, _ziv_double
 from .rootfind import ZeroResult, first_zeros
-from .trigpoly import _MACLAURIN_TERMS, fn_derivatives, tp_eval
+from .trigpoly import fn_derivatives, tp_eval
 
 DEFAULT_SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 500
@@ -151,6 +151,12 @@ _PREFACTOR_GUARD = 20
 #: integer and half-integer nu below this take the exact and isqrt routes
 _EXACT_POWER_CAP = 1024
 
+#: A row of the integral of J_nu^2/t^2 holds at most this many terms, and
+#: Simpson continues past its reach: until the benchmark's spans are bound
+#: to stages (ROADMAP item 3), perfbench's spans.EXPECTED and the traced CI
+#: step need Simpson nodes on verify-bessel.
+_SQUARED_INTEGRAL_TERMS = 64
+
 
 def _check_order(nu: float) -> float:
     nu = float(nu)
@@ -166,22 +172,6 @@ def _gamma_plus_one(nu: float, prec: int) -> tuple[int, int]:
     sum at one precision shares it.  The one use of mpmath in the package."""
     _, gman, gexp, _ = mpf_gamma(mpf_add(from_float(nu), fone, prec, _RND), prec, _RND)
     return gman, gexp
-
-
-def _horner_row(terms: list[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
-    """(c_K, (c_(K-1), ..., c_0)) for the terms (n_k, d_k, t_k), k = 0..K,
-    c_k the integer nearest (-1)^k n_k 2^t_k / d_k, from one integer
-    division each: a row as Horner's rule reads it."""
-    row = []
-    for k, (num, den, t) in enumerate(terms):
-        if k & 1:
-            num = -num
-        if t >= 0:
-            num <<= t
-        else:
-            den <<= -t
-        row.append((2 * num + den) // (2 * den))  # nearest
-    return row[-1], tuple(reversed(row[:-1]))
 
 
 @lru_cache(maxsize=1024)
@@ -223,7 +213,8 @@ def _row(nu: float, r: int, F: int, rho: int):
                     + (dens[j] * a << g - low) <= dens[j] * b << -low):
                 break
         K += 1
-    return _horner_row([(fall(k), dens[k], e * (k - r) + rho * k + F) for k in range(K + 1)])
+    return _horner_row([(-fall(k) if k & 1 else fall(k), dens[k], e * (k - r) + rho * k + F)
+                        for k in range(K + 1)])
 
 
 @lru_cache(maxsize=256)
@@ -233,23 +224,24 @@ def _squared_integral_row(nu: float, F: int, rho: int):
 
     Returns (c_K, (c_(K-1), ..., c_0)), c_k the integer nearest to
     b_k 2^(rho k + F) for the b_k of the module docstring, K the first index
-    that meets its stop test; None where no K < _MACLAURIN_TERMS does.
+    that meets its stop test; None where no K < _SQUARED_INTEGRAL_TERMS
+    does.
     """
     n, d = nu.as_integer_ratio()
     e = d.bit_length() - 1  # nu = n / 2^e
-    # |b_k| = nums[k] / dens[k]; b_0 = 1 / (2 nu - 1), and |b_(k+1) / b_k| is
+    # b_k = nums[k] / dens[k]; b_0 = 1 / (2 nu - 1), and |b_(k+1) / b_k| is
     # 2 (2nu+2k-1) / ((2nu+k+1)(k+1)(nu+k+1)), each factor times 2^e
     nums, dens = [1 << e], [2 * n - (1 << e)]
-    for K in range(_MACLAURIN_TERMS):
+    for K in range(_SQUARED_INTEGRAL_TERMS):
         j = K + 1
-        nums.append(nums[K] * (((2 * K - 1) << e) + 2 * n) << e + 1)
+        nums.append(-nums[K] * (((2 * K - 1) << e) + 2 * n) << e + 1)
         dens.append(dens[K] * ((j << e) + 2 * n) * j * ((j << e) + n))
         # q = 2^g / B = 2^rho 4 / ((K+2)(nu+K+2)), and the test
         # |b_(K+1)| 2^(rho (K+1) + F) <= 1 - q, times dens[j] B
         B = (j + 1) * (((j + 1) << e) + n)
         g, h = rho + 2 + e, rho * j + F
         low = min(g, h, 0)  # both sides times 2^-low, so no shift is negative
-        if (nums[j] * B << h - low) + (dens[j] << g - low) <= dens[j] * B << -low:
+        if (abs(nums[j]) * B << h - low) + (dens[j] << g - low) <= dens[j] * B << -low:
             break
     else:
         return None
@@ -354,8 +346,8 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_SERIES_TOL) -> float:
 def j_squared_integral(nu: float, x: float) -> float | None:
     """The integral of J_nu(t)^2 / t^2 from 0 to x as a double, correctly
     rounded, from the exact series of the module docstring; None past its
-    reach, where the row of y = x^2/4 needs more than _MACLAURIN_TERMS
-    terms (x up to about 16 at 30 digits).
+    reach, where the row of y = x^2/4 needs more than
+    _SQUARED_INTEGRAL_TERMS terms (x up to about 16 at 30 digits).
 
     At F bits of _SERIES_PRECS the row is summed by Horner's rule, its
     error 1.5 (K + 1) units is widened by the prefactor's 2^(4-F) relative,
@@ -393,12 +385,10 @@ def j_squared_integral(nu: float, x: float) -> float | None:
         M, X = _half_x_power(nu, mx, s, prec + _PREFACTOR_GUARD)
         gman, gexp = _gamma_plus_one(nu, prec)
         num, den, e = M * M, gman * gman * mx, 2 * (X - gexp) + s - prec
-        lo = _int_to_double((acc - err) * num, den, e)
-        if abs(acc) > err and lo == _int_to_double((acc + err) * num, den, e):
-            if not lo or math.isinf(lo):  # acc - err is nonzero: this raises
-                _checked_double((acc - err) * num, den, e,
-                                "the integral of J_{}^2/t^2 at x={!r}", nu, x)
-            return lo
+        got = _ziv_double(acc * num, err * num, den, e,
+                          "the integral of J_{}^2/t^2 at x={!r}", nu, x)
+        if got is not None:
+            return got
     return None
 
 

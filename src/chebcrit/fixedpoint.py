@@ -15,8 +15,12 @@ alone:
   usual table-plus-reduced-argument evaluation (Brent and Zimmermann,
   Modern Computer Arithmetic, 2010, section 4.4);
 * one correctly rounded int-to-double conversion (``_int_to_double``),
-  and its checked form (``_checked_double``), which refuses a value
-  outside the double range;
+  its checked form (``_checked_double``), which refuses a value outside
+  the double range, and Ziv's rounding test on an integer enclosure
+  (``_ziv_double``);
+* the rounding of exact rational coefficients to one Horner row of
+  integers (``_horner_row``), which ``trigpoly``'s series and ``bessel``'s
+  rows share;
 * the rounding of an exact rational to a given number of bits
   (``_nearest_bits``), and the one precision ladder of the multiprecision
   sums (``_ladder``).
@@ -289,6 +293,32 @@ def _checked_double(num: int, den: int, e: int, what: str, *args) -> float:
         raise NumericalFailure(
             f"{what.format(*args)} {'overflows' if v else 'underflows'} double precision")
     return v
+
+
+def _ziv_double(T: int, E: int, den: int, e: int, what: str, *args) -> float | None:
+    """The double of every value in [(T - E) 2^e / den, (T + E) 2^e / den],
+    den > 0, where both ends round to one double and |T| > E, so that the
+    interval excludes 0 (Ziv's rounding test): that double is then each
+    value correctly rounded.  None where the test fails; where the double
+    overflows or underflows, _checked_double raises NumericalFailure with
+    what.format(*args)."""
+    lo = _int_to_double(T - E, den, e)
+    if abs(T) > E and lo == _int_to_double(T + E, den, e):
+        if not lo or math.isinf(lo):  # T - E is nonzero: this raises
+            _checked_double(T - E, den, e, what, *args)
+        return lo
+    return None
+
+
+def _horner_row(terms) -> tuple[int, tuple[int, ...]]:
+    """(c_K, (c_(K-1), ..., c_0)) for the terms (n_k, d_k, t_k), k = 0..K,
+    d_k > 0, c_k the integer nearest n_k 2^t_k / d_k, from one integer
+    division each: a row as Horner's rule reads it."""
+    # the integer nearest n / d is floor((2n + d) / 2d), here with the 2^t
+    # on n or on d
+    row = [((num << t + 1) + den) // (2 * den) if t >= 0 else
+           (2 * num + (den << -t)) // (den << 1 - t) for num, den, t in terms]
+    return row[-1], tuple(reversed(row[:-1]))
 
 
 def _nearest_bits(num: int, den: int, prec: int) -> tuple[int, int]:

@@ -18,17 +18,17 @@ Numeric evaluation is a separate concern: the closed forms have integer
 coefficients that grow like (2n+1)!! while the function values near x = 0
 vanish to high order, so a fixed-precision sum loses every significant
 digit.  ``tp_eval_mp``, ``tp_eval``, ``tp_eval_over_power`` and
-``tp_integral_over_power`` share one fixed-point kernel on Python ints, and
-only exact values bypass it:
+``tp_integral_over_power`` share two fixed-point sums on Python ints, and
+only exact values bypass them:
 
 * at x = 0 the value is the exact Maclaurin coefficient, and a pure
   polynomial is summed exactly in the rationals; ``tp_eval`` and
   ``tp_eval_over_power`` round that rational once to the nearest double
   and ``tp_eval_mp`` to 136 bits (40 digits);
-* below |x| = MACLAURIN_RADIUS (0.01) the kernel sums the element's
-  Maclaurin form, its exact truncated Maclaurin polynomial with a rigorous
-  tail bound (below);
-* elsewhere, and where the Maclaurin form gives up, the kernel sums the
+* below |x| = MACLAURIN_RADIUS (0.01), and for every integral, one Horner
+  row sums the element's series form, its exact truncated Maclaurin series
+  with a rigorous tail bound (below);
+* elsewhere, and where the series form gives up, the kernel sums the
   harmonic form.
 
 One generator, ``_enclosures(a, x, power)``, decides the route, the start
@@ -59,13 +59,16 @@ E summed term by term in units of 2^-F:
 The precision climbs one ladder, the bits of 40, 80, ..., 2560 digits
 (``fixedpoint._ladder``), until the caller stops drawing; past its top,
 the cap of 5000 digits, NumericalFailure is raised.  The harmonic form
-starts at 40 digits, 136 bits.  The Maclaurin form starts higher where
-its exact leading coefficient c_m0 is small: at F = max(136, 105 - l)
-bits, l the bit length of c_m0's numerator less that of its denominator,
-so that |c_m0| > 2^(l-1) puts |c_m0| 2^F above 2^104, the bits of 1e30
-and 4 for the error count, and its first pass already meets
-tp_eval_mp's test (below).  For the f_n entries and v(f_n) of n <= 6
-that start is 136 bits, for f_12 (l = -42) it is 147.  The tests:
+starts at 40 digits, 136 bits.  The series form starts higher where its
+exact leading coefficient c_m0 is small: at F = max(136, 105 - l) bits,
+l the bit length of c_m0's numerator less that of its denominator in
+lowest terms, so that |c_m0| > 2^(l-1) puts |c_m0| 2^F above 2^104, the
+bits of 1e30 and 4 for the error count.  A row of up to 10 terms keeps
+its error and the rescaling's unit within 2^4, and its first pass meets
+tp_eval_mp's test (below); every near-0 row of the f_n^(k), n <= 16, and
+of the minors of n <= 6 (7 to 25 terms) met it at the first pass for
+1e-4 <= x < 0.01.  For the f_n entries and v(f_n) of n <= 6 that start is
+136 bits, for f_12 (l = -42) it is 147.  The tests:
 
 * ``tp_eval_mp(a, x)`` accepts when E rd <= |T| rn for the one relative
   tolerance 1e-30 = rn / rd exactly, and returns the dyadic pair (T, -F),
@@ -73,64 +76,73 @@ that start is 136 bits, for f_12 (l = -42) it is 147.  The tests:
   without a conversion;
 * ``tp_eval_over_power(a, power, x)``, and ``tp_eval`` at power 0,
   accept when both ends of the quotient, (T -+ E) 2^(s d - F) / p^d, round
-  to the same double (Ziv's rounding test) and |T| > E, and that double is
+  to the same double and |T| > E (Ziv's rounding test,
+  ``fixedpoint._ziv_double``), and that double is
   then the quotient correctly rounded (so a true zero is never accepted):
   each end is one int division, and neither a(x) nor x^d is rounded.
 
 On every route a double that overflows, or that is 0.0 for a nonzero
 value (an underflow), raises NumericalFailure.
 
-The Maclaurin form of a, vanishing to order m0, is the pure polynomial
-q = c_m0 + ... + c_(m0+63) x^63 of its exact Maclaurin coefficients and a
-rational K with |a(x)/x^m0 - q(x)| <= K |x|^64 for |x| < R =
-MACLAURIN_RADIUS.  A term c x^i cos kx or c x^i sin kx leaves at most
-|c| |x|^D k^M / M! / (1 - k|x|/(M+1)) in degrees D = m0 + 64 and above,
+The series form of a, vanishing to order m0 (``_series_form``), holds the
+exact Maclaurin coefficients c_m0, ..., c_(m0+N-1), N = _SERIES_TERMS =
+128, as integer numerators over one denominator, a radius R and a
+rational K with |a(x)/x^m0 - sum_(j<N) c_(m0+j) x^j| <= K |x|^N for
+|x| <= R.  A term c x^i cos kx or c x^i sin kx leaves at most
+|c| |x|^D k^M / M! / (1 - k|x|/(M+1)) in degrees D = m0 + N and above,
 M = D - i, as the Taylor terms (k|x|)^m / m!, m >= M, of cos and sin
-shrink at least by the ratio k|x|/(M+1); K sums these at |x| = R.  This
-needs M >= 0 and k R < M + 1, checked per term (else there is no form).
-The form gives a(x)/x^(power - d), d = 0 where power <= m0 and d = power
-above it.  With e = m0 - power + d, a(x)/x^(power - d) = x^e (q(x) + t),
-|t| <= K |x|^64, so the kernel's (T, E) for q at F bits give (T p^e,
-(E + tail) |p|^e) at F + s e bits, tail = K |x|^64 2^F rounded up.  They
-are yielded shifted right by r, 2^r <= |p|^e < 2^(r+1), so that T keeps
-its size: T p^e floored, E rounded up plus 1 for that floor, at
-F + s e - r bits.  More precision shrinks E but not the tail: once
-tail >= E and the caller draws again, the form gives up and the harmonic
-form is summed from 136 bits, d = power.
+shrink at least by the ratio k|x|/(M+1); K (``_tail_bound``) sums these
+at |x| = R.  This needs M >= 0 and k R < M + 1 for every term, else there
+is no form.  R is read off the element: the largest R with k R <=
+(M + 1)/2 for every term, so that each factor 1/(1 - k R/(M + 1)) is at
+most 2; for f_n^2 it is (2n + 131)/4, and about 65 for an f_n entry.
 
-The same coefficients integrate: ``tp_integral_over_power(a, power, x)``
-is the integral of a(t)/t^power from 0 to x, correctly rounded.  Its form
-of N = 128 terms (``_INTEGRAL_TERMS``) is built once per power: with
-e = m0 - power + 1 the integral is x^e (Q(x) + t), Q = sum_j c_(m0+j)
-x^j / (e + j) over N exact coefficients, since integrating the bound
-K |t|^(m0 - power + N) gives |t| <= K' |x|^N, K' = K / (e + N).  Here K
-is the tail bound above at degree D = m0 + N and at a radius R taken from
-the element, not MACLAURIN_RADIUS: the largest R with k R <= (M + 1)/2
-for every term at that D, so that each factor 1/(1 - k R/(M + 1)) is at
-most 2; for f_n^2 it is (2n + 131)/4.  The form yields the enclosures of
-the Maclaurin form above at d = 0, the tail K' |x|^(e+N), and gives up as
-it does; the first value that passes the rounding test is returned, None
-where the form gives up (|x| > R, or the tail stops the test) or where
-there is none, and e <= 0, where the integral diverges at 0, is refused
-(UsageError).  For the spherical integrands of ``identities`` it
-certifies up to x ~ 20-21 on the default grid (24 at n = 16).
+The form serves two sums, each x^e (Q(x) + t) with |t| <= K' |x|^N:
 
-Below |x| = 1 the kernel sums Q.  From |x| = 1 on, where the kernel's
-error count grows like |x|^j, ``_scaled_value`` sums Q by Horner's rule
-in u = x / 2^r = p / 2^t, t = s + r the least with |p| <= 2^t, so |u| <=
-1: its row holds c_j 2^(r j) rounded to the nearest multiple of 2^-F,
-built once per (F, r) and stored on Q, and acc = floor(acc p / 2^t) +
-c_j.  The leading coefficient is off by at most 1/2, and each step adds
-below 1 for the floor and 1/2 for the coefficient to the error times
-|u| <= 1, so after K steps E = floor(3K/2) + 1 >= 1/2 + 1.5 K, as in
-``bessel._row``: the form certifies a point in one pass.
+* a(x)/x^(power - d) below |x| = MACLAURIN_RADIUS where |x| <= R, with
+  Q = sum_j c_(m0+j) x^j, K' = K, e = m0 - power + d, and d = 0 where
+  power <= m0 and d = power above it;
+* ``tp_integral_over_power(a, power, x)``, the integral of a(t)/t^power
+  from 0 to x for |x| <= R, with Q = sum_j c_(m0+j) x^j / (e + j) and
+  e = m0 - power + 1, since integrating the bound K |t|^(m0 - power + N)
+  gives K' = K / (e + N).  e <= 0, where the integral diverges at 0, is
+  refused (UsageError).
 
-The kernel's tables, the Maclaurin form and the integral's forms are
-built once per element (the tables per F, the integral's forms per power,
-their scaled rows per (F, r)) and stored on the instance, outside the
-dataclass fields, so ``==`` and ``hash`` are unchanged.  There is no
-precision context: every route computes at a precision passed to it as an
-argument, on Python ints, and nothing here imports mpmath.  The kernel
+Q is summed by Horner's rule in u = x / 2^r = p / 2^t, t the least with
+|p| <= 2^t and r = t - s, so |u| <= 1 at every x != 0 (r <= 0 up to
+|x| = 1), by ``_series_value``: the row of (F, r) holds c_j 2^(r j),
+divided by e + j for the integral, rounded to the nearest multiple of
+2^-F, and acc = floor(acc p / 2^t) + c_j.  The row stops at the least J
+where the rest, the sum of |c_j| 2^(F + r j) over j > J, is below one
+unit of 2^-F: as |x| <= 2^r, the terms it drops add less than that unit.
+The stop is checked on integers, each term bounded by a power of two
+from bit lengths, in units of 2^-(F + 8).  The leading coefficient is off
+by at most 1/2, and each step adds below 1 for the floor and 1/2 for the
+coefficient to the error times |u| <= 1, so with the rest's unit
+E = floor(3J/2) + 2 >= 1/2 + 1.5 J + 1, as in ``bessel._row``: a point
+certifies in one pass wherever the tail allows.  Near 0 the rows are
+short (7 to 25 terms at 1e-4 <= x < 0.01 for the f_n^(k) and minors
+above), and the integral's rows of f_n^2 and v(f_n) hold 11 to 37 terms
+below x = 1, 37 to 63 up to x = 4 and 113 to all 128 past x = 8.
+
+The sum's (T, E) at F bits give (T p^e, (E + tail) |p|^e) at F + s e
+bits, tail = K' |x|^N 2^F rounded up.  They are yielded shifted right by
+r', 2^r' <= |p|^e < 2^(r'+1), so that T keeps its size: T p^e floored, E
+rounded up plus 1 for that floor, at F + s e - r' bits.  More precision
+shrinks E against T but not the tail: once tail >= E and the caller
+draws again, the stream ends.  Near 0 the harmonic form is then summed
+from 136 bits, d = power.  The integral is the first value that passes
+the rounding test, and None where the stream ends or yields nothing
+(|x| > R), or where there is no form.  For the spherical integrands of
+``identities`` it certifies up to x ~ 20-21 on the default grid (24 at
+n = 16).
+
+The kernel's tables and the series form are built once per element (the
+tables per F, the form's rows per weight, F and r) and stored on the
+instance, outside the dataclass fields, so ``==`` and ``hash`` are
+unchanged.  There is no precision context: every route computes at a
+precision passed to it as an argument, on Python ints, and nothing here
+imports mpmath.  The kernel
 keeps x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in
 a one-entry memo of the last abscissa, so the derivatives of f_n
 evaluated at one point share one cos/sin evaluation per F.
@@ -145,17 +157,17 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import NumericalFailure, UsageError
-from .fixedpoint import _checked_double, _cos_sin, _int_to_double, _ladder, _nearest_bits
+from .fixedpoint import _checked_double, _cos_sin, _horner_row, _ladder, _nearest_bits, _ziv_double
 
 #: Largest n accepted by :func:`spherical_fn`; coefficient growth is ~(2n+1)!!.
 MAX_SPHERICAL_N = 16
 
-#: Below this |x| the kernel sums an element's Maclaurin form instead of its
+#: Below this |x| the kernel sums an element's series form instead of its
 #: harmonic form (the harmonic form cancels catastrophically near 0).
 MACLAURIN_RADIUS = 1e-2
 
-_MACLAURIN_TERMS = 64  # the Maclaurin form's tail is O(|x|^64)
-_INTEGRAL_TERMS = 2 * _MACLAURIN_TERMS  # the integral's form's tail is O(|x|^128)
+_SERIES_TERMS = 128  # the series form's tail is O(|x|^128)
+_ROW_GUARD = 8  # a row's stop test sums the rest in units of 2^-(F + 8)
 _VANISHING_ORDER_CAP = 600
 _EVAL_MAX_DPS = 5000
 # the kernel's working precisions in bits: 40, 80, ..., 2560 digits
@@ -535,11 +547,7 @@ def _fixed_value(a: TrigPoly, x: float, F: int):
     degree, rows = _fixed_table(a, F)
     _, p, s, errs, trig = _point_values(x)
     while len(errs) <= degree:
-        e = -(-errs[-1] * abs(p) >> s) + 2
-        if e == errs[-1]:  # a fixed point (|x| < 1): every later count is e
-            errs += [e] * (degree + 1 - len(errs))
-        else:
-            errs.append(e)
+        errs.append(-(-errs[-1] * abs(p) >> s) + 2)
     total = bound = 0
     for k, crow, srow in rows:
         if k:
@@ -578,98 +586,91 @@ def _tail_bound(a: TrigPoly, degree: int, R: Fraction):
     return total / a.den
 
 
-def _maclaurin_form(a: TrigPoly):
-    """(m0, q, K, extra), the Maclaurin form of the module docstring, built
-    once and stored on the instance; None for a pure polynomial (summed
-    exactly) and where _tail_bound is None.  q is summed from
-    _EVAL_PRECS[0] + extra bits, where |c_m0| 2^F > 2^_START_BITS."""
-    if "_maclaurin_form" not in a.__dict__:
+def _series_form(a: TrigPoly):
+    """(m0, nums, den, R, K, extra, rows), the series form of the module
+    docstring, built once and stored on the instance; None for a pure
+    polynomial (summed exactly) and where _tail_bound is None.  nums[j] / den
+    is c_(m0+j), j < _SERIES_TERMS, K bounds the tail on |x| <= R, the form
+    is summed from _EVAL_PRECS[0] + extra bits, where |c_m0| 2^F >
+    2^_START_BITS, and rows holds the Horner rows of _series_value."""
+    if "_series_form" not in a.__dict__:
         form = None
-        if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+        if a.terms and a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
             m0 = vanishing_order(a)
-            K = _tail_bound(a, m0 + _MACLAURIN_TERMS, Fraction(MACLAURIN_RADIUS))
-            if K is not None:
-                count = m0 + _MACLAURIN_TERMS
-                q = _make({0: (_maclaurin_ints(a, count)[m0:], ())},
-                          a.den * math.factorial(count - 1))
-                form = m0, q, K, _extra_bits(q)
-        a.__dict__["_maclaurin_form"] = form
-    return a.__dict__["_maclaurin_form"]
-
-
-def _extra_bits(q: TrigPoly) -> int:
-    """The bits above _EVAL_PRECS[0] from which |c| 2^F > 2^_START_BITS for
-    the constant coefficient c of the pure polynomial q: |c| > 2^(lg - 1)
-    gives it from F = _START_BITS + 1 - lg."""
-    lg = abs(q.terms[0][1][0]).bit_length() - q.den.bit_length()
-    return max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
-
-
-def _integral_form(a: TrigPoly, power: int):
-    """(e, Q, K', R, extra) of the integral of a(t)/t^power from
-    _INTEGRAL_TERMS exact coefficients in the module docstring, built once
-    per power and stored on the instance; None for a pure polynomial and
-    where _tail_bound is None.  UsageError where e <= 0, where the integral
-    diverges at 0."""
-    forms = a.__dict__.setdefault("_integral_forms", {})
-    if power not in forms:
-        m0 = vanishing_order(a)
-        e = m0 - power + 1
-        if e <= 0:
-            raise UsageError(f"the integral of a/t^{power} diverges at 0 "
-                             f"(vanishing order {m0})")
-        form = None
-        count = m0 + _INTEGRAL_TERMS
-        if a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
+            count = m0 + _SERIES_TERMS
             # the largest R with k R <= (M + 1)/2 for every term
             R = min(Fraction(count - max(len(c), len(s)) + 2, 2 * k) for k, c, s in a.terms if k)
             K = _tail_bound(a, count, R)
             if K is not None:
-                L = math.lcm(*range(e, e + _INTEGRAL_TERMS))
-                Q = _make({0: ([c * (L // (e + j)) for j, c in
-                                enumerate(_maclaurin_ints(a, count)[m0:])], ())},
-                          a.den * math.factorial(count - 1) * L)
-                form = e, Q, K / (e + _INTEGRAL_TERMS), R, _extra_bits(Q)
-        forms[power] = form
-    return forms[power]
+                nums = _maclaurin_ints(a, count)[m0:]
+                den = a.den * math.factorial(count - 1)
+                lead = Fraction(nums[0], den)  # |c_m0| > 2^(lg - 1)
+                lg = lead.numerator.bit_length() - lead.denominator.bit_length()
+                form = m0, nums, den, R, K, max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0]), {}
+        a.__dict__["_series_form"] = form
+    return a.__dict__["_series_form"]
 
 
-def _scaled_value(q: TrigPoly, p: int, s: int, F: int):
-    """(T, E) with |T 2^-F - q(x)| <= E 2^-F for the pure polynomial q at
-    x = p / 2^s, |x| >= 1, by Horner's rule in u = x / 2^r, |u| <= 1, on the
-    row of c_j 2^(r j) at F fraction bits (see the module docstring)."""
+def _series_value(form, x: float, F: int, w: int):
+    """(T, E) with |T 2^-F - Q(x)| <= E 2^-F for the form's Q at x != 0,
+    Q(x) = sum_j c_(m0+j) x^j / (w + j) where w > 0 and without the divisor
+    where w = 0, by Horner's rule in u = x / 2^r on the row of (w, F, r),
+    built once and stored on the form (see the module docstring).
+
+    The row holds c_j 2^(r j) at F fraction bits for j = 0..J, J the least
+    index where the rest, the sum of |c_j| 2^(F + r j) over j > J, is below
+    one unit.  That test runs on integers, in units of 2^-(F + _ROW_GUARD):
+    a term n 2^t / d is below 2^b of them, b the bit length of n less that
+    of d plus t + _ROW_GUARD + 1, and below 1 where b <= 0."""
+    _, nums, den, _, _, _, rows = form
+    _, p, s, _, _ = _point_values(x)
     t = (abs(p) - 1).bit_length()  # |p| <= 2^t: u = p / 2^t, r = t - s
     r = t - s
-    rows = q.__dict__.setdefault("_scaled_rows", {})
-    row = rows.get((F, r))
+    row = rows.get((w, F, r))
     if row is None:
-        den = q.den
-        ints = [((c << F + r * j + 1) + den) // (2 * den)
-                for j, c in reversed(tuple(enumerate(q.terms[0][1])))]
-        row = rows[F, r] = ints[0], tuple(ints[1:])
+        dens = [den * (w + j) for j in range(len(nums))] if w else [den] * len(nums)
+        J, dropped, base = len(nums) - 1, 0, F + _ROW_GUARD + 1
+        while J:
+            if nums[J]:
+                b = nums[J].bit_length() - dens[J].bit_length() + base + r * J
+                dropped += 1 << b if b > 0 else 1
+                if dropped >> _ROW_GUARD:  # the rest may reach one unit: keep c_J
+                    break
+            J -= 1
+        row = rows[w, F, r] = _horner_row([(nums[j], dens[j], F + r * j) for j in range(J + 1)])
     acc, rest = row
     for c in rest:
         acc = (acc * p >> t) + c
-    return acc, 3 * len(rest) // 2 + 1
+    return acc, 3 * len(rest) // 2 + 2
 
 
-def _series_enclosures(q: TrigPoly, K: Fraction, terms: int, extra: int, e: int,
-                       x: float, d: int):
-    """(T, E, F, d) with |T 2^-F - x^e (q(x) + t)| <= E 2^-F for every
-    |t| <= K |x|^terms, one per pass on the pure polynomial q at
-    prec + extra fraction bits for prec in _EVAL_PRECS, until the tail
-    K |x|^terms 2^F reaches the sum's error: more precision cannot shrink
-    it, so the stream ends there.  Below |x| = 1 the kernel sums q, and
-    from 1 on _scaled_value does.  d passes through for the caller."""
+def _series_enclosures(form, e: int, x: float, d: int, w: int):
+    """(T, E, F, d) with |T 2^-F - x^e (Q(x) + t)| <= E 2^-F for every
+    |t| <= K' |x|^_SERIES_TERMS, Q the form's sum of weight w
+    (_series_value) and K' = K / (w + _SERIES_TERMS) where w > 0, K where
+    w = 0, one per pass at prec + extra fraction bits for prec in
+    _EVAL_PRECS, until the tail K' |x|^_SERIES_TERMS 2^F reaches the sum's
+    error: more precision cannot shrink it, so the stream ends there.  d
+    passes through for the caller."""
     _, p, s, _, _ = _point_values(x)
-    pe, scale = p**e, abs(p) ** e
+    R, K, extra = form[3:6]
+    if abs(p) * R.denominator > R.numerator << s:  # |x| > R: no enclosure
+        return
+    if w:
+        K /= w + _SERIES_TERMS
+    pe = p**e
+    scale = abs(pe)
     r = scale.bit_length() - 1
-    tail_num = K.numerator * abs(p) ** terms
-    tail_den = K.denominator << terms * s
+    # K' |x|^N < 2^lg: below 2^-F the tail rounds up to 1 without |p|^N
+    lg = (K.numerator.bit_length() - K.denominator.bit_length() + 1
+          + _SERIES_TERMS * (abs(p).bit_length() - s))
     for prec in _EVAL_PRECS:
         F = prec + extra
-        total, bound = _fixed_value(q, x, F) if abs(x) < 1 else _scaled_value(q, p, s, F)
-        tail = -(-(tail_num << F) // tail_den)
+        total, bound = _series_value(form, x, F, w)
+        tail = 1
+        if lg + F > 0:
+            tail = -(-(K.numerator * abs(p) ** _SERIES_TERMS << F)
+                     // (K.denominator << _SERIES_TERMS * s))
         yield total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r, d
         if tail >= bound:
             return
@@ -678,21 +679,21 @@ def _series_enclosures(q: TrigPoly, K: Fraction, terms: int, extra: int, e: int,
 def _enclosures(a: TrigPoly, x: float, power: int):
     """(T, E, F, d) with |T 2^-F - a(x)/x^(power - d)| <= E 2^-F, one per
     kernel pass, the kernel at prec + extra fraction bits for prec in
-    _EVAL_PRECS (40, 80, ..., 2560 digits): extra is the Maclaurin form's
-    and 0 on the harmonic form.  The caller draws until its own test passes.
+    _EVAL_PRECS (40, 80, ..., 2560 digits): extra is the series form's and
+    0 on the harmonic form.  The caller draws until its own test passes.
 
-    Below MACLAURIN_RADIUS they come from the Maclaurin form, scaled by
-    x^(m0 - power + d) with the tail added as the module docstring says,
-    d = 0 where power is at most m0 and d = power above it, until the form
-    gives up (tail >= E).  Then, elsewhere and where ``a`` has no form, they
-    come from the harmonic form, d = power.  Past the ladder's top this
+    Below MACLAURIN_RADIUS, where |x| <= R, they come from the series form,
+    scaled by x^(m0 - power + d) with the tail added as the module docstring
+    says, d = 0 where power is at most m0 and d = power above it, until the
+    form gives up (tail >= E).  Then, elsewhere and where ``a`` has no form,
+    they come from the harmonic form, d = power.  Past the ladder's top this
     raises NumericalFailure.
     """
-    form = _maclaurin_form(a) if abs(x) < MACLAURIN_RADIUS else None
+    form = _series_form(a) if abs(x) < MACLAURIN_RADIUS else None
     if form is not None:
-        m0, q, K, extra = form
+        m0 = form[0]
         d = 0 if power <= m0 else power
-        yield from _series_enclosures(q, K, _MACLAURIN_TERMS, extra, m0 - power + d, x, d)
+        yield from _series_enclosures(form, m0 - power + d, x, d, 0)
     for F in _EVAL_PRECS:
         yield (*_fixed_value(a, x, F), F, power)
     raise NumericalFailure(
@@ -784,9 +785,9 @@ def tp_eval_over_power(a: TrigPoly, power: int, x: float) -> float:
 
 def tp_integral_over_power(a: TrigPoly, power: int, x: float) -> float | None:
     """The integral of a(t)/t^power from 0 to x as a double, correctly
-    rounded, from the 128-term form of the exact series in the module
-    docstring: the first value that passes the rounding test, None where
-    |x| > R or where the tail stops the rounding test.
+    rounded, from the series form in the module docstring: the first value
+    that passes the rounding test, None where |x| > R or where the tail
+    stops the rounding test.
 
     UsageError where e = m0 - power + 1 <= 0 (the integral diverges at 0,
     m0 the vanishing order of ``a``).  None where ``a`` has no form (a term
@@ -795,32 +796,31 @@ def tp_integral_over_power(a: TrigPoly, power: int, x: float) -> float | None:
     if power < 0:
         raise UsageError("power must be non-negative")
     x = _finite(x)
-    form = _integral_form(a, power)
-    if form is None or abs(x) > form[3]:
+    form = _series_form(a)
+    m0 = vanishing_order(a) if form is None else form[0]
+    e = m0 - power + 1
+    if e <= 0:
+        raise UsageError(f"the integral of a/t^{power} diverges at 0 (vanishing order {m0})")
+    if form is None:
         return None
     if x == 0.0:
         return 0.0
-    e, Q, K, _, extra = form
-    return _rounded(_series_enclosures(Q, K, _INTEGRAL_TERMS, extra, e, x, 0), x)
+    return _rounded(_series_enclosures(form, e, x, 0, e), x)
 
 
 def _rounded(enclosures, x: float) -> float | None:
     """The value of the first (T, E, F, d) of ``enclosures`` that passes
-    Ziv's rounding test, T 2^-F / x^d as a double: with x = p / 2^s both
-    ends (T -+ E) 2^(s d - F) / p^d are rounded once each, from the
-    integers, and must give one double, with |T| > E so that the interval
-    excludes 0.  None when the enclosures run out."""
+    Ziv's rounding test (``fixedpoint._ziv_double``) on T 2^-F / x^d: with
+    x = p / 2^s both ends (T -+ E) 2^(s d - F) / p^d are rounded once each,
+    from the integers.  None when the enclosures run out."""
     _, p, s, _, _ = _point_values(x)
     for T, E, F, d in enclosures:
-        # (T -+ E) 2^-F / x^d with x^d = p^d / 2^(s d), each end rounded once
-        den, e = p**d, s * d - F
+        den = p**d
         if den < 0:
             T, den = -T, -den
-        lo = _int_to_double(T - E, den, e)
-        if lo == _int_to_double(T + E, den, e) and abs(T) > E:  # one double, nonzero
-            if not lo or math.isinf(lo):  # T - E is nonzero: this raises
-                _checked_double(T - E, den, e, "value at x={!r}", x)
-            return lo
+        got = _ziv_double(T, E, den, s * d - F, "value at x={!r}", x)
+        if got is not None:
+            return got
     return None
 
 

@@ -402,7 +402,10 @@ def test_over_and_underflow_raise_numerical_failure():
             # numerators far past the double range underflow without a
             # float conversion; integer nu = 1e300 takes the ln and exp route
             (lambda: bessel_j(1000.0, 100.0), "underflows"),
-            (lambda: bessel_stack_values(1e300, 1.0, 5), "underflows")):
+            (lambda: bessel_stack_values(1e300, 1.0, 5), "underflows"),
+            # the integral of J_3.4^2/t^2 from 0 to x is ~x^5.8 / 66,000, ~1.5e-1165
+            (lambda: j_squared_integral(3.4, 1e-200),
+             r"the integral of J_3.4\^2/t\^2 at x=1e-200 underflows")):
         with pytest.raises(NumericalFailure, match=what):
             call()
     assert bessel_j(0.5, 1e-300) == 7.978845608028654e-151

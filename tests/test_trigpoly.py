@@ -16,16 +16,16 @@ from chebcrit.errors import NumericalFailure, UsageError
 from chebcrit.fixedpoint import _cos_sin, _half_pi
 from chebcrit.trigpoly import (
     _EVAL_PRECS,
+    _SERIES_TERMS,
     _START_BITS,
     MACLAURIN_RADIUS,
     TrigPoly,
     _enclosures,
     _fixed_table,
     _fixed_value,
-    _integral_form,
-    _maclaurin_form,
-    _scaled_value,
-    _tail_bound,
+    _series_enclosures,
+    _series_form,
+    _series_value,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -342,7 +342,7 @@ def test_eval_at_zero_reads_one_maclaurin_coefficient():
     f = TrigPoly(f.terms, f.den)  # a fresh element: no form cached
     for p in range(10):
         assert tp_eval_over_power(f, p, 0.0) == float(maclaurin(f, p + 1)[p])
-    assert "_maclaurin_form" not in f.__dict__
+    assert "_series_form" not in f.__dict__
     with pytest.raises(UsageError, match="vanishing order 9"):
         tp_eval_over_power(f, 10, 0.0)
 
@@ -417,15 +417,17 @@ def test_eval_over_power_is_in_range_where_its_factors_are_not(a, power, x):
     assert tp_eval_over_power(a, power, x) == want
 
 
-@pytest.mark.parametrize("a,power,x,what", [
-    (tp_sin(), 3, 1e-170, "overflows"),              # ~1e340, Maclaurin form
-    (spherical_fn(2), 7, -1e-170, "overflows"),      # ~-x^-2 / 15, Maclaurin form
-    (tp_from_poly([0, 1]), 3, 1e200, "underflows"),  # ~1e-400, exact
-    (spherical_fn(2), 4, 1e300, "underflows"),       # ~1e-600 sin x, harmonic form
-], ids=["sin-tiny-x", "f2-tiny-x", "poly-huge-x", "f2-huge-x"])
-def test_eval_over_power_out_of_range_raises_numerical_failure(a, power, x, what):
-    with pytest.raises(NumericalFailure, match=what):
-        tp_eval_over_power(a, power, x)
+@pytest.mark.parametrize("evaluate,a,power,x,what", [
+    (tp_eval_over_power, tp_sin(), 3, 1e-170, "overflows"),              # ~1e340, series form
+    (tp_eval_over_power, spherical_fn(2), 7, -1e-170, "overflows"),      # ~-x^-2 / 15, series form
+    (tp_eval_over_power, tp_from_poly([0, 1]), 3, 1e200, "underflows"),  # ~1e-400, exact
+    (tp_eval_over_power, spherical_fn(2), 4, 1e300, "underflows"),       # ~1e-600 sin x, harmonic
+    # the integral of f_2^2 / t^7 from 0 to x is ~x^4 / 900, ~1e-803
+    (tp_integral_over_power, tp_mul(spherical_fn(2), spherical_fn(2)), 7, 1e-200, "underflows"),
+], ids=["sin-tiny-x", "f2-tiny-x", "poly-huge-x", "f2-huge-x", "f2-squared-integral-tiny-x"])
+def test_eval_over_power_out_of_range_raises_numerical_failure(evaluate, a, power, x, what):
+    with pytest.raises(NumericalFailure, match=f"{what} double precision"):
+        evaluate(a, power, x)
 
 
 # ---------------------------------------------------------------- compiled evaluation
@@ -463,21 +465,52 @@ def test_planted_coefficients_are_double_rounding_traps():
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
 def test_compiled_maclaurin_route_is_bit_identical(name, a):
-    # the (T, E, F) the caller's test sees below MACLAURIN_RADIUS: the
-    # kernel's (T, E) for the Maclaurin form's q against _ref_fixed, scaled
-    # to a(x)/x^power on Fractions, whatever the caller's precision
-    m0, q, K, extra = _maclaurin_form(a)
+    # the stopped series row against _ref_series_row at every scale r from
+    # -13 to 5, x = +-(3/4) 2^r: bit-identical (T, E), a rest past J below
+    # one unit and past J - 1 not below 1/8 (the integer test's slack), and
+    # T within E of 2^F times the exact sum of all 128 terms
+    extra = _series_form(a)[5]
+    F = _EVAL_PRECS[0] + extra
+    for r in range(-13, 6):
+        x = (-1) ** r * 0.75 * 2.0**r
+        form = _series_form(_fresh(a))
+        T, E = _series_value(form, x, F, 0)
+        J = len(_row_of(form, x, F)[1])
+        assert (T, E) == _ref_series_row(a, x, F, J), r
+        assert _series_rest(a, x, F, J) < 1, r
+        assert J == 0 or _series_rest(a, x, F, J - 1) >= Fraction(1, 8), r
+        assert abs(T - _series_sum(a, x) * 2**F) <= E, r
+    # the (T, E, F) the caller's test sees below MACLAURIN_RADIUS: the row's
+    # (T, E) scaled to a(x)/x^power on Fractions, whatever the caller's
+    # precision
+    m0, K = form[0], form[4]
     for outer_dps in (40, 80, 160):
         for x in (3e-4, 1e-3, -0.0042, 0.0099):
             for power in (0, m0):
                 with mp.workdps(outer_dps):
                     *got, d = next(_enclosures(_fresh(a), x, power))
-                F = _EVAL_PRECS[0] + extra
-                T, E = _fixed_value(_fresh(q), x, F)
-                assert (T, E) == _ref_fixed(q, x, F), (outer_dps, x)
+                T, E = _series_value(_series_form(_fresh(a)), x, F, 0)
                 assert d == 0
                 want = _scaled_to_power(T, E, F, x, m0 - power, K)
                 assert tuple(got) == want, (outer_dps, x, power)
+
+
+@pytest.mark.parametrize("name,a", _compiled_cases())
+def test_series_tail_is_rounded_up_exactly(name, a):
+    # where K' |x|^128 2^F is about 2^b units, b from 0 to 60, each
+    # enclosure of the stream, plain and weighted as the integral's, adds
+    # the tail rounded up exactly: the bit-length shortcut that sets it to
+    # 1 below one unit may not swallow a larger one
+    form = _series_form(_fresh(a))
+    m0, K, F = form[0], form[4], _EVAL_PRECS[0] + form[5]
+    lg_k = math.log2(K)
+    for w, e in ((0, m0), (m0 + 1, m0 + 1)):
+        tail_k = K / (w + _SERIES_TERMS) if w else K
+        for b in (0, 1, 8, 30, 60):
+            x = 2.0 ** ((b - F - lg_k) / _SERIES_TERMS)
+            got = next(_series_enclosures(form, e, x, 0, w))
+            T, E = _series_value(form, x, F, w)
+            assert got == (*_scaled_to_power(T, E, F, x, e, tail_k), 0), (w, b)
 
 
 @pytest.mark.parametrize("name,a", _compiled_cases())
@@ -575,6 +608,53 @@ def _ref_fixed(a, x, F):
     return total, bound
 
 
+def _series_coefficients(a, w=0):
+    """The exact Maclaurin coefficients c_j of a/x^m0, j < _SERIES_TERMS,
+    each divided by w + j where w > 0: the integral's weights."""
+    m0 = vanishing_order(a)
+    cs = maclaurin(a, m0 + _SERIES_TERMS)[m0:]
+    return [c / (w + j) for j, c in enumerate(cs)] if w else list(cs)
+
+
+def _scale_of(x):
+    """The r with 2^(r-1) < |x| <= 2^r."""
+    xf = abs(Fraction(x))
+    return (xf.numerator - 1).bit_length() - (xf.denominator.bit_length() - 1)
+
+
+def _row_of(form, x, F, w=0):
+    """The Horner row the series form holds for (x, F) and weight w."""
+    return form[6][w, F, _scale_of(x)]
+
+
+def _ref_series_row(a, x, F, J, w=0):
+    """(T, E) of the series row kept through c_J at (x, F), from its
+    definition on Fractions: each c_j 2^(F + r j) rounded to the nearest
+    integer, one floor per Horner step in u = x / 2^r, and E = floor(3J/2)
+    + 2, 1/2 + 1.5 J units of roundoff and one for the rest."""
+    r = _scale_of(x)
+    u = Fraction(x) / Fraction(2) ** r
+    coeffs = _series_coefficients(a, w)
+    acc = 0
+    for j in range(J, -1, -1):
+        nearest = math.floor(coeffs[j] * Fraction(2) ** (F + r * j) + Fraction(1, 2))
+        acc = math.floor(acc * u) + nearest
+    return acc, 3 * J // 2 + 2
+
+
+def _series_rest(a, x, F, J, w=0):
+    """The sum of |c_j| 2^(F + r j) over J < j < _SERIES_TERMS, in units."""
+    r = _scale_of(x)
+    return sum(abs(c) * Fraction(2) ** (F + r * j)
+               for j, c in enumerate(_series_coefficients(a, w)) if j > J)
+
+
+def _series_sum(a, x, w=0):
+    """The exact sum of all _SERIES_TERMS terms c_j x^j."""
+    xf = Fraction(x)
+    return sum(c * xf**j for j, c in enumerate(_series_coefficients(a, w)))
+
+
 def _nearest_double(v):
     """The double nearest to the mpf v (int division rounds correctly, also
     below the normal range)."""
@@ -594,13 +674,13 @@ def _within_rtol(got, ref, rtol):
 
 
 def _scaled_to_power(T, E, F, x, e, K):
-    """The kernel's (T, E, F) for the Maclaurin form's q at x, turned into
-    those of x^e (q(x) + t), |t| <= K |x|^64, on Fractions: x = p / 2^s,
-    the tail K |x|^64 2^F rounded up joins E, and all is divided by 2^r,
+    """The series row's (T, E, F) for Q at x, turned into those of
+    x^e (Q(x) + t), |t| <= K |x|^128, on Fractions: x = p / 2^s, the tail
+    K |x|^128 2^F rounded up joins E, and all is divided by 2^r,
     2^r <= |p|^e < 2^(r+1), T rounded down and E up, plus 1 for T."""
     xf = Fraction(x)
     p, s = xf.numerator, xf.denominator.bit_length() - 1
-    tail = math.ceil(K * abs(xf) ** 64 * 2**F)
+    tail = math.ceil(K * abs(xf) ** _SERIES_TERMS * 2**F)
     r = (abs(p) ** e).bit_length() - 1
     unit = Fraction(2) ** r
     return (math.floor(T * p**e / unit), math.ceil((E + tail) * abs(p) ** e / unit) + 1,
@@ -649,19 +729,26 @@ def _count_cos_sin(monkeypatch):
     return calls
 
 
-def _count_passes(monkeypatch):
-    """The (x, F) of every kernel pass (_fixed_value call) from now on."""
+def _record_passes(monkeypatch):
+    """(summed, x, F, (T, E)) of every pass from now on: a harmonic sum
+    (_fixed_value, summed the element) or a series row sum (_series_value,
+    summed the element's series form)."""
     from chebcrit import trigpoly
 
     passes = []
-    plain = trigpoly._fixed_value
+    for name in ("_fixed_value", "_series_value"):
+        def recording(b, x, F, *weight, plain=getattr(trigpoly, name)):
+            got = plain(b, x, F, *weight)
+            passes.append((b, x, F, got))
+            return got
 
-    def counting(a, x, F):
-        passes.append((x, F))
-        return plain(a, x, F)
-
-    monkeypatch.setattr(trigpoly, "_fixed_value", counting)
+        monkeypatch.setattr(trigpoly, name, recording)
     return passes
+
+
+def _xf(passes):
+    """The (x, F) of each recorded pass."""
+    return [(x, F) for _, x, F, _ in passes]
 
 
 def _trig_xs():
@@ -702,42 +789,30 @@ def test_kernel_error_bound_holds_against_a_2000_bit_reference(F):
 
 
 def test_certified_values_and_dps_match_the_references(monkeypatch):
-    # the pair is within 1e-30 of the 2000-bit reference; the kernel stops
-    # at the first precision where _ref_fixed passes the exact 1e-30 test,
-    # and every bound it formed on the way holds against the reference.
-    # Below MACLAURIN_RADIUS the kernel sums the Maclaurin form's q from
-    # its start precision, and its (T, E, F) are scaled by x^m0 with the
-    # tail added
-    from chebcrit import trigpoly
-
-    visited = []
-    plain = trigpoly._fixed_value
-
-    def recording(a, x, F):
-        got = plain(a, x, F)
-        visited.append((a, x, F, got))
-        return got
-
-    monkeypatch.setattr(trigpoly, "_fixed_value", recording)
+    # the pair is within 1e-30 of the 2000-bit reference; the sums stop at
+    # the first precision where their reference passes the exact 1e-30
+    # test, and every bound formed on the way holds against the reference.
+    # Below MACLAURIN_RADIUS the series form's row is summed from its start
+    # precision, and its (T, E, F) are scaled by x^m0 with the tail added
+    passes = _record_passes(monkeypatch)
     rn, rd = (1e-30).as_integer_ratio()
     for a, x in _reference_cases():
-        del visited[:]
+        del passes[:]
         got = tp_eval_mp(a, x)
         assert _within_rtol(_mpf(got), _ref_value(a, x), 1e-30), (format_trigpoly(a)[:40], x)
-        form = _maclaurin_form(a) if abs(x) < MACLAURIN_RADIUS else None
-        assert visited
-        assert visited[0][2] == _EVAL_PRECS[0] + (form[3] if form else 0)
-        for i, (b, _, F, (T, E)) in enumerate(visited):
+        form = _series_form(a) if abs(x) < MACLAURIN_RADIUS else None
+        assert passes
+        assert passes[0][2] == _EVAL_PRECS[0] + (form[5] if form else 0)
+        for i, (b, _, F, (T, E)) in enumerate(passes):
             if form is None:
                 assert b is a
+                assert (T, E) == _ref_fixed(a, x, F)
             else:
-                m0, q, K, _ = form
-                assert b is q
-            assert (T, E) == _ref_fixed(b, x, F)
-            if form is not None:
-                T, E, F = _scaled_to_power(T, E, F, x, m0, K)
+                assert b is form
+                assert (T, E) == _ref_series_row(a, x, F, len(_row_of(form, x, F)[1]))
+                T, E, F = _scaled_to_power(T, E, F, x, form[0], form[4])
             assert _bound_holds(T, E, F, _ref_value(a, x)), (x, F)
-            last = i == len(visited) - 1
+            last = i == len(passes) - 1
             assert (E * rd <= abs(T) * rn) == last, (x, F)
         assert got == (T, -F)  # T 2^-F itself
 
@@ -825,18 +900,18 @@ def test_point_memo_is_keyed_by_abscissa_and_precision():
     (tp_scale(spherical_fn(3), 10**400), 3.7, _EVAL_PRECS[:1]),
 ], ids=["tiny-x", "tiny-coefficients", "huge-coefficients"])
 def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, precs, monkeypatch):
-    # near 0 the Maclaurin form's leading coefficient sets the start (here
+    # near 0 the series form's leading coefficient sets the start (here
     # 1, so the first precision); elsewhere the harmonic form starts at the
     # first precision and climbs until the sum carries the digits: a value
     # of 10^-400 (2^-1329) certifies 1e-30 at the fifth, 2129 bits
-    passes = _count_passes(monkeypatch)
+    passes = _record_passes(monkeypatch)
     assert _within_rtol(_mpf(tp_eval_mp(_fresh(a), x)), _ref_value(a, x), 1e-30)
-    assert passes == [(x, F) for F in precs]
+    assert _xf(passes) == [(x, F) for F in precs]
 
 
 def _maclaurin_start(a):
-    """The first precision of the Maclaurin route of ``a``."""
-    return _EVAL_PRECS[0] + _maclaurin_form(a)[3]
+    """The first precision of the series route of ``a``."""
+    return _EVAL_PRECS[0] + _series_form(a)[5]
 
 
 def test_maclaurin_start_puts_the_leading_coefficient_above_the_acceptance():
@@ -848,7 +923,7 @@ def test_maclaurin_start_puts_the_leading_coefficient_above_the_acceptance():
         for a in (*fn_derivatives(n, 2 * n + 2), *([symbolic_v(n)] if n <= 12 else ())):
             if not a.terms[-1][0]:
                 continue  # a pure polynomial is summed exactly
-            m0 = _maclaurin_form(a)[0]
+            m0 = _series_form(a)[0]
             c = abs(maclaurin(a, m0 + 1)[m0])
             F = _maclaurin_start(a)
             assert c * 2**F > 2**_START_BITS, (n, m0)
@@ -862,21 +937,23 @@ def test_maclaurin_start_puts_the_leading_coefficient_above_the_acceptance():
 def test_f12_near_zero_takes_one_pass_per_abscissa(monkeypatch):
     # f_12 leads with about 2^-42 x^25: at 136 bits its T ~ 2^94 misses
     # 1e-30 and the sum ran a second time; the start from c_m0 certifies
-    # at the first pass, at 200 log-spaced x below MACLAURIN_RADIUS
-    passes = _count_passes(monkeypatch)
+    # at the first pass, one series row sum at 147 bits, at 200
+    # log-spaced x below MACLAURIN_RADIUS
+    passes = _record_passes(monkeypatch)
     f = _fresh(spherical_fn(12))
     xs = [10 ** (-4 + 2 * i / 200) for i in range(200)]
     for x in xs:
         got = tp_eval_mp(f, x)
         assert got[1] < 0 and got[0] > 0, x
-    assert passes == [(x, 147) for x in xs]
+    assert _xf(passes) == [(x, 147) for x in xs]
+    assert {id(b) for b, _, _, _ in passes} == {id(_series_form(f))}
     for x in xs[::40]:
         assert _within_rtol(_mpf(tp_eval_mp(f, x)), _ref_value(f, x), 1e-30), x
 
 
 @pytest.mark.parametrize("route", ["kernel", "maclaurin"])
 def test_eval_refuses_a_value_beyond_the_double_range(route):
-    # sin 1 ~ 2^-0.25 on the kernel; f_16(1e-3) ~ 2^-391 on the Maclaurin form
+    # sin 1 ~ 2^-0.25 on the kernel; f_16(1e-3) ~ 2^-391 on the series form
     a, x, shift = (tp_sin(), 1.0, 0) if route == "kernel" else (spherical_fn(16), 1e-3, 391)
     with pytest.raises(NumericalFailure, match="underflows double precision"):
         tp_eval(tp_scale(a, Fraction(1, 2 ** (1100 - shift))), x)
@@ -953,125 +1030,115 @@ def _near_zero_elements():
 
 def test_maclaurin_form_bound_holds_against_a_2000_bit_reference():
     # |T 2^-F - a(x)/x^power| <= E 2^-F for the (T, E, F) the caller's
-    # acceptance sees, E holding the tail K |x|^64 |x|^(m0 - power)
+    # acceptance sees, E holding the tail K |x|^128 |x|^(m0 - power)
     for a in _near_zero_elements():
-        m0, q, K, _ = _maclaurin_form(a)
+        m0, K = _series_form(a)[0], _series_form(a)[4]
         for x in (3e-4, -3e-4, 1e-3, 0.0042, 0.0099):
             for power in (0, m0):
                 T, E, F, _ = next(_enclosures(_fresh(a), x, power))
-                assert Fraction(E, 2**F) >= K * abs(Fraction(x)) ** (64 + m0 - power)
+                assert Fraction(E, 2**F) >= K * abs(Fraction(x)) ** (_SERIES_TERMS + m0 - power)
                 with mp.workprec(2000):
                     ref = _ref_value(a, x) / mp.mpf(x) ** power
                 assert _bound_holds(T, E, F, ref), (format_trigpoly(a)[:40], x, power)
 
 
 def test_maclaurin_tail_bound_covers_the_terms_beyond_the_form():
-    # K |x|^64 bounds the Maclaurin terms of a/x^m0 of degree 64 and above,
-    # summed here through degree 400 at |x| = R, with their absolute values;
-    # at sin 4000x the geometric factor 1/(1 - 40/66) carries weight
+    # K |x|^128 bounds the Maclaurin terms of a/x^m0 of degree 128 and
+    # above, summed here through degree 400 at |x| = R, the element's
+    # radius, with their absolute values.  At sin 4000x, k R = 65 =
+    # (M + 1)/2, and the geometric factor 1/(1 - 65/130) = 2 carries weight:
+    # the sum exceeds K/2, the bound without it
     from chebcrit.determinants import symbolic_minor
 
-    R = Fraction(MACLAURIN_RADIUS)
     for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_minor(6, 9), PLANTED,
               tp_term(4000, (), (1,))):
-        m0, q, K, _ = _maclaurin_form(_fresh(a))
-        beyond = maclaurin(a, m0 + 400)[m0 + 64:]
-        assert 0 < sum(abs(c) * R**i for i, c in enumerate(beyond)) <= K
+        m0, _, _, R, K, _, _ = _series_form(_fresh(a))
+        beyond = maclaurin(a, m0 + 400)[m0 + _SERIES_TERMS:]
+        total = sum(abs(c) * R**i for i, c in enumerate(beyond))
+        assert 0 < total <= K
+    assert R == Fraction(130, 8000) and total > K / 2
 
 
-# sin x + 10^300 x^65: the x^65 term lies beyond q (degrees 0..63 of a/x), and
-# at x = 0.005 its tail, ~10^150, dwarfs q(x) ~ 1
-_BEYOND = tp_add(tp_sin(), tp_scale(tp_x(65), 10**300))
+# sin x + 10^300 x^129: the x^129 term lies just beyond the form (degrees
+# 0..127 of a/x), and at x = 0.005 its tail, ~10^5.5, dwarfs Q(x) ~ 1.
+# At x^130 the term fails _tail_bound's M >= 0, and there is no form
+_BEYOND = tp_add(tp_sin(), tp_scale(tp_x(129), 10**300))
+_NO_FORM = tp_add(tp_sin(), tp_scale(tp_x(130), 10**300))
 
 
-@pytest.mark.parametrize("a,tried", [
-    (tp_term(4000, (), (1,)), 1),  # 4000 R = 40 < 66: a form, its tail ~1e-6 of the value
-    (tp_term(8000, (), (1,)), 0),  # 8000 R = 80 >= 66: no form
-    (_BEYOND, 1),
-], ids=["sin-4000x", "sin-8000x", "beyond-q"])
-def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, tried, monkeypatch):
-    # the form gives up at its first precision (the tail, not the kernel's
-    # error, keeps the acceptance from passing) or does not apply, and the
-    # harmonic kernel gives the value at its first precision: no precision
-    # climbs towards 5000 digits
-    from chebcrit import trigpoly
-
-    calls = []
-    plain = trigpoly._fixed_value
-
-    def recording(b, x, F):
-        calls.append((b, F))
-        return plain(b, x, F)
-
-    monkeypatch.setattr(trigpoly, "_fixed_value", recording)
+@pytest.mark.parametrize("a,has_form,tried,harmonic", [
+    (tp_term(4000, (), (1,)), True, 1, 0),   # R = 130/8000: tail ~1e-50 of the value
+    (tp_term(8000, (), (1,)), True, 1, 1),   # R = 130/16000 > 0.005: tail ~1e-11
+    (tp_term(20000, (), (1,)), True, 0, 1),  # R = 130/40000 < 0.005: the form does not reach
+    (_BEYOND, True, 1, 1),
+    (_NO_FORM, False, 0, 1),
+], ids=["sin-4000x", "sin-8000x", "sin-20000x", "beyond-q", "no-form"])
+def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, has_form, tried, harmonic,
+                                                             monkeypatch):
+    # the form certifies at its first precision, or gives up there (the
+    # tail, not the row's error, keeps the acceptance from passing), does
+    # not reach x or does not exist, and the harmonic kernel then gives the
+    # value at its first precision: no precision climbs towards 5000 digits
+    passes = _record_passes(monkeypatch)
     x = 0.005
     ref = _ref_value(a, x)
     for evaluate, holds in ((tp_eval, lambda got: got == _nearest_double(ref)),
                             (tp_eval_mp, lambda got: _within_rtol(_mpf(got), ref, 1e-30))):
         fresh = _fresh(a)
-        del calls[:]
+        del passes[:]
         assert holds(evaluate(fresh, x))
-        form = _maclaurin_form(fresh)
-        assert (form is None) == (not tried)
-        tried_q = [F for b, F in calls if form is not None and b is form[1]]
-        assert tried_q == [_EVAL_PRECS[0]] * tried
-        assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
+        form = _series_form(fresh)
+        assert (form is not None) == has_form
+        assert [F for b, _, F, _ in passes if b is form] == [_EVAL_PRECS[0]] * tried
+        assert [F for b, _, F, _ in passes if b is fresh] == [_EVAL_PRECS[0]] * harmonic
     # a quotient the form gives up on is the harmonic kernel's enclosure of
-    # a(x) over x^power, rounded once: q and the harmonic form are summed
-    # once each, as above
+    # a(x) over x^power, rounded once: the form's row and the harmonic form
+    # are summed once each, as above
     with mp.workprec(2000):
         want = _nearest_double(ref / x)
     fresh = _fresh(a)
-    del calls[:]
+    del passes[:]
     assert tp_eval_over_power(fresh, 1, x) == want
-    form = _maclaurin_form(fresh)
-    assert [F for b, F in calls if form is not None and b is form[1]] == [_EVAL_PRECS[0]] * tried
-    assert [F for b, F in calls if b is fresh] == [_EVAL_PRECS[0]]
+    form = _series_form(fresh)
+    assert [F for b, _, F, _ in passes if b is form] == [_EVAL_PRECS[0]] * tried
+    assert [F for b, _, F, _ in passes if b is fresh] == [_EVAL_PRECS[0]] * harmonic
 
 
 # ---------------------------------------------------------------- the enclosure stream
 
 def _draw_to_the_harmonic_form(a, x, power, monkeypatch):
     """The enclosures of ``a`` drawn until the first one of the harmonic
-    form, and the (element, F, (T, E)) of every kernel pass behind them."""
-    from chebcrit import trigpoly
-
-    passes = []
-    plain = trigpoly._fixed_value
-
-    def recording(b, x, F):
-        got = plain(b, x, F)
-        passes.append((b, F, got))
-        return got
-
-    monkeypatch.setattr(trigpoly, "_fixed_value", recording)
+    form, and the (summed, F, (T, E)) of every pass behind them."""
+    passes = _record_passes(monkeypatch)
     drawn = []
     for got in _enclosures(a, x, power):
         drawn.append(got)
         if passes[-1][0] is a:
-            return drawn, passes
+            return drawn, [(b, F, TE) for b, _, F, TE in passes]
 
 
 @pytest.mark.parametrize("a", [PLANTED, spherical_fn(12), tp_term(4000, (), (1,)), _BEYOND],
                          ids=["planted", "f12", "sin-4000x", "beyond-q"])
 @pytest.mark.parametrize("x", [3e-4, -0.005])
 def test_stream_sums_the_maclaurin_form_until_it_gives_up(a, x, monkeypatch):
-    # below MACLAURIN_RADIUS the first enclosure is q's at _EVAL_PRECS[0] +
-    # extra bits (at power m0 it is not scaled), q climbs the ladder while
-    # its tail K |x|^64 2^F, rounded up, is below its E, and the harmonic
-    # form follows at 136 bits only after the first pass with tail >= E
+    # below MACLAURIN_RADIUS the first enclosure is the series row's at
+    # _EVAL_PRECS[0] + extra bits (at power m0 it is not scaled), the row
+    # climbs the ladder while its tail K |x|^128 2^F, rounded up, is below
+    # its E, and the harmonic form follows at 136 bits only after the
+    # first pass with tail >= E
     a = _fresh(a)
-    m0, q, K, extra = _maclaurin_form(a)
+    form = _series_form(a)
+    m0, K, extra = form[0], form[4], form[5]
     drawn, passes = _draw_to_the_harmonic_form(a, x, m0, monkeypatch)
     assert drawn[0][2] == _EVAL_PRECS[0] + extra
-    *maclaurin, (harmonic, F, _) = passes
+    *series, (harmonic, F, _) = passes
     assert harmonic is a and F == _EVAL_PRECS[0]
-    assert [b for b, _, _ in maclaurin] == [q] * len(maclaurin)
-    assert [F for _, F, _ in maclaurin] == [prec + extra for prec in _EVAL_PRECS[:len(maclaurin)]]
-    tails = [math.ceil(K * abs(Fraction(x)) ** 64 * 2**F) for _, F, _ in maclaurin]
-    gave_up = [tail >= E for tail, (_, _, (_, E)) in zip(tails, maclaurin)]
-    assert gave_up == [False] * (len(maclaurin) - 1) + [True]
-    assert [d for *_, d in drawn] == [0] * len(maclaurin) + [m0]
+    assert [b for b, _, _ in series] == [form] * len(series)
+    assert [F for _, F, _ in series] == [prec + extra for prec in _EVAL_PRECS[:len(series)]]
+    tails = [math.ceil(K * abs(Fraction(x)) ** _SERIES_TERMS * 2**F) for _, F, _ in series]
+    gave_up = [tail >= E for tail, (_, _, (_, E)) in zip(tails, series)]
+    assert gave_up == [False] * (len(series) - 1) + [True]
+    assert [d for *_, d in drawn] == [0] * len(series) + [m0]
 
 
 @pytest.mark.parametrize("x", [3e-4, -0.0042, 0.0099])
@@ -1082,7 +1149,7 @@ def test_stream_divides_by_x_to_the_d_where_power_exceeds_the_vanishing_order(x)
     from chebcrit.determinants import symbolic_v
 
     for a in (PLANTED, spherical_fn(3), symbolic_v(2)):
-        m0 = _maclaurin_form(a)[0]
+        m0 = _series_form(a)[0]
         for power in range(m0 + 3):
             T, E, F, d = next(_enclosures(_fresh(a), x, power))
             assert d == (0 if power <= m0 else power), (format_trigpoly(a)[:40], power)
@@ -1092,11 +1159,12 @@ def test_stream_divides_by_x_to_the_d_where_power_exceeds_the_vanishing_order(x)
 
 
 @pytest.mark.parametrize("a,x", [(PLANTED, 0.01), (PLANTED, -0.7), (spherical_fn(3), 29.5),
-                                 (tp_term(8000, (), (1,)), 0.005)],
-                         ids=["planted-radius", "planted", "f3", "sin-8000x-no-form"])
+                                 (tp_term(20000, (), (1,)), 0.005), (_NO_FORM, 0.005)],
+                         ids=["planted-radius", "planted", "f3", "sin-20000x-past-R", "no-form"])
 def test_stream_elsewhere_climbs_the_ladder_from_136_bits(a, x):
-    # at and above MACLAURIN_RADIUS, and below it where there is no form,
-    # the harmonic form gives a(x) at each precision of the ladder, d = power
+    # at and above MACLAURIN_RADIUS, and below it past the form's R or
+    # where there is no form, the harmonic form gives a(x) at each
+    # precision of the ladder, d = power
     for power in (0, 2, 9):
         drawn = list(islice(_enclosures(_fresh(a), x, power), 3))
         assert [F for _, _, F, _ in drawn] == list(_EVAL_PRECS[:3])
@@ -1165,7 +1233,7 @@ def test_integral_series_gives_up_past_its_reach():
     # R + 1 lies past R itself
     for n in (2, 4, 8, 16):
         for name, a, power in _spherical_integrals(n):
-            R = _integral_form(a, power)[3]
+            R = _series_form(a)[3]
             if name != "V:v":  # f_n^2: k = 2 on degree 2n, D = 4n + 2 + 128
                 assert R == Fraction(2 * n + 131, 4)
             assert 30.0 < R, (n, name)
@@ -1176,9 +1244,9 @@ def test_integral_series_gives_up_past_its_reach():
 
 
 def test_integral_series_takes_one_pass_per_point(monkeypatch):
-    # from x = 1 on Q is summed by Horner's rule in x/2^r, 1.5 units a
-    # step, so on the default grid up to the reach the form draws one
-    # enclosure per point
+    # Q is summed by Horner's rule in x/2^r, 1.5 units a step, so on the
+    # default grid from x = 1 up to the reach the form draws one enclosure
+    # per point
     from chebcrit import trigpoly
     from chebcrit.identities import _SPHERICAL_INTEGRANDS, make_grid
 
@@ -1202,17 +1270,29 @@ def test_integral_series_takes_one_pass_per_point(monkeypatch):
 
 
 def test_scaled_sum_is_within_its_bound():
-    # Horner's rule in u = x/2^r, |u| <= 1, on the row of c_j 2^(r j) at F
-    # bits: after K steps T is within 1/2 + 1.5 K units of 2^F Q(x), exactly
+    # the integral's rows, c_j 2^(r j) / (e + j): bit-identical to
+    # _ref_series_row, stopped where the rest is below one unit, and T
+    # within E = floor(3J/2) + 2 units of 2^F Q(x), Q the exact sum of all
+    # 128 weighted terms, on both sides of x = 1
     for n in (2, 6):
         for name, a, power in _spherical_integrals(n):
-            _, Q, _, _, extra = _integral_form(a, power)
-            coeffs, F = Q.terms[0][1], _EVAL_PRECS[0] + extra
-            for x in (1.0, 1.7, 9.3, 20.5, -3.25):
-                xf = Fraction(x)
-                exact = sum(Fraction(c, Q.den) * xf**j for j, c in enumerate(coeffs))
-                T, E = _scaled_value(Q, xf.numerator, xf.denominator.bit_length() - 1, F)
-                assert abs(T - exact * 2**F) <= E == 3 * (len(coeffs) - 1) // 2 + 1, (n, name, x)
+            form = _series_form(_fresh(a))
+            e, F = form[0] - power + 1, _EVAL_PRECS[0] + form[5]
+            for x in (0.013, 0.3, 1.0, 1.7, 9.3, 20.5, -3.25):
+                T, E = _series_value(form, x, F, e)
+                J = len(_row_of(form, x, F, e)[1])
+                assert (T, E) == _ref_series_row(a, x, F, J, e), (n, name, x)
+                assert _series_rest(a, x, F, J, e) < 1, (n, name, x)
+                assert abs(T - _series_sum(a, x, e) * 2**F) <= E, (n, name, x)
+
+
+def test_a_near_zero_row_stops_early():
+    # at x = 0.005 the terms of f_6 / x^13 fall below a unit of 2^-136 long
+    # before the form's 128: its row holds at most 20 of them
+    form = _series_form(_fresh(spherical_fn(6)))
+    assert form[5] == 0  # 136 bits
+    _series_value(form, 0.005, _EVAL_PRECS[0], 0)
+    assert len(_row_of(form, 0.005, _EVAL_PRECS[0])[1]) + 1 <= 20
 
 
 def test_integral_series_refuses_an_integral_divergent_at_0():
@@ -1231,7 +1311,7 @@ def test_integral_series_without_a_tail_bound_gives_none():
     # and a pure polynomial has none either.  x^70 lies within them, and
     # sin x + x^70 gives its value
     with_140 = tp_add(tp_sin(), tp_x(140))
-    assert _integral_form(with_140, 0) is None
+    assert _series_form(with_140) is None
     assert tp_integral_over_power(with_140, 0, 0.5) is None
     assert tp_integral_over_power(tp_x(3), 0, 0.5) is None
     with mp.workdps(60):
@@ -1254,15 +1334,6 @@ def test_integral_series_tail_carries_weight(monkeypatch):
     assert planted is not None and planted != want
 
 
-def test_integral_series_leaves_the_kernel_radius_alone():
-    # the kernel's own tail bound stays at MACLAURIN_RADIUS: an integral
-    # form built first does not change the element's Maclaurin form
-    a = _fresh(tp_mul(spherical_fn(4), spherical_fn(4)))
-    tp_integral_over_power(a, 11, 3.0)
-    m0, _, K, _ = _maclaurin_form(a)
-    assert K == _tail_bound(a, m0 + 64, Fraction(MACLAURIN_RADIUS))
-
-
 # ---------------------------------------------------------------- serialization
 
 def test_eval_leaves_mp_context_untouched():
@@ -1272,9 +1343,9 @@ def test_eval_leaves_mp_context_untouched():
     from chebcrit.determinants import minor_values
 
     before = mpmath.mp.dps, mpmath.mp.prec
-    tp_eval(spherical_fn(8), 1e-3)   # the Maclaurin form on the kernel
+    tp_eval(spherical_fn(8), 1e-3)   # the series form's row
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
-    tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a Maclaurin form
+    tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a series form
     tp_eval_mp(TrigPoly(PLANTED.terms, PLANTED.den), 3.7)               # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
     bessel_stack_values(3.4, 40.0, 5)  # one series pass per precision for six orders
