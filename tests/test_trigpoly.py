@@ -746,7 +746,7 @@ def _record_passes(monkeypatch):
     return passes
 
 
-def _xf(passes):
+def _x_and_F(passes):
     """The (x, F) of each recorded pass."""
     return [(x, F) for _, x, F, _ in passes]
 
@@ -906,7 +906,7 @@ def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, precs, mon
     # of 10^-400 (2^-1329) certifies 1e-30 at the fifth, 2129 bits
     passes = _record_passes(monkeypatch)
     assert _within_rtol(_mpf(tp_eval_mp(_fresh(a), x)), _ref_value(a, x), 1e-30)
-    assert _xf(passes) == [(x, F) for F in precs]
+    assert _x_and_F(passes) == [(x, F) for F in precs]
 
 
 def _maclaurin_start(a):
@@ -945,7 +945,7 @@ def test_f12_near_zero_takes_one_pass_per_abscissa(monkeypatch):
     for x in xs:
         got = tp_eval_mp(f, x)
         assert got[1] < 0 and got[0] > 0, x
-    assert _xf(passes) == [(x, 147) for x in xs]
+    assert _x_and_F(passes) == [(x, 147) for x in xs]
     assert {id(b) for b, _, _, _ in passes} == {id(_series_form(f))}
     for x in xs[::40]:
         assert _within_rtol(_mpf(tp_eval_mp(f, x)), _ref_value(f, x), 1e-30), x
