@@ -59,6 +59,10 @@ CASES = {
     # every grid point lies inside the series' reach: no Simpson node runs
     "verify_integral_V_8_inside.json": ("verify", "--identity", "integral-V",
                                         "--model", "spherical:8", "--range", "0.01:5"),
+    # the one linear grid: its abscissae are not those of any log grid
+    "verify_spherical_3_linear.json": ("verify", "--identity", "all", "--model", "spherical:3",
+                                       "--range", "0.5:25", "--points", "120",
+                                       "--spacing", "linear"),
     "verify_bessel_0.json": ("verify", "--identity", "all", "--model", "bessel:0"),
     "verify_bessel_1.json": ("verify", "--identity", "all", "--model", "bessel:1"),
     "verify_bessel_1.5.json": ("verify", "--identity", "all", "--model", "bessel:1.5"),
