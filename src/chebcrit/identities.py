@@ -15,7 +15,9 @@ Every check but the positivity criterion yields (x, |LHS - RHS|, scale)
 rows (the coefficient check builds its own) that one reduction turns
 into a VerificationReport, and every check reads its stacks from one
 cache per (family, parameter, x) and its integrals from one per (family,
-parameter, integral, grid).
+parameter, integral, grid).  Each stack is built and validated once per
+abscissa, and each identity's hypotheses (q' = 0, the grid's domain) are
+checked once per grid, before its first row.
 Residuals are normalized by the summed magnitude of the terms entering
 the identity (with an absolute fallback when that scale is below 1),
 since the raw sides grow like powers of f.
@@ -477,6 +479,10 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
     sides; the residual is |sum(lhs) - sum(rhs)| and the scale the sum of
     the terms' magnitudes, lhs then rhs, each summed left to right
     (``_sum_left_to_right``, the same on every Python).
+
+    Each call checks the identity's hypotheses at its one point; a grid
+    run checks them once per grid and reduces every row with the same
+    ``_parts``.
     """
     info = _info(tag)
     if info.residual is None:
@@ -487,9 +493,15 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
         model.require_qprime_zero(tag)
     stack.require(info.min_depth, tag)
     model.check_domain(stack.x)
+    return _parts(info, model, stack, integrals)
+
+
+def _parts(info: IdentityInfo, model: CoeffModel, stack: DerivStack,
+           integrals: Sequence[float]) -> tuple[float, float]:
+    """residual_parts once the identity's hypotheses hold at stack.x."""
     lhs, rhs = info.residual(model, stack, *integrals)
     return (abs(_sum_left_to_right(lhs) - _sum_left_to_right(rhs)),
-            _sum_left_to_right(abs(t) for t in lhs + rhs))
+            _sum_left_to_right(map(abs, lhs + rhs)))
 
 
 # ----------------------------------------------------------------------
@@ -499,22 +511,29 @@ def residual_parts(tag: str, model: CoeffModel, stack: DerivStack,
 def builtin_stack(model: CoeffModel, x: float, m: int) -> DerivStack:
     """Derivative stack of the model's defining solution (f_n or J_nu).
 
-    Every check on a model reads one cached stack per x, as deep as the
-    deepest check that applies to it (thm-main3/4 read f^(5) and need
-    q' = 0), and slices it to depth m.  Each order's value does not depend
-    on the depth of the stack it comes from, so the slice is exact.
+    Every check on a model reads one cached stack per x, built and
+    validated once, as deep as the deepest check that applies to it
+    (thm-main3/4 read f^(5) and need q' = 0); this returns it sliced to
+    depth m.  Each order's value does not depend on the depth of the stack
+    it comes from, so the slice is exact.
     """
-    depth = max(m, 5 if model.qprime_is_zero else 4)
     x = float(x)
-    return DerivStack(x, _stack_values(model.family, model.param, x, depth)[:m + 1])
+    stack = _stack_values(model.family, model.param, x, _stack_depth(model, m))
+    return DerivStack(x, stack.values[:m + 1])
+
+
+def _stack_depth(model: CoeffModel, m: int) -> int:
+    """The depth of the model's cached stacks that serve depth m."""
+    return max(m, 5 if model.qprime_is_zero else 4)
 
 
 @lru_cache(maxsize=262144)
-def _stack_values(family: str, param: float, x: float, m: int) -> tuple[float, ...]:
+def _stack_values(family: str, param: float, x: float, m: int) -> DerivStack:
+    """The family's solution's stack at x, depth m, built and validated once."""
     if family == "spherical":
-        return stack_from_spherical(int(param), x, m).values
+        return stack_from_spherical(int(param), x, m)
     if family == "bessel":
-        return bessel_stack_values(param, x, m, _BESSEL_STACK_TOL)
+        return DerivStack(float(x), bessel_stack_values(param, x, m, _BESSEL_STACK_TOL))
     raise UsageError(
         f"no built-in solution for family {family!r}; supply stacks directly")
 
@@ -641,7 +660,7 @@ def _cumulative(family: str, param: float, name: str,
                                            rel_tol=_QUAD_REL_TOL, start=at))
 
 
-def _a23_row(model: CoeffModel, x: float) -> Row:
+def _a23_parts(model: CoeffModel, x: float) -> tuple[float, float]:
     """A2, A3 against their spherical closed forms 6n(n-1)/x^4, 6n(n-1)/x^3."""
     n = model.param
     cap2, cap3 = a23_coeffs(model, x)
@@ -655,19 +674,33 @@ def _a23_row(model: CoeffModel, x: float) -> Row:
              + 1.5 * (abs(d2p) + abs(dp * p)) + abs(d4p / dp)
              + abs(4 * d2p * d3p / dp ** 2) + abs(3 * d2p ** 3 / dp ** 3)
              + abs(want2) + abs(want3))
-    return x, abs(cap2 - want2) + abs(cap3 - want3), scale
+    return abs(cap2 - want2) + abs(cap3 - want3), scale
 
 
 def _rows(info: IdentityInfo, model: CoeffModel, xs: Sequence[float]) -> Iterable[Row]:
+    """The identity's rows over xs, in grid order, each computed when it is
+    read, so that the first row to fail raises first.  The hypotheses are
+    checked once, before the first row: the grid's domain before any
+    quadrature or stack."""
     if info.kind == "coeff":
-        return (_a23_row(model, x) for x in xs)
-    if info.integrals:  # the whole grid, before any quadrature
+        row, columns = partial(_a23_parts, model), ()
+    else:
+        if info.needs_qprime_zero:
+            model.require_qprime_zero(info.tag)
         for x in xs:
             model.check_domain(x)
-    columns = [_cumulative(model.family, model.param, name, tuple(xs)) for name in info.integrals]
-    return ((x, *residual_parts(info.tag, model, builtin_stack(model, x, info.min_depth),
-                                *at_x))
-            for x, *at_x in zip(xs, *columns))
+        columns = [_cumulative(model.family, model.param, name, tuple(xs))
+                   for name in info.integrals]
+        family, param, depth = model.family, model.param, _stack_depth(model, info.min_depth)
+
+        def row(x, *at_x):  # the cached stack whole: residuals read orders by index
+            return _parts(info, model, _stack_values(family, param, x, depth), at_x)
+
+    for x, *at_x in zip(xs, *columns):
+        try:
+            yield x, *row(x, *at_x)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise _out_of_range(info.tag, model, exc, f" at x={x!r}") from exc
 
 
 def _report(info: IdentityInfo, model: CoeffModel, grid: dict, xs: Sequence[float],
@@ -733,8 +766,15 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
         return _report(info, model, {"kind": "zeros-of-f", "count": len(zeros), "cap": hi},
                        zeros, tol, note=f"evaluated at {len(zeros)} zero(s) of f")
     except (ZeroDivisionError, OverflowError) as exc:
-        raise NumericalFailure(f"{tag} on {model.name} leaves the double range: "
-                               f"{exc}") from exc
+        raise _out_of_range(tag, model, exc) from exc
+
+
+def _out_of_range(tag: str, model: CoeffModel, exc: ArithmeticError,
+                  where: str = "") -> NumericalFailure:
+    """The failure of a check whose doubles left their range; an overflow
+    of ``**`` carries (errno, text), of which the message keeps the text."""
+    reason = exc.args[-1] if exc.args else type(exc).__name__
+    return NumericalFailure(f"{tag} on {model.name} leaves the double range{where}: {reason}")
 
 
 def _first_zeros(model: CoeffModel, cap: float) -> list[float]:

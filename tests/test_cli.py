@@ -273,18 +273,25 @@ def test_byte_determinism(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("tag, spec, rng", [
-    ("thm-main1-criterion", "spherical:2", "1e-200:1e-150"),  # x^2 underflows to 0
-    ("a23-coeffs", "spherical:2", "1e-40:1e-39"),             # p''^3 overflows
-    ("thm-main1-criterion", "bessel:2", "1e200:1e201"),        # x^2 overflows
+@pytest.mark.parametrize("tag, spec, rng, points, row_x", [
+    ("thm-main1-criterion", "spherical:2", "1e-200:1e-150", 3, None),  # x^2 underflows to 0
+    ("a23-coeffs", "spherical:2", "1e-40:1e-39", 3, 1e-40),            # p''^3 overflows
+    ("thm-main1-criterion", "bessel:2", "1e200:1e201", 3, None),        # x^2 overflows
+    # q'(x) = 0/x^3 overflows from the second point on; the third and
+    # fourth points' stacks overflow as well, but the rows run in grid order
+    ("prop1", "spherical:2", "1e70:1e300", 4, 4.641588833612766e+146),
 ])
-def test_verify_past_the_double_range_is_a_numerical_failure(capsys, tag, spec, rng):
-    # these raised ZeroDivisionError / OverflowError out of dispatch (exit 1)
+def test_verify_past_the_double_range_is_a_numerical_failure(capsys, tag, spec, rng,
+                                                             points, row_x):
+    # these raised ZeroDivisionError / OverflowError out of dispatch (exit 1);
+    # a grid row's failure names its x
     code, out, err = run_cli(capsys, "verify", "--identity", tag, "--model", spec,
-                             "--range", rng, "--points", "3")
+                             "--range", rng, "--points", str(points))
     assert code == 3
+    at = "" if row_x is None else f" at x={row_x!r}"
     assert out == "" and err.startswith(f"numerical failure: {tag} on {spec} leaves the "
-                                        "double range")
+                                        f"double range{at}: ")
+    assert "(34, " not in err
 
 
 def test_verify_refuses_a_row_that_is_not_finite(capsys):

@@ -370,6 +370,44 @@ def test_every_check_reads_one_stack_per_x(monkeypatch, spec):
     assert deepest == fresh
 
 
+@pytest.mark.parametrize("spec", ["spherical:2", "bessel:2.7"])
+def test_run_all_builds_one_stack_per_abscissa(monkeypatch, spec):
+    # every row reads the cached stack of its x whole: one DerivStack per
+    # distinct grid point and zero of f, and two more for the criterion's
+    # endpoint slices (builtin_stack at depth 2), not one per row
+    from chebcrit import identities
+
+    built = []
+    post_init = DerivStack.__post_init__
+
+    def counted(self):
+        built.append(self.x)
+        post_init(self)
+
+    identities._stack_values.cache_clear()
+    monkeypatch.setattr(DerivStack, "__post_init__", counted)
+    model = parse_model(spec)
+    reports = run_all(model, points=40)
+    assert all(r.passed for r in reports)
+    abscissae = {*make_grid(1e-2, 30.0, 40), *identities._first_zeros(model, 30.0)}
+    assert len(built) == len(abscissae) + 2
+    assert sorted(set(built)) == sorted(abscissae)
+
+
+def test_stack_grid_through_the_origin_is_refused_before_any_stack(monkeypatch):
+    # the grid's domain is checked before the first row, so a Bessel stack
+    # check names x = 0 as outside the domain rather than failing in J_nu
+    from chebcrit import identities
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stack was built on a grid outside the domain")
+
+    identities._stack_values.cache_clear()
+    monkeypatch.setattr(identities, "bessel_stack_values", forbidden)
+    with pytest.raises(UsageError, match="x=0.0 outside the domain"):
+        run_identity("prop1", bessel_model(2.0), lo=0.0, hi=1.0, points=3, spacing="linear")
+
+
 def test_remark_zero_reports_a_zero_it_checked():
     # every residual at the zeros of sin is exactly 0: the worst point is
     # still the first zero evaluated, not the grid's lower end
