@@ -64,6 +64,7 @@ from .trigpoly import (
     to_json_dict,
     tp_add,
     tp_diff,
+    tp_dot,
     tp_eval,
     tp_eval_over_power,
     tp_mul,

@@ -37,7 +37,9 @@ each computing every leading minor of H once:
   single-minor calls of a loop over j at one abscissa share one
   evaluation and one elimination;
 * symbolic (``symbolic_minor``): one cofactor expansion of H in the ring
-  per n, memoized on row subsets, gives every det H_s of that n.
+  per n, memoized on row subsets, gives every det H_s of that n; each row
+  subset's signed sum of products is one ``tp_dot``, reduced to canonical
+  form once.
 
 The exact minors are those of the evaluated entries, which carry a
 certified 1e-30 relative error; exactness removes the elimination
@@ -59,12 +61,10 @@ from .trigpoly import (
     TrigPoly,
     derivatives,
     fn_derivatives,
-    tp_add,
+    tp_dot,
     tp_eval,
     tp_eval_mp,
-    tp_mul,
     tp_neg,
-    tp_zero,
 )
 
 #: symbolic_minor cofactor expansion is budgeted for n <= 6 (the matrix is
@@ -76,7 +76,7 @@ MAX_SYMBOLIC_N = 6
 # derivative stacks
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivStack:
     """Values (f(x), f'(x), ..., f^(m)(x)) at a point, m >= 2."""
 
@@ -314,7 +314,7 @@ def _ring_hankel_minors(n: int, size: int) -> tuple[TrigPoly, ...]:
 
     D(rows) is the determinant of those rows of H against its first
     len(rows) columns, expanded along its last column and memoized on the
-    row subset.  Every leading block's rows {0..s-1} turn up in the
+    row subset: one ``tp_dot`` of the signed products, one reduction.  Every leading block's rows {0..s-1} turn up in the
     expansion of the largest, so det H_s is D(0..s-1) for every s.
     """
     derivs = fn_derivatives(n, 2 * size - 2)
@@ -327,11 +327,9 @@ def _ring_hankel_minors(n: int, size: int) -> tuple[TrigPoly, ...]:
         got = memo.get(rows)
         if got is not None:
             return got
-        acc = tp_zero()
-        for idx, r in enumerate(rows):
-            term = tp_mul(derivs[r + col], expand(rows[:idx] + rows[idx + 1:]))
-            acc = tp_add(acc, term if (col - idx) % 2 == 0 else tp_neg(term))
-        memo[rows] = acc
+        acc = memo[rows] = tp_dot([(-1 if (col - idx) % 2 else 1, derivs[r + col],
+                                    expand(rows[:idx] + rows[idx + 1:]))
+                                   for idx, r in enumerate(rows)])
         return acc
 
     return tuple(expand(tuple(range(s))) for s in range(1, size + 1))

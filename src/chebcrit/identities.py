@@ -568,19 +568,23 @@ def positivity_criterion(model: CoeffModel, lo: float, hi: float,
     must not vanish at any sample (singular-point error otherwise).  For
     the built-in families the theorem's endpoint conditions v(lo) >= 0 and
     v(hi) >= 0 are evaluated as well (the conclusion v >= 0 in between is
-    a separate empirical scan, not part of this check).
+    a separate empirical scan, not part of this check).  A sample whose
+    doubles leave their range raises NumericalFailure naming its x.
     """
     xs = make_grid(lo, hi, points, spacing)
     worst_x = xs[0]
     worst = math.inf
     for x in xs:
         model.check_domain(x)
-        dp = model.dp(x)
-        if dp == 0.0:
-            raise SingularPointError(f"p'({x}) = 0 while scanning the criterion")
-        g = model.q(x)
-        if not model.qprime_is_zero:  # the term is 0, but its x^3 overflows past ~5.6e102
-            g -= model.p(x) / dp * model.dq(x)
+        try:
+            dp = model.dp(x)
+            if dp == 0.0:
+                raise SingularPointError(f"p'({x}) = 0 while scanning the criterion")
+            g = model.q(x)
+            if not model.qprime_is_zero:  # the term is 0, but its x^3 overflows past ~5.6e102
+                g -= model.p(x) / dp * model.dq(x)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise _out_of_range("thm-main1-criterion", model, exc, f" at x={x!r}") from exc
         if g < worst:
             worst, worst_x = g, x
     violation = max(0.0, -worst)

@@ -92,10 +92,20 @@ rational K with |a(x)/x^m0 - sum_(j<N) c_(m0+j) x^j| <= K |x|^N for
 |c| |x|^D k^M / M! / (1 - k|x|/(M+1)) in degrees D = m0 + N and above,
 M = D - i, as the Taylor terms (k|x|)^m / m!, m >= M, of cos and sin
 shrink at least by the ratio k|x|/(M+1); K (``_tail_bound``) sums these
-at |x| = R.  This needs M >= 0 and k R < M + 1 for every term, else there
-is no form.  R is read off the element: the largest R with k R <=
-(M + 1)/2 for every term, so that each factor 1/(1 - k R/(M + 1)) is at
-most 2; for f_n^2 it is (2n + 131)/4, and about 65 for an f_n entry.
+at |x| = R, each rounded up to a multiple of 2^-G on integers, G chosen so
+that K exceeds the exact sum by less than 2^-50 of it.  This needs M >= 0
+and k R < M + 1 for every term, else there is no form.  R is read off the
+element: the largest R with k R <= (M + 1)/2 for every term, so that each
+factor 1/(1 - k R/(M + 1)) is at most 2; for f_n^2 it is (2n + 131)/4,
+and about 65 for an f_n entry.
+
+The numerators are built on demand, up to the cap of N: a form starts
+with 32, from the element's coefficient stream, the exact Maclaurin
+numerators in blocks of growing length off which ``vanishing_order`` reads
+m0, and doubles only while a row it is asked for reads past them.  At a
+built length L < N the same bound at D = m0 + L, K_L on |x| <= R_L, covers
+the unbuilt rest: the sum of |c_(m0+j)| |x|^j over j >= L is at most
+K_L |x|^L.  The integral route asks for all N, so its reach does not move.
 
 The form serves two sums, each x^e (Q(x) + t) with |t| <= K' |x|^N:
 
@@ -113,39 +123,45 @@ Q is summed by Horner's rule in u = x / 2^r = p / 2^t, t the least with
 |x| = 1), by ``_series_value``: the row of (F, r) holds c_j 2^(r j),
 divided by e + j for the integral, rounded to the nearest multiple of
 2^-F, and acc = floor(acc p / 2^t) + c_j.  The row stops at the least J
-where the rest, the sum of |c_j| 2^(F + r j) over j > J, is below one
+where the rest, the sum of |c_j| 2^(F + r j) over J < j < N, is below one
 unit of 2^-F: as |x| <= 2^r, the terms it drops add less than that unit.
-The stop is checked on integers, each term bounded by a power of two
-from bit lengths, in units of 2^-(F + 8).  The leading coefficient is off
-by at most 1/2, and each step adds below 1 for the floor and 1/2 for the
-coefficient to the error times |u| <= 1, so with the rest's unit
-E = floor(3J/2) + 2 >= 1/2 + 1.5 J + 1, as in ``bessel._row``: a point
-certifies in one pass wherever the tail allows.  Near 0 the rows are
-short (7 to 25 terms at 1e-4 <= x < 0.01 for the f_n^(k) and minors
-above), and the integral's rows of f_n^2 and v(f_n) hold 11 to 37 terms
-below x = 1, 37 to 63 up to x = 4 and 113 to all 128 past x = 8.
+The stop is checked on integers, each term bounded by a power of two from
+bit lengths, in units of 2^-(F + 8).  On a form built to L < N it is
+checked twice, without the unbuilt terms and with a bound on what they
+add, K_L 2^(r L) where 2^r <= R_L; where the two stops agree the row is
+the row of all N numerators, and where they differ the form doubles.  The
+leading coefficient is off by at most 1/2, and each step adds below 1 for
+the floor and 1/2 for the coefficient to the error times |u| <= 1, so with
+the rest's unit E = floor(3J/2) + 2 >= 1/2 + 1.5 J + 1, as in
+``bessel._row``: a point certifies in one pass wherever the tail allows.
+Near 0 the rows are short (7 to 25 terms at 1e-4 <= x < 0.01 for the
+f_n^(k) and minors above), and the integral's rows of f_n^2 and v(f_n)
+hold 11 to 37 terms below x = 1, 37 to 63 up to x = 4 and 113 to all 128
+past x = 8.
 
-The sum's (T, E) at F bits give (T p^e, (E + tail) |p|^e) at F + s e
-bits, tail = K' |x|^N 2^F rounded up.  They are yielded shifted right by
-r', 2^r' <= |p|^e < 2^(r'+1), so that T keeps its size: T p^e floored, E
-rounded up plus 1 for that floor, at F + s e - r' bits.  More precision
-shrinks E against T but not the tail: once tail >= E and the caller
-draws again, the stream ends.  Near 0 the harmonic form is then summed
-from 136 bits, d = power.  The integral is the first value that passes
-the rounding test, and None where the stream ends or yields nothing
-(|x| > R), or where there is no form.  For the spherical integrands of
-``identities`` it certifies up to x ~ 20-21 on the default grid (24 at
-n = 16).
+The sum's (T, E) at F bits give (T p^e, (E + tail) |p|^e) at F + s e bits,
+tail = K' |x|^N 2^F rounded up; while the form is not built in full its
+rows passed the test above with K_L 2^(F + r L) < 1/4, and since
+K |x|^N <= K_L |x|^L term by term at |x| <= R_L, the tail is 1 without K.
+They are yielded shifted right by r', 2^r' <= |p|^e < 2^(r'+1), so that T
+keeps its size: T p^e floored, E rounded up plus 1 for that floor, at
+F + s e - r' bits.  More precision shrinks E against T but not the
+tail: once tail >= E and the caller draws again, the stream ends.  Near 0
+the harmonic form is then summed from 136 bits, d = power.  The integral
+is the first value that passes the rounding test, and None where the
+stream ends or yields nothing (|x| > R), or where there is no form.  For
+the spherical integrands of ``identities`` it certifies up to x ~ 20-21 on
+the default grid (24 at n = 16).
 
 The kernel's tables and the series form are built once per element (the
-tables per F, the form's rows per weight, F and r) and stored on the
-instance, outside the dataclass fields, so ``==`` and ``hash`` are
-unchanged.  There is no precision context: every route computes at a
-precision passed to it as an argument, on Python ints, and nothing here
-imports mpmath.  The kernel
-keeps x = p / 2^s, its Horner error counts and cos/sin(k x) per (F, k) in
-a one-entry memo of the last abscissa, so the derivatives of f_n
-evaluated at one point share one cos/sin evaluation per F.
+tables per F, the form's numerators on demand and its rows per weight, F
+and r) and stored on the instance, outside the dataclass fields, so ``==``
+and ``hash`` are unchanged.  There is no precision context: every route
+computes at a precision passed to it as an argument, on Python ints, and
+nothing here imports mpmath.  The kernel keeps x = p / 2^s, its Horner
+error counts and cos/sin(k x) per (F, k) in a one-entry memo of the last
+abscissa, so the derivatives of f_n evaluated at one point share one
+cos/sin evaluation per F.
 """
 
 from __future__ import annotations
@@ -167,6 +183,7 @@ MAX_SPHERICAL_N = 16
 MACLAURIN_RADIUS = 1e-2
 
 _SERIES_TERMS = 128  # the series form's tail is O(|x|^128)
+_SERIES_START = 32  # numerators a series form builds first
 _ROW_GUARD = 8  # a row's stop test sums the rest in units of 2^-(F + 8)
 _VANISHING_ORDER_CAP = 600
 _EVAL_MAX_DPS = 5000
@@ -334,17 +351,26 @@ def tp_scale(a: TrigPoly, s) -> TrigPoly:
 
 
 def tp_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Exact product, reduced to canonical form.
+    """Exact product, reduced to canonical form: ``tp_dot`` of one pair."""
+    return tp_dot([(1, a, b)])
+
+
+def tp_dot(products) -> TrigPoly:
+    """The exact sum of sign * a * b over ``products``, triples (sign, a, b)
+    with sign = +-1, reduced to canonical form once; the empty sum is the
+    zero element.
 
     Uses the product-to-sum rules
         cos j cos k = (cos(j-k) + cos(j+k)) / 2
         sin j sin k = (cos(j-k) - cos(j+k)) / 2
         sin j cos k = (sin(j+k) + sin(j-k)) / 2
-    with cos(-m) = cos m and sin(-m) = -sin m.  The integer products are
-    accumulated unhalved over the denominator 2 * a.den * b.den, which is
-    reduced once.
+    with cos(-m) = cos m and sin(-m) = -sin m.  The integer products of
+    every pair are accumulated unhalved into one harmonic table over the
+    denominator 2L, L the lcm of the a.den * b.den, which is reduced once.
     """
-    size = a.max_degree() + b.max_degree() + 1
+    products = list(products)
+    den = math.lcm(*(a.den * b.den for _, a, b in products))
+    size = max((a.max_degree() + b.max_degree() + 1 for _, a, b in products), default=1)
     acc: dict[int, tuple[list, list]] = {}
 
     def add(m: int, part: int, p, sign: int):
@@ -361,25 +387,27 @@ def tp_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
         for i, v in enumerate(p):
             dst[i] += sign * v
 
-    for j, cj, sj in a.terms:
-        for k, ck, sk in b.terms:
-            if cj and ck:
-                p = _pmul(cj, ck)
-                add(j - k, 0, p, 1)
-                add(j + k, 0, p, 1)
-            if sj and sk:
-                p = _pmul(sj, sk)
-                add(j - k, 0, p, 1)
-                add(j + k, 0, p, -1)
-            if cj and sk:
-                p = _pmul(cj, sk)
-                add(j + k, 1, p, 1)
-                add(j - k, 1, p, -1)
-            if sj and ck:
-                p = _pmul(sj, ck)
-                add(j + k, 1, p, 1)
-                add(j - k, 1, p, 1)
-    return _make(acc, 2 * a.den * b.den)
+    for sign, a, b in products:
+        scale = sign * (den // (a.den * b.den))
+        for j, cj, sj in a.terms:
+            for k, ck, sk in b.terms:
+                if cj and ck:
+                    p = _pmul(cj, ck)
+                    add(j - k, 0, p, scale)
+                    add(j + k, 0, p, scale)
+                if sj and sk:
+                    p = _pmul(sj, sk)
+                    add(j - k, 0, p, scale)
+                    add(j + k, 0, p, -scale)
+                if cj and sk:
+                    p = _pmul(cj, sk)
+                    add(j + k, 1, p, scale)
+                    add(j - k, 1, p, -scale)
+                if sj and ck:
+                    p = _pmul(sj, ck)
+                    add(j + k, 1, p, scale)
+                    add(j - k, 1, p, scale)
+    return _make(acc, 2 * den)
 
 
 def tp_diff(a: TrigPoly, order: int = 1) -> TrigPoly:
@@ -448,53 +476,92 @@ def fn_derivatives(n: int, m: int) -> tuple[TrigPoly, ...]:
 # Maclaurin expansion (exact rational Taylor coefficients at 0)
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _maclaurin_ints(a: TrigPoly, count: int) -> tuple[int, ...]:
-    """The numerators of the first ``count`` Taylor coefficients of ``a`` at
-    x = 0 over the common denominator den * (count - 1)!, exactly.
+def _maclaurin_block(terms, lo: int, hi: int, top: int) -> list[int]:
+    """The numerators of the Taylor coefficients c_lo, ..., c_(hi-1) at x = 0
+    of the element with these ``terms`` over its denominator times top!,
+    exactly, for top >= hi - 1.
 
-    cos(kx) and sin(kx) contribute +-k^m (count - 1)! / m! to the
-    coefficient of x^m.
+    cos(kx) and sin(kx) contribute +-k^m top! / m! to the coefficient of
+    x^m.
     """
-    top = math.factorial(max(count - 1, 0))
-    out = [0] * count
-    for k, cpart, spart in a.terms:
-        tm = top  # k^m (count - 1)! / m!, exact at every m < count
-        for m in range(count if k else 1):  # cos 0x = 1
+    out = [0] * (hi - lo)
+    top_factorial = math.factorial(top)
+    for k, cpart, spart in terms:
+        tm = top_factorial  # k^m top! / m!, exact at every m <= top
+        for m in range(hi if k else 1):  # cos 0x = 1
             if m > 0:
                 tm = tm * k // m
             part = spart if m % 2 else cpart
-            if not part:
+            if len(part) <= lo - m:
                 continue
             t = -tm if (m // 2) % 2 else tm
-            for i, ci in enumerate(part[:count - m]):
-                out[i + m] += ci * t
-    return tuple(out)
+            for i in range(max(0, lo - m), min(len(part), hi - m)):
+                out[i + m - lo] += part[i] * t
+    return out
 
 
 def maclaurin(a: TrigPoly, count: int) -> tuple[Fraction, ...]:
-    """The first ``count`` Taylor coefficients of ``a`` at x = 0, exactly:
-    the numerators of _maclaurin_ints over den * (count - 1)!."""
-    den = a.den * math.factorial(max(count - 1, 0))
-    return tuple(Fraction(v, den) for v in _maclaurin_ints(a, count))
+    """The first ``count`` Taylor coefficients of ``a`` at x = 0, exactly,
+    from the element's coefficient stream."""
+    coeffs = _coefficients(a)
+    nums = coeffs.upto(count, max(count - 1, coeffs.top))
+    den = a.den * math.factorial(coeffs.top)
+    return tuple(Fraction(v, den) for v in nums[:count])
+
+
+class _Coefficients:
+    """The Maclaurin coefficients of one element, its coefficient stream,
+    built on demand and stored on it: c_N = nums[N] / (den top!) for
+    N < len(nums), and m0, the vanishing order, once ``vanishing_order``
+    has read it off them."""
+
+    __slots__ = ("terms", "top", "nums", "m0")
+
+    def __init__(self, a: TrigPoly):
+        self.terms, self.top, self.nums, self.m0 = a.terms, 0, [], None
+
+    def upto(self, count: int, top: int) -> list[int]:
+        """nums through c_(count-1) over den top!, top >= count - 1: the
+        numerators built so far are rescaled by top! / self.top!, exactly
+        (c_N den top! is an integer for N <= top), and the rest are built."""
+        if top != self.top:
+            ratio = math.prod(range(min(top, self.top) + 1, max(top, self.top) + 1))
+            self.nums = ([v * ratio for v in self.nums] if top > self.top
+                         else [v // ratio for v in self.nums[:top + 1]])
+            self.top = top
+        if len(self.nums) < count:  # built over (count - 1)!, the smallest top
+            ratio = math.prod(range(count, top + 1))
+            self.nums += [v * ratio for v in
+                          _maclaurin_block(self.terms, len(self.nums), count, count - 1)]
+        return self.nums
+
+
+def _coefficients(a: TrigPoly) -> _Coefficients:
+    got = a.__dict__.get("_coefficients")
+    if got is None:
+        got = a.__dict__["_coefficients"] = _Coefficients(a)
+    return got
 
 
 def vanishing_order(a: TrigPoly) -> int:
-    """Order of the zero of ``a`` at x = 0 (0 when a(0) != 0).
+    """Order of the zero of ``a`` at x = 0 (0 when a(0) != 0), read off the
+    element's coefficient stream in blocks of doubling length.
 
     Raises UsageError for the zero element and NumericalFailure if no
     nonzero Taylor coefficient is found below the safety cap.
     """
     if a.is_zero():
         raise UsageError("the zero element has no vanishing order")
+    coeffs = _coefficients(a)
     count = 8
-    while count <= _VANISHING_ORDER_CAP:
-        for i, c in enumerate(_maclaurin_ints(a, count)):
-            if c:
-                return i
+    while coeffs.m0 is None:
+        if count > _VANISHING_ORDER_CAP:
+            raise NumericalFailure(
+                f"no nonzero Maclaurin coefficient below order {_VANISHING_ORDER_CAP}")
+        nums = coeffs.upto(count, max(count - 1, coeffs.top))
+        coeffs.m0 = next((i for i in range(count) if nums[i]), None)
         count *= 2
-    raise NumericalFailure(
-        f"no nonzero Maclaurin coefficient below order {_VANISHING_ORDER_CAP}")
+    return coeffs.m0
 
 
 # ----------------------------------------------------------------------
@@ -574,41 +641,121 @@ def _fixed_value(a: TrigPoly, x: float, F: int):
 def _tail_bound(a: TrigPoly, degree: int, R: Fraction):
     """The rational K of the module docstring's tail bound for the Maclaurin
     terms of ``a`` of degree D = ``degree`` and above on |x| <= R, or None
-    where a term fails its hypothesis."""
-    total = Fraction(0)
+    where a term fails its hypothesis.
+
+    Each term |c| k^M (M + 1) / (M! (M + 1 - k R)) is rounded up to a
+    multiple of 2^-G, so K stays a bound, with G fraction bits that put
+    K at most 2^-50 above the exact sum: the largest term exceeds 2^(g-1),
+    g its numerator's bit length less its denominator's, and each of the
+    n terms gains less than 2^-G <= 2^(g-1) 2^-50 / n.
+    """
+    p, q = R.numerator, R.denominator
+    terms = []
     for k, cpart, spart in a.terms:
         for i, c in (*enumerate(cpart), *enumerate(spart)):
             M = degree - i
-            if M < 0 or k * R >= M + 1:
+            if M < 0 or k * p >= (M + 1) * q:
                 return None
             if c:
-                total += Fraction(abs(c) * k**M * (M + 1), math.factorial(M)) / (M + 1 - k * R)
-    return total / a.den
+                terms.append((abs(c) * k**M * (M + 1) * q,
+                              math.factorial(M) * ((M + 1) * q - k * p)))
+    if not terms:
+        return Fraction(0)
+    G = 51 + len(terms).bit_length() - max(n.bit_length() - d.bit_length() for n, d in terms)
+    if G >= 0:
+        return Fraction(sum(-(-(n << G) // d) for n, d in terms), a.den << G)
+    return Fraction(sum(-(-n // (d << -G)) for n, d in terms) << -G, a.den)
+
+
+def _radius(a: TrigPoly, count: int) -> Fraction:
+    """The largest R with k R <= (M + 1)/2 for every term, M = count - i."""
+    return min(Fraction(count - max(len(c), len(s)) + 2, 2 * k) for k, c, s in a.terms if k)
+
+
+class _SeriesForm:
+    """The series form of one element (module docstring), built on demand.
+
+    nums[j] / den is c_(m0+j), built for j < len(nums) <= _SERIES_TERMS;
+    R bounds the reach of all _SERIES_TERMS terms and K (computed on first
+    use) their tail on |x| <= R; the form is summed from _EVAL_PRECS[0] +
+    extra bits, where |c_m0| 2^F > 2^_START_BITS; rows holds the Horner rows
+    of _series_value by (w, F, r).
+    """
+
+    __slots__ = ("a", "m0", "den", "R", "extra", "rows", "nums", "_K", "_bounds")
+
+    def __init__(self, a: TrigPoly, m0: int):
+        count = m0 + _SERIES_TERMS
+        self.a, self.m0, self.R = a, m0, _radius(a, count)
+        self.den = a.den * math.factorial(count - 1)
+        self.rows, self.nums, self._K, self._bounds = {}, [], None, {}
+        self.grow(_SERIES_START)
+        lead = Fraction(self.nums[0], self.den)  # |c_m0| > 2^(lg - 1)
+        lg = lead.numerator.bit_length() - lead.denominator.bit_length()
+        self.extra = max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0])
+
+    @property
+    def K(self) -> Fraction:
+        if self._K is None:
+            self._K = _tail_bound(self.a, self.m0 + _SERIES_TERMS, self.R)
+        return self._K
+
+    def grow(self, length: int) -> None:
+        """Build the numerators through c_(m0+length-1)."""
+        top = self.m0 + _SERIES_TERMS - 1
+        self.nums = _coefficients(self.a).upto(self.m0 + length, top)[self.m0:self.m0 + length]
+
+    def unbuilt(self, F: int, r: int):
+        """A bound, in units of 2^-(F + _ROW_GUARD), on what the numerators
+        past the L built ones, below _SERIES_TERMS, add to a row's stop test
+        at (F, r): each nonzero one adds 1 unit, or 2^b < 2^(_ROW_GUARD + 2)
+        |c_j| 2^(F + r j) units where b > 0, so together at most their count
+        and 2^(_ROW_GUARD + 2) K_L 2^(F + r L) units, as the sum of
+        |c_j| 2^(r j) over j >= L is at most K_L 2^(r L) where 2^r <= R_L,
+        K_L and R_L those of the first L terms.  None where K_L does not
+        exist or 2^r > R_L."""
+        L = len(self.nums)
+        if L not in self._bounds:
+            R = _radius(self.a, self.m0 + L)
+            self._bounds[L] = R, _tail_bound(self.a, self.m0 + L, R)
+        R, K = self._bounds[L]
+        if K is None or R.denominator << max(r, 0) > R.numerator << max(-r, 0):
+            return None
+        e = F + _ROW_GUARD + 2 + r * L  # K_L 2^e units, rounded up
+        big = (-(-(K.numerator << e) // K.denominator) if e >= 0
+               else -(-K.numerator // (K.denominator << -e)))
+        return _SERIES_TERMS - L + big
 
 
 def _series_form(a: TrigPoly):
-    """(m0, nums, den, R, K, extra, rows), the series form of the module
-    docstring, built once and stored on the instance; None for a pure
-    polynomial (summed exactly) and where _tail_bound is None.  nums[j] / den
-    is c_(m0+j), j < _SERIES_TERMS, K bounds the tail on |x| <= R, the form
-    is summed from _EVAL_PRECS[0] + extra bits, where |c_m0| 2^F >
-    2^_START_BITS, and rows holds the Horner rows of _series_value."""
+    """The _SeriesForm of ``a``, built once and stored on the instance;
+    None for a pure polynomial (summed exactly) and where a term fails
+    _tail_bound's hypothesis M >= 0 at D = m0 + _SERIES_TERMS."""
     if "_series_form" not in a.__dict__:
         form = None
         if a.terms and a.terms[-1][0]:  # harmonics sorted by k: not all k = 0
             m0 = vanishing_order(a)
-            count = m0 + _SERIES_TERMS
-            # the largest R with k R <= (M + 1)/2 for every term
-            R = min(Fraction(count - max(len(c), len(s)) + 2, 2 * k) for k, c, s in a.terms if k)
-            K = _tail_bound(a, count, R)
-            if K is not None:
-                nums = _maclaurin_ints(a, count)[m0:]
-                den = a.den * math.factorial(count - 1)
-                lead = Fraction(nums[0], den)  # |c_m0| > 2^(lg - 1)
-                lg = lead.numerator.bit_length() - lead.denominator.bit_length()
-                form = m0, nums, den, R, K, max(0, _START_BITS + 1 - lg - _EVAL_PRECS[0]), {}
+            if a.max_degree() <= m0 + _SERIES_TERMS:
+                form = _SeriesForm(a, m0)
         a.__dict__["_series_form"] = form
     return a.__dict__["_series_form"]
+
+
+def _stop_index(nums, dens, base: int, r: int, dropped: int) -> int:
+    """The least J where the rest past it, dropped units of 2^-(F + _ROW_GUARD)
+    and the terms of nums after J, may stay below one unit of 2^-F: the
+    terms are added from the last, each as 2^b units, b = bit length of
+    the numerator less that of the denominator plus base + r j, or 1 where
+    b <= 0."""
+    J = len(nums) - 1
+    while J:
+        if nums[J]:
+            b = nums[J].bit_length() - dens[J].bit_length() + base + r * J
+            dropped += 1 << b if b > 0 else 1
+            if dropped >> _ROW_GUARD:  # the rest may reach one unit: keep c_J
+                break
+        J -= 1
+    return J
 
 
 def _series_value(form, x: float, F: int, w: int):
@@ -618,26 +765,34 @@ def _series_value(form, x: float, F: int, w: int):
     built once and stored on the form (see the module docstring).
 
     The row holds c_j 2^(r j) at F fraction bits for j = 0..J, J the least
-    index where the rest, the sum of |c_j| 2^(F + r j) over j > J, is below
-    one unit.  That test runs on integers, in units of 2^-(F + _ROW_GUARD):
-    a term n 2^t / d is below 2^b of them, b the bit length of n less that
-    of d plus t + _ROW_GUARD + 1, and below 1 where b <= 0."""
-    _, nums, den, _, _, _, rows = form
+    index where the rest, the sum of |c_j| 2^(F + r j) over J < j <
+    _SERIES_TERMS, is below one unit.  That test runs on integers, in units
+    of 2^-(F + _ROW_GUARD) (``_stop_index``).  For w = 0 it runs on the
+    numerators built so far, once with nothing past them and once with the
+    form's bound on the unbuilt ones (``_SeriesForm.unbuilt``); the form
+    doubles until the two stops agree, which is then the stop of all
+    _SERIES_TERMS numerators.  Integral rows take all of them."""
     _, p, s, _, _ = _point_values(x)
     t = (abs(p) - 1).bit_length()  # |p| <= 2^t: u = p / 2^t, r = t - s
     r = t - s
-    row = rows.get((w, F, r))
+    row = form.rows.get((w, F, r))
     if row is None:
-        dens = [den * (w + j) for j in range(len(nums))] if w else [den] * len(nums)
-        J, dropped, base = len(nums) - 1, 0, F + _ROW_GUARD + 1
-        while J:
-            if nums[J]:
-                b = nums[J].bit_length() - dens[J].bit_length() + base + r * J
-                dropped += 1 << b if b > 0 else 1
-                if dropped >> _ROW_GUARD:  # the rest may reach one unit: keep c_J
-                    break
-            J -= 1
-        row = rows[w, F, r] = _horner_row([(nums[j], dens[j], F + r * j) for j in range(J + 1)])
+        if w:
+            form.grow(_SERIES_TERMS)
+        base = F + _ROW_GUARD + 1
+        while True:
+            nums = form.nums
+            dens = [form.den * (w + j) for j in range(len(nums))] if w else [form.den] * len(nums)
+            J = _stop_index(nums, dens, base, r, 0)
+            if len(nums) == _SERIES_TERMS:
+                break
+            unbuilt = form.unbuilt(F, r)
+            if (unbuilt is not None and not unbuilt >> _ROW_GUARD
+                    and J == _stop_index(nums, dens, base, r, unbuilt)):
+                break
+            form.grow(min(2 * len(nums), _SERIES_TERMS))
+        row = form.rows[w, F, r] = _horner_row([(nums[j], dens[j], F + r * j)
+                                                for j in range(J + 1)])
     acc, rest = row
     for c in rest:
         acc = (acc * p >> t) + c
@@ -651,26 +806,30 @@ def _series_enclosures(form, e: int, x: float, d: int, w: int):
     w = 0, one per pass at prec + extra fraction bits for prec in
     _EVAL_PRECS, until the tail K' |x|^_SERIES_TERMS 2^F reaches the sum's
     error: more precision cannot shrink it, so the stream ends there.  d
-    passes through for the caller."""
+    passes through for the caller.
+
+    While the form is not built in full the tail is 1: its rows stopped
+    where the unbuilt numerators add below 1/4 unit at |x| <= 2^r <= R_L,
+    and there K |x|^_SERIES_TERMS <= K_L |x|^L, term by term."""
     _, p, s, _, _ = _point_values(x)
-    R, K, extra = form[3:6]
+    R, extra = form.R, form.extra
     if abs(p) * R.denominator > R.numerator << s:  # |x| > R: no enclosure
         return
-    if w:
-        K /= w + _SERIES_TERMS
     pe = p**e
     scale = abs(pe)
     r = scale.bit_length() - 1
-    # K' |x|^N < 2^lg: below 2^-F the tail rounds up to 1 without |p|^N
-    lg = (K.numerator.bit_length() - K.denominator.bit_length() + 1
-          + _SERIES_TERMS * (abs(p).bit_length() - s))
     for prec in _EVAL_PRECS:
         F = prec + extra
         total, bound = _series_value(form, x, F, w)
         tail = 1
-        if lg + F > 0:
-            tail = -(-(K.numerator * abs(p) ** _SERIES_TERMS << F)
-                     // (K.denominator << _SERIES_TERMS * s))
+        if len(form.nums) == _SERIES_TERMS:
+            K = form.K / (w + _SERIES_TERMS) if w else form.K
+            # K' |x|^N < 2^lg: below 2^-F the tail rounds up to 1 without |p|^N
+            lg = (K.numerator.bit_length() - K.denominator.bit_length() + 1
+                  + _SERIES_TERMS * (abs(p).bit_length() - s))
+            if lg + F > 0:
+                tail = -(-(K.numerator * abs(p) ** _SERIES_TERMS << F)
+                         // (K.denominator << _SERIES_TERMS * s))
         yield total * pe >> r, -((-(bound + tail) * scale) >> r) + 1, F + s * e - r, d
         if tail >= bound:
             return
@@ -691,7 +850,7 @@ def _enclosures(a: TrigPoly, x: float, power: int):
     """
     form = _series_form(a) if abs(x) < MACLAURIN_RADIUS else None
     if form is not None:
-        m0 = form[0]
+        m0 = form.m0
         d = 0 if power <= m0 else power
         yield from _series_enclosures(form, m0 - power + d, x, d, 0)
     for F in _EVAL_PRECS:
@@ -797,7 +956,7 @@ def tp_integral_over_power(a: TrigPoly, power: int, x: float) -> float | None:
         raise UsageError("power must be non-negative")
     x = _finite(x)
     form = _series_form(a)
-    m0 = vanishing_order(a) if form is None else form[0]
+    m0 = vanishing_order(a) if form is None else form.m0
     e = m0 - power + 1
     if e <= 0:
         raise UsageError(f"the integral of a/t^{power} diverges at 0 (vanishing order {m0})")

@@ -274,9 +274,9 @@ def test_byte_determinism(capsys):
 
 
 @pytest.mark.parametrize("tag, spec, rng, points, row_x", [
-    ("thm-main1-criterion", "spherical:2", "1e-200:1e-150", 3, None),  # x^2 underflows to 0
-    ("a23-coeffs", "spherical:2", "1e-40:1e-39", 3, 1e-40),            # p''^3 overflows
-    ("thm-main1-criterion", "bessel:2", "1e200:1e201", 3, None),        # x^2 overflows
+    ("thm-main1-criterion", "spherical:2", "1e-200:1e-150", 3, 1e-200),  # x^2 underflows to 0
+    ("a23-coeffs", "spherical:2", "1e-40:1e-39", 3, 1e-40),              # p''^3 overflows
+    ("thm-main1-criterion", "bessel:2", "1e200:1e201", 3, 1e200),        # x^2 overflows
     # q'(x) = 0/x^3 overflows from the second point on; the third and
     # fourth points' stacks overflow as well, but the rows run in grid order
     ("prop1", "spherical:2", "1e70:1e300", 4, 4.641588833612766e+146),
@@ -284,13 +284,12 @@ def test_byte_determinism(capsys):
 def test_verify_past_the_double_range_is_a_numerical_failure(capsys, tag, spec, rng,
                                                              points, row_x):
     # these raised ZeroDivisionError / OverflowError out of dispatch (exit 1);
-    # a grid row's failure names its x
+    # the failure names the x of its grid row or criterion sample
     code, out, err = run_cli(capsys, "verify", "--identity", tag, "--model", spec,
                              "--range", rng, "--points", str(points))
     assert code == 3
-    at = "" if row_x is None else f" at x={row_x!r}"
     assert out == "" and err.startswith(f"numerical failure: {tag} on {spec} leaves the "
-                                        f"double range{at}: ")
+                                        f"double range at x={row_x!r}: ")
     assert "(34, " not in err
 
 

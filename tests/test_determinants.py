@@ -106,6 +106,20 @@ def test_stack_depth_validation():
         DerivStack(1.0, (1.0, 2.0))
 
 
+def test_stack_has_slots_and_refuses_mutation():
+    # verify caches one stack per abscissa: no per-instance __dict__
+    s = stack_from_spherical(3, 1.5, 4)
+    assert not hasattr(s, "__dict__")
+    assert DerivStack.__slots__ == ("x", "values")
+    with pytest.raises(AttributeError):
+        s.x = 2.0
+    # a name that is no field: AttributeError, or TypeError on Pythons
+    # before 3.12, whose frozen __setattr__ names the class before slots
+    with pytest.raises((AttributeError, TypeError)):
+        s.extra = 1
+    assert s == stack_from_spherical(3, 1.5, 4)
+
+
 # ---------------------------------------------------------------- minors
 
 def test_minor_top_j_is_fn():

@@ -21,11 +21,13 @@ from chebcrit.trigpoly import (
     MACLAURIN_RADIUS,
     TrigPoly,
     _enclosures,
+    _radius,
     _fixed_table,
     _fixed_value,
     _series_enclosures,
     _series_form,
     _series_value,
+    _tail_bound,
     derivatives,
     fn_derivatives,
     format_trigpoly,
@@ -36,6 +38,7 @@ from chebcrit.trigpoly import (
     tp_add,
     tp_cos,
     tp_diff,
+    tp_dot,
     tp_eval,
     tp_eval_mp,
     tp_eval_over_power,
@@ -116,6 +119,27 @@ def test_xsin_times_cos():
     got = tp_mul(tp_term(1, (), (0, 1)), tp_cos())
     expected = tp_term(2, (), (0, Fraction(1, 2)))  # (x/2) sin 2x
     assert got == expected
+
+
+def test_dot_equals_the_chain_of_products_and_sums():
+    # one reduction over the lcm of the denominators gives the canonical
+    # element that tp_mul, tp_neg and tp_add give pair by pair, also with a
+    # zero factor among the pairs; the empty sum is the zero element
+    rng = random.Random(36)
+    for _ in range(40):
+        products = []
+        for _ in range(rng.randint(1, 4)):
+            a = tp_scale(random_element(rng, 2), Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12)))
+            b = random_element(rng, 2) if rng.random() < 0.8 else tp_zero()
+            products.append((rng.choice((1, -1)), a, b))
+        want = tp_zero()
+        for sign, a, b in products:
+            term = tp_mul(a, b)
+            want = tp_add(want, term if sign > 0 else tp_neg(term))
+        assert tp_dot(products) == want
+        assert tp_dot(iter(products)) == want
+    assert tp_dot([]) == tp_zero() and tp_dot([]).den == 1
+    assert tp_dot([(1, tp_sin(), tp_zero())]) == tp_zero()
 
 
 def test_f1_squared_pointwise():
@@ -469,7 +493,7 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
     # -13 to 5, x = +-(3/4) 2^r: bit-identical (T, E), a rest past J below
     # one unit and past J - 1 not below 1/8 (the integer test's slack), and
     # T within E of 2^F times the exact sum of all 128 terms
-    extra = _series_form(a)[5]
+    extra = _series_form(a).extra
     F = _EVAL_PRECS[0] + extra
     for r in range(-13, 6):
         x = (-1) ** r * 0.75 * 2.0**r
@@ -483,7 +507,7 @@ def test_compiled_maclaurin_route_is_bit_identical(name, a):
     # the (T, E, F) the caller's test sees below MACLAURIN_RADIUS: the row's
     # (T, E) scaled to a(x)/x^power on Fractions, whatever the caller's
     # precision
-    m0, K = form[0], form[4]
+    m0, K = form.m0, form.K
     for outer_dps in (40, 80, 160):
         for x in (3e-4, 1e-3, -0.0042, 0.0099):
             for power in (0, m0):
@@ -502,7 +526,7 @@ def test_series_tail_is_rounded_up_exactly(name, a):
     # the tail rounded up exactly: the bit-length shortcut that sets it to
     # 1 below one unit may not swallow a larger one
     form = _series_form(_fresh(a))
-    m0, K, F = form[0], form[4], _EVAL_PRECS[0] + form[5]
+    m0, K, F = form.m0, form.K, _EVAL_PRECS[0] + form.extra
     lg_k = math.log2(K)
     for w, e in ((0, m0), (m0 + 1, m0 + 1)):
         tail_k = K / (w + _SERIES_TERMS) if w else K
@@ -624,7 +648,7 @@ def _scale_of(x):
 
 def _row_of(form, x, F, w=0):
     """The Horner row the series form holds for (x, F) and weight w."""
-    return form[6][w, F, _scale_of(x)]
+    return form.rows[w, F, _scale_of(x)]
 
 
 def _ref_series_row(a, x, F, J, w=0):
@@ -802,7 +826,7 @@ def test_certified_values_and_dps_match_the_references(monkeypatch):
         assert _within_rtol(_mpf(got), _ref_value(a, x), 1e-30), (format_trigpoly(a)[:40], x)
         form = _series_form(a) if abs(x) < MACLAURIN_RADIUS else None
         assert passes
-        assert passes[0][2] == _EVAL_PRECS[0] + (form[5] if form else 0)
+        assert passes[0][2] == _EVAL_PRECS[0] + (form.extra if form else 0)
         for i, (b, _, F, (T, E)) in enumerate(passes):
             if form is None:
                 assert b is a
@@ -810,7 +834,7 @@ def test_certified_values_and_dps_match_the_references(monkeypatch):
             else:
                 assert b is form
                 assert (T, E) == _ref_series_row(a, x, F, len(_row_of(form, x, F)[1]))
-                T, E, F = _scaled_to_power(T, E, F, x, form[0], form[4])
+                T, E, F = _scaled_to_power(T, E, F, x, form.m0, form.K)
             assert _bound_holds(T, E, F, _ref_value(a, x)), (x, F)
             last = i == len(passes) - 1
             assert (E * rd <= abs(T) * rn) == last, (x, F)
@@ -911,7 +935,7 @@ def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, precs, mon
 
 def _maclaurin_start(a):
     """The first precision of the series route of ``a``."""
-    return _EVAL_PRECS[0] + _series_form(a)[5]
+    return _EVAL_PRECS[0] + _series_form(a).extra
 
 
 def test_maclaurin_start_puts_the_leading_coefficient_above_the_acceptance():
@@ -923,7 +947,7 @@ def test_maclaurin_start_puts_the_leading_coefficient_above_the_acceptance():
         for a in (*fn_derivatives(n, 2 * n + 2), *([symbolic_v(n)] if n <= 12 else ())):
             if not a.terms[-1][0]:
                 continue  # a pure polynomial is summed exactly
-            m0 = _series_form(a)[0]
+            m0 = _series_form(a).m0
             c = abs(maclaurin(a, m0 + 1)[m0])
             F = _maclaurin_start(a)
             assert c * 2**F > 2**_START_BITS, (n, m0)
@@ -1032,7 +1056,7 @@ def test_maclaurin_form_bound_holds_against_a_2000_bit_reference():
     # |T 2^-F - a(x)/x^power| <= E 2^-F for the (T, E, F) the caller's
     # acceptance sees, E holding the tail K |x|^128 |x|^(m0 - power)
     for a in _near_zero_elements():
-        m0, K = _series_form(a)[0], _series_form(a)[4]
+        m0, K = _series_form(a).m0, _series_form(a).K
         for x in (3e-4, -3e-4, 1e-3, 0.0042, 0.0099):
             for power in (0, m0):
                 T, E, F, _ = next(_enclosures(_fresh(a), x, power))
@@ -1052,7 +1076,8 @@ def test_maclaurin_tail_bound_covers_the_terms_beyond_the_form():
 
     for a in (spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_minor(6, 9), PLANTED,
               tp_term(4000, (), (1,))):
-        m0, _, _, R, K, _, _ = _series_form(_fresh(a))
+        form = _series_form(_fresh(a))
+        m0, R, K = form.m0, form.R, form.K
         beyond = maclaurin(a, m0 + 400)[m0 + _SERIES_TERMS:]
         total = sum(abs(c) * R**i for i, c in enumerate(beyond))
         assert 0 < total <= K
@@ -1128,7 +1153,7 @@ def test_stream_sums_the_maclaurin_form_until_it_gives_up(a, x, monkeypatch):
     # first pass with tail >= E
     a = _fresh(a)
     form = _series_form(a)
-    m0, K, extra = form[0], form[4], form[5]
+    m0, K, extra = form.m0, form.K, form.extra
     drawn, passes = _draw_to_the_harmonic_form(a, x, m0, monkeypatch)
     assert drawn[0][2] == _EVAL_PRECS[0] + extra
     *series, (harmonic, F, _) = passes
@@ -1149,7 +1174,7 @@ def test_stream_divides_by_x_to_the_d_where_power_exceeds_the_vanishing_order(x)
     from chebcrit.determinants import symbolic_v
 
     for a in (PLANTED, spherical_fn(3), symbolic_v(2)):
-        m0 = _series_form(a)[0]
+        m0 = _series_form(a).m0
         for power in range(m0 + 3):
             T, E, F, d = next(_enclosures(_fresh(a), x, power))
             assert d == (0 if power <= m0 else power), (format_trigpoly(a)[:40], power)
@@ -1233,7 +1258,7 @@ def test_integral_series_gives_up_past_its_reach():
     # R + 1 lies past R itself
     for n in (2, 4, 8, 16):
         for name, a, power in _spherical_integrals(n):
-            R = _series_form(a)[3]
+            R = _series_form(a).R
             if name != "V:v":  # f_n^2: k = 2 on degree 2n, D = 4n + 2 + 128
                 assert R == Fraction(2 * n + 131, 4)
             assert 30.0 < R, (n, name)
@@ -1277,7 +1302,7 @@ def test_scaled_sum_is_within_its_bound():
     for n in (2, 6):
         for name, a, power in _spherical_integrals(n):
             form = _series_form(_fresh(a))
-            e, F = form[0] - power + 1, _EVAL_PRECS[0] + form[5]
+            e, F = form.m0 - power + 1, _EVAL_PRECS[0] + form.extra
             for x in (0.013, 0.3, 1.0, 1.7, 9.3, 20.5, -3.25):
                 T, E = _series_value(form, x, F, e)
                 J = len(_row_of(form, x, F, e)[1])
@@ -1290,9 +1315,90 @@ def test_a_near_zero_row_stops_early():
     # at x = 0.005 the terms of f_6 / x^13 fall below a unit of 2^-136 long
     # before the form's 128: its row holds at most 20 of them
     form = _series_form(_fresh(spherical_fn(6)))
-    assert form[5] == 0  # 136 bits
+    assert form.extra == 0  # 136 bits
     _series_value(form, 0.005, _EVAL_PRECS[0], 0)
     assert len(_row_of(form, 0.005, _EVAL_PRECS[0])[1]) + 1 <= 20
+
+
+def test_a_near_zero_form_builds_only_what_its_rows_read():
+    # the near-0 rows of the minor (6, 7) read 7 to 25 of its numerators,
+    # and its form stops short of the cap; an integral row at x = 20 reads
+    # all of them
+    from chebcrit.determinants import symbolic_minor
+
+    a = _fresh(symbolic_minor(6, 7))
+    for x in (1e-4, 1e-3, 0.005, 0.0099):
+        tp_eval(a, x)
+        tp_eval_mp(a, x)
+    assert len(_series_form(a).nums) < _SERIES_TERMS
+    f4_squared = _fresh(tp_mul(spherical_fn(4), spherical_fn(4)))
+    assert tp_integral_over_power(f4_squared, 11, 20.0) is not None
+    assert len(_series_form(f4_squared).nums) == _SERIES_TERMS
+
+
+def _lazy_cases():
+    """_compiled_cases(), a minor and two elements of no one parity: at
+    x = 0.375 and 136 bits the stop of (3 + 3x) cos(x) / 4 turns on the
+    unbuilt numerators, each counted as one unit of the stop test."""
+    from chebcrit.determinants import symbolic_minor
+
+    mixed = tp_add(fn_derivatives(3, 1)[1], tp_scale(spherical_fn(3), Fraction(7, 3)))
+    return _compiled_cases() + [("minor(5, 7)", symbolic_minor(5, 7)), ("mixed", mixed),
+                                ("mixed-cos", tp_term(1, (Fraction(3, 4), Fraction(3, 4))))]
+
+
+@pytest.mark.parametrize("name,a", _lazy_cases())
+def test_lazy_rows_and_enclosures_are_those_of_the_full_form(name, a):
+    # a row built from the first numerators stops where the row of all 128
+    # stops, at every scale r from -14 to 2 and the first three precisions,
+    # and the enclosures below MACLAURIN_RADIUS add the same tail (1)
+    full = _series_form(_fresh(a))
+    full.grow(_SERIES_TERMS)
+    for F in _EVAL_PRECS[:3]:
+        for r in range(-14, 3):
+            x = (-1) ** r * 0.75 * 2.0**r
+            lazy = _series_form(_fresh(a))
+            assert _series_value(lazy, x, F, 0) == _series_value(full, x, F, 0), (F, r)
+            assert _row_of(lazy, x, F) == _row_of(full, x, F), (F, r)
+    for x in (1e-4, -3e-3, 0.0099):
+        lazy = _series_form(_fresh(a))
+        for e in (0, full.m0):
+            assert (list(islice(_series_enclosures(lazy, e, x, 0, 0), 2))
+                    == list(islice(_series_enclosures(full, e, x, 0, 0), 2))), (x, e)
+
+
+def _fraction_tail_bound(a, degree, R):
+    """The tail bound K summed on Fractions, each term exact."""
+    total = Fraction(0)
+    for k, cpart, spart in a.terms:
+        for i, c in (*enumerate(cpart), *enumerate(spart)):
+            M = degree - i
+            if M < 0 or k * R >= M + 1:
+                return None
+            if c:
+                total += Fraction(abs(c) * k**M * (M + 1), math.factorial(M)) / (M + 1 - k * R)
+    return total / a.den
+
+
+def test_integer_tail_bound_is_at_most_2_to_the_minus_50_above_the_exact_one():
+    # each term rounded up at G fraction bits: K stays a bound, and G puts
+    # it within 2^-50 relative of the exact sum, for coefficients of any
+    # size (3^380 in PLANTED, 10^-400 times f_3)
+    from chebcrit.determinants import symbolic_minor, symbolic_v
+
+    elements = [spherical_fn(4), fn_derivatives(7, 5)[5], symbolic_minor(6, 9), symbolic_v(3),
+                PLANTED, tp_scale(spherical_fn(3), Fraction(1, 10**400)), tp_term(4000, (), (1,))]
+    checked = 0
+    for a in elements:
+        m0 = vanishing_order(a)
+        for L in (8, 32, 64, _SERIES_TERMS):
+            R = _radius(a, m0 + L)
+            got, want = _tail_bound(a, m0 + L, R), _fraction_tail_bound(a, m0 + L, R)
+            assert (got is None) == (want is None), L
+            if want is not None:
+                assert want <= got < want * (1 + Fraction(1, 2**50)), L
+                checked += 1
+    assert checked >= 20
 
 
 def test_integral_series_refuses_an_integral_divergent_at_0():
