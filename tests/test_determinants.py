@@ -113,8 +113,9 @@ def test_stack_has_slots_and_refuses_mutation():
     assert DerivStack.__slots__ == ("x", "values")
     with pytest.raises(AttributeError):
         s.x = 2.0
-    # a name that is no field: AttributeError, or TypeError on Pythons
-    # before 3.12, whose frozen __setattr__ names the class before slots
+    # a name that is no field is refused as well: TypeError on Python
+    # 3.10-3.13, whose frozen __setattr__ names the class that slots=True
+    # replaced, AttributeError where that is fixed
     with pytest.raises((AttributeError, TypeError)):
         s.extra = 1
     assert s == stack_from_spherical(3, 1.5, 4)

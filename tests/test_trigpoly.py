@@ -21,9 +21,9 @@ from chebcrit.trigpoly import (
     MACLAURIN_RADIUS,
     TrigPoly,
     _enclosures,
-    _radius,
     _fixed_table,
     _fixed_value,
+    _radius,
     _series_enclosures,
     _series_form,
     _series_value,
@@ -129,7 +129,8 @@ def test_dot_equals_the_chain_of_products_and_sums():
     for _ in range(40):
         products = []
         for _ in range(rng.randint(1, 4)):
-            a = tp_scale(random_element(rng, 2), Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12)))
+            scale = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+            a = tp_scale(random_element(rng, 2), scale)
             b = random_element(rng, 2) if rng.random() < 0.8 else tp_zero()
             products.append((rng.choice((1, -1)), a, b))
         want = tp_zero()
