@@ -320,7 +320,10 @@ def _series_values(nu: float, x: float, orders: Sequence[int],
         M, X = _half_x_power(nu, mx, s, prec + _PREFACTOR_GUARD)
         gman, gexp = _gamma_plus_one(nu, prec)
         for r in pending:
-            acc, rest = _row(nu, r, prec, rho)
+            try:
+                acc, rest = _row(nu, r, prec, rho)
+            except NumericalFailure as exc:  # the row is cached per (nu, r, F, rho), not per x
+                raise NumericalFailure(f"{exc} at x={x!r}") from exc
             for c in rest:
                 acc = (acc * Y >> sh) + c
             # |acc - 2^prec sum_k b_k y^k| <= 1.5 (K + 1), K = len(rest)
@@ -438,14 +441,15 @@ def bessel_deriv_zeros(nu: float, count: int,
     """The first ``count`` positive zeros j'_{nu,1}, j'_{nu,2}, ... of J_nu',
     lazily, from one scan; nu > 0 is checked at the call.
 
-    The classical bound j'_{nu,k} > nu is enforced on every zero drawn as a
-    sanity check; a violation signals a numerical failure, not a
+    The scan starts at nu, as j'_{nu,1} > nu (DLMF 10.21(i)).  That bound
+    is enforced on every zero drawn as a sanity check, so a zero at nu
+    itself is refused; a violation signals a numerical failure, not a
     mathematical one.
     """
     nu = _check_order(nu)
     if nu == 0:
         raise UsageError("derivative zeros need nu > 0")
-    zeros = _zeros(lambda t: bessel_j_deriv(nu, t, 1), count, max(nu * 0.5, tol, 1e-6),
+    zeros = _zeros(lambda t: bessel_j_deriv(nu, t, 1), count, max(nu, tol, 1e-6),
                    nu + ZERO_SCAN_SPAN, tol, f"zero of J_{nu}'")
 
     def checked():

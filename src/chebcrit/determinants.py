@@ -26,7 +26,8 @@ Two independent evaluation routes are provided and cross-checked in tests,
 each computing every leading minor of H once:
 
 * numeric (``minor_values``): exact ring derivatives, certified entries
-  as the dyadic integer pairs of ``tp_eval_mp``, then det H_1 .. det H_S
+  as the dyadic integer pairs of one ``tp_eval_mp`` call per abscissa on
+  the whole stack f_n, ..., f_n^(2S-2), then det H_1 .. det H_S
   exactly as the pivots of one fraction-free (Bareiss) elimination on
   Python ints, with no roundoff and no precision to choose.  A Bareiss
   step keeps a Hankel block symmetric, so the elimination updates only
@@ -292,7 +293,7 @@ def minor_values(n: int, x: float, js: Iterable[int] | None = None) -> dict[int,
     last_n, last_x, dets = _last
     if last_n != n or last_x != x or len(dets) < size:
         derivs = fn_derivatives(n, 2 * size - 2)
-        dets = _exact_hankel_minors([tp_eval_mp(d, x) for d in derivs], size)
+        dets = _exact_hankel_minors(tp_eval_mp(derivs, x), size)
         _last = (n, x, dets)
     out = {}
     for j in js:

@@ -745,7 +745,8 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
     counts as passing; explicitly asking for an impossible single check is
     the caller's signal to inspect report.note.  A grid where a power of x
     underflows to 0 or overflows, so that a coefficient or residual cannot
-    be formed in doubles, raises NumericalFailure.
+    be formed in doubles, raises NumericalFailure; every NumericalFailure
+    it raises names the identity and the model.
     """
     info = _info(tag)
     if tol is None:
@@ -771,6 +772,10 @@ def run_identity(tag: str, model: CoeffModel, *, lo: float = 1e-2, hi: float = 3
                        zeros, tol, note=f"evaluated at {len(zeros)} zero(s) of f")
     except (ZeroDivisionError, OverflowError) as exc:
         raise _out_of_range(tag, model, exc) from exc
+    except NumericalFailure as exc:
+        if str(exc).startswith(f"{tag} on {model.name}"):
+            raise  # this identity's own checks name it already
+        raise type(exc)(f"{tag} on {model.name}: {exc}") from exc
 
 
 def _out_of_range(tag: str, model: CoeffModel, exc: ArithmeticError,

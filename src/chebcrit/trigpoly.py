@@ -34,7 +34,13 @@ only exact values bypass them:
 One generator, ``_enclosures(a, x, power)``, decides the route, the start
 precision and the ladder, and yields the integer enclosures (T, E, F, d)
 of a(x)/x^(power - d) at each precision in turn; each caller draws from it
-until its own acceptance test passes.
+until its own acceptance test passes.  ``tp_eval_mp`` takes a whole stack
+of elements at one x, such as the Hankel entries f_n, ..., f_n^(2S-2) of
+``determinants``: at |x| >= MACLAURIN_RADIUS the first rung, the harmonic
+form at 136 bits, is one kernel pass over every element with a harmonic
+k > 0, and only an element that pass leaves uncertified draws the rest of
+the ladder from its own ``_enclosures``, which sums that rung again.  The
+zero element, exact values and the series route near 0 stay per element.
 
 The kernel works at F fraction bits.  Each coefficient num/den is the
 integer nearest to num 2^F / den, and the double x is the exact dyadic
@@ -70,10 +76,10 @@ of the minors of n <= 6 (7 to 25 terms) met it at the first pass for
 1e-4 <= x < 0.01.  For the f_n entries and v(f_n) of n <= 6 that start is
 136 bits, for f_12 (l = -42) it is 147.  The tests:
 
-* ``tp_eval_mp(a, x)`` accepts when E rd <= |T| rn for the one relative
-  tolerance 1e-30 = rn / rd exactly, and returns the dyadic pair (T, -F),
-  the value T 2^-F itself, so the integers pass to ``determinants``
-  without a conversion;
+* ``tp_eval_mp(elements, x)`` accepts when E rd <= |T| rn for the one
+  relative tolerance 1e-30 = rn / rd exactly, and gives each element the
+  dyadic pair (T, -F), the value T 2^-F itself, so the integers pass to
+  ``determinants`` without a conversion;
 * ``tp_eval_over_power(a, power, x)``, and ``tp_eval`` at power 0,
   accept when both ends of the quotient, (T -+ E) 2^(s d - F) / p^d, round
   to the same double and |T| > E (Ziv's rounding test,
@@ -161,7 +167,11 @@ computes at a precision passed to it as an argument, on Python ints, and
 nothing here imports mpmath.  The kernel keeps x = p / 2^s, its Horner
 error counts and cos/sin(k x) per (F, k) in a one-entry memo of the last
 abscissa, so the derivatives of f_n evaluated at one point share one
-cos/sin evaluation per F.
+cos/sin evaluation per F.  One kernel body, ``_fixed_values``, sums a
+stack: one memo lookup, the error counts grown only past the largest
+degree seen at that abscissa, then one Horner row per polynomial;
+``_fixed_value`` is its one-element case, as ``tp_mul`` is the one-pair
+case of ``tp_dot``.
 """
 
 from __future__ import annotations
@@ -571,25 +581,23 @@ def vanishing_order(a: TrigPoly) -> int:
 def _fixed_table(a: TrigPoly, F: int):
     """(degree, rows) of ``a`` at F fraction bits, built once per F and
     stored on the instance, so a lookup never hashes the element's
-    numerators: one (k, cos row, sin row) per harmonic, a row None for an
-    empty part, else (leading, the rest in Horner order), each num/den the
-    integer nearest to num 2^F / den; degree is the most Horner steps of a
-    row."""
+    numerators: one row (k, part, leading, the rest in Horner order) per
+    nonempty cos (part 0) or sin (part 1) polynomial of harmonic k, each
+    num/den the integer nearest to num 2^F / den; degree is the most Horner
+    steps of a row."""
     tables = a.__dict__.get("_fixed_tables")
     if tables is None:
         tables = a.__dict__["_fixed_tables"] = {}
     table = tables.get(F)
     if table is None:
         den, den2 = a.den, 2 * a.den
-
-        def row(part):
-            if not part:
-                return None
-            ints = [((c << (F + 1)) + den) // den2 for c in reversed(part)]
-            return ints[0], tuple(ints[1:])
-
-        rows = tuple((k, row(c), row(s)) for k, c, s in a.terms)
-        table = tables[F] = (a.max_degree(), rows)
+        rows = []
+        for k, *parts in a.terms:
+            for part, coeffs in enumerate(parts):
+                if coeffs:
+                    ints = [((c << (F + 1)) + den) // den2 for c in reversed(coeffs)]
+                    rows.append((k, part, ints[0], tuple(ints[1:])))
+        table = tables[F] = (a.max_degree(), tuple(rows))
     return table
 
 
@@ -608,34 +616,41 @@ def _point_values(x: float):
     return _point
 
 
-def _fixed_value(a: TrigPoly, x: float, F: int):
-    """(T, E) with |T 2^-F - a(x)| <= E 2^-F, on Python ints, by the error
-    model of the module docstring (errs[j] is e after j Horner steps)."""
-    degree, rows = _fixed_table(a, F)
+def _fixed_values(elements, x: float, F: int) -> list[tuple[int, int]]:
+    """[(T, E)] with |T 2^-F - a(x)| <= E 2^-F for each element a, on
+    Python ints, by the error model of the module docstring (errs[j] is e
+    after j Horner steps): one point-memo lookup for the stack, each error
+    count computed once per abscissa, and cos/sin(k x) shared per (F, k)."""
     _, p, s, errs, trig = _point_values(x)
-    while len(errs) <= degree:
-        errs.append(-(-errs[-1] * abs(p) >> s) + 2)
-    total = bound = 0
-    for k, crow, srow in rows:
-        if k:
-            cos_sin = trig.get((F, k))
-            if cos_sin is None:
-                cos_sin = trig[F, k] = _cos_sin(k * p, s, F)
-        else:
-            cos_sin = (None, None)
-        for row, c in zip((crow, srow), cos_sin):
-            if row is None:
-                continue
-            acc, rest = row
+    out = []
+    at_k = {}  # cos/sin(k x) at F by k, read from the point memo once per call
+    for a in elements:
+        degree, rows = _fixed_table(a, F)
+        while len(errs) <= degree:
+            errs.append(-(-errs[-1] * abs(p) >> s) + 2)
+        total = bound = 0
+        for k, part, acc, rest in rows:
             for coeff in rest:
                 acc = (acc * p >> s) + coeff
-            if c is None:
+            if k:
+                cos_sin = at_k.get(k)
+                if cos_sin is None:
+                    cos_sin = trig.get((F, k))
+                    if cos_sin is None:
+                        cos_sin = trig[F, k] = _cos_sin(k * p, s, F)
+                    at_k[k] = cos_sin
+                total += acc * cos_sin[part] >> F
+                bound += errs[len(rest)] + (abs(acc) >> F) + 2
+            else:
                 total += acc
                 bound += errs[len(rest)]
-            else:
-                total += acc * c >> F
-                bound += errs[len(rest)] + (abs(acc) >> F) + 2
-    return total, bound
+        out.append((total, bound))
+    return out
+
+
+def _fixed_value(a: TrigPoly, x: float, F: int) -> tuple[int, int]:
+    """(T, E) of one element: ``_fixed_values`` of a stack of one."""
+    return _fixed_values((a,), x, F)[0]
 
 
 def _tail_bound(a: TrigPoly, degree: int, R: Fraction):
@@ -884,16 +899,38 @@ def _exact_value(a: TrigPoly, x: float, power: int):
     return Fraction(sum(v * xf ** i for i, v in enumerate(a.terms[0][1])), a.den) / xf ** power
 
 
-def tp_eval_mp(a: TrigPoly, x: float) -> tuple[int, int]:
-    """The certified value of ``a`` at ``x`` as a dyadic pair (man, exp),
-    the value man 2^exp.
+def tp_eval_mp(elements, x: float) -> list[tuple[int, int]]:
+    """The certified values of a sequence of ring elements at ``x``, one
+    dyadic pair (man, exp), the value man 2^exp, per element.
 
-    At x = 0 and for a pure polynomial it is the exact value rounded to
-    _EVAL_PRECS[0] bits (40 digits).  Otherwise it draws the enclosures
-    (T, E, F) of ``_enclosures`` until E is at most 1e-30 |T|, compared
-    exactly, and the pair is (T, -F).
+    The zero element gives (0, 0), and at x = 0 and for a pure polynomial
+    the pair is the exact value rounded to _EVAL_PRECS[0] bits (40 digits).
+    Every other element draws the enclosures (T, E, F) of ``_enclosures``
+    until E is at most 1e-30 |T|, compared exactly, and the pair is
+    (T, -F).  At |x| >= MACLAURIN_RADIUS the first of them, the harmonic
+    form at _EVAL_PRECS[0], comes from one kernel pass over the whole
+    stack; only an element it leaves uncertified draws its own ladder, which
+    sums that rung again.
     """
     x = _finite(x)
+    F = _EVAL_PRECS[0]
+    kernel = abs(x) >= MACLAURIN_RADIUS
+    # the elements of the shared pass: nonzero, not all k = 0 (harmonics sorted by k)
+    sums = iter(_fixed_values([a for a in elements if kernel and a.terms and a.terms[-1][0]],
+                              x, F))
+    out = []
+    for a in elements:
+        if kernel and a.terms and a.terms[-1][0]:
+            T, E = next(sums)
+            if E * _RTOL_DEN <= abs(T) * _RTOL_NUM:
+                out.append((T, -F))
+                continue
+        out.append(_certified(a, x))
+    return out
+
+
+def _certified(a: TrigPoly, x: float) -> tuple[int, int]:
+    """The pair of ``tp_eval_mp`` for one element, on its own ladder."""
     if a.is_zero():
         return 0, 0
     got = _exact_value(a, x, 0)

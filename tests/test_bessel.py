@@ -340,6 +340,16 @@ def test_term_cap_raises_numerical_failure(monkeypatch):
         bessel_j_deriv(1.5, 20.0, 2)
 
 
+def test_term_cap_failure_names_its_x(monkeypatch):
+    # the rows are cached per (nu, order, F, y bound), so the series adds x
+    bessel._row.cache_clear()
+    monkeypatch.setattr(bessel, "SERIES_TERM_CAP", 3)
+    with pytest.raises(NumericalFailure, match=r"within 3 terms .*order=0\) at x=20\.0$"):
+        bessel_j(1.5, 20.0)
+    with pytest.raises(NumericalFailure, match=r"order=1\) at x=21\.5$"):
+        bessel_j_deriv(1.5, 21.5, 1)
+
+
 # ---------------------------------------------------------------- prefactor
 
 _PREFACTOR_XS = (5e-324, 1e-300, 1e-7, 0.01, 1.0, 6.867010195869923, 29.0, 127.5)
@@ -622,8 +632,9 @@ def test_missing_zero_names_its_target(zero, arg, label):
 
 
 def test_every_derivative_zero_drawn_is_checked_against_nu(monkeypatch):
-    # a stand-in J_3.4' with its first zero at pi < 3.4, then 2 pi and 3 pi
-    monkeypatch.setattr(bessel, "bessel_j_deriv", lambda nu, t, order: math.sin(t))
+    # a stand-in J_3.4' with its first zero at nu = 3.4 itself, where the
+    # scan starts, then at 3.4 + pi and 3.4 + 2 pi
+    monkeypatch.setattr(bessel, "bessel_j_deriv", lambda nu, t, order: math.sin(t - nu))
     zeros = bessel_deriv_zeros(3.4, 3)
-    with pytest.raises(NumericalFailure, match=r"^computed j'_\{3.4,1\} = 3.14159"):
+    with pytest.raises(NumericalFailure, match=r"^computed j'_\{3.4,1\} = 3.4 <= nu"):
         next(zeros)

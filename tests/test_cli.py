@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
+from chebcrit import bessel
 from chebcrit.cli import dispatch, fmt_float, render_json
 from chebcrit.determinants import symbolic_v
 from chebcrit.trigpoly import spherical_fn, tp_eval
@@ -291,6 +293,24 @@ def test_verify_past_the_double_range_is_a_numerical_failure(capsys, tag, spec, 
     assert out == "" and err.startswith(f"numerical failure: {tag} on {spec} leaves the "
                                         f"double range at x={row_x!r}: ")
     assert "(34, " not in err
+
+
+@pytest.mark.parametrize("tag, cap", [("prop1", None), ("integral-v", 40)])
+def test_verify_names_the_identity_and_x_of_a_series_failure(capsys, monkeypatch, tag, cap):
+    # J_2's series outgrows its 500-term cap on this grid; the failure used
+    # to name neither the identity nor the x.  integral-v meets it in its
+    # integral column, about 11 s in at the full cap, so it runs under a
+    # 40-term cap, which the series outgrows from x = 100
+    if cap is not None:
+        bessel._row.cache_clear()
+        monkeypatch.setattr(bessel, "SERIES_TERM_CAP", cap)
+    code, out, err = run_cli(capsys, "verify", "--identity", tag, "--model", "bessel:2",
+                             "--range", "200:300", "--points", "3")
+    assert code == 3
+    assert out == "" and err.startswith(f"numerical failure: {tag} on bessel:2: Bessel series "
+                                        f"did not converge within {cap or 500} terms (nu=2.0, ")
+    at_x = re.search(r" at x=(\S+)$", err.rstrip())
+    assert at_x and 0.0 < float(at_x.group(1)) <= 300.0, err
 
 
 def test_verify_refuses_a_row_that_is_not_finite(capsys):

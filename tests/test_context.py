@@ -36,7 +36,7 @@ def _results() -> list:
     for n in _NS:
         derivs = fn_derivatives(n, 2 * n)
         for x in _XS:
-            out += [tp_eval_mp(TrigPoly(d.terms, d.den), x) for d in derivs]
+            out += tp_eval_mp([TrigPoly(d.terms, d.den) for d in derivs], x)
             out += [tp_eval(TrigPoly(d.terms, d.den), x).hex() for d in derivs]
             out.append(tp_eval_over_power(TrigPoly(derivs[0].terms, derivs[0].den), 2 * n + 1, x).hex())
             out += [(j, v.hex()) for j, v in minor_values(n, x).items()]

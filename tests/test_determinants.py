@@ -187,6 +187,28 @@ def test_minor_values_batch_matches_single(monkeypatch):
             assert {j: wronskian_minor(n, j, x) for j in order} == batch
 
 
+def test_minor_values_evaluates_one_stack_per_new_point(monkeypatch):
+    # one tp_eval_mp call per new (n, x), on the whole stack f_n, ...,
+    # f_n^(2n); a repeated point and the single-minor calls of an ascending
+    # loop over j read the memo
+    stacks = []
+    plain = determinants.tp_eval_mp
+
+    def counting(stack, x):
+        stacks.append((stack, x))
+        return plain(stack, x)
+
+    monkeypatch.setattr(determinants, "tp_eval_mp", counting)
+    _forget_minors(monkeypatch)
+    points = [(2, 0.7), (2, 0.7), (5, 0.7), (5, 3.1), (4, 0.004), (4, 0.004), (2, 0.7)]
+    for n, x in points:
+        minor_values(n, x)
+        for j in admissible_j(n):
+            wronskian_minor(n, j, x)
+    want = [(2, 0.7), (5, 0.7), (5, 3.1), (4, 0.004), (2, 0.7)]
+    assert stacks == [(fn_derivatives(n, 2 * n), x) for n, x in want]
+
+
 def test_interleaved_points_match_fresh_minors(monkeypatch):
     # the memo holds one (n, x): calls that hop between points, orders and
     # subsets of j must each give what a cold evaluation gives
@@ -267,7 +289,7 @@ def _wronskian_grid(n, s):
 def _pivoted_minor(n, j, x):
     """w_j by scaled-pivot LU on W itself, validated by precision doubling."""
     grid = _wronskian_grid(n, 2 * n + 2 - j)
-    rows = [[_mpf(tp_eval_mp(tp, x)) for tp in row] for row in grid]
+    rows = [[_mpf(v) for v in tp_eval_mp(row, x)] for row in grid]
     dps = 40
     with mpmath.workdps(dps):
         prev = _ref_lu_det(rows)
@@ -304,7 +326,8 @@ def _plant_entries(monkeypatch, n, vals):
     derivs = fn_derivatives(n, 2 * n)
     planted = [_pair(v) for v in _planted_mpfs(vals)]
     _forget_minors(monkeypatch)
-    monkeypatch.setattr(determinants, "tp_eval_mp", lambda d, x: planted[derivs.index(d)])
+    monkeypatch.setattr(determinants, "tp_eval_mp",
+                        lambda stack, x: [planted[derivs.index(d)] for d in stack])
 
 
 def _exact_minors(n, vals):
@@ -431,7 +454,7 @@ def test_hankel_minors_match_pivoted_lu_at_refined_zeros():
 
 
 def _entries(n, x):
-    return [_mpf(tp_eval_mp(d, x)) for d in fn_derivatives(n, 2 * n)]
+    return [_mpf(v) for v in tp_eval_mp(fn_derivatives(n, 2 * n), x)]
 
 
 def _ref_hankel_minors(vals, sizes):

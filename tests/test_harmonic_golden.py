@@ -29,7 +29,7 @@ XS = (0.01, 0.0125, 0.5, 3.3, 11.385, 15.77)
 
 def _digests(elements) -> list[str]:
     """One digest per element, of its values at every x of XS."""
-    pairs = [[tp_eval_mp(a, x) for a in elements] for x in XS]
+    pairs = [tp_eval_mp(elements, x) for x in XS]
     out = []
     for i, a in enumerate(elements):
         values = {"mp": [list(at_x[i]) for at_x in pairs],

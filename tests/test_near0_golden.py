@@ -25,20 +25,26 @@ GOLDEN = Path(__file__).parent / "golden" / "near0_values.json"
 XS = (1e-4, 1e-3, 5e-3, 0.0099)
 
 
-def _digest(a) -> str:
-    values = {"mp": [list(tp_eval_mp(a, x)) for x in XS],
-              "double": [tp_eval(a, x).hex() for x in XS]}
-    return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
+def _digests(elements) -> list[str]:
+    """One digest per element, of its values at every x of XS."""
+    pairs = [tp_eval_mp(elements, x) for x in XS]
+    out = []
+    for i, a in enumerate(elements):
+        values = {"mp": [list(at_x[i]) for at_x in pairs],
+                  "double": [tp_eval(a, x).hex() for x in XS]}
+        out.append(hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest())
+    return out
 
 
 def near0_digests() -> dict[str, str]:
     out = {}
     for n in range(MAX_SPHERICAL_N + 1):
-        for k, d in enumerate(fn_derivatives(n, 2 * n)):
-            out[f"fn:{n}:{k}"] = _digest(d)
+        for k, got in enumerate(_digests(fn_derivatives(n, 2 * n))):
+            out[f"fn:{n}:{k}"] = got
     for n in range(MAX_SYMBOLIC_N + 1):
-        for j in admissible_j(n):
-            out[f"minor:{n}:{j}"] = _digest(symbolic_minor(n, j))
+        js = admissible_j(n)
+        for j, got in zip(js, _digests([symbolic_minor(n, j) for j in js])):
+            out[f"minor:{n}:{j}"] = got
     return out
 
 

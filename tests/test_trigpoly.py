@@ -13,7 +13,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, from_rational
 
 from chebcrit.errors import NumericalFailure, UsageError
-from chebcrit.fixedpoint import _cos_sin, _half_pi
+from chebcrit.fixedpoint import _cos_sin, _half_pi, _nearest_bits
 from chebcrit.trigpoly import (
     _EVAL_PRECS,
     _SERIES_TERMS,
@@ -21,6 +21,7 @@ from chebcrit.trigpoly import (
     MACLAURIN_RADIUS,
     TrigPoly,
     _enclosures,
+    _exact_value,
     _fixed_table,
     _fixed_value,
     _radius,
@@ -303,7 +304,7 @@ def test_eval_rejects_nonfinite():
 def test_eval_mp_rejects_nonfinite(x):
     # a usage error (exit 2), as tp_eval gives, not a numerical failure
     with pytest.raises(UsageError):
-        tp_eval_mp(spherical_fn(2), x)
+        tp_eval_mp([spherical_fn(2)], x)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -315,7 +316,7 @@ def test_eval_over_power_rejects_nonfinite_for_the_zero_element(x, power):
     with pytest.raises(UsageError, match="finite"):
         tp_eval(tp_zero(), x)
     with pytest.raises(UsageError, match="finite"):
-        tp_eval_mp(tp_zero(), x)
+        tp_eval_mp([tp_zero()], x)
 
 
 def _contract_cases():
@@ -341,7 +342,7 @@ def _contract_cases():
 
 def test_eval_is_the_rounding_of_eval_mp():
     for a, x in _contract_cases():
-        want = float(_mpf(tp_eval_mp(TrigPoly(a.terms, a.den), x)))
+        want = float(_mpf(tp_eval_mp([TrigPoly(a.terms, a.den)], x)[0]))
         assert tp_eval(TrigPoly(a.terms, a.den), x).hex() == want.hex(), (format_trigpoly(a), x)
 
 
@@ -382,8 +383,8 @@ def test_eval_mp_rounds_exact_values_to_the_first_precision():
         want = from_rational(value.numerator, value.denominator, _EVAL_PRECS[0], "n")
         poly = tp_from_poly([value])
         for a, x in ((poly, 0.5), (tp_add(tp_sin(), poly), 0.0)):
-            assert _mpf(tp_eval_mp(a, x)) == mp.make_mpf(want), (value, x)
-    assert tp_eval_mp(tp_zero(), 0.7) == (0, 0)
+            assert _mpf(tp_eval_mp([a], x)[0]) == mp.make_mpf(want), (value, x)
+    assert tp_eval_mp([tp_zero()], 0.7) == [(0, 0)]
 
 
 def test_exact_values_are_rounded_once():
@@ -548,23 +549,21 @@ def test_compiled_harmonic_route_is_bit_identical(name, a):
 
 
 def test_compiled_table_is_per_precision():
-    # one table per working precision, each coefficient num/den the integer
-    # nearest to num 2^F / den, in Horner order (highest power first)
+    # one table per working precision, one row per nonempty cos (part 0) or
+    # sin (part 1) polynomial, each coefficient num/den the integer nearest
+    # to num 2^F / den, in Horner order (highest power first)
     for _, a in _compiled_cases():
         a = _fresh(a)
+        want = [(k, part, coeffs) for k, *parts in a.terms
+                for part, coeffs in enumerate(parts) if coeffs]
         for F in _EVAL_PRECS[:2]:
             degree, table = _fixed_table(a, F)
             assert degree == a.max_degree()
-            assert [k for k, _, _ in table] == [k for k, _, _ in a.terms]
-            for (_, crow, srow), (_, cpart, spart) in zip(table, a.terms):
-                for row, part in ((crow, cpart), (srow, spart)):
-                    if not part:
-                        assert row is None
-                        continue
-                    lead, rest = row
-                    assert len(rest) + 1 == len(part)
-                    for got, num in zip((lead, *rest), reversed(part)):
-                        assert abs(got - Fraction(num << F, a.den)) <= Fraction(1, 2), (F, num)
+            assert [(k, part) for k, part, _, _ in table] == [(k, part) for k, part, _ in want]
+            for (_, _, lead, rest), (_, _, coeffs) in zip(table, want):
+                assert len(rest) + 1 == len(coeffs)
+                for got, num in zip((lead, *rest), reversed(coeffs)):
+                    assert abs(got - Fraction(num << F, a.den)) <= Fraction(1, 2), (F, num)
         assert _compiled_precisions(a) == list(_EVAL_PRECS[:2])
 
 
@@ -572,7 +571,7 @@ def test_compiled_public_entry_points_match_reference():
     for _, a in _compiled_cases():
         for x in (0.004, 0.5, 7.25):
             ref = _ref_value(a, x)
-            assert _within_rtol(_mpf(tp_eval_mp(_fresh(a), x)), ref, 1e-30), x
+            assert _within_rtol(_mpf(tp_eval_mp([_fresh(a)], x)[0]), ref, 1e-30), x
             assert tp_eval(_fresh(a), x) == _nearest_double(ref), x
 
 
@@ -756,18 +755,25 @@ def _count_cos_sin(monkeypatch):
 
 def _record_passes(monkeypatch):
     """(summed, x, F, (T, E)) of every pass from now on: a harmonic sum
-    (_fixed_value, summed the element) or a series row sum (_series_value,
-    summed the element's series form)."""
+    (_fixed_values, one pass per element of its stack) or a series row sum
+    (_series_value, summed the element's series form)."""
     from chebcrit import trigpoly
 
     passes = []
-    for name in ("_fixed_value", "_series_value"):
-        def recording(b, x, F, *weight, plain=getattr(trigpoly, name)):
-            got = plain(b, x, F, *weight)
-            passes.append((b, x, F, got))
-            return got
+    plain_values, plain_series = trigpoly._fixed_values, trigpoly._series_value
 
-        monkeypatch.setattr(trigpoly, name, recording)
+    def fixed_values(elements, x, F):
+        got = plain_values(elements, x, F)
+        passes.extend((b, x, F, g) for b, g in zip(elements, got))
+        return got
+
+    def series_value(form, x, F, w):
+        got = plain_series(form, x, F, w)
+        passes.append((form, x, F, got))
+        return got
+
+    monkeypatch.setattr(trigpoly, "_fixed_values", fixed_values)
+    monkeypatch.setattr(trigpoly, "_series_value", series_value)
     return passes
 
 
@@ -823,7 +829,7 @@ def test_certified_values_and_dps_match_the_references(monkeypatch):
     rn, rd = (1e-30).as_integer_ratio()
     for a, x in _reference_cases():
         del passes[:]
-        got = tp_eval_mp(a, x)
+        got, = tp_eval_mp([a], x)
         assert _within_rtol(_mpf(got), _ref_value(a, x), 1e-30), (format_trigpoly(a)[:40], x)
         form = _series_form(a) if abs(x) < MACLAURIN_RADIUS else None
         assert passes
@@ -863,7 +869,8 @@ def test_escalating_elements_beside_entries_certified_at_40_digits(monkeypatch):
     # at a double next to a zero of PLANTED (harmonic 2), or of f_6'''
     # (harmonic 1, like every f_n entry), that element escalates one
     # precision while the other entries of the stack certify at the first
-    # (40 digits); cos and sin are computed once per (precision, harmonic)
+    # (40 digits) in the one kernel pass over the stack; cos and sin are
+    # computed once per (precision, harmonic)
     derivs = fn_derivatives(6, 12)
     calls = _count_cos_sin(monkeypatch)
     for escalating, x, want_calls in ((PLANTED, _root_of(PLANTED, 1.25, 1.3), 3),
@@ -872,8 +879,8 @@ def test_escalating_elements_beside_entries_certified_at_40_digits(monkeypatch):
         fresh = [_fresh(a) for a in order]
         _forget_point()
         del calls[:]
-        for a, f in zip(order, fresh):
-            assert _within_rtol(_mpf(tp_eval_mp(f, x)), _ref_value(a, x), 1e-30), x
+        for a, got in zip(order, tp_eval_mp(fresh, x)):
+            assert _within_rtol(_mpf(got), _ref_value(a, x), 1e-30), x
         for a, f in zip(order, fresh):
             want = list(_EVAL_PRECS[:2]) if a is escalating else [_EVAL_PRECS[0]]
             assert _compiled_precisions(f) == want, x
@@ -884,9 +891,9 @@ def test_escalating_elements_beside_entries_certified_at_40_digits(monkeypatch):
 
 @pytest.mark.parametrize("n", range(7))
 def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n, monkeypatch):
-    # the stack f_n, ..., f_n^(2n) evaluated in sequence, as minor_values
+    # the stack f_n, ..., f_n^(2n) evaluated in one call, as minor_values
     # does, makes one _cos_sin call per working precision, and each value
-    # is the one a fresh instance gives with no shared memo
+    # is the one a fresh instance gives alone, with no shared memo
     calls = _count_cos_sin(monkeypatch)
     counts = []
     for x in (0.013, 0.7, 3.7, 11.0):
@@ -894,7 +901,7 @@ def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n, monkeypatch):
         stack = [_fresh(d) for d in derivs]
         _forget_point()
         del calls[:]
-        got = [(tp_eval_mp(f, x), tp_eval(f, x)) for f in stack]
+        got = list(zip(tp_eval_mp(stack, x), [tp_eval(f, x) for f in stack]))
         precisions = {F for f in stack for F in _compiled_precisions(f)}
         assert len(calls) == len(precisions), x
         counts.append(len(calls))
@@ -902,8 +909,81 @@ def test_entries_at_one_abscissa_share_cos_sin_bit_identically(n, monkeypatch):
             assert _within_rtol(_mpf(g), _ref_value(d, x), 1e-30), (x, d)
             assert gf == _nearest_double(_ref_value(d, x)), (x, d)
             _forget_point()
-            assert (tp_eval_mp(_fresh(d), x), tp_eval(_fresh(d), x)) == (g, gf)
+            assert (tp_eval_mp([_fresh(d)], x)[0], tp_eval(_fresh(d), x)) == (g, gf)
     assert 1 in counts
+
+
+def _one_at_a_time(a, x):
+    """The pair of one element on its own: (0, 0) for the zero element, an
+    exact value rounded to the first precision, else the first enclosure of
+    its own ladder (``_enclosures``) within 1e-30."""
+    if a.is_zero():
+        return 0, 0
+    exact = _exact_value(a, x, 0)
+    if exact is not None:
+        return _nearest_bits(exact.numerator, exact.denominator, _EVAL_PRECS[0])
+    rn, rd = (1e-30).as_integer_ratio()
+    for T, E, F, _ in _enclosures(a, x, 0):
+        if E * rd <= abs(T) * rn:
+            return T, -F
+
+
+def test_stack_pairs_are_those_of_each_element_alone():
+    # seeded stacks that mix the zero element, a pure polynomial, f_12
+    # (which escalates at 0.0105), the minor (6, 7) with harmonics 0 to 14,
+    # PLANTED and f_6 entries, one element twice, at x = +-0, below and
+    # above MACLAURIN_RADIUS and far out: each pair is the element's own
+    from chebcrit.determinants import symbolic_minor
+
+    assert tp_eval_mp([spherical_fn(12)], 0.0105)[0][1] < -_EVAL_PRECS[0]
+    rng = random.Random(37)
+    mixed = [tp_zero(), tp_from_poly([Fraction(1, 3), 0, -2]), spherical_fn(12),
+             symbolic_minor(6, 7), PLANTED]
+    entries = fn_derivatives(6, 12)
+    xs = [0.0, -0.0, 0.004, -0.0099, 0.01, 0.0105, 0.7, -3.7, 11.385]
+    xs += [rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 1.4) for _ in range(6)]
+    for x in xs:
+        stack = mixed + rng.choices(entries, k=rng.randint(1, 8))
+        rng.shuffle(stack)
+        stack.insert(rng.randrange(len(stack) + 1), rng.choice(stack))
+        _forget_point()
+        want = [_one_at_a_time(_fresh(a), x) for a in stack]
+        _forget_point()
+        assert tp_eval_mp(stack, x) == want, x
+
+
+def test_empty_stack_has_no_values():
+    assert tp_eval_mp([], 3.7) == []
+    assert tp_eval_mp((), 0.0) == []
+    with pytest.raises(UsageError, match="finite"):
+        tp_eval_mp([], math.nan)
+
+
+def test_stack_shares_one_kernel_pass_at_the_first_precision(monkeypatch):
+    # at |x| >= MACLAURIN_RADIUS the stack's elements with a harmonic k > 0
+    # share one _fixed_values call at the first precision, and the zero
+    # element and a pure polynomial stay out of it; only an element that
+    # pass leaves uncertified sums again, on its own ladder from the first
+    # precision: f_12 and its first three derivatives at 0.0105 certify at
+    # the third
+    from chebcrit import trigpoly
+
+    calls = []
+    plain = trigpoly._fixed_values
+
+    def counting(elements, x, F):
+        calls.append(([id(a) for a in elements], F))
+        return plain(elements, x, F)
+
+    monkeypatch.setattr(trigpoly, "_fixed_values", counting)
+    derivs = [_fresh(d) for d in fn_derivatives(12, 3)]
+    stack = [tp_zero(), *derivs, tp_from_poly([1, 2])]
+    for x, ladder in ((7.7, ()), (0.0105, _EVAL_PRECS[:3])):
+        del calls[:]
+        got = tp_eval_mp(stack, x)
+        assert got[0] == (0, 0) and got[-1] == _one_at_a_time(stack[-1], x)
+        assert calls == ([([id(d) for d in derivs], _EVAL_PRECS[0])]
+                         + [([id(d)], F) for d in derivs for F in ladder]), x
 
 
 def test_point_memo_is_keyed_by_abscissa_and_precision():
@@ -921,16 +1001,18 @@ def test_point_memo_is_keyed_by_abscissa_and_precision():
 
 @pytest.mark.parametrize("a,x,precs", [
     (tp_term(1, (0, 0, 0, 0, 1)), 1e-300, _EVAL_PRECS[:1]),  # x^4 cos x ~ 2^-3987
-    (tp_scale(spherical_fn(3), Fraction(1, 10**400)), 3.7, _EVAL_PRECS[:5]),
+    (tp_scale(spherical_fn(3), Fraction(1, 10**400)), 3.7, (_EVAL_PRECS[0], *_EVAL_PRECS[:5])),
     (tp_scale(spherical_fn(3), 10**400), 3.7, _EVAL_PRECS[:1]),
 ], ids=["tiny-x", "tiny-coefficients", "huge-coefficients"])
 def test_kernel_gives_a_tiny_magnitude_sum_enough_fraction_bits(a, x, precs, monkeypatch):
     # near 0 the series form's leading coefficient sets the start (here
     # 1, so the first precision); elsewhere the harmonic form starts at the
     # first precision and climbs until the sum carries the digits: a value
-    # of 10^-400 (2^-1329) certifies 1e-30 at the fifth, 2129 bits
+    # of 10^-400 (2^-1329) certifies 1e-30 at the fifth, 2129 bits, after
+    # the stack's shared pass at the first precision, which its own ladder
+    # sums again
     passes = _record_passes(monkeypatch)
-    assert _within_rtol(_mpf(tp_eval_mp(_fresh(a), x)), _ref_value(a, x), 1e-30)
+    assert _within_rtol(_mpf(tp_eval_mp([_fresh(a)], x)[0]), _ref_value(a, x), 1e-30)
     assert _x_and_F(passes) == [(x, F) for F in precs]
 
 
@@ -968,12 +1050,12 @@ def test_f12_near_zero_takes_one_pass_per_abscissa(monkeypatch):
     f = _fresh(spherical_fn(12))
     xs = [10 ** (-4 + 2 * i / 200) for i in range(200)]
     for x in xs:
-        got = tp_eval_mp(f, x)
+        got, = tp_eval_mp([f], x)
         assert got[1] < 0 and got[0] > 0, x
     assert _x_and_F(passes) == [(x, 147) for x in xs]
     assert {id(b) for b, _, _, _ in passes} == {id(_series_form(f))}
     for x in xs[::40]:
-        assert _within_rtol(_mpf(tp_eval_mp(f, x)), _ref_value(f, x), 1e-30), x
+        assert _within_rtol(_mpf(tp_eval_mp([f], x)[0]), _ref_value(f, x), 1e-30), x
 
 
 @pytest.mark.parametrize("route", ["kernel", "maclaurin"])
@@ -995,7 +1077,7 @@ def test_eval_does_not_round_a_true_zero_of_the_kernel():
     # (x - 1/2) cos x vanishes at the double 1/2: its interval never excludes
     # 0, so the kernel escalates to the cap rather than report an underflow
     a = tp_term(1, (Fraction(-1, 2), 1))
-    for evaluate in (tp_eval, tp_eval_mp):
+    for evaluate in (tp_eval, lambda a, x: tp_eval_mp([a], x)):
         with pytest.raises(NumericalFailure, match="did not certify below 5000 digits"):
             evaluate(a, 0.5)
 
@@ -1009,7 +1091,7 @@ def test_eval_bits_do_not_depend_on_the_callers_precision(outer_dps):
 
     def evaluate():
         # fresh instances, so the tables are compiled under the caller's context
-        return [(tp_eval_mp(TrigPoly(a.terms, a.den), x),
+        return [(tp_eval_mp([TrigPoly(a.terms, a.den)], x)[0],
                  tp_eval(TrigPoly(a.terms, a.den), x)) for a, x in cases]
 
     want = evaluate()
@@ -1109,7 +1191,8 @@ def test_maclaurin_form_falls_through_to_the_harmonic_kernel(a, has_form, tried,
     x = 0.005
     ref = _ref_value(a, x)
     for evaluate, holds in ((tp_eval, lambda got: got == _nearest_double(ref)),
-                            (tp_eval_mp, lambda got: _within_rtol(_mpf(got), ref, 1e-30))):
+                            (lambda a, x: tp_eval_mp([a], x)[0],
+                             lambda got: _within_rtol(_mpf(got), ref, 1e-30))):
         fresh = _fresh(a)
         del passes[:]
         assert holds(evaluate(fresh, x))
@@ -1330,7 +1413,7 @@ def test_a_near_zero_form_builds_only_what_its_rows_read():
     a = _fresh(symbolic_minor(6, 7))
     for x in (1e-4, 1e-3, 0.005, 0.0099):
         tp_eval(a, x)
-        tp_eval_mp(a, x)
+        tp_eval_mp([a], x)
     assert len(_series_form(a).nums) < _SERIES_TERMS
     f4_squared = _fresh(tp_mul(spherical_fn(4), spherical_fn(4)))
     assert tp_integral_over_power(f4_squared, 11, 20.0) is not None
@@ -1453,7 +1536,7 @@ def test_eval_leaves_mp_context_untouched():
     tp_eval(spherical_fn(8), 1e-3)   # the series form's row
     tp_eval(spherical_fn(8), 25.0)   # forces precision escalation
     tp_eval_over_power(TrigPoly(PLANTED.terms, PLANTED.den), 1, 0.004)  # builds a series form
-    tp_eval_mp(TrigPoly(PLANTED.terms, PLANTED.den), 3.7)               # builds harmonic tables
+    tp_eval_mp([TrigPoly(PLANTED.terms, PLANTED.den)], 3.7)             # builds harmonic tables
     bessel_j(3.4, 40.0)              # escalates the series precision (30 -> 60)
     bessel_stack_values(3.4, 40.0, 5)  # one series pass per precision for six orders
     minor_values(4, 3.0)             # 1e-30 entries, then the exact Hankel elimination
