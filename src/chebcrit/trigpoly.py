@@ -37,10 +37,11 @@ of a(x)/x^(power - d) at each precision in turn; each caller draws from it
 until its own acceptance test passes.  ``tp_eval_mp`` takes a whole stack
 of elements at one x, such as the Hankel entries f_n, ..., f_n^(2S-2) of
 ``determinants``: at |x| >= MACLAURIN_RADIUS the first rung, the harmonic
-form at 136 bits, is one kernel pass over every element with a harmonic
-k > 0, and only an element that pass leaves uncertified draws the rest of
-the ladder from its own ``_enclosures``, which sums that rung again.  The
-zero element, exact values and the series route near 0 stay per element.
+form at 136 bits, is one kernel pass over the whole stack, and only an
+element that pass leaves uncertified draws the rest of the ladder from its
+own ``_enclosures``, which sums that rung again.  The zero element and
+exact values (a pure polynomial, x = 0) skip the ladder, and below
+MACLAURIN_RADIUS every element draws its own series-route ladder.
 
 The kernel works at F fraction bits.  Each coefficient num/den is the
 integer nearest to num 2^F / den, and the double x is the exact dyadic
@@ -581,10 +582,10 @@ def vanishing_order(a: TrigPoly) -> int:
 def _fixed_table(a: TrigPoly, F: int):
     """(degree, rows) of ``a`` at F fraction bits, built once per F and
     stored on the instance, so a lookup never hashes the element's
-    numerators: one row (k, part, leading, the rest in Horner order) per
-    nonempty cos (part 0) or sin (part 1) polynomial of harmonic k, each
-    num/den the integer nearest to num 2^F / den; degree is the most Horner
-    steps of a row."""
+    numerators: one row (k, part, leading, the rest in Horner order, the
+    row's Horner steps) per nonempty cos (part 0) or sin (part 1)
+    polynomial of harmonic k, each num/den the integer nearest to num 2^F /
+    den; degree is the most Horner steps of a row."""
     tables = a.__dict__.get("_fixed_tables")
     if tables is None:
         tables = a.__dict__["_fixed_tables"] = {}
@@ -596,7 +597,7 @@ def _fixed_table(a: TrigPoly, F: int):
             for part, coeffs in enumerate(parts):
                 if coeffs:
                     ints = [((c << (F + 1)) + den) // den2 for c in reversed(coeffs)]
-                    rows.append((k, part, ints[0], tuple(ints[1:])))
+                    rows.append((k, part, ints[0], tuple(ints[1:]), len(ints) - 1))
         table = tables[F] = (a.max_degree(), tuple(rows))
     return table
 
@@ -623,27 +624,26 @@ def _fixed_values(elements, x: float, F: int) -> list[tuple[int, int]]:
     count computed once per abscissa, and cos/sin(k x) shared per (F, k)."""
     _, p, s, errs, trig = _point_values(x)
     out = []
-    at_k = {}  # cos/sin(k x) at F by k, read from the point memo once per call
+    k_at = 0  # the harmonic whose cos/sin(k x) cos_sin holds
     for a in elements:
         degree, rows = _fixed_table(a, F)
         while len(errs) <= degree:
             errs.append(-(-errs[-1] * abs(p) >> s) + 2)
         total = bound = 0
-        for k, part, acc, rest in rows:
+        for k, part, acc, rest, steps in rows:
             for coeff in rest:
                 acc = (acc * p >> s) + coeff
             if k:
-                cos_sin = at_k.get(k)
-                if cos_sin is None:
+                if k != k_at:
                     cos_sin = trig.get((F, k))
                     if cos_sin is None:
                         cos_sin = trig[F, k] = _cos_sin(k * p, s, F)
-                    at_k[k] = cos_sin
+                    k_at = k
                 total += acc * cos_sin[part] >> F
-                bound += errs[len(rest)] + (abs(acc) >> F) + 2
+                bound += errs[steps] + (abs(acc) >> F) + 2
             else:
                 total += acc
-                bound += errs[len(rest)]
+                bound += errs[steps]
         out.append((total, bound))
     return out
 
@@ -913,19 +913,17 @@ def tp_eval_mp(elements, x: float) -> list[tuple[int, int]]:
     sums that rung again.
     """
     x = _finite(x)
+    if abs(x) < MACLAURIN_RADIUS:
+        return [_certified(a, x) for a in elements]
     F = _EVAL_PRECS[0]
-    kernel = abs(x) >= MACLAURIN_RADIUS
-    # the elements of the shared pass: nonzero, not all k = 0 (harmonics sorted by k)
-    sums = iter(_fixed_values([a for a in elements if kernel and a.terms and a.terms[-1][0]],
-                              x, F))
     out = []
-    for a in elements:
-        if kernel and a.terms and a.terms[-1][0]:
-            T, E = next(sums)
-            if E * _RTOL_DEN <= abs(T) * _RTOL_NUM:
-                out.append((T, -F))
-                continue
-        out.append(_certified(a, x))
+    for a, (T, E) in zip(elements, _fixed_values(elements, x, F)):
+        # the zero element and pure polynomials (harmonics sorted by k) take
+        # their exact values, so their sums go unused
+        if a.terms and a.terms[-1][0] and E * _RTOL_DEN <= abs(T) * _RTOL_NUM:
+            out.append((T, -F))
+        else:
+            out.append(_certified(a, x))
     return out
 
 

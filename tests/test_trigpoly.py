@@ -551,7 +551,8 @@ def test_compiled_harmonic_route_is_bit_identical(name, a):
 def test_compiled_table_is_per_precision():
     # one table per working precision, one row per nonempty cos (part 0) or
     # sin (part 1) polynomial, each coefficient num/den the integer nearest
-    # to num 2^F / den, in Horner order (highest power first)
+    # to num 2^F / den, in Horner order (highest power first), with the
+    # row's count of Horner steps
     for _, a in _compiled_cases():
         a = _fresh(a)
         want = [(k, part, coeffs) for k, *parts in a.terms
@@ -559,9 +560,9 @@ def test_compiled_table_is_per_precision():
         for F in _EVAL_PRECS[:2]:
             degree, table = _fixed_table(a, F)
             assert degree == a.max_degree()
-            assert [(k, part) for k, part, _, _ in table] == [(k, part) for k, part, _ in want]
-            for (_, _, lead, rest), (_, _, coeffs) in zip(table, want):
-                assert len(rest) + 1 == len(coeffs)
+            assert [(k, part) for k, part, *_ in table] == [(k, part) for k, part, _ in want]
+            for (_, _, lead, rest, steps), (_, _, coeffs) in zip(table, want):
+                assert len(rest) + 1 == len(coeffs) == steps + 1
                 for got, num in zip((lead, *rest), reversed(coeffs)):
                     assert abs(got - Fraction(num << F, a.den)) <= Fraction(1, 2), (F, num)
         assert _compiled_precisions(a) == list(_EVAL_PRECS[:2])
@@ -960,12 +961,11 @@ def test_empty_stack_has_no_values():
 
 
 def test_stack_shares_one_kernel_pass_at_the_first_precision(monkeypatch):
-    # at |x| >= MACLAURIN_RADIUS the stack's elements with a harmonic k > 0
-    # share one _fixed_values call at the first precision, and the zero
-    # element and a pure polynomial stay out of it; only an element that
-    # pass leaves uncertified sums again, on its own ladder from the first
-    # precision: f_12 and its first three derivatives at 0.0105 certify at
-    # the third
+    # at |x| >= MACLAURIN_RADIUS the whole stack shares one _fixed_values
+    # call at the first precision, and the zero element and a pure
+    # polynomial take their exact values; only an element that pass leaves
+    # uncertified sums again, on its own ladder from the first precision:
+    # f_12 and its first three derivatives at 0.0105 certify at the third
     from chebcrit import trigpoly
 
     calls = []
@@ -982,7 +982,7 @@ def test_stack_shares_one_kernel_pass_at_the_first_precision(monkeypatch):
         del calls[:]
         got = tp_eval_mp(stack, x)
         assert got[0] == (0, 0) and got[-1] == _one_at_a_time(stack[-1], x)
-        assert calls == ([([id(d) for d in derivs], _EVAL_PRECS[0])]
+        assert calls == ([([id(a) for a in stack], _EVAL_PRECS[0])]
                          + [([id(d)], F) for d in derivs for F in ladder]), x
 
 
