@@ -181,7 +181,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import NumericalFailure, UsageError
 from .fixedpoint import _checked_double, _cos_sin, _horner_row, _ladder, _nearest_bits, _ziv_double
@@ -617,7 +617,7 @@ def _point_values(x: float):
     return _point
 
 
-def _fixed_values(elements, x: float, F: int) -> list[tuple[int, int]]:
+def _fixed_values(elements: Sequence[TrigPoly], x: float, F: int) -> list[tuple[int, int]]:
     """[(T, E)] with |T 2^-F - a(x)| <= E 2^-F for each element a, on
     Python ints, by the error model of the module docstring (errs[j] is e
     after j Horner steps): one point-memo lookup for the stack, each error
@@ -899,7 +899,7 @@ def _exact_value(a: TrigPoly, x: float, power: int):
     return Fraction(sum(v * xf ** i for i, v in enumerate(a.terms[0][1])), a.den) / xf ** power
 
 
-def tp_eval_mp(elements, x: float) -> list[tuple[int, int]]:
+def tp_eval_mp(elements: Sequence[TrigPoly], x: float) -> list[tuple[int, int]]:
     """The certified values of a sequence of ring elements at ``x``, one
     dyadic pair (man, exp), the value man 2^exp, per element.
 
